@@ -7,8 +7,10 @@
 //!
 //! Volume and distance are *combinatorial* quantities (Definitions 2.1–2.2)
 //! measured exactly by the query-model runner — the experiments do not
-//! depend on wall-clock noise. Wall-clock performance of the solvers
-//! themselves is measured separately by the `criterion_suite` bench.
+//! depend on wall-clock noise.
+//!
+//! [`CaseRng`] feeds the seeded property loops of the repository's
+//! integration tests.
 
 use vc_core::lcl::{count_violations, Lcl};
 use vc_engine::Engine;
@@ -303,6 +305,55 @@ pub fn format_series(series: &[(f64, f64)]) -> String {
         .map(|(n, c)| format!("({n:.0}, {c:.1})"))
         .collect::<Vec<_>>()
         .join(" ")
+}
+
+/// Splitmix64's increment and finalizer multipliers.
+#[rustfmt::skip]
+// vc-lint: allow(VC008, reason = "a test-input stream generator like the allowlisted random and fault tapes; it never mints an identity")
+const SPLITMIX: [u64; 3] = [0x9E37_79B9_7F4A_7C15, 0xBF58_476D_1CE4_E5B9, 0x94D0_49BB_1331_11EB];
+
+/// The input stream of one case of a seeded property loop: case `i` of
+/// every property draws from one fixed splitmix64 stream, so a failing
+/// case reproduces exactly on any machine. A property draws its inputs
+/// in the order it names them.
+#[derive(Debug)]
+pub struct CaseRng {
+    state: u64,
+}
+
+impl CaseRng {
+    /// The stream of case number `case`.
+    fn for_case(case: u64) -> Self {
+        Self {
+            state: case.wrapping_mul(SPLITMIX[0]) ^ 0xC001_D00D_5EED_5EED,
+        }
+    }
+
+    /// The next 64-bit word.
+    fn next_u64(&mut self) -> u64 {
+        self.state = self.state.wrapping_add(SPLITMIX[0]);
+        let mut z = self.state;
+        z = (z ^ (z >> 30)).wrapping_mul(SPLITMIX[1]);
+        z = (z ^ (z >> 27)).wrapping_mul(SPLITMIX[2]);
+        z ^ (z >> 31)
+    }
+
+    /// A draw from the non-empty `range`: `start + next % span`.
+    pub fn pick(&mut self, range: std::ops::Range<u64>) -> u64 {
+        range.start + self.next_u64() % (range.end - range.start)
+    }
+
+    /// A coin flip: the low bit of the next word.
+    pub fn coin(&mut self) -> bool {
+        self.next_u64() & 1 == 1
+    }
+}
+
+/// Runs `property` on the streams of cases `0..cases`, in order.
+pub fn for_cases(cases: u64, mut property: impl FnMut(&mut CaseRng)) {
+    for case in 0..cases {
+        property(&mut CaseRng::for_case(case));
+    }
 }
 
 #[cfg(test)]

@@ -11,9 +11,9 @@
 //!
 //! The file is JSON, written by hand and read back with the dependency-free
 //! parser in `vc-json` (the vendored serde is a no-op stand-in; see
-//! DESIGN.md §3). Every counter in a record fits `f64` exactly
-//! (`vc_json::Value::as_u64` enforces this on read), so the
-//! integer round-trip is lossless.
+//! DESIGN.md §3). Every counter is written as a plain integer literal,
+//! which `vc_json::Value::as_u64` reads back exactly (and any other
+//! number form it refuses), so the integer round-trip is lossless.
 //!
 //! A checkpoint is only valid for the exact sweep that produced it: the
 //! file carries the content-addressed [`SweepIdentity`] — an
@@ -113,7 +113,7 @@ pub struct SweepIdentity {
 /// *full* chunk plan — both the planned chunk size and the total chunk
 /// count of [`plan_chunks`]. The plan is folded whole so that every
 /// partition of a fleet run agrees on one identity: a
-/// [`ChunkRange`](crate::ChunkRange) restriction deliberately does *not*
+/// [`ChunkSet`](crate::ChunkSet) restriction deliberately does *not*
 /// enter the id, which is what lets disjoint partial checkpoints splice
 /// into a file byte-identical to an unpartitioned run (DESIGN.md §15).
 /// Anything that can change a chunk's records is folded in here, and
@@ -156,9 +156,8 @@ pub struct SweepCheckpoint {
     /// partial files are self-describing. `None` for unrestricted runs
     /// *and* for spliced merges, so the `partition` key is absent from
     /// full checkpoints and a merged file is byte-identical to a
-    /// single-process run's. Single-run sets display exactly like the
-    /// historical `ChunkRange` stamps, so range-partitioned files keep
-    /// their byte layout.
+    /// single-process run's. A single-run set is stamped as
+    /// `lo..hi/total`.
     pub partition: Option<ChunkSet>,
     /// Per-chunk completed records, in chunk order.
     pub chunks: Vec<Option<Vec<ExecutionRecord>>>,
@@ -451,7 +450,7 @@ impl Engine {
     /// Outputs are not checkpointed (see the module docs) — this entry
     /// point returns records and costs only.
     ///
-    /// Under [`Engine::with_chunk_range`] this is the fleet-worker entry
+    /// Under [`Engine::with_chunk_set`] this is the fleet-worker entry
     /// point: only the slice's chunks execute, the written file is
     /// stamped with the slice ([`SweepCheckpoint::partition`]), and the
     /// disjoint partials splice back into one full checkpoint with

@@ -103,13 +103,13 @@ use vc_model::cost::{CostAccumulator, CostSummary, ExecutionRecord};
 use vc_model::oracle::ExecScratch;
 use vc_model::run::{run_from_traced, QueryAlgorithm, RunConfig, RunReport};
 use vc_trace::time::Stopwatch;
-use vc_trace::{MergeTracer, NoopTracer};
+use vc_trace::{MergeTracer, NoopTracer, TraceEvent};
 
 pub use checkpoint::{
     sweep_identity, CheckpointReport, EngineError, SweepCheckpoint, SweepIdentity,
     CHECKPOINT_SCHEMA,
 };
-pub use partition::{ChunkRange, ChunkSet, RangeError, CHUNKS_ENV};
+pub use partition::{ChunkSet, RangeError, CHUNKS_ENV};
 pub use splice::{format_chunk_groups, splice_checkpoints, splice_partial, SpliceError};
 pub use vc_ident::{InstanceId, SweepId};
 
@@ -383,13 +383,6 @@ impl Engine {
         self
     }
 
-    /// Restricts the sweep to the chunks inside `range` — the worker side
-    /// of fleet execution (DESIGN.md §15). Shorthand for
-    /// [`Engine::with_chunk_set`] with a single contiguous run.
-    pub fn with_chunk_range(self, range: ChunkRange) -> Self {
-        self.with_chunk_set(range.into())
-    }
-
     /// Restricts the sweep to the chunks inside `set` — the worker side
     /// of fleet execution (DESIGN.md §15/§16). Claims walk the set's
     /// chunks in ascending order; chunks outside it land in
@@ -480,7 +473,7 @@ impl Engine {
     /// summary — the merged tracer is bit-identical for every thread
     /// count.
     ///
-    /// Per-chunk wall times (`chunk_timed`) are measured only when
+    /// Per-chunk wall times (`ChunkTimed` events) are measured only when
     /// `T::TIMED` is set, and are inherently schedule-dependent: mergeable
     /// tracers must quarantine them away from their deterministic state
     /// (see `SweepMetrics`' query/sched split in `vc-trace`).
@@ -674,9 +667,12 @@ where
         // is a const: the untraced NoopTracer instantiation performs no
         // clock reads.
         let mut tracer = T::default();
-        tracer.chunk_claimed(chunk, hi - lo);
+        tracer.event(TraceEvent::ChunkClaimed {
+            chunk,
+            starts: hi - lo,
+        });
         if attempt > 0 {
-            tracer.chunk_retried(chunk, attempt);
+            tracer.event(TraceEvent::ChunkRetried { chunk, attempt });
         }
         let sw = if T::TIMED {
             Some(Stopwatch::start())
@@ -689,7 +685,10 @@ where
             outs.push((root, out, rec));
         }
         if let Some(sw) = sw {
-            tracer.chunk_timed(chunk, sw.elapsed_nanos());
+            tracer.event(TraceEvent::ChunkTimed {
+                chunk,
+                nanos: sw.elapsed_nanos(),
+            });
         }
         (outs, acc, tracer)
     }))
@@ -815,12 +814,19 @@ where
     let mut merged_tracer = T::default();
     // The plan is announced once, on the merged tracer (the merge loop is
     // serial), so the event count and its arguments are thread-invariant.
-    merged_tracer.chunk_planned(num_chunks, plan.chunk_size);
+    merged_tracer.event(TraceEvent::ChunkPlanned {
+        chunks: num_chunks,
+        chunk_size: plan.chunk_size,
+    });
     if let Some(set) = limits.set {
-        // One event per contiguous run: a single-range set announces
-        // itself exactly like the historical whole-slice partition.
-        for r in set.ranges() {
-            merged_tracer.partition_restricted(r.lo(), r.hi(), r.total());
+        // One event per contiguous run, so a single-slice set announces
+        // exactly its `lo..hi/total` spec.
+        for &(lo, hi) in set.runs() {
+            merged_tracer.event(TraceEvent::PartitionRestricted {
+                lo,
+                hi,
+                total: set.total(),
+            });
         }
     }
     let mut aborted = Vec::new();
@@ -833,7 +839,7 @@ where
             Slot::Done((outs, acc, tracer)) => {
                 total.merge(&acc);
                 merged_tracer.absorb(tracer);
-                merged_tracer.chunk_merged(c);
+                merged_tracer.event(TraceEvent::ChunkMerged { chunk: c });
                 chunk_records.push(Some(outs.iter().map(|(_, _, rec)| rec.clone()).collect()));
                 for (root, out, rec) in outs {
                     outputs[root] = Some(out);
@@ -845,8 +851,11 @@ where
                 // account for the claim and the abort on the merged tracer,
                 // still in chunk order.
                 let (lo, hi) = plan.bounds(c, starts.len());
-                merged_tracer.chunk_claimed(c, hi - lo);
-                merged_tracer.chunk_aborted(c);
+                merged_tracer.event(TraceEvent::ChunkClaimed {
+                    chunk: c,
+                    starts: hi - lo,
+                });
+                merged_tracer.event(TraceEvent::ChunkAborted { chunk: c });
                 aborted.push(c);
                 chunk_records.push(None);
             }
@@ -900,7 +909,7 @@ pub struct EngineReport<O> {
     /// flag stopped the sweep first (ascending). Always a suffix of the
     /// claim window.
     pub skipped_chunks: Vec<usize>,
-    /// Chunks outside the configured [`ChunkRange`] (ascending; empty for
+    /// Chunks outside the configured [`ChunkSet`] (ascending; empty for
     /// unrestricted runs). These belong to *other* partitions of the same
     /// sweep and deliberately carry no outputs here, so — unlike aborts
     /// and skips — they do not mark the report degraded.
@@ -1270,7 +1279,7 @@ mod tests {
             .unwrap();
         for threads in [1, 2, 8] {
             let report = Engine::with_threads(threads)
-                .with_chunk_range(ChunkRange::parse("2..4/6").unwrap())
+                .with_chunk_set(ChunkSet::parse("2..4/6").unwrap())
                 .run_all(&inst, &WalkLeft, &config)
                 .unwrap();
             // A finished partition is healthy: nothing aborted, nothing
@@ -1302,7 +1311,7 @@ mod tests {
             .run_all(&inst, &WalkLeft, &config)
             .unwrap();
         let report = Engine::with_threads(2)
-            .with_chunk_range(ChunkRange::parse("2..5/6").unwrap())
+            .with_chunk_set(ChunkSet::parse("2..5/6").unwrap())
             .with_chunk_quota(1)
             .run_all(&inst, &WalkLeft, &config)
             .unwrap();
@@ -1372,7 +1381,7 @@ mod tests {
     fn mismatched_chunk_range_is_refused() {
         let inst = gen::random_full_binary_tree(333, 5); // 6 chunks
         let err = Engine::with_threads(2)
-            .with_chunk_range(ChunkRange::parse("0..4/8").unwrap())
+            .with_chunk_set(ChunkSet::parse("0..4/8").unwrap())
             .run_all(&inst, &WalkLeft, &RunConfig::default())
             .unwrap_err();
         assert_eq!(
@@ -1393,9 +1402,9 @@ mod tests {
             .unwrap();
         let total = plan_chunks(inst.n()).num_chunks;
         let mut merged: Vec<ExecutionRecord> = Vec::new();
-        for range in ChunkRange::split(total, 4) {
+        for set in ChunkSet::split(total, 4) {
             let part = Engine::with_threads(3)
-                .with_chunk_range(range)
+                .with_chunk_set(set)
                 .run_all(&inst, &WalkLeft, &config)
                 .unwrap();
             merged.extend(part.report.records);

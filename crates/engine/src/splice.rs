@@ -1,7 +1,7 @@
 //! Splicing disjoint partial checkpoints into one full sweep result.
 //!
 //! The merge side of fleet execution (DESIGN.md §15): each worker process
-//! runs a [`ChunkRange`](crate::ChunkRange)-restricted sweep against its
+//! runs a [`ChunkSet`](crate::ChunkSet)-restricted sweep against its
 //! own checkpoint file, and [`splice_checkpoints`] recombines the partial
 //! `vc-engine-checkpoint/v2` files into a single complete checkpoint.
 //! Because chunk contents are deterministic and identified by index, the

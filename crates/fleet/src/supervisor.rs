@@ -10,9 +10,9 @@
 use crate::report::{FleetReport, WorkerReport};
 use crate::{FleetConfig, FleetError, LaunchSpec, WorkerBackend, WorkerStatus};
 use std::path::{Path, PathBuf};
-use vc_engine::{splice_partial, ChunkRange, ChunkSet, SweepCheckpoint};
+use vc_engine::{splice_partial, ChunkSet, SweepCheckpoint};
 use vc_trace::time::Stopwatch;
-use vc_trace::Tracer;
+use vc_trace::{TraceEvent, Tracer};
 
 /// What a supervised fleet run produced.
 #[derive(Clone, Debug)]
@@ -146,13 +146,13 @@ impl Supervisor {
             })
         };
 
-        for (w, range) in ChunkRange::split(num_chunks, workers).iter().enumerate() {
-            if range.is_empty() {
+        for (w, slice) in ChunkSet::split(num_chunks, workers).into_iter().enumerate() {
+            if slice.is_empty() {
                 continue;
             }
             let path = part_dir.join(format!("part{w}.json"));
             active.push(start(
-                ChunkSet::from(*range),
+                slice,
                 w,
                 path,
                 &mut next_launch,
@@ -180,7 +180,11 @@ impl Supervisor {
                             a.progress = done;
                             a.sw = Stopwatch::start();
                         } else if a.sw.elapsed() >= self.config.liveness_deadline {
-                            tracer.worker_suspected(a.worker, done, a.assigned.len());
+                            tracer.event(TraceEvent::WorkerSuspected {
+                                worker: a.worker,
+                                completed: done,
+                                assigned: a.assigned.len(),
+                            });
                             report.suspected += 1;
                             report.workers[a.worker].suspected += 1;
                             a.suspected = true;
@@ -252,7 +256,10 @@ impl Supervisor {
                     .min(self.config.backoff_cap);
                 std::thread::sleep(backoff);
                 for &c in &retry {
-                    tracer.chunk_reassigned(c, report.chunk_attempts[c] + 1);
+                    tracer.event(TraceEvent::ChunkReassigned {
+                        chunk: c,
+                        attempt: report.chunk_attempts[c] + 1,
+                    });
                 }
                 report.reassigned += retry.len() as u32;
                 let path = part_dir.join(format!("part{}_r{next_launch}.json", a.worker));
@@ -291,7 +298,10 @@ impl Supervisor {
             );
         }
         let (checkpoint, missing) = splice_partial(&parts)?;
-        tracer.partial_splice(checkpoint.completed_chunks(), missing.len());
+        tracer.event(TraceEvent::PartialSplice {
+            merged: checkpoint.completed_chunks(),
+            missing: missing.len(),
+        });
         abandoned.sort_unstable();
         abandoned.dedup();
         report.abandoned_chunks = abandoned;

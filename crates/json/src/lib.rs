@@ -12,15 +12,18 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-/// A parsed JSON value. Object keys keep document order; numbers are
-/// `f64`, which is exact for every integer the baselines emit.
+/// A parsed JSON value. Object keys keep document order. A plain
+/// non-negative integer literal that fits a `u64` keeps its exact value
+/// ([`Value::Int`]); every other number is an `f64`.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number.
+    /// A plain non-negative integer literal (`42`), exact.
+    Int(u64),
+    /// Any other number: signed, fractional, exponent or beyond `u64`.
     Num(f64),
     /// A string (escapes decoded).
     Str(String),
@@ -39,9 +42,10 @@ impl Value {
         }
     }
 
-    /// The numeric value, if any.
+    /// The numeric value, if any (an [`Value::Int`] rounds to nearest).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Value::Int(n) => Some(*n as f64),
             Value::Num(n) => Some(*n),
             _ => None,
         }
@@ -71,15 +75,14 @@ impl Value {
         }
     }
 
-    /// The numeric value as an exact `u64`, if it is a non-negative
-    /// integer representable without rounding (every counter the
-    /// checkpoint/baseline schemas emit qualifies).
+    /// The exact value of a plain non-negative integer literal, the form
+    /// every counter, id and seed the schemas emit takes. Fraction,
+    /// exponent and signed forms (`42.0`, `1e3`, `-0`) and literals past
+    /// `u64::MAX` are refused rather than rounded.
     pub fn as_u64(&self) -> Option<u64> {
-        let n = self.as_f64()?;
-        if (0.0..=9_007_199_254_740_992.0).contains(&n) && n.fract() == 0.0 {
-            Some(n as u64)
-        } else {
-            None
+        match self {
+            Value::Int(n) => Some(*n),
+            _ => None,
         }
     }
 }
@@ -258,7 +261,8 @@ fn string(b: &[u8], i: usize) -> Result<(String, usize), String> {
 
 fn number(b: &[u8], mut i: usize) -> Result<(Value, usize), String> {
     let start = i;
-    if b.get(i) == Some(&b'-') {
+    let signed = b.get(i) == Some(&b'-');
+    if signed {
         i += 1;
     }
     let digits = |b: &[u8], mut i: usize| {
@@ -268,11 +272,21 @@ fn number(b: &[u8], mut i: usize) -> Result<(Value, usize), String> {
         }
         (i, i > s)
     };
-    let (next, ok) = digits(b, i);
-    if !ok {
+    // The integer part, scanned once: its exact value is kept while it
+    // fits a u64.
+    let int_start = i;
+    let mut int = Some(0u64);
+    while let Some(&c) = b.get(i).filter(|c| c.is_ascii_digit()) {
+        int = int.and_then(|n| n.checked_mul(10)?.checked_add(u64::from(c - b'0')));
+        i += 1;
+    }
+    if i == int_start {
         return Err(format!("malformed number at byte {start}"));
     }
-    i = next;
+    let plain = !signed && !matches!(b.get(i), Some(b'.' | b'e' | b'E'));
+    if let (true, Some(n)) = (plain, int) {
+        return Ok((Value::Int(n), i));
+    }
     if b.get(i) == Some(&b'.') {
         let (next, ok) = digits(b, i + 1);
         if !ok {
@@ -310,13 +324,38 @@ fn literal(b: &[u8], i: usize, lit: &[u8]) -> Result<usize, String> {
 mod tests {
     use super::*;
 
+    fn int(src: &str) -> Option<u64> {
+        parse(src).expect("valid JSON").as_u64()
+    }
+
     #[test]
     fn as_u64_accepts_exact_integers_only() {
-        assert_eq!(Value::Num(42.0).as_u64(), Some(42));
-        assert_eq!(Value::Num(0.0).as_u64(), Some(0));
-        assert_eq!(Value::Num(-1.0).as_u64(), None);
-        assert_eq!(Value::Num(1.5).as_u64(), None);
-        assert_eq!(Value::Str("42".to_string()).as_u64(), None);
+        assert_eq!(int("42"), Some(42));
+        assert_eq!(int("0"), Some(0));
+        assert_eq!(int("-1"), None);
+        assert_eq!(int("1.5"), None);
+        assert_eq!(int("\"42\""), None);
+    }
+
+    #[test]
+    fn integers_past_2_pow_53_round_trip_exactly() {
+        for n in [(1u64 << 53) - 1, 1 << 53, (1 << 53) + 1, u64::MAX] {
+            assert_eq!(int(&n.to_string()), Some(n));
+        }
+        // Beside 2^53 itself, 2^53+1 no longer collapses onto it.
+        assert_ne!(int("9007199254740993"), int("9007199254740992"));
+        assert_eq!(parse("[7]"), Ok(Value::Arr(vec![Value::Int(7)])));
+    }
+
+    #[test]
+    fn non_plain_integer_forms_are_refused() {
+        for src in ["1e3", "42.0", "-0", "18446744073709551616", "1E3", "2e+0"] {
+            let v = parse(src).expect("valid JSON number");
+            assert_eq!(v.as_u64(), None, "{src}");
+            assert!(v.as_f64().is_some(), "{src} is still a number");
+        }
+        assert_eq!(parse("1e3").unwrap().as_f64(), Some(1000.0));
+        assert_eq!(parse("12").unwrap().as_f64(), Some(12.0));
     }
 
     #[test]

@@ -24,6 +24,7 @@
 //!   Observations 7.4–7.5, Example 7.6).
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod congest;
 pub mod cost;

@@ -16,7 +16,7 @@ use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 use vc_graph::{Instance, NodeLabel, Port};
-use vc_trace::{NoopTracer, Tracer};
+use vc_trace::{NoopTracer, TraceEvent, Tracer};
 
 /// What a query reveals about a node: its handle, unique identifier, degree
 /// and entire input label (§2.2).
@@ -210,32 +210,6 @@ pub fn follow<O: Oracle + ?Sized>(
     }
 }
 
-/// Hints the cache line holding `stamps[w]` into L1 ahead of the BFS
-/// scan. Purely a performance hint: enabled only by the `prefetch`
-/// feature on x86_64, compiled to nothing everywhere else, and never
-/// changes an observable result.
-#[cfg(all(feature = "prefetch", target_arch = "x86_64"))]
-#[inline(always)]
-fn prefetch_stamp(stamps: &[u32], w: usize) {
-    if w < stamps.len() {
-        // SAFETY: the pointer is in-bounds (checked above) and
-        // `_mm_prefetch` performs no memory access observable by the
-        // program — it is a scheduling hint only.
-        unsafe {
-            core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(
-                stamps.as_ptr().add(w).cast::<i8>(),
-            );
-        }
-    }
-}
-
-/// No-op stand-in when the `prefetch` feature is off (or the target is
-/// not x86_64); the optimizer deletes the call and the empty loop above
-/// it.
-#[cfg(not(all(feature = "prefetch", target_arch = "x86_64")))]
-#[inline(always)]
-fn prefetch_stamp(_stamps: &[u32], _w: usize) {}
-
 /// Reusable, epoch-stamped scratch buffers behind an [`Execution`].
 ///
 /// The serial runner allocates one visited set per start node; over a sweep
@@ -351,7 +325,7 @@ impl ScratchSlot<'_> {
 /// worker threads without locking.
 ///
 /// The `T` parameter is the execution's [`Tracer`]. It defaults to the
-/// zero-sized [`NoopTracer`], whose empty hooks monomorphize away — the
+/// zero-sized [`NoopTracer`], whose empty hook monomorphizes away — the
 /// untraced [`Execution::new`] / [`Execution::with_scratch`] constructors
 /// compile to the exact pre-tracing hot path. A long-lived tracer is lent
 /// to an execution as `T = &mut SomeTracer` via
@@ -409,7 +383,7 @@ impl<'a> Execution<'a, NoopTracer> {
 impl<'a, T: Tracer> Execution<'a, T> {
     /// [`Execution::with_scratch`] with an explicit tracer receiving the
     /// execution's typed event stream (pass `&mut tracer` to keep
-    /// ownership with the sweep loop). Tracer hooks observe the execution
+    /// ownership with the sweep loop). Tracer events observe the execution
     /// but cannot influence it, so traced and untraced runs produce
     /// bit-identical outputs and records.
     pub fn with_scratch_traced(
@@ -524,15 +498,8 @@ impl<'a, T: Tracer> Execution<'a, T> {
             let d = sc.bfs_dist[v] + 1;
             // Iterate the CSR row as a slice: one offset lookup per node
             // instead of a bounds check per neighbor, which is most of the
-            // work on the flat layout at 10⁶ nodes. Degrees are O(1), so
-            // hinting the row's stamp lines ahead of the scan hides the
-            // random-access latency of `bfs_stamp` (no-op unless the
-            // `prefetch` feature is enabled on x86_64).
-            let row = inst.graph.neighbor_row(v);
-            for &w in row {
-                prefetch_stamp(&sc.bfs_stamp, w as usize);
-            }
-            for &w in row {
+            // work on the flat layout at 10⁶ nodes.
+            for &w in inst.graph.neighbor_row(v) {
                 let w = w as usize;
                 if sc.bfs_stamp[w] != epoch {
                     sc.bfs_stamp[w] = epoch;
@@ -563,9 +530,12 @@ impl<T: Tracer> Oracle for Execution<'_, T> {
 
     fn query(&mut self, from: usize, port: Port) -> Result<NodeView, QueryError> {
         // The tracer observes every issued query, answered or refused;
-        // hooks never feed back into the execution, so the traced and
+        // events never feed back into the execution, so the traced and
         // untraced instantiations take identical decision paths.
-        self.tracer.query_issued(from, port.number());
+        self.tracer.event(TraceEvent::QueryIssued {
+            from,
+            port: port.number(),
+        });
         // Out-of-range handles are "never visited", not index panics —
         // algorithms may probe arbitrary handles.
         if from >= self.inst.n() {
@@ -596,10 +566,13 @@ impl<T: Tracer> Oracle for Execution<'_, T> {
                 }
             }
             sc.mark_visited(target, d);
-            self.tracer.node_revealed(target, d);
+            self.tracer.event(TraceEvent::NodeRevealed {
+                node: target,
+                depth: d,
+            });
             if d > self.distance_upper {
                 self.distance_upper = d;
-                self.tracer.frontier_advanced(d);
+                self.tracer.event(TraceEvent::FrontierAdvanced { depth: d });
             }
         }
         self.queries += 1;

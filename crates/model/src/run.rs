@@ -8,7 +8,7 @@ use crate::randomness::RandomTape;
 use std::error::Error;
 use std::fmt;
 use vc_graph::Instance;
-use vc_trace::{NoopTracer, Tracer};
+use vc_trace::{NoopTracer, TraceEvent, Tracer};
 
 /// A query-model algorithm: a strategy mapping oracle interactions to a
 /// local output (§2.2, Definition 2.4).
@@ -263,13 +263,13 @@ pub fn run_from_with<A: QueryAlgorithm>(
 }
 
 /// [`run_from_with`] with a [`Tracer`] observing the execution's typed
-/// event stream: a `query_issued` per oracle step, `node_revealed` /
-/// `frontier_advanced` as `V_v` grows, and one `answer_finalized` with the
+/// event stream: a `QueryIssued` per oracle step, `NodeRevealed` /
+/// `FrontierAdvanced` as `V_v` grows, and one `AnswerFinalized` with the
 /// final costs after the record is taken.
 ///
 /// `tracer` is taken by value; sweep loops keep a long-lived tracer by
 /// passing `&mut tracer` (every `Tracer` forwards through `&mut`). Tracer
-/// hooks observe but never influence the execution, so outputs and records
+/// events observe but never influence the execution, so outputs and records
 /// are bit-identical to the untraced [`run_from_with`].
 pub fn run_from_traced<A: QueryAlgorithm, T: Tracer>(
     inst: &Instance,
@@ -291,13 +291,13 @@ pub fn run_from_traced<A: QueryAlgorithm, T: Tracer>(
             (algo.fallback(), rec)
         }
     };
-    ex.tracer_mut().answer_finalized(
-        rec.root,
-        rec.volume,
-        rec.distance_upper,
-        rec.queries,
-        rec.completed,
-    );
+    ex.tracer_mut().event(TraceEvent::AnswerFinalized {
+        root: rec.root,
+        volume: rec.volume,
+        distance_upper: rec.distance_upper,
+        queries: rec.queries,
+        completed: rec.completed,
+    });
     (out, rec)
 }
 
@@ -334,7 +334,7 @@ pub fn run_all<A: QueryAlgorithm>(
 /// [`run_all`] with a [`Tracer`] lent to every execution of the sweep.
 ///
 /// The tracer sees the concatenated event streams of all executions in
-/// start order (each ending in an `answer_finalized`); outputs and records
+/// start order (each ending in an `AnswerFinalized`); outputs and records
 /// are bit-identical to the untraced [`run_all`]. This serial traced sweep
 /// is the semantic reference for `vc-engine`'s sharded traced runner.
 ///

@@ -317,7 +317,7 @@ impl SweepService {
             let job = g.next_job;
             g.next_job += 1;
             g.stats.hits += 1;
-            g.tracer.cache_hit(job);
+            g.tracer.event(TraceEvent::CacheHit { job });
             g.jobs.insert(
                 job,
                 JobRecord {
@@ -379,7 +379,10 @@ impl SweepService {
         g.queue.push(job);
         let depth = g.queue.len();
         g.stats.max_queue_depth = g.stats.max_queue_depth.max(depth);
-        g.tracer.job_admitted(job, depth);
+        g.tracer.event(TraceEvent::JobAdmitted {
+            job,
+            queue_depth: depth,
+        });
         // An interactive arrival preempts a running batch job at its
         // next chunk boundary: trip the flag, the engine parks itself.
         if spec.priority == Priority::Interactive {
@@ -649,9 +652,10 @@ fn scheduler_loop(shared: &Shared, threads: usize, spool_dir: &std::path::Path) 
             };
             if record.status.state == JobState::Parked {
                 inner.stats.resumes += 1;
-                inner
-                    .tracer
-                    .job_resumed(claimed, record.status.completed_chunks);
+                inner.tracer.event(TraceEvent::JobResumed {
+                    job: claimed,
+                    completed_chunks: record.status.completed_chunks,
+                });
             }
             record.status.state = JobState::Running;
             inner.running = Some((claimed, flag.clone()));
@@ -706,7 +710,10 @@ fn scheduler_loop(shared: &Shared, threads: usize, spool_dir: &std::path::Path) 
                     record.status.state = JobState::Parked;
                     record.status.preemptions += 1;
                     inner.stats.preemptions += 1;
-                    inner.tracer.job_preempted(job, report.completed_chunks);
+                    inner.tracer.event(TraceEvent::JobPreempted {
+                        job,
+                        completed_chunks: report.completed_chunks,
+                    });
                     inner.queue.push(job);
                     inner.stats.max_queue_depth =
                         inner.stats.max_queue_depth.max(inner.queue.len());

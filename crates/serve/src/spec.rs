@@ -447,6 +447,29 @@ mod tests {
     }
 
     #[test]
+    fn seeds_past_2_pow_53_resolve_to_distinct_sweeps() {
+        // Read through an f64, 2^53 + 1 used to collapse onto 2^53 and be
+        // answered from that sweep's stored result.
+        let ids: Vec<vc_engine::SweepId> = [1u64 << 53, (1 << 53) + 1]
+            .into_iter()
+            .map(|seed| {
+                let line = format!(
+                    "{{\"instance\":{{\"kind\":\"full-binary-tree\",\"n\":31,\"seed\":{seed}}},\
+                     \"algorithm\":{{\"name\":\"leaf-coloring/distance\"}}}}"
+                );
+                let parsed = vc_json::parse(&line).expect("spec parses");
+                let spec = SweepSpec::from_json(&parsed).expect("decodes");
+                assert_eq!(spec.instance, InstanceRef::FullBinaryTree { n: 31, seed });
+                let inst = spec.instance.build();
+                let config = spec.run_config();
+                let starts = config.starts.starts(inst.n()).expect("all starts");
+                spec.algorithm.identity(&inst, &config, &starts).sweep_id
+            })
+            .collect();
+        assert_ne!(ids[0], ids[1]);
+    }
+
+    #[test]
     fn registry_rejects_unknown_names() {
         let line = sample_spec()
             .to_json_line()

@@ -56,9 +56,10 @@ pub enum TraceEvent {
         /// Start nodes per chunk (the final chunk may be shorter).
         chunk_size: usize,
     },
-    /// The sweep was restricted to a slice of the planned chunks — the
-    /// fleet-worker path. Emitted once per sweep, only under a chunk
-    /// range; the payload mirrors the `lo..hi/total` range spec.
+    /// The sweep was restricted to a subset of the planned chunks — the
+    /// fleet-worker path. Emitted right after [`TraceEvent::ChunkPlanned`],
+    /// once per contiguous run `lo..hi` of the configured chunk set;
+    /// unpartitioned sweeps emit none.
     PartitionRestricted {
         /// First chunk of the slice.
         lo: usize,
@@ -90,6 +91,8 @@ pub enum TraceEvent {
     },
     /// A chunk's executions panicked and the engine is re-running the
     /// chunk from a fresh scratch (bounded retry; see `vc-engine`).
+    /// Deterministic: a chunk that panics once panics on every run, so
+    /// retries are thread-count-invariant.
     ChunkRetried {
         /// Chunk index.
         chunk: usize,
@@ -234,12 +237,12 @@ impl fmt::Display for TraceEvent {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    #[test]
-    fn events_display() {
-        let events = [
+    /// One event of every variant, in declaration order.
+    pub(crate) fn every_variant() -> [TraceEvent; 18] {
+        [
             TraceEvent::QueryIssued { from: 3, port: 1 },
             TraceEvent::NodeRevealed { node: 4, depth: 2 },
             TraceEvent::FrontierAdvanced { depth: 2 },
@@ -299,8 +302,12 @@ mod tests {
                 job: 1,
                 completed_chunks: 3,
             },
-        ];
-        for e in events {
+        ]
+    }
+
+    #[test]
+    fn events_display() {
+        for e in every_variant() {
             assert!(!e.to_string().is_empty());
         }
     }

@@ -6,11 +6,12 @@
 //!
 //! Two constraints shape the whole crate:
 //!
-//! 1. **Zero cost when disabled.** The [`Tracer`] trait has empty default
-//!    hooks and the [`NoopTracer`] is a zero-sized type, so the untraced
-//!    execution path (`vc-model`'s `run_from_with` instantiated with
-//!    [`NoopTracer`]) monomorphizes every hook to nothing — the hot loop
-//!    compiles to the same code it had before tracing existed.
+//! 1. **Zero cost when disabled.** The [`Tracer`] trait's one hook has an
+//!    empty default body and the [`NoopTracer`] is a zero-sized type, so
+//!    the untraced execution path (`vc-model`'s `run_from_with`
+//!    instantiated with [`NoopTracer`]) monomorphizes every emission to
+//!    nothing — the event values are plain `Copy` data left dead, and the
+//!    hot loop compiles to the same code it had before tracing existed.
 //! 2. **Determinism under sharding.** The aggregating tracer
 //!    ([`SweepMetrics`]) keeps purely integral state — counters and
 //!    log2-bucketed histograms — and merges like `CostAccumulator` in
@@ -29,7 +30,7 @@
 //!
 //! * [`event`] — the typed [`event::TraceEvent`] stream a query-model
 //!   execution can emit.
-//! * [`tracer`] — the [`Tracer`] hook trait, the disabled [`NoopTracer`],
+//! * [`tracer`] — the one-hook [`Tracer`] trait, the disabled [`NoopTracer`],
 //!   the event-log [`RecordingTracer`] and the mergeable [`MergeTracer`]
 //!   extension the sharded engine requires.
 //! * [`hist`] — [`Log2Hist`], the fixed-shape power-of-two histogram

@@ -13,6 +13,7 @@
 //!   between runs and are therefore excluded from every determinism
 //!   comparison.
 
+use crate::event::TraceEvent;
 use crate::hist::Log2Hist;
 use crate::tracer::{MergeTracer, Tracer};
 
@@ -154,93 +155,60 @@ impl SweepMetrics {
 }
 
 impl Tracer for SweepMetrics {
-    #[inline]
-    fn query_issued(&mut self, _from: usize, _port: u8) {
-        self.query.queries_issued += 1;
-    }
-
-    #[inline]
-    fn node_revealed(&mut self, _node: usize, _depth: u32) {
-        self.query.nodes_revealed += 1;
-    }
-
-    #[inline]
-    fn frontier_advanced(&mut self, _depth: u32) {
-        self.query.frontier_advances += 1;
-    }
-
-    #[inline]
-    fn answer_finalized(
-        &mut self,
-        _root: usize,
-        volume: usize,
-        distance_upper: u32,
-        queries: u64,
-        completed: bool,
-    ) {
-        self.query.executions += 1;
-        if !completed {
-            self.query.truncated += 1;
+    // Always inlined: each emission site passes a constant variant, so
+    // the match folds to that one arm, as cheap as a dedicated method.
+    #[inline(always)]
+    fn event(&mut self, event: TraceEvent) {
+        let q = &mut self.query;
+        match event {
+            TraceEvent::QueryIssued { .. } => q.queries_issued += 1,
+            TraceEvent::NodeRevealed { .. } => q.nodes_revealed += 1,
+            TraceEvent::FrontierAdvanced { .. } => q.frontier_advances += 1,
+            TraceEvent::AnswerFinalized {
+                volume,
+                distance_upper,
+                queries,
+                completed,
+                ..
+            } => {
+                q.executions += 1;
+                q.truncated += u64::from(!completed);
+                q.volume.observe(volume as u64);
+                q.distance.observe(u64::from(distance_upper));
+                q.queries_per_start.observe(queries);
+            }
+            TraceEvent::ChunkPlanned { chunk_size, .. } => {
+                q.chunks_planned += 1;
+                q.planned_chunk_size = q.planned_chunk_size.max(chunk_size as u64);
+            }
+            TraceEvent::PartitionRestricted { lo, hi, .. } => {
+                q.partitions += 1;
+                q.partition_chunks += (hi - lo) as u64;
+            }
+            TraceEvent::ChunkClaimed { starts, .. } => {
+                q.chunks_claimed += 1;
+                q.chunk_starts.observe(starts as u64);
+            }
+            TraceEvent::ChunkTimed { nanos, .. } => {
+                self.sched.chunks_timed += 1;
+                self.sched.chunk_nanos_total += u128::from(nanos);
+                self.sched.chunk_nanos_max = self.sched.chunk_nanos_max.max(nanos);
+            }
+            TraceEvent::ChunkMerged { .. } => q.chunks_merged += 1,
+            TraceEvent::ChunkRetried { .. } => q.chunks_retried += 1,
+            TraceEvent::ChunkAborted { .. } => q.chunks_aborted += 1,
+            TraceEvent::WorkerSuspected { .. } => self.fleet.workers_suspected += 1,
+            TraceEvent::ChunkReassigned { .. } => self.fleet.chunks_reassigned += 1,
+            TraceEvent::PartialSplice { missing, .. } => {
+                self.fleet.partial_splices += 1;
+                self.fleet.missing_chunks += missing as u64;
+            }
+            // Service events are counted by `vc-serve`'s own stats.
+            TraceEvent::JobAdmitted { .. }
+            | TraceEvent::CacheHit { .. }
+            | TraceEvent::JobPreempted { .. }
+            | TraceEvent::JobResumed { .. } => {}
         }
-        self.query.volume.observe(volume as u64);
-        self.query.distance.observe(u64::from(distance_upper));
-        self.query.queries_per_start.observe(queries);
-    }
-
-    #[inline]
-    fn chunk_planned(&mut self, _chunks: usize, chunk_size: usize) {
-        self.query.chunks_planned += 1;
-        self.query.planned_chunk_size = self.query.planned_chunk_size.max(chunk_size as u64);
-    }
-
-    #[inline]
-    fn partition_restricted(&mut self, lo: usize, hi: usize, _total: usize) {
-        self.query.partitions += 1;
-        self.query.partition_chunks += (hi - lo) as u64;
-    }
-
-    #[inline]
-    fn chunk_claimed(&mut self, _chunk: usize, starts: usize) {
-        self.query.chunks_claimed += 1;
-        self.query.chunk_starts.observe(starts as u64);
-    }
-
-    #[inline]
-    fn chunk_timed(&mut self, _chunk: usize, nanos: u64) {
-        self.sched.chunks_timed += 1;
-        self.sched.chunk_nanos_total += u128::from(nanos);
-        self.sched.chunk_nanos_max = self.sched.chunk_nanos_max.max(nanos);
-    }
-
-    #[inline]
-    fn chunk_merged(&mut self, _chunk: usize) {
-        self.query.chunks_merged += 1;
-    }
-
-    #[inline]
-    fn chunk_retried(&mut self, _chunk: usize, _attempt: u32) {
-        self.query.chunks_retried += 1;
-    }
-
-    #[inline]
-    fn chunk_aborted(&mut self, _chunk: usize) {
-        self.query.chunks_aborted += 1;
-    }
-
-    #[inline]
-    fn worker_suspected(&mut self, _worker: usize, _completed: usize, _assigned: usize) {
-        self.fleet.workers_suspected += 1;
-    }
-
-    #[inline]
-    fn chunk_reassigned(&mut self, _chunk: usize, _attempt: u32) {
-        self.fleet.chunks_reassigned += 1;
-    }
-
-    #[inline]
-    fn partial_splice(&mut self, _merged: usize, missing: usize) {
-        self.fleet.partial_splices += 1;
-        self.fleet.missing_chunks += missing as u64;
     }
 }
 
@@ -256,13 +224,33 @@ impl MergeTracer for SweepMetrics {
 mod tests {
     use super::*;
 
+    fn execution(m: &mut SweepMetrics, e: u64) {
+        m.event(TraceEvent::QueryIssued { from: 0, port: 1 });
+        m.event(TraceEvent::NodeRevealed { node: 1, depth: 1 });
+        m.event(TraceEvent::FrontierAdvanced { depth: 1 });
+        m.event(TraceEvent::AnswerFinalized {
+            root: 0,
+            volume: 2 + e as usize,
+            distance_upper: 1,
+            queries: 1 + e,
+            completed: e.is_multiple_of(3),
+        });
+    }
+
     fn sample_events(m: &mut SweepMetrics, executions: u64) {
-        for e in 0..executions {
-            m.query_issued(0, 1);
-            m.node_revealed(1, 1);
-            m.frontier_advanced(1);
-            m.answer_finalized(0, 2 + e as usize, 1, 1 + e, e % 3 == 0);
-        }
+        (0..executions).for_each(|e| execution(m, e));
+    }
+
+    fn claimed(chunk: usize, starts: usize) -> TraceEvent {
+        TraceEvent::ChunkClaimed { chunk, starts }
+    }
+
+    fn planned(chunks: usize, chunk_size: usize) -> TraceEvent {
+        TraceEvent::ChunkPlanned { chunks, chunk_size }
+    }
+
+    fn timed(chunk: usize, nanos: u64) -> TraceEvent {
+        TraceEvent::ChunkTimed { chunk, nanos }
     }
 
     #[test]
@@ -283,21 +271,16 @@ mod tests {
     fn absorb_is_partition_independent() {
         let mut serial = SweepMetrics::new();
         sample_events(&mut serial, 20);
-        serial.chunk_claimed(0, 64);
-        serial.chunk_merged(0);
+        serial.event(claimed(0, 64));
+        serial.event(TraceEvent::ChunkMerged { chunk: 0 });
 
         let mut a = SweepMetrics::new();
         sample_events(&mut a, 13);
-        a.chunk_claimed(0, 64);
-        a.chunk_merged(0);
+        a.event(claimed(0, 64));
+        a.event(TraceEvent::ChunkMerged { chunk: 0 });
         let mut b = SweepMetrics::new();
         // The same tail: events 13..20 of the serial stream.
-        for e in 13..20u64 {
-            b.query_issued(0, 1);
-            b.node_revealed(1, 1);
-            b.frontier_advanced(1);
-            b.answer_finalized(0, 2 + e as usize, 1, 1 + e, e % 3 == 0);
-        }
+        (13..20).for_each(|e| execution(&mut b, e));
         a.absorb(b);
         assert_eq!(a.query, serial.query);
     }
@@ -305,10 +288,10 @@ mod tests {
     #[test]
     fn chunk_plan_observability_is_recorded() {
         let mut m = SweepMetrics::new();
-        m.chunk_planned(3, 128);
-        m.chunk_claimed(0, 128);
-        m.chunk_claimed(1, 128);
-        m.chunk_claimed(2, 40);
+        m.event(planned(3, 128));
+        m.event(claimed(0, 128));
+        m.event(claimed(1, 128));
+        m.event(claimed(2, 40));
         assert_eq!(m.query.chunks_planned, 1);
         assert_eq!(m.query.planned_chunk_size, 128);
         assert_eq!(m.query.chunks_claimed, 3);
@@ -318,7 +301,7 @@ mod tests {
         // Absorbing another sweep's metrics sums the plan count but keeps
         // the largest planned size.
         let mut other = SweepMetrics::new();
-        other.chunk_planned(10, 64);
+        other.event(planned(10, 64));
         m.absorb(other);
         assert_eq!(m.query.chunks_planned, 2);
         assert_eq!(m.query.planned_chunk_size, 128);
@@ -331,26 +314,38 @@ mod tests {
         let mut merged = SweepMetrics::new();
         for (lo, hi) in [(0, 4), (4, 7), (7, 10)] {
             let mut part = SweepMetrics::new();
-            part.chunk_planned(10, 64);
-            part.partition_restricted(lo, hi, 10);
+            part.event(planned(10, 64));
+            part.event(TraceEvent::PartitionRestricted { lo, hi, total: 10 });
             merged.absorb(part);
         }
         assert_eq!(merged.query.partitions, 3);
         assert_eq!(merged.query.partition_chunks, 10);
         // An unpartitioned sweep announces nothing.
         let mut solo = SweepMetrics::new();
-        solo.chunk_planned(10, 64);
+        solo.event(planned(10, 64));
         assert_eq!(solo.query.partitions, 0);
         assert_eq!(solo.query.partition_chunks, 0);
     }
 
     #[test]
     fn fleet_stats_count_supervision_events() {
+        let suspected = |worker, completed| TraceEvent::WorkerSuspected {
+            worker,
+            completed,
+            assigned: 4,
+        };
+        let splice = |merged, missing| TraceEvent::PartialSplice { merged, missing };
         let mut m = SweepMetrics::new();
-        m.worker_suspected(1, 2, 4);
-        m.chunk_reassigned(2, 2);
-        m.chunk_reassigned(3, 2);
-        m.partial_splice(4, 2);
+        m.event(suspected(1, 2));
+        m.event(TraceEvent::ChunkReassigned {
+            chunk: 2,
+            attempt: 2,
+        });
+        m.event(TraceEvent::ChunkReassigned {
+            chunk: 3,
+            attempt: 2,
+        });
+        m.event(splice(4, 2));
         assert_eq!(m.fleet.workers_suspected, 1);
         assert_eq!(m.fleet.chunks_reassigned, 2);
         assert_eq!(m.fleet.partial_splices, 1);
@@ -358,8 +353,8 @@ mod tests {
         // Fleet counters absorb like the other sections — and never touch
         // the deterministic query section.
         let mut other = SweepMetrics::new();
-        other.worker_suspected(0, 0, 3);
-        other.partial_splice(6, 0);
+        other.event(suspected(0, 0));
+        other.event(splice(6, 0));
         m.absorb(other);
         assert_eq!(m.fleet.workers_suspected, 2);
         assert_eq!(m.fleet.partial_splices, 2);
@@ -370,10 +365,10 @@ mod tests {
     #[test]
     fn sched_stats_aggregate_timings() {
         let mut m = SweepMetrics::new();
-        m.chunk_timed(0, 100);
-        m.chunk_timed(1, 300);
+        m.event(timed(0, 100));
+        m.event(timed(1, 300));
         let mut other = SweepMetrics::new();
-        other.chunk_timed(2, 200);
+        other.event(timed(2, 200));
         m.absorb(other);
         assert_eq!(m.sched.chunks_timed, 3);
         assert_eq!(m.sched.chunk_nanos_total, 600);

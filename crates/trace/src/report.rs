@@ -153,19 +153,41 @@ impl TraceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::TraceEvent;
     use crate::tracer::Tracer;
 
     fn sample_case() -> CaseTrace {
         let mut metrics = SweepMetrics::new();
-        metrics.chunk_planned(1, 64);
-        metrics.chunk_claimed(0, 2);
-        metrics.query_issued(0, 1);
-        metrics.node_revealed(1, 1);
-        metrics.frontier_advanced(1);
-        metrics.answer_finalized(0, 2, 1, 1, true);
-        metrics.answer_finalized(1, 1, 0, 0, false);
-        metrics.chunk_timed(0, 1234);
-        metrics.chunk_merged(0);
+        let finalized =
+            |root, volume, distance_upper, queries, completed| TraceEvent::AnswerFinalized {
+                root,
+                volume,
+                distance_upper,
+                queries,
+                completed,
+            };
+        for e in [
+            TraceEvent::ChunkPlanned {
+                chunks: 1,
+                chunk_size: 64,
+            },
+            TraceEvent::ChunkClaimed {
+                chunk: 0,
+                starts: 2,
+            },
+            TraceEvent::QueryIssued { from: 0, port: 1 },
+            TraceEvent::NodeRevealed { node: 1, depth: 1 },
+            TraceEvent::FrontierAdvanced { depth: 1 },
+            finalized(0, 2, 1, 1, true),
+            finalized(1, 1, 0, 0, false),
+            TraceEvent::ChunkTimed {
+                chunk: 0,
+                nanos: 1234,
+            },
+            TraceEvent::ChunkMerged { chunk: 0 },
+        ] {
+            metrics.event(e);
+        }
         CaseTrace {
             case: "toy/case".to_string(),
             n: 2,

@@ -333,7 +333,7 @@ fn run_coordinator() {
     for &(seed, count) in CHAOS {
         let plan = KillPlan::new(seed);
         let victims = plan.victims(WORKERS, count);
-        let slices = vc_engine::ChunkRange::split(num_chunks, WORKERS);
+        let slices = vc_engine::ChunkSet::split(num_chunks, WORKERS);
         let mut backend = ProcessBackend::healthy(instance_path.clone());
         let mut styles: Vec<&'static str> = Vec::new();
         for &v in &victims {

@@ -39,9 +39,6 @@ run_fast_gate() {
     step "cargo clippy --all-targets -- -D warnings" \
         cargo clippy --all-targets -- -D warnings
 
-    step "cargo clippy --features proptest -p vc-bench" \
-        cargo clippy --all-targets --features proptest -p vc-bench -- -D warnings
-
     # Lint gate: emit the machine-readable vc-lint-report/v1 document first
     # (so the artifact exists even when the gate fails — the findings also
     # go to stderr), then validate the document itself. Any finding,

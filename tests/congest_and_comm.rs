@@ -1,12 +1,10 @@
 //! Integration: the CONGEST simulators and algorithms (§7.3) and the
 //! classic problems populating the landscape figures.
 
-#[cfg(feature = "proptest")]
-use proptest::prelude::*;
+use vc_bench::for_cases;
 use vc_core::congest::{BitTransferWithBandwidth, BtFlood, GadgetQuery};
 use vc_core::lcl::check_solution;
 use vc_core::problems::balanced_tree::BalancedTree;
-#[cfg(feature = "proptest")]
 use vc_core::problems::classic::{ColeVishkin, CycleColoring};
 use vc_graph::gen;
 use vc_model::congest::run_congest;
@@ -61,28 +59,33 @@ fn bit_transfer_round_lower_bound_shape() {
     assert!(q.summary().max_volume <= 2 * 6 + 3);
 }
 
-// Property-based sweeps: compiled only with the vc-bench `proptest`
-// feature (`cargo test -p vc-bench --features proptest`).
-#[cfg(feature = "proptest")]
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+// Seeded property loops: each case draws its inputs from `vc_bench::CaseRng`.
 
-    /// Bit transfer delivers arbitrary bit vectors intact.
-    #[test]
-    fn prop_bit_transfer_correct(bits in proptest::collection::vec(any::<bool>(), 16)) {
+/// Bit transfer delivers arbitrary bit vectors intact.
+#[test]
+fn prop_bit_transfer_correct() {
+    for_cases(12, |rng| {
+        let bits: Vec<bool> = (0..16).map(|_| rng.coin()).collect();
         let (inst, meta) = gen::two_tree_gadget(4, &bits);
         let report = run_congest::<BitTransferWithBandwidth<68>>(&inst, 68, 10_000).unwrap();
         for (i, &u) in meta.u_leaves.iter().enumerate() {
-            prop_assert_eq!(report.outputs[u], Some(bits[i]));
+            assert_eq!(report.outputs[u], Some(bits[i]), "bits {bits:?}");
         }
-    }
+    });
+}
 
-    /// Cole–Vishkin properly 3-colors arbitrary cycles.
-    #[test]
-    fn prop_cole_vishkin(n in 3usize..200, seed in 0u64..500) {
+/// Cole–Vishkin properly 3-colors arbitrary cycles.
+#[test]
+fn prop_cole_vishkin() {
+    for_cases(12, |rng| {
+        let n = rng.pick(3..200) as usize;
+        let seed = rng.pick(0..500);
         let inst = gen::directed_cycle(n, seed);
         let report = run_all(&inst, &ColeVishkin, &RunConfig::default()).unwrap();
         let outputs = report.complete_outputs().unwrap();
-        prop_assert!(check_solution(&CycleColoring, &inst, &outputs).is_ok());
-    }
+        assert!(
+            check_solution(&CycleColoring, &inst, &outputs).is_ok(),
+            "n {n} seed {seed}"
+        );
+    });
 }

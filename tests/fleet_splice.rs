@@ -1,5 +1,5 @@
 //! Integration contract of fleet execution (DESIGN.md §15–16): a sweep
-//! partitioned into disjoint `ChunkRange` slices — each run as its own
+//! partitioned into disjoint `ChunkSet` slices — each run as its own
 //! checkpointed "worker" — must splice back into a checkpoint
 //! byte-identical to the unpartitioned run, for any worker thread count;
 //! every way a partition can be wrong (overlap, gap, foreign sweep,
@@ -9,8 +9,7 @@
 
 use vc_core::problems::leaf_coloring::DistanceSolver;
 use vc_engine::{
-    plan_chunks, splice_checkpoints, splice_partial, ChunkRange, ChunkSet, Engine, SpliceError,
-    SweepCheckpoint,
+    plan_chunks, splice_checkpoints, splice_partial, ChunkSet, Engine, SpliceError, SweepCheckpoint,
 };
 use vc_graph::gen;
 use vc_model::run::RunConfig;
@@ -28,13 +27,13 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 /// from disk exactly as `xtask merge-checkpoints` would read it.
 fn run_partition(
     inst: &vc_graph::Instance,
-    range: ChunkRange,
+    range: &ChunkSet,
     threads: usize,
     path: &std::path::Path,
 ) -> SweepCheckpoint {
     let _ = std::fs::remove_file(path);
     Engine::with_threads(threads)
-        .with_chunk_range(range)
+        .with_chunk_set(range.clone())
         .run_recorded_with_checkpoint(inst, &DistanceSolver, &RunConfig::default(), path)
         .expect("partition sweep runs");
     let src = std::fs::read_to_string(path).expect("partial checkpoint readable");
@@ -55,15 +54,15 @@ fn three_way_splice_is_byte_identical_to_serial_at_any_thread_count() {
     let serial_bytes = std::fs::read_to_string(&serial_path).expect("serial checkpoint readable");
 
     for threads in [1, 2, 8] {
-        let parts: Vec<SweepCheckpoint> = ChunkRange::split(num_chunks, 3)
+        let parts: Vec<SweepCheckpoint> = ChunkSet::split(num_chunks, 3)
             .into_iter()
             .enumerate()
             .map(|(w, range)| {
                 let path = dir.join(format!("part-{threads}t-{w}.json"));
-                let part = run_partition(&inst, range, threads, &path);
+                let part = run_partition(&inst, &range, threads, &path);
                 assert_eq!(
                     part.partition,
-                    Some(ChunkSet::from(range)),
+                    Some(range),
                     "the worker's file must be stamped with its slice"
                 );
                 part
@@ -95,9 +94,9 @@ fn single_partition_covering_the_plan_splices_to_the_serial_bytes() {
 
     // A full-range "partition" is stamped and complete; splicing the one
     // part drops the stamp and reproduces the serial bytes exactly.
-    let full = ChunkRange::full(num_chunks);
-    let part = run_partition(&inst, full, 2, &dir.join("full.json"));
-    assert_eq!(part.partition, Some(ChunkSet::from(full)));
+    let full = ChunkSet::full(num_chunks);
+    let part = run_partition(&inst, &full, 2, &dir.join("full.json"));
+    assert_eq!(part.partition, Some(full));
     assert!(part.is_complete());
     let merged = splice_checkpoints(std::slice::from_ref(&part)).expect("one full part splices");
     assert_eq!(merged.partition, None);
@@ -116,13 +115,13 @@ fn overlapping_partitions_are_refused() {
     // 0..2 and 1..total genuinely both execute chunk 1.
     let a = run_partition(
         &inst,
-        ChunkRange::new(0, 2, num_chunks).unwrap(),
+        &ChunkSet::range(0, 2, num_chunks).unwrap(),
         2,
         &dir.join("a.json"),
     );
     let b = run_partition(
         &inst,
-        ChunkRange::new(1, num_chunks, num_chunks).unwrap(),
+        &ChunkSet::range(1, num_chunks, num_chunks).unwrap(),
         2,
         &dir.join("b.json"),
     );
@@ -150,13 +149,13 @@ fn coverage_gaps_are_refused_loudly() {
     // gap the splice must enumerate.
     let a = run_partition(
         &inst,
-        ChunkRange::new(0, 1, num_chunks).unwrap(),
+        &ChunkSet::range(0, 1, num_chunks).unwrap(),
         2,
         &dir.join("a.json"),
     );
     let b = run_partition(
         &inst,
-        ChunkRange::new(num_chunks - 1, num_chunks, num_chunks).unwrap(),
+        &ChunkSet::range(num_chunks - 1, num_chunks, num_chunks).unwrap(),
         2,
         &dir.join("b.json"),
     );
@@ -180,10 +179,10 @@ fn partials_of_different_sweeps_are_refused() {
     let num_chunks = plan_chunks(a_inst.n()).num_chunks;
     let dir = temp_dir("foreign");
 
-    let lo = ChunkRange::new(0, 1, num_chunks).unwrap();
-    let hi = ChunkRange::new(1, num_chunks, num_chunks).unwrap();
-    let a = run_partition(&a_inst, lo, 2, &dir.join("a.json"));
-    let b = run_partition(&b_inst, hi, 2, &dir.join("b.json"));
+    let lo = ChunkSet::range(0, 1, num_chunks).unwrap();
+    let hi = ChunkSet::range(1, num_chunks, num_chunks).unwrap();
+    let a = run_partition(&a_inst, &lo, 2, &dir.join("a.json"));
+    let b = run_partition(&b_inst, &hi, 2, &dir.join("b.json"));
     let err = splice_checkpoints(&[a, b]).expect_err("foreign sweeps must be refused");
     assert!(
         matches!(err, SpliceError::IdentityMismatch { part: 1, .. }),
@@ -200,13 +199,13 @@ fn partition_stamp_round_trips_and_is_validated_against_the_plan() {
     let num_chunks = plan_chunks(inst.n()).num_chunks;
     let dir = temp_dir("stamp");
 
-    let range = ChunkRange::new(1, 3, num_chunks).unwrap();
+    let range = ChunkSet::range(1, 3, num_chunks).unwrap();
     let path = dir.join("part.json");
-    let part = run_partition(&inst, range, 2, &path);
-    assert_eq!(part.partition, Some(ChunkSet::from(range)));
+    let part = run_partition(&inst, &range, 2, &path);
+    assert_eq!(part.partition.as_ref(), Some(&range));
     // The stamp survives a JSON round trip bit for bit.
     let reread = SweepCheckpoint::from_json(&part.to_json()).expect("round trip parses");
-    assert_eq!(reread.partition, Some(ChunkSet::from(range)));
+    assert_eq!(reread.partition.as_ref(), Some(&range));
     assert_eq!(reread.to_json(), part.to_json());
 
     // A stamp whose total disagrees with the file's own chunk count is a
@@ -242,16 +241,16 @@ fn resume_from_merged_partial_reaches_the_serial_bytes_at_any_thread_count() {
         .expect("serial sweep runs");
     let serial_bytes = std::fs::read_to_string(&serial_path).expect("serial checkpoint readable");
 
-    let slices = ChunkRange::split(num_chunks, 4);
+    let slices = ChunkSet::split(num_chunks, 4);
     let victims = [1usize, 3];
     for threads in [1usize, 2, 8] {
         let parts: Vec<SweepCheckpoint> = slices
             .iter()
             .enumerate()
-            .map(|(w, &range)| {
+            .map(|(w, range)| {
                 let path = dir.join(format!("part-{threads}t-{w}.json"));
                 let _ = std::fs::remove_file(&path);
-                let mut engine = Engine::with_threads(threads).with_chunk_range(range);
+                let mut engine = Engine::with_threads(threads).with_chunk_set(range.clone());
                 if victims.contains(&w) {
                     // The murder weapon: a one-chunk quota, so each victim
                     // leaves a valid partial covering a strict prefix of
@@ -280,7 +279,7 @@ fn resume_from_merged_partial_reaches_the_serial_bytes_at_any_thread_count() {
         let (merged, missing) = splice_partial(&parts).expect("partial splice merges survivors");
         let expected_missing: Vec<usize> = victims
             .iter()
-            .flat_map(|&w| slices[w].lo() + 1..slices[w].hi())
+            .flat_map(|&w| slices[w].chunks().skip(1))
             .collect();
         assert_eq!(
             missing, expected_missing,
@@ -320,19 +319,19 @@ fn resuming_a_killed_partition_completes_only_its_slice() {
     let inst = gen::random_full_binary_tree(777, 5);
     let num_chunks = plan_chunks(inst.n()).num_chunks;
     let dir = temp_dir("resume");
-    let range = ChunkRange::split(num_chunks, 4)[1];
+    let range = ChunkSet::split(num_chunks, 4).swap_remove(1);
     let path = dir.join("part.json");
     let _ = std::fs::remove_file(&path);
 
     let killed = Engine::with_threads(2)
-        .with_chunk_range(range)
+        .with_chunk_set(range.clone())
         .with_chunk_quota(1)
         .run_recorded_with_checkpoint(&inst, &DistanceSolver, &RunConfig::default(), &path)
         .expect("killed partition still writes its checkpoint");
     assert_eq!(killed.completed_chunks, 1, "the quota must bite first");
 
     let resumed = Engine::with_threads(2)
-        .with_chunk_range(range)
+        .with_chunk_set(range.clone())
         .run_recorded_with_checkpoint(&inst, &DistanceSolver, &RunConfig::default(), &path)
         .expect("resume of the slice runs");
     assert_eq!(resumed.completed_chunks, range.len());

@@ -3,11 +3,10 @@
 //! disjointness embedding (Prop. 4.9) — against the repository's own
 //! solvers, with certificates re-verified by the checkers.
 
-#[cfg(feature = "proptest")]
-use proptest::prelude::*;
 use vc_adversary::hidden_leaf::hidden_leaf_experiment;
 use vc_adversary::hierarchical::{duel, DuelOutcome};
 use vc_adversary::leaf_coloring::defeat;
+use vc_bench::for_cases;
 use vc_comm::disjointness::{disj, promise_pair};
 use vc_comm::embedding::simulate_charged;
 use vc_core::lcl::check_solution;
@@ -85,34 +84,41 @@ fn embedding_lower_bound_forces_linear_bits() {
     }
 }
 
-// Property-based sweeps: compiled only with the vc-bench `proptest`
-// feature (`cargo test -p vc-bench --features proptest`).
-#[cfg(feature = "proptest")]
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
+// Seeded property loops: each case draws its inputs from `vc_bench::CaseRng`.
 
-    /// The adversary defeats the deterministic solver for every budget, and
-    /// the completed world stays a valid colored tree labeling.
-    #[test]
-    fn prop_adversary_always_wins(n in 16usize..400) {
-        let report = defeat(&DistanceSolver, n, None).expect("adversary world is structurally valid");
-        prop_assert!(report.defeated());
-        prop_assert!(report.instance.graph.validate().is_ok());
+/// The adversary defeats the deterministic solver for every budget, and
+/// the completed world stays a valid colored tree labeling.
+#[test]
+fn prop_adversary_always_wins() {
+    for_cases(10, |rng| {
+        let n = rng.pick(16..400) as usize;
+        let report =
+            defeat(&DistanceSolver, n, None).expect("adversary world is structurally valid");
+        assert!(report.defeated(), "n {n}");
+        assert!(report.instance.graph.validate().is_ok(), "n {n}");
         // All leaves of the completed instance carry the forcing color.
         let forced = vec![report.forced_color; report.n];
-        prop_assert!(check_solution(&LeafColoring, &report.instance, &forced).is_ok());
-    }
+        assert!(
+            check_solution(&LeafColoring, &report.instance, &forced).is_ok(),
+            "n {n}"
+        );
+    });
+}
 
-    /// Embedding soundness over arbitrary inputs, end to end through the
-    /// charged simulation.
-    #[test]
-    fn prop_embedding_sound(pairs in proptest::collection::vec(any::<(bool, bool)>(), 16)) {
-        let x: Vec<bool> = pairs.iter().map(|p| p.0).collect();
-        let y: Vec<bool> = pairs.iter().map(|p| p.1).collect();
+/// Embedding soundness over arbitrary inputs, end to end through the
+/// charged simulation.
+#[test]
+fn prop_embedding_sound() {
+    for_cases(10, |rng| {
+        let (x, y): (Vec<bool>, Vec<bool>) = (0..16).map(|_| (rng.coin(), rng.coin())).unzip();
         let (inst, meta) = gen::disjointness_embedding(&x, &y);
         let run = simulate_charged(&BtSolver, &inst, &meta).unwrap();
-        prop_assert_eq!(run.output.flag == BtFlag::Balanced, disj(&x, &y));
-    }
+        assert_eq!(
+            run.output.flag == BtFlag::Balanced,
+            disj(&x, &y),
+            "x {x:?} y {y:?}"
+        );
+    });
 }
 
 #[test]

@@ -2,12 +2,10 @@
 //! execution of every solver, randomness-coupling guarantees, budget
 //! semantics, and the volume/distance accounting itself.
 
-#[cfg(feature = "proptest")]
-use proptest::prelude::*;
+use vc_bench::for_cases;
 use vc_core::problems::{balanced_tree, hierarchical, leaf_coloring};
 use vc_graph::{gen, Color};
 use vc_model::run::{run_all, RunConfig};
-#[cfg(feature = "proptest")]
 use vc_model::StartSelection;
 use vc_model::{Budget, RandomTape};
 
@@ -160,18 +158,18 @@ fn different_tapes_differ_somewhere() {
     );
 }
 
-// Property-based sweeps: compiled only with the vc-bench `proptest`
-// feature (`cargo test -p vc-bench --features proptest`).
-#[cfg(feature = "proptest")]
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+// Seeded property loops: each case draws its inputs from `vc_bench::CaseRng`.
 
-    /// Sampled starts are a subset of exhaustive starts with identical
-    /// per-root outputs (determinism of the runner).
-    #[test]
-    fn prop_sampling_consistent(count in 1usize..50, seed in 0u64..100) {
-        let inst = gen::complete_binary_tree(6, Color::R, Color::B);
-        let full = run_all(&inst, &leaf_coloring::DistanceSolver, &RunConfig::default()).unwrap();
+/// Sampled starts are a subset of exhaustive starts with identical
+/// per-root outputs (determinism of the runner).
+#[test]
+fn prop_sampling_consistent() {
+    let inst = gen::complete_binary_tree(6, Color::R, Color::B);
+    let full = run_all(&inst, &leaf_coloring::DistanceSolver, &RunConfig::default()).unwrap();
+    let full_outputs = full.complete_outputs().unwrap();
+    for_cases(12, |rng| {
+        let count = rng.pick(1..50) as usize;
+        let seed = rng.pick(0..100);
         let sampled = run_all(
             &inst,
             &leaf_coloring::DistanceSolver,
@@ -179,22 +177,29 @@ proptest! {
                 starts: StartSelection::Sample { count, seed },
                 ..RunConfig::default()
             },
-        ).unwrap();
-        let full_outputs = full.complete_outputs().unwrap();
+        )
+        .unwrap();
         for rec in &sampled.records {
-            prop_assert_eq!(sampled.outputs[rec.root], Some(full_outputs[rec.root]));
+            assert_eq!(
+                sampled.outputs[rec.root],
+                Some(full_outputs[rec.root]),
+                "count {count} seed {seed}"
+            );
         }
-        prop_assert_eq!(sampled.records.len(), count.min(inst.n()));
-    }
+        assert_eq!(sampled.records.len(), count.min(inst.n()));
+    });
+}
 
-    /// Volume counts distinct nodes: re-queries never inflate it beyond n.
-    #[test]
-    fn prop_volume_bounded_by_n(seed in 0u64..100) {
+/// Volume counts distinct nodes: re-queries never inflate it beyond n.
+#[test]
+fn prop_volume_bounded_by_n() {
+    for_cases(12, |rng| {
+        let seed = rng.pick(0..100);
         let inst = gen::pseudo_tree(80, 4, seed);
         let report = run_all(&inst, &leaf_coloring::DistanceSolver, &RunConfig::default()).unwrap();
         for rec in &report.records {
-            prop_assert!(rec.volume <= inst.n());
-            prop_assert!(rec.queries as usize >= rec.volume - 1);
+            assert!(rec.volume <= inst.n(), "seed {seed}");
+            assert!(rec.queries as usize >= rec.volume - 1, "seed {seed}");
         }
-    }
+    });
 }

@@ -2,15 +2,11 @@
 //! disjointness-embedded) → solve → check, with property-based sweeps over
 //! arbitrary disjointness inputs.
 
-#[cfg(feature = "proptest")]
-use proptest::prelude::*;
+use vc_bench::for_cases;
 use vc_core::lcl::check_solution;
 use vc_core::output::BtFlag;
-#[cfg(feature = "proptest")]
-use vc_core::problems::balanced_tree::is_compatible;
-use vc_core::problems::balanced_tree::{BalancedTree, DistanceSolver};
+use vc_core::problems::balanced_tree::{is_compatible, BalancedTree, DistanceSolver};
 use vc_graph::gen;
-#[cfg(feature = "proptest")]
 use vc_graph::structure;
 use vc_model::run::{run_all, RunConfig};
 
@@ -50,45 +46,49 @@ fn distance_stays_logarithmic_volume_linear() {
     assert!(root_rec.volume > inst.n() / 2, "the root must see Θ(n)");
 }
 
-// Property-based sweeps: compiled only with the vc-bench `proptest`
-// feature (`cargo test -p vc-bench --features proptest`).
-#[cfg(feature = "proptest")]
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+// Seeded property loops: each case draws its inputs from `vc_bench::CaseRng`.
 
-    /// Soundness of the embedding + validity of the solver on arbitrary
-    /// (not just promise) disjointness inputs.
-    #[test]
-    fn prop_embedding_pipeline(bits in proptest::collection::vec(any::<(bool, bool)>(), 8)) {
-        let x: Vec<bool> = bits.iter().map(|b| b.0).collect();
-        let y: Vec<bool> = bits.iter().map(|b| b.1).collect();
+/// Soundness of the embedding + validity of the solver on arbitrary
+/// (not just promise) disjointness inputs.
+#[test]
+fn prop_embedding_pipeline() {
+    for_cases(24, |rng| {
+        let (x, y): (Vec<bool>, Vec<bool>) = (0..8).map(|_| (rng.coin(), rng.coin())).unzip();
         let (inst, meta) = gen::disjointness_embedding(&x, &y);
         // Exactly the intersecting v_i are incompatible.
         for (i, &vi) in meta.penultimate.iter().enumerate() {
-            prop_assert_eq!(is_compatible(&inst, vi), !(x[i] && y[i]));
+            assert_eq!(is_compatible(&inst, vi), !(x[i] && y[i]), "x {x:?} y {y:?}");
         }
         let report = run_all(&inst, &DistanceSolver, &RunConfig::default()).unwrap();
         let outputs = report.complete_outputs().unwrap();
-        prop_assert!(check_solution(&BalancedTree, &inst, &outputs).is_ok());
+        assert!(check_solution(&BalancedTree, &inst, &outputs).is_ok());
         let disjoint = !x.iter().zip(&y).any(|(&a, &b)| a && b);
-        prop_assert_eq!(outputs[meta.root].flag == BtFlag::Balanced, disjoint);
-    }
+        assert_eq!(outputs[meta.root].flag == BtFlag::Balanced, disjoint);
+    });
+}
 
-    /// Corrupting any single lateral label of a compatible instance is
-    /// detected: the labeling is no longer all-compatible.
-    #[test]
-    fn prop_label_corruption_detected(node_sel in 0usize..100, kill_ln in any::<bool>()) {
+/// Corrupting any single lateral label of a compatible instance is
+/// detected: the labeling is no longer all-compatible.
+#[test]
+fn prop_label_corruption_detected() {
+    for_cases(24, |rng| {
+        let node_sel = rng.pick(0..100) as usize;
+        let kill_ln = rng.coin();
         let (mut inst, _) = gen::balanced_tree_compatible(4);
         // Pick a consistent node with a lateral label to erase.
         let candidates: Vec<usize> = (0..inst.n())
             .filter(|&v| structure::status(&inst, v).is_consistent())
-            .filter(|&v| if kill_ln {
-                inst.labels[v].left_nbr.is_some()
-            } else {
-                inst.labels[v].right_nbr.is_some()
+            .filter(|&v| {
+                if kill_ln {
+                    inst.labels[v].left_nbr.is_some()
+                } else {
+                    inst.labels[v].right_nbr.is_some()
+                }
             })
             .collect();
-        prop_assume!(!candidates.is_empty());
+        if candidates.is_empty() {
+            return;
+        }
         let v = candidates[node_sel % candidates.len()];
         if kill_ln {
             inst.labels[v].left_nbr = None;
@@ -100,10 +100,10 @@ proptest! {
         let any_incompatible = (0..inst.n())
             .filter(|&u| structure::status(&inst, u).is_consistent())
             .any(|u| !is_compatible(&inst, u));
-        prop_assert!(any_incompatible);
+        assert!(any_incompatible, "node_sel {node_sel} kill_ln {kill_ln}");
         // And the solver still produces a checker-valid labeling.
         let report = run_all(&inst, &DistanceSolver, &RunConfig::default()).unwrap();
         let outputs = report.complete_outputs().unwrap();
-        prop_assert!(check_solution(&BalancedTree, &inst, &outputs).is_ok());
-    }
+        assert!(check_solution(&BalancedTree, &inst, &outputs).is_ok());
+    });
 }

@@ -2,12 +2,8 @@
 //! families, both solvers, validated end to end; the measured costs match
 //! the Θ(n^{1/k}) rows of Table 1.
 
-#[cfg(feature = "proptest")]
-use proptest::prelude::*;
-use vc_bench::{distance_series, loglog_exponent, measure, sweep_config, volume_series};
-use vc_core::lcl::check_solution;
-#[cfg(feature = "proptest")]
-use vc_core::lcl::count_violations;
+use vc_bench::{distance_series, for_cases, loglog_exponent, measure, sweep_config, volume_series};
+use vc_core::lcl::{check_solution, count_violations};
 use vc_core::problems::hierarchical::{DeterministicSolver, HierarchicalThc, RandomizedSolver};
 use vc_graph::gen;
 use vc_model::run::{run_all, RunConfig};
@@ -108,20 +104,23 @@ fn randomized_volume_exponent_matches_one_over_k() {
     }
 }
 
-// Property-based sweeps: compiled only with the vc-bench `proptest`
-// feature (`cargo test -p vc-bench --features proptest`).
-#[cfg(feature = "proptest")]
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+// Seeded property loops: each case draws its inputs from `vc_bench::CaseRng`.
 
-    /// The randomized solver stays valid across random seeds and sizes on
-    /// the balanced family — the w.h.p. claim of Proposition 5.14.
-    #[test]
-    fn prop_waypoints_whp_valid(n in 200usize..1200, seed in 0u64..1000) {
+/// The randomized solver stays valid across random seeds and sizes on
+/// the balanced family — the w.h.p. claim of Proposition 5.14.
+#[test]
+fn prop_waypoints_whp_valid() {
+    for_cases(12, |rng| {
+        let n = rng.pick(200..1200) as usize;
+        let seed = rng.pick(0..1000);
         let inst = gen::hierarchical_for_size(2, n, seed);
         let problem = HierarchicalThc::new(2);
         let report = run_all(&inst, &RandomizedSolver::new(2), &rand_config(seed)).unwrap();
         let outputs = report.complete_outputs().unwrap();
-        prop_assert_eq!(count_violations(&problem, &inst, &outputs), 0);
-    }
+        assert_eq!(
+            count_violations(&problem, &inst, &outputs),
+            0,
+            "n {n} seed {seed}"
+        );
+    });
 }

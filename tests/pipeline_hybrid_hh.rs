@@ -2,19 +2,13 @@
 //! heavy-component and union families; the headline distance/volume
 //! separation is asserted end to end.
 
-#[cfg(feature = "proptest")]
-use proptest::prelude::*;
-use vc_core::lcl::check_solution;
-#[cfg(feature = "proptest")]
-use vc_core::lcl::count_violations;
+use vc_bench::for_cases;
+use vc_core::lcl::{check_solution, count_violations};
 use vc_core::output::HybridOutput;
 use vc_core::problems::{hh, hybrid};
 use vc_graph::gen;
-#[cfg(feature = "proptest")]
-use vc_model::run::run_from;
-use vc_model::run::{run_all, RunConfig};
+use vc_model::run::{run_all, run_from, RunConfig};
 use vc_model::RandomTape;
-#[cfg(feature = "proptest")]
 use vc_model::StartSelection;
 
 fn rand_config(seed: u64) -> RunConfig {
@@ -139,41 +133,50 @@ fn hh_outputs_respect_sides() {
     }
 }
 
-// Property-based sweeps: compiled only with the vc-bench `proptest`
-// feature (`cargo test -p vc-bench --features proptest`).
-#[cfg(feature = "proptest")]
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
+// Seeded property loops: each case draws its inputs from `vc_bench::CaseRng`.
 
-    /// The hybrid randomized solver is valid across seeds, and the level-2
-    /// exemption license is honored: X at level 2 only over solved pairs.
-    #[test]
-    fn prop_hybrid_license(seed in 0u64..500) {
+/// The hybrid randomized solver is valid across seeds, and the level-2
+/// exemption license is honored: X at level 2 only over solved pairs.
+#[test]
+fn prop_hybrid_license() {
+    for_cases(10, |rng| {
+        let seed = rng.pick(0..500);
         let inst = gen::hybrid_for_size(2, 500, seed);
         let problem = hybrid::HybridThc::new(2);
         let report = run_all(&inst, &hybrid::RandomizedSolver::new(2), &rand_config(seed)).unwrap();
         let outputs = report.complete_outputs().unwrap();
-        prop_assert_eq!(count_violations(&problem, &inst, &outputs), 0);
+        assert_eq!(
+            count_violations(&problem, &inst, &outputs),
+            0,
+            "seed {seed}"
+        );
         for v in 0..inst.n() {
             if inst.labels[v].level == Some(2)
                 && outputs[v] == HybridOutput::Sym(vc_core::ThcColor::X)
             {
                 let rc = inst.right_child_node(v).unwrap();
-                prop_assert!(outputs[rc].is_solved_pair());
+                assert!(outputs[rc].is_solved_pair(), "seed {seed} node {v}");
             }
         }
-    }
+    });
+}
 
-    /// Single executions from arbitrary nodes agree with the batch run
-    /// (determinism of the distance solver).
-    #[test]
-    fn prop_single_runs_agree(start_sel in 0usize..10_000, seed in 0u64..50) {
+/// Single executions from arbitrary nodes agree with the batch run
+/// (determinism of the distance solver).
+#[test]
+fn prop_single_runs_agree() {
+    for_cases(10, |rng| {
+        let start_sel = rng.pick(0..10_000) as usize;
+        let seed = rng.pick(0..50);
         let inst = gen::hybrid_for_size(2, 300, seed);
         let report = run_all(&inst, &hybrid::DistanceSolver, &RunConfig::default()).unwrap();
         let outputs = report.complete_outputs().unwrap();
         let v = start_sel % inst.n();
-        let cfg = RunConfig { starts: StartSelection::All, ..RunConfig::default() };
+        let cfg = RunConfig {
+            starts: StartSelection::All,
+            ..RunConfig::default()
+        };
         let (out, _) = run_from(&inst, &hybrid::DistanceSolver, v, &cfg);
-        prop_assert_eq!(out, outputs[v]);
-    }
+        assert_eq!(out, outputs[v], "seed {seed} node {v}");
+    });
 }

@@ -2,12 +2,8 @@
 //! solvers) → check → measure → fit — across instance families, including
 //! property-based sweeps over seeds and shapes.
 
-#[cfg(feature = "proptest")]
-use proptest::prelude::*;
-use vc_bench::{distance_series, fit, sweep_config, volume_series};
-use vc_core::lcl::check_solution;
-#[cfg(feature = "proptest")]
-use vc_core::lcl::count_violations;
+use vc_bench::{distance_series, fit, for_cases, sweep_config, volume_series};
+use vc_core::lcl::{check_solution, count_violations};
 use vc_core::problems::leaf_coloring::{DistanceSolver, LeafColoring, RwToLeaf};
 use vc_graph::{gen, Color};
 use vc_model::run::{run_all, RunConfig};
@@ -97,32 +93,45 @@ fn unique_solution_on_hidden_leaf_instances() {
     }
 }
 
-// Property-based sweeps: compiled only with the vc-bench `proptest`
-// feature (`cargo test -p vc-bench --features proptest`).
-#[cfg(feature = "proptest")]
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+// Seeded property loops: each case draws its inputs from `vc_bench::CaseRng`.
 
-    /// Both solvers produce checker-valid labelings on arbitrary random
-    /// full binary trees and pseudo-trees.
-    #[test]
-    fn prop_solvers_always_valid(n in 20usize..200, cyc in 3usize..9, seed in 0u64..5000) {
+/// Both solvers produce checker-valid labelings on arbitrary random
+/// full binary trees and pseudo-trees.
+#[test]
+fn prop_solvers_always_valid() {
+    for_cases(16, |rng| {
+        let n = rng.pick(20..200) as usize;
+        let cyc = rng.pick(3..9) as usize;
+        let seed = rng.pick(0..5000);
         let tree = gen::random_full_binary_tree(n, seed);
         let det = run_all(&tree, &DistanceSolver, &RunConfig::default()).unwrap();
-        prop_assert_eq!(count_violations(&LeafColoring, &tree, &det.complete_outputs().unwrap()), 0);
+        let det_outputs = det.complete_outputs().unwrap();
+        assert_eq!(
+            count_violations(&LeafColoring, &tree, &det_outputs),
+            0,
+            "n {n} seed {seed}"
+        );
 
         let pseudo = gen::pseudo_tree(n, cyc, seed);
         let rnd = run_all(&pseudo, &RwToLeaf::default(), &rand_config(seed)).unwrap();
-        prop_assert_eq!(count_violations(&LeafColoring, &pseudo, &rnd.complete_outputs().unwrap()), 0);
-    }
+        let rnd_outputs = rnd.complete_outputs().unwrap();
+        assert_eq!(
+            count_violations(&LeafColoring, &pseudo, &rnd_outputs),
+            0,
+            "n {n} cyc {cyc} seed {seed}"
+        );
+    });
+}
 
-    /// RWtoLeaf volume stays well below n on trees that are large enough
-    /// for the asymptotics to bite.
-    #[test]
-    fn prop_rw_volume_sublinear(seed in 0u64..100) {
-        let inst = gen::complete_binary_tree(10, Color::R, Color::B);
+/// RWtoLeaf volume stays well below n on trees that are large enough
+/// for the asymptotics to bite.
+#[test]
+fn prop_rw_volume_sublinear() {
+    let inst = gen::complete_binary_tree(10, Color::R, Color::B);
+    for_cases(16, |rng| {
+        let seed = rng.pick(0..100);
         let report = run_all(&inst, &RwToLeaf::default(), &rand_config(seed)).unwrap();
-        prop_assert!(report.summary().max_volume < inst.n() / 8);
-        prop_assert_eq!(report.truncated(), 0);
-    }
+        assert!(report.summary().max_volume < inst.n() / 8, "seed {seed}");
+        assert_eq!(report.truncated(), 0, "seed {seed}");
+    });
 }
