@@ -542,7 +542,8 @@ impl DuelReport {
         let get = |u: usize| self.outputs.get(&u).copied();
         let check = |v: usize| {
             let lvl = structure::level_capped(&self.instance, v, k);
-            check_thc_node(&self.instance, &get, v, lvl, k)
+            let license = |r: usize| get(r).is_some_and(ThcColor::is_solved);
+            check_thc_node(&self.instance, &get, v, lvl, k, &license)
         };
         match self.outcome {
             DuelOutcome::PaletteViolation { node, .. } => check(node).is_err(),

@@ -119,16 +119,8 @@ where
 }
 
 /// [`measure`] without validity checking — for cost-only sweeps where the
-/// solver's output type differs from the reference problem's.
-pub fn measure_costs<A>(inst: &Instance, algo: &A, config: &RunConfig) -> Measurement
-where
-    A: QueryAlgorithm + Sync,
-    A::Output: Send,
-{
-    measure_costs_with_roots(inst, algo, config, &[])
-}
-
-/// [`measure_costs`] with always-included extremal start nodes.
+/// solver's output type differs from the reference problem's — with
+/// always-included extremal start nodes.
 pub fn measure_costs_with_roots<A>(
     inst: &Instance,
     algo: &A,

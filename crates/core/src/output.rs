@@ -133,6 +133,12 @@ impl HybridOutput {
     }
 }
 
+impl From<ThcColor> for HybridOutput {
+    fn from(c: ThcColor) -> Self {
+        HybridOutput::Sym(c)
+    }
+}
+
 impl fmt::Display for HybridOutput {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

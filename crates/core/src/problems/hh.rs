@@ -64,7 +64,8 @@ impl Lcl for HhThc {
                 // G_0: Hierarchical-THC(ℓ), with levels from RC-chains
                 // ("with the input level ignored", Definition 6.4).
                 let lvl = structure::level_capped(inst, v, self.l);
-                check_thc_node(inst, &|u| outputs[u].sym(), v, lvl, self.l)
+                let license = |r: usize| outputs[r].sym().is_some_and(ThcColor::is_solved);
+                check_thc_node(inst, &|u| outputs[u].sym(), v, lvl, self.l, &license)
             }
             Some(true) => check_hybrid_node(inst, outputs, v, self.k),
             None => Err(Violation {

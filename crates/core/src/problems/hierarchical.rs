@@ -7,6 +7,10 @@
 //! node at level `ℓ > 1` hangs a level-`(ℓ−1)` component off its `RC`. The
 //! output palette is `{R, B, D, X}` — color, *decline*, *exempt* — with the
 //! validity conditions of Definition 5.5.
+//!
+//! This module holds the only `RecursiveHTHC` engine and the only
+//! Definition 5.5 checker. Hybrid-THC (§6) reuses both through a
+//! [`Variant`] and an exemption license.
 
 use crate::lcl::{Lcl, Violation};
 use crate::output::ThcColor;
@@ -48,8 +52,9 @@ pub(crate) fn rc_strict(inst: &Instance, v: usize) -> Option<usize> {
     (inst.parent_node(u) == Some(v)).then_some(u)
 }
 
-fn chi_in(inst: &Instance, v: usize) -> Color {
-    inst.labels[v].color.unwrap_or(Color::R)
+/// An input color as a symbol (an uncolored node reads as `R`).
+fn input_sym(color: Option<Color>) -> ThcColor {
+    ThcColor::from_color(color.unwrap_or(Color::R))
 }
 
 /// Checks the per-node conditions of Definition 5.5 at a node whose level is
@@ -57,57 +62,46 @@ fn chi_in(inst: &Instance, v: usize) -> Color {
 /// lower-bound adversaries, which only know the outputs of simulated nodes)
 /// can map partial or mixed output alphabets onto symbols (`None` marks an
 /// unknown/non-symbol output, which fails whichever rule references it).
+///
+/// `license(RC(v))` says whether the output below `v` licenses its
+/// exemption (conditions 4(b) and 5(a)): a solved symbol for
+/// Hierarchical-THC, Definition 6.1's solved pair at level 2 for
+/// Hybrid-THC.
 pub fn check_thc_node(
     inst: &Instance,
     get_out: &dyn Fn(usize) -> Option<ThcColor>,
     v: usize,
     lvl: u32,
     k: u32,
+    license: &dyn Fn(usize) -> bool,
 ) -> Result<(), Violation> {
+    let fail = |rule| Err(Violation { node: v, rule });
     let Some(out) = get_out(v) else {
-        return Err(Violation {
-            node: v,
-            rule: "5.5:needs-symbol",
-        });
+        return fail("5.5:needs-symbol");
     };
     // Condition 1: levels above k are exempt.
     if lvl > k {
         return if out == ThcColor::X {
             Ok(())
         } else {
-            Err(Violation {
-                node: v,
-                rule: "5.5:1:exempt-above-k",
-            })
+            fail("5.5:1:exempt-above-k")
         };
     }
     let lc = lc_strict(inst, v);
-    let rc = rc_strict(inst, v);
-    let is_leaf = lc.is_none();
-    let input = ThcColor::from_color(chi_in(inst, v));
+    let licensed = rc_strict(inst, v).is_some_and(license);
+    let input = input_sym(inst.labels[v].color);
     // Condition 2: leaves keep their color, decline, or are exempt.
-    if is_leaf && !(out == input || out == ThcColor::D || out == ThcColor::X) {
-        return Err(Violation {
-            node: v,
-            rule: "5.5:2:leaf-palette",
-        });
+    if lc.is_none() && !(out == input || out == ThcColor::D || out == ThcColor::X) {
+        return fail("5.5:2:leaf-palette");
     }
     if lvl == 1 {
         // Condition 3(a).
         if !matches!(out, ThcColor::R | ThcColor::B | ThcColor::D) {
-            return Err(Violation {
-                node: v,
-                rule: "5.5:3a:level1-palette",
-            });
+            return fail("5.5:3a:level1-palette");
         }
         // Condition 3(b).
-        if let Some(lc) = lc {
-            if get_out(lc) != Some(out) {
-                return Err(Violation {
-                    node: v,
-                    rule: "5.5:3b:level1-unanimous",
-                });
-            }
+        if lc.is_some_and(|lc| get_out(lc) != Some(out)) {
+            return fail("5.5:3b:level1-unanimous");
         }
         if k > 1 {
             return Ok(());
@@ -115,65 +109,43 @@ pub fn check_thc_node(
         // For k = 1, level 1 is also the top level: condition 5 applies as
         // well (so declining is forbidden); fall through.
     }
-    if lvl > 1 && lvl < k {
+    if lvl < k {
         // Condition 4 (only constrains non-leaves).
         let Some(lc) = lc else {
             return Ok(());
         };
         let a = get_out(lc) == Some(out) && matches!(out, ThcColor::R | ThcColor::B | ThcColor::D);
-        let b = out == ThcColor::X
-            && rc
-                .and_then(&get_out)
-                .map(ThcColor::is_solved)
-                .unwrap_or(false);
+        let b = out == ThcColor::X && licensed;
         let c = (out == input || out == ThcColor::D) && get_out(lc) == Some(ThcColor::X);
         return if a || b || c {
             Ok(())
         } else {
-            Err(Violation {
-                node: v,
-                rule: "5.5:4:mid-level",
-            })
+            fail("5.5:4:mid-level")
         };
     }
     // Condition 5: lvl == k.
     if !matches!(out, ThcColor::R | ThcColor::B | ThcColor::X) {
-        return Err(Violation {
-            node: v,
-            rule: "5.5:5:top-palette",
-        });
+        return fail("5.5:5:top-palette");
     }
     if out == ThcColor::X {
         // Condition 5(a).
-        let ok = rc
-            .and_then(&get_out)
-            .map(ThcColor::is_solved)
-            .unwrap_or(false);
-        return if ok {
+        return if licensed {
             Ok(())
         } else {
-            Err(Violation {
-                node: v,
-                rule: "5.5:5a:exempt-needs-solved-rc",
-            })
+            fail("5.5:5a:exempt-needs-solved-rc")
         };
     }
-    if let Some(lc) = lc {
-        // Condition 5(b).
-        let lc_out = get_out(lc);
-        let ok = match lc_out {
-            Some(ThcColor::X) => out == input,
-            Some(c) => out == c,
-            None => false,
-        };
-        if !ok {
-            return Err(Violation {
-                node: v,
-                rule: "5.5:5b:top-segment",
-            });
-        }
+    // Condition 5(b).
+    let segment_ok = lc.is_none_or(|lc| match get_out(lc) {
+        Some(ThcColor::X) => out == input,
+        Some(c) => out == c,
+        None => false,
+    });
+    if segment_ok {
+        Ok(())
+    } else {
+        fail("5.5:5b:top-segment")
     }
-    Ok(())
 }
 
 impl Lcl for HierarchicalThc {
@@ -191,7 +163,61 @@ impl Lcl for HierarchicalThc {
 
     fn check_node(&self, inst: &Instance, outputs: &[ThcColor], v: usize) -> Result<(), Violation> {
         let lvl = structure::level_capped(inst, v, self.k);
-        check_thc_node(inst, &|u| Some(outputs[u]), v, lvl, self.k)
+        let license = |r: usize| outputs[r].is_solved();
+        check_thc_node(inst, &|u| Some(outputs[u]), v, lvl, self.k, &license)
+    }
+}
+
+/// What a THC problem plugs into [`Engine`]: the three things Hybrid-THC
+/// changes in `RecursiveHTHC` (Definition 6.1, Theorem 6.3).
+/// [`Hierarchical`] is Hierarchical-THC's own choice of all three.
+pub(crate) trait Variant: Sized {
+    /// The output alphabet; THC symbols embed into it.
+    type Out: Copy + From<ThcColor>;
+
+    /// The level of `v`; every level above `k` reads as `k + 1`.
+    fn level(e: &mut Engine<'_, '_, Self>, v: &NodeView) -> Result<u32, QueryError>;
+
+    /// The output of `v`, a node of a level-1 component.
+    fn level1(e: &mut Engine<'_, '_, Self>, v: NodeView) -> Result<Self::Out, QueryError>;
+
+    /// Whether `below`, the output of the component root below a
+    /// level-`lvl` node, licenses that node's exemption.
+    fn licenses(below: Self::Out, lvl: u32) -> bool;
+}
+
+/// Hierarchical-THC's [`Variant`]: Definition 5.1's capped `RC` walk, level-1
+/// components colored by their anchor when shallow and declined when deep,
+/// and any solved symbol below as the license.
+pub(crate) struct Hierarchical;
+
+impl Variant for Hierarchical {
+    type Out = ThcColor;
+
+    fn level(e: &mut Engine<'_, '_, Self>, v: &NodeView) -> Result<u32, QueryError> {
+        let mut cur = *v;
+        let mut lvl = 1u32;
+        while lvl <= e.k {
+            match e.xp.follow(&cur, cur.label.right_child)? {
+                Some(u) => {
+                    cur = u;
+                    lvl += 1;
+                }
+                None => return Ok(lvl),
+            }
+        }
+        Ok(e.k + 1)
+    }
+
+    fn level1(e: &mut Engine<'_, '_, Self>, v: NodeView) -> Result<ThcColor, QueryError> {
+        // Algorithm 2 lines 1–6: shallow components are colored by their
+        // anchor; deep ones decline.
+        Ok(e.shallow_anchor(&v)?
+            .map_or(ThcColor::D, |a| input_sym(a.label.color)))
+    }
+
+    fn licenses(below: ThcColor, _lvl: u32) -> bool {
+        below.is_solved()
     }
 }
 
@@ -207,32 +233,18 @@ enum Gate {
     },
 }
 
-/// The solver engine shared by the deterministic and randomized variants.
-struct Engine<'x, 'o> {
-    xp: &'x mut Explorer<'o>,
-    k: u32,
-    threshold: usize,
+/// `RecursiveHTHC` (Algorithm 2) over the [`Variant`] `V`: the solver engine
+/// of every Hierarchical- and Hybrid-THC volume solver.
+pub(crate) struct Engine<'x, 'o, V: Variant> {
+    pub(crate) xp: &'x mut Explorer<'o>,
+    pub(crate) k: u32,
+    /// The component threshold `2·⌈n^{1/k}⌉`.
+    pub(crate) threshold: usize,
     gate: Gate,
-    memo: HashMap<usize, ThcColor>,
+    memo: HashMap<usize, V::Out>,
 }
 
-impl Engine<'_, '_> {
-    /// Level of `v` per Definition 5.1, capped at `k + 1`.
-    fn level(&mut self, v: &NodeView) -> Result<u32, QueryError> {
-        let mut cur = *v;
-        let mut lvl = 1u32;
-        while lvl <= self.k {
-            match self.xp.follow(&cur, cur.label.right_child)? {
-                Some(u) => {
-                    cur = u;
-                    lvl += 1;
-                }
-                None => return Ok(lvl),
-            }
-        }
-        Ok(self.k + 1)
-    }
-
+impl<V: Variant> Engine<'_, '_, V> {
     /// Backbone successor (`u = LC(v)` with `P(u) = v`).
     fn next(&mut self, v: &NodeView) -> Result<Option<NodeView>, QueryError> {
         let Some(u) = self.xp.follow(v, v.label.left_child)? else {
@@ -261,26 +273,24 @@ impl Engine<'_, '_> {
         Ok((back.map(|b| b.node) == Some(v.node)).then_some(u))
     }
 
-    /// Whether `v` may become exempt: its recursion gate is open and the
-    /// component below solves to a non-`D` value (Algorithm 2 lines 7, 12,
-    /// 15, 23 with the way-point modification of Proposition 5.14).
-    fn exempt_candidate(&mut self, v: &NodeView) -> Result<bool, QueryError> {
-        match self.gate {
-            Gate::Always => {}
-            Gate::WayPoints { p } => {
-                if !self.xp.bernoulli(v.node, p)? {
-                    return Ok(false);
-                }
+    /// Whether the level-`lvl` node `v` may become exempt: its recursion
+    /// gate is open and the component below solves to a licensing output
+    /// (Algorithm 2 lines 7, 12, 15, 23 with the way-point modification of
+    /// Proposition 5.14).
+    fn exempt_candidate(&mut self, v: &NodeView, lvl: u32) -> Result<bool, QueryError> {
+        if let Gate::WayPoints { p } = self.gate {
+            if !self.xp.bernoulli(v.node, p)? {
+                return Ok(false);
             }
         }
         let Some(r) = self.down(v)? else {
             return Ok(false);
         };
-        Ok(self.solve(r)?.is_solved())
+        Ok(V::licenses(self.solve(r)?, lvl))
     }
 
     /// `RecursiveHTHC(v)` (Algorithm 2), memoized per execution.
-    fn solve(&mut self, v: NodeView) -> Result<ThcColor, QueryError> {
+    fn solve(&mut self, v: NodeView) -> Result<V::Out, QueryError> {
         if let Some(&c) = self.memo.get(&v.node) {
             return Ok(c);
         }
@@ -289,23 +299,23 @@ impl Engine<'_, '_> {
         Ok(c)
     }
 
-    fn solve_uncached(&mut self, v: NodeView) -> Result<ThcColor, QueryError> {
-        let lvl = self.level(&v)?;
+    fn solve_uncached(&mut self, v: NodeView) -> Result<V::Out, QueryError> {
+        let lvl = V::level(self, &v)?;
         if lvl > self.k {
-            return Ok(ThcColor::X);
+            return Ok(ThcColor::X.into());
+        }
+        // Lines 1–6 on level-1 components.
+        if lvl == 1 {
+            return V::level1(self, v);
         }
         // Lines 1–4: probe the component; shallow components are colored by
         // their level leaf (path) or minimum-ID node (cycle).
         if let Some(anchor) = self.shallow_anchor(&v)? {
-            return Ok(ThcColor::from_color(anchor.label.color.unwrap_or(Color::R)));
-        }
-        // Lines 5–6: deep level-1 components decline.
-        if lvl == 1 {
-            return Ok(ThcColor::D);
+            return Ok(input_sym(anchor.label.color).into());
         }
         // Line 7: exemption if the component below solves.
-        if self.exempt_candidate(&v)? {
-            return Ok(ThcColor::X);
+        if self.exempt_candidate(&v, lvl)? {
+            return Ok(ThcColor::X.into());
         }
         // Lines 10–18: scan for the nearest exempt-capable descendant `u`
         // and ancestor `w` along the backbone.
@@ -319,7 +329,7 @@ impl Engine<'_, '_> {
         let mut w_stop = false;
         for _ in 0..=t {
             if !u_stop {
-                if self.exempt_candidate(&u)? {
+                if self.exempt_candidate(&u, lvl)? {
                     u_stop = true;
                 } else if let Some(nx) = self.next(&u)? {
                     u_prev = Some(u);
@@ -330,7 +340,7 @@ impl Engine<'_, '_> {
                 }
             }
             if !w_stop {
-                if self.exempt_candidate(&w)? {
+                if self.exempt_candidate(&w, lvl)? {
                     w_stop = true;
                 } else if let Some(pv) = self.prev(&w)? {
                     w = pv;
@@ -345,19 +355,19 @@ impl Engine<'_, '_> {
         }
         // Lines 22–30.
         if !(u_stop && w_stop) || du + dw > t {
-            return Ok(ThcColor::D);
+            return Ok(ThcColor::D.into());
         }
-        if self.exempt_candidate(&u)? {
+        let anchor = if self.exempt_candidate(&u, lvl)? {
             // `u` outputs X; the segment above it is unanimously colored by
             // the input color of u's backbone parent (condition 5(b)'s
             // "χ_in(P(u))").
-            let anchor = u_prev.unwrap_or(u);
-            Ok(ThcColor::from_color(anchor.label.color.unwrap_or(Color::R)))
+            u_prev.unwrap_or(u)
         } else {
             // `u` is a level-ℓ leaf whose subtree declined: the segment is
             // colored by the leaf's own input color.
-            Ok(ThcColor::from_color(u.label.color.unwrap_or(Color::R)))
-        }
+            u
+        };
+        Ok(input_sym(anchor.label.color).into())
     }
 
     /// Probes whether `v`'s component `C` has at most `threshold` nodes
@@ -403,6 +413,33 @@ impl Engine<'_, '_> {
     }
 }
 
+/// Runs the engine over `V` at the initiating node. `c` is the way-point
+/// density constant of Proposition 5.14; `None` runs the ungated
+/// Algorithm 2.
+pub(crate) fn run_engine<V: Variant>(
+    oracle: &mut dyn Oracle,
+    k: u32,
+    c: Option<f64>,
+) -> Result<V::Out, QueryError> {
+    let mut xp = Explorer::new(oracle);
+    let n = xp.n();
+    let gate = match c {
+        None => Gate::Always,
+        Some(c) => Gate::WayPoints {
+            p: waypoint_probability(n, k, c),
+        },
+    };
+    let root = xp.root();
+    let mut engine = Engine::<V> {
+        xp: &mut xp,
+        k,
+        threshold: component_threshold(n, k),
+        gate,
+        memo: HashMap::new(),
+    };
+    engine.solve(root)
+}
+
 /// The deterministic `RecursiveHTHC` solver (Algorithm 2, Proposition 5.12):
 /// distance `O(k·n^{1/k})`, volume `Θ̃(n)`.
 #[derive(Clone, Copy, Debug)]
@@ -434,18 +471,12 @@ pub(crate) fn component_threshold(n: usize, k: u32) -> usize {
     (2.0 * (n.max(2) as f64).powf(1.0 / f64::from(k)).ceil()) as usize
 }
 
-fn run_engine(oracle: &mut dyn Oracle, k: u32, gate: Gate) -> Result<ThcColor, QueryError> {
-    let mut xp = Explorer::new(oracle);
-    let threshold = component_threshold(xp.n(), k);
-    let root = xp.root();
-    let mut engine = Engine {
-        xp: &mut xp,
-        k,
-        threshold,
-        gate,
-        memo: HashMap::new(),
-    };
-    engine.solve(root)
+/// The way-point probability `p = min(1, c·log₂(n)/n^{1/k})` of the
+/// randomized Hierarchical- and Hybrid-THC solvers — exposed for the
+/// ablation experiment (Lemmas 5.16 and 5.18 need `c ≥ 3`).
+pub fn waypoint_probability(n: usize, k: u32, c: f64) -> f64 {
+    let n = n.max(2) as f64;
+    (c * n.log2() / n.powf(1.0 / f64::from(k))).min(1.0)
 }
 
 impl QueryAlgorithm for DeterministicSolver {
@@ -465,7 +496,7 @@ impl QueryAlgorithm for DeterministicSolver {
     }
 
     fn run(&self, oracle: &mut dyn Oracle) -> Result<ThcColor, QueryError> {
-        run_engine(oracle, self.k, Gate::Always)
+        run_engine::<Hierarchical>(oracle, self.k, None)
     }
 }
 
@@ -487,17 +518,8 @@ impl QueryAlgorithm for RandomizedSolver {
     }
 
     fn run(&self, oracle: &mut dyn Oracle) -> Result<ThcColor, QueryError> {
-        let n = oracle.n().max(2) as f64;
-        let p = (self.c * n.log2() / n.powf(1.0 / f64::from(self.k))).min(1.0);
-        run_engine(oracle, self.k, Gate::WayPoints { p })
+        run_engine::<Hierarchical>(oracle, self.k, Some(self.c))
     }
-}
-
-/// The way-point probability used by [`RandomizedSolver`] — exposed for the
-/// ablation experiment (Lemmas 5.16 and 5.18 need `c ≥ 3`).
-pub fn waypoint_probability(n: usize, k: u32, c: f64) -> f64 {
-    let n = n.max(2) as f64;
-    (c * n.log2() / n.powf(1.0 / f64::from(k))).min(1.0)
 }
 
 #[cfg(test)]

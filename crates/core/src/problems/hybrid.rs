@@ -8,6 +8,9 @@
 //! follow the Hierarchical-THC validity conditions, except that a level-2
 //! node may only become exempt when the BalancedTree below it is *solved*:
 //! condition 4(b) becomes "`χ_out(v) = X` and `χ_out(RC(v)) ∈ {B, U}`".
+//! Both the checker and the volume solvers are Hierarchical-THC's
+//! ([`check_thc_node`] and `RecursiveHTHC`), run with this level-1 base and
+//! this exemption license.
 //!
 //! ## A note on the top level
 //!
@@ -18,7 +21,7 @@
 //! `Θ(log n)` distance and `Θ̃(n^{1/k})` volume bounds of Theorem 6.3. As in
 //! Hierarchical-THC, the top level `ℓ = k` must anchor the hierarchy: we
 //! apply condition 5 (palette `{R, B, X}`, no declining) at `ℓ = k`, with
-//! the exemption license of 5(a) replaced at `k = 2` by the hybrid license
+//! the license of level `k` as its 5(a) — at `k = 2` the hybrid license
 //! `χ_out(RC(v)) ∈ {B, U}`. For `k > 2` this is exactly the literal
 //! definition; for `k = 2` it is the minimal reading that keeps Theorem 6.3
 //! true.
@@ -26,10 +29,12 @@
 use crate::lcl::{Lcl, Violation};
 use crate::output::{HybridOutput, ThcColor};
 use crate::problems::balanced_tree::{check_bt_node_in, solve_bt};
-use crate::problems::hierarchical::{component_threshold, lc_strict, rc_strict};
+use crate::problems::hierarchical::{
+    check_thc_node, lc_strict, rc_strict, run_engine, Engine, Variant,
+};
 use crate::problems::util::Explorer;
-use std::collections::{HashMap, HashSet, VecDeque};
-use vc_graph::{Color, Instance, Port};
+use std::collections::{HashSet, VecDeque};
+use vc_graph::{Instance, Port};
 use vc_model::oracle::{NodeView, Oracle, QueryError};
 use vc_model::run::QueryAlgorithm;
 
@@ -58,10 +63,6 @@ pub(crate) fn input_level(inst: &Instance, v: usize) -> Option<u32> {
     inst.labels[v].level.map(u32::from)
 }
 
-fn sym(outputs: &[HybridOutput], v: usize) -> Option<ThcColor> {
-    outputs[v].sym()
-}
-
 /// Checks the per-node condition of Hybrid-THC(k) (see the module docs for
 /// the exact reading). Shared with HH-THC.
 pub(crate) fn check_hybrid_node(
@@ -70,109 +71,29 @@ pub(crate) fn check_hybrid_node(
     v: usize,
     k: u32,
 ) -> Result<(), Violation> {
+    let fail = |rule| Err(Violation { node: v, rule });
     let Some(lvl) = input_level(inst, v) else {
         // Unlabeled nodes are exempt.
         return if outputs[v] == HybridOutput::Sym(ThcColor::X) {
             Ok(())
         } else {
-            Err(Violation {
-                node: v,
-                rule: "6.1:unlabeled-exempt",
-            })
+            fail("6.1:unlabeled-exempt")
         };
     };
     if lvl == 1 {
         return check_level1(inst, outputs, v);
     }
-    let Some(out) = sym(outputs, v) else {
-        return Err(Violation {
-            node: v,
-            rule: "6.1:upper-levels-output-symbols",
-        });
-    };
-    if lvl > k {
-        // Definition 5.5 condition 1.
-        return if out == ThcColor::X {
-            Ok(())
-        } else {
-            Err(Violation {
-                node: v,
-                rule: "5.5:1:exempt-above-k",
-            })
-        };
+    if outputs[v].sym().is_none() {
+        return fail("6.1:upper-levels-output-symbols");
     }
-    let lc = lc_strict(inst, v);
-    let rc = rc_strict(inst, v);
-    let is_leaf = lc.is_none();
-    let input = ThcColor::from_color(inst.labels[v].color.unwrap_or(Color::R));
-    // The exemption license: BalancedTree solved below (ℓ = 2) or a solved
-    // symbol below (ℓ > 2).
-    let license = match rc {
-        None => false,
-        Some(r) => {
-            if lvl == 2 {
-                outputs[r].is_solved_pair()
-            } else {
-                sym(outputs, r).map(ThcColor::is_solved).unwrap_or(false)
-            }
-        }
-    };
-    // Condition 2 (leaves at any level ≤ k).
-    if is_leaf && !(out == input || out == ThcColor::D || out == ThcColor::X) {
-        return Err(Violation {
-            node: v,
-            rule: "5.5:2:leaf-palette",
-        });
-    }
-    if lvl == k {
-        // Condition 5 (top anchor; see module docs for k = 2).
-        if !matches!(out, ThcColor::R | ThcColor::B | ThcColor::X) {
-            return Err(Violation {
-                node: v,
-                rule: "5.5:5:top-palette",
-            });
-        }
-        if out == ThcColor::X {
-            return if license {
-                Ok(())
-            } else {
-                Err(Violation {
-                    node: v,
-                    rule: "5.5:5a:exempt-needs-solved-rc",
-                })
-            };
-        }
-        if let Some(lc) = lc {
-            let ok = match sym(outputs, lc) {
-                Some(ThcColor::X) => out == input,
-                Some(c) => out == c,
-                None => false,
-            };
-            if !ok {
-                return Err(Violation {
-                    node: v,
-                    rule: "5.5:5b:top-segment",
-                });
-            }
-        }
-        return Ok(());
-    }
-    // 2 ≤ lvl < k: condition 4 with the modified 4(b).
-    let Some(lc) = lc else {
-        return Ok(()); // leaves already constrained by condition 2
-    };
-    let lc_sym = sym(outputs, lc);
-    let a = matches!(out, ThcColor::R | ThcColor::B | ThcColor::D) && lc_sym == Some(out);
-    let b = out == ThcColor::X && license;
-    let c = (out == input || out == ThcColor::D) && lc_sym == Some(ThcColor::X);
-    if a || b || c {
-        Ok(())
-    } else {
-        Err(Violation {
-            node: v,
-            rule: "6.1:4:mid-level",
-        })
-    }
+    let license = |r: usize| Hybrid::licenses(outputs[r], lvl);
+    check_thc_node(inst, &|u| outputs[u].sym(), v, lvl, k, &license).map_err(|e| Violation {
+        rule: match e.rule {
+            "5.5:4:mid-level" => "6.1:4:mid-level",
+            rule => rule,
+        },
+        ..e
+    })
 }
 
 /// Level-1 validity: a BalancedTree-valid pair labeling on the level-1
@@ -267,231 +188,58 @@ impl QueryAlgorithm for DistanceSolver {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-enum Gate {
-    Always,
-    WayPoints { p: f64 },
-}
+/// Hybrid-THC's [`Variant`] of `RecursiveHTHC`: the explicit `level` input
+/// (unlabeled nodes read as above `k`), BalancedTree level-1 components, and
+/// Definition 6.1's license.
+pub(crate) struct Hybrid;
 
-struct Engine<'x, 'o> {
-    xp: &'x mut Explorer<'o>,
-    k: u32,
-    /// Backbone window threshold `2·⌈n^{1/k}⌉`.
-    threshold: usize,
-    /// Size cap above which a level-1 BalancedTree component declines.
-    bt_cap: usize,
-    gate: Gate,
-    memo: HashMap<usize, HybridOutput>,
-}
+impl Variant for Hybrid {
+    type Out = HybridOutput;
 
-impl Engine<'_, '_> {
-    fn next(&mut self, v: &NodeView) -> Result<Option<NodeView>, QueryError> {
-        let Some(u) = self.xp.follow(v, v.label.left_child)? else {
-            return Ok(None);
-        };
-        let back = self.xp.follow(&u, u.label.parent)?;
-        Ok((back.map(|b| b.node) == Some(v.node)).then_some(u))
+    fn level(e: &mut Engine<'_, '_, Self>, v: &NodeView) -> Result<u32, QueryError> {
+        Ok(v.label.level.map_or(e.k + 1, u32::from))
     }
 
-    fn prev(&mut self, v: &NodeView) -> Result<Option<NodeView>, QueryError> {
-        let Some(p) = self.xp.follow(v, v.label.parent)? else {
-            return Ok(None);
-        };
-        let down = self.xp.follow(&p, p.label.left_child)?;
-        Ok((down.map(|d| d.node) == Some(v.node)).then_some(p))
-    }
-
-    fn down(&mut self, v: &NodeView) -> Result<Option<NodeView>, QueryError> {
-        let Some(u) = self.xp.follow(v, v.label.right_child)? else {
-            return Ok(None);
-        };
-        let back = self.xp.follow(&u, u.label.parent)?;
-        Ok((back.map(|b| b.node) == Some(v.node)).then_some(u))
-    }
-
-    /// The hybrid exemption license (Definition 6.1): at level 2 the
-    /// component below must be a *solved* BalancedTree; above, a solved
-    /// symbol.
-    fn exempt_candidate(&mut self, v: &NodeView, lvl: u32) -> Result<bool, QueryError> {
-        match self.gate {
-            Gate::Always => {}
-            Gate::WayPoints { p } => {
-                if !self.xp.bernoulli(v.node, p)? {
-                    return Ok(false);
-                }
-            }
-        }
-        let Some(r) = self.down(v)? else {
-            return Ok(false);
-        };
-        let below = self.solve(r)?;
-        Ok(if lvl == 2 {
-            below.is_solved_pair()
-        } else {
-            below.sym().map(ThcColor::is_solved).unwrap_or(false)
-        })
-    }
-
-    fn solve(&mut self, v: NodeView) -> Result<HybridOutput, QueryError> {
-        if let Some(&c) = self.memo.get(&v.node) {
-            return Ok(c);
-        }
-        let c = self.solve_uncached(v)?;
-        self.memo.insert(v.node, c);
-        Ok(c)
-    }
-
-    fn solve_uncached(&mut self, v: NodeView) -> Result<HybridOutput, QueryError> {
-        let Some(lvl) = v.label.level.map(u32::from) else {
-            return Ok(HybridOutput::Sym(ThcColor::X));
-        };
-        if lvl > self.k {
-            return Ok(HybridOutput::Sym(ThcColor::X));
-        }
-        if lvl == 1 {
-            return self.solve_level1(v);
-        }
-        // Backbone machinery, as in RecursiveHTHC.
-        if let Some(anchor) = self.shallow_anchor(&v)? {
-            return Ok(HybridOutput::Sym(ThcColor::from_color(
-                anchor.label.color.unwrap_or(Color::R),
-            )));
-        }
-        if self.exempt_candidate(&v, lvl)? {
-            return Ok(HybridOutput::Sym(ThcColor::X));
-        }
-        let t = self.threshold;
-        let mut u = v;
-        let mut u_prev: Option<NodeView> = None;
-        let mut du = 0usize;
-        let mut u_stop = false;
-        let mut w = v;
-        let mut dw = 0usize;
-        let mut w_stop = false;
-        for _ in 0..=t {
-            if !u_stop {
-                if self.exempt_candidate(&u, lvl)? {
-                    u_stop = true;
-                } else if let Some(nx) = self.next(&u)? {
-                    u_prev = Some(u);
-                    u = nx;
-                    du += 1;
-                } else {
-                    u_stop = true;
-                }
-            }
-            if !w_stop {
-                if self.exempt_candidate(&w, lvl)? {
-                    w_stop = true;
-                } else if let Some(pv) = self.prev(&w)? {
-                    w = pv;
-                    dw += 1;
-                } else {
-                    w_stop = true;
-                }
-            }
-            if u_stop && w_stop {
-                break;
-            }
-        }
-        if !(u_stop && w_stop) || du + dw > t {
-            return Ok(HybridOutput::Sym(ThcColor::D));
-        }
-        if self.exempt_candidate(&u, lvl)? {
-            let anchor = u_prev.unwrap_or(u);
-            Ok(HybridOutput::Sym(ThcColor::from_color(
-                anchor.label.color.unwrap_or(Color::R),
-            )))
-        } else {
-            Ok(HybridOutput::Sym(ThcColor::from_color(
-                u.label.color.unwrap_or(Color::R),
-            )))
-        }
-    }
-
-    /// Level-1: measure the component; small ones are solved as
-    /// BalancedTree instances, large ones decline unanimously.
-    fn solve_level1(&mut self, v: NodeView) -> Result<HybridOutput, QueryError> {
-        if self.component_at_most(&v, self.bt_cap)? {
-            Ok(HybridOutput::Pair(solve_bt(self.xp, v)?))
+    /// Small level-1 components are solved as BalancedTree instances; large
+    /// ones decline unanimously.
+    fn level1(e: &mut Engine<'_, '_, Self>, v: NodeView) -> Result<HybridOutput, QueryError> {
+        if component_at_most(e.xp, &v, 2 * e.threshold + 8)? {
+            Ok(HybridOutput::Pair(solve_bt(e.xp, v)?))
         } else {
             Ok(HybridOutput::Sym(ThcColor::D))
         }
     }
 
-    /// BFS over the level-1 component of `v` (through all ports, restricted
-    /// to level-1 nodes), counting up to `cap + 1` nodes.
-    fn component_at_most(&mut self, v: &NodeView, cap: usize) -> Result<bool, QueryError> {
-        let mut seen: HashSet<usize> = HashSet::from([v.node]);
-        let mut queue = VecDeque::from([*v]);
-        let mut count = 1usize;
-        while let Some(u) = queue.pop_front() {
-            for p in 1..=u.degree as u8 {
-                let w = self.xp.follow(&u, Some(Port::new(p)))?.expect("valid port");
-                if w.label.level == Some(1) && seen.insert(w.node) {
-                    count += 1;
-                    if count > cap {
-                        return Ok(false);
-                    }
-                    queue.push_back(w);
-                }
-            }
+    /// A solved BalancedTree below a level-2 node (`χ_out(RC(v)) ∈ {B, U}`),
+    /// a solved symbol below higher levels.
+    fn licenses(below: HybridOutput, lvl: u32) -> bool {
+        if lvl == 2 {
+            below.is_solved_pair()
+        } else {
+            below.sym().is_some_and(ThcColor::is_solved)
         }
-        Ok(true)
-    }
-
-    /// Backbone shallow probe, as in Hierarchical-THC.
-    fn shallow_anchor(&mut self, v: &NodeView) -> Result<Option<NodeView>, QueryError> {
-        let t = self.threshold;
-        let mut fwd = Vec::new();
-        let mut cur = *v;
-        while let Some(nx) = self.next(&cur)? {
-            if nx.node == v.node {
-                let mut all = fwd;
-                all.push(*v);
-                if all.len() <= t {
-                    let anchor = all
-                        .into_iter()
-                        .min_by_key(|x| x.id)
-                        .expect("cycle is nonempty");
-                    return Ok(Some(anchor));
-                }
-                return Ok(None);
-            }
-            fwd.push(nx);
-            if fwd.len() > t {
-                return Ok(None);
-            }
-            cur = nx;
-        }
-        let leaf = *fwd.last().unwrap_or(v);
-        let mut count = fwd.len() + 1;
-        let mut back = *v;
-        while let Some(pv) = self.prev(&back)? {
-            count += 1;
-            if count > t {
-                return Ok(None);
-            }
-            back = pv;
-        }
-        Ok(Some(leaf))
     }
 }
 
-fn run_engine(oracle: &mut dyn Oracle, k: u32, gate: Gate) -> Result<HybridOutput, QueryError> {
-    let mut xp = Explorer::new(oracle);
-    let n = xp.n();
-    let threshold = component_threshold(n, k);
-    let root = xp.root();
-    let mut engine = Engine {
-        xp: &mut xp,
-        k,
-        threshold,
-        bt_cap: 2 * threshold + 8,
-        gate,
-        memo: HashMap::new(),
-    };
-    engine.solve(root)
+/// BFS over the level-1 component of `v` (through all ports, restricted
+/// to level-1 nodes): whether it has at most `cap` nodes.
+fn component_at_most(xp: &mut Explorer<'_>, v: &NodeView, cap: usize) -> Result<bool, QueryError> {
+    let mut seen: HashSet<usize> = HashSet::from([v.node]);
+    let mut queue = VecDeque::from([*v]);
+    let mut count = 1usize;
+    while let Some(u) = queue.pop_front() {
+        for p in 1..=u.degree as u8 {
+            let w = xp.follow(&u, Some(Port::new(p)))?.expect("valid port");
+            if w.label.level == Some(1) && seen.insert(w.node) {
+                count += 1;
+                if count > cap {
+                    return Ok(false);
+                }
+                queue.push_back(w);
+            }
+        }
+    }
+    Ok(true)
 }
 
 /// The randomized way-point solver: volume `Θ̃(n^{1/k})` on the balanced
@@ -530,9 +278,7 @@ impl QueryAlgorithm for RandomizedSolver {
     }
 
     fn run(&self, oracle: &mut dyn Oracle) -> Result<HybridOutput, QueryError> {
-        let n = oracle.n().max(2) as f64;
-        let p = (self.c * n.log2() / n.powf(1.0 / f64::from(self.k))).min(1.0);
-        run_engine(oracle, self.k, Gate::WayPoints { p })
+        run_engine::<Hybrid>(oracle, self.k, Some(self.c))
     }
 }
 
@@ -561,7 +307,7 @@ impl QueryAlgorithm for DeterministicVolumeSolver {
     }
 
     fn run(&self, oracle: &mut dyn Oracle) -> Result<HybridOutput, QueryError> {
-        run_engine(oracle, self.k, Gate::Always)
+        run_engine::<Hybrid>(oracle, self.k, None)
     }
 }
 

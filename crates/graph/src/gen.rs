@@ -374,34 +374,59 @@ pub struct HierarchicalParams {
 /// matches the lower-bound family of Proposition 5.13.
 pub fn hierarchical(params: HierarchicalParams) -> Instance {
     assert!(params.k >= 1 && params.backbone_len >= 1);
-    let mut rng = StdRng::seed_from_u64(params.seed);
+    leveled(params.k, params.backbone_len, false, params.seed, None)
+}
+
+/// A level-1 base for [`leveled`]: builds one level-1 component and
+/// returns its root.
+type Base<'a> = &'a mut dyn FnMut(&mut TreeGrower, &mut StdRng) -> NodeIdx;
+
+/// A leveled instance (§5–6) with a top-level backbone of `len` nodes,
+/// closed into an LC-cycle when `cycle`, and shuffled identifiers.
+///
+/// Without a `base`, level-1 components are LC-paths and no node carries a
+/// `level` input (Hierarchical-THC). With one, `base` builds every level-1
+/// component and backbone nodes carry their explicit `level` (Hybrid-THC).
+fn leveled(k: u32, len: usize, cycle: bool, seed: u64, mut base: Option<Base<'_>>) -> Instance {
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut t = TreeGrower::new();
-    build_hier_component(&mut t, params.k, params.backbone_len, &mut rng);
+    leveled_component(&mut t, k, len, cycle, &mut rng, &mut base);
     let mut inst = t.finish();
     shuffle_ids(&mut inst, &mut rng);
     inst
 }
 
-/// Builds one level-`level` component; returns its root (first backbone
-/// node).
-fn build_hier_component(
+/// Builds one level-`level` component of [`leveled`]; returns its root
+/// (first backbone node).
+fn leveled_component(
     t: &mut TreeGrower,
     level: u32,
-    backbone_len: usize,
+    len: usize,
+    cycle: bool,
     rng: &mut StdRng,
+    base: &mut Option<Base<'_>>,
 ) -> NodeIdx {
-    let backbone: Vec<NodeIdx> = (0..backbone_len)
-        .map(|_| t.add_node(random_color(rng)))
+    if let (1, Some(base)) = (level, base.as_mut()) {
+        return base(t, rng);
+    }
+    let backbone: Vec<NodeIdx> = (0..len)
+        .map(|_| {
+            let v = t.add_node(random_color(rng));
+            if base.is_some() {
+                t.labels[v].level = Some(level as u8);
+            }
+            v
+        })
         .collect();
-    for i in 0..backbone_len - 1 {
-        let (v, u) = (backbone[i], backbone[i + 1]);
+    for i in 0..len - 1 + usize::from(cycle) {
+        let (v, u) = (backbone[i], backbone[(i + 1) % len]);
         let (pv, pu) = t.b.connect_auto(v, u).unwrap();
         t.labels[v].left_child = Some(pv);
         t.labels[u].parent = Some(pu);
     }
     if level > 1 {
         for &v in &backbone {
-            let sub_root = build_hier_component(t, level - 1, backbone_len, rng);
+            let sub_root = leveled_component(t, level - 1, len, false, rng, base);
             let (pv, pr) = t.b.connect_auto(v, sub_root).unwrap();
             t.labels[v].right_child = Some(pv);
             t.labels[sub_root].parent = Some(pr);
@@ -425,29 +450,7 @@ pub fn hierarchical_for_size(k: u32, n_target: usize, seed: u64) -> Instance {
 /// LC-cycle instead of a path (Observation 5.4 allows cycles).
 pub fn hierarchical_with_cycle(params: HierarchicalParams) -> Instance {
     assert!(params.backbone_len >= 3, "cycle needs length >= 3");
-    let mut rng = StdRng::seed_from_u64(params.seed);
-    let mut t = TreeGrower::new();
-    let backbone: Vec<NodeIdx> = (0..params.backbone_len)
-        .map(|_| t.add_node(random_color(&mut rng)))
-        .collect();
-    for i in 0..params.backbone_len {
-        let (v, u) = (backbone[i], backbone[(i + 1) % params.backbone_len]);
-        let (pv, pu) = t.b.connect_auto(v, u).unwrap();
-        t.labels[v].left_child = Some(pv);
-        t.labels[u].parent = Some(pu);
-    }
-    if params.k > 1 {
-        for &v in &backbone {
-            let sub_root =
-                build_hier_component(&mut t, params.k - 1, params.backbone_len, &mut rng);
-            let (pv, pr) = t.b.connect_auto(v, sub_root).unwrap();
-            t.labels[v].right_child = Some(pv);
-            t.labels[sub_root].parent = Some(pr);
-        }
-    }
-    let mut inst = t.finish();
-    shuffle_ids(&mut inst, &mut rng);
-    inst
+    leveled(params.k, params.backbone_len, true, params.seed, None)
 }
 
 /// Parameters for [`hybrid`] instances.
@@ -469,43 +472,15 @@ pub struct HybridParams {
 /// nodes carry `level = 1`.
 pub fn hybrid(params: HybridParams) -> Instance {
     assert!(params.k >= 2 && params.backbone_len >= 1);
-    let mut rng = StdRng::seed_from_u64(params.seed);
-    let mut t = TreeGrower::new();
-    build_hybrid_component(&mut t, params.k, &params, &mut rng);
-    let mut inst = t.finish();
-    shuffle_ids(&mut inst, &mut rng);
-    inst
-}
-
-fn build_hybrid_component(
-    t: &mut TreeGrower,
-    level: u32,
-    params: &HybridParams,
-    rng: &mut StdRng,
-) -> NodeIdx {
-    if level == 1 {
-        return graft_balanced_tree(t, params.bt_depth, rng);
-    }
-    let backbone: Vec<NodeIdx> = (0..params.backbone_len)
-        .map(|_| {
-            let v = t.add_node(random_color(rng));
-            t.labels[v].level = Some(level as u8);
-            v
-        })
-        .collect();
-    for i in 0..params.backbone_len - 1 {
-        let (v, u) = (backbone[i], backbone[i + 1]);
-        let (pv, pu) = t.b.connect_auto(v, u).unwrap();
-        t.labels[v].left_child = Some(pv);
-        t.labels[u].parent = Some(pu);
-    }
-    for &v in &backbone {
-        let sub_root = build_hybrid_component(t, level - 1, params, rng);
-        let (pv, pr) = t.b.connect_auto(v, sub_root).unwrap();
-        t.labels[v].right_child = Some(pv);
-        t.labels[sub_root].parent = Some(pr);
-    }
-    backbone[0]
+    let mut base =
+        |t: &mut TreeGrower, rng: &mut StdRng| graft_balanced_tree(t, params.bt_depth, rng);
+    leveled(
+        params.k,
+        params.backbone_len,
+        false,
+        params.seed,
+        Some(&mut base),
+    )
 }
 
 /// Grafts a compatible BalancedTree instance into the grower; returns its
@@ -549,54 +524,11 @@ pub fn hybrid_with_one_heavy(k: u32, n_target: usize, seed: u64) -> Instance {
         .max(2.0);
     let bt_depth = (part.log2().round() as u32).max(1);
     let heavy_depth = ((n_target as f64 / 2.0).log2().floor() as u32).max(bt_depth + 1);
-    let params = HybridParams {
-        k,
-        backbone_len: part as usize,
-        bt_depth,
-        seed,
-    };
-    let mut rng = StdRng::seed_from_u64(params.seed);
-    let mut t = TreeGrower::new();
     let mut first = Some(heavy_depth);
-    build_hybrid_component_with(&mut t, params.k, &params, &mut rng, &mut first);
-    let mut inst = t.finish();
-    shuffle_ids(&mut inst, &mut rng);
-    inst
-}
-
-/// Like [`build_hybrid_component`], but the first level-1 component built
-/// uses `heavy.take()` as its depth when present.
-fn build_hybrid_component_with(
-    t: &mut TreeGrower,
-    level: u32,
-    params: &HybridParams,
-    rng: &mut StdRng,
-    heavy: &mut Option<u32>,
-) -> NodeIdx {
-    if level == 1 {
-        let depth = heavy.take().unwrap_or(params.bt_depth);
-        return graft_balanced_tree(t, depth, rng);
-    }
-    let backbone: Vec<NodeIdx> = (0..params.backbone_len)
-        .map(|_| {
-            let v = t.add_node(random_color(rng));
-            t.labels[v].level = Some(level as u8);
-            v
-        })
-        .collect();
-    for i in 0..params.backbone_len - 1 {
-        let (v, u) = (backbone[i], backbone[i + 1]);
-        let (pv, pu) = t.b.connect_auto(v, u).unwrap();
-        t.labels[v].left_child = Some(pv);
-        t.labels[u].parent = Some(pu);
-    }
-    for &v in &backbone {
-        let sub_root = build_hybrid_component_with(t, level - 1, params, rng, heavy);
-        let (pv, pr) = t.b.connect_auto(v, sub_root).unwrap();
-        t.labels[v].right_child = Some(pv);
-        t.labels[sub_root].parent = Some(pr);
-    }
-    backbone[0]
+    let mut base = |t: &mut TreeGrower, rng: &mut StdRng| {
+        graft_balanced_tree(t, first.take().unwrap_or(bt_depth), rng)
+    };
+    leveled(k, part as usize, false, seed, Some(&mut base))
 }
 
 /// [`hybrid`] sized to roughly `n_target` nodes: level-1 BalancedTree

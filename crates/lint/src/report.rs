@@ -2,6 +2,7 @@
 //! `file:line:col` diagnostics and the `vc-lint-report/v1` JSON document.
 
 use std::fmt;
+use vc_json::escape;
 
 /// One lint finding with a full span anchor.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -72,12 +73,12 @@ impl Report {
                 out.push(',');
             }
             out.push_str("\n    {");
-            out.push_str(&format!("\"file\": {}, ", json_str(&f.file)));
+            out.push_str(&format!("\"file\": \"{}\", ", escape(&f.file)));
             out.push_str(&format!("\"line\": {}, ", f.line));
             out.push_str(&format!("\"col\": {}, ", f.col));
-            out.push_str(&format!("\"code\": {}, ", json_str(f.code)));
-            out.push_str(&format!("\"rule\": {}, ", json_str(f.rule)));
-            out.push_str(&format!("\"message\": {}}}", json_str(&f.message)));
+            out.push_str(&format!("\"code\": \"{}\", ", escape(f.code)));
+            out.push_str(&format!("\"rule\": \"{}\", ", escape(f.rule)));
+            out.push_str(&format!("\"message\": \"{}\"}}", escape(&f.message)));
         }
         if !self.findings.is_empty() {
             out.push_str("\n  ");
@@ -85,25 +86,6 @@ impl Report {
         out.push_str("]\n}\n");
         out
     }
-}
-
-/// Escapes `s` as a JSON string literal (quotes included).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -151,8 +133,14 @@ mod tests {
 
     #[test]
     fn json_escapes_special_characters() {
-        assert_eq!(json_str("a\"b\\c\nd"), r#""a\"b\\c\nd""#);
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
+        let r = Report {
+            findings: vec![Finding {
+                message: "a\"b\\c\nd\u{1}".into(),
+                ..finding("x.rs", 1, 1, "VC001")
+            }],
+            ..Report::default()
+        };
+        assert!(r.to_json().contains(r#""message": "a\"b\\c\nd\u0001"}"#));
     }
 
     #[test]

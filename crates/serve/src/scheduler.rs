@@ -209,6 +209,9 @@ struct PreparedSweep {
 
 struct JobRecord {
     status: JobStatus,
+    /// The prepared sweep of a queued, running or parked job; dropped
+    /// once the job is done or failed, so the job table does not keep
+    /// every instance it ever ran.
     work: Option<Arc<PreparedSweep>>,
 }
 
@@ -705,6 +708,7 @@ fn scheduler_loop(shared: &Shared, threads: usize, spool_dir: &std::path::Path) 
                         }
                     }
                     inner.by_sweep.remove(&work.identity.sweep_id.raw());
+                    record.work = None;
                 } else {
                     // Preempted at a chunk boundary: park and re-queue.
                     record.status.state = JobState::Parked;
@@ -724,6 +728,7 @@ fn scheduler_loop(shared: &Shared, threads: usize, spool_dir: &std::path::Path) 
                 record.status.error = Some(e.to_string());
                 inner.stats.failed += 1;
                 inner.by_sweep.remove(&work.identity.sweep_id.raw());
+                record.work = None;
             }
         }
         shared.change.notify_all();
@@ -774,6 +779,22 @@ mod tests {
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.completed, 1);
+        let _ = std::fs::remove_dir_all(config.store_dir.parent().unwrap_or(&config.store_dir));
+    }
+
+    #[test]
+    fn finished_jobs_release_their_prepared_work() {
+        let config = temp_config("release", 1);
+        let service = SweepService::start(&config).expect("start");
+        let spec = small_spec(6);
+        let cold = service.submit(&spec).expect("submit");
+        service.wait_result(cold.job, WAIT).expect("cold result");
+        let holds_work = |s: &SweepService| s.shared.lock().jobs.values().any(|r| r.work.is_some());
+        assert!(!holds_work(&service), "a done job kept its instance");
+        let warm = service.submit(&spec).expect("resubmit");
+        assert!(warm.cache_hit);
+        assert!(!holds_work(&service));
+        drop(service);
         let _ = std::fs::remove_dir_all(config.store_dir.parent().unwrap_or(&config.store_dir));
     }
 

@@ -13,10 +13,11 @@
 //! ```
 //!
 //! Every failure is `{"ok":false,"error":".."}`; the connection stays
-//! usable. Connections are handled serially — the protocol is a local
+//! usable, except after a request line longer than 64 KiB or not UTF-8:
+//! that line is answered with an error and the connection closes. Connections are handled serially — the protocol is a local
 //! control plane, not a throughput path.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -25,6 +26,10 @@ use vc_json::Value;
 
 use crate::scheduler::SweepService;
 use crate::spec::SweepSpec;
+
+/// The longest request line read, line ending excluded. The largest real
+/// request, a submit, is about 300 bytes.
+const MAX_LINE: usize = 64 * 1024;
 
 /// A running protocol listener bound to a socket path.
 pub struct ServeDaemon {
@@ -114,28 +119,52 @@ fn handle_connection(conn: UnixStream, service: &SweepService) -> bool {
         return false;
     };
     let mut writer = std::io::BufWriter::new(write_half);
-    let reader = BufReader::new(conn);
+    let mut reader = BufReader::new(conn);
     let mut saw_shutdown = false;
-    for line in reader.lines() {
-        let Ok(line) = line else {
-            break;
+    while let Some(line) = next_line(&mut reader) {
+        let (response, close) = match line {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => {
+                let (response, is_shutdown) = respond(&line, service);
+                saw_shutdown |= is_shutdown;
+                (response, is_shutdown)
+            }
+            // The rest of the stream cannot be framed: answer, then close.
+            Err(msg) => (error_line(&msg), true),
         };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (response, is_shutdown) = respond(&line, service);
-        saw_shutdown |= is_shutdown;
         if writer.write_all(response.as_bytes()).is_err()
             || writer.write_all(b"\n").is_err()
             || writer.flush().is_err()
+            || close
         {
-            break;
-        }
-        if is_shutdown {
             break;
         }
     }
     saw_shutdown
+}
+
+/// Reads the next request line without its line ending, buffering at
+/// most [`MAX_LINE`] + 1 bytes. `None` at end of stream or on a read
+/// error; `Some(Err(_))` for a line that is too long or not UTF-8.
+fn next_line(reader: &mut impl BufRead) -> Option<Result<String, String>> {
+    let mut buf = Vec::new();
+    match reader
+        .by_ref()
+        .take(MAX_LINE as u64 + 1)
+        .read_until(b'\n', &mut buf)
+    {
+        Ok(0) | Err(_) => return None,
+        Ok(_) => {}
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > MAX_LINE {
+        return Some(Err(format!("request line longer than {MAX_LINE} bytes")));
+    }
+    Some(String::from_utf8(buf).map_err(|_| "request line is not UTF-8".to_string()))
 }
 
 fn error_line(msg: &str) -> String {
@@ -293,6 +322,56 @@ mod tests {
         let response = request(&socket, "{\"op\":\"shutdown\"}").expect("shutdown");
         assert_eq!(response, "{\"ok\":true}");
         daemon.join();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Sends `bytes` as-is on a fresh connection and returns everything
+    /// the daemon answers before it closes the connection.
+    fn raw_request(socket: &Path, bytes: &[u8]) -> String {
+        let mut conn = UnixStream::connect(socket).expect("connect");
+        // The daemon stops reading after `MAX_LINE` + 1 bytes and closes,
+        // so the tail of an over-long write may fail with a broken pipe.
+        let _ = conn.write_all(bytes);
+        let _ = conn.shutdown(std::net::Shutdown::Write);
+        let mut response = String::new();
+        conn.read_to_string(&mut response).expect("response");
+        response
+    }
+
+    #[test]
+    fn hostile_lines_get_an_error_and_the_daemon_survives() {
+        let root = std::env::temp_dir().join(format!("vc-serve-hostile-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let service = Arc::new(
+            SweepService::start(&ServeConfig {
+                threads: 1,
+                store_dir: root.join("store"),
+                spool_dir: root.join("spool"),
+                max_store_entries: None,
+            })
+            .expect("start"),
+        );
+        let socket = root.join("serve.sock");
+        let daemon = ServeDaemon::bind(Arc::clone(&service), &socket).expect("bind");
+
+        let endless = vec![b'{'; 1 << 20];
+        let not_utf8 = b"{\"op\":\"stats\xff\"}\n{\"op\":\"stats\"}\n".to_vec();
+        for (bytes, error) in [
+            (endless, "request line longer than 65536 bytes"),
+            (not_utf8, "request line is not UTF-8"),
+        ] {
+            let response = raw_request(&socket, &bytes);
+            // One error line, then the connection is closed: the valid
+            // request after the bad line is never answered.
+            assert_eq!(response.lines().count(), 1, "{response}");
+            let doc = vc_json::parse(&response).expect("error parses");
+            assert_eq!(doc.get("ok").and_then(Value::as_bool), Some(false));
+            assert_eq!(doc.get("error").and_then(Value::as_str), Some(error));
+            let stats = request(&socket, "{\"op\":\"stats\"}").expect("daemon still answers");
+            let doc = vc_json::parse(&stats).expect("stats parses");
+            assert_eq!(doc.get("ok").and_then(Value::as_bool), Some(true));
+        }
+        drop(daemon);
         let _ = std::fs::remove_dir_all(&root);
     }
 }

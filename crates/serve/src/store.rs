@@ -14,8 +14,10 @@
 //! * truncations and stray bytes fail JSON parsing —
 //!   [`StoreError::Malformed`].
 //!
-//! Hashes are emitted as hex *strings*: the vc-json number type is an
-//! `f64`, which cannot carry a full 64-bit digest.
+//! Hashes are emitted as hex *strings*. vc-json reads plain integers
+//! exactly, but an id is a name rather than a quantity: the hex form is
+//! the one file names and checkpoints use, it keeps stored files
+//! byte-compatible, and generic JSON readers round integers past 2^53.
 //!
 //! Eviction is FIFO over insertion order with an optional entry cap;
 //! evictions are counted for the `vc-serve-report/v1` document.

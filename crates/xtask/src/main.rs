@@ -52,7 +52,7 @@
 use std::path::Path;
 use std::process::ExitCode;
 
-use xtask::json;
+use vc_json as json;
 
 /// The workspace root: two levels above this crate's manifest,
 /// independent of the invocation directory.
@@ -143,8 +143,8 @@ fn compare_bench(baseline: &json::Value, fresh: &json::Value, tol_pct: f64) -> B
     };
     let key = |row: &json::Value| -> Option<(String, u64)> {
         let case = row.get("case")?.as_str()?.to_string();
-        let threads = row.get("threads")?.as_f64()?;
-        Some((case, threads as u64))
+        let threads = row.get("threads")?.as_u64()?;
+        Some((case, threads))
     };
     let fresh_rows = rows(fresh);
     for brow in rows(baseline) {
@@ -163,11 +163,14 @@ fn compare_bench(baseline: &json::Value, fresh: &json::Value, tol_pct: f64) -> B
             continue;
         };
         for field in COUNT_FIELDS {
-            let b = brow.get(field).and_then(json::Value::as_f64);
-            let f = frow.get(field).and_then(json::Value::as_f64);
-            if b != f {
+            // Exact: a count that is absent or not a plain integer
+            // literal on either side fails too.
+            let b = brow.get(field).and_then(json::Value::as_u64);
+            let f = frow.get(field).and_then(json::Value::as_u64);
+            if b.is_none() || f.is_none() || b != f {
                 diff.failures.push(format!(
-                    "{label}: count field `{field}` drifted: baseline {b:?}, fresh {f:?}"
+                    "{label}: count field `{field}` drifted: baseline {b:?}, fresh {f:?} \
+                     (counts must be plain integers on both sides)"
                 ));
             }
         }
@@ -546,6 +549,41 @@ mod tests {
         let baseline = bench_doc("case/a", 1, 400, 500.0);
         let fresh = bench_doc("case/a", 1, 401, 500.0);
         let diff = compare_bench(&baseline, &fresh, 25.0);
+        assert_eq!(diff.failures.len(), 1);
+        assert!(diff.failures[0].contains("total_queries"));
+    }
+
+    #[test]
+    fn compare_bench_compares_counts_exactly() {
+        let with_queries = |total_queries: &str| {
+            let src = format!(
+                r#"{{"schema": "vc-engine-baseline/v1", "rows": [
+                    {{"case": "case/a", "n": 100, "instance_id": "00ab12cd34ef5678",
+                      "threads": 1, "max_volume": 7, "max_distance": 3, "runs": 100,
+                      "incomplete": 0{total_queries},
+                      "starts_per_sec": 500.0, "queries_per_sec": 1000.0}}]}}"#
+            );
+            json::parse(&src).unwrap()
+        };
+        // 2^53 and 2^53 + 1 are one f64 but two counts.
+        let diff = compare_bench(
+            &with_queries(r#", "total_queries": 9007199254740992"#),
+            &with_queries(r#", "total_queries": 9007199254740993"#),
+            25.0,
+        );
+        assert_eq!(diff.failures.len(), 1);
+        assert!(diff.failures[0].contains("total_queries"));
+        // `1e3` is a float literal, not the count 1000.
+        let diff = compare_bench(
+            &with_queries(r#", "total_queries": 1000"#),
+            &with_queries(r#", "total_queries": 1e3"#),
+            25.0,
+        );
+        assert_eq!(diff.failures.len(), 1);
+        assert!(diff.failures[0].contains("total_queries"));
+        // A count missing from both files is not a match.
+        let missing = with_queries("");
+        let diff = compare_bench(&missing, &missing, 25.0);
         assert_eq!(diff.failures.len(), 1);
         assert!(diff.failures[0].contains("total_queries"));
     }

@@ -8,7 +8,8 @@
 #                             # fault and fleet-splice suites
 #   scripts/ci.sh gates       # release gates: bench baseline, trace/theta
 #                             # reports, supervised chaos soak + merge
-#                             # cross-checks, serve service soak
+#                             # cross-checks, serve service soak, vcbench
+#                             # build + self-test under --locked
 #
 # The three named stages are exactly the three parallel CI jobs
 # (.github/workflows/ci.yml), so a local stage run reproduces a CI lane.
@@ -195,6 +196,16 @@ run_gates() {
 
     step "xtask check-json serve report" \
         cargo run -p xtask -- check-json target/serve/SERVE_report.json
+
+    # Benchmark build gate: vcbench/ is a workspace of its own that builds
+    # the repository's crates by path. Building and self-testing it with
+    # --locked fails here, rather than in a benchmark run, when a change
+    # breaks an API vcbench calls, or adds or removes a dependency edge
+    # among the crates it builds (cargo would have to rewrite
+    # vcbench/Cargo.lock).
+    step "vcbench build + self-test (--locked)" \
+        env CARGO_TARGET_DIR=target/vcbench cargo test --release --offline --locked \
+        --manifest-path vcbench/Cargo.toml
 }
 
 MODE=${1:-all}
