@@ -401,7 +401,6 @@ impl CheckpointReport {
 /// observation cannot perturb determinism (DESIGN.md §16).
 pub(crate) struct LiveCheckpointSink {
     path: PathBuf,
-    tmp: PathBuf,
     state: Mutex<SweepCheckpoint>,
 }
 
@@ -409,11 +408,8 @@ impl LiveCheckpointSink {
     /// A sink rewriting `path` from `state` (pre-stamped with the
     /// writer's partition and any resumed chunks) on every commit.
     pub(crate) fn new(path: &Path, state: SweepCheckpoint) -> Self {
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
         Self {
             path: path.to_path_buf(),
-            tmp: PathBuf::from(tmp),
             state: Mutex::new(state),
         }
     }
@@ -425,13 +421,21 @@ impl LiveCheckpointSink {
     pub(crate) fn commit(&self, chunk: usize, records: Vec<ExecutionRecord>) {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         state.chunks[chunk] = Some(records);
-        let json = state.to_json();
         // The write stays under the lock so commits land on disk in
-        // commit order and the rename below never clobbers a newer file.
-        if std::fs::write(&self.tmp, json).is_ok() {
-            let _ = std::fs::rename(&self.tmp, &self.path);
-        }
+        // commit order and a rename never clobbers a newer file.
+        let _ = write_atomically(&self.path, &state.to_json());
     }
+}
+
+/// Writes `text` to `<path>.tmp`, then renames it over `path`, so a
+/// reader — or the next run, after a kill mid-write — sees the old file
+/// or the new one, never a torn one. A stale `.tmp` from a killed writer
+/// is simply overwritten.
+fn write_atomically(path: &Path, text: &str) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    std::fs::write(&tmp, text)?;
+    std::fs::rename(&tmp, path)
 }
 
 impl Engine {
@@ -476,7 +480,8 @@ impl Engine {
     {
         let sw = Stopwatch::start();
         let starts = config.starts.starts(inst.n())?;
-        let num_chunks = plan_chunks(starts.len()).num_chunks;
+        let plan = plan_chunks(starts.len());
+        let num_chunks = plan.num_chunks;
         let identity = sweep_identity(inst, algo, config, &starts);
         let mut ckpt = match std::fs::read_to_string(path) {
             Ok(text) => {
@@ -528,12 +533,14 @@ impl Engine {
             Some(&done),
             sink.as_ref(),
         );
-        for (c, recs) in run.chunk_records.into_iter().enumerate() {
-            if let Some(recs) = recs {
-                ckpt.chunks[c] = Some(recs);
-            }
+        // The executed chunks' records lie back to back in the report;
+        // each chunk's run moves into its slot.
+        let mut fresh = run.report.records.into_iter();
+        for c in run.executed {
+            let (lo, hi) = plan.bounds(c, starts.len());
+            ckpt.chunks[c] = Some(fresh.by_ref().take(hi - lo).collect());
         }
-        std::fs::write(path, ckpt.to_json()).map_err(|e| EngineError::Io(e.to_string()))?;
+        write_atomically(path, &ckpt.to_json()).map_err(|e| EngineError::Io(e.to_string()))?;
 
         let mut acc = CostAccumulator::default();
         let mut records = Vec::with_capacity(starts.len());
@@ -745,6 +752,39 @@ mod tests {
         let mut tmp = live_path.as_os_str().to_owned();
         tmp.push(".tmp");
         assert!(!std::path::Path::new(&tmp).exists());
+    }
+
+    #[test]
+    fn a_stale_temp_file_from_a_killed_writer_is_harmless() {
+        let inst = vc_graph::gen::random_full_binary_tree(333, 5); // 6 chunks
+        let config = RunConfig::default();
+        let clean_path = temp_path("stale_clean.json");
+        let path = temp_path("stale.json");
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let tmp = PathBuf::from(tmp);
+        let _ = std::fs::remove_file(&clean_path);
+        let _ = std::fs::remove_file(&path);
+        Engine::with_threads(1)
+            .run_recorded_with_checkpoint(&inst, &WalkLeft, &config, &clean_path)
+            .unwrap();
+        // A killed first run, then a live resume: before each, a writer
+        // killed mid-write left a torn `.tmp` next to the file.
+        let runs = [
+            Engine::with_threads(2).with_chunk_quota(3),
+            Engine::with_threads(2).with_live_checkpoint(),
+        ];
+        for engine in runs {
+            std::fs::write(&tmp, "{\"schema\": \"vc-engine-check").unwrap();
+            engine
+                .run_recorded_with_checkpoint(&inst, &WalkLeft, &config, &path)
+                .unwrap();
+            assert!(!tmp.exists(), "a run left {} behind", tmp.display());
+        }
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            std::fs::read(&clean_path).unwrap()
+        );
     }
 
     #[test]

@@ -14,34 +14,35 @@
 //! * The start set is cut into equal-size chunks by [`plan_chunks`], a pure
 //!   function of the number of starts — never of the number of workers — so
 //!   the partition boundaries are identical for every thread count. Workers
-//!   steal chunks from a shared atomic claim counter, so scheduling is racy,
+//!   claim chunks from a shared atomic counter; inside a claimed chunk they
+//!   draw starts from the chunk's cursor one at a time, and a worker with no
+//!   chunk left to claim helps finish the claimed ones. Scheduling is racy,
 //!   but each chunk's content and index are not.
-//! * Outputs and [`ExecutionRecord`]s are placed by chunk index, so the
-//!   merged [`RunReport`] lists records in start order exactly like the
-//!   serial runner.
+//! * Each participant folds its starts into its own share; the merge puts a
+//!   chunk's shares back in start order and the chunks in chunk order, so
+//!   the merged [`RunReport`] lists records exactly like the serial runner.
 //! * Cost aggregation goes through [`CostAccumulator`], whose partial state
-//!   is purely integral; merging per-chunk partials (in chunk order) yields
-//!   the same [`CostSummary`] bits as a serial fold regardless of how chunks
-//!   were distributed over threads.
+//!   is purely integral; merging per-share partials yields the same
+//!   [`CostSummary`] bits as a serial fold however starts were distributed.
 //!
 //! ## Robustness (DESIGN.md §11)
 //!
 //! Sweeps degrade gracefully instead of dying:
 //!
-//! * **Panic isolation.** Every chunk runs under `catch_unwind`. A
-//!   panicking chunk is retried once from a fresh scratch; a chunk that
-//!   panics on every attempt lands in [`EngineReport::aborted_chunks`] and
-//!   its starts simply carry no outputs/records. Panics are deterministic
-//!   (same algorithm, same chunk, same inputs), so the aborted set — and
-//!   therefore the merged summary over the surviving chunks — is identical
-//!   for every thread count.
+//! * **Panic isolation.** Every share runs under `catch_unwind`. A panic in
+//!   any share poisons its chunk, which is re-run once, whole, from a fresh
+//!   scratch; a chunk that panics on every attempt lands in
+//!   [`EngineReport::aborted_chunks`] and its starts simply carry no
+//!   outputs/records. Panics are deterministic (same algorithm, same chunk,
+//!   same inputs), so the aborted set — and therefore the merged summary
+//!   over the surviving chunks — is identical for every thread count.
 //! * **Cooperative deadline / cancel.** [`Engine::with_deadline`] (or the
 //!   `VC_DEADLINE_MS` environment variable) and [`CancelFlag`] stop workers
-//!   at chunk-claim boundaries. Chunk claims are monotonic, so the executed
-//!   chunks always form a prefix of the chunk sequence and the partial
-//!   summary is a valid chunk-order merge; *which* prefix is
-//!   schedule-dependent, which is why deadline runs are flagged
-//!   [`EngineReport::degraded`].
+//!   at chunk-claim boundaries; claimed chunks still finish, with help.
+//!   Chunk claims are monotonic, so the executed chunks always form a
+//!   prefix of the chunk sequence and the partial summary is a valid
+//!   chunk-order merge; *which* prefix is schedule-dependent, which is why
+//!   deadline runs are flagged [`EngineReport::degraded`].
 //! * **Deterministic kill proxy.** [`Engine::with_chunk_quota`] stops
 //!   claims after a fixed number of chunks — because claims are sequential,
 //!   a quota-`k` run executes exactly chunks `0..k` for any thread count.
@@ -54,7 +55,7 @@
 //!   (see the `checkpoint` module).
 //!
 //! [`Engine::run_all_traced`] additionally aggregates a
-//! [`vc_trace::MergeTracer`] (one fresh tracer per chunk, absorbed in chunk
+//! [`vc_trace::MergeTracer`] (one fresh tracer per share, absorbed in chunk
 //! order), extending the same any-thread-count determinism guarantee to the
 //! tracer's mergeable state; see DESIGN.md §10 for the event model and why
 //! tracing cannot perturb the sweep. Every sweep — even at one worker —
@@ -96,7 +97,7 @@ pub mod splice;
 
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 use vc_graph::Instance;
 use vc_model::cost::{CostAccumulator, CostSummary, ExecutionRecord};
@@ -198,8 +199,9 @@ pub const MAX_CHUNK_ATTEMPTS: u32 = 2;
 /// chunk-claim boundaries.
 ///
 /// Cloning shares the flag. Once [`CancelFlag::cancel`] is called, workers
-/// stop claiming new chunks; already-claimed chunks finish, so the merged
-/// report is always a valid chunk-order merge of completed chunks.
+/// stop claiming new chunks; already-claimed chunks finish, with idle
+/// workers helping, so the merged report is always a valid chunk-order
+/// merge of completed chunks.
 #[derive(Clone, Debug, Default)]
 pub struct CancelFlag(Arc<AtomicBool>);
 
@@ -468,12 +470,12 @@ impl Engine {
     /// [`Engine::run_all`] with a [`MergeTracer`] aggregated across the
     /// sweep, returning the merged tracer next to the report.
     ///
-    /// Each chunk folds its events into a fresh `T::default()`; the chunk
-    /// partials are absorbed in chunk index order, so — like the cost
-    /// summary — the merged tracer is bit-identical for every thread
-    /// count.
+    /// Each share of a chunk folds its events into a fresh `T::default()`;
+    /// the partials are absorbed chunk by chunk in index order, so — like
+    /// the cost summary — the merged tracer is bit-identical for every
+    /// thread count.
     ///
-    /// Per-chunk wall times (`ChunkTimed` events) are measured only when
+    /// Per-share wall times (`ChunkTimed` events) are measured only when
     /// `T::TIMED` is set, and are inherently schedule-dependent: mergeable
     /// tracers must quarantine them away from their deterministic state
     /// (see `SweepMetrics`' query/sched split in `vc-trace`).
@@ -596,15 +598,61 @@ impl SweepLimits<'_> {
     }
 }
 
-/// The work a single chunk produces: `(root, output, record)` per start, in
-/// chunk-local start order, plus the chunk's cost partial and its tracer
+/// One participant's share of a chunk: the starts it drew, tagged with
+/// their index in the start set, plus its cost partial and its tracer
 /// partial (a [`NoopTracer`] on the untraced path).
-type ChunkResult<O, T> = (Vec<(usize, O, ExecutionRecord)>, CostAccumulator, T);
+struct Share<O, T> {
+    outs: Vec<(usize, O, ExecutionRecord)>,
+    acc: CostAccumulator,
+    tracer: T,
+}
 
-/// What one worker thread hands back at join: every chunk it claimed,
-/// tagged with the chunk's index; `None` marks a chunk abandoned after
-/// exhausting its panic retries.
-type WorkerChunks<O, T> = Vec<(usize, Option<ChunkResult<O, T>>)>;
+/// One chunk's shared state. Its participants — the worker that claimed
+/// it and any idle worker helping — draw starts from `cursor` one at a
+/// time and land their shares here.
+struct ChunkCell<O, T> {
+    /// Starts in the chunk.
+    len: usize,
+    /// Chunk-local offset of the next start to draw.
+    cursor: AtomicUsize,
+    /// Set by the first share that panics.
+    poisoned: AtomicBool,
+    /// The landed shares and the number of starts they cover.
+    landed: Mutex<(usize, Vec<Share<O, T>>)>,
+}
+
+impl<O, T> ChunkCell<O, T> {
+    /// Lands a share. An attempt-0 share of a poisoned chunk is dropped;
+    /// a retry's outcome replaces every share (`None`: the chunk is
+    /// aborted). The landing that completes the chunk commits its records
+    /// to the live sink, so each chunk is committed once.
+    fn land(
+        &self,
+        share: Option<Share<O, T>>,
+        retry: bool,
+        chunk: usize,
+        sink: Option<&LiveCheckpointSink>,
+    ) {
+        // `poisoned` is only read under this lock, and the retrier swaps it
+        // before it takes the lock, so `Relaxed` is enough: the lock orders
+        // every landing against the retry's.
+        let mut landed = self.landed.lock().unwrap_or_else(PoisonError::into_inner);
+        if retry {
+            *landed = (0, Vec::new());
+        } else if self.poisoned.load(Ordering::Relaxed) {
+            return;
+        }
+        let Some(share) = share else { return };
+        let n = share.outs.len();
+        landed.0 += n;
+        landed.1.push(share);
+        if let Some(sink) = sink.filter(|_| n > 0 && landed.0 == self.len) {
+            let mut outs: Vec<_> = landed.1.iter().flat_map(|s| &s.outs).collect();
+            outs.sort_unstable_by_key(|&&(i, _, _)| i);
+            sink.commit(chunk, outs.iter().map(|(_, _, rec)| rec.clone()).collect());
+        }
+    }
+}
 
 /// A merged sharded sweep, before packaging into an [`EngineReport`].
 struct ShardedRun<O, T> {
@@ -617,15 +665,15 @@ struct ShardedRun<O, T> {
     skipped: Vec<usize>,
     /// Chunks outside the configured chunk range, ascending.
     out_of_range: Vec<usize>,
-    /// Per-chunk records for checkpointing: `Some` exactly for the chunks
-    /// executed by *this* run (pre-checkpointed chunks stay `None`).
-    chunk_records: Vec<Option<Vec<ExecutionRecord>>>,
+    /// Chunks executed by *this* run, ascending: their records lie in
+    /// `report.records` back to back, in this order.
+    executed: Vec<usize>,
     workers: usize,
 }
 
-/// The sweep-wide immutable inputs every chunk attempt reads: the
-/// instance, the algorithm, the run configuration, the resolved start set
-/// and the chunk plan over it. Shared by reference across all workers.
+/// The sweep-wide immutable inputs every share reads: the instance, the
+/// algorithm, the run configuration, the resolved start set and the chunk
+/// plan over it. Shared by reference across all workers.
 struct SweepInputs<'a, A> {
     inst: &'a Instance,
     algo: &'a A,
@@ -634,16 +682,19 @@ struct SweepInputs<'a, A> {
     plan: ChunkPlan,
 }
 
-/// Runs one chunk attempt. Split out of the worker loop so the
-/// `catch_unwind` boundary (the only one in the workspace — see the
-/// `centralized-panic-isolation` lint) wraps exactly one chunk's
-/// executions.
-fn run_chunk_attempt<A, T>(
+/// Runs starts of `chunk` drawn one at a time from `cursor` until none is
+/// left, folding them into one [`Share`]. `claim` is `Some(attempt)` for
+/// the share that announces the chunk — the claimer's (attempt 0) or a
+/// retry's — and `None` for a helper's. The `catch_unwind` here is the
+/// only one in the workspace (see the `centralized-panic-isolation`
+/// lint); it wraps exactly one share.
+fn run_share<A, T>(
     sweep: &SweepInputs<'_, A>,
     chunk: usize,
-    attempt: u32,
+    cursor: &AtomicUsize,
+    claim: Option<u32>,
     scratch: &mut ExecScratch,
-) -> std::thread::Result<ChunkResult<A::Output, T>>
+) -> std::thread::Result<Share<A::Output, T>>
 where
     A: QueryAlgorithm + Sync,
     T: MergeTracer,
@@ -656,33 +707,36 @@ where
         plan,
     } = *sweep;
     // `AssertUnwindSafe` is sound here: on panic the scratch (the only
-    // state witnessed across the boundary) is discarded and rebuilt, and
-    // the chunk's partial results never leave the closure.
+    // state witnessed across the boundary) is discarded and rebuilt, the
+    // share's partial results never leave the closure, and the chunk is
+    // re-run whole from a private cursor.
     std::panic::catch_unwind(AssertUnwindSafe(|| {
         let (lo, hi) = plan.bounds(chunk, starts.len());
-        let mut outs = Vec::with_capacity(hi - lo);
+        // Room for every start not yet drawn: exact for a lone share.
+        let undrawn = (hi - lo).saturating_sub(cursor.load(Ordering::Relaxed));
+        let mut outs = Vec::with_capacity(undrawn);
         let mut acc = CostAccumulator::default();
-        // Each chunk folds its events into a fresh tracer, so absorbing
-        // the partials in chunk order is schedule-independent. `T::TIMED`
-        // is a const: the untraced NoopTracer instantiation performs no
-        // clock reads.
+        // Each share folds its events into a fresh tracer; `T::TIMED` is
+        // a const, so the untraced instantiation reads no clock.
         let mut tracer = T::default();
-        tracer.event(TraceEvent::ChunkClaimed {
-            chunk,
-            starts: hi - lo,
-        });
-        if attempt > 0 {
-            tracer.event(TraceEvent::ChunkRetried { chunk, attempt });
+        if let Some(attempt) = claim {
+            tracer.event(TraceEvent::ChunkClaimed {
+                chunk,
+                starts: hi - lo,
+            });
+            if attempt > 0 {
+                tracer.event(TraceEvent::ChunkRetried { chunk, attempt });
+            }
         }
-        let sw = if T::TIMED {
-            Some(Stopwatch::start())
-        } else {
-            None
-        };
-        for &root in &starts[lo..hi] {
-            let (out, rec) = run_from_traced(inst, algo, root, config, scratch, &mut tracer);
+        let sw = T::TIMED.then(Stopwatch::start);
+        loop {
+            let i = lo + cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= hi {
+                break;
+            }
+            let (out, rec) = run_from_traced(inst, algo, starts[i], config, scratch, &mut tracer);
             acc.add(&rec);
-            outs.push((root, out, rec));
+            outs.push((i, out, rec));
         }
         if let Some(sw) = sw {
             tracer.event(TraceEvent::ChunkTimed {
@@ -690,8 +744,44 @@ where
                 nanos: sw.elapsed_nanos(),
             });
         }
-        (outs, acc, tracer)
+        Share { outs, acc, tracer }
     }))
+}
+
+/// Runs one share of `chunk` — the claimer's (`claim`) or a helper's —
+/// and lands it. The first share to panic poisons the chunk, and its
+/// worker re-runs the whole chunk from a fresh scratch through the same
+/// runner with a private cursor; the outcome replaces every share.
+fn participate<A, T>(
+    sweep: &SweepInputs<'_, A>,
+    cell: &ChunkCell<A::Output, T>,
+    chunk: usize,
+    claim: bool,
+    scratch: &mut ExecScratch,
+    sink: Option<&LiveCheckpointSink>,
+) where
+    A: QueryAlgorithm + Sync,
+    T: MergeTracer,
+{
+    let mut result = run_share(sweep, chunk, &cell.cursor, claim.then_some(0), scratch);
+    let retry = result.is_err();
+    if retry {
+        // A panicking share may leave the scratch mid-epoch; rebuild it.
+        // The payload was already reported by the panic hook — loud,
+        // never silent. Only the first worker to poison retries.
+        *scratch = ExecScratch::new();
+        if cell.poisoned.swap(true, Ordering::Relaxed) {
+            return;
+        }
+        for attempt in 1..MAX_CHUNK_ATTEMPTS {
+            result = run_share(sweep, chunk, &AtomicUsize::new(0), Some(attempt), scratch);
+            if result.is_ok() {
+                break;
+            }
+            *scratch = ExecScratch::new();
+        }
+    }
+    cell.land(result.ok(), retry, chunk, sink);
 }
 
 fn run_sharded<A, T>(
@@ -719,32 +809,30 @@ where
         starts,
         plan,
     };
+    let is_done = |c: usize| done.is_some_and(|d| d[c]);
+    let cells: Vec<ChunkCell<A::Output, T>> = (0..num_chunks)
+        .map(|c| {
+            let (lo, hi) = plan.bounds(c, starts.len());
+            ChunkCell {
+                len: hi - lo,
+                // A checkpointed chunk starts exhausted: nobody helps it.
+                cursor: AtomicUsize::new(if is_done(c) { hi - lo } else { 0 }),
+                poisoned: AtomicBool::new(false),
+                landed: Mutex::new((0, Vec::new())),
+            }
+        })
+        .collect();
 
-    /// Per-chunk outcome after the join: never claimed, executed, or
-    /// abandoned after retries.
-    enum Slot<O, T> {
-        Unclaimed,
-        Done(ChunkResult<O, T>),
-        Aborted,
-    }
-    let mut slots: Vec<Slot<A::Output, T>> = Vec::with_capacity(num_chunks);
-    slots.resize_with(num_chunks, || Slot::Unclaimed);
-
-    let joined: Vec<std::thread::Result<WorkerChunks<A::Output, T>>> = std::thread::scope(|s| {
+    let joined: Vec<std::thread::Result<()>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                let next = &next;
-                let limits = &limits;
-                let sweep = &sweep;
-                s.spawn(move || {
+                s.spawn(|| {
                     let mut scratch = ExecScratch::new();
-                    let mut produced: WorkerChunks<A::Output, T> = Vec::new();
                     loop {
-                        // The claim boundary: the cooperative stop
-                        // point for deadlines and cancellation. Every
-                        // *claimed* chunk runs to completion, so the
-                        // merged report is always a chunk-order merge
-                        // of fully-executed chunks.
+                        // The claim boundary: the cooperative stop point
+                        // for deadlines and cancellation. Every *claimed*
+                        // chunk runs to completion, so the merged report
+                        // is always a chunk-order merge of whole chunks.
                         if limits.should_stop() {
                             break;
                         }
@@ -753,55 +841,28 @@ where
                             break;
                         }
                         let c = limits.claims[i];
-                        if done.is_some_and(|d| d[c]) {
-                            continue; // already checkpointed
+                        if !is_done(c) {
+                            participate(&sweep, &cells[c], c, true, &mut scratch, sink);
                         }
-                        let mut outcome = None;
-                        for attempt in 0..MAX_CHUNK_ATTEMPTS {
-                            match run_chunk_attempt::<A, T>(sweep, c, attempt, &mut scratch) {
-                                Ok(result) => {
-                                    outcome = Some(result);
-                                    break;
-                                }
-                                Err(_payload) => {
-                                    // A panicking attempt may leave the
-                                    // scratch mid-epoch; rebuild it so
-                                    // the retry (and later chunks) start
-                                    // clean. The payload was already
-                                    // reported by the panic hook —
-                                    // loud, never silent.
-                                    scratch = ExecScratch::new();
-                                }
-                            }
-                        }
-                        if let (Some(sink), Some((outs, _, _))) = (sink, &outcome) {
-                            // Live heartbeat: persist the completed chunk
-                            // into the partial checkpoint so a supervisor
-                            // can observe progress mid-run.
-                            sink.commit(c, outs.iter().map(|(_, _, rec)| rec.clone()).collect());
-                        }
-                        produced.push((c, outcome));
                     }
-                    produced
+                    // No chunk is left to claim: rather than exit, help
+                    // finish the claimed chunks start by start.
+                    let claimed = next.load(Ordering::Relaxed).min(limits.claim_limit);
+                    for &c in &limits.claims[..claimed] {
+                        if cells[c].cursor.load(Ordering::Relaxed) < cells[c].len {
+                            participate(&sweep, &cells[c], c, false, &mut scratch, sink);
+                        }
+                    }
                 })
             })
             .collect();
         handles.into_iter().map(|h| h.join()).collect()
     });
-
     for res in joined {
-        match res {
-            Ok(produced) => {
-                for (c, chunk) in produced {
-                    slots[c] = match chunk {
-                        Some(result) => Slot::Done(result),
-                        None => Slot::Aborted,
-                    };
-                }
-            }
-            // Workers only run chunk bodies inside `catch_unwind`; a join
-            // error means the harness itself failed, which must stay fatal.
-            Err(payload) => std::panic::resume_unwind(payload),
+        // Shares only run algorithm code inside `catch_unwind`; a join
+        // error means the harness itself failed, which must stay fatal.
+        if let Err(payload) = res {
+            std::panic::resume_unwind(payload);
         }
     }
 
@@ -832,44 +893,53 @@ where
     let mut aborted = Vec::new();
     let mut skipped = Vec::new();
     let mut out_of_range = Vec::new();
-    let mut chunk_records: Vec<Option<Vec<ExecutionRecord>>> = Vec::with_capacity(num_chunks);
-    for (c, slot) in slots.into_iter().enumerate() {
-        let pre_done = done.is_some_and(|d| d[c]);
-        match slot {
-            Slot::Done((outs, acc, tracer)) => {
-                total.merge(&acc);
-                merged_tracer.absorb(tracer);
-                merged_tracer.event(TraceEvent::ChunkMerged { chunk: c });
-                chunk_records.push(Some(outs.iter().map(|(_, _, rec)| rec.clone()).collect()));
-                for (root, out, rec) in outs {
-                    outputs[root] = Some(out);
-                    records.push(rec);
-                }
-            }
-            Slot::Aborted => {
-                // The chunk's attempt tracers died with their attempts;
-                // account for the claim and the abort on the merged tracer,
-                // still in chunk order.
-                let (lo, hi) = plan.bounds(c, starts.len());
+    let mut executed = Vec::new();
+    for (c, cell) in cells.into_iter().enumerate() {
+        let (_, shares) = cell
+            .landed
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        if shares.is_empty() {
+            if cell.poisoned.into_inner() {
+                // The chunk's share tracers died with their attempts;
+                // account for the claim and the abort on the merged
+                // tracer, still in chunk order.
                 merged_tracer.event(TraceEvent::ChunkClaimed {
                     chunk: c,
-                    starts: hi - lo,
+                    starts: cell.len,
                 });
                 merged_tracer.event(TraceEvent::ChunkAborted { chunk: c });
                 aborted.push(c);
-                chunk_records.push(None);
-            }
-            Slot::Unclaimed if pre_done => chunk_records.push(None),
-            // A chunk outside the configured set is another partition's
-            // work, deliberately left alone — not degradation.
-            Slot::Unclaimed if limits.set.is_some_and(|s| !s.contains(c)) => {
+            } else if limits.set.is_some_and(|s| !s.contains(c)) && !is_done(c) {
+                // Another partition's work, deliberately left alone — not
+                // degradation.
                 out_of_range.push(c);
-                chunk_records.push(None);
-            }
-            Slot::Unclaimed => {
+            } else if !is_done(c) {
                 skipped.push(c);
-                chunk_records.push(None);
             }
+            continue;
+        }
+        // A lone share is moved as it is; helped chunks are put back in
+        // start order.
+        let helped = shares.len() > 1;
+        let mut outs = Vec::new();
+        for share in shares {
+            total.merge(&share.acc);
+            merged_tracer.absorb(share.tracer);
+            if outs.is_empty() {
+                outs = share.outs;
+            } else {
+                outs.extend(share.outs);
+            }
+        }
+        if helped {
+            outs.sort_unstable_by_key(|&(i, _, _)| i);
+        }
+        merged_tracer.event(TraceEvent::ChunkMerged { chunk: c });
+        executed.push(c);
+        for (i, out, rec) in outs {
+            outputs[starts[i]] = Some(out);
+            records.push(rec);
         }
     }
     ShardedRun {
@@ -879,7 +949,7 @@ where
         aborted,
         skipped,
         out_of_range,
-        chunk_records,
+        executed,
         workers,
     }
 }
@@ -1003,6 +1073,70 @@ mod tests {
         }
     }
 
+    /// How long start 0 of a waiting [`Skewed`] spins for a helper.
+    const HELP_WAIT: Duration = Duration::from_secs(10);
+
+    /// Start 0's output when no other start of chunk 0 began in time.
+    const NOT_HELPED: u32 = u32::MAX - 1;
+
+    /// [`WalkLeft`] over a skewed chunk 0. With `wait`, start 0 spins
+    /// (bounded by [`HELP_WAIT`]) until another start of chunk 0 has
+    /// begun: at two or more threads the worker holding start 0 cannot
+    /// draw that start itself, so only a helper's share can release it.
+    /// Root `panic_at` panics as long as `panics` lasts.
+    struct Skewed {
+        wait: bool,
+        begun: AtomicBool,
+        panic_at: usize,
+        panics: std::sync::atomic::AtomicU32,
+    }
+
+    impl Skewed {
+        fn new(wait: bool, panic_at: usize, panics: u32) -> Self {
+            Self {
+                wait,
+                begun: AtomicBool::new(false),
+                panic_at,
+                panics: panics.into(),
+            }
+        }
+    }
+
+    impl QueryAlgorithm for Skewed {
+        type Output = u32;
+
+        fn fallback(&self) -> u32 {
+            u32::MAX
+        }
+
+        fn run(&self, oracle: &mut dyn Oracle) -> Result<u32, QueryError> {
+            let root = oracle.root().node;
+            if root != 0 && root / CHUNK == 0 {
+                self.begun.store(true, Ordering::Relaxed);
+            }
+            if root == 0 && self.wait {
+                let sw = Stopwatch::start();
+                while !self.begun.load(Ordering::Relaxed) {
+                    if sw.elapsed() > HELP_WAIT {
+                        return Ok(NOT_HELPED);
+                    }
+                    std::thread::yield_now();
+                }
+            }
+            if root == self.panic_at {
+                let left = |p: u32| p.checked_sub(1);
+                let panics = &self.panics;
+                if panics
+                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, left)
+                    .is_ok()
+                {
+                    panic!("injected panic at root {root}");
+                }
+            }
+            WalkLeft.run(oracle)
+        }
+    }
+
     fn assert_equal_reports(a: &EngineReport<u32>, b: &RunReport<u32>) {
         assert_eq!(a.report.outputs, b.outputs);
         assert_eq!(a.report.records, b.records);
@@ -1010,6 +1144,126 @@ mod tests {
         assert_eq!(a.report.truncated(), b.truncated());
         assert!(!a.degraded);
         assert!(a.aborted_chunks.is_empty() && a.skipped_chunks.is_empty());
+    }
+
+    #[test]
+    fn an_idle_worker_helps_finish_a_claimed_chunk() {
+        let inst = gen::random_full_binary_tree(333, 5); // 6 chunks
+        let config = RunConfig::default();
+        let clean = vc_model::run::run_all(&inst, &WalkLeft, &config).unwrap();
+        let report = Engine::with_threads(2)
+            .run_all(&inst, &Skewed::new(true, usize::MAX, 0), &config)
+            .unwrap();
+        assert!(
+            !report.report.outputs.contains(&Some(NOT_HELPED)),
+            "no worker helped chunk 0"
+        );
+        assert_equal_reports(&report, &clean);
+    }
+
+    #[test]
+    fn a_deterministic_panic_in_a_helped_chunk_is_thread_count_invariant() {
+        let inst = gen::random_full_binary_tree(333, 5); // 6 chunks
+        let config = RunConfig::default();
+        let clean = vc_model::run::run_all(&inst, &WalkLeft, &config).unwrap();
+        let mut per_thread = Vec::new();
+        for threads in [1, 2, 8] {
+            // Root 10 panics on every visit; at 2+ threads chunk 0 is
+            // helped, so the panic lands in whichever share drew it.
+            let algo = Skewed::new(threads > 1, 10, u32::MAX);
+            let (report, m) = Engine::with_threads(threads)
+                .run_all_traced::<_, SweepMetrics>(&inst, &algo, &config)
+                .unwrap();
+            assert_eq!(report.aborted_chunks, vec![0], "{threads} threads");
+            assert!(report.report.outputs[..CHUNK].iter().all(Option::is_none));
+            assert_eq!(report.report.records, clean.records[CHUNK..]);
+            per_thread.push((report.aborted_chunks, m.query, report.report.records));
+        }
+        assert!(per_thread.windows(2).all(|w| w[0] == w[1]));
+    }
+
+    #[test]
+    fn a_transient_panic_in_a_helpers_share_is_retried() {
+        let inst = gen::random_full_binary_tree(333, 5); // 6 chunks
+        let config = RunConfig::default();
+        let clean = vc_model::run::run_all(&inst, &WalkLeft, &config).unwrap();
+        // Start 0 holds its worker until another start of chunk 0 begins,
+        // so the other worker, helping, draws root 1 — which panics once.
+        let (report, m) = Engine::with_threads(2)
+            .run_all_traced::<_, SweepMetrics>(&inst, &Skewed::new(true, 1, 1), &config)
+            .unwrap();
+        assert_equal_reports(&report, &clean);
+        assert_eq!(m.query.chunks_retried, 1);
+        assert_eq!(m.query.chunks_aborted, 0);
+        assert_eq!(m.query.chunks_claimed, m.query.chunks_merged);
+    }
+
+    #[test]
+    fn quota_on_a_helped_sweep_executes_exactly_the_prefix() {
+        let inst = gen::random_full_binary_tree(333, 5); // 6 chunks
+        let config = RunConfig::default();
+        let clean = vc_model::run::run_all(&inst, &WalkLeft, &config).unwrap();
+        for threads in [2, 8] {
+            // Workers past the quota help chunk 0 but claim nothing.
+            let report = Engine::with_threads(threads)
+                .with_chunk_quota(3)
+                .run_all(&inst, &Skewed::new(true, usize::MAX, 0), &config)
+                .unwrap();
+            assert_eq!(report.skipped_chunks, vec![3, 4, 5], "{threads} threads");
+            assert_eq!(report.report.records, clean.records[..3 * CHUNK]);
+            assert_eq!(
+                report.report.outputs[..3 * CHUNK],
+                clean.outputs[..3 * CHUNK]
+            );
+            assert!(report.report.outputs[3 * CHUNK..]
+                .iter()
+                .all(Option::is_none));
+        }
+    }
+
+    #[test]
+    fn live_checkpoint_of_a_helped_sweep_matches_one_thread() {
+        let inst = gen::random_full_binary_tree(333, 5); // 6 chunks
+        let config = RunConfig::default();
+        let dir = std::env::temp_dir().join("vc-engine-helping-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let paths = ["one.json", "two.json", "sink.json"].map(|f| dir.join(f));
+        for p in &paths {
+            let _ = std::fs::remove_file(p);
+        }
+        Engine::with_threads(1)
+            .run_recorded_with_checkpoint(
+                &inst,
+                &Skewed::new(false, usize::MAX, 0),
+                &config,
+                &paths[0],
+            )
+            .unwrap();
+        Engine::with_threads(2)
+            .with_live_checkpoint()
+            .run_recorded_with_checkpoint(
+                &inst,
+                &Skewed::new(true, usize::MAX, 0),
+                &config,
+                &paths[1],
+            )
+            .unwrap();
+        let one = std::fs::read(&paths[0]).unwrap();
+        assert_eq!(std::fs::read(&paths[1]).unwrap(), one);
+        // The sink's own last write, with no final write after it: every
+        // chunk was committed once its last share landed, in start order.
+        let algo = Skewed::new(true, usize::MAX, 0);
+        let starts: Vec<usize> = (0..inst.n()).collect();
+        let fresh = SweepCheckpoint::fresh(
+            sweep_identity(&inst, &algo, &config, &starts),
+            plan_chunks(inst.n()).num_chunks,
+        );
+        let sink = LiveCheckpointSink::new(&paths[2], fresh);
+        let engine = Engine::with_threads(2);
+        let sw = Stopwatch::start();
+        let limits = engine.limits(&sw, inst.n()).unwrap();
+        run_sharded::<_, NoopTracer>(&inst, &algo, &config, &starts, limits, None, Some(&sink));
+        assert_eq!(std::fs::read(&paths[2]).unwrap(), one);
     }
 
     #[test]

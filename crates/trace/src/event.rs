@@ -68,19 +68,22 @@ pub enum TraceEvent {
         /// Chunks in the full plan being sliced.
         total: usize,
     },
-    /// An engine worker claimed a chunk of start nodes.
+    /// An engine worker claimed a chunk of start nodes (once per chunk,
+    /// however many workers help finish it).
     ChunkClaimed {
         /// Chunk index in the fixed partition of the start set.
         chunk: usize,
         /// Number of start nodes in the chunk.
         starts: usize,
     },
-    /// A worker finished a chunk and recorded its wall time. The only
-    /// event whose payload varies between runs.
+    /// A worker finished its share of a chunk — the starts it drew from
+    /// the chunk's cursor, as claimer or helper — and recorded its wall
+    /// time: one event per share, so a helped chunk emits several. The
+    /// only event whose payload varies between runs.
     ChunkTimed {
         /// Chunk index.
         chunk: usize,
-        /// Wall-clock nanoseconds the chunk's executions took.
+        /// Wall-clock nanoseconds the share's executions took.
         nanos: u64,
     },
     /// The merge loop absorbed a chunk's partial results (always in chunk

@@ -15,7 +15,7 @@
 //! 2. **Determinism under sharding.** The aggregating tracer
 //!    ([`SweepMetrics`]) keeps purely integral state — counters and
 //!    log2-bucketed histograms — and merges like `CostAccumulator` in
-//!    `vc-model`: per-chunk partials absorbed in chunk order produce
+//!    `vc-model`: per-share partials absorbed chunk by chunk produce
 //!    bit-identical totals for any worker-thread count. Wall-clock
 //!    observations are quarantined in a separate [`metrics::SchedStats`]
 //!    section that is *documented* to vary between runs and excluded from

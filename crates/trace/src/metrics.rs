@@ -5,13 +5,12 @@
 //!
 //! * [`QueryStats`] holds everything derived from the *query stream* —
 //!   counters and [`Log2Hist`]s of volume / distance / queries-per-start.
-//!   All state is integral, so per-chunk partials absorbed in chunk order
+//!   All state is integral, so per-share partials absorbed chunk by chunk
 //!   are bit-identical to a serial fold for **any worker-thread count**
 //!   (the determinism suite asserts this directly).
 //! * [`SchedStats`] holds the *scheduling* observations — wall time per
-//!   chunk and how chunks landed on claims — which legitimately vary
-//!   between runs and are therefore excluded from every determinism
-//!   comparison.
+//!   share of a chunk — which legitimately vary between runs and are
+//!   therefore excluded from every determinism comparison.
 
 use crate::event::TraceEvent;
 use crate::hist::Log2Hist;
@@ -115,15 +114,17 @@ impl FleetStats {
 }
 
 /// Wall-clock / scheduling observations. **Varies between runs** — never
-/// compare these in a determinism test.
+/// compare these in a determinism test. Counted per *share*: the starts
+/// one worker ran of one chunk, as its claimer or as a helper. A chunk
+/// run alone is one share; a helped chunk is several.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedStats {
-    /// Chunks that reported a wall time.
+    /// Shares that reported a wall time (`ChunkTimed` events).
     pub chunks_timed: u64,
-    /// Total wall-clock nanoseconds summed over chunks (CPU-seconds-ish:
-    /// overlapping chunks on different workers both count in full).
+    /// Total wall-clock nanoseconds summed over shares (CPU-seconds-ish:
+    /// overlapping shares on different workers both count in full).
     pub chunk_nanos_total: u128,
-    /// Slowest single chunk in nanoseconds.
+    /// Slowest single share in nanoseconds.
     pub chunk_nanos_max: u64,
 }
 
@@ -135,8 +136,8 @@ impl SchedStats {
     }
 }
 
-/// The aggregating tracer used by production sweeps: one per chunk in
-/// the sharded engine, merged in chunk order into the sweep total.
+/// The aggregating tracer used by production sweeps: one per share in
+/// the sharded engine, merged chunk by chunk into the sweep total.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SweepMetrics {
     /// Deterministic query-stream totals.

@@ -43,16 +43,18 @@ pub struct NoopTracer;
 
 impl Tracer for NoopTracer {}
 
-/// A tracer aggregated per chunk by the sharded engine and merged in
-/// chunk order.
+/// A tracer aggregated per share by the sharded engine and merged chunk
+/// by chunk in chunk order.
 ///
 /// Implementations must make `absorb` order-compatible with serial
-/// accumulation: folding events chunk by chunk and absorbing the chunk
-/// partials in chunk index order must equal folding the whole sweep into
-/// one tracer. Purely integral state (counters, histograms, integer
+/// accumulation: folding events share by share and absorbing the
+/// partials — chunks in index order, a helped chunk's shares in whatever
+/// order they landed, each share holding an arbitrary subset of the
+/// chunk's starts — must equal folding the whole sweep into one tracer.
+/// Purely integral, commutative state (counters, histograms, integer
 /// sums) satisfies this for free.
 pub trait MergeTracer: Tracer + Default + Send {
-    /// Whether the engine should wall-clock each chunk and emit
+    /// Whether the engine should wall-clock each share and emit
     /// [`TraceEvent::ChunkTimed`]. `false` for [`NoopTracer`] so the
     /// untraced sharded path performs no clock reads at all.
     const TIMED: bool = true;

@@ -9,7 +9,7 @@
 use vc_core::problems::hierarchical::{DeterministicSolver, RandomizedSolver};
 use vc_core::problems::leaf_coloring::{DistanceSolver, RwToLeaf};
 use vc_engine::Engine;
-use vc_graph::{gen, Instance};
+use vc_graph::{gen, Color, Instance};
 use vc_model::run::{run_all, QueryAlgorithm, RunConfig, StartSelection};
 use vc_model::{Budget, RandomTape};
 
@@ -60,11 +60,16 @@ where
 
 #[test]
 fn leaf_coloring_deterministic_solver_is_thread_count_invariant() {
-    for seed in [1u64, 5] {
-        let inst = gen::random_full_binary_tree(401, seed);
+    // The complete tree is the skewed case: 8,191 starts in 64-start
+    // chunks, where chunk 0 (depths 0-5) holds about half the solver's
+    // work, so at 2 and 8 threads idle workers help finish it and its
+    // shares are merged back in start order.
+    let skewed = gen::complete_binary_tree(12, Color::R, Color::B);
+    let random = [1u64, 5].map(|seed| gen::random_full_binary_tree(401, seed));
+    for inst in random.iter().chain([&skewed]) {
         assert_thread_count_invariant(
             "leaf-coloring/det",
-            &inst,
+            inst,
             &DistanceSolver,
             &RunConfig::default(),
         );

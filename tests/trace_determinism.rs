@@ -17,7 +17,7 @@
 use vc_core::problems::hierarchical::DeterministicSolver;
 use vc_core::problems::leaf_coloring::{DistanceSolver, RwToLeaf};
 use vc_engine::Engine;
-use vc_graph::{gen, Instance};
+use vc_graph::{gen, Color, Instance};
 use vc_model::run::{run_all, run_all_traced, QueryAlgorithm, RunConfig, StartSelection};
 use vc_model::{Budget, RandomTape};
 use vc_trace::{QueryStats, RecordingTracer, SweepMetrics};
@@ -121,16 +121,25 @@ fn rand_config(seed: u64) -> RunConfig {
 
 #[test]
 fn leaf_coloring_tracing_is_transparent_and_deterministic() {
-    let inst = gen::random_full_binary_tree(401, 5);
-    let q = assert_tracing_invariant(
-        "leaf-coloring/det",
-        &inst,
-        &DistanceSolver,
-        &RunConfig::default(),
-    );
-    assert!(q.queries_issued > 0);
-    assert!(q.nodes_revealed > 0);
-    assert!(q.frontier_advances <= q.nodes_revealed);
+    // The complete tree is the skewed case: chunk 0 holds about half the
+    // work, so at 2 and 8 threads several shares finish it. Their tracer
+    // partials must still merge to the 1-thread metrics, with one claim
+    // and one merge per chunk.
+    let skewed = gen::complete_binary_tree(12, Color::R, Color::B);
+    for inst in [gen::random_full_binary_tree(401, 5), skewed] {
+        let q = assert_tracing_invariant(
+            "leaf-coloring/det",
+            &inst,
+            &DistanceSolver,
+            &RunConfig::default(),
+        );
+        assert!(q.queries_issued > 0);
+        assert!(q.nodes_revealed > 0);
+        assert!(q.frontier_advances <= q.nodes_revealed);
+        let chunks = vc_engine::plan_chunks(inst.n()).num_chunks as u64;
+        assert_eq!(q.chunks_claimed, chunks);
+        assert_eq!(q.chunks_merged, chunks);
+    }
 }
 
 #[test]
