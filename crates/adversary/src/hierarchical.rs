@@ -31,6 +31,7 @@ use vc_core::problems::hierarchical::check_thc_node;
 use vc_graph::{structure, Color, GraphBuilder, GraphError, Instance, NodeLabel, Port};
 use vc_model::oracle::{NodeView, Oracle, OracleStats, QueryError};
 use vc_model::run::QueryAlgorithm;
+use vc_model::SolverScratch;
 
 #[derive(Clone, Debug)]
 struct HNode {
@@ -602,7 +603,7 @@ where
         return Ok(c);
     }
     let mut exec = WorldExecution::new(world, node);
-    let out = algo.run(&mut exec)?;
+    let out = algo.run(&mut exec, &mut SolverScratch::new())?;
     trace.push(format!(
         "simulated node {node} (level {}): output {out}, volume {}",
         exec.world.nodes[node].level,
@@ -882,7 +883,11 @@ mod tests {
             ThcColor::D
         }
 
-        fn run(&self, oracle: &mut dyn vc_model::Oracle) -> Result<ThcColor, QueryError> {
+        fn run(
+            &self,
+            oracle: &mut dyn vc_model::Oracle,
+            _: &mut SolverScratch,
+        ) -> Result<ThcColor, QueryError> {
             Ok(ThcColor::from_color(
                 oracle.root().label.color.unwrap_or(Color::R),
             ))
@@ -911,7 +916,11 @@ mod tests {
             ThcColor::X
         }
 
-        fn run(&self, _: &mut dyn vc_model::Oracle) -> Result<ThcColor, QueryError> {
+        fn run(
+            &self,
+            _: &mut dyn vc_model::Oracle,
+            _: &mut SolverScratch,
+        ) -> Result<ThcColor, QueryError> {
             Ok(ThcColor::X)
         }
     }
@@ -947,7 +956,11 @@ mod tests {
             ThcColor::D
         }
 
-        fn run(&self, _: &mut dyn vc_model::Oracle) -> Result<ThcColor, QueryError> {
+        fn run(
+            &self,
+            _: &mut dyn vc_model::Oracle,
+            _: &mut SolverScratch,
+        ) -> Result<ThcColor, QueryError> {
             Ok(ThcColor::D)
         }
     }

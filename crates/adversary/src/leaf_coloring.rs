@@ -21,6 +21,7 @@ use vc_graph::{Color, GraphBuilder, GraphError, Instance, NodeLabel, Port};
 use vc_model::oracle::{NodeView, Oracle, OracleStats, QueryError};
 use vc_model::randomness::RandomTape;
 use vc_model::run::QueryAlgorithm;
+use vc_model::SolverScratch;
 
 /// A node of the lazily grown world.
 #[derive(Clone, Debug)]
@@ -285,7 +286,7 @@ where
     if let Some(t) = tape {
         world = world.with_tape(t);
     }
-    let result = algo.run(&mut world);
+    let result = algo.run(&mut world, &mut SolverScratch::new());
     let stats = world.stats();
     let answer = result.ok();
     let (instance, forced_color) = world.finalize(answer.unwrap_or(Color::R))?;

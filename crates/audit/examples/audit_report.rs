@@ -8,7 +8,7 @@ use vc_audit::AuditedOracle;
 use vc_core::problems::leaf_coloring::DistanceSolver;
 use vc_graph::{gen, Color, Port};
 use vc_model::oracle::{NodeView, Oracle, OracleStats, QueryError};
-use vc_model::{Budget, Execution, QueryAlgorithm};
+use vc_model::{Budget, Execution, QueryAlgorithm, SolverScratch};
 
 /// An oracle that answers honestly but under-reports its volume by one —
 /// the kind of accounting bug the auditor exists to catch.
@@ -42,7 +42,7 @@ fn main() {
     // 1. An honest run: the deterministic LeafColoring solver, audited.
     let ex = Execution::new(&inst, 0, None, Budget::unlimited());
     let mut audited = AuditedOracle::new(ex).expect_deterministic();
-    match DistanceSolver.run(&mut audited) {
+    match DistanceSolver.run(&mut audited, &mut SolverScratch::new()) {
         Ok(out) => println!("solver output at root: {out:?}"),
         Err(e) => println!("solver refused: {e}"),
     }
@@ -52,7 +52,7 @@ fn main() {
     // 2. The same solver over a volume-under-counting oracle.
     let ex = Execution::new(&inst, 0, None, Budget::unlimited());
     let mut audited = AuditedOracle::new(Undercount(ex)).expect_deterministic();
-    if let Err(e) = DistanceSolver.run(&mut audited) {
+    if let Err(e) = DistanceSolver.run(&mut audited, &mut SolverScratch::new()) {
         println!("solver refused: {e}");
     }
     let (_, report) = audited.finish();

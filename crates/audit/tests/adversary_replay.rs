@@ -10,7 +10,7 @@ use vc_core::problems::hierarchical::DeterministicSolver;
 use vc_core::problems::leaf_coloring::DistanceSolver;
 use vc_graph::{gen, Color};
 use vc_model::run::QueryAlgorithm;
-use vc_model::{Budget, Execution};
+use vc_model::{Budget, Execution, SolverScratch};
 
 #[test]
 fn leaf_coloring_adversary_replays_cleanly() {
@@ -19,7 +19,7 @@ fn leaf_coloring_adversary_replays_cleanly() {
     // answer that was given along the way.
     let mut audited =
         AuditedOracle::new(LeafColoringAdversary::new(64, 200)).expect_deterministic();
-    let result = DistanceSolver.run(&mut audited);
+    let result = DistanceSolver.run(&mut audited, &mut SolverScratch::new());
     assert!(result.is_err(), "the adversary must exhaust the solver");
     let (world, report) = audited.finish();
     assert!(report.is_clean(), "adversary broke the contract:\n{report}");
@@ -38,7 +38,7 @@ fn hierarchical_world_replays_cleanly() {
     let root = world.new_root(k, Color::B).unwrap();
     let report = {
         let mut audited = AuditedOracle::new(world.execution(root)).expect_deterministic();
-        let _ = DeterministicSolver { k }.run(&mut audited);
+        let _ = DeterministicSolver { k }.run(&mut audited, &mut SolverScratch::new());
         let (_, report) = audited.finish();
         report
     };
@@ -61,7 +61,7 @@ fn hierarchical_world_replays_across_two_simulations() {
     let mut reports = Vec::new();
     for root in [blue, red] {
         let mut audited = AuditedOracle::new(world.execution(root)).expect_deterministic();
-        let _ = DeterministicSolver { k }.run(&mut audited);
+        let _ = DeterministicSolver { k }.run(&mut audited, &mut SolverScratch::new());
         let (_, report) = audited.finish();
         assert!(report.is_clean(), "root {root}:\n{report}");
         reports.push(report);
@@ -81,7 +81,7 @@ fn concrete_execution_replays_against_its_own_instance() {
     let inst = gen::complete_binary_tree(6, Color::R, Color::B);
     let mut audited = AuditedOracle::new(Execution::new(&inst, 0, None, Budget::unlimited()))
         .expect_deterministic();
-    let out = DistanceSolver.run(&mut audited);
+    let out = DistanceSolver.run(&mut audited, &mut SolverScratch::new());
     assert!(out.is_ok());
     let (_, report) = audited.finish();
     assert!(report.is_clean(), "{report}");

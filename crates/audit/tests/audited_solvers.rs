@@ -6,7 +6,7 @@ use vc_audit::{AuditReport, AuditedOracle};
 use vc_core::problems::{balanced_tree, hh, hierarchical, hybrid, leaf_coloring};
 use vc_graph::{gen, Color, Instance};
 use vc_model::run::QueryAlgorithm;
-use vc_model::{Budget, Execution, RandomTape};
+use vc_model::{Budget, Execution, RandomTape, SolverScratch};
 
 /// Runs `algo` once from each of the first few roots, auditing every probe;
 /// panics with the full report if any violation is found.
@@ -23,7 +23,7 @@ fn assert_clean<A: QueryAlgorithm>(
         if deterministic {
             audited = audited.expect_deterministic();
         }
-        let result = algo.run(&mut audited);
+        let result = algo.run(&mut audited, &mut SolverScratch::new());
         assert!(
             result.is_ok(),
             "{name}: {} failed from root {root}: {:?}",
@@ -121,7 +121,7 @@ fn secret_randomness_stays_local() {
     let inst = gen::complete_binary_tree(5, Color::R, Color::B);
     let ex = Execution::new(&inst, 0, Some(RandomTape::secret(9)), Budget::unlimited());
     let mut audited = AuditedOracle::new(ex).expect_secret();
-    let _ = leaf_coloring::RwToLeaf::default().run(&mut audited);
+    let _ = leaf_coloring::RwToLeaf::default().run(&mut audited, &mut SolverScratch::new());
     let (_, report) = audited.finish();
     assert!(report.is_clean(), "secret run leaked:\n{report}");
 }

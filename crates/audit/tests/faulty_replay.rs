@@ -19,7 +19,7 @@ use vc_core::problems::hierarchical::DeterministicSolver;
 use vc_faults::{FaultPlan, FaultyOracle};
 use vc_graph::{gen, Instance};
 use vc_model::run::QueryAlgorithm;
-use vc_model::{Budget, Execution, QueryError};
+use vc_model::{Budget, Execution, QueryError, SolverScratch};
 
 /// Runs the Hierarchical-THC solver from `root` under `plan`, auditing
 /// every probe, and returns `(run result, audit-clean, replay violations)`.
@@ -31,7 +31,9 @@ fn audited_faulty_run(
     let ex = Execution::new(inst, root, None, Budget::unlimited());
     let faulty = FaultyOracle::new(ex, plan);
     let mut audited = AuditedOracle::new(faulty);
-    let result = DeterministicSolver { k: 2 }.run(&mut audited).map(|_| ());
+    let result = DeterministicSolver { k: 2 }
+        .run(&mut audited, &mut SolverScratch::new())
+        .map(|_| ());
     let (_, report) = audited.finish();
     let replay = replay_trace(inst, &report.trace);
     (result, report.is_clean(), replay)

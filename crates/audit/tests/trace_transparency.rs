@@ -8,7 +8,7 @@ use vc_audit::AuditedOracle;
 use vc_core::problems::leaf_coloring::DistanceSolver;
 use vc_graph::gen;
 use vc_model::run::QueryAlgorithm;
-use vc_model::{Budget, Execution};
+use vc_model::{Budget, Execution, SolverScratch};
 use vc_trace::{RecordingTracer, TraceEvent};
 
 /// Drives `DistanceSolver` over every start node, once against the bare
@@ -29,7 +29,7 @@ fn bare_and_audited_logs(n: usize, seed: u64) -> (RecordingTracer, RecordingTrac
             &mut scratch_bare,
             &mut bare_log,
         );
-        let bare_out = DistanceSolver.run(&mut bare);
+        let bare_out = DistanceSolver.run(&mut bare, &mut SolverScratch::new());
 
         let traced = Execution::with_scratch_traced(
             &inst,
@@ -40,7 +40,7 @@ fn bare_and_audited_logs(n: usize, seed: u64) -> (RecordingTracer, RecordingTrac
             &mut audited_log,
         );
         let mut audited = AuditedOracle::new(traced);
-        let audited_out = DistanceSolver.run(&mut audited);
+        let audited_out = DistanceSolver.run(&mut audited, &mut SolverScratch::new());
         assert_eq!(bare_out.is_ok(), audited_out.is_ok());
         let (_inner, report) = audited.finish();
         assert!(

@@ -22,7 +22,7 @@ use vc_core::problems::leaf_coloring::{LeafColoring, RwToLeaf};
 use vc_graph::{gen, Color};
 use vc_model::oracle::{follow, Oracle, QueryError};
 use vc_model::run::{run_all, QueryAlgorithm, RunConfig};
-use vc_model::RandomTape;
+use vc_model::{RandomTape, SolverScratch};
 
 /// The §7.4 promise-version walker: steers every step by the *initiator's*
 /// own secret string (no coupling needed, because under the promise any
@@ -40,7 +40,7 @@ impl QueryAlgorithm for PromiseWalker {
         Color::R
     }
 
-    fn run(&self, oracle: &mut dyn Oracle) -> Result<Color, QueryError> {
+    fn run(&self, oracle: &mut dyn Oracle, _: &mut SolverScratch) -> Result<Color, QueryError> {
         let v0 = oracle.root();
         let mut cur = v0;
         for _ in 0..64 * 20 {

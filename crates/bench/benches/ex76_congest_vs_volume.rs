@@ -16,8 +16,8 @@ use vc_core::lcl::check_solution;
 use vc_core::problems::balanced_tree::{BalancedTree, DistanceSolver};
 use vc_graph::gen;
 use vc_model::congest::run_congest;
-use vc_model::run::{run_all, RunConfig};
-use vc_model::{Budget, Execution, Oracle, StartSelection};
+use vc_model::run::{run_all, QueryAlgorithm, RunConfig};
+use vc_model::{Budget, Execution, Oracle, SolverScratch, StartSelection};
 
 fn main() {
     println!("# Example 7.6 / Observation 7.4 — CONGEST vs volume");
@@ -102,7 +102,7 @@ fn main() {
         assert!(valid);
         // Query-model volume of the reference solver at the root: Θ(n).
         let mut exec = Execution::new(&inst, meta.root, None, Budget::unlimited());
-        let _ = vc_model::run::QueryAlgorithm::run(&DistanceSolver, &mut exec);
+        let _ = DistanceSolver.run(&mut exec, &mut SolverScratch::new());
         let vol = exec.stats().volume;
         bt_rounds.push((inst.n() as f64, report.rounds as f64));
         print_row(&[

@@ -20,7 +20,7 @@ use vc_graph::gen::BalancedTreeMeta;
 use vc_graph::{Instance, Port};
 use vc_model::oracle::{NodeView, Oracle, OracleStats, QueryError};
 use vc_model::run::QueryAlgorithm;
-use vc_model::{Budget, Execution};
+use vc_model::{Budget, Execution, SolverScratch};
 
 /// An oracle wrapper that meters the two-party communication cost of each
 /// query per Definition 2.8: queries in a designated *chargeable* set cost
@@ -132,7 +132,7 @@ pub fn simulate_charged<A: QueryAlgorithm>(
 ) -> Result<ChargedRun<A::Output>, QueryError> {
     let mut exec = Execution::new(inst, meta.root, None, Budget::unlimited());
     let mut charged = ChargingOracle::new(&mut exec, chargeable_queries(inst, meta), 2);
-    let output = algo.run(&mut charged)?;
+    let output = algo.run(&mut charged, &mut SolverScratch::new())?;
     let bits = charged.bits();
     let charged_queries = charged.charged_queries();
     let stats = exec.stats();

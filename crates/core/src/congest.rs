@@ -16,6 +16,7 @@ use vc_graph::{NodeLabel, Port};
 use vc_model::congest::{BitSize, CongestNode, LocalInfo};
 use vc_model::oracle::{follow, NodeView, Oracle, QueryError};
 use vc_model::run::QueryAlgorithm;
+use vc_model::SolverScratch;
 
 /// Number of phase rounds reserved for port-by-port exchanges (an upper
 /// bound on the degree in all of our constructions).
@@ -489,7 +490,11 @@ impl QueryAlgorithm for GadgetQuery {
         None
     }
 
-    fn run(&self, oracle: &mut dyn Oracle) -> Result<Option<bool>, QueryError> {
+    fn run(
+        &self,
+        oracle: &mut dyn Oracle,
+        _: &mut SolverScratch,
+    ) -> Result<Option<bool>, QueryError> {
         let root = oracle.root();
         // Only output-side leaves have work to do.
         if root.label.bit != Some(false) || root.label.left_child.is_some() {

@@ -139,6 +139,47 @@ impl From<ThcColor> for HybridOutput {
     }
 }
 
+/// An output the `RecursiveHTHC` memo packs into 16 bits of a node's
+/// solver-scratch word; `unpack` inverts `pack`.
+pub(crate) trait MemoCode {
+    fn pack(self) -> u16;
+    fn unpack(code: u16) -> Self;
+}
+
+/// The index in `R, B, D, X`.
+impl MemoCode for ThcColor {
+    fn pack(self) -> u16 {
+        self as u16
+    }
+
+    fn unpack(code: u16) -> Self {
+        [ThcColor::R, ThcColor::B, ThcColor::D, ThcColor::X][usize::from(code & 3)]
+    }
+}
+
+/// A symbol's code, or bit 2 for a pair, with bit 3 set for `U` and the
+/// port number (0 for `⊥`) in bits 8–15.
+impl MemoCode for HybridOutput {
+    fn pack(self) -> u16 {
+        match self {
+            HybridOutput::Sym(c) => c.pack(),
+            HybridOutput::Pair(p) => {
+                let port = u16::from(p.port.map_or(0, Port::number));
+                4 | (u16::from(p.flag == BtFlag::Unbalanced) << 3) | (port << 8)
+            }
+        }
+    }
+
+    fn unpack(code: u16) -> Self {
+        let port = Some((code >> 8) as u8).filter(|&p| p != 0).map(Port::new);
+        match (code & 4, code & 8) {
+            (0, _) => ThcColor::unpack(code).into(),
+            (_, 0) => HybridOutput::Pair(BtOutput::balanced(port)),
+            _ => HybridOutput::Pair(BtOutput::unbalanced(port)),
+        }
+    }
+}
+
 impl fmt::Display for HybridOutput {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -151,6 +192,21 @@ impl fmt::Display for HybridOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn memo_codes_round_trip() {
+        let syms = [ThcColor::R, ThcColor::B, ThcColor::D, ThcColor::X];
+        for c in syms {
+            assert_eq!(ThcColor::unpack(c.pack()), c);
+            assert_eq!(HybridOutput::unpack(HybridOutput::Sym(c).pack()), c.into());
+        }
+        for port in [None, Some(Port::new(1)), Some(Port::new(255))] {
+            for out in [BtOutput::balanced(port), BtOutput::unbalanced(port)] {
+                let pair = HybridOutput::Pair(out);
+                assert_eq!(HybridOutput::unpack(pair.pack()), pair);
+            }
+        }
+    }
 
     #[test]
     fn thc_predicates() {

@@ -30,10 +30,10 @@
 use crate::lcl::{Lcl, Violation};
 use crate::output::{BtFlag, BtOutput};
 use crate::problems::util::Explorer;
-use std::collections::HashSet;
 use vc_graph::{structure, Instance, NodeIdx, Port};
 use vc_model::oracle::{NodeView, Oracle, QueryError};
 use vc_model::run::QueryAlgorithm;
+use vc_model::SolverScratch;
 
 /// A node filter: the BalancedTree machinery can be evaluated on an induced
 /// subgraph (Hybrid-THC restricts it to the level-1 nodes, Definition 6.1);
@@ -262,7 +262,7 @@ pub(crate) fn is_compatible_q(xp: &mut Explorer<'_>, v: &NodeView) -> Result<boo
             if xp.is_internal(&u)? {
                 return Ok(false);
             }
-            let up = xp.parent(&u)?;
+            let up = xp.follow(&u, u.label.parent)?;
             match up {
                 Some(p) if xp.is_internal(&p)? => {}
                 _ => return Ok(false),
@@ -332,8 +332,12 @@ impl QueryAlgorithm for DistanceSolver {
         BtOutput::unbalanced(None)
     }
 
-    fn run(&self, oracle: &mut dyn Oracle) -> Result<BtOutput, QueryError> {
-        let mut xp = Explorer::new(oracle);
+    fn run(
+        &self,
+        oracle: &mut dyn Oracle,
+        scratch: &mut SolverScratch,
+    ) -> Result<BtOutput, QueryError> {
+        let mut xp = Explorer::new(oracle, scratch);
         let root = xp.root();
         solve_bt(&mut xp, root)
     }
@@ -359,7 +363,7 @@ pub(crate) fn solve_bt(xp: &mut Explorer<'_>, root: NodeView) -> Result<BtOutput
         // BFS descendants level by level, tracking the first hop.
         let cap = 2 * (usize::BITS - (xp.n().max(2) - 1).leading_zeros()) + 4;
         let mut frontier: Vec<(NodeView, Option<Port>)> = vec![(root, None)];
-        let mut seen: HashSet<usize> = HashSet::from([root.node]);
+        xp.start_search(root.node);
         let mut levels: Vec<Vec<(NodeView, Option<Port>)>> = Vec::new();
         let mut found_leaf = false;
         for _depth in 0..=cap as usize {
@@ -379,10 +383,10 @@ pub(crate) fn solve_bt(xp: &mut Explorer<'_>, root: NodeView) -> Result<BtOutput
                     Some((lc, rc)) => {
                         let lc_hop = hop.or(v.label.left_child);
                         let rc_hop = hop.or(v.label.right_child);
-                        if seen.insert(lc.node) {
+                        if xp.mark(lc.node) {
                             next.push((lc, lc_hop));
                         }
-                        if seen.insert(rc.node) {
+                        if xp.mark(rc.node) {
                             next.push((rc, rc_hop));
                         }
                     }

@@ -15,6 +15,7 @@ use crate::lcl::{Lcl, Violation};
 use vc_graph::{Instance, Port};
 use vc_model::oracle::{follow, NodeView, Oracle, QueryError};
 use vc_model::run::QueryAlgorithm;
+use vc_model::SolverScratch;
 
 /// Class-A reference problem: every node outputs the parity of its degree.
 ///
@@ -60,7 +61,7 @@ impl QueryAlgorithm for TrivialSolver {
         false
     }
 
-    fn run(&self, oracle: &mut dyn Oracle) -> Result<bool, QueryError> {
+    fn run(&self, oracle: &mut dyn Oracle, _: &mut SolverScratch) -> Result<bool, QueryError> {
         Ok(oracle.root().degree % 2 == 1)
     }
 }
@@ -167,7 +168,7 @@ impl QueryAlgorithm for ColeVishkin {
         0
     }
 
-    fn run(&self, oracle: &mut dyn Oracle) -> Result<u8, QueryError> {
+    fn run(&self, oracle: &mut dyn Oracle, _: &mut SolverScratch) -> Result<u8, QueryError> {
         let root = oracle.root();
         // Window of identifiers at offsets -REDUCE_ROUNDS ..= REDUCE_ROUNDS + CV_ITERS.
         let fwd_len = REDUCE_ROUNDS + CV_ITERS;

@@ -20,6 +20,7 @@ use crate::problems::hybrid::{
 use vc_graph::{structure, Instance};
 use vc_model::oracle::{Oracle, QueryError};
 use vc_model::run::QueryAlgorithm;
+use vc_model::SolverScratch;
 
 /// The HH-THC(k, ℓ) LCL (Definition 6.4).
 #[derive(Clone, Copy, Debug)]
@@ -103,10 +104,16 @@ impl QueryAlgorithm for DistanceSolver {
         HybridOutput::Sym(ThcColor::D)
     }
 
-    fn run(&self, oracle: &mut dyn Oracle) -> Result<HybridOutput, QueryError> {
+    fn run(
+        &self,
+        oracle: &mut dyn Oracle,
+        scratch: &mut SolverScratch,
+    ) -> Result<HybridOutput, QueryError> {
         match oracle.root().label.bit {
-            Some(false) => HierDet { k: self.l }.run(oracle).map(HybridOutput::Sym),
-            _ => HybDist.run(oracle),
+            Some(false) => HierDet { k: self.l }
+                .run(oracle, scratch)
+                .map(HybridOutput::Sym),
+            _ => HybDist.run(oracle, scratch),
         }
     }
 }
@@ -138,10 +145,16 @@ impl QueryAlgorithm for RandomizedSolver {
         HybridOutput::Sym(ThcColor::D)
     }
 
-    fn run(&self, oracle: &mut dyn Oracle) -> Result<HybridOutput, QueryError> {
+    fn run(
+        &self,
+        oracle: &mut dyn Oracle,
+        scratch: &mut SolverScratch,
+    ) -> Result<HybridOutput, QueryError> {
         match oracle.root().label.bit {
-            Some(false) => HierRand::new(self.l).run(oracle).map(HybridOutput::Sym),
-            _ => HybRand::new(self.k).run(oracle),
+            Some(false) => HierRand::new(self.l)
+                .run(oracle, scratch)
+                .map(HybridOutput::Sym),
+            _ => HybRand::new(self.k).run(oracle, scratch),
         }
     }
 }
@@ -172,10 +185,16 @@ impl QueryAlgorithm for DeterministicVolumeSolver {
         HybridOutput::Sym(ThcColor::D)
     }
 
-    fn run(&self, oracle: &mut dyn Oracle) -> Result<HybridOutput, QueryError> {
+    fn run(
+        &self,
+        oracle: &mut dyn Oracle,
+        scratch: &mut SolverScratch,
+    ) -> Result<HybridOutput, QueryError> {
         match oracle.root().label.bit {
-            Some(false) => HierDet { k: self.l }.run(oracle).map(HybridOutput::Sym),
-            _ => HybDetVol { k: self.k }.run(oracle),
+            Some(false) => HierDet { k: self.l }
+                .run(oracle, scratch)
+                .map(HybridOutput::Sym),
+            _ => HybDetVol { k: self.k }.run(oracle, scratch),
         }
     }
 }

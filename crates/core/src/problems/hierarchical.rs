@@ -13,12 +13,13 @@
 //! [`Variant`] and an exemption license.
 
 use crate::lcl::{Lcl, Violation};
-use crate::output::ThcColor;
+use crate::output::{MemoCode, ThcColor};
 use crate::problems::util::Explorer;
-use std::collections::HashMap;
+use std::marker::PhantomData;
 use vc_graph::{structure, Color, Instance};
 use vc_model::oracle::{NodeView, Oracle, QueryError};
 use vc_model::run::QueryAlgorithm;
+use vc_model::SolverScratch;
 
 /// The Hierarchical-THC(k) LCL (Definition 5.5).
 #[derive(Clone, Copy, Debug)]
@@ -172,8 +173,9 @@ impl Lcl for HierarchicalThc {
 /// changes in `RecursiveHTHC` (Definition 6.1, Theorem 6.3).
 /// [`Hierarchical`] is Hierarchical-THC's own choice of all three.
 pub(crate) trait Variant: Sized {
-    /// The output alphabet; THC symbols embed into it.
-    type Out: Copy + From<ThcColor>;
+    /// The output alphabet; THC symbols embed into it, and the memo keeps
+    /// it as a 16-bit code.
+    type Out: Copy + From<ThcColor> + MemoCode;
 
     /// The level of `v`; every level above `k` reads as `k + 1`.
     fn level(e: &mut Engine<'_, '_, Self>, v: &NodeView) -> Result<u32, QueryError>;
@@ -241,7 +243,7 @@ pub(crate) struct Engine<'x, 'o, V: Variant> {
     /// The component threshold `2·⌈n^{1/k}⌉`.
     pub(crate) threshold: usize,
     gate: Gate,
-    memo: HashMap<usize, V::Out>,
+    variant: PhantomData<V>,
 }
 
 impl<V: Variant> Engine<'_, '_, V> {
@@ -289,13 +291,14 @@ impl<V: Variant> Engine<'_, '_, V> {
         Ok(V::licenses(self.solve(r)?, lvl))
     }
 
-    /// `RecursiveHTHC(v)` (Algorithm 2), memoized per execution.
+    /// `RecursiveHTHC(v)` (Algorithm 2), memoized per execution in the
+    /// explorer's per-node words.
     fn solve(&mut self, v: NodeView) -> Result<V::Out, QueryError> {
-        if let Some(&c) = self.memo.get(&v.node) {
-            return Ok(c);
+        if let Some(code) = self.xp.memo(v.node) {
+            return Ok(V::Out::unpack(code));
         }
         let c = self.solve_uncached(v)?;
-        self.memo.insert(v.node, c);
+        self.xp.set_memo(v.node, c.pack());
         Ok(c)
     }
 
@@ -418,10 +421,11 @@ impl<V: Variant> Engine<'_, '_, V> {
 /// Algorithm 2.
 pub(crate) fn run_engine<V: Variant>(
     oracle: &mut dyn Oracle,
+    scratch: &mut SolverScratch,
     k: u32,
     c: Option<f64>,
 ) -> Result<V::Out, QueryError> {
-    let mut xp = Explorer::new(oracle);
+    let mut xp = Explorer::new(oracle, scratch);
     let n = xp.n();
     let gate = match c {
         None => Gate::Always,
@@ -435,7 +439,7 @@ pub(crate) fn run_engine<V: Variant>(
         k,
         threshold: component_threshold(n, k),
         gate,
-        memo: HashMap::new(),
+        variant: PhantomData,
     };
     engine.solve(root)
 }
@@ -495,8 +499,12 @@ impl QueryAlgorithm for DeterministicSolver {
         ThcColor::D
     }
 
-    fn run(&self, oracle: &mut dyn Oracle) -> Result<ThcColor, QueryError> {
-        run_engine::<Hierarchical>(oracle, self.k, None)
+    fn run(
+        &self,
+        oracle: &mut dyn Oracle,
+        scratch: &mut SolverScratch,
+    ) -> Result<ThcColor, QueryError> {
+        run_engine::<Hierarchical>(oracle, scratch, self.k, None)
     }
 }
 
@@ -517,8 +525,12 @@ impl QueryAlgorithm for RandomizedSolver {
         ThcColor::D
     }
 
-    fn run(&self, oracle: &mut dyn Oracle) -> Result<ThcColor, QueryError> {
-        run_engine::<Hierarchical>(oracle, self.k, Some(self.c))
+    fn run(
+        &self,
+        oracle: &mut dyn Oracle,
+        scratch: &mut SolverScratch,
+    ) -> Result<ThcColor, QueryError> {
+        run_engine::<Hierarchical>(oracle, scratch, self.k, Some(self.c))
     }
 }
 

@@ -33,10 +33,11 @@ use crate::problems::hierarchical::{
     check_thc_node, lc_strict, rc_strict, run_engine, Engine, Variant,
 };
 use crate::problems::util::Explorer;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use vc_graph::{Instance, Port};
 use vc_model::oracle::{NodeView, Oracle, QueryError};
 use vc_model::run::QueryAlgorithm;
+use vc_model::SolverScratch;
 
 /// The Hybrid-THC(k) LCL (Definition 6.1).
 #[derive(Clone, Copy, Debug)]
@@ -178,8 +179,12 @@ impl QueryAlgorithm for DistanceSolver {
         HybridOutput::Sym(ThcColor::X)
     }
 
-    fn run(&self, oracle: &mut dyn Oracle) -> Result<HybridOutput, QueryError> {
-        let mut xp = Explorer::new(oracle);
+    fn run(
+        &self,
+        oracle: &mut dyn Oracle,
+        scratch: &mut SolverScratch,
+    ) -> Result<HybridOutput, QueryError> {
+        let mut xp = Explorer::new(oracle, scratch);
         let root = xp.root();
         match root.label.level {
             Some(1) => Ok(HybridOutput::Pair(solve_bt(&mut xp, root)?)),
@@ -224,13 +229,13 @@ impl Variant for Hybrid {
 /// BFS over the level-1 component of `v` (through all ports, restricted
 /// to level-1 nodes): whether it has at most `cap` nodes.
 fn component_at_most(xp: &mut Explorer<'_>, v: &NodeView, cap: usize) -> Result<bool, QueryError> {
-    let mut seen: HashSet<usize> = HashSet::from([v.node]);
+    xp.start_search(v.node);
     let mut queue = VecDeque::from([*v]);
     let mut count = 1usize;
     while let Some(u) = queue.pop_front() {
         for p in 1..=u.degree as u8 {
             let w = xp.follow(&u, Some(Port::new(p)))?.expect("valid port");
-            if w.label.level == Some(1) && seen.insert(w.node) {
+            if w.label.level == Some(1) && xp.mark(w.node) {
                 count += 1;
                 if count > cap {
                     return Ok(false);
@@ -277,8 +282,12 @@ impl QueryAlgorithm for RandomizedSolver {
         HybridOutput::Sym(ThcColor::D)
     }
 
-    fn run(&self, oracle: &mut dyn Oracle) -> Result<HybridOutput, QueryError> {
-        run_engine::<Hybrid>(oracle, self.k, Some(self.c))
+    fn run(
+        &self,
+        oracle: &mut dyn Oracle,
+        scratch: &mut SolverScratch,
+    ) -> Result<HybridOutput, QueryError> {
+        run_engine::<Hybrid>(oracle, scratch, self.k, Some(self.c))
     }
 }
 
@@ -306,8 +315,12 @@ impl QueryAlgorithm for DeterministicVolumeSolver {
         HybridOutput::Sym(ThcColor::D)
     }
 
-    fn run(&self, oracle: &mut dyn Oracle) -> Result<HybridOutput, QueryError> {
-        run_engine::<Hybrid>(oracle, self.k, None)
+    fn run(
+        &self,
+        oracle: &mut dyn Oracle,
+        scratch: &mut SolverScratch,
+    ) -> Result<HybridOutput, QueryError> {
+        run_engine::<Hybrid>(oracle, scratch, self.k, None)
     }
 }
 
@@ -480,7 +493,7 @@ mod tests {
         let bt_root = rc_strict(&inst, lvl2_leaf).unwrap();
         let keep = |u: usize| inst.labels[u].level == Some(1);
         let mut stack = vec![bt_root];
-        let mut comp = std::collections::HashSet::new();
+        let mut comp = std::collections::BTreeSet::new();
         comp.insert(bt_root);
         while let Some(u) = stack.pop() {
             for w in inst.graph.neighbors(u) {

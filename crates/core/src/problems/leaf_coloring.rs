@@ -8,10 +8,10 @@
 
 use crate::lcl::{Lcl, Violation};
 use crate::problems::util::Explorer;
-use std::collections::HashSet;
 use vc_graph::{structure, Color, Instance};
 use vc_model::oracle::{Oracle, QueryError};
 use vc_model::run::QueryAlgorithm;
+use vc_model::SolverScratch;
 
 /// The LeafColoring LCL (Definition 3.4).
 #[derive(Clone, Copy, Debug, Default)]
@@ -82,8 +82,12 @@ impl QueryAlgorithm for DistanceSolver {
         Color::R
     }
 
-    fn run(&self, oracle: &mut dyn Oracle) -> Result<Color, QueryError> {
-        let mut xp = Explorer::new(oracle);
+    fn run(
+        &self,
+        oracle: &mut dyn Oracle,
+        scratch: &mut SolverScratch,
+    ) -> Result<Color, QueryError> {
+        let mut xp = Explorer::new(oracle, scratch);
         let root = xp.root();
         if !xp.is_internal(&root)? {
             // Leaf or inconsistent: keep the input color.
@@ -96,7 +100,7 @@ impl QueryAlgorithm for DistanceSolver {
         // from walking around the unique cycle — which only revisits nodes
         // at strictly larger depth — each node is reached by a unique path.
         let mut frontier = vec![root];
-        let mut seen: HashSet<usize> = HashSet::from([root.node]);
+        xp.start_search(root.node);
         // A leaf exists within depth log n on every input (Lemma 3.8); the
         // explicit cap keeps adversarial inputs from running forever.
         let cap = usize::BITS - (xp.n().max(2) - 1).leading_zeros() + 2;
@@ -110,7 +114,7 @@ impl QueryAlgorithm for DistanceSolver {
                     }
                     Some((lc, rc)) => {
                         for c in [lc, rc] {
-                            if seen.insert(c.node) {
+                            if xp.mark(c.node) {
                                 next.push(c);
                             }
                         }
@@ -167,11 +171,16 @@ impl QueryAlgorithm for RwToLeaf {
         Color::R
     }
 
-    fn run(&self, oracle: &mut dyn Oracle) -> Result<Color, QueryError> {
-        let mut xp = Explorer::new(oracle);
+    fn run(
+        &self,
+        oracle: &mut dyn Oracle,
+        scratch: &mut SolverScratch,
+    ) -> Result<Color, QueryError> {
+        let mut xp = Explorer::new(oracle, scratch);
         let v0 = xp.root();
         let log_n = (usize::BITS - (xp.n().max(2) - 1).leading_zeros()).max(1);
-        let cap = self.step_factor * log_n;
+        // Saturating: any `u32` factor is a valid configuration.
+        let cap = self.step_factor.saturating_mul(log_n);
         let mut cur = v0;
         let mut revisited = false;
         for _ in 0..cap {
@@ -312,6 +321,22 @@ mod tests {
                 check_solution(&LeafColoring, &inst, &outputs).is_ok(),
                 "seed {seed}"
             );
+        }
+    }
+
+    #[test]
+    fn huge_step_factors_saturate_the_step_cap() {
+        // log₂ n = 12 here, so both factors overflow a `u32` step cap.
+        let inst = gen::random_full_binary_tree(4095, 3);
+        let config = config_with_tape(3);
+        let default = run_all(&inst, &RwToLeaf::default(), &config).unwrap();
+        assert_eq!(default.truncated(), 0);
+        for step_factor in [1 << 30, u32::MAX] {
+            let report = run_all(&inst, &RwToLeaf { step_factor }, &config).unwrap();
+            assert_eq!(report.outputs, default.outputs, "step_factor {step_factor}");
+            assert_eq!(report.records, default.records, "step_factor {step_factor}");
+            let outputs = report.complete_outputs().unwrap();
+            assert!(check_solution(&LeafColoring, &inst, &outputs).is_ok());
         }
     }
 

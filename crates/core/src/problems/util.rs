@@ -2,36 +2,41 @@
 //!
 //! Solvers repeatedly need the Definition 3.3 status of nodes, which in the
 //! query model takes a handful of queries per node (follow both children and
-//! check their parent back-pointers). [`Explorer`] wraps an oracle with view
-//! and status caches so that each fact is established once per execution.
+//! check their parent back-pointers). [`Explorer`] wraps an oracle and the
+//! run's [`SolverScratch`] so that each fact is established once per
+//! execution.
+//!
+//! All solver state is flat and indexed by node handle. One scratch word per
+//! handle packs three cached facts — internality, the first random bit and
+//! the way-point lottery, each a known bit followed by its value bit — plus
+//! the `RecursiveHTHC` memo as a 16-bit code in the high half. BFS
+//! de-duplication uses the scratch's mark set, which every search empties
+//! first. Nothing is hashed and nothing is allocated per start.
 
-use std::collections::HashMap;
 use vc_graph::Port;
 use vc_model::oracle::{follow, NodeView, Oracle, QueryError};
+use vc_model::SolverScratch;
 
-/// An oracle wrapper with view/status caches and Bernoulli sampling from the
-/// node's private bits.
+/// Known bit of a cached fact; the value bit sits one above it.
+const INTERNAL: u32 = 1;
+const FIRST_BIT: u32 = 1 << 2;
+const BERNOULLI: u32 = 1 << 4;
+/// Set once the high half of the word holds a memo code.
+const MEMO: u32 = 1 << 6;
+
+/// An oracle wrapper with status caches, BFS marks, a memo slot per node and
+/// Bernoulli sampling from the node's private bits.
 pub struct Explorer<'o> {
     oracle: &'o mut dyn Oracle,
-    views: HashMap<usize, NodeView>,
-    internal: HashMap<usize, bool>,
-    first_bits: HashMap<usize, bool>,
-    bernoulli: HashMap<usize, bool>,
+    scratch: &'o mut SolverScratch,
 }
 
 impl<'o> Explorer<'o> {
-    /// Wraps an oracle.
-    pub fn new(oracle: &'o mut dyn Oracle) -> Self {
-        let root = oracle.root();
-        let mut views = HashMap::new();
-        views.insert(root.node, root);
-        Self {
-            oracle,
-            views,
-            internal: HashMap::new(),
-            first_bits: HashMap::new(),
-            bernoulli: HashMap::new(),
-        }
+    /// Wraps an oracle, opening a new epoch of `scratch`: nothing an earlier
+    /// execution cached is visible.
+    pub fn new(oracle: &'o mut dyn Oracle, scratch: &'o mut SolverScratch) -> Self {
+        scratch.begin();
+        Self { oracle, scratch }
     }
 
     /// The number of nodes `n` (global input).
@@ -54,38 +59,7 @@ impl<'o> Explorer<'o> {
         from: &NodeView,
         port: Option<Port>,
     ) -> Result<Option<NodeView>, QueryError> {
-        let out = follow(self.oracle, from, port)?;
-        if let Some(v) = out {
-            self.views.insert(v.node, v);
-        }
-        Ok(out)
-    }
-
-    /// The parent node `P(v)` (with no back-pointer requirement).
-    ///
-    /// # Errors
-    ///
-    /// Propagates oracle errors.
-    pub fn parent(&mut self, v: &NodeView) -> Result<Option<NodeView>, QueryError> {
-        self.follow(&v.clone(), v.label.parent)
-    }
-
-    /// The left child `LC(v)` (no back-pointer requirement).
-    ///
-    /// # Errors
-    ///
-    /// Propagates oracle errors.
-    pub fn left_child(&mut self, v: &NodeView) -> Result<Option<NodeView>, QueryError> {
-        self.follow(&v.clone(), v.label.left_child)
-    }
-
-    /// The right child `RC(v)` (no back-pointer requirement).
-    ///
-    /// # Errors
-    ///
-    /// Propagates oracle errors.
-    pub fn right_child(&mut self, v: &NodeView) -> Result<Option<NodeView>, QueryError> {
-        self.follow(&v.clone(), v.label.right_child)
+        follow(self.oracle, from, port)
     }
 
     /// Whether `v` is internal per Definition 3.3, established with `O(1)`
@@ -95,12 +69,7 @@ impl<'o> Explorer<'o> {
     ///
     /// Propagates oracle errors.
     pub fn is_internal(&mut self, v: &NodeView) -> Result<bool, QueryError> {
-        if let Some(&b) = self.internal.get(&v.node) {
-            return Ok(b);
-        }
-        let b = self.compute_internal(v)?;
-        self.internal.insert(v.node, b);
-        Ok(b)
+        self.cached(v.node, INTERNAL, |xp| xp.compute_internal(v))
     }
 
     fn compute_internal(&mut self, v: &NodeView) -> Result<bool, QueryError> {
@@ -135,7 +104,7 @@ impl<'o> Explorer<'o> {
         if self.is_internal(v)? {
             return Ok(true);
         }
-        match self.parent(v)? {
+        match self.follow(v, v.label.parent)? {
             Some(p) => self.is_internal(&p),
             None => Ok(false),
         }
@@ -154,9 +123,9 @@ impl<'o> Explorer<'o> {
         if !self.is_internal(v)? {
             return Ok(None);
         }
-        let lc = self.left_child(v)?.expect("internal has LC");
-        let rc = self.right_child(v)?.expect("internal has RC");
-        Ok(Some((lc, rc)))
+        // Both children resolve: that is part of being internal.
+        let lc = self.follow(v, v.label.left_child)?;
+        Ok(lc.zip(self.follow(v, v.label.right_child)?))
     }
 
     /// The first bit `r_v(0)` of the node's private string — cached so that
@@ -166,12 +135,7 @@ impl<'o> Explorer<'o> {
     ///
     /// Propagates oracle errors (e.g. secret randomness of other nodes).
     pub fn first_bit(&mut self, node: usize) -> Result<bool, QueryError> {
-        if let Some(&b) = self.first_bits.get(&node) {
-            return Ok(b);
-        }
-        let b = self.oracle.rand_bit(node)?;
-        self.first_bits.insert(node, b);
-        Ok(b)
+        self.cached(node, FIRST_BIT, |xp| xp.oracle.rand_bit(node))
     }
 
     /// Bernoulli(`p`) sample from the node's private bits, cached per node —
@@ -184,22 +148,54 @@ impl<'o> Explorer<'o> {
     ///
     /// Propagates oracle errors.
     pub fn bernoulli(&mut self, node: usize, p: f64) -> Result<bool, QueryError> {
-        if let Some(&b) = self.bernoulli.get(&node) {
-            return Ok(b);
+        self.cached(node, BERNOULLI, |xp| {
+            let mut x = 0u32;
+            for _ in 0..30 {
+                x = (x << 1) | u32::from(xp.oracle.rand_bit(node)?);
+            }
+            Ok(x < (p.clamp(0.0, 1.0) * f64::from(1u32 << 30)) as u32)
+        })
+    }
+
+    /// The fact whose known bit is `known` for `node`, computed by `f` on
+    /// first use. A failed computation caches nothing.
+    fn cached(
+        &mut self,
+        node: usize,
+        known: u32,
+        f: impl FnOnce(&mut Self) -> Result<bool, QueryError>,
+    ) -> Result<bool, QueryError> {
+        let word = *self.scratch.word(node);
+        if word & known != 0 {
+            return Ok(word & (known << 1) != 0);
         }
-        let mut x = 0u32;
-        for _ in 0..30 {
-            x = (x << 1) | u32::from(self.oracle.rand_bit(node)?);
-        }
-        let threshold = (p.clamp(0.0, 1.0) * f64::from(1u32 << 30)) as u32;
-        let b = x < threshold;
-        self.bernoulli.insert(node, b);
+        let b = f(self)?;
+        *self.scratch.word(node) |= if b { known | (known << 1) } else { known };
         Ok(b)
     }
 
-    /// A cached view by node handle, if this execution has seen it.
-    pub fn view(&self, node: usize) -> Option<&NodeView> {
-        self.views.get(&node)
+    /// The memo code stored for `node` in this execution, if any.
+    pub(crate) fn memo(&mut self, node: usize) -> Option<u16> {
+        let word = *self.scratch.word(node);
+        (word & MEMO != 0).then_some((word >> 16) as u16)
+    }
+
+    /// Stores `code` as the memo of `node`.
+    pub(crate) fn set_memo(&mut self, node: usize, code: u16) {
+        let word = self.scratch.word(node);
+        *word = (*word & 0xFFFF) | MEMO | (u32::from(code) << 16);
+    }
+
+    /// Empties the BFS mark set and marks `root`; every search starts here.
+    pub(crate) fn start_search(&mut self, root: usize) {
+        self.scratch.clear_marks();
+        self.scratch.mark(root);
+    }
+
+    /// Marks `node`; whether it was unmarked since the last
+    /// [`Explorer::start_search`].
+    pub(crate) fn mark(&mut self, node: usize) -> bool {
+        self.scratch.mark(node)
     }
 }
 
@@ -213,23 +209,59 @@ mod tests {
     fn explorer_caches_status() {
         let inst = gen::complete_binary_tree(3, Color::R, Color::B);
         let mut ex = Execution::new(&inst, 0, None, Budget::unlimited());
-        let mut xp = Explorer::new(&mut ex);
+        let mut scratch = SolverScratch::new();
+        let mut xp = Explorer::new(&mut ex, &mut scratch);
         let root = xp.root();
         assert!(xp.is_internal(&root).unwrap());
-        // Second call answers from cache (same result).
+        // Second call answers from cache: same result, no query.
+        let queries = xp.oracle.stats().queries;
         assert!(xp.is_internal(&root).unwrap());
-        let leaf = xp.view(0).copied().unwrap();
-        assert_eq!(leaf.node, 0);
-        let lc = xp.left_child(&root).unwrap().unwrap();
+        assert_eq!(xp.oracle.stats().queries, queries);
+        let lc = xp.follow(&root, root.label.left_child).unwrap().unwrap();
         assert_eq!(lc.node, 1);
         assert!(xp.is_consistent(&lc).unwrap());
+    }
+
+    #[test]
+    fn a_new_explorer_sees_nothing_an_earlier_one_cached() {
+        let inst = gen::complete_binary_tree(3, Color::R, Color::B);
+        let mut scratch = SolverScratch::new();
+        let mut ex = Execution::new(&inst, 0, None, Budget::unlimited());
+        let mut xp = Explorer::new(&mut ex, &mut scratch);
+        let root = xp.root();
+        assert!(xp.is_internal(&root).unwrap());
+        xp.set_memo(0, 0xBEEF);
+        assert_eq!(xp.memo(0), Some(0xBEEF));
+        assert!(xp.is_internal(&root).unwrap());
+        assert_eq!(xp.oracle.stats().queries, 4, "the memo keeps the flags");
+        let mut ex = Execution::new(&inst, 0, None, Budget::unlimited());
+        let mut xp = Explorer::new(&mut ex, &mut scratch);
+        assert_eq!(xp.memo(0), None);
+        let root = xp.root();
+        assert!(xp.is_internal(&root).unwrap());
+        assert_eq!(xp.oracle.stats().queries, 4, "recomputed, not cached");
+    }
+
+    #[test]
+    fn searches_start_with_only_their_root_marked() {
+        let inst = gen::complete_binary_tree(1, Color::R, Color::B);
+        let mut ex = Execution::new(&inst, 0, None, Budget::unlimited());
+        let mut scratch = SolverScratch::new();
+        let mut xp = Explorer::new(&mut ex, &mut scratch);
+        xp.start_search(0);
+        assert!(!xp.mark(0));
+        assert!(xp.mark(1_000));
+        assert!(!xp.mark(1_000));
+        xp.start_search(1);
+        assert!(xp.mark(0) && xp.mark(1_000) && !xp.mark(1));
     }
 
     #[test]
     fn leaf_is_consistent_but_not_internal() {
         let inst = gen::complete_binary_tree(2, Color::R, Color::B);
         let mut ex = Execution::new(&inst, 3, None, Budget::unlimited());
-        let mut xp = Explorer::new(&mut ex);
+        let mut scratch = SolverScratch::new();
+        let mut xp = Explorer::new(&mut ex, &mut scratch);
         let root = xp.root();
         assert!(!xp.is_internal(&root).unwrap());
         assert!(xp.is_consistent(&root).unwrap());
@@ -239,7 +271,8 @@ mod tests {
     fn single_node_is_inconsistent() {
         let inst = gen::complete_binary_tree(0, Color::R, Color::B);
         let mut ex = Execution::new(&inst, 0, None, Budget::unlimited());
-        let mut xp = Explorer::new(&mut ex);
+        let mut scratch = SolverScratch::new();
+        let mut xp = Explorer::new(&mut ex, &mut scratch);
         let root = xp.root();
         assert!(!xp.is_consistent(&root).unwrap());
     }
@@ -249,7 +282,8 @@ mod tests {
         let inst = gen::complete_binary_tree(2, Color::R, Color::B);
         let tape = RandomTape::private(11);
         let mut ex = Execution::new(&inst, 0, Some(tape), Budget::unlimited());
-        let mut xp = Explorer::new(&mut ex);
+        let mut scratch = SolverScratch::new();
+        let mut xp = Explorer::new(&mut ex, &mut scratch);
         let b1 = xp.first_bit(0).unwrap();
         let b2 = xp.first_bit(0).unwrap();
         assert_eq!(b1, b2);
@@ -261,11 +295,12 @@ mod tests {
     fn bernoulli_extremes() {
         let inst = gen::complete_binary_tree(2, Color::R, Color::B);
         let tape = RandomTape::private(13);
+        let mut scratch = SolverScratch::new();
         let mut ex = Execution::new(&inst, 0, Some(tape), Budget::unlimited());
-        let mut xp = Explorer::new(&mut ex);
+        let mut xp = Explorer::new(&mut ex, &mut scratch);
         assert!(!xp.bernoulli(0, 0.0).unwrap());
         let mut ex2 = Execution::new(&inst, 1, Some(tape), Budget::unlimited());
-        let mut xp2 = Explorer::new(&mut ex2);
+        let mut xp2 = Explorer::new(&mut ex2, &mut scratch);
         assert!(xp2.bernoulli(1, 1.0).unwrap());
     }
 
@@ -274,11 +309,12 @@ mod tests {
         let inst = gen::complete_binary_tree(3, Color::R, Color::B);
         let tape = RandomTape::private(5);
         let p = 0.5;
+        let mut scratch = SolverScratch::new();
         let mut ex1 = Execution::new(&inst, 1, Some(tape), Budget::unlimited());
-        let mut xp1 = Explorer::new(&mut ex1);
+        let mut xp1 = Explorer::new(&mut ex1, &mut scratch);
         let b1 = xp1.bernoulli(1, p).unwrap();
         let mut ex2 = Execution::new(&inst, 1, Some(tape), Budget::unlimited());
-        let mut xp2 = Explorer::new(&mut ex2);
+        let mut xp2 = Explorer::new(&mut ex2, &mut scratch);
         let b2 = xp2.bernoulli(1, p).unwrap();
         assert_eq!(b1, b2, "way-point lottery must be execution-independent");
     }

@@ -564,6 +564,7 @@ impl Engine {
 mod tests {
     use super::*;
     use vc_model::oracle::{follow, Oracle, QueryError};
+    use vc_model::SolverScratch;
 
     struct WalkLeft;
 
@@ -578,7 +579,7 @@ mod tests {
             u32::MAX
         }
 
-        fn run(&self, oracle: &mut dyn Oracle) -> Result<u32, QueryError> {
+        fn run(&self, oracle: &mut dyn Oracle, _: &mut SolverScratch) -> Result<u32, QueryError> {
             let mut cur = oracle.root();
             let mut steps = 0;
             while let Some(next) = follow(oracle, &cur, cur.label.left_child)? {

@@ -1016,7 +1016,7 @@ mod tests {
     use vc_graph::{gen, Color};
     use vc_model::oracle::{follow, Oracle, QueryError};
     use vc_model::run::{StartError, StartSelection};
-    use vc_model::Budget;
+    use vc_model::{Budget, SolverScratch};
     use vc_trace::SweepMetrics;
 
     /// Toy algorithm: walk left children until none remains.
@@ -1033,7 +1033,7 @@ mod tests {
             u32::MAX
         }
 
-        fn run(&self, oracle: &mut dyn Oracle) -> Result<u32, QueryError> {
+        fn run(&self, oracle: &mut dyn Oracle, _: &mut SolverScratch) -> Result<u32, QueryError> {
             let mut cur = oracle.root();
             let mut steps = 0;
             while let Some(next) = follow(oracle, &cur, cur.label.left_child)? {
@@ -1062,14 +1062,18 @@ mod tests {
             u32::MAX
         }
 
-        fn run(&self, oracle: &mut dyn Oracle) -> Result<u32, QueryError> {
+        fn run(
+            &self,
+            oracle: &mut dyn Oracle,
+            scratch: &mut SolverScratch,
+        ) -> Result<u32, QueryError> {
             let root = oracle.root().node;
             assert!(
                 root / CHUNK != self.chunk,
                 "injected panic in chunk {}",
                 self.chunk
             );
-            WalkLeft.run(oracle)
+            WalkLeft.run(oracle, scratch)
         }
     }
 
@@ -1109,7 +1113,11 @@ mod tests {
             u32::MAX
         }
 
-        fn run(&self, oracle: &mut dyn Oracle) -> Result<u32, QueryError> {
+        fn run(
+            &self,
+            oracle: &mut dyn Oracle,
+            scratch: &mut SolverScratch,
+        ) -> Result<u32, QueryError> {
             let root = oracle.root().node;
             if root != 0 && root / CHUNK == 0 {
                 self.begun.store(true, Ordering::Relaxed);
@@ -1133,7 +1141,7 @@ mod tests {
                     panic!("injected panic at root {root}");
                 }
             }
-            WalkLeft.run(oracle)
+            WalkLeft.run(oracle, scratch)
         }
     }
 
@@ -1476,12 +1484,16 @@ mod tests {
                 u32::MAX
             }
 
-            fn run(&self, oracle: &mut dyn Oracle) -> Result<u32, QueryError> {
+            fn run(
+                &self,
+                oracle: &mut dyn Oracle,
+                scratch: &mut SolverScratch,
+            ) -> Result<u32, QueryError> {
                 let root = oracle.root().node;
                 if root / CHUNK == 0 && !self.tripped.swap(true, Ordering::Relaxed) {
                     panic!("transient injected panic");
                 }
-                WalkLeft.run(oracle)
+                WalkLeft.run(oracle, scratch)
             }
         }
 

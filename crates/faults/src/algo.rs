@@ -13,7 +13,7 @@
 use crate::oracle::FaultyOracle;
 use crate::plan::FaultPlan;
 use vc_model::oracle::{Oracle, QueryError};
-use vc_model::QueryAlgorithm;
+use vc_model::{QueryAlgorithm, SolverScratch};
 
 /// An algorithm output annotated with how many faults its execution
 /// absorbed.
@@ -81,9 +81,13 @@ impl<A: QueryAlgorithm> QueryAlgorithm for FaultedAlgorithm<A> {
         }
     }
 
-    fn run(&self, oracle: &mut dyn Oracle) -> Result<Self::Output, QueryError> {
+    fn run(
+        &self,
+        oracle: &mut dyn Oracle,
+        scratch: &mut SolverScratch,
+    ) -> Result<Self::Output, QueryError> {
         let mut faulty = FaultyOracle::new(&mut *oracle, self.plan);
-        let result = self.algo.run(&mut faulty);
+        let result = self.algo.run(&mut faulty, scratch);
         let injected = faulty.injected();
         result.map(|value| Faulted { value, injected })
     }
@@ -110,7 +114,7 @@ mod tests {
             u32::MAX
         }
 
-        fn run(&self, oracle: &mut dyn Oracle) -> Result<u32, QueryError> {
+        fn run(&self, oracle: &mut dyn Oracle, _: &mut SolverScratch) -> Result<u32, QueryError> {
             let mut cur = oracle.root();
             let mut steps = 0;
             while let Some(next) = follow(oracle, &cur, cur.label.left_child)? {

@@ -458,15 +458,20 @@ impl Rule for BenchProvenance {
 // VC005 flat-oracle-state
 // ---------------------------------------------------------------------------
 
-/// VC005: the execution hot path stays flat.
+/// VC005: the execution hot path stays flat — the oracle and the
+/// query-model solvers, whose per-node state lives in epoch-stamped
+/// scratch.
 pub struct FlatOracleState;
 
 /// Info for [`FlatOracleState`].
 pub static VC005: RuleInfo = RuleInfo {
     code: "VC005",
     name: "flat-oracle-state",
-    summary: "no hashed collections in the oracle hot path, tests included",
+    summary: "no hashed collections in the oracle or solver hot path, tests included",
 };
+
+/// The query-model solvers VC005 scans besides `oracle.rs`.
+const SOLVER_DIR: &str = "crates/core/src/problems";
 
 impl Rule for FlatOracleState {
     fn info(&self) -> &'static RuleInfo {
@@ -476,19 +481,19 @@ impl Rule for FlatOracleState {
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
         // Deliberately scans test code too: a HashMap-shaped test fixture
         // is usually the first step of a HashMap-shaped regression.
-        let Some(f) = ws.file("crates/model/src/oracle.rs") else {
-            return;
-        };
-        for (ti, name) in hashed_collection_idents(f, true) {
-            out.push(finding_at(
-                f,
-                ti,
-                &VC005,
-                format!(
-                    "`{name}` in the execution hot path; per-node state belongs in \
-                     the epoch-stamped ExecScratch buffers"
-                ),
-            ));
+        let hot = |rel: &str| rel == "crates/model/src/oracle.rs" || under(rel, SOLVER_DIR);
+        for f in ws.files.iter().filter(|f| hot(&f.rel)) {
+            for (ti, name) in hashed_collection_idents(f, true) {
+                out.push(finding_at(
+                    f,
+                    ti,
+                    &VC005,
+                    format!(
+                        "`{name}` in the execution hot path; per-node state belongs in \
+                         the epoch-stamped ExecScratch / SolverScratch buffers"
+                    ),
+                ));
+            }
         }
     }
 }
@@ -1043,6 +1048,24 @@ mod tests {
         assert_eq!(findings.len(), 2);
         assert!(findings.iter().all(|f| f.code == "VC005"));
         assert_eq!((findings[0].line, findings[0].col), (1, 23));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn flat_state_rule_covers_the_solvers_but_not_congest() {
+        let (ws, dir) = ws(&[
+            (
+                "crates/core/src/problems/util.rs",
+                "#[cfg(test)]\nmod t { use std::collections::HashSet; }\n",
+            ),
+            (
+                "crates/core/src/congest.rs",
+                "use std::collections::HashMap;\n",
+            ),
+        ]);
+        let findings = run_rule(&FlatOracleState, &ws);
+        assert_eq!(findings.len(), 1);
+        assert_eq!(findings[0].file, "crates/core/src/problems/util.rs");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

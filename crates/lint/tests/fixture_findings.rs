@@ -26,6 +26,13 @@ fn each_rule_code_has_a_minimal_violating_fixture() {
         ("vc003", "crates/bench/src/lib.rs", 2, 23, "VC003"),
         ("vc004", "crates/bench/benches/no_cite.rs", 1, 1, "VC004"),
         ("vc005", "crates/model/src/oracle.rs", 2, 23, "VC005"),
+        (
+            "vc005_solvers",
+            "crates/core/src/problems/walk.rs",
+            4,
+            27,
+            "VC005",
+        ),
         ("vc006", "examples/clock.rs", 3, 25, "VC006"),
         ("vc007", "tests/t.rs", 3, 25, "VC007"),
         ("vc008", "examples/id.rs", 2, 19, "VC008"),

@@ -34,7 +34,7 @@ pub mod randomness;
 pub mod run;
 
 pub use cost::{Budget, CostAccumulator, CostSummary, ExecutionRecord};
-pub use oracle::{ExecScratch, Execution, NodeView, Oracle, QueryError};
+pub use oracle::{ExecScratch, Execution, NodeView, Oracle, QueryError, SolverScratch};
 pub use randomness::{RandomTape, RandomnessMode};
 pub use run::{
     run_all, run_all_traced, run_from, run_from_traced, run_from_with, QueryAlgorithm, RunReport,

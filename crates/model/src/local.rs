@@ -7,7 +7,7 @@
 //! [`LocalAlgorithm`] + [`LocalAdapter`] package "gather then map" strategies
 //! as [`QueryAlgorithm`]s.
 
-use crate::oracle::{NodeView, Oracle, QueryError};
+use crate::oracle::{NodeView, Oracle, QueryError, SolverScratch};
 use crate::run::QueryAlgorithm;
 use std::collections::HashMap;
 use vc_graph::Port;
@@ -148,7 +148,7 @@ impl<L: LocalAlgorithm> QueryAlgorithm for LocalAdapter<L> {
         self.0.fallback()
     }
 
-    fn run(&self, oracle: &mut dyn Oracle) -> Result<L::Output, QueryError> {
+    fn run(&self, oracle: &mut dyn Oracle, _: &mut SolverScratch) -> Result<L::Output, QueryError> {
         let n = oracle.n();
         let ball = gather_ball(oracle, self.0.radius(n))?;
         Ok(self.0.compute(&ball, n))

@@ -145,26 +145,6 @@ pub trait Oracle {
 
     /// Current cost totals.
     fn stats(&self) -> OracleStats;
-
-    /// Follows an *optional port label* from a view: `None` (the label `⊥`)
-    /// and out-of-range ports resolve to `Ok(None)`; real ports are queried.
-    ///
-    /// This mirrors [`Instance::resolve`] and is the primitive the solvers
-    /// use to walk `P` / `LC` / `RC` / `LN` / `RN` pointers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates budget and visitation errors from [`Oracle::query`].
-    fn follow(
-        &mut self,
-        from: &NodeView,
-        port: Option<Port>,
-    ) -> Result<Option<NodeView>, QueryError>
-    where
-        Self: Sized,
-    {
-        follow(self, from, port)
-    }
 }
 
 /// Forwarding impl so wrapper layers (fault injection, auditing) can hand a
@@ -193,7 +173,11 @@ impl<O: Oracle + ?Sized> Oracle for &mut O {
     }
 }
 
-/// Object-safe version of [`Oracle::follow`], usable on `&mut dyn Oracle`.
+/// Follows an *optional port label* from a view: `None` (the label `⊥`)
+/// and out-of-range ports resolve to `Ok(None)`; real ports are queried.
+///
+/// This mirrors [`Instance::resolve`] and is the primitive the solvers use
+/// to walk `P` / `LC` / `RC` / `LN` / `RN` pointers.
 ///
 /// # Errors
 ///
@@ -210,37 +194,61 @@ pub fn follow<O: Oracle + ?Sized>(
     }
 }
 
-/// Reusable, epoch-stamped scratch buffers behind an [`Execution`].
+/// Epoch stamps, the one copy of the trick behind every scratch buffer
+/// here: slot `i` is live iff `stamp[i] == epoch`, so one increment kills
+/// every slot (a real wipe happens once per `u32::MAX` epochs). Slots grow
+/// on demand; call [`Stamps::advance`] before first use.
+#[derive(Debug, Default)]
+struct Stamps {
+    epoch: u32,
+    stamp: Vec<u32>,
+}
+
+impl Stamps {
+    /// Kills every slot.
+    fn advance(&mut self) {
+        if self.epoch == u32::MAX {
+            self.stamp.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+    }
+
+    #[inline]
+    fn is_live(&self, i: usize) -> bool {
+        self.stamp.get(i) == Some(&self.epoch)
+    }
+
+    /// Makes slot `i` live; returns whether it was dead.
+    #[inline]
+    fn revive(&mut self, i: usize) -> bool {
+        if i >= self.stamp.len() {
+            self.stamp.resize(i + 1, 0);
+        }
+        let dead = self.stamp[i] != self.epoch;
+        self.stamp[i] = self.epoch;
+        dead
+    }
+}
+
+/// Reusable, epoch-stamped scratch buffers for sequential executions.
 ///
 /// The serial runner allocates one visited set per start node; over a sweep
 /// with `n` starts that is `Θ(n)` allocator round-trips on the hottest path
 /// in the workspace. `ExecScratch` replaces the per-start `HashMap`s with
-/// flat `Vec<u32>` *stamp* arrays: slot `v` is live iff `stamp[v]` equals
-/// the current epoch, so "clearing" the visited set between starts is a
-/// single integer increment and no memory is touched or allocated
-/// (epoch overflow, once per `u32::MAX` starts, triggers a real reset).
+/// flat `Stamps` arrays, so "clearing" between starts is an integer
+/// increment and no memory is touched or allocated. The runner splits it:
+/// an [`Execution`] borrows the visit half, and
+/// [`QueryAlgorithm::run`](crate::run::QueryAlgorithm::run) the
+/// [`SolverScratch`].
 ///
 /// One scratch serves any number of sequential executions (see
 /// [`Execution::with_scratch`]); worker threads in `vc-engine` each own one.
 /// Buffers grow to the largest instance seen and are never shrunk.
 #[derive(Debug, Default)]
 pub struct ExecScratch {
-    /// Current visited-set epoch; `v ∈ V_v` iff `visit_stamp[v] == epoch`.
-    epoch: u32,
-    visit_stamp: Vec<u32>,
-    /// Discovery distance (path-length upper bound), live under `epoch`.
-    visit_dist: Vec<u32>,
-    /// Next unread bit of `r_v`, reset lazily when `v` is first visited.
-    rand_cursor: Vec<u64>,
-    /// Visit order (first element is the root); cleared per start, capacity
-    /// retained.
-    order: Vec<usize>,
-    /// Epoch/stamps/distances/queue for the exact-distance BFS, which walks
-    /// nodes *outside* `V_v` and therefore needs its own stamp generation.
-    bfs_epoch: u32,
-    bfs_stamp: Vec<u32>,
-    bfs_dist: Vec<u32>,
-    bfs_queue: VecDeque<usize>,
+    pub(crate) visits: VisitScratch,
+    pub(crate) solver: SolverScratch,
 }
 
 impl ExecScratch {
@@ -248,30 +256,45 @@ impl ExecScratch {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
+/// The visit half of an [`ExecScratch`].
+#[derive(Debug, Default)]
+pub(crate) struct VisitScratch {
+    /// `v ∈ V_v` iff slot `v` is live.
+    visited: Stamps,
+    /// Discovery distance (path-length upper bound) of visited nodes.
+    visit_dist: Vec<u32>,
+    /// Next unread bit of `r_v`, reset lazily when `v` is first visited.
+    rand_cursor: Vec<u64>,
+    /// Visit order (first element is the root); cleared per start, capacity
+    /// retained.
+    order: Vec<usize>,
+    /// Stamps/distances/queue for the exact-distance BFS, which walks
+    /// nodes *outside* `V_v` and therefore needs its own stamp generation.
+    bfs: Stamps,
+    bfs_dist: Vec<u32>,
+    bfs_queue: VecDeque<usize>,
+}
+
+impl VisitScratch {
     /// Opens a new epoch for an execution rooted at `root` on an `n`-node
     /// instance: grows buffers to `n`, clears the order list and stamps the
     /// root as visited at distance 0.
     fn begin(&mut self, n: usize, root: usize) {
-        if self.visit_stamp.len() < n {
-            self.visit_stamp.resize(n, 0);
+        if self.visit_dist.len() < n {
             self.visit_dist.resize(n, 0);
             self.rand_cursor.resize(n, 0);
-            self.bfs_stamp.resize(n, 0);
             self.bfs_dist.resize(n, 0);
         }
         self.order.clear();
-        if self.epoch == u32::MAX {
-            self.visit_stamp.iter_mut().for_each(|s| *s = 0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
+        self.visited.advance();
         self.mark_visited(root, 0);
     }
 
     #[inline]
     fn is_visited(&self, v: usize) -> bool {
-        self.visit_stamp[v] == self.epoch
+        self.visited.is_live(v)
     }
 
     /// Discovery distance of `v`, or `None` when unvisited this epoch.
@@ -282,24 +305,70 @@ impl ExecScratch {
 
     #[inline]
     fn mark_visited(&mut self, v: usize, d: u32) {
-        self.visit_stamp[v] = self.epoch;
+        self.visited.revive(v);
         self.visit_dist[v] = d;
         self.rand_cursor[v] = 0;
         self.order.push(v);
     }
 }
 
+/// The solver half of an [`ExecScratch`]: per-execution solver memory, so a
+/// solver keeps caches, search marks and memo tables without hashing or
+/// allocating per start. Both parts are indexed by node handle and grow on
+/// demand, because an adversary may hand out more handles than its `n`.
+#[derive(Debug, Default)]
+pub struct SolverScratch {
+    words: Vec<u32>,
+    live: Stamps,
+    marks: Stamps,
+}
+
+impl SolverScratch {
+    /// A fresh scratch; buffers are sized lazily on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Opens a new epoch, in which every word reads as zero.
+    pub fn begin(&mut self) {
+        self.live.advance();
+    }
+
+    /// The word of `handle`; its bits are the solver's to assign.
+    #[inline]
+    pub fn word(&mut self, handle: usize) -> &mut u32 {
+        if handle >= self.words.len() {
+            self.words.resize(handle + 1, 0);
+        }
+        if self.live.revive(handle) {
+            self.words[handle] = 0;
+        }
+        &mut self.words[handle]
+    }
+
+    /// Empties the mark set; a search starts with this.
+    pub fn clear_marks(&mut self) {
+        self.marks.advance();
+    }
+
+    /// Marks `handle`; returns whether it was unmarked.
+    #[inline]
+    pub fn mark(&mut self, handle: usize) -> bool {
+        self.marks.revive(handle)
+    }
+}
+
 /// Either an owned scratch (the convenient [`Execution::new`] path) or one
 /// borrowed from a sweep/worker loop (the allocation-free path).
 #[derive(Debug)]
-enum ScratchSlot<'a> {
-    Owned(Box<ExecScratch>),
-    Borrowed(&'a mut ExecScratch),
+pub(crate) enum ScratchSlot<'a> {
+    Owned(Box<VisitScratch>),
+    Borrowed(&'a mut VisitScratch),
 }
 
 impl ScratchSlot<'_> {
     #[inline]
-    fn get(&self) -> &ExecScratch {
+    fn get(&self) -> &VisitScratch {
         match self {
             ScratchSlot::Owned(s) => s,
             ScratchSlot::Borrowed(s) => s,
@@ -307,7 +376,7 @@ impl ScratchSlot<'_> {
     }
 
     #[inline]
-    fn get_mut(&mut self) -> &mut ExecScratch {
+    fn get_mut(&mut self) -> &mut VisitScratch {
         match self {
             ScratchSlot::Owned(s) => s,
             ScratchSlot::Borrowed(s) => s,
@@ -374,7 +443,7 @@ impl<'a> Execution<'a, NoopTracer> {
             root,
             tape,
             budget,
-            ScratchSlot::Borrowed(scratch),
+            ScratchSlot::Borrowed(&mut scratch.visits),
             NoopTracer,
         )
     }
@@ -399,12 +468,12 @@ impl<'a, T: Tracer> Execution<'a, T> {
             root,
             tape,
             budget,
-            ScratchSlot::Borrowed(scratch),
+            ScratchSlot::Borrowed(&mut scratch.visits),
             tracer,
         )
     }
 
-    fn build(
+    pub(crate) fn build(
         inst: &'a Instance,
         root: usize,
         tape: Option<RandomTape>,
@@ -483,14 +552,9 @@ impl<'a, T: Tracer> Execution<'a, T> {
         if remaining == 0 {
             return 0;
         }
-        if sc.bfs_epoch == u32::MAX {
-            sc.bfs_stamp.iter_mut().for_each(|s| *s = 0);
-            sc.bfs_epoch = 0;
-        }
-        sc.bfs_epoch += 1;
-        let epoch = sc.bfs_epoch;
+        sc.bfs.advance();
         sc.bfs_queue.clear();
-        sc.bfs_stamp[root] = epoch;
+        sc.bfs.revive(root);
         sc.bfs_dist[root] = 0;
         sc.bfs_queue.push_back(root);
         let mut max_d = 0;
@@ -501,8 +565,7 @@ impl<'a, T: Tracer> Execution<'a, T> {
             // work on the flat layout at 10⁶ nodes.
             for &w in inst.graph.neighbor_row(v) {
                 let w = w as usize;
-                if sc.bfs_stamp[w] != epoch {
-                    sc.bfs_stamp[w] = epoch;
+                if sc.bfs.revive(w) {
                     sc.bfs_dist[w] = d;
                     if sc.is_visited(w) {
                         max_d = max_d.max(d);
@@ -610,6 +673,7 @@ impl<T: Tracer> Oracle for Execution<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::{run_from, run_from_with, QueryAlgorithm, RunConfig};
     use vc_graph::{gen, Color};
 
     fn tree() -> Instance {
@@ -810,6 +874,82 @@ mod tests {
             assert_eq!(fresh.visited(), reused.visited());
             assert_eq!(fresh.record(true, true), reused.record(true, true));
         }
+    }
+
+    /// Keeps state in both parts of its [`SolverScratch`]: two searches of
+    /// the root's closed neighborhood, each over a fresh mark set, counting
+    /// every node's visits in its word. Outputs the counts in visit order.
+    struct TwoSearches;
+
+    impl QueryAlgorithm for TwoSearches {
+        type Output = Vec<u32>;
+
+        fn fallback(&self) -> Vec<u32> {
+            Vec::new()
+        }
+
+        fn run(
+            &self,
+            oracle: &mut dyn Oracle,
+            scratch: &mut SolverScratch,
+        ) -> Result<Vec<u32>, QueryError> {
+            scratch.begin();
+            let root = oracle.root();
+            let mut counts = Vec::new();
+            for _ in 0..2 {
+                scratch.clear_marks();
+                let mut stack = vec![root];
+                while let Some(v) = stack.pop() {
+                    if !scratch.mark(v.node) {
+                        continue;
+                    }
+                    *scratch.word(v.node) += 1;
+                    counts.push(*scratch.word(v.node));
+                    for p in 1..=v.degree as u8 {
+                        let w = oracle.query(v.node, Port::new(p))?;
+                        if v.node == root.node || w.node == root.node {
+                            stack.push(w);
+                        }
+                    }
+                }
+            }
+            Ok(counts)
+        }
+    }
+
+    #[test]
+    fn executions_across_an_epoch_wrap_equal_fresh_ones() {
+        let inst = tree();
+        let config = RunConfig {
+            tape: Some(RandomTape::private(3)),
+            ..RunConfig::default()
+        };
+        let mut scratch = ExecScratch::new();
+        // Stamp node 1's neighborhood at the first epochs, then move all
+        // four generations to just before the wrap. Root 7's execution
+        // does not touch nodes 0, 1 and 4, so root 0's, right after the
+        // wrap, sees stale slots unless the wrap wiped them.
+        let _ = run_from_with(&inst, &TwoSearches, 1, &config, &mut scratch);
+        let ExecScratch { visits, solver } = &mut scratch;
+        for stamps in [
+            &mut visits.visited,
+            &mut visits.bfs,
+            &mut solver.live,
+            &mut solver.marks,
+        ] {
+            stamps.epoch = u32::MAX - 1;
+        }
+        for root in [0, 7, 3] {
+            let fresh = run_from(&inst, &TwoSearches, root, &config);
+            let degree = inst.graph.degree(root);
+            assert_eq!(fresh.0.len(), 2 * (degree + 1));
+            let reused = run_from_with(&inst, &TwoSearches, root, &config, &mut scratch);
+            assert_eq!(reused, fresh, "root {root}");
+        }
+        let ExecScratch { visits, solver } = &scratch;
+        let epochs = [visits.visited.epoch, visits.bfs.epoch, solver.live.epoch];
+        assert_eq!(epochs, [2, 2, 2], "each part wrapped once");
+        assert_eq!(solver.marks.epoch, 5);
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! Definitions 2.1–2.2).
 
 use crate::cost::{Budget, CostSummary, ExecutionRecord};
-use crate::oracle::{ExecScratch, Execution, Oracle, OracleStats, QueryError};
+use crate::oracle::{
+    ExecScratch, Execution, Oracle, OracleStats, QueryError, ScratchSlot, SolverScratch,
+};
 use crate::randomness::RandomTape;
 use std::error::Error;
 use std::fmt;
@@ -47,11 +49,20 @@ pub trait QueryAlgorithm {
 
     /// Runs the algorithm to completion against the oracle.
     ///
+    /// `scratch` is the solver half of the runner's [`ExecScratch`] and may
+    /// hold an earlier run's state: a solver that keeps per-node state
+    /// there opens an epoch with [`SolverScratch::begin`] first, so outputs
+    /// and costs never depend on which scratch is passed.
+    ///
     /// # Errors
     ///
     /// Budget and visitation errors are propagated; the runner converts
     /// them into the fallback output.
-    fn run(&self, oracle: &mut dyn Oracle) -> Result<Self::Output, QueryError>;
+    fn run(
+        &self,
+        oracle: &mut dyn Oracle,
+        scratch: &mut SolverScratch,
+    ) -> Result<Self::Output, QueryError>;
 }
 
 /// Shared references forward, so wrappers that take an algorithm by value
@@ -71,8 +82,12 @@ impl<A: QueryAlgorithm + ?Sized> QueryAlgorithm for &A {
         (**self).fallback()
     }
 
-    fn run(&self, oracle: &mut dyn Oracle) -> Result<Self::Output, QueryError> {
-        (**self).run(oracle)
+    fn run(
+        &self,
+        oracle: &mut dyn Oracle,
+        scratch: &mut SolverScratch,
+    ) -> Result<Self::Output, QueryError> {
+        (**self).run(oracle, scratch)
     }
 }
 
@@ -279,9 +294,10 @@ pub fn run_from_traced<A: QueryAlgorithm, T: Tracer>(
     scratch: &mut ExecScratch,
     tracer: T,
 ) -> (A::Output, ExecutionRecord) {
-    let mut ex =
-        Execution::with_scratch_traced(inst, root, config.tape, config.budget, scratch, tracer);
-    let (out, rec) = match algo.run(&mut ex) {
+    let ExecScratch { visits, solver } = scratch;
+    let visits = ScratchSlot::Borrowed(visits);
+    let mut ex = Execution::build(inst, root, config.tape, config.budget, visits, tracer);
+    let (out, rec) = match algo.run(&mut ex, solver) {
         Ok(out) => {
             let rec = ex.record(config.exact_distance, true);
             (out, rec)
@@ -319,16 +335,7 @@ pub fn run_all<A: QueryAlgorithm>(
     algo: &A,
     config: &RunConfig,
 ) -> Result<RunReport<A::Output>, StartError> {
-    let starts = config.starts.starts(inst.n())?;
-    let mut outputs = vec![None; inst.n()];
-    let mut records = Vec::with_capacity(starts.len());
-    let mut scratch = ExecScratch::new();
-    for root in starts {
-        let (out, rec) = run_from_with(inst, algo, root, config, &mut scratch);
-        outputs[root] = Some(out);
-        records.push(rec);
-    }
-    Ok(RunReport { outputs, records })
+    run_all_traced(inst, algo, config, &mut NoopTracer)
 }
 
 /// [`run_all`] with a [`Tracer`] lent to every execution of the sweep.
@@ -369,7 +376,7 @@ pub fn run_against<A: QueryAlgorithm, O: Oracle>(
     algo: &A,
     oracle: &mut O,
 ) -> (Result<A::Output, QueryError>, OracleStats) {
-    let result = algo.run(oracle);
+    let result = algo.run(oracle, &mut SolverScratch::new());
     (result, oracle.stats())
 }
 
@@ -394,7 +401,7 @@ mod tests {
             u32::MAX
         }
 
-        fn run(&self, oracle: &mut dyn Oracle) -> Result<u32, QueryError> {
+        fn run(&self, oracle: &mut dyn Oracle, _: &mut SolverScratch) -> Result<u32, QueryError> {
             let mut cur = oracle.root();
             let mut steps = 0;
             while let Some(next) = follow(oracle, &cur, cur.label.left_child)? {

@@ -7,7 +7,7 @@
 use vc_graph::{gen, Color, Port};
 use vc_model::oracle::Oracle;
 use vc_model::run::{run_from_traced, QueryAlgorithm, RunConfig};
-use vc_model::{Budget, ExecScratch, Execution, QueryError};
+use vc_model::{Budget, ExecScratch, Execution, QueryError, SolverScratch};
 use vc_trace::{RecordingTracer, TraceEvent};
 
 #[test]
@@ -56,7 +56,7 @@ impl QueryAlgorithm for WalkLeft {
         u32::MAX
     }
 
-    fn run(&self, oracle: &mut dyn Oracle) -> Result<u32, QueryError> {
+    fn run(&self, oracle: &mut dyn Oracle, _: &mut SolverScratch) -> Result<u32, QueryError> {
         let mut cur = oracle.root();
         let mut steps = 0;
         while let Some(next) = vc_model::oracle::follow(oracle, &cur, cur.label.left_child)? {
