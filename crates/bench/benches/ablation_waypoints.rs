@@ -10,42 +10,16 @@
 //!
 //! Run with `cargo bench --bench ablation_waypoints`.
 
-use vc_bench::{print_header, print_heading, print_row};
+use vc_bench::{print_header, print_heading, print_row, skewed_hierarchical};
 use vc_core::lcl::count_violations;
 use vc_core::problems::hierarchical::{waypoint_probability, HierarchicalThc, RandomizedSolver};
-use vc_graph::{Color, GraphBuilder, Instance, NodeLabel};
 use vc_model::run::{run_all, RunConfig};
 use vc_model::RandomTape;
-
-/// A skewed k=2 instance: a deep level-2 backbone (length `len`) whose RC
-/// components are single level-1 nodes — every level-2 node needs a
-/// way-point within the threshold window to become exempt.
-fn skewed_instance(len: usize) -> Instance {
-    let mut b = GraphBuilder::new();
-    let mut labels = Vec::new();
-    let mut prev: Option<usize> = None;
-    for i in 0..len {
-        let v = b.add_node_with_id((2 * i + 1) as u64);
-        labels.push(NodeLabel::empty().with_color(if i % 3 == 0 { Color::R } else { Color::B }));
-        let c = b.add_node_with_id((2 * i + 2) as u64);
-        labels.push(NodeLabel::empty().with_color(Color::B));
-        let (pv, pc) = b.connect_auto(v, c).unwrap();
-        labels[v].right_child = Some(pv);
-        labels[c].parent = Some(pc);
-        if let Some(p) = prev {
-            let (pp, pv2) = b.connect_auto(p, v).unwrap();
-            labels[p].left_child = Some(pp);
-            labels[v].parent = Some(pv2);
-        }
-        prev = Some(v);
-    }
-    Instance::new(b.build().unwrap(), labels)
-}
 
 fn main() {
     println!("# Ablation A1 — way-point density c (Proposition 5.14)");
     let k = 2u32;
-    let inst = skewed_instance(3000); // n = 6000, threshold = 2·⌈√6000⌉ = 156
+    let inst = skewed_hierarchical(3000); // n = 6000, threshold = 2·⌈√6000⌉ = 156
     let problem = HierarchicalThc::new(k);
 
     print_heading("c sweep on the skewed family (n = 6000, 20 seeds each)");

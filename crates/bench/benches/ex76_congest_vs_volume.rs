@@ -10,7 +10,7 @@
 //!
 //! Run with `cargo bench --bench ex76_congest_vs_volume`.
 
-use vc_bench::{fit, print_header, print_heading, print_row};
+use vc_bench::{print_header, print_heading, print_row};
 use vc_core::congest::{BitTransferWithBandwidth, BtFlood, GadgetQuery};
 use vc_core::lcl::check_solution;
 use vc_core::problems::balanced_tree::{BalancedTree, DistanceSolver};
@@ -18,6 +18,7 @@ use vc_graph::gen;
 use vc_model::congest::run_congest;
 use vc_model::run::{run_all, QueryAlgorithm, RunConfig};
 use vc_model::{Budget, Execution, Oracle, SolverScratch, StartSelection};
+use vc_stats::fit_complexity;
 
 fn main() {
     println!("# Example 7.6 / Observation 7.4 — CONGEST vs volume");
@@ -69,11 +70,11 @@ fn main() {
     }
     println!(
         "\nCONGEST rounds fitted as: {}   (expected Θ(n/B) = linear in n for fixed B)",
-        fit(&rounds_series)
+        fit_complexity(&rounds_series)
     );
     println!(
         "Query volume fitted as:   {}   (expected Θ(log n))",
-        fit(&volume_series)
+        fit_complexity(&volume_series)
     );
 
     print_heading("Observation 7.5 check: wider links help proportionally");
@@ -114,7 +115,7 @@ fn main() {
     }
     println!(
         "\nBalancedTree CONGEST rounds fitted as: {}   (expected Θ(log n));",
-        fit(&bt_rounds)
+        fit_complexity(&bt_rounds)
     );
     println!("its query volume is Θ(n) (Table 1) — the promised exponential gap");
     println!("in the other direction.");

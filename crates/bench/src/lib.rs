@@ -1,9 +1,11 @@
 //! # vc-bench
 //!
-//! Shared harness for the paper-reproduction experiments. Each bench target
-//! under `benches/` regenerates one table or figure of the paper (see
-//! `DESIGN.md` §4 for the experiment index); this library provides the
-//! common sweep/measure/fit/print machinery they build on.
+//! Shared harness for the paper-reproduction experiments. The Table 1
+//! report (`examples/table1_report.rs`) measures every cell of the
+//! paper's Table 1 and the checks of Figures 1–3, 5 and 8 on top of this
+//! library's sweep/measure machinery and its [`gate`]s; the remaining
+//! print-only benches under `benches/` (Example 7.6 and two ablations)
+//! use its table printers.
 //!
 //! Volume and distance are *combinatorial* quantities (Definitions 2.1–2.2)
 //! measured exactly by the query-model runner — the experiments do not
@@ -12,12 +14,13 @@
 //! [`CaseRng`] feeds the seeded property loops of the repository's
 //! integration tests.
 
+pub mod gate;
+
 use vc_core::lcl::{count_violations, Lcl};
 use vc_engine::Engine;
-use vc_graph::Instance;
+use vc_graph::{Color, GraphBuilder, Instance, NodeLabel};
 use vc_model::run::{run_from, QueryAlgorithm, RunConfig};
 use vc_model::{Budget, RandomTape, StartSelection};
-use vc_stats::fit::{fit_complexity, FitResult};
 use vc_trace::{CaseTrace, SweepMetrics};
 
 /// One measured point of a sweep.
@@ -27,23 +30,13 @@ pub struct Measurement {
     pub n: usize,
     /// Worst-case volume over the started executions (`VOL_n` estimate).
     pub max_volume: usize,
-    /// Mean volume.
-    pub mean_volume: f64,
     /// Worst-case exact distance (`DIST_n` estimate).
     pub max_distance: u32,
-    /// Mean exact distance.
-    pub mean_distance: f64,
     /// Executions truncated by a budget.
     pub truncated: usize,
     /// Local-constraint violations of the produced labeling (`None` when
     /// start nodes were sampled and the labeling is incomplete).
     pub violations: Option<usize>,
-    /// Executions per wall-clock second of the engine sweep (excludes the
-    /// serially-run `extra_roots`; indicative only — combinatorial costs
-    /// above are exact and machine-independent).
-    pub starts_per_sec: f64,
-    /// Oracle queries per wall-clock second of the engine sweep.
-    pub queries_per_sec: f64,
 }
 
 /// How many executions to start per instance before switching from
@@ -106,42 +99,25 @@ where
     A::Output: Send,
 {
     let engine_report = Engine::from_env()
-        .expect("ambient VC_THREADS/VC_DEADLINE_MS must be valid")
+        .expect("ambient VC_* engine settings must parse")
         .run_all(inst, algo, config)
         .expect("sweep configs always select at least one start");
-    let violations = match (problem, engine_report.report.complete_outputs()) {
-        (Some(p), Some(outputs)) => Some(count_violations(p, inst, &outputs)),
-        _ => None,
-    };
-    let mut m = finish_measurement(inst, algo, config, engine_report, extra_roots);
-    m.violations = violations;
-    m
+    finish_measurement(problem, inst, algo, config, engine_report, extra_roots)
 }
 
-/// [`measure`] without validity checking — for cost-only sweeps where the
-/// solver's output type differs from the reference problem's — with
-/// always-included extremal start nodes.
-pub fn measure_costs_with_roots<A>(
-    inst: &Instance,
-    algo: &A,
-    config: &RunConfig,
-    extra_roots: &[usize],
-) -> Measurement
-where
-    A: QueryAlgorithm + Sync,
-    A::Output: Send,
-{
-    let engine_report = Engine::from_env()
-        .expect("ambient VC_THREADS/VC_DEADLINE_MS must be valid")
-        .run_all(inst, algo, config)
-        .expect("sweep configs always select at least one start");
-    finish_measurement(inst, algo, config, engine_report, extra_roots)
-}
-
-/// Appends the serially-run `extra_roots` (the known-extremal initiating
-/// nodes deterministic sampling would miss) to an engine sweep and folds
+/// Checks the engine sweep's outputs against `problem` when they cover
+/// every node, appends the serially-run `extra_roots` (the known-extremal
+/// initiating nodes deterministic sampling would miss) and folds
 /// everything into a [`Measurement`].
-fn finish_measurement<A>(
+///
+/// # Panics
+///
+/// Panics when the sweep did not run every chunk: a deadline, quota or
+/// cancel flag skipped some (`degraded`), or an ambient chunk set left
+/// some to other partitions (`out_of_range_chunks`). A measurement of
+/// part of the start set would fit a different curve without a word.
+fn finish_measurement<P, A>(
+    problem: Option<&P>,
     inst: &Instance,
     algo: &A,
     config: &RunConfig,
@@ -149,11 +125,24 @@ fn finish_measurement<A>(
     extra_roots: &[usize],
 ) -> Measurement
 where
+    P: Lcl<Output = A::Output>,
     A: QueryAlgorithm + Sync,
     A::Output: Send,
 {
-    let starts_per_sec = engine_report.starts_per_sec();
-    let queries_per_sec = engine_report.queries_per_sec();
+    assert!(
+        !engine_report.degraded && engine_report.out_of_range_chunks.is_empty(),
+        "partial sweep of {} on n = {}: chunks skipped {:?}, aborted {:?}, \
+         left to other partitions {:?}",
+        algo.name(),
+        inst.n(),
+        engine_report.skipped_chunks,
+        engine_report.aborted_chunks,
+        engine_report.out_of_range_chunks
+    );
+    let violations = match (problem, engine_report.report.complete_outputs()) {
+        (Some(p), Some(outputs)) => Some(count_violations(p, inst, &outputs)),
+        _ => None,
+    };
     let mut records = engine_report.report.records;
     let covered: std::collections::BTreeSet<usize> = records.iter().map(|r| r.root).collect();
     for &root in extra_roots {
@@ -166,13 +155,9 @@ where
     Measurement {
         n: inst.n(),
         max_volume: summary.max_volume,
-        mean_volume: summary.mean_volume,
         max_distance: summary.max_distance,
-        mean_distance: summary.mean_distance,
         truncated: records.iter().filter(|r| !r.completed).count(),
-        violations: None,
-        starts_per_sec,
-        queries_per_sec,
+        violations,
     }
 }
 
@@ -230,48 +215,37 @@ pub fn distance_series(points: &[Measurement]) -> Vec<(f64, f64)> {
         .collect()
 }
 
-/// Fits a series against the candidate complexity classes.
-pub fn fit(series: &[(f64, f64)]) -> FitResult {
-    fit_complexity(series)
-}
-
 /// The default size grid for the sweeps (powers of two).
 pub fn size_grid(min_exp: u32, max_exp: u32) -> Vec<usize> {
     (min_exp..=max_exp).map(|e| 1usize << e).collect()
 }
 
-/// A denser grid with two points per octave (`2^e` and `3·2^{e-1}`).
-pub fn size_grid_dense(min_exp: u32, max_exp: u32) -> Vec<usize> {
-    let mut out = Vec::new();
-    for e in min_exp..=max_exp {
-        out.push(1usize << e);
-        if e < max_exp {
-            out.push(3 * (1usize << (e - 1)));
+/// A skewed Hierarchical-THC(2) instance on `2·len` nodes: a level-2
+/// backbone of `len` nodes whose RC components are single level-1 nodes.
+/// Every backbone node needs a light way-point within the `2·n^{1/2}`
+/// threshold window to become exempt, so this is the family on which the
+/// way-point density of Proposition 5.14 decides validity and volume. On
+/// the balanced and heavy-component families the lottery changes neither.
+pub fn skewed_hierarchical(len: usize) -> Instance {
+    let mut b = GraphBuilder::new();
+    let mut labels = Vec::new();
+    let mut prev: Option<usize> = None;
+    for i in 0..len {
+        let v = b.add_node_with_id((2 * i + 1) as u64);
+        labels.push(NodeLabel::empty().with_color(if i % 3 == 0 { Color::R } else { Color::B }));
+        let c = b.add_node_with_id((2 * i + 2) as u64);
+        labels.push(NodeLabel::empty().with_color(Color::B));
+        let (pv, pc) = b.connect_auto(v, c).expect("fresh nodes have free ports");
+        labels[v].right_child = Some(pv);
+        labels[c].parent = Some(pc);
+        if let Some(p) = prev {
+            let (pp, pv2) = b.connect_auto(p, v).expect("a path node has a free port");
+            labels[p].left_child = Some(pp);
+            labels[v].parent = Some(pv2);
         }
+        prev = Some(v);
     }
-    out.sort_unstable();
-    out
-}
-
-/// Log–log slope of a series — a robust growth-exponent estimate used by
-/// the hierarchy-theorem checks (defined even when the best-fitting class
-/// is not polynomial).
-pub fn loglog_exponent(series: &[(f64, f64)]) -> f64 {
-    let pts: Vec<(f64, f64)> = series
-        .iter()
-        .filter(|&&(n, y)| n > 1.0 && y > 0.0)
-        .map(|&(n, y)| (n.ln(), y.ln()))
-        .collect();
-    let m = pts.len() as f64;
-    let sx: f64 = pts.iter().map(|p| p.0).sum();
-    let sy: f64 = pts.iter().map(|p| p.1).sum();
-    let sxx: f64 = pts.iter().map(|p| p.0 * p.0).sum();
-    let sxy: f64 = pts.iter().map(|p| p.0 * p.1).sum();
-    let denom = m * sxx - sx * sx;
-    if denom.abs() < f64::EPSILON {
-        return 0.0;
-    }
-    (m * sxy - sx * sy) / denom
+    Instance::new(b.build().expect("a caterpillar is a valid graph"), labels)
 }
 
 /// Prints a Markdown-style table row.
@@ -288,15 +262,6 @@ pub fn print_header(cells: &[&str]) {
 /// Prints a section heading for an experiment.
 pub fn print_heading(title: &str) {
     println!("\n## {title}\n");
-}
-
-/// Formats a sweep as `n→cost` pairs for figure-style output.
-pub fn format_series(series: &[(f64, f64)]) -> String {
-    series
-        .iter()
-        .map(|(n, c)| format!("({n:.0}, {c:.1})"))
-        .collect::<Vec<_>>()
-        .join(" ")
 }
 
 /// Splitmix64's increment and finalizer multipliers.
@@ -381,15 +346,30 @@ mod tests {
     }
 
     #[test]
-    fn dense_grid_and_exponent() {
-        assert_eq!(size_grid_dense(3, 5), vec![8, 12, 16, 24, 32]);
-        let series: Vec<(f64, f64)> = (3..10)
-            .map(|e| {
-                let n = f64::from(1 << e);
-                (n, n.sqrt())
-            })
-            .collect();
-        assert!((loglog_exponent(&series) - 0.5).abs() < 1e-9);
+    #[should_panic(expected = "partial sweep")]
+    fn a_partial_sweep_is_refused() {
+        let inst = gen::random_full_binary_tree(200, 1);
+        let config = sweep_config(inst.n(), None);
+        let report = Engine::with_threads(1)
+            .with_chunk_quota(1)
+            .run_all(&inst, &DistanceSolver, &config)
+            .expect("a valid start set");
+        assert!(
+            report.degraded,
+            "a quota-1 sweep of several chunks degrades"
+        );
+        let lc = Some(&LeafColoring);
+        let _ = finish_measurement(lc, &inst, &DistanceSolver, &config, report, &[]);
+    }
+
+    #[test]
+    fn skewed_family_is_valid_for_the_way_point_solver() {
+        use vc_core::problems::hierarchical::{HierarchicalThc, RandomizedSolver};
+        let inst = skewed_hierarchical(300);
+        let (problem, solver) = (HierarchicalThc::new(2), RandomizedSolver::new(2));
+        let config = sweep_config(inst.n(), Some(RandomTape::private(3)));
+        let m = measure(Some(&problem), &inst, &solver, &config);
+        assert_eq!((m.n, m.violations), (600, Some(0)));
     }
 
     #[test]
@@ -398,16 +378,11 @@ mod tests {
         let ms = vec![Measurement {
             n: 8,
             max_volume: 4,
-            mean_volume: 2.0,
             max_distance: 3,
-            mean_distance: 1.5,
             truncated: 0,
             violations: Some(0),
-            starts_per_sec: 0.0,
-            queries_per_sec: 0.0,
         }];
         assert_eq!(volume_series(&ms), vec![(8.0, 4.0)]);
         assert_eq!(distance_series(&ms), vec![(8.0, 3.0)]);
-        assert_eq!(format_series(&volume_series(&ms)), "(8, 4.0)");
     }
 }

@@ -199,8 +199,12 @@ fn score_class(samples: &[(f64, f64)], class: &ComplexityClass) -> (f64, f64, f6
     (c, a, nrmse)
 }
 
-/// Log–log regression estimate of the exponent `α` in `y ≈ c · n^α`.
-fn fit_exponent(samples: &[(f64, f64)]) -> f64 {
+/// Log–log regression estimate of the exponent `α` in `y ≈ c · n^α`:
+/// the least-squares slope of `ln y` against `ln n` over the samples with
+/// `n > 1` and `y > 0` (0 when fewer than two remain). Defined for every
+/// curve, so it also orders growth rates whose best class is not
+/// polynomial (the hierarchy check of Figure 3).
+pub fn fit_exponent(samples: &[(f64, f64)]) -> f64 {
     let pts: Vec<(f64, f64)> = samples
         .iter()
         .filter(|&&(n, y)| n > 1.0 && y > 0.0)
@@ -329,6 +333,18 @@ mod tests {
             }
             other => panic!("expected Θ(n^0.33), got {other}"),
         }
+    }
+
+    #[test]
+    fn fit_exponent_recovers_the_power() {
+        let series: Vec<(f64, f64)> = (3..10)
+            .map(|e| {
+                let n = f64::from(1 << e);
+                (n, n.sqrt())
+            })
+            .collect();
+        assert!((fit_exponent(&series) - 0.5).abs() < 1e-9);
+        assert_eq!(fit_exponent(&[(8.0, 0.0), (16.0, 3.0)]), 0.0);
     }
 
     #[test]

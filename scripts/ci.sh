@@ -6,8 +6,8 @@
 #   scripts/ci.sh fast-gate   # fmt + clippy + xtask lint + JSON documents
 #   scripts/ci.sh tests       # test suites incl. VC_THREADS=2 determinism,
 #                             # fault and fleet-splice suites
-#   scripts/ci.sh gates       # release gates: bench baseline, trace/theta
-#                             # reports, supervised chaos soak + merge
+#   scripts/ci.sh gates       # release gates: bench baseline, trace and
+#                             # Table 1 reports, supervised chaos soak + merge
 #                             # cross-checks, serve service soak, vcbench
 #                             # build + self-test under --locked
 #
@@ -105,7 +105,7 @@ run_tests() {
 
 # ---------------------------------------------------------------------------
 # gates: release-mode regression gates — the bench baseline diff, the
-# trace and Θ-classifier documents, and the fleet execution drill.
+# trace and Table 1 documents, and the fleet execution drill.
 # ---------------------------------------------------------------------------
 run_gates() {
     step "cargo build --release" cargo build --release
@@ -132,20 +132,27 @@ run_gates() {
     step "xtask check-json trace report" \
         cargo run -p xtask -- check-json "$TRACE_REPORT"
 
-    # Θ-classifier gate: run the million-node pipeline end to end
-    # (generate → binary store round-trip → adaptive-chunk sweeps at n up
-    # to 262 143) and fit the measured leaf-coloring volume curves. The
-    # example itself asserts the Table-1 families (D-VOL near-linear,
-    # R-VOL logarithmic), 1/2/8-thread byte-identity and checkpoint
-    # resume at n ≥ 1e5 — a misclassification or determinism drift exits
-    # nonzero here. The vc-theta-report/v1 document is then checked for
-    # well-formedness and uploaded as a CI artifact.
-    THETA_REPORT=target/THETA_report.json
-    step "generate theta report (empirical Θ-classifier)" \
-        cargo run --release --example theta_report "$THETA_REPORT"
+    # Table 1 gate: measure every cell of the paper's Table 1 and the
+    # Figure 1-3, 5 and 8 checks, each curve once, and fit them. The
+    # example exits nonzero when a cell's fit leaves its claimed family
+    # (polynomial exponents within 0.07 of 1/k), when any checker
+    # violation or failed adversary certificate turns up, when a figure
+    # check misses, or when the large-n contracts drift (store round-trip,
+    # 1/2/8-thread identity and checkpoint resume at n = 262 143). The
+    # vc-table1-report/v1 document is then checked for well-formedness,
+    # and its markdown rendering must equal the generated block in
+    # EXPERIMENTS.md byte for byte.
+    TABLE1_REPORT=target/TABLE1_report.json
+    step "generate Table 1 report" \
+        cargo run --release --example table1_report "$TABLE1_REPORT"
 
-    step "xtask check-json theta report" \
-        cargo run -p xtask -- check-json "$THETA_REPORT"
+    step "xtask check-json Table 1 report" \
+        cargo run -p xtask -- check-json "$TABLE1_REPORT"
+
+    step "EXPERIMENTS.md block equals the Table 1 report" \
+        sh -c "sed -n '/<!-- table1-report:begin -->/,/<!-- table1-report:end -->/p' \
+        EXPERIMENTS.md | sed '1d;\$d' > target/TABLE1_block.md && \
+        cmp target/TABLE1_block.md target/TABLE1_report.md"
 
     # Chaos soak (DESIGN.md §15–16): the vc-fleet supervisor runs four
     # worker *processes* over disjoint VC_CHUNKS slices — once healthy,

@@ -2,12 +2,13 @@
 //! families, both solvers, validated end to end; the measured costs match
 //! the Θ(n^{1/k}) rows of Table 1.
 
-use vc_bench::{distance_series, for_cases, loglog_exponent, measure, sweep_config, volume_series};
+use vc_bench::{distance_series, for_cases, measure, sweep_config, volume_series};
 use vc_core::lcl::{check_solution, count_violations};
 use vc_core::problems::hierarchical::{DeterministicSolver, HierarchicalThc, RandomizedSolver};
 use vc_graph::gen;
 use vc_model::run::{run_all, RunConfig};
 use vc_model::RandomTape;
+use vc_stats::fit_exponent as loglog_exponent;
 
 fn rand_config(seed: u64) -> RunConfig {
     RunConfig {

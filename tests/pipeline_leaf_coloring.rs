@@ -2,13 +2,13 @@
 //! solvers) → check → measure → fit — across instance families, including
 //! property-based sweeps over seeds and shapes.
 
-use vc_bench::{distance_series, fit, for_cases, sweep_config, volume_series};
+use vc_bench::{distance_series, for_cases, sweep_config, volume_series};
 use vc_core::lcl::{check_solution, count_violations};
 use vc_core::problems::leaf_coloring::{DistanceSolver, LeafColoring, RwToLeaf};
 use vc_graph::{gen, Color};
 use vc_model::run::{run_all, RunConfig};
 use vc_model::RandomTape;
-use vc_stats::fit::ComplexityClass;
+use vc_stats::fit::{fit_complexity as fit, ComplexityClass};
 
 fn rand_config(seed: u64) -> RunConfig {
     RunConfig {
