@@ -129,9 +129,11 @@ fn fmt_hex(raw: u64, f: &mut fmt::Formatter<'_>) -> fmt::Result {
     write!(f, "{raw:016x}")
 }
 
-/// Parses a hex id string (1–16 hex digits, case-insensitive).
-fn parse_hex(s: &str) -> Option<u64> {
-    if s.is_empty() || s.len() > 16 {
+/// Parses a hex digest, the form ids and stored hashes take in file
+/// names and documents: 1–16 ASCII hex digits, case-insensitive. A sign
+/// is refused, though `u64::from_str_radix` alone takes a leading `+`.
+pub fn parse_hex(s: &str) -> Option<u64> {
+    if s.is_empty() || s.len() > 16 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
         return None;
     }
     u64::from_str_radix(s, 16).ok()
@@ -271,6 +273,11 @@ mod tests {
         assert_eq!(InstanceId::parse_hex(""), None);
         assert_eq!(InstanceId::parse_hex("not-hex"), None);
         assert_eq!(InstanceId::parse_hex("00000000000000000"), None);
+        // `from_str_radix` alone takes a leading `+`: an id must not.
+        assert_eq!(SweepId::parse_hex("+00000000000abcd"), None);
+        assert_eq!(InstanceId::parse_hex("+f"), None);
+        assert_eq!(parse_hex("+1"), None);
+        assert_eq!(parse_hex("-1"), None);
         assert_eq!(
             InstanceId::parse_hex("FF"),
             Some(InstanceId::from_raw(0xff))

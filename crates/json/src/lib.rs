@@ -1,8 +1,16 @@
 //! Minimal recursive-descent JSON parser (the vendored serde is a no-op
 //! stand-in, so CI validates and diffs emitted baselines with this
 //! instead). [`validate`] checks well-formedness; [`parse`] additionally
-//! builds a [`Value`] tree for `compare-bench`; [`escape`] encodes a Rust
-//! string for embedding in hand-emitted documents.
+//! builds a [`Value`] tree for `compare-bench`; [`escape`] and
+//! [`escape_into`] encode a Rust string for embedding in hand-emitted
+//! documents.
+//!
+//! Strings move run by run: the decoder allocates each string once, at
+//! its escaped length, and both directions copy the runs of bytes between
+//! escapes in one step. A caller wrapping an escaped string in fixed text
+//! sizes its buffer with [`escaped_len`]. Per RFC 8259 §7 a `\u` escape
+//! takes exactly four hex digits, and a raw control byte in a string is
+//! refused; [`escape`] escapes every such byte.
 //!
 //! This is a leaf crate on purpose: `vc-engine` decodes sweep checkpoint
 //! files (`vc-engine-checkpoint/v2`) with it, and `xtask` both lints the
@@ -90,21 +98,59 @@ impl Value {
 /// Encodes `s` as the *contents* of a JSON string (no surrounding
 /// quotes): the writer-side dual of the escape decoding in [`parse`].
 pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if u32::from(c) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", u32::from(c)));
-            }
-            c => out.push(c),
-        }
-    }
+    let mut out = String::new();
+    escape_into(&mut out, s);
     out
+}
+
+/// Appends [`escape`]`(s)` to `out`: reserves [`escaped_len`]`(s)` bytes
+/// (a no-op when the caller sized `out` for them), then copies each run
+/// of bytes that need no escape in one step.
+pub fn escape_into(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(escaped_len(s));
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    while let Some(k) = bytes[run..]
+        .iter()
+        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+    {
+        // An escaped byte is ASCII, so both ends of the run are char
+        // boundaries.
+        let i = run + k;
+        out.push_str(&s[run..i]);
+        match bytes[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            b'\r' => out.push_str("\\r"),
+            b => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+}
+
+/// The byte length of [`escape`]`(s)`. A caller embedding an escaped
+/// string between fixed text sizes its buffer once with it.
+pub fn escaped_len(s: &str) -> usize {
+    // Summed in `u16` per 8 KiB chunk (at most 5 · 8192 < 2^16) so the
+    // compiler vectorizes the count.
+    let extra = |b: u8| match b {
+        b'"' | b'\\' | b'\n' | b'\t' | b'\r' => 1,
+        0..=0x1f => 5,
+        _ => 0u16,
+    };
+    let chunks = s.as_bytes().chunks(8192);
+    s.len()
+        + chunks
+            .map(|c| usize::from(c.iter().map(|&b| extra(b)).sum::<u16>()))
+            .sum::<usize>()
 }
 
 /// Checks that `src` is exactly one valid JSON value (with surrounding
@@ -124,7 +170,7 @@ pub fn validate(src: &str) -> Result<(), String> {
 /// A human-readable description of the first malformation.
 pub fn parse(src: &str) -> Result<Value, String> {
     let bytes = src.as_bytes();
-    let (v, mut pos) = value(bytes, skip_ws(bytes, 0))?;
+    let (v, mut pos) = value(src, skip_ws(bytes, 0))?;
     pos = skip_ws(bytes, pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -139,12 +185,13 @@ fn skip_ws(b: &[u8], mut i: usize) -> usize {
     i
 }
 
-fn value(b: &[u8], i: usize) -> Result<(Value, usize), String> {
+fn value(src: &str, i: usize) -> Result<(Value, usize), String> {
+    let b = src.as_bytes();
     match b.get(i) {
-        Some(b'{') => object(b, i),
-        Some(b'[') => array(b, i),
+        Some(b'{') => object(src, i),
+        Some(b'[') => array(src, i),
         Some(b'"') => {
-            let (s, next) = string(b, i)?;
+            let (s, next) = string(src, i)?;
             Ok((Value::Str(s), next))
         }
         Some(b't') => literal(b, i, b"true").map(|n| (Value::Bool(true), n)),
@@ -156,19 +203,20 @@ fn value(b: &[u8], i: usize) -> Result<(Value, usize), String> {
     }
 }
 
-fn object(b: &[u8], mut i: usize) -> Result<(Value, usize), String> {
+fn object(src: &str, mut i: usize) -> Result<(Value, usize), String> {
+    let b = src.as_bytes();
     let mut members = Vec::new();
     i = skip_ws(b, i + 1);
     if b.get(i) == Some(&b'}') {
         return Ok((Value::Obj(members), i + 1));
     }
     loop {
-        let (key, next) = string(b, skip_ws(b, i))?;
+        let (key, next) = string(src, skip_ws(b, i))?;
         i = skip_ws(b, next);
         if b.get(i) != Some(&b':') {
             return Err(format!("expected ':' at byte {i}"));
         }
-        let (v, next) = value(b, skip_ws(b, i + 1))?;
+        let (v, next) = value(src, skip_ws(b, i + 1))?;
         members.push((key, v));
         i = skip_ws(b, next);
         match b.get(i) {
@@ -179,14 +227,15 @@ fn object(b: &[u8], mut i: usize) -> Result<(Value, usize), String> {
     }
 }
 
-fn array(b: &[u8], mut i: usize) -> Result<(Value, usize), String> {
+fn array(src: &str, mut i: usize) -> Result<(Value, usize), String> {
+    let b = src.as_bytes();
     let mut items = Vec::new();
     i = skip_ws(b, i + 1);
     if b.get(i) == Some(&b']') {
         return Ok((Value::Arr(items), i + 1));
     }
     loop {
-        let (v, next) = value(b, skip_ws(b, i))?;
+        let (v, next) = value(src, skip_ws(b, i))?;
         items.push(v);
         i = skip_ws(b, next);
         match b.get(i) {
@@ -197,66 +246,70 @@ fn array(b: &[u8], mut i: usize) -> Result<(Value, usize), String> {
     }
 }
 
-fn string(b: &[u8], i: usize) -> Result<(String, usize), String> {
+/// Decodes the string whose opening quote is at byte `i`; returns it and
+/// the byte after its closing quote.
+fn string(src: &str, i: usize) -> Result<(String, usize), String> {
+    let b = src.as_bytes();
     if b.get(i) != Some(&b'"') {
         return Err(format!("expected string at byte {i}"));
     }
-    let mut out = String::new();
-    let mut j = i + 1;
-    while j < b.len() {
-        match b[j] {
-            b'"' => return Ok((out, j + 1)),
-            b'\\' => {
-                let esc = b
-                    .get(j + 1)
-                    .ok_or_else(|| format!("dangling escape at byte {j}"))?;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        let hex = b
-                            .get(j + 2..j + 6)
-                            .ok_or_else(|| format!("truncated \\u escape at byte {j}"))?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| format!("non-ASCII \\u escape at byte {j}"))?;
-                        let cp = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("malformed \\u escape at byte {j}"))?;
-                        // Surrogates (emitted in pairs by strict
-                        // encoders) are replaced; the baselines never
-                        // contain non-ASCII anyway.
-                        out.push(char::from_u32(cp).unwrap_or('\u{FFFD}'));
-                        j += 6;
-                        continue;
-                    }
-                    _ => return Err(format!("unknown escape at byte {j}")),
-                }
-                j += 2;
-            }
-            c => {
-                // Multi-byte UTF-8 sequences pass through unchanged.
-                let len = match c {
-                    0x00..=0x7F => 1,
-                    0xC0..=0xDF => 2,
-                    0xE0..=0xEF => 3,
-                    _ => 4,
-                };
-                let chunk = b
-                    .get(j..j + len)
-                    .ok_or_else(|| format!("truncated UTF-8 at byte {j}"))?;
-                out.push_str(
-                    std::str::from_utf8(chunk).map_err(|_| format!("invalid UTF-8 at byte {j}"))?,
-                );
-                j += len;
-            }
+    // The closing quote is the first `"` that does not follow a `\`
+    // opening an escape.
+    let mut end = i + 1;
+    loop {
+        match b.get(end) {
+            Some(b'"') => break,
+            Some(b'\\') => end += 2,
+            Some(_) => end += 1,
+            None => return Err(format!("unterminated string starting at byte {i}")),
         }
     }
-    Err(format!("unterminated string starting at byte {i}"))
+    let mut out = String::with_capacity(end - i - 1);
+    let mut j = i + 1;
+    while j < end {
+        // A run ends at an ASCII byte and starts after one (or after the
+        // opening quote), so it is whole characters of `src`.
+        let run = b[j..end]
+            .iter()
+            .position(|&c| c == b'\\' || c < 0x20)
+            .map_or(end, |k| j + k);
+        out.push_str(&src[j..run]);
+        j = run;
+        if j == end {
+            break;
+        }
+        let c = b[j];
+        if c != b'\\' {
+            return Err(format!("raw control byte {c:#04x} in string at byte {j}"));
+        }
+        let (decoded, len) = match b.get(j + 1) {
+            Some(b'"') => ('"', 2),
+            Some(b'\\') => ('\\', 2),
+            Some(b'/') => ('/', 2),
+            Some(b'n') => ('\n', 2),
+            Some(b't') => ('\t', 2),
+            Some(b'r') => ('\r', 2),
+            Some(b'b') => ('\u{8}', 2),
+            Some(b'f') => ('\u{c}', 2),
+            Some(b'u') => {
+                // Exactly four ASCII hex digits before the closing quote.
+                let cp = b[..end]
+                    .get(j + 2..j + 6)
+                    .and_then(|hex| {
+                        hex.iter()
+                            .try_fold(0, |cp, &h| Some(cp << 4 | char::from(h).to_digit(16)?))
+                    })
+                    .ok_or_else(|| format!("malformed \\u escape at byte {j}"))?;
+                // Surrogates (emitted in pairs by strict encoders) are
+                // replaced; the baselines never contain non-ASCII anyway.
+                (char::from_u32(cp).unwrap_or('\u{FFFD}'), 6)
+            }
+            _ => return Err(format!("unknown escape at byte {j}")),
+        };
+        out.push(decoded);
+        j += len;
+    }
+    Ok((out, end + 1))
 }
 
 fn number(b: &[u8], mut i: usize) -> Result<(Value, usize), String> {
@@ -369,5 +422,308 @@ mod tests {
             let doc = format!("\"{}\"", escape(s));
             assert_eq!(parse(&doc), Ok(Value::Str(s.to_string())), "{s:?}");
         }
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(parse(r#""\u00e9\u20AC""#), Ok(Value::Str("é€".to_string())));
+        // `u32::from_str_radix` alone takes a leading `+`.
+        for src in [
+            r#""\u+fff""#,
+            r#""\u-fff""#,
+            r#""\u fff""#,
+            r#""\u0x1f""#,
+            r#""\u12""#,
+            r#""\u12"#,
+        ] {
+            assert!(parse(src).is_err(), "{src} must be refused");
+        }
+    }
+
+    #[test]
+    fn raw_control_bytes_in_strings_are_refused() {
+        for c in (0u8..0x20).map(char::from) {
+            let err = parse(&format!("\"a{c}b\"")).expect_err("RFC 8259 §7");
+            assert!(err.contains("raw control byte"), "{c:?}: {err}");
+            // Escaped, the same character is fine, and whitespace between
+            // tokens stays whitespace.
+            let escaped = format!("\"a{}b\"", escape(&c.to_string()));
+            assert_eq!(parse(&escaped), Ok(Value::Str(format!("a{c}b"))));
+        }
+        assert!(parse("[\n\t1 ,\r\n2 ]").is_ok());
+        // DEL is not a control character in JSON's sense.
+        assert_eq!(parse("\"\u{7f}\""), Ok(Value::Str("\u{7f}".to_string())));
+    }
+
+    /// The per-character codec this crate had before it copied runs, kept
+    /// as the reference the current one is held to: the same escaped
+    /// bytes, and the same parse of every input except the signed `\u`
+    /// escapes and raw control bytes the current decoder refuses.
+    mod reference {
+        use super::super::{literal, number, skip_ws, Value};
+
+        pub fn escape(s: &str) -> String {
+            let mut out = String::with_capacity(s.len());
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\t' => out.push_str("\\t"),
+                    '\r' => out.push_str("\\r"),
+                    c if u32::from(c) < 0x20 => {
+                        out.push_str(&format!("\\u{:04x}", u32::from(c)));
+                    }
+                    c => out.push(c),
+                }
+            }
+            out
+        }
+
+        pub fn parse(src: &str) -> Result<Value, String> {
+            let bytes = src.as_bytes();
+            let (v, mut pos) = value(bytes, skip_ws(bytes, 0))?;
+            pos = skip_ws(bytes, pos);
+            if pos != bytes.len() {
+                return Err(format!("trailing data at byte {pos}"));
+            }
+            Ok(v)
+        }
+
+        fn value(b: &[u8], i: usize) -> Result<(Value, usize), String> {
+            match b.get(i) {
+                Some(b'{') => object(b, i),
+                Some(b'[') => array(b, i),
+                Some(b'"') => {
+                    let (s, next) = string(b, i)?;
+                    Ok((Value::Str(s), next))
+                }
+                Some(b't') => literal(b, i, b"true").map(|n| (Value::Bool(true), n)),
+                Some(b'f') => literal(b, i, b"false").map(|n| (Value::Bool(false), n)),
+                Some(b'n') => literal(b, i, b"null").map(|n| (Value::Null, n)),
+                Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, i),
+                Some(c) => Err(format!("unexpected byte {c:#x} at {i}")),
+                None => Err("unexpected end of input".to_string()),
+            }
+        }
+
+        fn object(b: &[u8], mut i: usize) -> Result<(Value, usize), String> {
+            let mut members = Vec::new();
+            i = skip_ws(b, i + 1);
+            if b.get(i) == Some(&b'}') {
+                return Ok((Value::Obj(members), i + 1));
+            }
+            loop {
+                let (key, next) = string(b, skip_ws(b, i))?;
+                i = skip_ws(b, next);
+                if b.get(i) != Some(&b':') {
+                    return Err(format!("expected ':' at byte {i}"));
+                }
+                let (v, next) = value(b, skip_ws(b, i + 1))?;
+                members.push((key, v));
+                i = skip_ws(b, next);
+                match b.get(i) {
+                    Some(b',') => i += 1,
+                    Some(b'}') => return Ok((Value::Obj(members), i + 1)),
+                    _ => return Err(format!("expected ',' or '}}' at byte {i}")),
+                }
+            }
+        }
+
+        fn array(b: &[u8], mut i: usize) -> Result<(Value, usize), String> {
+            let mut items = Vec::new();
+            i = skip_ws(b, i + 1);
+            if b.get(i) == Some(&b']') {
+                return Ok((Value::Arr(items), i + 1));
+            }
+            loop {
+                let (v, next) = value(b, skip_ws(b, i))?;
+                items.push(v);
+                i = skip_ws(b, next);
+                match b.get(i) {
+                    Some(b',') => i += 1,
+                    Some(b']') => return Ok((Value::Arr(items), i + 1)),
+                    _ => return Err(format!("expected ',' or ']' at byte {i}")),
+                }
+            }
+        }
+
+        fn string(b: &[u8], i: usize) -> Result<(String, usize), String> {
+            if b.get(i) != Some(&b'"') {
+                return Err(format!("expected string at byte {i}"));
+            }
+            let mut out = String::new();
+            let mut j = i + 1;
+            while j < b.len() {
+                match b[j] {
+                    b'"' => return Ok((out, j + 1)),
+                    b'\\' => {
+                        let esc = b
+                            .get(j + 1)
+                            .ok_or_else(|| format!("dangling escape at byte {j}"))?;
+                        match esc {
+                            b'"' => out.push('"'),
+                            b'\\' => out.push('\\'),
+                            b'/' => out.push('/'),
+                            b'n' => out.push('\n'),
+                            b't' => out.push('\t'),
+                            b'r' => out.push('\r'),
+                            b'b' => out.push('\u{8}'),
+                            b'f' => out.push('\u{c}'),
+                            b'u' => {
+                                let hex = b
+                                    .get(j + 2..j + 6)
+                                    .ok_or_else(|| format!("truncated \\u escape at byte {j}"))?;
+                                let hex = std::str::from_utf8(hex)
+                                    .map_err(|_| format!("non-ASCII \\u escape at byte {j}"))?;
+                                let cp = u32::from_str_radix(hex, 16)
+                                    .map_err(|_| format!("malformed \\u escape at byte {j}"))?;
+                                out.push(char::from_u32(cp).unwrap_or('\u{FFFD}'));
+                                j += 6;
+                                continue;
+                            }
+                            _ => return Err(format!("unknown escape at byte {j}")),
+                        }
+                        j += 2;
+                    }
+                    c => {
+                        let len = match c {
+                            0x00..=0x7F => 1,
+                            0xC0..=0xDF => 2,
+                            0xE0..=0xEF => 3,
+                            _ => 4,
+                        };
+                        let chunk = b
+                            .get(j..j + len)
+                            .ok_or_else(|| format!("truncated UTF-8 at byte {j}"))?;
+                        out.push_str(
+                            std::str::from_utf8(chunk)
+                                .map_err(|_| format!("invalid UTF-8 at byte {j}"))?,
+                        );
+                        j += len;
+                    }
+                }
+            }
+            Err(format!("unterminated string starting at byte {i}"))
+        }
+    }
+
+    /// A seeded xorshift64 stream for the differential tests.
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            let n = u64::try_from(n).expect("usize fits u64");
+            usize::try_from(self.next() % n).expect("below a usize")
+        }
+    }
+
+    /// Every character class the escaper treats differently: the two
+    /// escaped printables, `/` (decoded but never escaped), every control
+    /// character, DEL, plain ASCII and 2-, 3- and 4-byte characters.
+    fn random_string(rng: &mut XorShift) -> String {
+        let others: Vec<char> = "\"\\/\u{7f}aZ é\u{7ff}€\u{fffd}😀\u{10ffff}"
+            .chars()
+            .collect();
+        let len = rng.below(40);
+        (0..len)
+            .map(|_| {
+                if rng.below(3) == 0 {
+                    char::from(u8::try_from(rng.below(0x20)).expect("below 0x20"))
+                } else {
+                    others[rng.below(others.len())]
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn escape_matches_the_per_character_reference() {
+        let mut rng = XorShift(0x5eed_0001);
+        for _ in 0..2_000 {
+            let s = random_string(&mut rng);
+            let want = reference::escape(&s);
+            assert_eq!(escape(&s), want, "{s:?}");
+            assert_eq!(escaped_len(&s), want.len(), "{s:?}");
+            let mut buf = String::from("{\"already\": \"");
+            escape_into(&mut buf, &s);
+            assert_eq!(buf, format!("{{\"already\": \"{want}"), "{s:?}");
+            let quoted = format!("\"{want}\"");
+            assert_eq!(parse(&quoted), Ok(Value::Str(s.clone())), "{s:?}");
+            assert_eq!(parse(&quoted), reference::parse(&quoted), "{s:?}");
+        }
+    }
+
+    /// `src` without what the current decoder newly refuses: raw control
+    /// bytes become spaces and `\u+` escapes lose their sign.
+    fn repaired(src: &str) -> String {
+        src.replace("\\u+", "\\u0")
+            .chars()
+            .map(|c| if c < ' ' { ' ' } else { c })
+            .collect()
+    }
+
+    #[test]
+    fn mutated_documents_parse_as_the_reference_does() {
+        // A `vc-serve-result/v1` document as the store writes it: the full
+        // LeafColoring distance sweep of a 255-node full binary tree, whose
+        // payload is the sweep's `vc-engine-checkpoint/v2` file.
+        let stored = include_str!("../tests/data/stored_result.json");
+        let checkpoint = parse(stored)
+            .expect("the stored document parses")
+            .get("payload")
+            .and_then(Value::as_str)
+            .expect("the stored document has a payload")
+            .to_string();
+        let mut rng = XorShift(0x5eed_0002);
+        let (mut agreed, mut refused) = (0, 0);
+        for doc in [stored, checkpoint.as_str()] {
+            assert_eq!(parse(doc), reference::parse(doc));
+            let bytes = doc.as_bytes();
+            for _ in 0..300 {
+                let mut m = bytes.to_vec();
+                match rng.below(3) {
+                    0 => m.truncate(rng.below(m.len())),
+                    1 => {
+                        // Both documents are ASCII; flipping one of the
+                        // low seven bits keeps them so.
+                        let at = rng.below(m.len());
+                        m[at] ^= 1 << rng.below(7);
+                    }
+                    _ => {
+                        let from = rng.below(m.len());
+                        let to = (from + 1 + rng.below(24)).min(m.len());
+                        let slice = m[from..to].to_vec();
+                        let at = rng.below(m.len());
+                        m.splice(at..at, slice);
+                    }
+                }
+                let m = String::from_utf8(m).expect("ASCII mutations stay UTF-8");
+                let (got, want) = (parse(&m), reference::parse(&m));
+                match (&got, &want) {
+                    (Ok(g), Ok(w)) => assert_eq!(g, w),
+                    (Err(_), Err(_)) => {}
+                    (Err(e), Ok(_)) => {
+                        // Refused only for a raw control byte or a signed
+                        // `\u` escape: repaired, both parsers accept it.
+                        let r = repaired(&m);
+                        assert!(parse(&r).is_ok(), "refused a valid document: {e}");
+                        assert_eq!(parse(&r), reference::parse(&r));
+                        refused += 1;
+                        continue;
+                    }
+                    (Ok(_), Err(e)) => panic!("accepted what the reference refuses: {e}"),
+                }
+                agreed += 1;
+            }
+        }
+        assert!(agreed > refused, "{agreed} agreed, {refused} newly refused");
     }
 }

@@ -234,13 +234,16 @@ fn respond(line: &str, service: &SweepService) -> (String, bool) {
                 Err(msg) => return (error_line(&msg), false),
             };
             match service.result(job) {
-                Ok(payload) => (
-                    format!(
-                        "{{\"ok\":true,\"payload\":\"{}\"}}",
-                        vc_json::escape(&payload)
-                    ),
-                    false,
-                ),
+                Ok(payload) => {
+                    // The payload escaped straight into one exact-size line.
+                    const HEAD: &str = "{\"ok\":true,\"payload\":\"";
+                    let len = HEAD.len() + vc_json::escaped_len(&payload) + 2;
+                    let mut line = String::with_capacity(len);
+                    line.push_str(HEAD);
+                    vc_json::escape_into(&mut line, &payload);
+                    line.push_str("\"}");
+                    (line, false)
+                }
                 Err(e) => (error_line(&e.to_string()), false),
             }
         }
@@ -305,6 +308,16 @@ mod tests {
         let doc = vc_json::parse(&response).expect("result parses");
         let payload = doc.get("payload").and_then(Value::as_str).expect("payload");
         assert!(vc_json::validate(payload).is_ok());
+        // The reply line keeps the bytes of the per-character escaper.
+        let stored = service.result(job).expect("stored result");
+        assert_eq!(payload, stored);
+        assert_eq!(
+            response,
+            format!(
+                "{{\"ok\":true,\"payload\":\"{}\"}}",
+                reference_escape(&stored)
+            )
+        );
 
         let response = request(&socket, "{\"op\":\"stats\"}").expect("stats");
         let doc = vc_json::parse(&response).expect("stats parses");
@@ -323,6 +336,23 @@ mod tests {
         assert_eq!(response, "{\"ok\":true}");
         daemon.join();
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// The per-character escaper the reply line was first written with.
+    fn reference_escape(s: &str) -> String {
+        let mut out = String::new();
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\t' => out.push_str("\\t"),
+                '\r' => out.push_str("\\r"),
+                c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
+                c => out.push(c),
+            }
+        }
+        out
     }
 
     /// Sends `bytes` as-is on a fresh connection and returns everything

@@ -87,13 +87,6 @@ fn payload_digest(payload: &str) -> u64 {
     h.finish()
 }
 
-fn parse_hex_u64(s: &str) -> Option<u64> {
-    if s.is_empty() || s.len() > 16 {
-        return None;
-    }
-    u64::from_str_radix(s, 16).ok()
-}
-
 /// The content-addressed on-disk result store.
 #[derive(Debug)]
 pub struct ResultStore {
@@ -159,23 +152,20 @@ impl ResultStore {
     /// evicting oldest-first past the cap. Re-storing an existing id
     /// rewrites the entry in place without touching the FIFO order.
     pub fn store(&mut self, identity: &SweepIdentity, payload: &str) -> Result<(), StoreError> {
-        let mut doc = String::with_capacity(payload.len() + 160);
-        doc.push_str("{\n");
-        doc.push_str(&format!("  \"schema\": \"{RESULT_SCHEMA}\",\n"));
-        doc.push_str(&format!("  \"sweep_id\": \"{}\",\n", identity.sweep_id));
-        doc.push_str(&format!(
-            "  \"instance_id\": \"{}\",\n",
-            identity.instance_id
-        ));
-        doc.push_str(&format!(
-            "  \"payload_hash\": \"{:016x}\",\n",
+        const TAIL: &str = "\"\n}\n";
+        let head = format!(
+            "{{\n  \"schema\": \"{RESULT_SCHEMA}\",\n  \"sweep_id\": \"{}\",\n  \
+             \"instance_id\": \"{}\",\n  \"payload_hash\": \"{:016x}\",\n  \"payload\": \"",
+            identity.sweep_id,
+            identity.instance_id,
             payload_digest(payload)
-        ));
-        doc.push_str(&format!(
-            "  \"payload\": \"{}\"\n",
-            vc_json::escape(payload)
-        ));
-        doc.push_str("}\n");
+        );
+        // One exact-size buffer: the payload is escaped straight into it.
+        let mut doc =
+            String::with_capacity(head.len() + vc_json::escaped_len(payload) + TAIL.len());
+        doc.push_str(&head);
+        vc_json::escape_into(&mut doc, payload);
+        doc.push_str(TAIL);
         std::fs::write(self.entry_path(identity.sweep_id), doc)
             .map_err(|e| StoreError::Io(e.to_string()))?;
         if !self.order.contains(&identity.sweep_id) {
@@ -220,9 +210,17 @@ impl ResultStore {
                 stored: stored_id,
             });
         }
-        let stored_hash = parse_hex_u64(field("payload_hash")?)
+        let stored_hash = vc_ident::parse_hex(field("payload_hash")?)
             .ok_or_else(|| StoreError::Malformed("unparsable payload_hash".to_string()))?;
-        let payload = field("payload")?.to_string();
+        // The payload, the bulk of the document, moves out of the parsed
+        // tree rather than being copied.
+        let payload = match doc {
+            Value::Obj(members) => members.into_iter().find(|(k, _)| k == "payload"),
+            _ => None,
+        };
+        let Some((_, Value::Str(payload))) = payload else {
+            return Err(StoreError::Malformed("missing field: payload".to_string()));
+        };
         let computed = payload_digest(&payload);
         if stored_hash != computed {
             return Err(StoreError::DigestMismatch {

@@ -204,6 +204,16 @@ run_gates() {
     step "xtask check-json serve report" \
         cargo run -p xtask -- check-json target/serve/SERVE_report.json
 
+    # The vc-serve-result/v1 documents the drill stored (33 KB to 8.6 MB
+    # of escaped checkpoint each) go through the same decoder, which
+    # refuses signed \u escapes and raw control bytes: real service
+    # output, not only unit fixtures. A glob that matches nothing fails
+    # the step.
+    step "xtask check-json serve store documents" \
+        sh -c 'for f in target/serve/t*/store/*.json; do
+            cargo run -q -p xtask -- check-json "$f" || exit 1
+        done'
+
     # Benchmark build gate: vcbench/ is a workspace of its own that builds
     # the repository's crates by path. Building and self-testing it with
     # --locked fails here, rather than in a benchmark run, when a change

@@ -6,8 +6,9 @@
 
 use std::path::PathBuf;
 
-use vc_engine::{InstanceId, SweepId, SweepIdentity};
-use vc_serve::{ResultStore, StoreError};
+use vc_engine::{Engine, InstanceId, SweepId, SweepIdentity};
+use vc_ident::IdHasher;
+use vc_serve::{AlgorithmRef, InstanceRef, ResultStore, StoreError, SweepSpec};
 
 fn temp_store(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("vc_serve_store_it_{tag}"));
@@ -170,5 +171,96 @@ fn fifo_eviction_enforces_the_cap_and_counts() {
         assert!(store.contains(SweepId::from_raw(raw)));
         assert!(store.load(SweepId::from_raw(raw)).is_ok());
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// DESIGN.md §17.2 promises that stored files stay byte-compatible. The
+/// on-disk document of one real sweep (the full LeafColoring distance
+/// sweep of a 255-node full binary tree) is pinned by its digest, so a
+/// codec change that moves one byte of the document fails here.
+#[test]
+fn stored_document_of_a_real_sweep_keeps_its_bytes() {
+    let dir = temp_store("golden");
+    let spec = SweepSpec::new(
+        InstanceRef::FullBinaryTree { n: 255, seed: 4 },
+        AlgorithmRef::LeafDistance,
+    );
+    let inst = spec.instance.build();
+    let config = spec.run_config();
+    let starts = config.starts.starts(inst.n()).unwrap();
+    let identity = spec.algorithm.identity(&inst, &config, &starts);
+    let checkpoint = dir.join("sweep.ckpt.json");
+    std::fs::create_dir_all(&dir).unwrap();
+    spec.algorithm
+        .run_checkpointed(&Engine::with_threads(2), &inst, &config, &checkpoint)
+        .unwrap();
+    let payload = std::fs::read_to_string(&checkpoint).unwrap();
+
+    let mut store = ResultStore::open(&dir.join("store"), None).unwrap();
+    store.store(&identity, &payload).unwrap();
+    let entry = dir
+        .join("store")
+        .join(format!("{}.json", identity.sweep_id));
+    let doc = std::fs::read_to_string(entry).unwrap();
+    let mut h = IdHasher::new("serve-store-golden");
+    h.text(&doc);
+    assert_eq!(
+        format!("{:016x} {}", h.finish(), doc.len()),
+        "06925d3a5a377d92 33231",
+        "the stored document's bytes moved"
+    );
+    assert_eq!(store.load(identity.sweep_id).unwrap(), payload);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `u64::from_str_radix` takes a leading `+`, so without a digit check a
+/// signed id or hash names the same value as its unsigned spelling.
+/// Neither the file-name scan nor a load may accept one.
+#[test]
+fn signed_hex_ids_and_hashes_are_refused() {
+    let dir = temp_store("signed");
+    let mut store = ResultStore::open(&dir, None).unwrap();
+    // An id with a leading zero digit, so "+" + its last 15 digits is
+    // the same number.
+    let id = ident(0xabcd);
+    let path = dir.join(format!("{}.json", id.sweep_id));
+    // A payload whose digest also starts with a zero digit.
+    let payload = (0..)
+        .map(|k| format!("payload {k}"))
+        .find(|p| {
+            store.store(&id, p).unwrap();
+            let doc = std::fs::read_to_string(&path).unwrap();
+            doc.contains("\"payload_hash\": \"0")
+        })
+        .unwrap();
+    let pristine = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(store.load(id.sweep_id).unwrap(), payload);
+
+    let signed_id = pristine.replace(
+        "\"sweep_id\": \"000000000000abcd\"",
+        "\"sweep_id\": \"+00000000000abcd\"",
+    );
+    assert_ne!(signed_id, pristine);
+    std::fs::write(&path, &signed_id).unwrap();
+    assert!(matches!(
+        store.load(id.sweep_id),
+        Err(StoreError::Malformed(_))
+    ));
+
+    let signed_hash = pristine.replace("\"payload_hash\": \"0", "\"payload_hash\": \"+");
+    assert_ne!(signed_hash, pristine);
+    std::fs::write(&path, &signed_hash).unwrap();
+    assert!(matches!(
+        store.load(id.sweep_id),
+        Err(StoreError::Malformed(_))
+    ));
+
+    // A file named with the signed spelling is not adopted under the id
+    // whose entry is another file.
+    std::fs::remove_file(&path).unwrap();
+    std::fs::write(dir.join("+00000000000abcd.json"), &pristine).unwrap();
+    let reopened = ResultStore::open(&dir, None).unwrap();
+    assert!(reopened.is_empty());
+    assert!(!reopened.contains(id.sweep_id));
     let _ = std::fs::remove_dir_all(&dir);
 }
