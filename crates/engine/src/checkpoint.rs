@@ -430,8 +430,8 @@ impl LiveCheckpointSink {
 /// Writes `text` to `<path>.tmp`, then renames it over `path`, so a
 /// reader — or the next run, after a kill mid-write — sees the old file
 /// or the new one, never a torn one. A stale `.tmp` from a killed writer
-/// is simply overwritten.
-fn write_atomically(path: &Path, text: &str) -> std::io::Result<()> {
+/// is simply overwritten; writers of one `path` must not overlap.
+pub fn write_atomically(path: &Path, text: &str) -> std::io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     std::fs::write(&tmp, text)?;
@@ -453,6 +453,11 @@ impl Engine {
     /// [`CancelFlag`](crate::CancelFlag) for real time-boxed runs.
     /// Outputs are not checkpointed (see the module docs) — this entry
     /// point returns records and costs only.
+    ///
+    /// A cancel stops a fresh run between starts; chunks it cut short
+    /// are written as missing. A run that loaded an existing file claims
+    /// its first chunk even if the flag is set and finishes the chunks it
+    /// claims, so every resume completes at least one chunk.
     ///
     /// Under [`Engine::with_chunk_set`] this is the fleet-worker entry
     /// point: only the slice's chunks execute, the written file is
@@ -478,12 +483,53 @@ impl Engine {
         A: QueryAlgorithm + Sync,
         A::Output: Send,
     {
+        self.run_recorded(inst, algo, config, None, path)
+    }
+
+    /// [`Engine::run_recorded_with_checkpoint`] without the fold over
+    /// the whole instance: `identity` must be [`sweep_identity`] of this
+    /// sweep (debug builds assert it). A file whose `sweep_id` or chunk
+    /// count differs from it is still refused.
+    ///
+    /// # Errors
+    ///
+    /// As [`Engine::run_recorded_with_checkpoint`].
+    pub fn run_recorded_as<A>(
+        &self,
+        inst: &Instance,
+        algo: &A,
+        config: &RunConfig,
+        identity: SweepIdentity,
+        path: &Path,
+    ) -> Result<CheckpointReport, EngineError>
+    where
+        A: QueryAlgorithm + Sync,
+        A::Output: Send,
+    {
+        self.run_recorded(inst, algo, config, Some(identity), path)
+    }
+
+    /// Both entry points; the deadline clock starts before any fold.
+    fn run_recorded<A>(
+        &self,
+        inst: &Instance,
+        algo: &A,
+        config: &RunConfig,
+        identity: Option<SweepIdentity>,
+        path: &Path,
+    ) -> Result<CheckpointReport, EngineError>
+    where
+        A: QueryAlgorithm + Sync,
+        A::Output: Send,
+    {
         let sw = Stopwatch::start();
         let starts = config.starts.starts(inst.n())?;
         let plan = plan_chunks(starts.len());
         let num_chunks = plan.num_chunks;
-        let identity = sweep_identity(inst, algo, config, &starts);
-        let mut ckpt = match std::fs::read_to_string(path) {
+        let fold = || sweep_identity(inst, algo, config, &starts);
+        let identity = identity.unwrap_or_else(fold);
+        debug_assert_eq!(identity, fold(), "handed another sweep's identity");
+        let (mut ckpt, resumed) = match std::fs::read_to_string(path) {
             Ok(text) => {
                 let ckpt = SweepCheckpoint::from_json(&text).map_err(EngineError::BadCheckpoint)?;
                 if ckpt.identity.sweep_id != identity.sweep_id {
@@ -508,10 +554,10 @@ impl Engine {
                         ckpt.num_chunks
                     )));
                 }
-                ckpt
+                (ckpt, true)
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                SweepCheckpoint::fresh(identity, num_chunks)
+                (SweepCheckpoint::fresh(identity, num_chunks), false)
             }
             Err(e) => return Err(EngineError::Io(e.to_string())),
         };
@@ -524,12 +570,14 @@ impl Engine {
         let sink = self
             .live_checkpoint()
             .then(|| LiveCheckpointSink::new(path, ckpt.clone()));
+        let mut limits = self.limits(&sw, starts.len())?;
+        limits.resumed = resumed;
         let run = run_sharded::<A, NoopTracer>(
             inst,
             algo,
             config,
             &starts,
-            self.limits(&sw, starts.len())?,
+            limits,
             Some(&done),
             sink.as_ref(),
         );
@@ -590,10 +638,51 @@ mod tests {
         }
     }
 
+    /// [`WalkLeft`] that trips `flag` when it runs the start at `root`.
+    /// The flag is not part of its identity, which is [`WalkLeft`]'s, so
+    /// its checkpoints resume under plain [`WalkLeft`].
+    struct CancelAt {
+        root: usize,
+        flag: crate::CancelFlag,
+    }
+
+    impl QueryAlgorithm for CancelAt {
+        type Output = u32;
+
+        fn name(&self) -> &'static str {
+            WalkLeft.name()
+        }
+
+        fn fallback(&self) -> u32 {
+            u32::MAX
+        }
+
+        fn run(
+            &self,
+            oracle: &mut dyn Oracle,
+            scratch: &mut SolverScratch,
+        ) -> Result<u32, QueryError> {
+            if oracle.root().node == self.root {
+                self.flag.cancel();
+            }
+            WalkLeft.run(oracle, scratch)
+        }
+    }
+
     fn temp_path(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("vc-engine-checkpoint-tests");
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
+    }
+
+    /// The final checkpoint bytes of an unbroken one-thread run.
+    fn unbroken_bytes(inst: &Instance, config: &RunConfig, name: &str) -> Vec<u8> {
+        let path = temp_path(name);
+        let _ = std::fs::remove_file(&path);
+        Engine::with_threads(1)
+            .run_recorded_with_checkpoint(inst, &WalkLeft, config, &path)
+            .unwrap();
+        std::fs::read(&path).unwrap()
     }
 
     fn test_identity(instance: u64, sweep: u64) -> SweepIdentity {
@@ -725,6 +814,104 @@ mod tests {
         let a = std::fs::read(&unbroken_path).unwrap();
         let b = std::fs::read(&resumed_path).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_cancel_between_starts_abandons_the_chunk_it_cuts() {
+        let inst = vc_graph::gen::random_full_binary_tree(333, 5); // 6 chunks
+        let config = RunConfig::default();
+        let chunk = plan_chunks(inst.n()).chunk_size;
+        // Mid-chunk 2, so the cancel lands with starts of it still undrawn.
+        let root = 2 * chunk + 10;
+        let serial = vc_model::run::run_all(&inst, &WalkLeft, &config).unwrap();
+        let flag = crate::CancelFlag::new();
+        let algo = CancelAt {
+            root,
+            flag: flag.clone(),
+        };
+        let report = Engine::with_threads(1)
+            .with_cancel_flag(flag.clone())
+            .run_all(&inst, &algo, &config)
+            .unwrap();
+        assert!(flag.is_cancelled(), "start {root} of chunk 2 never ran");
+        assert!(report.degraded);
+        assert_eq!(report.skipped_chunks, vec![2, 3, 4, 5]);
+        // Chunks 0 and 1 are whole; chunk 2's first eleven starts ran but
+        // left neither a record nor an output.
+        assert_eq!(report.report.records, serial.records[..2 * chunk]);
+        assert_eq!(
+            report.report.outputs[..2 * chunk],
+            serial.outputs[..2 * chunk]
+        );
+        assert!(report.report.outputs[2 * chunk..]
+            .iter()
+            .all(Option::is_none));
+
+        let unbroken = unbroken_bytes(&inst, &config, "cancel_unbroken.json");
+        for threads in [1, 2, 8] {
+            let path = temp_path(&format!("cancel_{threads}.json"));
+            let _ = std::fs::remove_file(&path);
+            let flag = crate::CancelFlag::new();
+            let algo = CancelAt {
+                root,
+                flag: flag.clone(),
+            };
+            let parked = Engine::with_threads(threads)
+                .with_cancel_flag(flag)
+                .run_recorded_with_checkpoint(&inst, &algo, &config, &path)
+                .unwrap();
+            assert!(!parked.is_complete(), "{threads} threads");
+            if threads == 1 {
+                assert_eq!(parked.completed_chunks, 2);
+                assert_eq!(parked.records, serial.records[..2 * chunk]);
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            let ckpt = SweepCheckpoint::from_json(&text).unwrap();
+            assert_eq!(ckpt.chunks[2], None, "{threads} threads");
+            // The resume, without the flag, re-runs the cut chunk whole.
+            let resumed = Engine::with_threads(threads)
+                .run_recorded_with_checkpoint(&inst, &WalkLeft, &config, &path)
+                .unwrap();
+            assert!(resumed.is_complete());
+            assert_eq!(std::fs::read(&path).unwrap(), unbroken, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn every_resume_finishes_a_chunk_though_its_flag_is_set() {
+        let inst = vc_graph::gen::random_full_binary_tree(333, 5); // 6 chunks
+        let config = RunConfig::default();
+        let unbroken = unbroken_bytes(&inst, &config, "floor_unbroken.json");
+        for threads in [1, 2, 8] {
+            let path = temp_path(&format!("floor_{threads}.json"));
+            let _ = std::fs::remove_file(&path);
+            let cancelled = || {
+                let flag = crate::CancelFlag::new();
+                flag.cancel();
+                Engine::with_threads(threads).with_cancel_flag(flag)
+            };
+            // A fresh run claims nothing and parks an empty file …
+            let first = cancelled()
+                .run_recorded_with_checkpoint(&inst, &WalkLeft, &config, &path)
+                .unwrap();
+            assert_eq!(first.completed_chunks, 0);
+            // … and every resume of it completes at least one chunk.
+            let mut done = 0;
+            let mut resumes = 0;
+            while done < first.num_chunks {
+                let report = cancelled()
+                    .run_recorded_with_checkpoint(&inst, &WalkLeft, &config, &path)
+                    .unwrap();
+                assert!(report.completed_chunks > done, "{threads} threads");
+                if threads == 1 {
+                    assert_eq!(report.completed_chunks, done + 1);
+                }
+                done = report.completed_chunks;
+                resumes += 1;
+            }
+            assert!(resumes <= first.num_chunks);
+            assert_eq!(std::fs::read(&path).unwrap(), unbroken, "{threads} threads");
+        }
     }
 
     #[test]

@@ -37,12 +37,14 @@
 //!   same inputs), so the aborted set — and therefore the merged summary
 //!   over the surviving chunks — is identical for every thread count.
 //! * **Cooperative deadline / cancel.** [`Engine::with_deadline`] (or the
-//!   `VC_DEADLINE_MS` environment variable) and [`CancelFlag`] stop workers
-//!   at chunk-claim boundaries; claimed chunks still finish, with help.
-//!   Chunk claims are monotonic, so the executed chunks always form a
-//!   prefix of the chunk sequence and the partial summary is a valid
-//!   chunk-order merge; *which* prefix is schedule-dependent, which is why
-//!   deadline runs are flagged [`EngineReport::degraded`].
+//!   `VC_DEADLINE_MS` environment variable) stops workers at chunk-claim
+//!   boundaries; claimed chunks still finish, with help. Chunk claims are
+//!   monotonic, so the executed chunks form a prefix of the chunk sequence
+//!   and the partial summary is a valid chunk-order merge; *which* prefix
+//!   is schedule-dependent, which is why deadline runs are flagged
+//!   [`EngineReport::degraded`]. A [`CancelFlag`] stops workers between
+//!   starts and drops the chunks it cut short, so only whole chunks are
+//!   ever merged or checkpointed.
 //! * **Deterministic kill proxy.** [`Engine::with_chunk_quota`] stops
 //!   claims after a fixed number of chunks — because claims are sequential,
 //!   a quota-`k` run executes exactly chunks `0..k` for any thread count.
@@ -107,8 +109,8 @@ use vc_trace::time::Stopwatch;
 use vc_trace::{MergeTracer, NoopTracer, TraceEvent};
 
 pub use checkpoint::{
-    sweep_identity, CheckpointReport, EngineError, SweepCheckpoint, SweepIdentity,
-    CHECKPOINT_SCHEMA,
+    sweep_identity, write_atomically, CheckpointReport, EngineError, SweepCheckpoint,
+    SweepIdentity, CHECKPOINT_SCHEMA,
 };
 pub use partition::{ChunkSet, RangeError, CHUNKS_ENV};
 pub use splice::{format_chunk_groups, splice_checkpoints, splice_partial, SpliceError};
@@ -124,8 +126,8 @@ use checkpoint::LiveCheckpointSink;
 pub const MIN_CHUNK_STARTS: usize = 64;
 
 /// Largest start count per work chunk. Caps per-chunk latency so the
-/// claim boundary — the cooperative stop point for deadlines, quotas and
-/// cancellation — is hit often enough even on million-start sweeps.
+/// claim boundary — the cooperative stop point for deadlines and
+/// quotas — is hit often enough even on million-start sweeps.
 pub const MAX_CHUNK_STARTS: usize = 4096;
 
 /// Preferred chunk count for a sweep. Sized at roughly 16× a typical
@@ -195,13 +197,16 @@ pub const LIVE_CHECKPOINT_ENV: &str = "VC_LIVE_CHECKPOINT";
 /// Bounded so a deterministically-panicking chunk cannot spin forever.
 pub const MAX_CHUNK_ATTEMPTS: u32 = 2;
 
-/// A shared cooperative cancellation flag, checked by workers at
-/// chunk-claim boundaries.
+/// A shared cooperative cancellation flag, checked by workers before they
+/// draw each start.
 ///
 /// Cloning shares the flag. Once [`CancelFlag::cancel`] is called, workers
-/// stop claiming new chunks; already-claimed chunks finish, with idle
-/// workers helping, so the merged report is always a valid chunk-order
-/// merge of completed chunks.
+/// finish the starts they are running and stop. A claimed chunk whose
+/// starts did not all run is abandoned whole and lands in
+/// [`EngineReport::skipped_chunks`], so the merged report is always a
+/// valid chunk-order merge of completed chunks. A resumed checkpointed
+/// run first completes a chunk (see
+/// [`Engine::run_recorded_with_checkpoint`]).
 #[derive(Clone, Debug, Default)]
 pub struct CancelFlag(Arc<AtomicBool>);
 
@@ -378,8 +383,8 @@ impl Engine {
         self
     }
 
-    /// Attaches a cooperative cancellation flag checked at chunk-claim
-    /// boundaries (e.g. from a signal handler or another thread).
+    /// Attaches a cooperative cancellation flag checked before every start
+    /// (e.g. from a signal handler or another thread); see [`CancelFlag`].
     pub fn with_cancel_flag(mut self, flag: CancelFlag) -> Self {
         self.cancel = Some(flag);
         self
@@ -435,8 +440,7 @@ impl Engine {
     /// [`EngineReport::elapsed`] (and the throughput rates derived from it)
     /// varies between runs. Panicking chunks are retried and, failing that,
     /// abandoned (see [`EngineReport::aborted_chunks`]); deadline/quota/
-    /// cancel limits skip trailing chunks (see
-    /// [`EngineReport::skipped_chunks`]).
+    /// cancel limits skip chunks (see [`EngineReport::skipped_chunks`]).
     ///
     /// # Errors
     ///
@@ -544,6 +548,7 @@ impl Engine {
             claim_limit,
             set: self.set.as_ref(),
             cancel: self.cancel.as_ref(),
+            resumed: false,
             workers,
         })
     }
@@ -569,7 +574,7 @@ impl Engine {
 }
 
 /// The per-sweep limit set: deadline clock, chunk-claim sequence and
-/// cancel flag, all checked at chunk-claim boundaries.
+/// cancel flag, checked at claim boundaries (the flag also per start).
 struct SweepLimits<'a> {
     sw: &'a Stopwatch,
     deadline: Option<Duration>,
@@ -586,14 +591,18 @@ struct SweepLimits<'a> {
     /// unclaimed chunks (outside the set ≠ degraded).
     set: Option<&'a ChunkSet>,
     cancel: Option<&'a CancelFlag>,
+    /// The run resumed a checkpoint file: the cancel flag waits for its
+    /// first claim and acts at claim boundaries only.
+    resumed: bool,
     /// Worker threads after clamping to the claim-sequence length.
     workers: usize,
 }
 
 impl SweepLimits<'_> {
-    /// Whether workers should stop claiming new chunks.
-    fn should_stop(&self) -> bool {
-        self.cancel.is_some_and(CancelFlag::is_cancelled)
+    /// Whether workers should stop claiming; `claimed`: has any claim
+    /// been made yet (the resume floor).
+    fn should_stop(&self, claimed: bool) -> bool {
+        ((claimed || !self.resumed) && self.cancel.is_some_and(CancelFlag::is_cancelled))
             || self.deadline.is_some_and(|d| self.sw.elapsed() >= d)
     }
 }
@@ -661,7 +670,7 @@ struct ShardedRun<O, T> {
     tracer: T,
     /// Chunks abandoned after exhausting panic retries, ascending.
     aborted: Vec<usize>,
-    /// Chunks never executed (deadline/quota/cancel), ascending.
+    /// Chunks never executed or cut short (deadline/quota/cancel), ascending.
     skipped: Vec<usize>,
     /// Chunks outside the configured chunk range, ascending.
     out_of_range: Vec<usize>,
@@ -672,22 +681,24 @@ struct ShardedRun<O, T> {
 }
 
 /// The sweep-wide immutable inputs every share reads: the instance, the
-/// algorithm, the run configuration, the resolved start set and the chunk
-/// plan over it. Shared by reference across all workers.
+/// algorithm, the run configuration, the resolved start set, the chunk
+/// plan over it and the per-start cancel flag. Shared by reference
+/// across all workers.
 struct SweepInputs<'a, A> {
     inst: &'a Instance,
     algo: &'a A,
     config: &'a RunConfig,
     starts: &'a [usize],
     plan: ChunkPlan,
+    cancel: Option<&'a CancelFlag>,
 }
 
 /// Runs starts of `chunk` drawn one at a time from `cursor` until none is
-/// left, folding them into one [`Share`]. `claim` is `Some(attempt)` for
-/// the share that announces the chunk — the claimer's (attempt 0) or a
-/// retry's — and `None` for a helper's. The `catch_unwind` here is the
-/// only one in the workspace (see the `centralized-panic-isolation`
-/// lint); it wraps exactly one share.
+/// left or the cancel flag is set, folding them into one [`Share`].
+/// `claim` is `Some(attempt)` for the share that announces the chunk —
+/// the claimer's (attempt 0) or a retry's — and `None` for a helper's.
+/// The `catch_unwind` here is the only one in the workspace (see the
+/// `centralized-panic-isolation` lint); it wraps exactly one share.
 fn run_share<A, T>(
     sweep: &SweepInputs<'_, A>,
     chunk: usize,
@@ -705,6 +716,7 @@ where
         config,
         starts,
         plan,
+        cancel,
     } = *sweep;
     // `AssertUnwindSafe` is sound here: on panic the scratch (the only
     // state witnessed across the boundary) is discarded and rebuilt, the
@@ -729,7 +741,8 @@ where
             }
         }
         let sw = T::TIMED.then(Stopwatch::start);
-        loop {
+        // A cancel leaves the chunk short; the merge drops it.
+        while !cancel.is_some_and(CancelFlag::is_cancelled) {
             let i = lo + cursor.fetch_add(1, Ordering::Relaxed);
             if i >= hi {
                 break;
@@ -802,12 +815,14 @@ where
     let num_chunks = plan.num_chunks;
     let workers = limits.workers;
     let next = AtomicUsize::new(0);
+    let claimed = AtomicBool::new(false);
     let sweep = SweepInputs {
         inst,
         algo,
         config,
         starts,
         plan,
+        cancel: limits.cancel.filter(|_| !limits.resumed),
     };
     let is_done = |c: usize| done.is_some_and(|d| d[c]);
     let cells: Vec<ChunkCell<A::Output, T>> = (0..num_chunks)
@@ -830,10 +845,10 @@ where
                     let mut scratch = ExecScratch::new();
                     loop {
                         // The claim boundary: the cooperative stop point
-                        // for deadlines and cancellation. Every *claimed*
-                        // chunk runs to completion, so the merged report
-                        // is always a chunk-order merge of whole chunks.
-                        if limits.should_stop() {
+                        // for deadlines and quotas, whose claimed chunks
+                        // run to completion. A cancel also stops shares
+                        // between starts; the merge drops what it cut.
+                        if limits.should_stop(claimed.load(Ordering::Relaxed)) {
                             break;
                         }
                         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -842,6 +857,7 @@ where
                         }
                         let c = limits.claims[i];
                         if !is_done(c) {
+                            claimed.store(true, Ordering::Relaxed);
                             participate(&sweep, &cells[c], c, true, &mut scratch, sink);
                         }
                     }
@@ -895,12 +911,13 @@ where
     let mut out_of_range = Vec::new();
     let mut executed = Vec::new();
     for (c, cell) in cells.into_iter().enumerate() {
-        let (_, shares) = cell
+        let (covered, shares) = cell
             .landed
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner);
-        if shares.is_empty() {
-            if cell.poisoned.into_inner() {
+        if covered < cell.len {
+            // Never run, or cut by a cancel (its shares are dropped).
+            if shares.is_empty() && cell.poisoned.into_inner() {
                 // The chunk's share tracers died with their attempts;
                 // account for the claim and the abort on the merged
                 // tracer, still in chunk order.
@@ -975,9 +992,10 @@ pub struct EngineReport<O> {
     /// Deterministic and thread-count-invariant: panics are a function of
     /// the chunk's inputs, not of scheduling.
     pub aborted_chunks: Vec<usize>,
-    /// Chunks never executed because a deadline, chunk quota or cancel
-    /// flag stopped the sweep first (ascending). Always a suffix of the
-    /// claim window.
+    /// Chunks never executed, or cut short by a cancel, because a
+    /// deadline, chunk quota or cancel flag stopped the sweep (ascending).
+    /// A suffix of the claim window, except that a cancel with more than
+    /// one worker can cut a chunk while a later one completes.
     pub skipped_chunks: Vec<usize>,
     /// Chunks outside the configured [`ChunkSet`] (ascending; empty for
     /// unrestricted runs). These belong to *other* partitions of the same

@@ -17,13 +17,14 @@
 //!   [`vc_engine::Engine`] worker pool behind a deterministic
 //!   FIFO-with-priority queue ([`SweepService`]), instead of one engine
 //!   per caller.
-//! * **Checkpoint preemption** — a long batch sweep yields at a chunk
-//!   boundary when an interactive job arrives: the service trips the
-//!   run's [`vc_engine::CancelFlag`], the engine writes the partial
-//!   checkpoint exactly as a crashed run would, and the job is parked
-//!   and later resumed from that checkpoint. The engine's existing
-//!   kill-and-resume invariant makes the final checkpoint byte-identical
-//!   to an uninterrupted run at any thread count.
+//! * **Checkpoint preemption** — a long batch sweep yields between its
+//!   starts when an interactive job arrives: the service trips the run's
+//!   [`vc_engine::CancelFlag`], the engine drops the chunks it cut short
+//!   and writes the partial checkpoint exactly as a crashed run would,
+//!   and the job is parked and later resumed from that checkpoint. The
+//!   engine's existing kill-and-resume invariant makes the final
+//!   checkpoint byte-identical to an uninterrupted run at any thread
+//!   count.
 //!
 //! A dependency-free line-delimited JSON protocol over a local Unix
 //! socket ([`server`]) exposes submit / poll / result / stats /

@@ -7,11 +7,13 @@
 //! highest-priority queued job, breaking ties by admission order
 //! (job ids are monotonic). When an [`Priority::Interactive`] job is
 //! admitted while a [`Priority::Batch`] job runs, the service trips the
-//! running job's [`CancelFlag`]; the engine stops claiming chunks and
-//! writes its partial checkpoint — the *parked* state. The preempted job
-//! re-enters the queue and resumes from that checkpoint after the
-//! interactive work drains. Because the checkpoint path is the engine's
-//! ordinary kill-and-resume path, the final checkpoint of a preempted
+//! running job's [`CancelFlag`]; the engine, which runs on the identity
+//! `submit` folded, stops between starts, drops the chunks it cut short
+//! and writes its partial checkpoint — the *parked* state. The preempted
+//! job re-enters the queue and resumes from that checkpoint after the
+//! interactive work drains; each resume completes a chunk, so a batch
+//! preempted whenever it runs still finishes. As the checkpoint path is
+//! the engine's kill-and-resume path, the final checkpoint of a preempted
 //! job is byte-identical to an uninterrupted run at any thread count.
 //!
 //! ## Dedup
@@ -62,7 +64,7 @@ pub enum JobState {
     Queued,
     /// Executing on the shared pool.
     Running,
-    /// Preempted at a chunk boundary; checkpoint parked, re-queued.
+    /// Preempted; checkpoint parked, re-queued.
     Parked,
     /// Finished; result available from the store.
     Done {
@@ -132,7 +134,7 @@ pub struct ServeStats {
     pub misses: u64,
     /// Submissions folded into an in-flight job.
     pub deduped: u64,
-    /// Chunk-boundary preemptions.
+    /// Preemptions (parked runs).
     pub preemptions: u64,
     /// Parked jobs that re-entered execution.
     pub resumes: u64,
@@ -386,8 +388,8 @@ impl SweepService {
             job,
             queue_depth: depth,
         });
-        // An interactive arrival preempts a running batch job at its
-        // next chunk boundary: trip the flag, the engine parks itself.
+        // An interactive arrival preempts a running batch job between its
+        // starts: trip the flag, the engine parks itself.
         if spec.priority == Priority::Interactive {
             if let Some((running_id, flag)) = &g.running {
                 let running_batch = g
@@ -466,8 +468,11 @@ impl SweepService {
     fn result_of(&self, status: &JobStatus) -> Result<String, ServeError> {
         match status.state {
             JobState::Done { .. } => {
-                let g = self.shared.lock();
-                Ok(g.store.load(status.sweep_id)?)
+                // Only the path is taken under the lock; the file read,
+                // decode and digest run outside it. Stores replace entries
+                // atomically, so this sees a whole document or none.
+                let path = self.shared.lock().store.entry_path(status.sweep_id);
+                Ok(ResultStore::load_entry(&path, status.sweep_id)?)
             }
             JobState::Failed => Err(ServeError::JobFailed(
                 status
@@ -666,14 +671,15 @@ fn scheduler_loop(shared: &Shared, threads: usize, spool_dir: &std::path::Path) 
             (claimed, work, flag)
         };
 
-        // Run outside the lock. A tripped flag stops chunk claims; the
+        // Run outside the lock, on the identity `submit` folded (`work` is
+        // immutable). A tripped flag stops the run between starts; the
         // engine still writes the (partial) checkpoint file.
         let ckpt = spool_path(spool_dir, work.identity.sweep_id);
         let engine = Engine::with_threads(threads).with_cancel_flag(flag);
         let outcome =
             work.spec
                 .algorithm
-                .run_checkpointed(&engine, &work.instance, &work.config, &ckpt);
+                .run_as(&engine, &work.instance, &work.config, work.identity, &ckpt);
 
         let mut g = shared.lock();
         let inner = &mut *g;
@@ -710,7 +716,7 @@ fn scheduler_loop(shared: &Shared, threads: usize, spool_dir: &std::path::Path) 
                     inner.by_sweep.remove(&work.identity.sweep_id.raw());
                     record.work = None;
                 } else {
-                    // Preempted at a chunk boundary: park and re-queue.
+                    // Preempted: park and re-queue.
                     record.status.state = JobState::Parked;
                     record.status.preemptions += 1;
                     inner.stats.preemptions += 1;

@@ -115,17 +115,33 @@ impl AlgorithmRef {
         config: &RunConfig,
         path: &Path,
     ) -> Result<CheckpointReport, EngineError> {
+        let starts = config.starts.starts(inst.n())?;
+        let identity = self.identity(inst, config, &starts);
+        self.run_as(engine, inst, config, identity, path)
+    }
+
+    /// [`AlgorithmRef::run_checkpointed`] on its [`AlgorithmRef::identity`].
+    pub(crate) fn run_as(
+        &self,
+        engine: &Engine,
+        inst: &Instance,
+        config: &RunConfig,
+        identity: SweepIdentity,
+        path: &Path,
+    ) -> Result<CheckpointReport, EngineError> {
         match *self {
-            AlgorithmRef::LeafDistance => engine.run_recorded_with_checkpoint(
+            AlgorithmRef::LeafDistance => engine.run_recorded_as(
                 inst,
                 &vc_core::problems::leaf_coloring::DistanceSolver,
                 config,
+                identity,
                 path,
             ),
-            AlgorithmRef::LeafRandomWalk { step_factor } => engine.run_recorded_with_checkpoint(
+            AlgorithmRef::LeafRandomWalk { step_factor } => engine.run_recorded_as(
                 inst,
                 &vc_core::problems::leaf_coloring::RwToLeaf { step_factor },
                 config,
+                identity,
                 path,
             ),
         }
@@ -151,8 +167,8 @@ pub enum StartsRef {
 pub enum Priority {
     /// Default: runs in submission order behind other batch jobs.
     Batch,
-    /// Jumps the queue and preempts a running batch job at the next
-    /// chunk boundary.
+    /// Jumps the queue and preempts a running batch job between its
+    /// starts.
     Interactive,
 }
 

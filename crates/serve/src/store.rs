@@ -19,6 +19,10 @@
 //! the one file names and checkpoints use, it keeps stored files
 //! byte-compatible, and generic JSON readers round integers past 2^53.
 //!
+//! Entries are replaced atomically ([`vc_engine::write_atomically`]), so
+//! loads need no lock; a stale `.tmp` left by a killed writer is never
+//! adopted or read.
+//!
 //! Eviction is FIFO over insertion order with an optional entry cap;
 //! evictions are counted for the `vc-serve-report/v1` document.
 
@@ -26,7 +30,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use vc_engine::{SweepId, SweepIdentity};
+use vc_engine::{write_atomically, SweepId, SweepIdentity};
 use vc_ident::IdHasher;
 use vc_json::Value;
 
@@ -124,7 +128,7 @@ impl ResultStore {
         })
     }
 
-    fn entry_path(&self, id: SweepId) -> PathBuf {
+    pub(crate) fn entry_path(&self, id: SweepId) -> PathBuf {
         self.dir.join(format!("{id}.json"))
     }
 
@@ -150,7 +154,7 @@ impl ResultStore {
 
     /// Stores `payload` (a checkpoint document) under `identity`,
     /// evicting oldest-first past the cap. Re-storing an existing id
-    /// rewrites the entry in place without touching the FIFO order.
+    /// replaces the entry atomically without touching the FIFO order.
     pub fn store(&mut self, identity: &SweepIdentity, payload: &str) -> Result<(), StoreError> {
         const TAIL: &str = "\"\n}\n";
         let head = format!(
@@ -166,7 +170,7 @@ impl ResultStore {
         doc.push_str(&head);
         vc_json::escape_into(&mut doc, payload);
         doc.push_str(TAIL);
-        std::fs::write(self.entry_path(identity.sweep_id), doc)
+        write_atomically(&self.entry_path(identity.sweep_id), &doc)
             .map_err(|e| StoreError::Io(e.to_string()))?;
         if !self.order.contains(&identity.sweep_id) {
             self.order.push_back(identity.sweep_id);
@@ -183,8 +187,13 @@ impl ResultStore {
     /// Loads the payload stored under `id`, verifying the embedded
     /// identity and the payload digest before returning a byte.
     pub fn load(&self, id: SweepId) -> Result<String, StoreError> {
-        let path = self.entry_path(id);
-        let text = match std::fs::read_to_string(&path) {
+        Self::load_entry(&self.entry_path(id), id)
+    }
+
+    /// [`ResultStore::load`] of the entry at `path`: it needs no store,
+    /// so the service can take the path under its lock and load outside.
+    pub(crate) fn load_entry(path: &Path, id: SweepId) -> Result<String, StoreError> {
+        let text = match std::fs::read_to_string(path) {
             Ok(text) => text,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 return Err(StoreError::NotFound(id))

@@ -150,9 +150,9 @@ pub enum TraceEvent {
         /// The service-assigned job id of the hit submission.
         job: u64,
     },
-    /// A running batch job was preempted at a chunk boundary so a
-    /// higher-priority job could take the worker pool; its checkpoint is
-    /// parked for a later resume.
+    /// A running batch job was preempted so a higher-priority job could
+    /// take the worker pool; its checkpoint of whole chunks is parked for
+    /// a later resume.
     JobPreempted {
         /// The preempted job's id.
         job: u64,

@@ -16,9 +16,10 @@
 //!    second run.
 //! 3. **Preemption under load.** An interactive job submitted while a
 //!    long batch sweep runs trips the batch job's cancel flag; the
-//!    batch job parks at a chunk boundary, the interactive job jumps
-//!    the queue, and the parked job resumes from its checkpoint. The
-//!    resumed job's stored result is asserted byte-identical to an
+//!    batch job stops between starts and parks, dropping the chunks it
+//!    cut short, the interactive job jumps the queue, and the parked
+//!    job resumes from its checkpoint and re-runs those chunks whole.
+//!    The resumed job's stored result is asserted byte-identical to an
 //!    uninterrupted run of the same spec — and identical across all
 //!    three thread counts.
 //!

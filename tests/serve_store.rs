@@ -5,10 +5,17 @@
 //! sweep identity is refused before a byte of payload escapes.
 
 use std::path::PathBuf;
+use std::time::Duration;
 
 use vc_engine::{Engine, InstanceId, SweepId, SweepIdentity};
 use vc_ident::IdHasher;
-use vc_serve::{AlgorithmRef, InstanceRef, ResultStore, StoreError, SweepSpec};
+use vc_serve::{
+    AlgorithmRef, InstanceRef, JobState, Priority, ResultStore, ServeConfig, StoreError,
+    SweepService, SweepSpec,
+};
+
+/// Bound on every service wait; no healthy run comes near it.
+const WAIT: Duration = Duration::from_secs(120);
 
 fn temp_store(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("vc_serve_store_it_{tag}"));
@@ -262,5 +269,115 @@ fn signed_hex_ids_and_hashes_are_refused() {
     let reopened = ResultStore::open(&dir, None).unwrap();
     assert!(reopened.is_empty());
     assert!(!reopened.contains(id.sweep_id));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A writer killed mid-write leaves `<id>.json.tmp` next to the store's
+/// entries. `open` must not adopt it, `load` must not read it, and the
+/// next `store` of that id replaces it.
+#[test]
+fn a_stale_temp_file_from_a_killed_writer_is_ignored_then_replaced() {
+    let dir = temp_store("stale_tmp");
+    let mut store = ResultStore::open(&dir, None).unwrap();
+    let id = ident(0x71);
+    store.store(&id, "old").unwrap();
+    let orphan = ident(0x72);
+    let tmp = dir.join(format!("{}.json.tmp", id.sweep_id));
+    std::fs::write(&tmp, "{\"schema\": \"vc-serve-res").unwrap();
+    std::fs::write(dir.join(format!("{}.json.tmp", orphan.sweep_id)), "torn").unwrap();
+
+    let mut reopened = ResultStore::open(&dir, None).unwrap();
+    assert_eq!(reopened.len(), 1);
+    assert!(!reopened.contains(orphan.sweep_id));
+    assert_eq!(reopened.load(id.sweep_id).unwrap(), "old");
+    assert_eq!(
+        reopened.load(orphan.sweep_id),
+        Err(StoreError::NotFound(orphan.sweep_id))
+    );
+    reopened.store(&id, "new").unwrap();
+    assert!(!tmp.exists(), "the store left {} behind", tmp.display());
+    assert_eq!(reopened.load(id.sweep_id).unwrap(), "new");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The service's progress guarantee: an interactive job arrives every
+/// time a batch is seen running, which preempts it each time, and the
+/// batch still finishes within one preemption per chunk (plus one), with
+/// the bytes of an uninterrupted run. A batch that made no progress would
+/// trip the bound on the loop instead of hanging it.
+#[test]
+fn a_batch_preempted_whenever_it_runs_still_finishes() {
+    let dir = temp_store("progress");
+    std::fs::create_dir_all(&dir).unwrap();
+    let batch = SweepSpec {
+        tape_seed: Some(3),
+        ..SweepSpec::new(
+            InstanceRef::FullBinaryTree { n: 1023, seed: 6 },
+            AlgorithmRef::LeafRandomWalk { step_factor: 32 },
+        )
+    };
+    let num_chunks = vc_engine::plan_chunks(1023).num_chunks;
+    assert_eq!(num_chunks, 16);
+    let reference = dir.join("reference.ckpt.json");
+    batch
+        .algorithm
+        .run_checkpointed(
+            &Engine::with_threads(2),
+            &batch.instance.build(),
+            &batch.run_config(),
+            &reference,
+        )
+        .unwrap();
+    let clean = std::fs::read_to_string(&reference).unwrap();
+
+    for threads in [1, 2, 8] {
+        let root = dir.join(format!("t{threads}"));
+        let service = SweepService::start(&ServeConfig {
+            threads,
+            store_dir: root.join("store"),
+            spool_dir: root.join("spool"),
+            max_store_entries: None,
+        })
+        .unwrap();
+        let job = service.submit(&batch).unwrap().job;
+        let mut arrivals = 0;
+        loop {
+            let status = service
+                .wait_job(job, WAIT, |s| {
+                    s.state != JobState::Queued && s.state != JobState::Parked
+                })
+                .unwrap();
+            if status.state != JobState::Running {
+                break;
+            }
+            arrivals += 1;
+            assert!(
+                arrivals <= num_chunks + 2,
+                "{threads} threads: the batch still ran after {arrivals} interactive arrivals"
+            );
+            let urgent = SweepSpec {
+                priority: Priority::Interactive,
+                ..SweepSpec::new(
+                    InstanceRef::FullBinaryTree {
+                        n: 255,
+                        seed: 100 * threads as u64 + arrivals as u64,
+                    },
+                    AlgorithmRef::LeafDistance,
+                )
+            };
+            let sub = service.submit(&urgent).unwrap();
+            assert!(!sub.cache_hit && !sub.deduped);
+            service.wait_result(sub.job, WAIT).unwrap();
+        }
+        let status = service.status(job).unwrap();
+        assert_eq!(status.state, JobState::Done { cache_hit: false });
+        assert!(
+            status.preemptions <= num_chunks as u64 + 1,
+            "{threads} threads: {} preemptions",
+            status.preemptions
+        );
+        assert_eq!(service.result(job).unwrap(), clean, "{threads} threads");
+        drop(service);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
