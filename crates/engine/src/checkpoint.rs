@@ -1,19 +1,33 @@
-//! Checkpoint / resume for recorded sweeps (`vc-engine-checkpoint/v2`).
+//! Checkpoint / resume for recorded sweeps (`vc-engine-checkpoint/v3`).
 //!
 //! Long sweeps die: machines reboot, CI jobs hit wall-clock limits,
 //! operators hit Ctrl-C. [`Engine::run_recorded_with_checkpoint`] makes a
-//! sweep resumable by persisting, after every run, the per-chunk
-//! [`ExecutionRecord`]s completed so far. A resumed run loads the file,
-//! marks the checkpointed chunks done, executes only the remainder and
-//! rewrites the file — and because chunk contents, chunk order and the
-//! record encoding are all deterministic, the resumed file and report are
-//! **byte-identical** to what one unbroken run would have produced.
+//! sweep resumable by persisting the per-chunk [`ExecutionRecord`]s it
+//! completes. A resumed run executes only the remainder — and because
+//! chunk contents, chunk order and the record encoding are all
+//! deterministic, the final file and report are **byte-identical** to
+//! what one unbroken run would have produced.
 //!
-//! The file is JSON, written by hand and read back with the dependency-free
-//! parser in `vc-json` (the vendored serde is a no-op stand-in; see
-//! DESIGN.md §3). Every counter is written as a plain integer literal,
-//! which `vc_json::Value::as_u64` reads back exactly (and any other
-//! number form it refuses), so the integer round-trip is lossless.
+//! The file is LDJSON, read back with the dependency-free `vc-json`
+//! (DESIGN.md §11.2): a **header** line (`schema`, `instance_id`,
+//! `sweep_id`, `num_chunks` and a chunk-restricted writer's `partition`),
+//! one **chunk** line per completed chunk (its index, start count, roots
+//! and one integer column per record field; consecutive roots are written
+//! as the first, a constant column as its one value) and, once every
+//! chunk is present, a **seal** line: an [`IdHasher`] digest over the
+//! identity and every record. A run writes its file whole through
+//! [`write_atomically`], in chunk order and sealed once complete, so
+//! sealed and spliced files are a pure function of the sweep. Only a live
+//! run ([`Engine::with_live_checkpoint`]) appends, one line per chunk as
+//! it lands, so its partial file is not canonical. A resume of a sealed
+//! file runs nothing and leaves its bytes alone.
+//!
+//! Only the last line may be torn, and a last line without its newline
+//! is: a chunk never committed, which the loader drops. Any other damage
+//! is refused: a complete line that does not parse, a duplicate or
+//! out-of-range chunk, a torn header, a seal that does not recompute, a
+//! line after the seal. The chunk table is bounded by [`MAX_CHUNKS`] and
+//! a line's records by [`MAX_CHUNK_STARTS`] before either is allocated.
 //!
 //! A checkpoint is only valid for the exact sweep that produced it: the
 //! file carries the content-addressed [`SweepIdentity`] — an
@@ -21,10 +35,10 @@
 //! [`SweepId`] additionally folding the algorithm identity (including any
 //! fault plan), run configuration, start set and chunk size (DESIGN.md
 //! §12). A mismatch is a loud [`EngineError::BadCheckpoint`], never a
-//! silent mixing of two different sweeps' records. `v1` files hashed only
-//! the instance *size*, so two same-size instances or two fault plans
-//! could silently share a checkpoint; they are rejected outright — delete
-//! the file and rerun the sweep (see README "Checkpoint compatibility").
+//! silent mixing of two different sweeps' records. Files of the retired
+//! `v1` (size-keyed) and `v2` (per-start objects) schemas are refused with
+//! a migration message: delete the file and rerun the sweep (README
+//! "Checkpoint compatibility").
 //!
 //! Checkpoints store *costs*, not *outputs*: `A::Output` is generic and has
 //! no serial form offline. Sweeps that need the labeling itself (e.g. the
@@ -33,25 +47,52 @@
 //! records are the product.
 
 use crate::partition::{ChunkSet, RangeError};
-use crate::{plan_chunks, run_sharded, Engine};
-use std::path::{Path, PathBuf};
+use crate::{plan_chunks, run_sharded, Engine, MAX_CHUNK_STARTS};
+use std::io::Write as _;
+use std::path::Path;
 use std::sync::{Mutex, PoisonError};
 use vc_graph::Instance;
 use vc_ident::{IdHasher, InstanceId, SweepId};
-use vc_json as json;
+use vc_json::{self as json, Column, Value};
 use vc_model::cost::{CostAccumulator, CostSummary, ExecutionRecord};
 use vc_model::run::{QueryAlgorithm, RunConfig, StartError};
 use vc_trace::time::Stopwatch;
 use vc_trace::NoopTracer;
 
 /// Schema identifier written into every checkpoint file.
-pub const CHECKPOINT_SCHEMA: &str = "vc-engine-checkpoint/v2";
+pub const CHECKPOINT_SCHEMA: &str = "vc-engine-checkpoint/v3";
 
-/// The retired pre-identity schema: its fingerprint folded only the
-/// instance *size*, so it cannot tell two same-size instances (or two
-/// fault plans) apart. Files with this schema are rejected with a
-/// migration message rather than resumed.
-const CHECKPOINT_SCHEMA_V1: &str = "vc-engine-checkpoint/v1";
+/// The migration message for a file of a retired schema, if `schema`
+/// names one.
+fn retired(schema: &str) -> Option<String> {
+    let old = ["vc-engine-checkpoint/v1", "vc-engine-checkpoint/v2"];
+    old.contains(&schema).then(|| {
+        format!(
+            "schema is {schema:?}, retired (v1 is pre-identity and hashes only the instance \
+             size; v2 holds per-start objects) — delete the file and rerun the sweep (README \
+             \"Checkpoint compatibility\")"
+        )
+    })
+}
+
+/// Reads one column's value off a record.
+type Field = fn(&ExecutionRecord) -> Option<u64>;
+
+/// A chunk line's record columns, in line order, each with its field.
+const COLUMNS: [(&str, Field); 6] = [
+    ("volume", |r| Some(r.volume as u64)),
+    ("distance", |r| r.distance.map(u64::from)),
+    ("distance_upper", |r| Some(u64::from(r.distance_upper))),
+    ("queries", |r| Some(r.queries)),
+    ("random_bits", |r| Some(r.random_bits)),
+    ("completed", |r| Some(u64::from(r.completed))),
+];
+
+/// The most chunks a checkpoint may declare. A header is not backed by
+/// its file's length, so the chunk table is bounded before it is
+/// allocated; at [`MAX_CHUNK_STARTS`] starts a chunk, this covers sweeps
+/// of 2^28 starts.
+const MAX_CHUNKS: usize = 1 << 16;
 
 /// Failures of the checkpointed sweep path. Always loud: the engine never
 /// silently discards or mixes checkpoint state.
@@ -90,6 +131,12 @@ impl From<StartError> for EngineError {
 impl From<RangeError> for EngineError {
     fn from(e: RangeError) -> Self {
         EngineError::Partition(e)
+    }
+}
+
+impl From<std::io::Error> for EngineError {
+    fn from(e: std::io::Error) -> Self {
+        EngineError::Io(e.to_string())
     }
 }
 
@@ -155,7 +202,7 @@ pub struct SweepCheckpoint {
     /// fleet workers record their slice (or reassigned chunk set) here so
     /// partial files are self-describing. `None` for unrestricted runs
     /// *and* for spliced merges, so the `partition` key is absent from
-    /// full checkpoints and a merged file is byte-identical to a
+    /// their headers and a merged file is byte-identical to a
     /// single-process run's. A single-run set is stamped as
     /// `lo..hi/total`.
     pub partition: Option<ChunkSet>,
@@ -184,186 +231,312 @@ impl SweepCheckpoint {
         self.completed_chunks() == self.num_chunks
     }
 
-    /// Serializes the checkpoint as a `vc-engine-checkpoint/v2` JSON
-    /// document. The encoding is a pure function of the checkpoint state —
-    /// the byte-identity of resumed runs rests on this.
+    /// Serializes the checkpoint as a `vc-engine-checkpoint/v3` file: the
+    /// header, the present chunks' lines in chunk order and, when the
+    /// checkpoint is complete, the seal. The encoding is a pure function
+    /// of the checkpoint state — the byte-identity of final and spliced
+    /// files rests on this.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\n  \"schema\": \"{}\",\n  \"instance_id\": \"{}\",\n  \"sweep_id\": \"{}\",\n",
-            json::escape(CHECKPOINT_SCHEMA),
-            self.identity.instance_id,
-            self.identity.sweep_id,
+        let mut out = format!(
+            "{{\"schema\": \"{CHECKPOINT_SCHEMA}\", \"instance_id\": \"{}\", \"sweep_id\": \"{}\", \
+             \"num_chunks\": {}",
+            self.identity.instance_id, self.identity.sweep_id, self.num_chunks
         );
-        // The partition key is present exactly for chunk-restricted
-        // writers; full and spliced checkpoints stay on the historical
-        // byte layout.
         if let Some(set) = &self.partition {
-            let _ = writeln!(out, "  \"partition\": \"{set}\",");
+            out.push_str(&format!(", \"partition\": \"{set}\""));
         }
-        let _ = write!(
-            out,
-            "  \"num_chunks\": {},\n  \"chunks\": [\n",
-            self.num_chunks
-        );
-        for (i, chunk) in self.chunks.iter().enumerate() {
-            out.push_str("    ");
-            match chunk {
-                None => out.push_str("null"),
-                Some(recs) => {
-                    out.push('[');
-                    for (j, r) in recs.iter().enumerate() {
-                        if j > 0 {
-                            out.push_str(", ");
-                        }
-                        let _ = write!(
-                            out,
-                            "{{\"root\": {}, \"volume\": {}, \"distance\": ",
-                            r.root, r.volume
-                        );
-                        match r.distance {
-                            Some(d) => {
-                                let _ = write!(out, "{d}");
-                            }
-                            None => out.push_str("null"),
-                        }
-                        let _ = write!(
-                            out,
-                            ", \"distance_upper\": {}, \"queries\": {}, \"random_bits\": {}, \"completed\": {}}}",
-                            r.distance_upper, r.queries, r.random_bits, r.completed
-                        );
-                    }
-                    out.push(']');
-                }
+        out.push_str("}\n");
+        for (c, recs) in self.chunks.iter().enumerate() {
+            if let Some(recs) = recs {
+                push_chunk_line(&mut out, c, recs.iter());
             }
-            out.push_str(if i + 1 < self.chunks.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
         }
-        out.push_str("  ]\n}\n");
+        if self.is_complete() {
+            out.push_str(&format!("{{\"seal\": \"{:016x}\"}}\n", self.digest()));
+        }
         out
     }
 
-    /// Parses a `vc-engine-checkpoint/v2` document.
+    /// Parses a `vc-engine-checkpoint/v3` file. A last line without its
+    /// newline is a chunk that was never committed, and is dropped.
     ///
     /// # Errors
     ///
-    /// A human-readable description of the first malformation (bad JSON,
-    /// wrong schema, missing or out-of-range fields). Pre-identity `v1`
-    /// files get a dedicated migration message: their fingerprints cannot
-    /// distinguish same-size instances, so they are never resumed.
+    /// A human-readable description of the first malformation: a torn
+    /// or malformed header, a wrong schema, a newline-terminated line
+    /// that does not parse, a duplicate or out-of-range chunk, a column
+    /// that is ragged, null where it may not be or out of range, a seal
+    /// that does not recompute, or a line after the seal. Files of the
+    /// retired `v1` and `v2` schemas get a migration message.
     pub fn from_json(src: &str) -> Result<Self, String> {
-        let doc = json::parse(src)?;
-        let schema = doc
-            .get("schema")
-            .and_then(json::Value::as_str)
-            .ok_or("missing schema")?;
-        if schema == CHECKPOINT_SCHEMA_V1 {
-            return Err(format!(
-                "schema is {CHECKPOINT_SCHEMA_V1:?}: pre-identity checkpoints hash only the \
-                 instance size and cannot be safely resumed — delete the file and rerun the \
-                 sweep (README \"Checkpoint compatibility\")"
-            ));
-        }
-        if schema != CHECKPOINT_SCHEMA {
-            return Err(format!(
-                "schema is {schema:?}, expected {CHECKPOINT_SCHEMA:?}"
-            ));
-        }
-        let instance_id = doc
-            .get("instance_id")
-            .and_then(json::Value::as_str)
-            .and_then(InstanceId::parse_hex)
-            .ok_or("missing or malformed instance_id")?;
-        let sweep_id = doc
-            .get("sweep_id")
-            .and_then(json::Value::as_str)
-            .and_then(SweepId::parse_hex)
-            .ok_or("missing or malformed sweep_id")?;
-        let num_chunks = doc
-            .get("num_chunks")
-            .and_then(json::Value::as_u64)
-            .map(usize::try_from)
-            .ok_or("missing num_chunks")?
-            .map_err(|_| "out-of-range num_chunks")?;
-        let partition = match doc.get("partition") {
-            None => None,
-            Some(v) => {
-                let spec = v.as_str().ok_or("partition is not a string")?;
-                let set = ChunkSet::parse(spec).map_err(|e| format!("malformed partition: {e}"))?;
-                set.check_plan(num_chunks)
-                    .map_err(|e| format!("partition does not fit this checkpoint: {e}"))?;
-                Some(set)
-            }
-        };
-        let chunk_vals = doc
-            .get("chunks")
-            .and_then(json::Value::as_arr)
-            .ok_or("missing chunks array")?;
-        if chunk_vals.len() != num_chunks {
-            return Err(format!(
-                "chunks array has {} entries, num_chunks says {num_chunks}",
-                chunk_vals.len()
-            ));
-        }
-        let mut chunks = Vec::with_capacity(num_chunks);
-        for (c, v) in chunk_vals.iter().enumerate() {
-            match v {
-                json::Value::Null => chunks.push(None),
-                json::Value::Arr(items) => {
-                    let mut recs = Vec::with_capacity(items.len());
-                    for item in items {
-                        recs.push(record_from_json(item).map_err(|e| format!("chunk {c}: {e}"))?);
-                    }
-                    chunks.push(Some(recs));
-                }
-                _ => return Err(format!("chunk {c} is neither null nor an array")),
+        decode(src).map(|(ckpt, _)| ckpt)
+    }
+
+    /// The seal's digest: the identity, the chunk count and every
+    /// record, in chunk order.
+    fn digest(&self) -> u64 {
+        let mut h = IdHasher::new(CHECKPOINT_SCHEMA);
+        let id = self.identity;
+        h.words(&[
+            id.instance_id.raw(),
+            id.sweep_id.raw(),
+            self.num_chunks as u64,
+        ]);
+        for recs in self.chunks.iter().flatten() {
+            h.word(recs.len() as u64);
+            for r in recs {
+                h.words(&[r.root as u64, r.volume as u64, r.queries, r.random_bits]);
+                h.words(&[u64::from(r.distance_upper), u64::from(r.completed)]);
+                h.opt_word(r.distance.map(u64::from));
             }
         }
-        Ok(Self {
-            identity: SweepIdentity {
-                instance_id,
-                sweep_id,
-            },
-            num_chunks,
-            partition,
-            chunks,
-        })
+        h.finish()
     }
 }
 
-fn record_from_json(v: &json::Value) -> Result<ExecutionRecord, String> {
-    let u64_field = |key: &str| {
-        v.get(key)
-            .and_then(json::Value::as_u64)
-            .ok_or_else(|| format!("missing or non-integer field {key:?}"))
+/// Appends chunk `chunk`'s line; the full encode and the live sink's
+/// append share it.
+fn push_chunk_line<'a, I>(out: &mut String, chunk: usize, recs: I)
+where
+    I: ExactSizeIterator<Item = &'a ExecutionRecord> + Clone,
+{
+    out.push_str("{\"chunk\": ");
+    json::push_uint(out, chunk as u64);
+    out.push_str(", \"starts\": ");
+    json::push_uint(out, recs.len() as u64);
+    let first = recs.clone().next().map(|r| r.root);
+    let mut offsets = recs.clone().enumerate();
+    match first {
+        Some(f) if offsets.all(|(i, r)| f.checked_add(i) == Some(r.root)) => {
+            out.push_str(", \"first_root\": ");
+            json::push_uint(out, f as u64);
+        }
+        _ => push_column(out, "root", recs.clone().map(|r| Some(r.root as u64))),
+    }
+    for (key, field) in COLUMNS {
+        push_column(out, key, recs.clone().map(field));
+    }
+    out.push_str("}\n");
+}
+
+/// Appends `, "key": ` and the column: its one value when every row has
+/// it, else the array of rows.
+fn push_column(out: &mut String, key: &str, vals: impl Iterator<Item = Option<u64>> + Clone) {
+    let push = |out: &mut String, v: Option<u64>| match v {
+        Some(n) => json::push_uint(out, n),
+        None => out.push_str("null"),
     };
-    let distance = match v.get("distance") {
-        Some(json::Value::Null) | None => None,
-        Some(d) => Some(
-            d.as_u64()
-                .and_then(|d| u32::try_from(d).ok())
-                .ok_or("out-of-range distance")?,
-        ),
+    out.push_str(", \"");
+    out.push_str(key);
+    out.push_str("\": ");
+    match vals.clone().next() {
+        Some(v) if vals.clone().all(|w| w == v) => push(out, v),
+        _ => {
+            out.push('[');
+            for (i, v) in vals.enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                push(out, v);
+            }
+            out.push(']');
+        }
+    }
+}
+
+/// A file's checkpoint, less a torn last line, and whether it is sealed.
+fn decode(text: &str) -> Result<(SweepCheckpoint, bool), String> {
+    let header_end = text.find('\n');
+    let mut ckpt = decode_header(&text[..header_end.unwrap_or(text.len())], text)?;
+    let mut pos = header_end.ok_or("the header line is torn (no newline)")? + 1;
+    let (mut done, mut in_order, mut sealed) = (0, true, false);
+    while let Some(len) = text[pos..].find('\n') {
+        let (at, line) = (pos, &text[pos..pos + len]);
+        pos += len + 1;
+        if sealed {
+            return Err(format!("a line follows the seal (byte {at})"));
+        }
+        let members = json::parse_columns(line).map_err(|e| format!("line at byte {at}: {e}"))?;
+        if let Some(seal) = field(&members, "seal") {
+            let stored = match seal {
+                Column::Scalar(Value::Str(hex)) => vc_ident::parse_hex(hex),
+                _ => None,
+            };
+            let stored = stored.ok_or_else(|| format!("malformed seal at byte {at}"))?;
+            if done != ckpt.num_chunks || !in_order {
+                return Err(format!(
+                    "seal after {done} of {} chunks, in chunk order: {in_order}",
+                    ckpt.num_chunks
+                ));
+            }
+            let computed = ckpt.digest();
+            if stored != computed {
+                return Err(format!(
+                    "seal digest mismatch: stored {stored:016x}, computed {computed:016x}"
+                ));
+            }
+            sealed = true;
+            continue;
+        }
+        let (c, recs) = decode_chunk(members).map_err(|e| format!("line at byte {at}: {e}"))?;
+        let num_chunks = ckpt.num_chunks;
+        let slot = ckpt
+            .chunks
+            .get_mut(c)
+            .ok_or_else(|| format!("chunk {c} is out of range ({num_chunks} chunks)"))?;
+        if slot.is_some() {
+            return Err(format!("chunk {c} appears twice"));
+        }
+        // A sealed file is canonical: its chunk lines are in chunk order.
+        in_order &= c == done;
+        *slot = Some(recs);
+        done += 1;
+    }
+    if sealed && pos < text.len() {
+        return Err(format!("data follows the seal (byte {pos})"));
+    }
+    Ok((ckpt, sealed))
+}
+
+/// The header line `line` of `text`. A line that does not parse may be
+/// the first line of a retired schema's multi-line document, so `text`
+/// is parsed whole to name it.
+fn decode_header(line: &str, text: &str) -> Result<SweepCheckpoint, String> {
+    let members = json::parse_columns(line).map_err(|e| {
+        let doc = json::parse(text).ok();
+        doc.as_ref()
+            .and_then(|d| d.get("schema")?.as_str())
+            .and_then(retired)
+            .unwrap_or_else(|| format!("malformed header line: {e}"))
+    })?;
+    let text_field = |key: &str| match field(&members, key) {
+        Some(Column::Scalar(Value::Str(s))) => Some(s.as_str()),
+        _ => None,
     };
-    let completed = match v.get("completed") {
-        Some(json::Value::Bool(b)) => *b,
-        _ => return Err("missing or non-boolean field \"completed\"".to_string()),
+    let schema = text_field("schema").ok_or("missing schema")?;
+    if schema != CHECKPOINT_SCHEMA {
+        return Err(retired(schema)
+            .unwrap_or_else(|| format!("schema is {schema:?}, expected {CHECKPOINT_SCHEMA:?}")));
+    }
+    let instance_id = text_field("instance_id")
+        .and_then(InstanceId::parse_hex)
+        .ok_or("missing or malformed instance_id")?;
+    let sweep_id = text_field("sweep_id")
+        .and_then(SweepId::parse_hex)
+        .ok_or("missing or malformed sweep_id")?;
+    let num_chunks = match field(&members, "num_chunks") {
+        Some(Column::Scalar(Value::Int(n))) => *n,
+        _ => return Err("missing num_chunks".to_string()),
     };
-    Ok(ExecutionRecord {
-        root: usize::try_from(u64_field("root")?).map_err(|_| "out-of-range root")?,
-        volume: usize::try_from(u64_field("volume")?).map_err(|_| "out-of-range volume")?,
-        distance,
-        distance_upper: u32::try_from(u64_field("distance_upper")?)
-            .map_err(|_| "out-of-range distance_upper")?,
-        queries: u64_field("queries")?,
-        random_bits: u64_field("random_bits")?,
-        completed,
-    })
+    let num_chunks = usize::try_from(num_chunks)
+        .ok()
+        .filter(|&n| n <= MAX_CHUNKS)
+        .ok_or_else(|| format!("num_chunks {num_chunks} is past the bound of {MAX_CHUNKS}"))?;
+    let partition = match field(&members, "partition") {
+        None => None,
+        Some(_) => {
+            let spec = text_field("partition").ok_or("partition is not a string")?;
+            let set = ChunkSet::parse(spec).map_err(|e| format!("malformed partition: {e}"))?;
+            set.check_plan(num_chunks)
+                .map_err(|e| format!("partition does not fit this checkpoint: {e}"))?;
+            Some(set)
+        }
+    };
+    let mut ckpt = SweepCheckpoint::fresh(
+        SweepIdentity {
+            instance_id,
+            sweep_id,
+        },
+        num_chunks,
+    );
+    ckpt.partition = partition;
+    Ok(ckpt)
+}
+
+/// The first member named `key`.
+fn field<'a>(members: &'a [(String, Column)], key: &str) -> Option<&'a Column> {
+    members.iter().find(|(k, _)| k == key).map(|(_, c)| c)
+}
+
+/// The chunk index a `vc-engine-checkpoint/v3` chunk line holds, if
+/// `line` (without its newline) parses and has one. Fleet heartbeats
+/// count appended lines with it.
+pub fn line_chunk(line: &str) -> Option<usize> {
+    match field(&json::parse_columns(line).ok()?, "chunk")? {
+        Column::Scalar(Value::Int(c)) => usize::try_from(*c).ok(),
+        _ => None,
+    }
+}
+
+/// `v` as a `T`, or why it does not fit.
+fn narrow<T: TryFrom<u64>>(v: u64, key: &str) -> Result<T, String> {
+    T::try_from(v).map_err(|_| format!("{key:?} value {v} is out of range"))
+}
+
+/// A chunk line's index and records.
+fn decode_chunk(
+    mut members: Vec<(String, Column)>,
+) -> Result<(usize, Vec<ExecutionRecord>), String> {
+    let mut take = |key: &str| {
+        let at = members.iter().position(|(k, _)| k == key)?;
+        Some(members.swap_remove(at).1)
+    };
+    let int = |col: Option<Column>, key: &str| match col {
+        Some(Column::Scalar(Value::Int(n))) => narrow::<usize>(n, key),
+        _ => Err(format!("missing or non-integer {key:?}")),
+    };
+    let chunk = int(take("chunk"), "chunk")?;
+    let starts = int(take("starts"), "starts")?;
+    if starts > MAX_CHUNK_STARTS {
+        return Err(format!(
+            "{starts} starts is past the chunk bound of {MAX_CHUNK_STARTS}"
+        ));
+    }
+    let first_root = take("first_root").map(|c| int(Some(c), "first_root"));
+    let first_root = first_root.transpose()?;
+    // A constant column stands for `starts` equal rows.
+    let mut col = |key: &str| match take(key) {
+        Some(Column::Scalar(Value::Int(n))) => Ok(vec![Some(n); starts]),
+        Some(Column::Scalar(Value::Null)) => Ok(vec![None; starts]),
+        Some(Column::Ints(vs)) if vs.len() == starts => Ok(vs),
+        Some(Column::Ints(vs)) => Err(format!(
+            "column {key:?} has {} values for {starts} starts",
+            vs.len()
+        )),
+        Some(Column::Scalar(_)) => Err(format!("column {key:?} is not integers")),
+        None => Err(format!("missing column {key:?}")),
+    };
+    let root = match first_root {
+        Some(first) => {
+            let end = first
+                .checked_add(starts)
+                .ok_or_else(|| format!("first_root {first} overflows"))?;
+            (first..end).map(|r| Some(r as u64)).collect()
+        }
+        None => col("root")?,
+    };
+    let [volume, distance, upper, queries, bits, completed] = COLUMNS.map(|(key, _)| col(key));
+    let (volume, distance, upper) = (volume?, distance?, upper?);
+    let (queries, bits, completed) = (queries?, bits?, completed?);
+    let recs = (0..starts).map(|i| {
+        let cell = |col: &[Option<u64>], key: &str| {
+            col[i].ok_or_else(|| format!("column {key:?} is null at start {i}"))
+        };
+        Ok(ExecutionRecord {
+            root: narrow(cell(&root, "root")?, "root")?,
+            volume: narrow(cell(&volume, "volume")?, "volume")?,
+            distance: distance[i].map(|d| narrow(d, "distance")).transpose()?,
+            distance_upper: narrow(cell(&upper, "distance_upper")?, "distance_upper")?,
+            queries: cell(&queries, "queries")?,
+            random_bits: cell(&bits, "random_bits")?,
+            completed: match cell(&completed, "completed")? {
+                0 => false,
+                1 => true,
+                v => return Err(format!("\"completed\" value {v} is not 0 or 1")),
+            },
+        })
+    });
+    Ok((chunk, recs.collect::<Result<_, String>>()?))
 }
 
 /// The result of a checkpointed sweep: records and costs for every chunk
@@ -389,41 +562,74 @@ impl CheckpointReport {
     pub fn is_complete(&self) -> bool {
         self.completed_chunks == self.num_chunks
     }
+
+    /// The report of `ckpt`, whose records move into it.
+    fn of(ckpt: SweepCheckpoint, num_starts: usize) -> Self {
+        let completed_chunks = ckpt.completed_chunks();
+        let num_chunks = ckpt.num_chunks;
+        let mut acc = CostAccumulator::default();
+        let mut records = Vec::with_capacity(num_starts);
+        for rec in ckpt.chunks.into_iter().flatten().flatten() {
+            acc.add(&rec);
+            records.push(rec);
+        }
+        Self {
+            summary: acc.finish(),
+            total_queries: acc.total_queries(),
+            records,
+            completed_chunks,
+            num_chunks,
+        }
+    }
 }
 
 /// The incremental checkpoint writer behind
-/// [`Engine::with_live_checkpoint`]: after every completed chunk the
-/// updated partial checkpoint is rewritten to disk (write-then-rename, so
-/// a reader never sees a torn file). This is the progress heartbeat a
-/// fleet supervisor observes — chunk-count deltas in the part file through
-/// the sanctioned clock — without any channel back into the sweep itself:
-/// the sink only *writes* state the sweep already produced, so liveness
-/// observation cannot perturb determinism (DESIGN.md §16).
+/// [`Engine::with_live_checkpoint`]: every completed chunk appends its
+/// line to the file with one `write_all`. This is the progress heartbeat
+/// a fleet supervisor observes — the lines appended since its last poll,
+/// through the sanctioned clock — without any channel back into the
+/// sweep itself: the sink only *writes* state the sweep already
+/// produced, so liveness observation cannot perturb determinism
+/// (DESIGN.md §16).
 pub(crate) struct LiveCheckpointSink {
-    path: PathBuf,
-    state: Mutex<SweepCheckpoint>,
+    /// `None` once an append failed.
+    file: Mutex<Option<std::fs::File>>,
 }
 
 impl LiveCheckpointSink {
-    /// A sink rewriting `path` from `state` (pre-stamped with the
-    /// writer's partition and any resumed chunks) on every commit.
-    pub(crate) fn new(path: &Path, state: SweepCheckpoint) -> Self {
-        Self {
-            path: path.to_path_buf(),
-            state: Mutex::new(state),
+    /// A sink appending to the existing file at `path`.
+    pub(crate) fn open(path: &Path) -> std::io::Result<Self> {
+        let file = std::fs::OpenOptions::new().append(true).open(path)?;
+        Ok(Self {
+            file: Mutex::new(Some(file)),
+        })
+    }
+
+    /// Appends `chunk`'s line. A failed append may leave its line torn,
+    /// so it ends the appends: no complete line follows a torn one, and
+    /// the run rewrites the file whole at its end (see [`Self::failed`]).
+    pub(crate) fn commit<'a, I>(&self, chunk: usize, recs: I)
+    where
+        I: ExactSizeIterator<Item = &'a ExecutionRecord> + Clone,
+    {
+        let mut line = String::new();
+        push_chunk_line(&mut line, chunk, recs);
+        // One write under the lock, so lines never interleave.
+        let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
+        if file
+            .as_mut()
+            .is_some_and(|f| f.write_all(line.as_bytes()).is_err())
+        {
+            *file = None;
         }
     }
 
-    /// Records `chunk` as complete and rewrites the file. Heartbeats are
-    /// advisory: an I/O failure here only delays suspicion, so it is
-    /// swallowed — the authoritative final write at the end of the run
-    /// still fails loudly.
-    pub(crate) fn commit(&self, chunk: usize, records: Vec<ExecutionRecord>) {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        state.chunks[chunk] = Some(records);
-        // The write stays under the lock so commits land on disk in
-        // commit order and a rename never clobbers a newer file.
-        let _ = write_atomically(&self.path, &state.to_json());
+    /// Whether an append failed, so the file lacks lines of this run.
+    fn failed(&self) -> bool {
+        self.file
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .is_none()
     }
 }
 
@@ -440,13 +646,14 @@ pub fn write_atomically(path: &Path, text: &str) -> std::io::Result<()> {
 
 impl Engine {
     /// Runs a recorded sweep against a checkpoint file at `path`:
-    /// previously checkpointed chunks are skipped, freshly completed
-    /// chunks are added, and the updated checkpoint is written back. The
-    /// returned report covers *all* completed chunks (previous runs
-    /// included), so once [`CheckpointReport::is_complete`] the records
-    /// and summary are byte-identical to an unbroken [`Engine::run_all`] —
-    /// no matter how many kills and resumes happened in between, and for
-    /// any thread count.
+    /// previously checkpointed chunks are skipped and the file is
+    /// rewritten with the freshly completed ones, sealed once the sweep is
+    /// complete. The returned report covers *all* completed chunks
+    /// (previous runs included), so once [`CheckpointReport::is_complete`]
+    /// the records and summary are byte-identical to an unbroken
+    /// [`Engine::run_all`] — no matter how many kills and resumes happened
+    /// in between, and for any thread count. A sealed file runs nothing
+    /// and is left as it is.
     ///
     /// Combine with [`Engine::with_chunk_quota`] for a deterministic
     /// "kill" in tests, or with [`Engine::with_deadline`] /
@@ -460,9 +667,9 @@ impl Engine {
     /// claims, so every resume completes at least one chunk.
     ///
     /// Under [`Engine::with_chunk_set`] this is the fleet-worker entry
-    /// point: only the slice's chunks execute, the written file is
-    /// stamped with the slice ([`SweepCheckpoint::partition`]), and the
-    /// disjoint partials splice back into one full checkpoint with
+    /// point: only the slice's chunks execute, the file is stamped with
+    /// the slice ([`SweepCheckpoint::partition`]), and the disjoint
+    /// partials splice back into one full checkpoint with
     /// [`splice_checkpoints`](crate::splice_checkpoints).
     ///
     /// # Errors
@@ -529,22 +736,25 @@ impl Engine {
         let fold = || sweep_identity(inst, algo, config, &starts);
         let identity = identity.unwrap_or_else(fold);
         debug_assert_eq!(identity, fold(), "handed another sweep's identity");
-        let (mut ckpt, resumed) = match std::fs::read_to_string(path) {
-            Ok(text) => {
-                let ckpt = SweepCheckpoint::from_json(&text).map_err(EngineError::BadCheckpoint)?;
+        let loaded = match std::fs::read_to_string(path) {
+            Ok(text) => Some(decode(&text).map_err(EngineError::BadCheckpoint)?),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+            Err(e) => return Err(e.into()),
+        };
+        let mut limits = self.limits(&sw, starts.len())?;
+        let mut ckpt = match loaded {
+            Some((ckpt, sealed)) => {
                 if ckpt.identity.sweep_id != identity.sweep_id {
                     let mut msg = format!(
                         "fingerprint {} belongs to a different sweep (expected {})",
                         ckpt.identity.sweep_id, identity.sweep_id
                     );
                     if ckpt.identity.instance_id != identity.instance_id {
-                        use std::fmt::Write as _;
-                        let _ = write!(
-                            msg,
+                        msg.push_str(&format!(
                             "; the instance content differs (checkpoint instance {}, this sweep \
                              runs instance {})",
                             ckpt.identity.instance_id, identity.instance_id
-                        );
+                        ));
                     }
                     return Err(EngineError::BadCheckpoint(msg));
                 }
@@ -554,24 +764,25 @@ impl Engine {
                         ckpt.num_chunks
                     )));
                 }
-                (ckpt, true)
+                if sealed {
+                    return Ok(CheckpointReport::of(ckpt, starts.len()));
+                }
+                limits.resumed = true;
+                ckpt
             }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                (SweepCheckpoint::fresh(identity, num_chunks), false)
-            }
-            Err(e) => return Err(EngineError::Io(e.to_string())),
+            None => SweepCheckpoint::fresh(identity, num_chunks),
         };
-
-        let done: Vec<bool> = ckpt.chunks.iter().map(Option::is_some).collect();
         // The file records the *writer's* restriction: a fleet worker's
-        // partial is stamped with its chunk set, while unrestricted runs
-        // (and resumes) keep the historical no-partition layout.
+        // partial is stamped with its chunk set, unrestricted runs carry
+        // no stamp.
         ckpt.partition = self.chunk_set().cloned();
-        let sink = self
-            .live_checkpoint()
-            .then(|| LiveCheckpointSink::new(path, ckpt.clone()));
-        let mut limits = self.limits(&sw, starts.len())?;
-        limits.resumed = resumed;
+        let live = self.live_checkpoint();
+        if live {
+            // Appends start on a line boundary, under this writer's stamp.
+            write_atomically(path, &ckpt.to_json())?;
+        }
+        let sink = live.then(|| LiveCheckpointSink::open(path)).transpose()?;
+        let done: Vec<bool> = ckpt.chunks.iter().map(Option::is_some).collect();
         let run = run_sharded::<A, NoopTracer>(
             inst,
             algo,
@@ -584,33 +795,22 @@ impl Engine {
         // The executed chunks' records lie back to back in the report;
         // each chunk's run moves into its slot.
         let mut fresh = run.report.records.into_iter();
-        for c in run.executed {
+        for &c in &run.executed {
             let (lo, hi) = plan.bounds(c, starts.len());
             ckpt.chunks[c] = Some(fresh.by_ref().take(hi - lo).collect());
         }
-        write_atomically(path, &ckpt.to_json()).map_err(|e| EngineError::Io(e.to_string()))?;
-
-        let mut acc = CostAccumulator::default();
-        let mut records = Vec::with_capacity(starts.len());
-        for chunk in ckpt.chunks.iter().flatten() {
-            for rec in chunk {
-                acc.add(rec);
-                records.push(rec.clone());
-            }
+        // A live run's appends already hold its chunks, unless one failed.
+        if !live || ckpt.is_complete() || sink.as_ref().is_some_and(LiveCheckpointSink::failed) {
+            write_atomically(path, &ckpt.to_json())?;
         }
-        Ok(CheckpointReport {
-            summary: acc.finish(),
-            total_queries: acc.total_queries(),
-            records,
-            completed_chunks: ckpt.completed_chunks(),
-            num_chunks,
-        })
+        Ok(CheckpointReport::of(ckpt, starts.len()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
     use vc_model::oracle::{follow, Oracle, QueryError};
     use vc_model::SolverScratch;
 
@@ -943,6 +1143,47 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_append_ends_the_appends_and_is_reported() {
+        let inst = vc_graph::gen::random_full_binary_tree(333, 5); // 6 chunks
+        let config = RunConfig::default();
+        let starts: Vec<usize> = (0..inst.n()).collect();
+        let path = temp_path("failed_append.json");
+        let fresh =
+            SweepCheckpoint::fresh(sweep_identity(&inst, &WalkLeft, &config, &starts), 6).to_json();
+        let engine = Engine::with_threads(2);
+        let sw = Stopwatch::start();
+        let run = |sink: &LiveCheckpointSink| {
+            let limits = engine.limits(&sw, starts.len()).unwrap();
+            run_sharded::<_, NoopTracer>(
+                &inst,
+                &WalkLeft,
+                &config,
+                &starts,
+                limits,
+                None,
+                Some(sink),
+            );
+        };
+        // A read-only handle breaks the first append: the sink reports it
+        // and writes nothing after it, so the run rewrites the file whole.
+        std::fs::write(&path, &fresh).unwrap();
+        let broken = LiveCheckpointSink {
+            file: Mutex::new(Some(std::fs::File::open(&path).unwrap())),
+        };
+        run(&broken);
+        assert!(broken.failed());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), fresh);
+        let sink = LiveCheckpointSink::open(&path).unwrap();
+        run(&sink);
+        assert!(!sink.failed());
+        let appended = SweepCheckpoint::from_json(&std::fs::read_to_string(&path).unwrap());
+        assert!(
+            appended.unwrap().is_complete(),
+            "every chunk appended its line"
+        );
+    }
+
+    #[test]
     fn a_stale_temp_file_from_a_killed_writer_is_harmless() {
         let inst = vc_graph::gen::random_full_binary_tree(333, 5); // 6 chunks
         let config = RunConfig::default();
@@ -1020,5 +1261,267 @@ mod tests {
             .run_recorded_with_checkpoint(&inst, &WalkLeft, &config, &path)
             .unwrap_err();
         assert!(matches!(err, EngineError::BadCheckpoint(_)), "{err}");
+    }
+
+    #[test]
+    fn sealed_files_hold_integer_columns_in_chunk_order() {
+        let inst = vc_graph::gen::random_full_binary_tree(333, 5); // 6 chunks
+        let text = unbroken_bytes(&inst, &RunConfig::default(), "columns.json");
+        let text = String::from_utf8(text).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 8, "header, six chunks, seal");
+        assert!(lines[0].starts_with("{\"schema\": \"vc-engine-checkpoint/v3\", "));
+        for (c, line) in lines[1..7].iter().enumerate() {
+            let head = format!("{{\"chunk\": {c}, \"starts\": ");
+            assert!(line.starts_with(&head), "{line}");
+            // Consecutive roots are written as the first one; a constant
+            // column as its one value.
+            assert!(
+                line.contains(&format!("\"first_root\": {}, ", 64 * c)),
+                "{line}"
+            );
+            assert!(line.contains("\"random_bits\": 0, "), "{line}");
+        }
+        assert!(lines[7].starts_with("{\"seal\": \""), "{}", lines[7]);
+        let ckpt = SweepCheckpoint::from_json(&text).unwrap();
+        assert!(ckpt.is_complete());
+        assert_eq!(ckpt.to_json(), text);
+    }
+
+    #[test]
+    fn a_sealed_file_runs_nothing_and_keeps_its_bytes() {
+        let inst = vc_graph::gen::random_full_binary_tree(333, 5); // 6 chunks
+        let config = RunConfig::default();
+        let path = temp_path("sealed_resume.json");
+        let _ = std::fs::remove_file(&path);
+        Engine::with_threads(2)
+            .run_recorded_with_checkpoint(&inst, &WalkLeft, &config, &path)
+            .unwrap();
+        let before = std::fs::read(&path).unwrap();
+        let inode = |p: &Path| std::os::unix::fs::MetadataExt::ino(&std::fs::metadata(p).unwrap());
+        let ino = inode(&path);
+        // Another stamp would rewrite a partial file; a sealed one stays.
+        let report = Engine::with_threads(2)
+            .with_chunk_set(ChunkSet::parse("0..6/6").unwrap())
+            .run_recorded_with_checkpoint(&inst, &WalkLeft, &config, &path)
+            .unwrap();
+        assert!(report.is_complete());
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        assert_eq!(inode(&path), ino, "the sealed file was replaced");
+    }
+
+    #[test]
+    fn only_a_torn_last_line_is_dropped() {
+        let inst = vc_graph::gen::random_full_binary_tree(333, 5); // 6 chunks
+        let path = temp_path("torn.json");
+        let _ = std::fs::remove_file(&path);
+        Engine::with_threads(1)
+            .with_chunk_quota(3)
+            .run_recorded_with_checkpoint(&inst, &WalkLeft, &RunConfig::default(), &path)
+            .unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let whole = SweepCheckpoint::from_json(&text).unwrap();
+        let lines: Vec<&str> = text.split_inclusive('\n').collect();
+        assert_eq!(lines.len(), 4, "header and chunks 0..3");
+        let last = text.len() - lines[3].len();
+        for cut in last..text.len() {
+            let torn = SweepCheckpoint::from_json(&text[..cut]).unwrap();
+            assert_eq!(torn.chunks[..2], whole.chunks[..2], "cut at {cut}");
+            assert_eq!(torn.chunks[2], None, "cut at {cut}");
+        }
+        // A newline-terminated line that does not parse is corruption,
+        // wherever it stands; so is a chunk index seen twice.
+        let [header, c0, c1, c2] = [lines[0], lines[1], lines[2], lines[3]];
+        let bad = [
+            (
+                format!("{header}{c0}{{\"chunk\": 1\n{c1}{c2}"),
+                "line at byte",
+            ),
+            (format!("{header}{c0}{c1}{c2}garbage\n"), "line at byte"),
+            (format!("{header}{c0}{c1}{c0}"), "appears twice"),
+            (
+                header[..header.len() - 1].to_string(),
+                "header line is torn",
+            ),
+            (String::new(), "malformed header"),
+        ];
+        for (src, why) in bad {
+            let err = SweepCheckpoint::from_json(&src).unwrap_err();
+            assert!(err.contains(why), "{why}: {err}");
+        }
+    }
+
+    /// A seeded xorshift64 draw below `n`.
+    fn below(state: &mut u64, n: usize) -> usize {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        (*state % n as u64) as usize
+    }
+
+    #[test]
+    fn mutated_files_are_refused_or_lose_only_their_torn_tail() {
+        let inst = vc_graph::gen::random_full_binary_tree(333, 5); // 6 chunks
+        let config = RunConfig::default();
+        let sealed = String::from_utf8(unbroken_bytes(&inst, &config, "mutated.json")).unwrap();
+        let clean = SweepCheckpoint::from_json(&sealed).unwrap();
+        let partial = temp_path("mutated_partial.json");
+        let _ = std::fs::remove_file(&partial);
+        Engine::with_threads(2)
+            .with_chunk_quota(4)
+            .run_recorded_with_checkpoint(&inst, &WalkLeft, &config, &partial)
+            .unwrap();
+        let partial = std::fs::read_to_string(&partial).unwrap();
+        let mut state = 0x5eed_0003;
+        let (mut kept, mut refused) = (0, 0);
+        for (file, is_sealed) in [(&sealed, true), (&partial, false)] {
+            for _ in 0..1_500 {
+                let mut m = file.as_bytes().to_vec();
+                match below(&mut state, 3) {
+                    0 => m.truncate(below(&mut state, m.len())),
+                    1 => {
+                        // The file is ASCII; a flip of a low seven bit
+                        // keeps it so.
+                        let at = below(&mut state, m.len());
+                        m[at] ^= 1 << below(&mut state, 7);
+                    }
+                    _ => {
+                        let from = below(&mut state, m.len());
+                        let to = (from + 1 + below(&mut state, 40)).min(m.len());
+                        let slice = m[from..to].to_vec();
+                        let at = below(&mut state, m.len() + 1);
+                        m.splice(at..at, slice);
+                    }
+                }
+                let m = String::from_utf8(m).unwrap();
+                let Ok(ckpt) = SweepCheckpoint::from_json(&m) else {
+                    refused += 1;
+                    continue;
+                };
+                kept += 1;
+                assert!(ckpt.chunks.len() <= MAX_CHUNKS);
+                let records: usize = ckpt.chunks.iter().flatten().map(Vec::len).sum();
+                assert!(records <= m.lines().count() * MAX_CHUNK_STARTS);
+                if is_sealed {
+                    // The seal guards every record: what is left is the
+                    // clean file's, less a torn tail.
+                    assert_eq!(ckpt.identity, clean.identity, "{m}");
+                    for (c, chunk) in ckpt.chunks.iter().enumerate() {
+                        if chunk.is_some() {
+                            assert_eq!(chunk, &clean.chunks[c], "chunk {c} of {m}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(kept > 0 && refused > kept, "{kept} kept, {refused} refused");
+    }
+
+    #[test]
+    fn hostile_headers_and_lines_are_refused() {
+        let inst = vc_graph::gen::random_full_binary_tree(333, 5); // 6 chunks
+        let text = String::from_utf8(unbroken_bytes(&inst, &RunConfig::default(), "hostile.json"));
+        let text = text.unwrap();
+        let lines: Vec<&str> = text.split_inclusive('\n').collect();
+        let header = lines[0];
+        let c0 = lines[1];
+        let partial = format!("{header}{c0}");
+        let seal_at = text.rfind("{\"seal\"").unwrap();
+        let unsealed = &text[..seal_at];
+        let edit = |src: &str, from: &str, to: &str| {
+            assert!(src.contains(from), "{from}");
+            src.replacen(from, to, 1)
+        };
+        let cases = [
+            (
+                edit(
+                    &text,
+                    "\"num_chunks\": 6",
+                    "\"num_chunks\": 18446744073709551615",
+                ),
+                "past the bound",
+            ),
+            (
+                edit(
+                    &partial,
+                    "\"num_chunks\": 6",
+                    &format!("\"num_chunks\": {}", MAX_CHUNKS + 1),
+                ),
+                "past the bound",
+            ),
+            (
+                edit(&partial, "\"volume\": [", "\"volume\": [7,"),
+                "values for",
+            ),
+            (
+                format!(
+                    "{header}{{\"chunk\": 1, \"starts\": 4097, \"first_root\": 0, \"volume\": 1, \
+                 \"distance\": 0, \"distance_upper\": 0, \"queries\": 1, \"random_bits\": 0, \
+                 \"completed\": 1}}\n"
+                ),
+                "past the chunk bound",
+            ),
+            (format!("{partial}{c0}"), "appears twice"),
+            (
+                edit(&partial, "\"chunk\": 0", "\"chunk\": 6"),
+                "out of range",
+            ),
+            (
+                edit(
+                    &partial,
+                    "\"first_root\": 0",
+                    "\"first_root\": 18446744073709551615",
+                ),
+                "overflows",
+            ),
+            (
+                edit(&partial, "\"random_bits\": 0", "\"random_bits\": null"),
+                "is null",
+            ),
+            (
+                edit(&partial, "\"completed\": 1", "\"completed\": 2"),
+                "not 0 or 1",
+            ),
+            (
+                edit(&partial, "\"volume\": [", "\"volume\": [-"),
+                "signed number",
+            ),
+            (
+                format!("{unsealed}{{\"seal\": \"0123456789abcdef\"}}\n"),
+                "seal digest",
+            ),
+            (
+                format!("{partial}{{\"seal\": \"0123456789abcdef\"}}\n"),
+                "seal after 1 of 6",
+            ),
+            (format!("{text}{c0}"), "follows the seal"),
+            (format!("{text}{{"), "follows the seal"),
+        ];
+        for (src, why) in &cases {
+            let err = SweepCheckpoint::from_json(src).unwrap_err();
+            assert!(err.contains(why), "{why}: {err}");
+        }
+        // Chunk lines out of chunk order are fine in a partial file and
+        // refused under a seal.
+        let (c1, rest) = (lines[2], lines[3..].concat());
+        let swapped = format!("{header}{c1}{c0}{rest}");
+        let err = SweepCheckpoint::from_json(&swapped).unwrap_err();
+        assert!(err.contains("in chunk order: false"), "{err}");
+        let swapped_partial = format!("{header}{c1}{c0}");
+        assert_eq!(
+            SweepCheckpoint::from_json(&swapped_partial)
+                .unwrap()
+                .completed_chunks(),
+            2
+        );
+        // The retired schemas get the migration message.
+        let v2 = "{\n  \"schema\": \"vc-engine-checkpoint/v2\",\n  \"instance_id\": \"00000000000000aa\",\n  \
+                  \"sweep_id\": \"00000000000000bb\",\n  \"num_chunks\": 1,\n  \"chunks\": [\n    \
+                  [{\"root\": 0, \"volume\": 1, \"distance\": 0, \"distance_upper\": 0, \"queries\": 1, \
+                  \"random_bits\": 0, \"completed\": true}]\n  ]\n}\n";
+        for retired in [v2, &v2.replace("/v2", "/v1")] {
+            let err = SweepCheckpoint::from_json(retired).unwrap_err();
+            assert!(err.contains("delete the file"), "{err}");
+        }
     }
 }

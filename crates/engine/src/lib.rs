@@ -51,10 +51,11 @@
 //!   The checkpoint tests use this as a reproducible "kill".
 //! * **Checkpoint / resume.** [`Engine::run_recorded_with_checkpoint`]
 //!   persists per-chunk [`ExecutionRecord`]s to a
-//!   `vc-engine-checkpoint/v2` JSON file — keyed by the content-addressed
-//!   [`SweepIdentity`] — and resumes exactly where a previous (killed) run
-//!   stopped; the resumed result is byte-identical to an unbroken run
-//!   (see the `checkpoint` module).
+//!   `vc-engine-checkpoint/v3` file — one line of integer columns per
+//!   chunk, keyed by the content-addressed [`SweepIdentity`] and sealed
+//!   once complete — and resumes exactly where a previous (killed) run
+//!   stopped; the final file is byte-identical to an unbroken run's (see
+//!   the `checkpoint` module).
 //!
 //! [`Engine::run_all_traced`] additionally aggregates a
 //! [`vc_trace::MergeTracer`] (one fresh tracer per share, absorbed in chunk
@@ -78,8 +79,8 @@
 //! [`EngineReport::out_of_range_chunks`], distinct from the degradation
 //! ledgers: a partition worker that finishes its claim is healthy, not
 //! degraded. Under [`Engine::with_live_checkpoint`] (or
-//! `VC_LIVE_CHECKPOINT=1`) the partial file is rewritten atomically after
-//! every completed chunk, turning it into a progress heartbeat; when a
+//! `VC_LIVE_CHECKPOINT=1`) every completed chunk appends its line to the
+//! partial file, turning it into a progress heartbeat; when a
 //! worker dies anyway, [`splice_partial`] merges what exists and names
 //! the gap, so a supervisor (the `vc-fleet` crate) can reassign exactly
 //! the missing chunks. See `examples/fleet_sweep.rs` for the supervised
@@ -109,7 +110,7 @@ use vc_trace::time::Stopwatch;
 use vc_trace::{MergeTracer, NoopTracer, TraceEvent};
 
 pub use checkpoint::{
-    sweep_identity, write_atomically, CheckpointReport, EngineError, SweepCheckpoint,
+    line_chunk, sweep_identity, write_atomically, CheckpointReport, EngineError, SweepCheckpoint,
     SweepIdentity, CHECKPOINT_SCHEMA,
 };
 pub use partition::{ChunkSet, RangeError, CHUNKS_ENV};
@@ -407,11 +408,11 @@ impl Engine {
     }
 
     /// Enables incremental checkpoint writes: during
-    /// [`Engine::run_recorded_with_checkpoint`] the partial file is
-    /// rewritten (atomically, write-then-rename) after every completed
-    /// chunk instead of only at the end. This turns part files into
-    /// progress heartbeats a fleet supervisor can watch; it changes how
-    /// *often* the file is written, never what the final bytes are.
+    /// [`Engine::run_recorded_with_checkpoint`] every completed chunk
+    /// appends its line to the file as it lands instead of only at the
+    /// end. This turns part files into progress heartbeats a fleet
+    /// supervisor can watch; it changes when lines are written, never
+    /// what the final bytes are.
     pub fn with_live_checkpoint(mut self) -> Self {
         self.live = true;
         self
@@ -658,7 +659,7 @@ impl<O, T> ChunkCell<O, T> {
         if let Some(sink) = sink.filter(|_| n > 0 && landed.0 == self.len) {
             let mut outs: Vec<_> = landed.1.iter().flat_map(|s| &s.outs).collect();
             outs.sort_unstable_by_key(|&&(i, _, _)| i);
-            sink.commit(chunk, outs.iter().map(|(_, _, rec)| rec.clone()).collect());
+            sink.commit(chunk, outs.iter().map(|(_, _, rec)| rec));
         }
     }
 }
@@ -838,49 +839,48 @@ where
         })
         .collect();
 
-    let joined: Vec<std::thread::Result<()>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut scratch = ExecScratch::new();
-                    loop {
-                        // The claim boundary: the cooperative stop point
-                        // for deadlines and quotas, whose claimed chunks
-                        // run to completion. A cancel also stops shares
-                        // between starts; the merge drops what it cut.
-                        if limits.should_stop(claimed.load(Ordering::Relaxed)) {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= limits.claim_limit {
-                            break;
-                        }
-                        let c = limits.claims[i];
-                        if !is_done(c) {
-                            claimed.store(true, Ordering::Relaxed);
-                            participate(&sweep, &cells[c], c, true, &mut scratch, sink);
-                        }
-                    }
-                    // No chunk is left to claim: rather than exit, help
-                    // finish the claimed chunks start by start.
-                    let claimed = next.load(Ordering::Relaxed).min(limits.claim_limit);
-                    for &c in &limits.claims[..claimed] {
-                        if cells[c].cursor.load(Ordering::Relaxed) < cells[c].len {
-                            participate(&sweep, &cells[c], c, false, &mut scratch, sink);
-                        }
-                    }
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join()).collect()
-    });
-    for res in joined {
-        // Shares only run algorithm code inside `catch_unwind`; a join
-        // error means the harness itself failed, which must stay fatal.
-        if let Err(payload) = res {
-            std::panic::resume_unwind(payload);
+    let share = || {
+        let mut scratch = ExecScratch::new();
+        loop {
+            // The claim boundary: the cooperative stop point for deadlines
+            // and quotas, whose claimed chunks run to completion. A cancel
+            // also stops shares between starts; the merge drops what it cut.
+            if limits.should_stop(claimed.load(Ordering::Relaxed)) {
+                break;
+            }
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= limits.claim_limit {
+                break;
+            }
+            let c = limits.claims[i];
+            if !is_done(c) {
+                claimed.store(true, Ordering::Relaxed);
+                participate(&sweep, &cells[c], c, true, &mut scratch, sink);
+            }
         }
-    }
+        // No chunk is left to claim: rather than exit, help finish the
+        // claimed chunks start by start.
+        let claimed = next.load(Ordering::Relaxed).min(limits.claim_limit);
+        for &c in &limits.claims[..claimed] {
+            if cells[c].cursor.load(Ordering::Relaxed) < cells[c].len {
+                participate(&sweep, &cells[c], c, false, &mut scratch, sink);
+            }
+        }
+    };
+    // The calling thread runs one share itself: a thread spawned only to
+    // be joined costs a thread start per sweep, and the fresh thread may
+    // land on the core of a thread the caller's request is waiting for.
+    std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..workers).map(|_| s.spawn(share)).collect();
+        share();
+        for helper in helpers {
+            // Shares only run algorithm code inside `catch_unwind`; a join
+            // error means the harness itself failed, which must stay fatal.
+            if let Err(payload) = helper.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+    });
 
     // Merge in chunk order: chunks partition `starts` contiguously, so this
     // reproduces the serial runner's start-order records exactly (modulo
@@ -1276,20 +1276,26 @@ mod tests {
             .unwrap();
         let one = std::fs::read(&paths[0]).unwrap();
         assert_eq!(std::fs::read(&paths[1]).unwrap(), one);
-        // The sink's own last write, with no final write after it: every
+        // The sink's own appends, with no final write after them: every
         // chunk was committed once its last share landed, in start order.
+        // Lines land in landing order, so the decoded records are compared.
         let algo = Skewed::new(true, usize::MAX, 0);
         let starts: Vec<usize> = (0..inst.n()).collect();
         let fresh = SweepCheckpoint::fresh(
             sweep_identity(&inst, &algo, &config, &starts),
             plan_chunks(inst.n()).num_chunks,
         );
-        let sink = LiveCheckpointSink::new(&paths[2], fresh);
+        // A fresh checkpoint encodes as its header line alone.
+        std::fs::write(&paths[2], fresh.to_json()).unwrap();
+        let sink = LiveCheckpointSink::open(&paths[2]).unwrap();
         let engine = Engine::with_threads(2);
         let sw = Stopwatch::start();
         let limits = engine.limits(&sw, inst.n()).unwrap();
         run_sharded::<_, NoopTracer>(&inst, &algo, &config, &starts, limits, None, Some(&sink));
-        assert_eq!(std::fs::read(&paths[2]).unwrap(), one);
+        let decode = |p: &std::path::Path| {
+            SweepCheckpoint::from_json(&std::fs::read_to_string(p).unwrap()).unwrap()
+        };
+        assert_eq!(decode(&paths[2]).chunks, decode(&paths[0]).chunks);
     }
 
     #[test]

@@ -3,12 +3,15 @@
 //! The merge side of fleet execution (DESIGN.md §15): each worker process
 //! runs a [`ChunkSet`](crate::ChunkSet)-restricted sweep against its
 //! own checkpoint file, and [`splice_checkpoints`] recombines the partial
-//! `vc-engine-checkpoint/v2` files into a single complete checkpoint.
+//! `vc-engine-checkpoint/v3` files into a single complete checkpoint.
 //! Because chunk contents are deterministic and identified by index, the
-//! spliced file is **byte-identical** to the checkpoint a single
+//! spliced file is **byte-identical** to the sealed checkpoint a single
 //! unpartitioned process would have written — the `partition` stamp on
-//! the inputs is dropped, and every other byte of the encoding is a pure
-//! function of (identity, chunk plan, records).
+//! the inputs is dropped, the chunk lines are written in chunk order
+//! whatever order they landed in, and every other byte of the encoding
+//! is a pure function of (identity, chunk plan, records). A partial file
+//! is not canonical (its lines follow landing order), so the inputs are
+//! compared as decoded chunks, never as bytes.
 //!
 //! Validation is strict and loud, in the spirit of the identity checks on
 //! resume: every input must carry the same [`SweepIdentity`] and chunk

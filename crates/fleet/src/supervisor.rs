@@ -9,8 +9,10 @@
 
 use crate::report::{FleetReport, WorkerReport};
 use crate::{FleetConfig, FleetError, LaunchSpec, WorkerBackend, WorkerStatus};
+use std::collections::BTreeSet;
+use std::io::{Read as _, Seek as _, SeekFrom};
 use std::path::{Path, PathBuf};
-use vc_engine::{splice_partial, ChunkSet, SweepCheckpoint};
+use vc_engine::{line_chunk, splice_partial, ChunkSet, SweepCheckpoint};
 use vc_trace::time::Stopwatch;
 use vc_trace::{TraceEvent, Tracer};
 
@@ -36,8 +38,11 @@ struct Active<H> {
     assigned: Vec<usize>,
     path: PathBuf,
     handle: H,
-    /// Completed assigned chunks at the last heartbeat observation.
-    progress: usize,
+    /// Bytes of the part file the heartbeat has read: every poll reads
+    /// only what was appended since.
+    offset: u64,
+    /// Assigned chunks whose lines the heartbeat has seen.
+    seen: BTreeSet<usize>,
     /// Restarted on every progress observation; when it outlives the
     /// liveness deadline, the launch is suspected dead.
     sw: Stopwatch,
@@ -139,7 +144,8 @@ impl Supervisor {
                 assigned,
                 path,
                 handle,
-                progress: 0,
+                offset: 0,
+                seen: BTreeSet::new(),
                 sw: Stopwatch::start(),
                 suspected: false,
                 exit_failed: false,
@@ -175,14 +181,12 @@ impl Supervisor {
                         ended.push(i);
                     }
                     WorkerStatus::Running => {
-                        let done = completed_assigned(&a.path, &a.assigned);
-                        if done > a.progress {
-                            a.progress = done;
+                        if a.heartbeat() {
                             a.sw = Stopwatch::start();
                         } else if a.sw.elapsed() >= self.config.liveness_deadline {
                             tracer.event(TraceEvent::WorkerSuspected {
                                 worker: a.worker,
-                                completed: done,
+                                completed: a.seen.len(),
                                 assigned: a.assigned.len(),
                             });
                             report.suspected += 1;
@@ -314,17 +318,41 @@ impl Supervisor {
     }
 }
 
-/// Advisory heartbeat read: how many of `assigned` are complete in the
-/// part file at `path`. Unreadable or malformed files count as zero
-/// progress — a worker whose heartbeat cannot be read looks dead, which
-/// is the safe direction (kill-before-read keeps a false positive
-/// harmless).
-fn completed_assigned(path: &Path, assigned: &[usize]) -> usize {
-    read_completed_set(path, assigned).len()
+impl<H> Active<H> {
+    /// Advisory heartbeat read: adds the assigned chunks whose complete
+    /// lines were appended to the part file since the last poll, and says
+    /// whether any was new. A torn last line is read again next time; a
+    /// file that shrank was rewritten and is read from its start.
+    /// Unreadable files add nothing — a worker whose heartbeat cannot be
+    /// read looks dead, which is the safe direction (kill-before-read
+    /// keeps a false positive harmless).
+    fn heartbeat(&mut self) -> bool {
+        let mut appended = Vec::new();
+        let read = std::fs::File::open(&self.path).and_then(|mut f| {
+            if f.metadata()?.len() < self.offset {
+                self.offset = 0;
+            }
+            f.seek(SeekFrom::Start(self.offset))?;
+            f.read_to_end(&mut appended)
+        });
+        let Some(end) = read.ok().and(appended.iter().rposition(|&b| b == b'\n')) else {
+            return false;
+        };
+        self.offset += end as u64 + 1;
+        let before = self.seen.len();
+        for line in appended[..end].split(|&b| b == b'\n') {
+            let chunk = std::str::from_utf8(line).ok().and_then(line_chunk);
+            if let Some(c) = chunk.filter(|c| self.assigned.contains(c)) {
+                self.seen.insert(c);
+            }
+        }
+        self.seen.len() > before
+    }
 }
 
-/// The assigned chunks that are complete in the part file at `path`
-/// (empty on any read/parse failure — see [`completed_assigned`]).
+/// The assigned chunks that are complete in the part file at `path`,
+/// read whole and authoritatively when a launch ends (empty on any
+/// read/parse failure, like [`Active::heartbeat`]).
 fn read_completed_set(path: &Path, assigned: &[usize]) -> Vec<usize> {
     let Ok(text) = std::fs::read_to_string(path) else {
         return Vec::new();
@@ -626,5 +654,60 @@ mod tests {
             .run(&mut backend, 0, &dir, &mut vc_trace::NoopTracer)
             .unwrap_err();
         assert_eq!(err, FleetError::EmptySweep);
+    }
+
+    #[test]
+    fn heartbeats_count_only_the_complete_lines_appended_since_the_last_poll() {
+        let dir = part_dir("heartbeat");
+        let path = dir.join("part.json");
+        let mut part = SweepCheckpoint::fresh(identity(), 4);
+        std::fs::write(&path, part.to_json()).unwrap();
+        let mut active = Active {
+            worker: 0,
+            assigned: vec![1, 2],
+            path: path.clone(),
+            handle: (),
+            offset: 0,
+            seen: BTreeSet::new(),
+            sw: Stopwatch::start(),
+            suspected: false,
+            exit_failed: false,
+        };
+        assert!(!active.heartbeat(), "a header is no progress");
+        let header_len = std::fs::metadata(&path).unwrap().len();
+        assert_eq!(active.offset, header_len);
+        part.chunks[2] = Some(vec![rec(2)]);
+        part.chunks[3] = Some(vec![rec(3)]);
+        let lines = part.to_json()[usize::try_from(header_len).unwrap()..].to_string();
+        let (c2, c3) = lines.split_at(lines.find('\n').unwrap() + 1);
+        let append = |text: &str| {
+            use std::io::Write as _;
+            let mut f = std::fs::OpenOptions::new()
+                .append(true)
+                .open(&path)
+                .unwrap();
+            f.write_all(text.as_bytes()).unwrap();
+        };
+        // A torn line is not progress until its newline lands.
+        append(&c2[..c2.len() - 1]);
+        assert!(!active.heartbeat());
+        append("\n");
+        assert!(active.heartbeat());
+        assert_eq!(active.seen, BTreeSet::from([2]));
+        // Chunk 3 is not this launch's.
+        append(c3);
+        assert!(!active.heartbeat());
+        assert_eq!(active.offset, std::fs::metadata(&path).unwrap().len());
+        // A rewritten, shorter file is read again from its start.
+        part.chunks[2] = None;
+        part.chunks[1] = Some(vec![rec(1)]);
+        let rewritten = part.to_json();
+        std::fs::write(
+            &path,
+            &rewritten[..rewritten.find("\"chunk\": 3").unwrap() - 1],
+        )
+        .unwrap();
+        assert!(active.heartbeat());
+        assert_eq!(active.seen, BTreeSet::from([1, 2]));
     }
 }

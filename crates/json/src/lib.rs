@@ -12,8 +12,12 @@
 //! takes exactly four hex digits, and a raw control byte in a string is
 //! refused; [`escape`] escapes every such byte.
 //!
+//! Columnar lines have a fast path both ways: [`parse_columns`] scans an
+//! object whose arrays hold plain integers without building a [`Value`]
+//! per number, and [`push_uint`] formats an integer without `write!`.
+//!
 //! This is a leaf crate on purpose: `vc-engine` decodes sweep checkpoint
-//! files (`vc-engine-checkpoint/v2`) with it, and `xtask` both lints the
+//! files (`vc-engine-checkpoint/v3`) with it, and `xtask` both lints the
 //! workspace *and* merges partial checkpoints through `vc-engine`, so the
 //! shared codec must sit below both to keep the dependency graph acyclic.
 
@@ -153,6 +157,78 @@ pub fn escaped_len(s: &str) -> usize {
             .sum::<usize>()
 }
 
+/// Appends the decimal digits of `n`.
+pub fn push_uint(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        // A remainder below ten always fits.
+        digits[at] = b'0' + u8::try_from(n % 10).unwrap_or(0);
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
+}
+
+/// A member value of a columnar line (see [`parse_columns`]).
+#[derive(Clone, Debug, PartialEq)]
+pub enum Column {
+    /// A string, number, boolean or `null`, as [`parse`] reads it.
+    Scalar(Value),
+    /// An array of plain non-negative integers and `null`s.
+    Ints(Vec<Option<u64>>),
+}
+
+/// Parses one JSON object whose members are scalars or flat arrays of
+/// integers, in document order, with no [`Value`] per array element.
+///
+/// # Errors
+///
+/// The first malformation, nested object, or array element that is not
+/// `null` or a plain non-negative integer within `u64`: signs, fractions,
+/// exponents and larger literals are refused, not rounded.
+pub fn parse_columns(src: &str) -> Result<Vec<(String, Column)>, String> {
+    whole(src, |src, i| match src.as_bytes().get(i) {
+        Some(b'{') => members(src, i, column),
+        _ => Err(format!("expected '{{' at byte {i}")),
+    })
+}
+
+fn column(src: &str, i: usize) -> Parsed<Column> {
+    match src.as_bytes().get(i) {
+        Some(b'[') => items(src, i, int_or_null).map(|(v, n)| (Column::Ints(v), n)),
+        Some(b'{') => Err(format!("nested object at byte {i}")),
+        _ => value(src, i).map(|(v, n)| (Column::Scalar(v), n)),
+    }
+}
+
+fn int_or_null(src: &str, mut i: usize) -> Parsed<Option<u64>> {
+    let (b, start) = (src.as_bytes(), i);
+    match b.get(i) {
+        Some(b'n') => literal(b, i, b"null").map(|n| (None, n)),
+        Some(c) if c.is_ascii_digit() => {
+            let mut n = 0u64;
+            while let Some(&c) = b.get(i).filter(|c| c.is_ascii_digit()) {
+                n = n
+                    .checked_mul(10)
+                    .and_then(|n| n.checked_add(u64::from(c - b'0')))
+                    .ok_or_else(|| format!("integer past u64 at byte {start}"))?;
+                i += 1;
+            }
+            match b.get(i) {
+                Some(b'.' | b'e' | b'E') => Err(format!("non-integer number at byte {start}")),
+                _ => Ok((Some(n), i)),
+            }
+        }
+        Some(b'-') => Err(format!("signed number at byte {i}")),
+        Some(c) => Err(format!("unexpected byte {c:#x} in integer array at {i}")),
+        None => Err("unexpected end of input".to_string()),
+    }
+}
+
 /// Checks that `src` is exactly one valid JSON value (with surrounding
 /// whitespace allowed).
 ///
@@ -169,14 +245,22 @@ pub fn validate(src: &str) -> Result<(), String> {
 ///
 /// A human-readable description of the first malformation.
 pub fn parse(src: &str) -> Result<Value, String> {
+    whole(src, value)
+}
+
+/// Reads one value with `read`, surrounded by whitespace only.
+fn whole<V>(src: &str, read: impl Fn(&str, usize) -> Parsed<V>) -> Result<V, String> {
     let bytes = src.as_bytes();
-    let (v, mut pos) = value(src, skip_ws(bytes, 0))?;
-    pos = skip_ws(bytes, pos);
+    let (v, pos) = read(src, skip_ws(bytes, 0))?;
+    let pos = skip_ws(bytes, pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
     }
     Ok(v)
 }
+
+/// A value read from a document and the byte after it.
+type Parsed<V> = Result<(V, usize), String>;
 
 fn skip_ws(b: &[u8], mut i: usize) -> usize {
     while i < b.len() && matches!(b[i], b' ' | b'\t' | b'\n' | b'\r') {
@@ -185,7 +269,7 @@ fn skip_ws(b: &[u8], mut i: usize) -> usize {
     i
 }
 
-fn value(src: &str, i: usize) -> Result<(Value, usize), String> {
+fn value(src: &str, i: usize) -> Parsed<Value> {
     let b = src.as_bytes();
     match b.get(i) {
         Some(b'{') => object(src, i),
@@ -203,12 +287,22 @@ fn value(src: &str, i: usize) -> Result<(Value, usize), String> {
     }
 }
 
-fn object(src: &str, mut i: usize) -> Result<(Value, usize), String> {
+fn object(src: &str, i: usize) -> Parsed<Value> {
+    members(src, i, value).map(|(m, n)| (Value::Obj(m), n))
+}
+
+/// The members of the object whose `{` is at byte `i`, in order, each
+/// value read by `read`.
+fn members<V>(
+    src: &str,
+    mut i: usize,
+    read: impl Fn(&str, usize) -> Parsed<V>,
+) -> Parsed<Vec<(String, V)>> {
     let b = src.as_bytes();
     let mut members = Vec::new();
     i = skip_ws(b, i + 1);
     if b.get(i) == Some(&b'}') {
-        return Ok((Value::Obj(members), i + 1));
+        return Ok((members, i + 1));
     }
     loop {
         let (key, next) = string(src, skip_ws(b, i))?;
@@ -216,31 +310,36 @@ fn object(src: &str, mut i: usize) -> Result<(Value, usize), String> {
         if b.get(i) != Some(&b':') {
             return Err(format!("expected ':' at byte {i}"));
         }
-        let (v, next) = value(src, skip_ws(b, i + 1))?;
+        let (v, next) = read(src, skip_ws(b, i + 1))?;
         members.push((key, v));
         i = skip_ws(b, next);
         match b.get(i) {
             Some(b',') => i += 1,
-            Some(b'}') => return Ok((Value::Obj(members), i + 1)),
+            Some(b'}') => return Ok((members, i + 1)),
             _ => return Err(format!("expected ',' or '}}' at byte {i}")),
         }
     }
 }
 
-fn array(src: &str, mut i: usize) -> Result<(Value, usize), String> {
+fn array(src: &str, i: usize) -> Parsed<Value> {
+    items(src, i, value).map(|(v, n)| (Value::Arr(v), n))
+}
+
+/// The items of the array whose `[` is at byte `i`, each read by `read`.
+fn items<V>(src: &str, mut i: usize, read: impl Fn(&str, usize) -> Parsed<V>) -> Parsed<Vec<V>> {
     let b = src.as_bytes();
     let mut items = Vec::new();
     i = skip_ws(b, i + 1);
     if b.get(i) == Some(&b']') {
-        return Ok((Value::Arr(items), i + 1));
+        return Ok((items, i + 1));
     }
     loop {
-        let (v, next) = value(src, skip_ws(b, i))?;
+        let (v, next) = read(src, skip_ws(b, i))?;
         items.push(v);
         i = skip_ws(b, next);
         match b.get(i) {
             Some(b',') => i += 1,
-            Some(b']') => return Ok((Value::Arr(items), i + 1)),
+            Some(b']') => return Ok((items, i + 1)),
             _ => return Err(format!("expected ',' or ']' at byte {i}")),
         }
     }
@@ -670,11 +769,39 @@ mod tests {
             .collect()
     }
 
+    /// What [`parse_columns`] must return for `src`, read off [`parse`]'s
+    /// tree: an object whose arrays hold only integers and `null`s.
+    fn columns_of(src: &str) -> Option<Vec<(String, Column)>> {
+        let Ok(Value::Obj(members)) = parse(src) else {
+            return None;
+        };
+        let column = |v: Value| match v {
+            Value::Arr(items) => items
+                .into_iter()
+                .map(|x| match x {
+                    Value::Int(n) => Some(Some(n)),
+                    Value::Null => Some(None),
+                    _ => None,
+                })
+                .collect::<Option<_>>()
+                .map(Column::Ints),
+            Value::Obj(_) => None,
+            v => Some(Column::Scalar(v)),
+        };
+        members
+            .into_iter()
+            .map(|(k, v)| Some((k, column(v)?)))
+            .collect()
+    }
+
     #[test]
     fn mutated_documents_parse_as_the_reference_does() {
-        // A `vc-serve-result/v1` document as the store writes it: the full
+        // A `vc-serve-result/v2` document as the store writes it: the full
         // LeafColoring distance sweep of a 255-node full binary tree, whose
-        // payload is the sweep's `vc-engine-checkpoint/v2` file.
+        // payload is the sweep's `vc-engine-checkpoint/v3` file. That
+        // payload is one JSON document per line, so its header and its
+        // first chunk line are mutated on their own. Every mutant also
+        // goes through the column scan.
         let stored = include_str!("../tests/data/stored_result.json");
         let checkpoint = parse(stored)
             .expect("the stored document parses")
@@ -682,18 +809,21 @@ mod tests {
             .and_then(Value::as_str)
             .expect("the stored document has a payload")
             .to_string();
+        let lines: Vec<&str> = checkpoint.lines().collect();
+        assert!(lines[1].contains('['), "line 1 holds a chunk's columns");
         let mut rng = XorShift(0x5eed_0002);
-        let (mut agreed, mut refused) = (0, 0);
-        for doc in [stored, checkpoint.as_str()] {
+        let (mut agreed, mut refused, mut columnar) = (0, 0, 0);
+        for doc in [stored, lines[0], lines[1]] {
             assert_eq!(parse(doc), reference::parse(doc));
+            assert_eq!(parse_columns(doc).ok(), columns_of(doc));
             let bytes = doc.as_bytes();
             for _ in 0..300 {
                 let mut m = bytes.to_vec();
                 match rng.below(3) {
                     0 => m.truncate(rng.below(m.len())),
                     1 => {
-                        // Both documents are ASCII; flipping one of the
-                        // low seven bits keeps them so.
+                        // The documents are ASCII; flipping one of the low
+                        // seven bits keeps them so.
                         let at = rng.below(m.len());
                         m[at] ^= 1 << rng.below(7);
                     }
@@ -706,6 +836,9 @@ mod tests {
                     }
                 }
                 let m = String::from_utf8(m).expect("ASCII mutations stay UTF-8");
+                let got = parse_columns(&m);
+                assert_eq!(got.as_ref().ok(), columns_of(&m).as_ref(), "{m}");
+                columnar += usize::from(got.is_ok());
                 let (got, want) = (parse(&m), reference::parse(&m));
                 match (&got, &want) {
                     (Ok(g), Ok(w)) => assert_eq!(g, w),
@@ -725,5 +858,48 @@ mod tests {
             }
         }
         assert!(agreed > refused, "{agreed} agreed, {refused} newly refused");
+        assert!(columnar > 0, "no mutated line scanned as columns");
+    }
+
+    #[test]
+    fn integer_columns_refuse_what_they_cannot_hold_exactly() {
+        let cols =
+            parse_columns(r#"{"k": "v", "n": 7, "c": [0, 18446744073709551615,null ], "e": []}"#);
+        assert_eq!(
+            cols,
+            Ok(vec![
+                ("k".to_string(), Column::Scalar(Value::Str("v".to_string()))),
+                ("n".to_string(), Column::Scalar(Value::Int(7))),
+                (
+                    "c".to_string(),
+                    Column::Ints(vec![Some(0), Some(u64::MAX), None])
+                ),
+                ("e".to_string(), Column::Ints(vec![])),
+            ])
+        );
+        for (src, why) in [
+            (r#"{"c": [1, -2]}"#, "signed"),
+            (r#"{"c": [1.5]}"#, "non-integer"),
+            (r#"{"c": [1e3]}"#, "non-integer"),
+            (r#"{"c": [18446744073709551616]}"#, "past u64"),
+            (r#"{"c": [[1]]}"#, "unexpected byte"),
+            (r#"{"c": {"d": 1}}"#, "nested object"),
+            (r#"{"c": [1 2]}"#, "expected ','"),
+            (r#"{"c": [1,]}"#, "unexpected byte"),
+            (r#"{"c": [1]} x"#, "trailing data"),
+            (r#"[1]"#, "expected '{'"),
+        ] {
+            let err = parse_columns(src).expect_err(src);
+            assert!(err.contains(why), "{src}: {err}");
+        }
+    }
+
+    #[test]
+    fn push_uint_writes_what_parse_reads() {
+        for n in [0, 7, 10, 99, 1 << 53, u64::MAX] {
+            let mut out = String::from("x");
+            push_uint(&mut out, n);
+            assert_eq!(out, format!("x{n}"));
+        }
     }
 }

@@ -29,7 +29,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use vc_engine::{CancelFlag, Engine, SweepId, SweepIdentity};
+use vc_engine::{CancelFlag, Engine, SweepCheckpoint, SweepId, SweepIdentity};
 use vc_graph::Instance;
 use vc_model::run::{RunConfig, StartError};
 use vc_trace::{RecordingTracer, TraceEvent, Tracer};
@@ -255,12 +255,25 @@ pub struct SweepService {
 }
 
 impl SweepService {
-    /// Starts the service: opens the store, creates the spool and
-    /// spawns the scheduler thread.
+    /// Starts the service: opens the store, creates the spool, deletes
+    /// the spool files that do not decode (an earlier checkpoint schema's
+    /// would refuse every resubmission of its spec) and spawns the
+    /// scheduler thread. A decodable spool file an earlier process left
+    /// is resumed when its spec is submitted again.
     pub fn start(config: &ServeConfig) -> Result<Self, ServeError> {
+        let io = |e: std::io::Error| ServeError::Store(StoreError::Io(e.to_string()));
         let store = ResultStore::open(&config.store_dir, config.max_store_entries)?;
-        std::fs::create_dir_all(&config.spool_dir)
-            .map_err(|e| ServeError::Store(StoreError::Io(e.to_string())))?;
+        std::fs::create_dir_all(&config.spool_dir).map_err(io)?;
+        for entry in std::fs::read_dir(&config.spool_dir).map_err(io)? {
+            let path = entry.map_err(io)?.path();
+            if !path.to_str().is_some_and(|p| p.ends_with(".ckpt.json")) {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).unwrap_or_default();
+            if SweepCheckpoint::from_json(&text).is_err() {
+                std::fs::remove_file(&path).map_err(io)?;
+            }
+        }
         let store_entries = store.len();
         let shared = Arc::new(Shared {
             inner: Mutex::new(Inner {
@@ -670,6 +683,10 @@ fn scheduler_loop(shared: &Shared, threads: usize, spool_dir: &std::path::Path) 
             shared.change.notify_all();
             (claimed, work, flag)
         };
+        // The run below keeps this core busy. A waiter the notify woke may
+        // be queued on this core, and would wait out a time slice before it
+        // sees the job running; yield so that it runs first.
+        std::thread::yield_now();
 
         // Run outside the lock, on the identity `submit` folded (`work` is
         // immutable). A tripped flag stops the run between starts; the
@@ -831,6 +848,46 @@ mod tests {
         assert_eq!(stats.deduped, 1);
         assert_eq!(stats.misses, 2);
         assert_eq!(stats.completed, 2);
+        let _ = std::fs::remove_dir_all(config.store_dir.parent().unwrap_or(&config.store_dir));
+    }
+
+    #[test]
+    fn a_parked_job_still_dedups() {
+        let config = temp_config("parked-dedup", 1);
+        let mut service = SweepService::start(&config).expect("start");
+        let spec = SweepSpec {
+            tape_seed: Some(3),
+            ..SweepSpec::new(
+                InstanceRef::FullBinaryTree { n: 65535, seed: 2 },
+                AlgorithmRef::LeafRandomWalk { step_factor: 32 },
+            )
+        };
+        let victim = service.submit(&spec).expect("submit");
+        service
+            .wait_job(victim.job, WAIT, |s| s.state == JobState::Running)
+            .expect("victim runs");
+        // Cancel the run and stop the scheduler: the victim parks, and
+        // nothing resumes it while its duplicate is submitted.
+        {
+            let mut g = service.shared.lock();
+            let Some((job, flag)) = &g.running else {
+                panic!("the victim finished before its cancel");
+            };
+            assert_eq!(*job, victim.job);
+            flag.cancel();
+            g.shutdown = true;
+            service.shared.work.notify_all();
+        }
+        if let Some(scheduler) = service.scheduler.take() {
+            scheduler.join().expect("scheduler exits");
+        }
+        let status = service.status(victim.job).expect("status");
+        assert_eq!((status.state, status.preemptions), (JobState::Parked, 1));
+        service.shared.lock().shutdown = false;
+        let duplicate = service.submit(&spec).expect("duplicate");
+        assert!(duplicate.deduped, "the parked job lost its dedup entry");
+        assert_eq!(duplicate.job, victim.job);
+        drop(service);
         let _ = std::fs::remove_dir_all(config.store_dir.parent().unwrap_or(&config.store_dir));
     }
 

@@ -307,7 +307,8 @@ mod tests {
             request(&socket, &format!("{{\"op\":\"result\",\"job\":{job}}}")).expect("result");
         let doc = vc_json::parse(&response).expect("result parses");
         let payload = doc.get("payload").and_then(Value::as_str).expect("payload");
-        assert!(vc_json::validate(payload).is_ok());
+        let ckpt = vc_engine::SweepCheckpoint::from_json(payload).expect("payload decodes");
+        assert!(ckpt.is_complete(), "the payload is a complete checkpoint");
         // The reply line keeps the bytes of the per-character escaper.
         let stored = service.result(job).expect("stored result");
         assert_eq!(payload, stored);

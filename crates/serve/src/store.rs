@@ -1,4 +1,4 @@
-//! The content-addressed result store (`vc-serve-result/v1`).
+//! The content-addressed result store (`vc-serve-result/v2`).
 //!
 //! One finished sweep = one file named `<sweep_id>.json` holding the
 //! sweep's final checkpoint document as an escaped payload, wrapped with
@@ -21,7 +21,10 @@
 //!
 //! Entries are replaced atomically ([`vc_engine::write_atomically`]), so
 //! loads need no lock; a stale `.tmp` left by a killed writer is never
-//! adopted or read.
+//! adopted or read. [`ResultStore::open`] adopts only entries whose head
+//! carries [`RESULT_SCHEMA`] and deletes the rest: an entry of an earlier
+//! schema wraps a payload no fresh run produces (`v1` wrapped
+//! `vc-engine-checkpoint/v2` files), so it is recomputed, never served.
 //!
 //! Eviction is FIFO over insertion order with an optional entry cap;
 //! evictions are counted for the `vc-serve-report/v1` document.
@@ -35,14 +38,14 @@ use vc_ident::IdHasher;
 use vc_json::Value;
 
 /// Schema tag of one stored result document.
-pub const RESULT_SCHEMA: &str = "vc-serve-result/v1";
+pub const RESULT_SCHEMA: &str = "vc-serve-result/v2";
 
 /// Why a store operation failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum StoreError {
     /// Filesystem failure (message carries the OS error).
     Io(String),
-    /// The document is not a well-formed `vc-serve-result/v1` file —
+    /// The document is not a well-formed `vc-serve-result/v2` file —
     /// truncated, not JSON, wrong schema tag or missing fields.
     Malformed(String),
     /// No entry under the requested id.
@@ -104,8 +107,12 @@ pub struct ResultStore {
 impl ResultStore {
     /// Opens (creating if needed) a store rooted at `dir` with an
     /// optional entry cap. Pre-existing entries are adopted in id order
-    /// (insertion order is not persisted across restarts).
+    /// (insertion order is not persisted across restarts); those whose
+    /// head does not carry [`RESULT_SCHEMA`] are deleted, not counted as
+    /// evictions.
     pub fn open(dir: &Path, cap: Option<usize>) -> Result<Self, StoreError> {
+        use std::io::Read as _;
+        let head = format!("{{\n  \"schema\": \"{RESULT_SCHEMA}\",");
         std::fs::create_dir_all(dir).map_err(|e| StoreError::Io(e.to_string()))?;
         let mut ids = Vec::new();
         let entries = std::fs::read_dir(dir).map_err(|e| StoreError::Io(e.to_string()))?;
@@ -115,8 +122,17 @@ impl ResultStore {
             let Some(stem) = name.to_str().and_then(|n| n.strip_suffix(".json")) else {
                 continue;
             };
-            if let Some(id) = SweepId::parse_hex(stem) {
+            let Some(id) = SweepId::parse_hex(stem) else {
+                continue;
+            };
+            let mut bytes = Vec::with_capacity(head.len());
+            std::fs::File::open(entry.path())
+                .and_then(|f| f.take(head.len() as u64).read_to_end(&mut bytes))
+                .map_err(|e| StoreError::Io(e.to_string()))?;
+            if bytes == head.as_bytes() {
                 ids.push(id);
+            } else {
+                std::fs::remove_file(entry.path()).map_err(|e| StoreError::Io(e.to_string()))?;
             }
         }
         ids.sort();

@@ -276,7 +276,8 @@ fn run_drill(
     );
     assert!(!outcome.report.degraded, "{label}: degraded fleet");
     let merged_path = part_dir.join("merged.json");
-    std::fs::write(&merged_path, outcome.checkpoint.to_json()).expect("write merged checkpoint");
+    vc_engine::write_atomically(&merged_path, &outcome.checkpoint.to_json())
+        .expect("write merged checkpoint");
     let merged_bytes = std::fs::read(&merged_path).expect("read merged checkpoint");
     assert!(
         merged_bytes == serial_bytes,
@@ -352,6 +353,8 @@ fn run_coordinator() {
         }
         let label = format!("chaos-{seed}");
         let chaos_dir = dir.join(&label);
+        // Like drill 1's, an earlier run's part files must not be resumed.
+        let _ = std::fs::remove_dir_all(&chaos_dir);
         let (outcome, metrics) =
             run_drill(&label, &mut backend, num_chunks, &chaos_dir, &serial_bytes);
         // The report must account for every injected death: each victim

@@ -80,6 +80,16 @@ fn long_batch_spec() -> SweepSpec {
     }
 }
 
+/// A small batch submitted behind the long one. Batches run in admission
+/// order, so it stays queued until the long batch is done, and a
+/// duplicate submitted right after it always finds it in flight.
+fn queued_batch_spec() -> SweepSpec {
+    SweepSpec::new(
+        InstanceRef::FullBinaryTree { n: 255, seed: 2 },
+        AlgorithmRef::LeafDistance,
+    )
+}
+
 /// The queue jumper.
 fn interactive_spec() -> SweepSpec {
     SweepSpec {
@@ -111,26 +121,32 @@ fn drill_at(threads: usize) -> (String, String) {
         "{tag}: cache hit must be byte-identical to the cold run"
     );
 
-    // 2 + 3. Dedup and preemption against one long batch sweep. The
+    // 2 + 3. Dedup and preemption around one long batch sweep. The
     // interactive submission goes out the moment the batch job runs
-    // (its small instance folds in microseconds); the duplicate
-    // follows while the victim is parked or resuming — it stays
-    // in-flight until the resumed run completes.
+    // (its small instance folds in microseconds). The duplicate is of a
+    // small batch queued behind the victim, not of the victim itself:
+    // its instance build and identity fold take about as long as the
+    // victim's whole run, so the victim could finish first. A parked
+    // job's dedup is pinned by the scheduler's `a_parked_job_still_dedups`.
     let victim = service.submit(&long_batch_spec()).expect("batch submit");
     service
         .wait_job(victim.job, WAIT, |s| s.state == JobState::Running)
         .expect("batch job starts running");
     let urgent = service.submit(&interactive_spec()).expect("urgent submit");
     assert!(!urgent.deduped && !urgent.cache_hit);
-    let duplicate = service.submit(&long_batch_spec()).expect("dup submit");
+    let queued = service.submit(&queued_batch_spec()).expect("queued submit");
+    let duplicate = service.submit(&queued_batch_spec()).expect("dup submit");
     assert!(duplicate.deduped, "{tag}: in-flight duplicate must dedup");
     assert_eq!(
-        duplicate.job, victim.job,
+        duplicate.job, queued.job,
         "{tag}: duplicate submission must return the same job id"
     );
     service
         .wait_result(urgent.job, WAIT)
         .expect("urgent result");
+    service
+        .wait_result(queued.job, WAIT)
+        .expect("queued result");
     let victim_bytes = service
         .wait_result(victim.job, WAIT)
         .expect("victim result");
@@ -241,7 +257,8 @@ fn protocol_drill() {
         .expect("result over socket");
     let doc = vc_json::parse(&response).expect("result response parses");
     let payload = doc.get("payload").and_then(Value::as_str).expect("payload");
-    vc_json::validate(payload).expect("payload is a valid checkpoint document");
+    let ckpt = vc_engine::SweepCheckpoint::from_json(payload).expect("payload decodes");
+    assert!(ckpt.is_complete(), "the payload is a complete checkpoint");
 
     let response = vc_serve::request(&socket, "{\"op\":\"stats\"}").expect("stats over socket");
     let doc = vc_json::parse(&response).expect("stats response parses");

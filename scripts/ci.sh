@@ -204,7 +204,7 @@ run_gates() {
     step "xtask check-json serve report" \
         cargo run -p xtask -- check-json target/serve/SERVE_report.json
 
-    # The vc-serve-result/v1 documents the drill stored (33 KB to 8.6 MB
+    # The vc-serve-result/v2 documents the drill stored (3 KB to 0.7 MB
     # of escaped checkpoint each) go through the same decoder, which
     # refuses signed \u escapes and raw control bytes: real service
     # output, not only unit fixtures. A glob that matches nothing fails

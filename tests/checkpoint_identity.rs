@@ -14,9 +14,13 @@
 //!    active `FaultPlan` must be refused when the plan changes between
 //!    the kill and the resume (e.g. a flipped `VC_FAULTS` spec), because
 //!    the fault tape changes every recorded output.
+//!
+//! A kill mid-append is pinned here too: a torn last line is a chunk
+//! that was never committed, and the resume still reaches the unbroken
+//! bytes.
 
 use vc_core::problems::leaf_coloring::DistanceSolver;
-use vc_engine::Engine;
+use vc_engine::{Engine, EngineError};
 use vc_faults::{FaultPlan, FaultedAlgorithm};
 use vc_graph::gen;
 use vc_model::run::RunConfig;
@@ -142,6 +146,67 @@ fn resume_refuses_a_changed_fault_plan() {
     assert!(resumed.is_complete() && unbroken.is_complete());
     assert_eq!(resumed.summary, unbroken.summary);
     assert_eq!(resumed.records, unbroken.records);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A kill mid-append leaves the last line of a partial file without its
+/// newline. Cut a quota-stopped run's file at every byte inside its last
+/// chunk line: each cut resumes, at 1, 2 and 8 threads, to the unbroken
+/// run's sealed bytes. A cut inside the header, which a kill cannot cause
+/// (a file is created whole), a complete garbage line in the middle and a
+/// line after the seal are refused.
+#[test]
+fn a_kill_mid_append_resumes_to_the_unbroken_bytes() {
+    let inst = gen::random_full_binary_tree(129, 5); // 3 chunks
+    let config = RunConfig::default();
+    let dir = temp_dir("torn");
+    let run = |engine: Engine, path: &std::path::Path| {
+        engine.run_recorded_with_checkpoint(&inst, &DistanceSolver, &config, path)
+    };
+    let unbroken_path = dir.join("unbroken.json");
+    let _ = std::fs::remove_file(&unbroken_path);
+    run(Engine::with_threads(2), &unbroken_path).expect("unbroken sweep runs");
+    let unbroken = std::fs::read(&unbroken_path).expect("sealed file readable");
+
+    let partial_path = dir.join("partial.json");
+    let _ = std::fs::remove_file(&partial_path);
+    let killed = run(Engine::with_threads(2).with_chunk_quota(2), &partial_path);
+    assert_eq!(killed.expect("quota-stopped run").completed_chunks, 2);
+    let partial = std::fs::read(&partial_path).expect("partial file readable");
+    let lines: Vec<&[u8]> = partial.split_inclusive(|&b| b == b'\n').collect();
+    assert_eq!(lines.len(), 3, "header and chunks 0 and 1");
+    let last = partial.len() - lines[2].len();
+
+    let path = dir.join("torn.json");
+    for cut in last + 1..partial.len() {
+        for threads in [1, 2, 8] {
+            std::fs::write(&path, &partial[..cut]).expect("torn file written");
+            let resumed = run(Engine::with_threads(threads), &path).expect("torn tail resumes");
+            assert!(resumed.is_complete());
+            assert!(
+                std::fs::read(&path).expect("resumed file readable") == unbroken,
+                "cut at byte {cut}, {threads} threads: the resume diverged"
+            );
+        }
+    }
+
+    let mut refused = vec![lines[0][..lines[0].len() - 1].to_vec(), Vec::new()];
+    refused.push([lines[0], b"{\"chunk\": 1, \"starts\"\n", lines[1]].concat());
+    refused.push([&unbroken[..], lines[1]].concat());
+    for cut in 1..lines[0].len() - 1 {
+        refused.push(partial[..cut].to_vec());
+    }
+    for bytes in refused {
+        std::fs::write(&path, &bytes).expect("damaged file written");
+        let err = run(Engine::with_threads(2), &path).expect_err("damage is refused");
+        assert!(matches!(err, EngineError::BadCheckpoint(_)), "{err}");
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            bytes,
+            "a refusal wrote the file"
+        );
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }

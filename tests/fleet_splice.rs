@@ -209,13 +209,19 @@ fn partition_stamp_round_trips_and_is_validated_against_the_plan() {
     assert_eq!(reread.to_json(), part.to_json());
 
     // A stamp whose total disagrees with the file's own chunk count is a
-    // corrupt file, not a mergeable partial.
+    // corrupt file, not a mergeable partial. The stamp is in the header,
+    // the file's first line.
     let src = std::fs::read_to_string(&path).expect("partial readable");
-    let forged = src.replace(
+    let header = src.lines().next().expect("header line");
+    let forged_header = header.replace(
         &format!("\"partition\": \"{range}\""),
         &format!("\"partition\": \"1..3/{}\"", num_chunks + 1),
     );
-    assert_ne!(forged, src, "the forgery must actually edit the stamp");
+    assert_ne!(
+        forged_header, header,
+        "the forgery must actually edit the stamp"
+    );
+    let forged = src.replacen(header, &forged_header, 1);
     let err = SweepCheckpoint::from_json(&forged).expect_err("mismatched stamp refused");
     assert!(err.contains("chunk"), "{err}");
 

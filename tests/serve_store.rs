@@ -1,4 +1,4 @@
-//! End-to-end contract of the `vc-serve-result/v1` content-addressed
+//! End-to-end contract of the `vc-serve-result/v2` content-addressed
 //! result store, mirroring the `vc-instance/v1` suite: payloads
 //! round-trip byte for byte, corrupt documents are rejected with typed
 //! errors, and an entry whose filename disagrees with its embedded
@@ -7,7 +7,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use vc_engine::{Engine, InstanceId, SweepId, SweepIdentity};
+use vc_engine::{Engine, InstanceId, SweepCheckpoint, SweepId, SweepIdentity};
 use vc_ident::IdHasher;
 use vc_serve::{
     AlgorithmRef, InstanceRef, JobState, Priority, ResultStore, ServeConfig, StoreError,
@@ -30,11 +30,11 @@ fn ident(raw: u64) -> SweepIdentity {
     }
 }
 
-/// A payload shaped like the checkpoint documents the service actually
-/// stores: nested JSON with escapes, not a flat token.
+/// A payload shaped like the checkpoint files the service actually
+/// stores: JSON lines with arrays and escapes, not a flat token.
 fn checkpoint_like_payload() -> String {
-    "{\n  \"schema\": \"vc-engine-checkpoint/v2\",\n  \"rows\": [[0, 1], [2, 3]],\n  \
-     \"note\": \"quotes \\\" and \\\\ backslashes\"\n}\n"
+    "{\"schema\": \"vc-engine-checkpoint/v3\", \"note\": \"quotes \\\" and \\\\ backslashes\"}\n\
+     {\"chunk\": 0, \"volume\": [0,1]}\n"
         .to_string()
 }
 
@@ -104,7 +104,7 @@ fn corrupt_documents_are_rejected_with_typed_errors() {
     // A wrong schema tag is refused before any identity is trusted.
     std::fs::write(
         &path,
-        pristine.replace("vc-serve-result/v1", "vc-serve-result/v9"),
+        pristine.replace(vc_serve::RESULT_SCHEMA, "vc-serve-result/v9"),
     )
     .unwrap();
     assert!(matches!(
@@ -181,10 +181,11 @@ fn fifo_eviction_enforces_the_cap_and_counts() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// DESIGN.md §17.2 promises that stored files stay byte-compatible. The
-/// on-disk document of one real sweep (the full LeafColoring distance
-/// sweep of a 255-node full binary tree) is pinned by its digest, so a
-/// codec change that moves one byte of the document fails here.
+/// DESIGN.md §17.2: a stored file's bytes change only with a schema
+/// bump. The on-disk document of one real sweep (the full LeafColoring
+/// distance sweep of a 255-node full binary tree) is pinned by its
+/// digest, so a codec change that moves one byte of the document fails
+/// here.
 #[test]
 fn stored_document_of_a_real_sweep_keeps_its_bytes() {
     let dir = temp_store("golden");
@@ -213,7 +214,7 @@ fn stored_document_of_a_real_sweep_keeps_its_bytes() {
     h.text(&doc);
     assert_eq!(
         format!("{:016x} {}", h.finish(), doc.len()),
-        "06925d3a5a377d92 33231",
+        "7a30fd06ae9d6dbf 3100",
         "the stored document's bytes moved"
     );
     assert_eq!(store.load(identity.sweep_id).unwrap(), payload);
@@ -379,5 +380,98 @@ fn a_batch_preempted_whenever_it_runs_still_finishes() {
         assert_eq!(service.result(job).unwrap(), clean, "{threads} threads");
         drop(service);
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An upgraded service must neither serve a result an earlier schema
+/// stored nor wedge on a checkpoint an earlier release parked. Both are
+/// planted under one spec's ids: a `vc-serve-result/v1` entry wrapping a
+/// `vc-engine-checkpoint/v2` payload, and that payload as a spool file.
+/// The submission is a miss, and its payload is a fresh run's bytes. A
+/// current spool file, planted under a second spec's ids, is kept and
+/// resumed: its one forged record shows up in that spec's result.
+#[test]
+fn an_upgraded_service_recomputes_what_an_earlier_schema_stored() {
+    let dir = temp_store("upgrade");
+    std::fs::create_dir_all(dir.join("store")).unwrap();
+    std::fs::create_dir_all(dir.join("spool")).unwrap();
+    let spec = SweepSpec::new(
+        InstanceRef::FullBinaryTree { n: 255, seed: 4 },
+        AlgorithmRef::LeafDistance,
+    );
+    let inst = spec.instance.build();
+    let config = spec.run_config();
+    let starts = config.starts.starts(inst.n()).unwrap();
+    let identity = spec.algorithm.identity(&inst, &config, &starts);
+    let reference = dir.join("reference.ckpt.json");
+    spec.algorithm
+        .run_checkpointed(&Engine::with_threads(2), &inst, &config, &reference)
+        .unwrap();
+    let fresh = std::fs::read_to_string(&reference).unwrap();
+
+    let v2 = format!(
+        "{{\n  \"schema\": \"vc-engine-checkpoint/v2\",\n  \"instance_id\": \"{}\",\n  \
+         \"sweep_id\": \"{}\",\n  \"num_chunks\": 4,\n  \"chunks\": [\n    null,\n    null,\n    \
+         null,\n    null\n  ]\n}}\n",
+        identity.instance_id, identity.sweep_id
+    );
+    let mut h = IdHasher::new("vc-serve-result/v1");
+    h.text(&v2);
+    let entry = dir
+        .join("store")
+        .join(format!("{}.json", identity.sweep_id));
+    let v1_entry = format!(
+        "{{\n  \"schema\": \"vc-serve-result/v1\",\n  \"sweep_id\": \"{}\",\n  \
+         \"instance_id\": \"{}\",\n  \"payload_hash\": \"{:016x}\",\n  \"payload\": \"{}\"\n}}\n",
+        identity.sweep_id,
+        identity.instance_id,
+        h.finish(),
+        vc_json::escape(&v2)
+    );
+    std::fs::write(&entry, v1_entry).unwrap();
+    let spool = dir
+        .join("spool")
+        .join(format!("{}.ckpt.json", identity.sweep_id));
+    std::fs::write(&spool, &v2).unwrap();
+
+    let kept_spec = SweepSpec::new(
+        InstanceRef::FullBinaryTree { n: 255, seed: 6 },
+        AlgorithmRef::LeafDistance,
+    );
+    let kept_inst = kept_spec.instance.build();
+    let kept_ref = dir.join("kept.ckpt.json");
+    kept_spec
+        .algorithm
+        .run_checkpointed(&Engine::with_threads(2), &kept_inst, &config, &kept_ref)
+        .unwrap();
+    let mut forged =
+        SweepCheckpoint::from_json(&std::fs::read_to_string(&kept_ref).unwrap()).unwrap();
+    forged.chunks[0].as_mut().unwrap()[0].queries += 1;
+    let resumed = forged.to_json();
+    forged.chunks[3] = None;
+    let kept_spool = dir
+        .join("spool")
+        .join(format!("{}.ckpt.json", forged.identity.sweep_id));
+    std::fs::write(&kept_spool, forged.to_json()).unwrap();
+
+    let service = SweepService::start(&ServeConfig {
+        threads: 2,
+        store_dir: dir.join("store"),
+        spool_dir: dir.join("spool"),
+        max_store_entries: None,
+    })
+    .unwrap();
+    assert_eq!(service.stats().store_entries, 0, "the v1 entry was adopted");
+    assert!(!entry.exists() && !spool.exists());
+    assert!(kept_spool.exists(), "a current spool file was deleted");
+    let sub = service.submit(&spec).unwrap();
+    assert!(!sub.cache_hit, "the earlier schema's result was served");
+    assert_eq!(service.wait_result(sub.job, WAIT).unwrap(), fresh);
+    let kept = service.submit(&kept_spec).unwrap();
+    assert_eq!(kept.sweep_id, forged.identity.sweep_id);
+    assert_eq!(service.wait_result(kept.job, WAIT).unwrap(), resumed);
+    let stats = service.stats();
+    assert_eq!((stats.misses, stats.failed, stats.evictions), (2, 0, 0));
+    drop(service);
     let _ = std::fs::remove_dir_all(&dir);
 }
