@@ -1,4 +1,4 @@
-//! Checkpoint / resume for recorded sweeps (`vc-engine-checkpoint/v3`).
+//! Checkpoint / resume for recorded sweeps (`vc-engine-checkpoint/v4`).
 //!
 //! Long sweeps die: machines reboot, CI jobs hit wall-clock limits,
 //! operators hit Ctrl-C. [`Engine::run_recorded_with_checkpoint`] makes a
@@ -14,20 +14,22 @@
 //! one **chunk** line per completed chunk (its index, start count, roots
 //! and one integer column per record field; consecutive roots are written
 //! as the first, a constant column as its one value) and, once every
-//! chunk is present, a **seal** line: an [`IdHasher`] digest over the
-//! identity and every record. A run writes its file whole through
-//! [`write_atomically`], in chunk order and sealed once complete, so
-//! sealed and spliced files are a pure function of the sweep. Only a live
-//! run ([`Engine::with_live_checkpoint`]) appends, one line per chunk as
-//! it lands, so its partial file is not canonical. A resume of a sealed
-//! file runs nothing and leaves its bytes alone.
+//! chunk is present, a **seal** line: an [`IdHasher`] digest of every
+//! byte before it. [`sealed_identity`] checks a sealed file by its header
+//! and seal alone, without decoding a chunk line. A run writes its file
+//! whole through [`write_atomically`], in chunk order and sealed once
+//! complete, so sealed and spliced files are a pure function of the
+//! sweep. Only a live run ([`Engine::with_live_checkpoint`]) appends, one
+//! line per chunk as it lands, so its partial file is not canonical. A
+//! resume of a sealed file runs nothing and leaves its bytes alone.
 //!
 //! Only the last line may be torn, and a last line without its newline
 //! is: a chunk never committed, which the loader drops. Any other damage
 //! is refused: a complete line that does not parse, a duplicate or
-//! out-of-range chunk, a torn header, a seal that does not recompute, a
-//! line after the seal. The chunk table is bounded by [`MAX_CHUNKS`] and
-//! a line's records by [`MAX_CHUNK_STARTS`] before either is allocated.
+//! out-of-range chunk, a torn header, a seal that does not match the
+//! bytes before it, a line after the seal. The chunk table is bounded by
+//! [`MAX_CHUNKS`] and a line's records by [`MAX_CHUNK_STARTS`] before
+//! either is allocated.
 //!
 //! A checkpoint is only valid for the exact sweep that produced it: the
 //! file carries the content-addressed [`SweepIdentity`] — an
@@ -36,9 +38,10 @@
 //! fault plan), run configuration, start set and chunk size (DESIGN.md
 //! §12). A mismatch is a loud [`EngineError::BadCheckpoint`], never a
 //! silent mixing of two different sweeps' records. Files of the retired
-//! `v1` (size-keyed) and `v2` (per-start objects) schemas are refused with
-//! a migration message: delete the file and rerun the sweep (README
-//! "Checkpoint compatibility").
+//! `v1` (size-keyed), `v2` (per-start objects) and `v3` (a seal folded
+//! over the decoded records) schemas are refused with a migration
+//! message: delete the file and rerun the sweep (README "Checkpoint
+//! compatibility").
 //!
 //! Checkpoints store *costs*, not *outputs*: `A::Output` is generic and has
 //! no serial form offline. Sweeps that need the labeling itself (e.g. the
@@ -47,7 +50,7 @@
 //! records are the product.
 
 use crate::partition::{ChunkSet, RangeError};
-use crate::{plan_chunks, run_sharded, Engine, MAX_CHUNK_STARTS};
+use crate::{plan_chunks, run_sharded, write_atomically, Engine, MAX_CHUNK_STARTS};
 use std::io::Write as _;
 use std::path::Path;
 use std::sync::{Mutex, PoisonError};
@@ -60,17 +63,18 @@ use vc_trace::time::Stopwatch;
 use vc_trace::NoopTracer;
 
 /// Schema identifier written into every checkpoint file.
-pub const CHECKPOINT_SCHEMA: &str = "vc-engine-checkpoint/v3";
+pub const CHECKPOINT_SCHEMA: &str = "vc-engine-checkpoint/v4";
 
 /// The migration message for a file of a retired schema, if `schema`
 /// names one.
 fn retired(schema: &str) -> Option<String> {
-    let old = ["vc-engine-checkpoint/v1", "vc-engine-checkpoint/v2"];
-    old.contains(&schema).then(|| {
+    let old = ["v1", "v2", "v3"];
+    let version = schema.strip_prefix("vc-engine-checkpoint/")?;
+    old.contains(&version).then(|| {
         format!(
             "schema is {schema:?}, retired (v1 is pre-identity and hashes only the instance \
-             size; v2 holds per-start objects) — delete the file and rerun the sweep (README \
-             \"Checkpoint compatibility\")"
+             size; v2 holds per-start objects; v3 folds its seal over the decoded records) — \
+             delete the file and rerun the sweep (README \"Checkpoint compatibility\")"
         )
     })
 }
@@ -231,7 +235,7 @@ impl SweepCheckpoint {
         self.completed_chunks() == self.num_chunks
     }
 
-    /// Serializes the checkpoint as a `vc-engine-checkpoint/v3` file: the
+    /// Serializes the checkpoint as a `vc-engine-checkpoint/v4` file: the
     /// header, the present chunks' lines in chunk order and, when the
     /// checkpoint is complete, the seal. The encoding is a pure function
     /// of the checkpoint state — the byte-identity of final and spliced
@@ -252,12 +256,13 @@ impl SweepCheckpoint {
             }
         }
         if self.is_complete() {
-            out.push_str(&format!("{{\"seal\": \"{:016x}\"}}\n", self.digest()));
+            out += &seal_line(&out);
+            out.push('\n');
         }
         out
     }
 
-    /// Parses a `vc-engine-checkpoint/v3` file. A last line without its
+    /// Parses a `vc-engine-checkpoint/v4` file. A last line without its
     /// newline is a chunk that was never committed, and is dropped.
     ///
     /// # Errors
@@ -266,32 +271,61 @@ impl SweepCheckpoint {
     /// or malformed header, a wrong schema, a newline-terminated line
     /// that does not parse, a duplicate or out-of-range chunk, a column
     /// that is ragged, null where it may not be or out of range, a seal
-    /// that does not recompute, or a line after the seal. Files of the
-    /// retired `v1` and `v2` schemas get a migration message.
+    /// that does not match the bytes before it, or a line after the seal.
+    /// Files of the retired `v1`, `v2` and `v3` schemas get a migration
+    /// message.
     pub fn from_json(src: &str) -> Result<Self, String> {
         decode(src).map(|(ckpt, _)| ckpt)
     }
+}
 
-    /// The seal's digest: the identity, the chunk count and every
-    /// record, in chunk order.
-    fn digest(&self) -> u64 {
-        let mut h = IdHasher::new(CHECKPOINT_SCHEMA);
-        let id = self.identity;
-        h.words(&[
-            id.instance_id.raw(),
-            id.sweep_id.raw(),
-            self.num_chunks as u64,
-        ]);
-        for recs in self.chunks.iter().flatten() {
-            h.word(recs.len() as u64);
-            for r in recs {
-                h.words(&[r.root as u64, r.volume as u64, r.queries, r.random_bits]);
-                h.words(&[u64::from(r.distance_upper), u64::from(r.completed)]);
-                h.opt_word(r.distance.map(u64::from));
-            }
-        }
-        h.finish()
+/// The seal line, without its newline, of a file whose every earlier
+/// byte is `body`: an [`IdHasher`] digest of those bytes.
+fn seal_line(body: &str) -> String {
+    let mut h = IdHasher::new(CHECKPOINT_SCHEMA);
+    h.text(body);
+    format!("{{\"seal\": \"{:016x}\"}}", h.finish())
+}
+
+/// Checks that `line`, without its newline, is the seal of `body`, byte
+/// for byte.
+fn check_seal(body: &str, line: &str) -> Result<(), String> {
+    let want = seal_line(body);
+    if line != want {
+        return Err(format!(
+            "seal digest mismatch: the line at byte {} is not {want}, the seal of the bytes \
+             before it",
+            body.len()
+        ));
     }
+    Ok(())
+}
+
+/// The [`SweepIdentity`] a sealed `vc-engine-checkpoint/v4` file names,
+/// checked by its header and its seal alone: the seal digests every byte
+/// before it, so a change anywhere in the file is refused without
+/// decoding a chunk line. The result store serves entries on this check.
+///
+/// # Errors
+///
+/// The header's refusals, as [`SweepCheckpoint::from_json`] words them
+/// (retired schemas get the migration message), and a last line that is
+/// not the seal of every byte before it: the file is partial, torn, or
+/// altered anywhere.
+pub fn sealed_identity(text: &str) -> Result<SweepIdentity, String> {
+    let header_end = text.find('\n');
+    let header = decode_header(&text[..header_end.unwrap_or(text.len())], text)?;
+    let header_end = header_end.ok_or("the header line is torn (no newline)")?;
+    let rest = text
+        .strip_suffix('\n')
+        .ok_or("the last line is torn (no newline)")?;
+    let seal_at = rest
+        .rfind('\n')
+        .map(|i| i + 1)
+        .filter(|&at| at > header_end)
+        .ok_or("the file holds no seal line")?;
+    check_seal(&text[..seal_at], &rest[seal_at..])?;
+    Ok(header.identity)
 }
 
 /// Appends chunk `chunk`'s line; the full encode and the live sink's
@@ -357,24 +391,14 @@ fn decode(text: &str) -> Result<(SweepCheckpoint, bool), String> {
             return Err(format!("a line follows the seal (byte {at})"));
         }
         let members = json::parse_columns(line).map_err(|e| format!("line at byte {at}: {e}"))?;
-        if let Some(seal) = field(&members, "seal") {
-            let stored = match seal {
-                Column::Scalar(Value::Str(hex)) => vc_ident::parse_hex(hex),
-                _ => None,
-            };
-            let stored = stored.ok_or_else(|| format!("malformed seal at byte {at}"))?;
+        if field(&members, "seal").is_some() {
             if done != ckpt.num_chunks || !in_order {
                 return Err(format!(
                     "seal after {done} of {} chunks, in chunk order: {in_order}",
                     ckpt.num_chunks
                 ));
             }
-            let computed = ckpt.digest();
-            if stored != computed {
-                return Err(format!(
-                    "seal digest mismatch: stored {stored:016x}, computed {computed:016x}"
-                ));
-            }
+            check_seal(&text[..at], line)?;
             sealed = true;
             continue;
         }
@@ -458,7 +482,7 @@ fn field<'a>(members: &'a [(String, Column)], key: &str) -> Option<&'a Column> {
     members.iter().find(|(k, _)| k == key).map(|(_, c)| c)
 }
 
-/// The chunk index a `vc-engine-checkpoint/v3` chunk line holds, if
+/// The chunk index a `vc-engine-checkpoint/v4` chunk line holds, if
 /// `line` (without its newline) parses and has one. Fleet heartbeats
 /// count appended lines with it.
 pub fn line_chunk(line: &str) -> Option<usize> {
@@ -633,17 +657,6 @@ impl LiveCheckpointSink {
     }
 }
 
-/// Writes `text` to `<path>.tmp`, then renames it over `path`, so a
-/// reader — or the next run, after a kill mid-write — sees the old file
-/// or the new one, never a torn one. A stale `.tmp` from a killed writer
-/// is simply overwritten; writers of one `path` must not overlap.
-pub fn write_atomically(path: &Path, text: &str) -> std::io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    std::fs::write(&tmp, text)?;
-    std::fs::rename(&tmp, path)
-}
-
 impl Engine {
     /// Runs a recorded sweep against a checkpoint file at `path`:
     /// previously checkpointed chunks are skipped and the file is
@@ -779,7 +792,7 @@ impl Engine {
         let live = self.live_checkpoint();
         if live {
             // Appends start on a line boundary, under this writer's stamp.
-            write_atomically(path, &ckpt.to_json())?;
+            write_atomically(path, ckpt.to_json())?;
         }
         let sink = live.then(|| LiveCheckpointSink::open(path)).transpose()?;
         let done: Vec<bool> = ckpt.chunks.iter().map(Option::is_some).collect();
@@ -801,7 +814,7 @@ impl Engine {
         }
         // A live run's appends already hold its chunks, unless one failed.
         if !live || ckpt.is_complete() || sink.as_ref().is_some_and(LiveCheckpointSink::failed) {
-            write_atomically(path, &ckpt.to_json())?;
+            write_atomically(path, ckpt.to_json())?;
         }
         Ok(CheckpointReport::of(ckpt, starts.len()))
     }
@@ -1270,7 +1283,7 @@ mod tests {
         let text = String::from_utf8(text).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 8, "header, six chunks, seal");
-        assert!(lines[0].starts_with("{\"schema\": \"vc-engine-checkpoint/v3\", "));
+        assert!(lines[0].starts_with("{\"schema\": \"vc-engine-checkpoint/v4\", "));
         for (c, line) in lines[1..7].iter().enumerate() {
             let head = format!("{{\"chunk\": {c}, \"starts\": ");
             assert!(line.starts_with(&head), "{line}");
@@ -1394,6 +1407,8 @@ mod tests {
                     }
                 }
                 let m = String::from_utf8(m).unwrap();
+                // The seal check alone refuses every change to a sealed file.
+                assert!(sealed_identity(&m).is_err(), "{m}");
                 let Ok(ckpt) = SweepCheckpoint::from_json(&m) else {
                     refused += 1;
                     continue;
@@ -1519,9 +1534,60 @@ mod tests {
                   \"sweep_id\": \"00000000000000bb\",\n  \"num_chunks\": 1,\n  \"chunks\": [\n    \
                   [{\"root\": 0, \"volume\": 1, \"distance\": 0, \"distance_upper\": 0, \"queries\": 1, \
                   \"random_bits\": 0, \"completed\": true}]\n  ]\n}\n";
-        for retired in [v2, &v2.replace("/v2", "/v1")] {
+        let v3 = text.replacen(CHECKPOINT_SCHEMA, "vc-engine-checkpoint/v3", 1);
+        for retired in [v2, &v2.replace("/v2", "/v1"), &v3] {
             let err = SweepCheckpoint::from_json(retired).unwrap_err();
             assert!(err.contains("delete the file"), "{err}");
+            assert_eq!(sealed_identity(retired), Err(err));
+        }
+    }
+
+    #[test]
+    fn the_seal_check_reads_only_the_header_and_the_seal() {
+        let inst = vc_graph::gen::random_full_binary_tree(333, 5); // 6 chunks
+        let config = RunConfig::default();
+        let text = String::from_utf8(unbroken_bytes(&inst, &config, "seal_check.json")).unwrap();
+        let clean = SweepCheckpoint::from_json(&text).unwrap();
+        assert_eq!(sealed_identity(&text), Ok(clean.identity));
+        // The seal digests the bytes before it: it is the same line
+        // however the file was written, and every byte of it is checked.
+        let seal_at = text.rfind("{\"seal\"").unwrap();
+        let line = &text[seal_at..text.len() - 1];
+        assert_eq!(line, seal_line(&text[..seal_at]));
+        let hex = &line["{\"seal\": \"".len()..line.len() - 2];
+        let upper = text.replacen(hex, &hex.to_uppercase(), 1);
+        assert_ne!(upper, text, "the seal has a hex letter");
+        let spaced = format!("{}{}\n", &text[..seal_at], line.replace(": ", ":  "));
+        let partial = temp_path("seal_check_partial.json");
+        let _ = std::fs::remove_file(&partial);
+        Engine::with_threads(1)
+            .with_chunk_quota(5)
+            .run_recorded_with_checkpoint(&inst, &WalkLeft, &config, &partial)
+            .unwrap();
+        let partial = std::fs::read_to_string(&partial).unwrap();
+        let cases = [
+            (upper.as_str(), "seal digest mismatch"),
+            (&spaced, "seal digest mismatch"),
+            (&text[..text.len() - 1], "torn"),
+            (&text[..seal_at], "seal digest mismatch"),
+            (&partial, "seal digest mismatch"),
+            (&text[..text.find('\n').unwrap() + 1], "no seal line"),
+            ("", "malformed header"),
+        ];
+        for (src, why) in cases {
+            let err = sealed_identity(src).unwrap_err();
+            assert!(err.contains(why), "{why}: {err}");
+        }
+        // Only the header and the seal are read: a chunk line the decoder
+        // refuses passes under the seal of its bytes.
+        let body = text[..seal_at].replacen("\"completed\": 1", "\"completed\": 2", 1);
+        let forged = format!("{body}{}\n", seal_line(&body));
+        assert_eq!(sealed_identity(&forged), Ok(clean.identity));
+        let err = SweepCheckpoint::from_json(&forged).unwrap_err();
+        assert!(err.contains("not 0 or 1"), "{err}");
+        for src in [upper, spaced] {
+            let err = SweepCheckpoint::from_json(&src).unwrap_err();
+            assert!(err.contains("seal digest mismatch"), "{err}");
         }
     }
 }

@@ -51,7 +51,7 @@
 //!   The checkpoint tests use this as a reproducible "kill".
 //! * **Checkpoint / resume.** [`Engine::run_recorded_with_checkpoint`]
 //!   persists per-chunk [`ExecutionRecord`]s to a
-//!   `vc-engine-checkpoint/v3` file — one line of integer columns per
+//!   `vc-engine-checkpoint/v4` file — one line of integer columns per
 //!   chunk, keyed by the content-addressed [`SweepIdentity`] and sealed
 //!   once complete — and resumes exactly where a previous (killed) run
 //!   stopped; the final file is byte-identical to an unbroken run's (see
@@ -110,11 +110,12 @@ use vc_trace::time::Stopwatch;
 use vc_trace::{MergeTracer, NoopTracer, TraceEvent};
 
 pub use checkpoint::{
-    line_chunk, sweep_identity, write_atomically, CheckpointReport, EngineError, SweepCheckpoint,
+    line_chunk, sealed_identity, sweep_identity, CheckpointReport, EngineError, SweepCheckpoint,
     SweepIdentity, CHECKPOINT_SCHEMA,
 };
 pub use partition::{ChunkSet, RangeError, CHUNKS_ENV};
 pub use splice::{format_chunk_groups, splice_checkpoints, splice_partial, SpliceError};
+pub use vc_graph::write_atomically;
 pub use vc_ident::{InstanceId, SweepId};
 
 use checkpoint::LiveCheckpointSink;

@@ -3,7 +3,7 @@
 //! The merge side of fleet execution (DESIGN.md §15): each worker process
 //! runs a [`ChunkSet`](crate::ChunkSet)-restricted sweep against its
 //! own checkpoint file, and [`splice_checkpoints`] recombines the partial
-//! `vc-engine-checkpoint/v3` files into a single complete checkpoint.
+//! `vc-engine-checkpoint/v4` files into a single complete checkpoint.
 //! Because chunk contents are deterministic and identified by index, the
 //! spliced file is **byte-identical** to the sealed checkpoint a single
 //! unpartitioned process would have written — the `partition` stamp on

@@ -52,8 +52,8 @@ pub use graph::{Graph, GraphBuilder, GraphError};
 pub use instance::Instance;
 pub use label::{Color, NodeLabel, Port};
 pub use store::{
-    decode_instance, encode_instance, load_instance, save_instance, StoreError, STORE_MAGIC,
-    STORE_VERSION,
+    decode_instance, encode_instance, load_instance, save_instance, write_atomically, StoreError,
+    STORE_MAGIC, STORE_VERSION,
 };
 
 /// Convenience alias: internal node index (dense, `0..n`).

@@ -365,13 +365,30 @@ pub fn decode_instance(bytes: &[u8]) -> Result<Instance, StoreError> {
     Ok(inst)
 }
 
-/// Writes `inst` to `path` in the `vc-instance/v1` format.
+/// Writes `inst` to `path` in the `vc-instance/v1` format, atomically
+/// (see [`write_atomically`]).
 ///
 /// # Errors
 ///
 /// [`StoreError::Io`] when the file cannot be written.
 pub fn save_instance(inst: &Instance, path: &Path) -> Result<(), StoreError> {
-    std::fs::write(path, encode_instance(inst)).map_err(|e| StoreError::Io(e.to_string()))
+    write_atomically(path, encode_instance(inst)).map_err(|e| StoreError::Io(e.to_string()))
+}
+
+/// Writes `bytes` to `<path>.tmp`, then renames it over `path`, so a
+/// reader — or the next run, after a kill mid-write — sees the old file
+/// or the new one, never a torn one. A stale `.tmp` from a killed writer
+/// is simply overwritten; writers of one `path` must not overlap. Every
+/// file the workspace persists goes through here.
+///
+/// # Errors
+///
+/// The error of the write or of the rename.
+pub fn write_atomically(path: &Path, bytes: impl AsRef<[u8]>) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    std::fs::write(&tmp, bytes)?;
+    std::fs::rename(&tmp, path)
 }
 
 /// Reads a `vc-instance/v1` file back into an [`Instance`], validating
@@ -517,6 +534,19 @@ mod tests {
         assert_eq!(load_instance(&path).unwrap(), inst);
         let missing = load_instance(&dir.join("nope.vci")).unwrap_err();
         assert!(matches!(missing, StoreError::Io(_)));
+    }
+
+    #[test]
+    fn a_save_replaces_a_stale_temp_file_from_a_killed_writer() {
+        let dir = std::env::temp_dir().join("vc-graph-store-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("stale.vci");
+        let tmp = dir.join("stale.vci.tmp");
+        std::fs::write(&tmp, &STORE_MAGIC[..5]).unwrap();
+        let inst = sample();
+        save_instance(&inst, &path).unwrap();
+        assert!(!tmp.exists(), "the save left {} behind", tmp.display());
+        assert_eq!(load_instance(&path).unwrap(), inst);
     }
 
     #[test]

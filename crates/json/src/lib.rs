@@ -17,7 +17,7 @@
 //! per number, and [`push_uint`] formats an integer without `write!`.
 //!
 //! This is a leaf crate on purpose: `vc-engine` decodes sweep checkpoint
-//! files (`vc-engine-checkpoint/v3`) with it, and `xtask` both lints the
+//! files (`vc-engine-checkpoint/v4`) with it, and `xtask` both lints the
 //! workspace *and* merges partial checkpoints through `vc-engine`, so the
 //! shared codec must sit below both to keep the dependency graph acyclic.
 
@@ -796,18 +796,18 @@ mod tests {
 
     #[test]
     fn mutated_documents_parse_as_the_reference_does() {
-        // A `vc-serve-result/v2` document as the store writes it: the full
-        // LeafColoring distance sweep of a 255-node full binary tree, whose
-        // payload is the sweep's `vc-engine-checkpoint/v3` file. That
-        // payload is one JSON document per line, so its header and its
-        // first chunk line are mutated on their own. Every mutant also
+        // The `result` reply line vc-serve writes for the full
+        // LeafColoring distance sweep of a 255-node full binary tree: its
+        // payload, escaped, is the sweep's `vc-engine-checkpoint/v4` file.
+        // That payload is one JSON document per line, so its header and
+        // its first chunk line are mutated on their own. Every mutant also
         // goes through the column scan.
-        let stored = include_str!("../tests/data/stored_result.json");
+        let stored = include_str!("../tests/data/result_reply.json");
         let checkpoint = parse(stored)
-            .expect("the stored document parses")
+            .expect("the reply parses")
             .get("payload")
             .and_then(Value::as_str)
-            .expect("the stored document has a payload")
+            .expect("the reply has a payload")
             .to_string();
         let lines: Vec<&str> = checkpoint.lines().collect();
         assert!(lines[1].contains('['), "line 1 holds a chunk's columns");

@@ -9,10 +9,11 @@
 //! * **Memoization** — every submission resolves to a
 //!   [`vc_engine::SweepId`] via [`vc_engine::sweep_identity`]. Finished
 //!   results live in a content-addressed on-disk store
-//!   (`vc-serve-result/v1`, [`store::ResultStore`]) keyed by that id,
-//!   with identity-checked loads in the same discipline as the
-//!   `vc-instance/v1` graph store: the filename id, the embedded id and
-//!   a payload digest must all agree before a byte is trusted.
+//!   ([`store::ResultStore`]) keyed by that id: an entry is the sweep's
+//!   sealed `vc-engine-checkpoint/v4` file, renamed in from the spool and
+//!   served as it is. Loads are identity-checked in the same discipline
+//!   as the `vc-instance/v1` graph store: the filename id must equal the
+//!   header's, and the seal must match every byte before it.
 //! * **One shared pool** — cache-miss jobs run on a single
 //!   [`vc_engine::Engine`] worker pool behind a deterministic
 //!   FIFO-with-priority queue ([`SweepService`]), instead of one engine
@@ -48,4 +49,4 @@ pub use scheduler::{
 };
 pub use server::{request, ServeDaemon};
 pub use spec::{AlgorithmRef, InstanceRef, Priority, SpecError, StartsRef, SweepSpec};
-pub use store::{ResultStore, StoreError, RESULT_SCHEMA};
+pub use store::{ResultStore, StoreError};

@@ -51,7 +51,9 @@ pub struct ServeConfig {
     pub threads: usize,
     /// Directory of the content-addressed result store.
     pub store_dir: PathBuf,
-    /// Directory for in-flight (and parked) sweep checkpoints.
+    /// Directory for in-flight (and parked) sweep checkpoints. A finished
+    /// one is renamed into `store_dir`, so the two directories share a
+    /// filesystem; across filesystems the rename, and so the job, fails.
     pub spool_dir: PathBuf,
     /// Optional result-store entry cap (FIFO eviction past it).
     pub max_store_entries: Option<usize>,
@@ -464,7 +466,7 @@ impl SweepService {
     }
 
     /// Blocks until `job` is done and returns its stored result payload
-    /// (the sweep's final checkpoint document).
+    /// (the sweep's sealed checkpoint file).
     pub fn wait_result(&self, job: u64, timeout: Duration) -> Result<String, ServeError> {
         let status = self.wait_job(job, timeout, |s| {
             matches!(s.state, JobState::Done { .. } | JobState::Failed)
@@ -481,11 +483,19 @@ impl SweepService {
     fn result_of(&self, status: &JobStatus) -> Result<String, ServeError> {
         match status.state {
             JobState::Done { .. } => {
-                // Only the path is taken under the lock; the file read,
-                // decode and digest run outside it. Stores replace entries
-                // atomically, so this sees a whole document or none.
+                // Only the path is taken under the lock; the file read and
+                // the seal check run outside it. Entries appear by a
+                // rename, so this sees a whole file or none.
                 let path = self.shared.lock().store.entry_path(status.sweep_id);
-                Ok(ResultStore::load_entry(&path, status.sweep_id)?)
+                ResultStore::load_entry(&path, status.sweep_id).map_err(|e| {
+                    // An entry the load refuses would answer every later
+                    // submission of its sweep with the same refusal: drop
+                    // it, so the next one recomputes the sweep.
+                    if !matches!(e, StoreError::Io(_)) {
+                        self.shared.lock().store.remove(status.sweep_id);
+                    }
+                    e.into()
+                })
             }
             JobState::Failed => Err(ServeError::JobFailed(
                 status
@@ -710,23 +720,15 @@ fn scheduler_loop(shared: &Shared, threads: usize, spool_dir: &std::path::Path) 
                 record.status.completed_chunks = report.completed_chunks;
                 record.status.num_chunks = report.num_chunks;
                 if report.is_complete() {
-                    let stored = std::fs::read_to_string(&ckpt)
-                        .map_err(|e| e.to_string())
-                        .and_then(|payload| {
-                            inner
-                                .store
-                                .store(&work.identity, &payload)
-                                .map_err(|e| e.to_string())
-                        });
-                    match stored {
+                    // The sealed spool file becomes the entry as it is.
+                    match inner.store.store_file(work.identity.sweep_id, &ckpt) {
                         Ok(()) => {
-                            let _ = std::fs::remove_file(&ckpt);
                             record.status.state = JobState::Done { cache_hit: false };
                             inner.stats.completed += 1;
                         }
-                        Err(msg) => {
+                        Err(e) => {
                             record.status.state = JobState::Failed;
-                            record.status.error = Some(msg);
+                            record.status.error = Some(e.to_string());
                             inner.stats.failed += 1;
                         }
                     }

@@ -20,7 +20,7 @@
 //! cannot do this).
 //!
 //! `cargo run -p xtask -- merge-checkpoints <out> <part>...` splices
-//! partial `vc-engine-checkpoint/v3` files written by range-restricted
+//! partial `vc-engine-checkpoint/v4` files written by range-restricted
 //! fleet workers (`VC_CHUNKS=lo..hi/total`) into the one complete
 //! checkpoint a single unpartitioned run would have written —
 //! byte-identical, via [`vc_engine::splice_checkpoints`]. Validation is
@@ -280,7 +280,7 @@ fn run_compare_bench(args: &[String]) -> ExitCode {
     }
 }
 
-/// Loads every path as a `vc-engine-checkpoint/v3` file. Errors name the
+/// Loads every path as a `vc-engine-checkpoint/v4` file. Errors name the
 /// offending file.
 fn load_parts(part_paths: &[String]) -> Result<Vec<vc_engine::SweepCheckpoint>, String> {
     let mut parts = Vec::with_capacity(part_paths.len());
@@ -391,7 +391,7 @@ fn run_merge_checkpoints(args: &[String]) -> ExitCode {
             }
         }
     };
-    if let Err(e) = vc_engine::write_atomically(Path::new(out_path), &merged.to_json()) {
+    if let Err(e) = vc_engine::write_atomically(Path::new(out_path), merged.to_json()) {
         eprintln!("xtask merge-checkpoints: cannot write {out_path}: {e}");
         return ExitCode::FAILURE;
     }

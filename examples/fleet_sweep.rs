@@ -276,7 +276,7 @@ fn run_drill(
     );
     assert!(!outcome.report.degraded, "{label}: degraded fleet");
     let merged_path = part_dir.join("merged.json");
-    vc_engine::write_atomically(&merged_path, &outcome.checkpoint.to_json())
+    vc_engine::write_atomically(&merged_path, outcome.checkpoint.to_json())
         .expect("write merged checkpoint");
     let merged_bytes = std::fs::read(&merged_path).expect("read merged checkpoint");
     assert!(

@@ -204,14 +204,15 @@ run_gates() {
     step "xtask check-json serve report" \
         cargo run -p xtask -- check-json target/serve/SERVE_report.json
 
-    # The vc-serve-result/v2 documents the drill stored (3 KB to 0.7 MB
-    # of escaped checkpoint each) go through the same decoder, which
-    # refuses signed \u escapes and raw control bytes: real service
-    # output, not only unit fixtures. A glob that matches nothing fails
-    # the step.
-    step "xtask check-json serve store documents" \
+    # Every entry the drill stored is a sealed vc-engine-checkpoint/v4
+    # file. A one-part merge decodes it under its seal and re-encodes it
+    # canonically, and `cmp` fails on any entry whose bytes the engine
+    # would not write: real service output, not only unit fixtures. A
+    # glob that matches nothing fails the step.
+    step "xtask merge-checkpoints re-encodes serve store entries" \
         sh -c 'for f in target/serve/t*/store/*.json; do
-            cargo run -q -p xtask -- check-json "$f" || exit 1
+            cargo run -q -p xtask -- merge-checkpoints target/serve/entry.json "$f" &&
+                cmp target/serve/entry.json "$f" || exit 1
         done'
 
     # Benchmark build gate: vcbench/ is a workspace of its own that builds

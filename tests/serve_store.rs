@@ -1,17 +1,18 @@
-//! End-to-end contract of the `vc-serve-result/v2` content-addressed
-//! result store, mirroring the `vc-instance/v1` suite: payloads
-//! round-trip byte for byte, corrupt documents are rejected with typed
-//! errors, and an entry whose filename disagrees with its embedded
-//! sweep identity is refused before a byte of payload escapes.
+//! End-to-end contract of the content-addressed result store, mirroring
+//! the `vc-instance/v1` suite: an entry is a sweep's sealed
+//! `vc-engine-checkpoint/v4` file, it round-trips byte for byte, every
+//! damaged entry is refused with a typed error, an entry whose filename
+//! disagrees with its header's sweep identity is refused before a byte
+//! escapes, and a refused entry is recomputed rather than served again.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use vc_engine::{Engine, InstanceId, SweepCheckpoint, SweepId, SweepIdentity};
+use vc_engine::{Engine, InstanceId, SweepCheckpoint, SweepId, SweepIdentity, CHECKPOINT_SCHEMA};
 use vc_ident::IdHasher;
 use vc_serve::{
-    AlgorithmRef, InstanceRef, JobState, Priority, ResultStore, ServeConfig, StoreError,
-    SweepService, SweepSpec,
+    AlgorithmRef, InstanceRef, JobState, Priority, ResultStore, ServeConfig, ServeError,
+    StoreError, SweepService, SweepSpec,
 };
 
 /// Bound on every service wait; no healthy run comes near it.
@@ -30,91 +31,173 @@ fn ident(raw: u64) -> SweepIdentity {
     }
 }
 
-/// A payload shaped like the checkpoint files the service actually
-/// stores: JSON lines with arrays and escapes, not a flat token.
-fn checkpoint_like_payload() -> String {
-    "{\"schema\": \"vc-engine-checkpoint/v3\", \"note\": \"quotes \\\" and \\\\ backslashes\"}\n\
-     {\"chunk\": 0, \"volume\": [0,1]}\n"
-        .to_string()
+/// The smallest entry a load accepts: a sealed checkpoint of `identity`
+/// with `num_chunks` empty chunks.
+fn sealed(identity: SweepIdentity, num_chunks: usize) -> String {
+    let mut ckpt = SweepCheckpoint::fresh(identity, num_chunks);
+    ckpt.chunks.fill(Some(Vec::new()));
+    ckpt.to_json()
+}
+
+/// The golden sweep: the full LeafColoring distance sweep of a 255-node
+/// full binary tree.
+fn golden_spec() -> SweepSpec {
+    SweepSpec::new(
+        InstanceRef::FullBinaryTree { n: 255, seed: 4 },
+        AlgorithmRef::LeafDistance,
+    )
+}
+
+/// Runs `spec` unbroken into the checkpoint file at `path` and returns
+/// its identity and the sealed file's bytes.
+fn run_sealed(spec: &SweepSpec, path: &Path) -> (SweepIdentity, String) {
+    let inst = spec.instance.build();
+    let config = spec.run_config();
+    let starts = config.starts.starts(inst.n()).unwrap();
+    let identity = spec.algorithm.identity(&inst, &config, &starts);
+    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+    let _ = std::fs::remove_file(path);
+    spec.algorithm
+        .run_checkpointed(&Engine::with_threads(2), &inst, &config, path)
+        .unwrap();
+    (identity, std::fs::read_to_string(path).unwrap())
+}
+
+/// `body` followed by the seal the engine writes under it.
+fn reseal(body: &str) -> String {
+    let mut h = IdHasher::new(CHECKPOINT_SCHEMA);
+    h.text(body);
+    format!("{body}{{\"seal\": \"{:016x}\"}}\n", h.finish())
 }
 
 #[test]
 fn payloads_round_trip_byte_for_byte() {
     let dir = temp_store("rt");
-    let mut store = ResultStore::open(&dir, None).unwrap();
-    let payloads = [
-        checkpoint_like_payload(),
-        String::new(),
-        "[1,2,3]".to_string(),
-        "\"just a string with a newline\\n\"".to_string(),
+    let (golden, golden_bytes) = run_sealed(&golden_spec(), &dir.join("golden.ckpt.json"));
+    let mut store = ResultStore::open(&dir.join("store"), None).unwrap();
+    let entries = [
+        (golden, golden_bytes),
+        (ident(100), sealed(ident(100), 0)),
+        (ident(101), sealed(ident(101), 3)),
     ];
-    for (i, payload) in payloads.iter().enumerate() {
-        let id = ident(100 + i as u64);
-        store.store(&id, payload).unwrap();
+    for (identity, payload) in &entries {
+        store.store(identity, payload).unwrap();
         assert_eq!(
-            &store.load(id.sweep_id).unwrap(),
+            &store.load(identity.sweep_id).unwrap(),
             payload,
-            "payload {i} drifted through the store"
+            "entry {} drifted through the store",
+            identity.sweep_id
         );
     }
     // Reopening adopts every entry and still verifies on load.
-    let reopened = ResultStore::open(&dir, None).unwrap();
-    assert_eq!(reopened.len(), payloads.len());
-    for (i, payload) in payloads.iter().enumerate() {
-        assert_eq!(
-            &reopened.load(ident(100 + i as u64).sweep_id).unwrap(),
-            payload
-        );
+    let reopened = ResultStore::open(&dir.join("store"), None).unwrap();
+    assert_eq!(reopened.len(), entries.len());
+    for (identity, payload) in &entries {
+        assert_eq!(&reopened.load(identity.sweep_id).unwrap(), payload);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A seeded xorshift64 draw below `n`.
+fn below(state: &mut u64, n: usize) -> usize {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    (*state % n as u64) as usize
+}
+
+/// Seeded truncations, bit flips and splices of a real entry, and
+/// hand-made damage at the format's edges: `load` refuses each with a
+/// typed error, never an I/O error and never a byte of payload.
 #[test]
-fn corrupt_documents_are_rejected_with_typed_errors() {
-    let dir = temp_store("corrupt");
-    let mut store = ResultStore::open(&dir, None).unwrap();
-    let id = ident(7);
-    store.store(&id, &checkpoint_like_payload()).unwrap();
-    let path = dir.join(format!("{}.json", id.sweep_id));
-    let pristine = std::fs::read_to_string(&path).unwrap();
+fn store_entry_mutants_are_refused_with_typed_errors() {
+    let dir = temp_store("mutants");
+    let (identity, pristine) = run_sealed(&golden_spec(), &dir.join("golden.ckpt.json"));
+    let mut store = ResultStore::open(&dir.join("store"), None).unwrap();
+    store.store(&identity, &pristine).unwrap();
+    assert_eq!(store.load(identity.sweep_id).unwrap(), pristine);
+    let path = dir
+        .join("store")
+        .join(format!("{}.json", identity.sweep_id));
+    let refused = |store: &ResultStore, id: SweepId, bytes: &[u8], what: &str| {
+        std::fs::write(&path, bytes).unwrap();
+        match store.load(id) {
+            Err(StoreError::Malformed(_) | StoreError::IdentityMismatch { .. }) => {}
+            other => panic!("{what}: {other:?}"),
+        }
+    };
 
-    // Flip one byte inside the escaped payload text (a letter of the
-    // embedded schema tag): the document still parses, but the digest
-    // no longer recomputes.
-    let payload_at = pristine.rfind("checkpoint").unwrap();
-    let mut flipped = pristine.clone().into_bytes();
-    assert!(flipped[payload_at].is_ascii_alphanumeric());
-    flipped[payload_at] ^= 0x01;
-    std::fs::write(&path, &flipped).unwrap();
-    assert!(matches!(
-        store.load(id.sweep_id),
-        Err(StoreError::DigestMismatch { .. })
-    ));
-
-    // Truncations at any depth are malformed, never a panic and never a
-    // payload.
-    for cut in [0, 1, pristine.len() / 3, pristine.len() - 2] {
-        std::fs::write(&path, &pristine.as_bytes()[..cut]).unwrap();
-        assert!(
-            matches!(store.load(id.sweep_id), Err(StoreError::Malformed(_))),
-            "cut at {cut} must report a malformed document"
-        );
+    let mut state = 0x5eed_0023;
+    for i in 0..1_500 {
+        let mut m = pristine.as_bytes().to_vec();
+        match below(&mut state, 3) {
+            0 => m.truncate(below(&mut state, m.len())),
+            1 => {
+                let at = below(&mut state, m.len());
+                m[at] ^= 1 << below(&mut state, 8);
+            }
+            _ => {
+                let from = below(&mut state, m.len());
+                let to = (from + 1 + below(&mut state, 40)).min(m.len());
+                let slice = m[from..to].to_vec();
+                let at = below(&mut state, m.len() + 1);
+                m.splice(at..at, slice);
+            }
+        }
+        refused(&store, identity.sweep_id, &m, &format!("mutant {i}"));
     }
 
-    // A wrong schema tag is refused before any identity is trusted.
-    std::fs::write(
-        &path,
-        pristine.replace(vc_serve::RESULT_SCHEMA, "vc-serve-result/v9"),
-    )
-    .unwrap();
-    assert!(matches!(
-        store.load(id.sweep_id),
-        Err(StoreError::Malformed(_))
-    ));
+    // Truncations at the line boundaries: a torn header, a file without
+    // its seal line, a torn seal line and a seal without its newline.
+    let header_end = pristine.find('\n').unwrap() + 1;
+    let seal_at = pristine.rfind("{\"seal\"").unwrap();
+    for cut in [0, 1, header_end - 1, header_end, seal_at, seal_at + 3] {
+        let what = format!("cut at {cut}");
+        refused(
+            &store,
+            identity.sweep_id,
+            &pristine.as_bytes()[..cut],
+            &what,
+        );
+    }
+    let torn = &pristine.as_bytes()[..pristine.len() - 1];
+    refused(&store, identity.sweep_id, torn, "no final newline");
 
+    // A header of another schema is refused before any identity is
+    // trusted, even under a seal that matches its bytes.
+    for schema in ["vc-engine-checkpoint/v3", "vc-engine-checkpoint/v9"] {
+        let body = pristine[..seal_at].replacen(CHECKPOINT_SCHEMA, schema, 1);
+        refused(&store, identity.sweep_id, reseal(&body).as_bytes(), schema);
+    }
+
+    // `u64::from_str_radix` takes a leading `+`, so without a digit check
+    // a signed id names the same value as its unsigned spelling. An id
+    // with a leading zero digit, so "+" and its last 15 digits name it.
+    let signed = ident(0xabcd);
+    let entry = sealed(signed, 1);
+    store.store(&signed, &entry).unwrap();
+    let path = dir.join("store").join(format!("{}.json", signed.sweep_id));
+    let spelled = "\"sweep_id\": \"000000000000abcd\"";
+    assert!(entry.contains(spelled));
+    let body = &entry[..entry.rfind("{\"seal\"").unwrap()];
+    let signed_id = reseal(&body.replace(spelled, "\"sweep_id\": \"+00000000000abcd\""));
+    let seal_hex = &entry[entry.len() - 19..entry.len() - 3];
+    let signed_seal = format!("{body}{{\"seal\": \"+{}\"}}\n", &seal_hex[1..]);
+    for (bytes, what) in [(&signed_id, "signed id"), (&signed_seal, "signed seal")] {
+        std::fs::write(&path, bytes).unwrap();
+        let err = store.load(signed.sweep_id).unwrap_err();
+        assert!(matches!(err, StoreError::Malformed(_)), "{what}: {err}");
+    }
     // Restore the pristine bytes: the entry verifies again.
-    std::fs::write(&path, &pristine).unwrap();
-    assert_eq!(store.load(id.sweep_id).unwrap(), checkpoint_like_payload());
+    std::fs::write(&path, &entry).unwrap();
+    assert_eq!(store.load(signed.sweep_id).unwrap(), entry);
+
+    // A file named with the signed spelling is not adopted under the id
+    // whose entry is another file.
+    std::fs::remove_file(&path).unwrap();
+    std::fs::write(dir.join("store").join("+00000000000abcd.json"), &entry).unwrap();
+    let reopened = ResultStore::open(&dir.join("store"), None).unwrap();
+    assert!(!reopened.contains(signed.sweep_id));
 
     // A missing entry is NotFound, not Io.
     assert_eq!(
@@ -129,9 +212,9 @@ fn filename_and_payload_identity_must_agree() {
     let dir = temp_store("rename");
     let mut store = ResultStore::open(&dir, None).unwrap();
     let original = ident(0x1234);
-    store.store(&original, &checkpoint_like_payload()).unwrap();
+    store.store(&original, &sealed(original, 2)).unwrap();
 
-    // Cross-link the document under a different sweep id, as a spliced
+    // Cross-link the entry under a different sweep id, as a spliced
     // backup or a copy-paste mistake would: the load must refuse it.
     let alias = SweepId::from_raw(0x5678);
     std::fs::copy(
@@ -151,7 +234,7 @@ fn filename_and_payload_identity_must_agree() {
     // The genuine entry is untouched by the refusal.
     assert_eq!(
         reopened.load(original.sweep_id).unwrap(),
-        checkpoint_like_payload()
+        sealed(original, 2)
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -161,9 +244,7 @@ fn fifo_eviction_enforces_the_cap_and_counts() {
     let dir = temp_store("evict");
     let mut store = ResultStore::open(&dir, Some(3)).unwrap();
     for raw in 1..=5u64 {
-        store
-            .store(&ident(raw), &checkpoint_like_payload())
-            .unwrap();
+        store.store(&ident(raw), &sealed(ident(raw), 1)).unwrap();
     }
     assert_eq!(store.len(), 3);
     assert_eq!(store.evictions(), 2);
@@ -182,94 +263,115 @@ fn fifo_eviction_enforces_the_cap_and_counts() {
 }
 
 /// DESIGN.md §17.2: a stored file's bytes change only with a schema
-/// bump. The on-disk document of one real sweep (the full LeafColoring
-/// distance sweep of a 255-node full binary tree) is pinned by its
-/// digest, so a codec change that moves one byte of the document fails
-/// here.
+/// bump. The entry of one real sweep (the golden sweep) is the spool
+/// file the engine wrote, renamed in, and it is pinned by its digest, so
+/// a codec change that moves one byte of it fails here.
 #[test]
 fn stored_document_of_a_real_sweep_keeps_its_bytes() {
     let dir = temp_store("golden");
-    let spec = SweepSpec::new(
-        InstanceRef::FullBinaryTree { n: 255, seed: 4 },
-        AlgorithmRef::LeafDistance,
-    );
-    let inst = spec.instance.build();
-    let config = spec.run_config();
-    let starts = config.starts.starts(inst.n()).unwrap();
-    let identity = spec.algorithm.identity(&inst, &config, &starts);
-    let checkpoint = dir.join("sweep.ckpt.json");
-    std::fs::create_dir_all(&dir).unwrap();
-    spec.algorithm
-        .run_checkpointed(&Engine::with_threads(2), &inst, &config, &checkpoint)
-        .unwrap();
-    let payload = std::fs::read_to_string(&checkpoint).unwrap();
-
+    let spool = dir.join("sweep.ckpt.json");
+    let (identity, payload) = run_sealed(&golden_spec(), &spool);
     let mut store = ResultStore::open(&dir.join("store"), None).unwrap();
-    store.store(&identity, &payload).unwrap();
+    store.store_file(identity.sweep_id, &spool).unwrap();
+    assert!(!spool.exists(), "the spool file was copied, not renamed");
     let entry = dir
         .join("store")
         .join(format!("{}.json", identity.sweep_id));
     let doc = std::fs::read_to_string(entry).unwrap();
+    assert_eq!(doc, payload);
     let mut h = IdHasher::new("serve-store-golden");
     h.text(&doc);
     assert_eq!(
         format!("{:016x} {}", h.finish(), doc.len()),
-        "7a30fd06ae9d6dbf 3100",
-        "the stored document's bytes moved"
+        "222bb36c57e478e2 2841",
+        "the stored entry's bytes moved"
     );
     assert_eq!(store.load(identity.sweep_id).unwrap(), payload);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `u64::from_str_radix` takes a leading `+`, so without a digit check a
-/// signed id or hash names the same value as its unsigned spelling.
-/// Neither the file-name scan nor a load may accept one.
+/// A damaged entry is refused once, then dropped: the next submission
+/// of its sweep is a miss that recomputes the original bytes, and a
+/// restarted service adopts the recomputed entry.
 #[test]
-fn signed_hex_ids_and_hashes_are_refused() {
-    let dir = temp_store("signed");
-    let mut store = ResultStore::open(&dir, None).unwrap();
-    // An id with a leading zero digit, so "+" + its last 15 digits is
-    // the same number.
-    let id = ident(0xabcd);
-    let path = dir.join(format!("{}.json", id.sweep_id));
-    // A payload whose digest also starts with a zero digit.
-    let payload = (0..)
-        .map(|k| format!("payload {k}"))
-        .find(|p| {
-            store.store(&id, p).unwrap();
-            let doc = std::fs::read_to_string(&path).unwrap();
-            doc.contains("\"payload_hash\": \"0")
-        })
-        .unwrap();
-    let pristine = std::fs::read_to_string(&path).unwrap();
-    assert_eq!(store.load(id.sweep_id).unwrap(), payload);
+fn a_refused_entry_is_recomputed_not_served_again() {
+    let dir = temp_store("wedge");
+    let config = ServeConfig {
+        threads: 2,
+        store_dir: dir.join("store"),
+        spool_dir: dir.join("spool"),
+        max_store_entries: None,
+    };
+    let spec = golden_spec();
+    let service = SweepService::start(&config).unwrap();
+    let cold = service.submit(&spec).unwrap();
+    let original = service.wait_result(cold.job, WAIT).unwrap();
+    let entry = config.store_dir.join(format!("{}.json", cold.sweep_id));
+    let mut damaged = std::fs::read(&entry).unwrap();
+    let mid = damaged.len() / 2;
+    damaged[mid] ^= 0x01;
+    std::fs::write(&entry, &damaged).unwrap();
 
-    let signed_id = pristine.replace(
-        "\"sweep_id\": \"000000000000abcd\"",
-        "\"sweep_id\": \"+00000000000abcd\"",
+    let hit = service.submit(&spec).unwrap();
+    assert!(hit.cache_hit);
+    let err = service.wait_result(hit.job, WAIT).unwrap_err();
+    assert!(
+        matches!(err, ServeError::Store(StoreError::Malformed(_))),
+        "{err}"
     );
-    assert_ne!(signed_id, pristine);
-    std::fs::write(&path, &signed_id).unwrap();
-    assert!(matches!(
-        store.load(id.sweep_id),
-        Err(StoreError::Malformed(_))
-    ));
+    assert!(!entry.exists(), "the refused entry stayed on disk");
+    let again = service.submit(&spec).unwrap();
+    assert!(!again.cache_hit, "the refused entry was served again");
+    assert_eq!(service.wait_result(again.job, WAIT).unwrap(), original);
+    let stats = service.stats();
+    assert_eq!(
+        (stats.hits, stats.misses, stats.evictions, stats.failed),
+        (1, 2, 0, 0)
+    );
+    drop(service);
 
-    let signed_hash = pristine.replace("\"payload_hash\": \"0", "\"payload_hash\": \"+");
-    assert_ne!(signed_hash, pristine);
-    std::fs::write(&path, &signed_hash).unwrap();
-    assert!(matches!(
-        store.load(id.sweep_id),
-        Err(StoreError::Malformed(_))
-    ));
+    let restarted = SweepService::start(&config).unwrap();
+    let warm = restarted.submit(&spec).unwrap();
+    assert!(warm.cache_hit);
+    assert_eq!(restarted.wait_result(warm.job, WAIT).unwrap(), original);
+    drop(restarted);
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
-    // A file named with the signed spelling is not adopted under the id
-    // whose entry is another file.
-    std::fs::remove_file(&path).unwrap();
-    std::fs::write(dir.join("+00000000000abcd.json"), &pristine).unwrap();
-    let reopened = ResultStore::open(&dir, None).unwrap();
-    assert!(reopened.is_empty());
-    assert!(!reopened.contains(id.sweep_id));
+/// A finished spool file the store cannot take (here a directory stands
+/// where its entry goes; in service, a spool on another filesystem)
+/// fails the job with the rename's message and stays in the spool, so a
+/// resubmission, once the way is clear, moves it in without rerunning.
+#[test]
+fn a_failed_rename_into_the_store_fails_the_job() {
+    let dir = temp_store("rename_fails");
+    let config = ServeConfig {
+        threads: 1,
+        store_dir: dir.join("store"),
+        spool_dir: dir.join("spool"),
+        max_store_entries: None,
+    };
+    let spec = golden_spec();
+    let (identity, sealed_bytes) = run_sealed(&spec, &dir.join("reference.ckpt.json"));
+    let service = SweepService::start(&config).unwrap();
+    let blocker = config.store_dir.join(format!("{}.json", identity.sweep_id));
+    std::fs::create_dir_all(blocker.join("occupied")).unwrap();
+    let job = service.submit(&spec).unwrap().job;
+    let err = service.wait_result(job, WAIT).unwrap_err();
+    assert!(
+        matches!(&err, ServeError::JobFailed(msg) if msg.contains("I/O failed")),
+        "{err}"
+    );
+    let spool = service.spool_path(identity.sweep_id);
+    assert_eq!(std::fs::read_to_string(&spool).unwrap(), sealed_bytes);
+    std::fs::remove_dir_all(&blocker).unwrap();
+    let again = service.submit(&spec).unwrap();
+    assert!(!again.cache_hit);
+    assert_eq!(service.wait_result(again.job, WAIT).unwrap(), sealed_bytes);
+    assert!(!spool.exists());
+    let stats = service.stats();
+    assert_eq!((stats.misses, stats.completed, stats.failed), (2, 1, 1));
+    drop(service);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -281,23 +383,24 @@ fn a_stale_temp_file_from_a_killed_writer_is_ignored_then_replaced() {
     let dir = temp_store("stale_tmp");
     let mut store = ResultStore::open(&dir, None).unwrap();
     let id = ident(0x71);
-    store.store(&id, "old").unwrap();
+    let (old, new) = (sealed(id, 1), sealed(id, 2));
+    store.store(&id, &old).unwrap();
     let orphan = ident(0x72);
     let tmp = dir.join(format!("{}.json.tmp", id.sweep_id));
-    std::fs::write(&tmp, "{\"schema\": \"vc-serve-res").unwrap();
+    std::fs::write(&tmp, &old[..20]).unwrap();
     std::fs::write(dir.join(format!("{}.json.tmp", orphan.sweep_id)), "torn").unwrap();
 
     let mut reopened = ResultStore::open(&dir, None).unwrap();
     assert_eq!(reopened.len(), 1);
     assert!(!reopened.contains(orphan.sweep_id));
-    assert_eq!(reopened.load(id.sweep_id).unwrap(), "old");
+    assert_eq!(reopened.load(id.sweep_id).unwrap(), old);
     assert_eq!(
         reopened.load(orphan.sweep_id),
         Err(StoreError::NotFound(orphan.sweep_id))
     );
-    reopened.store(&id, "new").unwrap();
+    reopened.store(&id, &new).unwrap();
     assert!(!tmp.exists(), "the store left {} behind", tmp.display());
-    assert_eq!(reopened.load(id.sweep_id).unwrap(), "new");
+    assert_eq!(reopened.load(id.sweep_id).unwrap(), new);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -383,11 +486,13 @@ fn a_batch_preempted_whenever_it_runs_still_finishes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// An upgraded service must neither serve a result an earlier schema
+/// An upgraded service must neither serve a result an earlier format
 /// stored nor wedge on a checkpoint an earlier release parked. Both are
-/// planted under one spec's ids: a `vc-serve-result/v1` entry wrapping a
-/// `vc-engine-checkpoint/v2` payload, and that payload as a spool file.
-/// The submission is a miss, and its payload is a fresh run's bytes. A
+/// planted under one spec's ids: a `vc-serve-result/v2` document (the
+/// store's format before entries became checkpoints) wrapping a
+/// `vc-engine-checkpoint/v3` payload, and that payload as a spool file;
+/// a v3 checkpoint is planted as the entry of another id too. The
+/// submission is a miss, and its payload is a fresh run's bytes. A
 /// current spool file, planted under a second spec's ids, is kept and
 /// resumed: its one forged record shows up in that spec's result.
 #[test]
@@ -395,44 +500,35 @@ fn an_upgraded_service_recomputes_what_an_earlier_schema_stored() {
     let dir = temp_store("upgrade");
     std::fs::create_dir_all(dir.join("store")).unwrap();
     std::fs::create_dir_all(dir.join("spool")).unwrap();
-    let spec = SweepSpec::new(
-        InstanceRef::FullBinaryTree { n: 255, seed: 4 },
-        AlgorithmRef::LeafDistance,
-    );
-    let inst = spec.instance.build();
+    let spec = golden_spec();
     let config = spec.run_config();
-    let starts = config.starts.starts(inst.n()).unwrap();
-    let identity = spec.algorithm.identity(&inst, &config, &starts);
-    let reference = dir.join("reference.ckpt.json");
-    spec.algorithm
-        .run_checkpointed(&Engine::with_threads(2), &inst, &config, &reference)
-        .unwrap();
-    let fresh = std::fs::read_to_string(&reference).unwrap();
+    let (identity, fresh) = run_sealed(&spec, &dir.join("reference.ckpt.json"));
 
-    let v2 = format!(
-        "{{\n  \"schema\": \"vc-engine-checkpoint/v2\",\n  \"instance_id\": \"{}\",\n  \
-         \"sweep_id\": \"{}\",\n  \"num_chunks\": 4,\n  \"chunks\": [\n    null,\n    null,\n    \
-         null,\n    null\n  ]\n}}\n",
-        identity.instance_id, identity.sweep_id
-    );
-    let mut h = IdHasher::new("vc-serve-result/v1");
-    h.text(&v2);
+    let v3 = fresh.replacen(CHECKPOINT_SCHEMA, "vc-engine-checkpoint/v3", 1);
+    let mut h = IdHasher::new("vc-serve-result/v2");
+    h.text(&v3);
     let entry = dir
         .join("store")
         .join(format!("{}.json", identity.sweep_id));
-    let v1_entry = format!(
-        "{{\n  \"schema\": \"vc-serve-result/v1\",\n  \"sweep_id\": \"{}\",\n  \
+    let v2_entry = format!(
+        "{{\n  \"schema\": \"vc-serve-result/v2\",\n  \"sweep_id\": \"{}\",\n  \
          \"instance_id\": \"{}\",\n  \"payload_hash\": \"{:016x}\",\n  \"payload\": \"{}\"\n}}\n",
         identity.sweep_id,
         identity.instance_id,
         h.finish(),
-        vc_json::escape(&v2)
+        vc_json::escape(&v3)
     );
-    std::fs::write(&entry, v1_entry).unwrap();
+    std::fs::write(&entry, v2_entry).unwrap();
     let spool = dir
         .join("spool")
         .join(format!("{}.ckpt.json", identity.sweep_id));
-    std::fs::write(&spool, &v2).unwrap();
+    std::fs::write(&spool, &v3).unwrap();
+    let v3_entry = dir
+        .join("store")
+        .join(format!("{}.json", ident(0x33).sweep_id));
+    let v3_sealed =
+        sealed(ident(0x33), 1).replacen(CHECKPOINT_SCHEMA, "vc-engine-checkpoint/v3", 1);
+    std::fs::write(&v3_entry, v3_sealed).unwrap();
 
     let kept_spec = SweepSpec::new(
         InstanceRef::FullBinaryTree { n: 255, seed: 6 },
@@ -461,8 +557,12 @@ fn an_upgraded_service_recomputes_what_an_earlier_schema_stored() {
         max_store_entries: None,
     })
     .unwrap();
-    assert_eq!(service.stats().store_entries, 0, "the v1 entry was adopted");
-    assert!(!entry.exists() && !spool.exists());
+    assert_eq!(
+        service.stats().store_entries,
+        0,
+        "an earlier entry was adopted"
+    );
+    assert!(!entry.exists() && !spool.exists() && !v3_entry.exists());
     assert!(kept_spool.exists(), "a current spool file was deleted");
     let sub = service.submit(&spec).unwrap();
     assert!(!sub.cache_hit, "the earlier schema's result was served");
