@@ -364,8 +364,16 @@ mod tests {
         // so the tail of an over-long write may fail with a broken pipe.
         let _ = conn.write_all(bytes);
         let _ = conn.shutdown(std::net::Shutdown::Write);
+        // Closing with unread bytes queued resets the connection, and the
+        // reset reaches either the write above or, once the answer has
+        // been read, the read below. Either way it is the close; the bytes
+        // read before it stay in `response`.
         let mut response = String::new();
-        conn.read_to_string(&mut response).expect("response");
+        match conn.read_to_string(&mut response) {
+            Ok(_) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+            Err(e) => panic!("response: {e}"),
+        }
         response
     }
 

@@ -106,12 +106,20 @@ fn below(state: &mut u64, n: usize) -> usize {
     (*state % n as u64) as usize
 }
 
-/// Seeded truncations, bit flips and splices of a real entry, and
-/// hand-made damage at the format's edges: `load` refuses each with a
-/// typed error, never an I/O error and never a byte of payload.
-#[test]
-fn store_entry_mutants_are_refused_with_typed_errors() {
-    let dir = temp_store("mutants");
+/// Writes `bytes` as the entry of `id` at `path` and asserts that `load`
+/// refuses it with a typed error, never an I/O error and never a byte of
+/// payload.
+fn assert_refused(store: &ResultStore, path: &Path, id: SweepId, bytes: &[u8], what: &str) {
+    std::fs::write(path, bytes).unwrap();
+    match store.load(id) {
+        Err(StoreError::Malformed(_) | StoreError::IdentityMismatch { .. }) => {}
+        other => panic!("{what}: {other:?}"),
+    }
+}
+
+/// Stores the golden sweep's entry in `dir/store` and returns the
+/// store, the entry's identity, its bytes and its path.
+fn golden_entry(dir: &Path) -> (ResultStore, SweepIdentity, String, PathBuf) {
     let (identity, pristine) = run_sealed(&golden_spec(), &dir.join("golden.ckpt.json"));
     let mut store = ResultStore::open(&dir.join("store"), None).unwrap();
     store.store(&identity, &pristine).unwrap();
@@ -119,14 +127,15 @@ fn store_entry_mutants_are_refused_with_typed_errors() {
     let path = dir
         .join("store")
         .join(format!("{}.json", identity.sweep_id));
-    let refused = |store: &ResultStore, id: SweepId, bytes: &[u8], what: &str| {
-        std::fs::write(&path, bytes).unwrap();
-        match store.load(id) {
-            Err(StoreError::Malformed(_) | StoreError::IdentityMismatch { .. }) => {}
-            other => panic!("{what}: {other:?}"),
-        }
-    };
+    (store, identity, pristine, path)
+}
 
+/// Seeded truncations, bit flips and splices of a real entry: `load`
+/// refuses each with a typed error.
+#[test]
+fn store_entry_mutants_are_refused_with_typed_errors() {
+    let dir = temp_store("mutants");
+    let (store, identity, pristine, path) = golden_entry(&dir);
     let mut state = 0x5eed_0023;
     for i in 0..1_500 {
         let mut m = pristine.as_bytes().to_vec();
@@ -144,8 +153,31 @@ fn store_entry_mutants_are_refused_with_typed_errors() {
                 m.splice(at..at, slice);
             }
         }
-        refused(&store, identity.sweep_id, &m, &format!("mutant {i}"));
+        let what = format!("mutant {i}");
+        assert_refused(&store, &path, identity.sweep_id, &m, &what);
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Hand-made damage at the edges of a real entry: a changed digit that
+/// still parses, truncations at its line boundaries and a header of
+/// another schema are each refused with a typed error. The pristine
+/// bytes verify again, and a missing entry is `NotFound`.
+#[test]
+fn corrupt_documents_are_rejected_with_typed_errors() {
+    let dir = temp_store("corrupt");
+    let (store, identity, pristine, path) = golden_entry(&dir);
+    let id = identity.sweep_id;
+
+    // Flip the low bit of the first chunk's first volume digit: the line
+    // still parses, but the seal no longer recomputes over the bytes.
+    let digit_at = pristine.find("\"volume\": [").unwrap() + "\"volume\": [".len();
+    let mut flipped = pristine.clone().into_bytes();
+    assert!(flipped[digit_at].is_ascii_digit());
+    flipped[digit_at] ^= 0x01;
+    std::fs::write(&path, &flipped).unwrap();
+    let err = store.load(id).unwrap_err();
+    assert!(matches!(err, StoreError::Malformed(_)), "{err}");
 
     // Truncations at the line boundaries: a torn header, a file without
     // its seal line, a torn seal line and a seal without its newline.
@@ -153,57 +185,71 @@ fn store_entry_mutants_are_refused_with_typed_errors() {
     let seal_at = pristine.rfind("{\"seal\"").unwrap();
     for cut in [0, 1, header_end - 1, header_end, seal_at, seal_at + 3] {
         let what = format!("cut at {cut}");
-        refused(
-            &store,
-            identity.sweep_id,
-            &pristine.as_bytes()[..cut],
-            &what,
-        );
+        assert_refused(&store, &path, id, &pristine.as_bytes()[..cut], &what);
     }
     let torn = &pristine.as_bytes()[..pristine.len() - 1];
-    refused(&store, identity.sweep_id, torn, "no final newline");
+    assert_refused(&store, &path, id, torn, "no final newline");
 
     // A header of another schema is refused before any identity is
     // trusted, even under a seal that matches its bytes.
     for schema in ["vc-engine-checkpoint/v3", "vc-engine-checkpoint/v9"] {
         let body = pristine[..seal_at].replacen(CHECKPOINT_SCHEMA, schema, 1);
-        refused(&store, identity.sweep_id, reseal(&body).as_bytes(), schema);
+        assert_refused(&store, &path, id, reseal(&body).as_bytes(), schema);
     }
 
-    // `u64::from_str_radix` takes a leading `+`, so without a digit check
-    // a signed id names the same value as its unsigned spelling. An id
-    // with a leading zero digit, so "+" and its last 15 digits name it.
-    let signed = ident(0xabcd);
-    let entry = sealed(signed, 1);
-    store.store(&signed, &entry).unwrap();
-    let path = dir.join("store").join(format!("{}.json", signed.sweep_id));
-    let spelled = "\"sweep_id\": \"000000000000abcd\"";
-    assert!(entry.contains(spelled));
-    let body = &entry[..entry.rfind("{\"seal\"").unwrap()];
-    let signed_id = reseal(&body.replace(spelled, "\"sweep_id\": \"+00000000000abcd\""));
-    let seal_hex = &entry[entry.len() - 19..entry.len() - 3];
-    let signed_seal = format!("{body}{{\"seal\": \"+{}\"}}\n", &seal_hex[1..]);
-    for (bytes, what) in [(&signed_id, "signed id"), (&signed_seal, "signed seal")] {
-        std::fs::write(&path, bytes).unwrap();
-        let err = store.load(signed.sweep_id).unwrap_err();
-        assert!(matches!(err, StoreError::Malformed(_)), "{what}: {err}");
-    }
     // Restore the pristine bytes: the entry verifies again.
-    std::fs::write(&path, &entry).unwrap();
-    assert_eq!(store.load(signed.sweep_id).unwrap(), entry);
-
-    // A file named with the signed spelling is not adopted under the id
-    // whose entry is another file.
-    std::fs::remove_file(&path).unwrap();
-    std::fs::write(dir.join("store").join("+00000000000abcd.json"), &entry).unwrap();
-    let reopened = ResultStore::open(&dir.join("store"), None).unwrap();
-    assert!(!reopened.contains(signed.sweep_id));
+    std::fs::write(&path, &pristine).unwrap();
+    assert_eq!(store.load(id).unwrap(), pristine);
 
     // A missing entry is NotFound, not Io.
     assert_eq!(
         store.load(SweepId::from_raw(0xdead)),
         Err(StoreError::NotFound(SweepId::from_raw(0xdead)))
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `u64::from_str_radix` takes a leading `+`, so without a digit check a
+/// signed id or seal names the same value as its unsigned spelling.
+/// Neither the file-name scan nor a load may accept one.
+#[test]
+fn signed_hex_ids_and_hashes_are_refused() {
+    let dir = temp_store("signed");
+    let mut store = ResultStore::open(&dir, None).unwrap();
+    // An id with a leading zero digit, so "+" and its last 15 digits
+    // name it, and an entry whose seal also starts with a zero digit.
+    let id = ident(0xabcd);
+    let seal_hex = |entry: &str| entry[entry.len() - 19..entry.len() - 3].to_string();
+    let entry = (1..)
+        .map(|num_chunks| sealed(id, num_chunks))
+        .find(|entry| seal_hex(entry).starts_with('0'))
+        .unwrap();
+    store.store(&id, &entry).unwrap();
+    let path = dir.join(format!("{}.json", id.sweep_id));
+    assert_eq!(store.load(id.sweep_id).unwrap(), entry);
+
+    let spelled = "\"sweep_id\": \"000000000000abcd\"";
+    assert!(entry.contains(spelled));
+    let body = &entry[..entry.rfind("{\"seal\"").unwrap()];
+    let signed_id = reseal(&body.replace(spelled, "\"sweep_id\": \"+00000000000abcd\""));
+    let signed_seal = format!("{body}{{\"seal\": \"+{}\"}}\n", &seal_hex(&entry)[1..]);
+    for (bytes, what) in [(&signed_id, "signed id"), (&signed_seal, "signed seal")] {
+        assert_ne!(bytes, &entry);
+        std::fs::write(&path, bytes).unwrap();
+        let err = store.load(id.sweep_id).unwrap_err();
+        assert!(matches!(err, StoreError::Malformed(_)), "{what}: {err}");
+    }
+    // Restore the pristine bytes: the entry verifies again.
+    std::fs::write(&path, &entry).unwrap();
+    assert_eq!(store.load(id.sweep_id).unwrap(), entry);
+
+    // A file named with the signed spelling is not adopted under the id
+    // whose entry is another file.
+    std::fs::remove_file(&path).unwrap();
+    std::fs::write(dir.join("+00000000000abcd.json"), &entry).unwrap();
+    let reopened = ResultStore::open(&dir, None).unwrap();
+    assert!(reopened.is_empty());
+    assert!(!reopened.contains(id.sweep_id));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
