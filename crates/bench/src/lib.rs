@@ -2,10 +2,9 @@
 //!
 //! Shared harness for the paper-reproduction experiments. The Table 1
 //! report (`examples/table1_report.rs`) measures every cell of the
-//! paper's Table 1 and the checks of Figures 1–3, 5 and 8 on top of this
-//! library's sweep/measure machinery and its [`gate`]s; the remaining
-//! print-only benches under `benches/` (Example 7.6 and two ablations)
-//! use its table printers.
+//! paper's Table 1 and the checks of Figures 1–5 and 8, Observations
+//! 7.4–7.5, Example 7.6 and ablations A1–A2 on top of this library's
+//! sweep/measure machinery and its [`gate`]s.
 //!
 //! Volume and distance are *combinatorial* quantities (Definitions 2.1–2.2)
 //! measured exactly by the query-model runner — the experiments do not
@@ -32,6 +31,8 @@ pub struct Measurement {
     pub max_volume: usize,
     /// Worst-case exact distance (`DIST_n` estimate).
     pub max_distance: u32,
+    /// Worst-case queries over the started executions.
+    pub max_queries: u64,
     /// Executions truncated by a budget.
     pub truncated: usize,
     /// Local-constraint violations of the produced labeling (`None` when
@@ -156,6 +157,7 @@ where
         n: inst.n(),
         max_volume: summary.max_volume,
         max_distance: summary.max_distance,
+        max_queries: summary.max_queries,
         truncated: records.iter().filter(|r| !r.completed).count(),
         violations,
     }
@@ -246,22 +248,6 @@ pub fn skewed_hierarchical(len: usize) -> Instance {
         prev = Some(v);
     }
     Instance::new(b.build().expect("a caterpillar is a valid graph"), labels)
-}
-
-/// Prints a Markdown-style table row.
-pub fn print_row(cells: &[String]) {
-    println!("| {} |", cells.join(" | "));
-}
-
-/// Prints a Markdown-style table header.
-pub fn print_header(cells: &[&str]) {
-    print_row(&cells.iter().map(|s| s.to_string()).collect::<Vec<_>>());
-    print_row(&cells.iter().map(|_| "---".to_string()).collect::<Vec<_>>());
-}
-
-/// Prints a section heading for an experiment.
-pub fn print_heading(title: &str) {
-    println!("\n## {title}\n");
 }
 
 /// Splitmix64's increment and finalizer multipliers.
@@ -379,6 +365,7 @@ mod tests {
             n: 8,
             max_volume: 4,
             max_distance: 3,
+            max_queries: 5,
             truncated: 0,
             violations: Some(0),
         }];

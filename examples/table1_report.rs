@@ -1,6 +1,7 @@
-//! Emits `TABLE1_report.json` (`vc-table1-report/v1`) and its markdown
-//! rendering `TABLE1_report.md`: every cell of the paper's Table 1 and the
-//! checks of Figures 1–3, 5 and 8, each curve measured once and gated.
+//! Emits `TABLE1_report.json` (`vc-table1-report/v2`) and its markdown
+//! rendering `TABLE1_report.md`: every cell of the paper's Table 1, the
+//! checks of Figures 1–5 and 8, Observations 7.4–7.5, Example 7.6 and the
+//! §7.4 randomness ablations A1–A2, each curve measured once and gated.
 //!
 //! D-DIST and R-VOL sweep each problem's distance and randomized volume
 //! solvers over its extremal family; R-DIST is `≤ D-DIST` (a deterministic
@@ -15,7 +16,9 @@
 //!
 //! A cell passes when every curve behind it fits the claimed family (for
 //! polynomial cells within `gate::EXPONENT_TOLERANCE` of `1/k`) with no
-//! checker violation or failed certificate. The files hold no wall-clock
+//! checker violation or failed certificate. A check outside the table is
+//! labeled with its artifact (`"Figure 1"`, `"Example 7.6"`, …) and passes
+//! on the fits or bounds its function names. The files hold no wall-clock
 //! field: every run writes the same bytes at any thread count.
 //!
 //! Run with `cargo run --release --example table1_report [output-path]`;
@@ -29,16 +32,21 @@ use std::path::{Path, PathBuf};
 use vc_adversary::hierarchical::{duel, DuelOutcome};
 use vc_adversary::leaf_coloring::defeat;
 use vc_bench::gate::{self, Cell, Claim, Curve, Point};
-use vc_bench::{measure_with_roots, size_grid, skewed_hierarchical, sweep_config, Measurement};
+use vc_bench::{
+    measure, measure_with_roots, size_grid, skewed_hierarchical, sweep_config, Measurement,
+};
 use vc_comm::disjointness::{disj, promise_pair};
 use vc_comm::embedding::simulate_charged;
-use vc_core::lcl::Lcl;
+use vc_core::congest::{BitTransferWithBandwidth, BtFlood, GadgetQuery};
+use vc_core::lcl::{count_violations, Lcl, Violation};
 use vc_core::output::BtFlag;
 use vc_core::problems::{balanced_tree, classic, hh, hierarchical, hybrid, leaf_coloring};
 use vc_engine::{plan_chunks, Engine};
 use vc_graph::{gen, load_instance, save_instance, Color, Instance};
+use vc_model::congest::run_congest;
+use vc_model::oracle::{follow, Oracle, QueryError};
 use vc_model::run::{QueryAlgorithm, RunConfig};
-use vc_model::RandomTape;
+use vc_model::{RandomTape, SolverScratch};
 use vc_trace::SweepMetrics;
 
 /// Table 1's columns, in the paper's order.
@@ -128,7 +136,8 @@ fn heavy_component(k: u32) -> impl Fn(usize, u64) -> Made + Copy {
 /// over the large-`n` ladder, from every node of each rung reloaded from
 /// the store, and the top rung.
 fn ladder(dir: &Path) -> ([Curve; 2], Instance) {
-    let (det, rand) = (every_start(None), every_start(Some(11)));
+    let det = every_start(None);
+    let rand = every_start(Some(RandomTape::private(11)));
     let lc = leaf_coloring::DistanceSolver;
     let walk = leaf_coloring::RwToLeaf::default();
     let (mut d_vol, mut r_vol, mut top) = (Vec::new(), Vec::new(), None);
@@ -153,14 +162,13 @@ fn ladder(dir: &Path) -> ([Curve; 2], Instance) {
     ([d_vol, r_vol], top.expect("the ladder has rungs"))
 }
 
-/// The ladder's sweeps: every start, no exact distance. That is a BFS of
-/// each execution's ball, the whole tree for the walk at the top rung;
-/// volume, the fitted measure, needs none.
-fn every_start(tape: Option<u64>) -> RunConfig {
-    let (tape, exact_distance) = (tape.map(RandomTape::private), false);
+/// Every start, no exact distance: the ladder's sweeps and the checks that
+/// read volume, queries or validity. Exact distance is a BFS of each
+/// execution's ball, the whole tree for the walk at the ladder's top rung.
+fn every_start(tape: Option<RandomTape>) -> RunConfig {
     RunConfig {
         tape,
-        exact_distance,
+        exact_distance: false,
         ..RunConfig::default()
     }
 }
@@ -251,6 +259,251 @@ fn embedding_curve() -> Curve {
     curve
 }
 
+/// A check outside the Table 1 cells and the curves it reads.
+type Gated = (Check, Vec<Curve>);
+
+/// LeafColoring, the problem `measure` checks outputs against.
+const LC: Option<&leaf_coloring::LeafColoring> = Some(&leaf_coloring::LeafColoring);
+
+/// Figure 4 / Observation 3.7: `RWtoLeaf` from every node of pseudo-trees
+/// whose `G_T` has a 3-cycle, four private tapes per size; point `i` has
+/// seed `i + 1` and tapes `42 + 4i + t`. The gate is on queries: the step
+/// cap returns the fallback as a completed run, so nothing truncates, and
+/// a walk that loops the cycle (Algorithm 1 without its line-4 flip) spends
+/// queries on nodes it has already seen, not volume.
+fn pseudo_trees() -> Gated {
+    let walk = leaf_coloring::RwToLeaf::default();
+    let points = (0u64..).zip(size_grid(8, 16)).map(|(i, n)| {
+        let inst = gen::pseudo_tree(n, 3, i + 1);
+        let tapes = (0..4).map(|t| every_start(Some(RandomTape::private(42 + 4 * i + t))));
+        let runs: Vec<Measurement> = tapes.map(|c| measure(LC, &inst, &walk, &c)).collect();
+        let violations = runs.iter().map(|m| m.violations).sum();
+        let queries = runs.iter().map(|m| m.max_queries).max();
+        Point::on(&inst, queries.unwrap_or(0), violations)
+    });
+    let family = "pseudo-tree with a 3-cycle, four private tapes per n";
+    let label = ("solver", walk.name(), family, "max_queries");
+    let curve = Curve::new(label, points.collect());
+    let per_log = |p: &Point| p.cost as f64 / (p.n as f64).log2();
+    let peak = curve.points.iter().map(per_log).fold(0.0, f64::max);
+    let subject = "RWtoLeaf from every node of a pseudo-tree: valid, at most 16·log₂ n queries";
+    let violations = curve.violations;
+    let evidence = format!("{violations} violations, max queries {peak:.1}·log₂ n");
+    let ok = violations == 0 && peak <= 16.0;
+    (("Figure 4", subject.into(), evidence, ok), vec![curve])
+}
+
+/// Observation 7.4: the `BtFlood` CONGEST algorithm solves BalancedTree,
+/// whose volume is `Θ(n)`, in `Θ(log n)` rounds with `B = 160`; the checker
+/// reads its outputs at every size.
+fn bt_flood() -> Gated {
+    let points = (3..=9).map(|depth| {
+        let (inst, _) = gen::balanced_tree_compatible(depth);
+        let run = run_congest::<BtFlood>(&inst, 160, 10_000).expect("flooding terminates");
+        let violations = count_violations(&balanced_tree::BalancedTree, &inst, &run.outputs);
+        Point::on(&inst, run.rounds as u64, Some(violations))
+    });
+    let algorithm = "balanced-tree/bt-flood, CONGEST, B = 160";
+    let label = ("solver", algorithm, "compatible balanced tree", "rounds");
+    let curve = Curve::new(label, points.collect());
+    let (class, violations) = (curve.fit.class, curve.violations);
+    let evidence = format!("rounds {class}, {violations} violations");
+    let subject = "BtFlood solves BalancedTree in Θ(log n) CONGEST rounds".into();
+    let ok = curve.meets(Claim::LOG);
+    (("Observation 7.4", subject, evidence, ok), vec![curve])
+}
+
+/// Example 7.6's problem on one two-tree gadget: output-side leaf `u_i`
+/// must output the bit of input-side leaf `v_i`, `2·depth + 1` hops away.
+/// It is checkable at that radius only, so it is not an LCL.
+struct GadgetBits {
+    /// The bit each output-side leaf must output.
+    want: Vec<Option<bool>>,
+    radius: u32,
+}
+
+impl Lcl for GadgetBits {
+    type Output = Option<bool>;
+
+    fn name(&self) -> String {
+        "bit transfer (Example 7.6)".into()
+    }
+
+    fn check_radius(&self) -> u32 {
+        self.radius
+    }
+
+    fn check_node(&self, _: &Instance, out: &[Option<bool>], v: usize) -> Result<(), Violation> {
+        let rule = "7.6:bit-arrives";
+        match self.want[v] {
+            Some(bit) if out[v] != Some(bit) => Err(Violation { node: v, rule }),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// The gadget of depth `depth`, leaf `i` holding the bit `7i mod 3 = 0`,
+/// and its problem.
+fn gadget(depth: u32) -> (Instance, GadgetBits) {
+    let bits: Vec<bool> = (0..1usize << depth).map(|i| i * 7 % 3 == 0).collect();
+    let (inst, meta) = gen::two_tree_gadget(depth, &bits);
+    let mut want = vec![None; inst.n()];
+    for (&u, &bit) in meta.u_leaves.iter().zip(&bits) {
+        want[u] = Some(bit);
+    }
+    let radius = 2 * depth + 1;
+    (inst, GadgetBits { want, radius })
+}
+
+/// CONGEST rounds of the bit transfer at bandwidth `B` bits, and the bits
+/// that did not arrive.
+fn transfer<const B: usize>(inst: &Instance, problem: &GadgetBits) -> (u64, usize) {
+    let run = run_congest::<BitTransferWithBandwidth<B>>(inst, B, 100_000);
+    let run = run.expect("bit transfer terminates");
+    let lost = count_violations(problem, inst, &run.outputs);
+    (run.rounds as u64, lost)
+}
+
+/// Example 7.6 on gadgets of depth 3–8 at `B = 35`: every bit crosses the
+/// one bridge edge, so CONGEST rounds fit `Θ(n)`, while a query algorithm
+/// walks to its own bit with `Θ(log n)` volume; every leaf bit must arrive
+/// in both models. Observation 7.5 on the depth-8 gadget: rounds fall
+/// strictly as `B` grows from 35 to 140 and 560.
+fn bit_transfer() -> [Gated; 2] {
+    let (mut rounds, mut volume, mut top) = (Vec::new(), Vec::new(), None);
+    for depth in 3..=8 {
+        let (inst, problem) = gadget(depth);
+        let (r, lost) = transfer::<35>(&inst, &problem);
+        rounds.push(Point::on(&inst, r, Some(lost)));
+        let m = measure(Some(&problem), &inst, &GadgetQuery, &every_start(None));
+        volume.push(Point::on(&inst, m.max_volume as u64, m.violations));
+        top = Some((inst, problem, (r, lost)));
+    }
+    let (inst, problem, (r35, lost35)) = top.expect("the sweep has depths");
+    let (r140, lost140) = transfer::<140>(&inst, &problem);
+    let (r560, lost560) = transfer::<560>(&inst, &problem);
+    let lost = lost35 + lost140 + lost560;
+    let evidence = format!("rounds {r35}, {r140}, {r560} at B = 35, 140, 560; {lost} bits lost");
+    let ok = lost == 0 && r35 > r140 && r140 > r560;
+    let subject = "the depth-8 gadget: wider links cut the rounds".into();
+    let obs_7_5 = (("Observation 7.5", subject, evidence, ok), Vec::new());
+
+    let family = "two-tree gadget, depth 3–8";
+    let label = ("solver", "bit-transfer, CONGEST, B = 35", family, "rounds");
+    let rounds = Curve::new(label, rounds);
+    let volume = Curve::new(("solver", GadgetQuery.name(), family, "max_volume"), volume);
+    let (rc, vc) = (rounds.fit.class, volume.fit.class);
+    let lost = rounds.violations + volume.violations;
+    let evidence = format!("rounds {rc}, volume {vc}, {lost} bits lost");
+    let ok = rounds.meets(Claim::LINEAR) && volume.meets(Claim::LOG);
+    let subject = "two-tree gadget: CONGEST rounds Θ(n) at B = 35, query volume Θ(log n)".into();
+    let ex_7_6 = (("Example 7.6", subject, evidence, ok), vec![rounds, volume]);
+    [obs_7_5, ex_7_6]
+}
+
+/// Ablation A1: the way-point constant `c` on the skewed Hierarchical-THC(2)
+/// family, where the lottery decides validity, over tapes 1000–1019. Below
+/// the Lemma 5.16/5.18 constant some tape leaves a backbone stretch longer
+/// than the threshold window with no light way-point; at
+/// `RandomizedSolver::new`'s constant none may.
+fn waypoint_density() -> Gated {
+    let (k, inst) = (2, skewed_hierarchical(3000));
+    let problem = Some(&hierarchical::HierarchicalThc::new(k));
+    let failing = |solver: hierarchical::RandomizedSolver| {
+        let config = |tape| every_start(Some(RandomTape::private(tape)));
+        let valid = |tape| measure(problem, &inst, &solver, &config(tape)).violations == Some(0);
+        (1000..1020).filter(|&tape| !valid(tape)).count()
+    };
+    let (low, paper) = (0.25, hierarchical::RandomizedSolver::new(k).c);
+    let [below, at] = [low, paper].map(|c| failing(hierarchical::RandomizedSolver { k, c }));
+    let n = inst.n();
+    let subject = format!("way-point constant c, skewed Hierarchical-THC(2), n = {n}");
+    let evidence = format!("failing tapes {below}/20 at c = {low}, {at}/20 at c = {paper}");
+    let ok = below > 0 && at == 0;
+    (("Ablation A1", subject, evidence, ok), Vec::new())
+}
+
+/// The §7.4 promise walker. Under the promise that every leaf has one
+/// color, any leaf answers, so a walk steered by the initiator's own bits
+/// needs no coupling, and secret randomness suffices.
+struct PromiseWalker;
+
+impl QueryAlgorithm for PromiseWalker {
+    type Output = Color;
+
+    fn name(&self) -> &'static str {
+        "promise-walker/secret"
+    }
+
+    fn fallback(&self) -> Color {
+        Color::R
+    }
+
+    fn run(&self, oracle: &mut dyn Oracle, _: &mut SolverScratch) -> Result<Color, QueryError> {
+        let v0 = oracle.root();
+        let mut cur = v0;
+        for _ in 0..64 * 20 {
+            let lc = follow(oracle, &cur, cur.label.left_child)?;
+            let rc = follow(oracle, &cur, cur.label.right_child)?;
+            match (lc, rc) {
+                (Some(l), Some(r)) => cur = if oracle.rand_bit(v0.node)? { r } else { l },
+                // A leaf or an inconsistent node: its color is the answer.
+                _ => return Ok(cur.label.color.unwrap_or(Color::R)),
+            }
+        }
+        Ok(self.fallback())
+    }
+}
+
+/// Ablation A2 (§7.4): `RWtoLeaf` under the three randomness models on a
+/// random full binary tree. Private and public tapes support Algorithm 1's
+/// coupling; a secret tape hides the other nodes' bits the walk steers by,
+/// so executions truncate. Yet on complete trees of depth 6–12 whose leaves
+/// are all blue, the promise walker under secret tapes must answer blue
+/// from every node (the one valid LeafColoring output there) with volume
+/// at most `3·(depth + 2) + 4`.
+fn randomness_models() -> Gated {
+    let walk = leaf_coloring::RwToLeaf::default();
+    let tree = gen::random_full_binary_tree(1200, 5);
+    let run = |tape| measure(LC, &tree, &walk, &every_start(Some(tape)));
+    let (private, public) = (run(RandomTape::private(9)), run(RandomTape::public(9)));
+    let secret = run(RandomTape::secret(9));
+    let clean = |m: &Measurement| m.violations == Some(0) && m.truncated == 0;
+    let models_ok = clean(&private) && clean(&public) && secret.truncated > 0;
+    let show = |m: Measurement| format!("{}/{}", opt(m.violations), m.truncated);
+    let [private, public, secret] = [private, public, secret].map(show);
+
+    let depths = 6..=12u32;
+    let points = depths.clone().map(|depth| {
+        let inst = gen::complete_binary_tree(depth, Color::R, Color::B);
+        let config = every_start(Some(RandomTape::secret(depth.into())));
+        let m = measure(LC, &inst, &PromiseWalker, &config);
+        Point::on(&inst, m.max_volume as u64, m.violations)
+    });
+    let family = "complete binary tree, depth 6–12, every leaf blue";
+    let label = ("solver", PromiseWalker.name(), family, "max_volume");
+    let curve = Curve::new(label, points.collect());
+    let meets_bound = |&(p, d): &(&Point, u32)| p.cost <= u64::from(3 * (d + 2) + 4);
+    let within = curve.points.iter().zip(depths).filter(meets_bound).count();
+    let (sizes, violations) = (curve.points.len(), curve.violations);
+    let subject =
+        "RWtoLeaf under private, public and secret tapes; promise walker under secret tapes";
+    let evidence = format!(
+        "violations/truncated at n = {}: private {private}, public {public}, secret {secret}; \
+         promise walker: {violations} violations, volume bound met at {within} of {sizes} depths",
+        tree.n()
+    );
+    let ok = models_ok && violations == 0 && within == sizes;
+    (("Ablation A2", subject.into(), evidence, ok), vec![curve])
+}
+
+/// The checks outside Table 1 and Figures 1–3, in the paper's order.
+fn measure_beyond() -> Vec<Gated> {
+    let [obs_7_5, ex_7_6] = bit_transfer();
+    let (a1, a2) = (waypoint_density(), randomness_models());
+    vec![pseudo_trees(), bt_flood(), obs_7_5, ex_7_6, a1, a2]
+}
+
 /// One Table 1 row: the problem and its cells in [`COLUMNS`] order.
 struct Row {
     problem: String,
@@ -294,6 +547,8 @@ struct Report {
     /// Hierarchical-THC R-VOL on the balanced family, k = 2, 3, 4.
     hierarchy: Vec<Curve>,
     large_n: Instance,
+    /// The checks outside Table 1 and Figures 1–3.
+    beyond: Vec<Gated>,
 }
 
 fn measure_all(store: &Path) -> Report {
@@ -388,11 +643,13 @@ fn measure_all(store: &Path) -> Report {
         reference,
         hierarchy,
         large_n,
+        beyond: measure_beyond(),
     }
 }
 
-/// One landscape check of Figures 1–3: figure, subject, evidence, verdict.
-type Check = (u32, String, String, bool);
+/// One check outside the Table 1 cells: artifact, subject, evidence,
+/// verdict.
+type Check = (&'static str, String, String, bool);
 
 fn checks(report: &Report) -> Vec<Check> {
     // Figure 1: no deterministic distance fit lies in a gap.
@@ -403,13 +660,14 @@ fn checks(report: &Report) -> Vec<Check> {
     for (name, c) in reference.chain(table) {
         let (class, name) = (c.fit.class, name.to_string());
         let ok = gate::in_distance_landscape(class);
-        out.push((1, name, format!("D-DIST {class}"), ok));
+        out.push(("Figure 1", name, format!("D-DIST {class}"), ok));
     }
     // Figure 2: classes A and B collapse, volume = distance.
     for (name, [d, v]) in &report.reference {
         let (dc, vc) = (d.fit.class, v.fit.class);
         let evidence = format!("distance {dc}, volume {vc}");
-        out.push((2, name.to_string(), evidence, dc == vc && d.violations == 0));
+        let ok = dc == vc && d.violations == 0;
+        out.push(("Figure 2", name.to_string(), evidence, ok));
     }
     // Figure 3: the randomized volume hierarchy is strict, and k = 4, read
     // only here, is checked like a cell.
@@ -419,7 +677,7 @@ fn checks(report: &Report) -> Vec<Check> {
     let evidence = format!("α = {}", shown.join(", "));
     let valid = report.hierarchy.iter().all(|c| c.violations == 0);
     let ok = valid && gate::strictly_decreasing(&alphas);
-    out.push((3, subject, evidence, ok));
+    out.push(("Figure 3", subject, evidence, ok));
     out
 }
 
@@ -439,8 +697,9 @@ fn main() {
         let failed = r.cells.iter().zip(COLUMNS).filter(|(cell, _)| !cell.ok);
         misses.extend(failed.map(|(_, column)| format!("{} {column}", r.problem)));
     }
-    for (figure, subject, evidence, _) in checks.iter().filter(|c| !c.3) {
-        misses.push(format!("Figure {figure} {subject}: {evidence}"));
+    let beyond = report.beyond.iter().map(|(check, _)| check);
+    for (artifact, subject, evidence, _) in checks.iter().chain(beyond).filter(|c| !c.3) {
+        misses.push(format!("{artifact} {subject}: {evidence}"));
     }
 
     let ok = misses.is_empty();
@@ -516,18 +775,27 @@ fn to_json(report: &Report, checks: &[Check], ok: bool) -> String {
         let cells = list(cells, ",\n      ");
         obj(&[("problem", q(&r.problem)), ("cells", cells)])
     });
-    let checks = checks.iter().map(|(figure, subject, evidence, ok)| {
-        let (f, s, e, ok) = (figure.to_string(), q(subject), q(evidence), ok.to_string());
-        obj(&[("figure", f), ("subject", s), ("evidence", e), ("ok", ok)])
+    let all = checks
+        .iter()
+        .chain(report.beyond.iter().map(|(check, _)| check));
+    let checks = all.map(|(artifact, subject, evidence, ok)| {
+        let (a, s, e, ok) = (q(artifact), q(subject), q(evidence), ok.to_string());
+        obj(&[("artifact", a), ("subject", s), ("evidence", e), ("ok", ok)])
     });
-    // The curves only a figure reads: classes A and B, Hierarchical-THC(4).
+    // The curves no cell reads: classes A and B, Hierarchical-THC(4) and
+    // those behind the checks outside the table.
     let reference = report
         .reference
         .iter()
         .flat_map(|(name, cs)| cs.iter().map(move |c| (format!("{name} {}", c.measure), c)));
     let k4 = "Hierarchical-THC(4) R-VOL".to_string();
+    let beyond = report.beyond.iter().flat_map(|((artifact, ..), cs)| {
+        cs.iter()
+            .map(move |c| (format!("{artifact} {}", c.measure), c))
+    });
     let curves = reference
         .chain([(k4, &report.hierarchy[2])])
+        .chain(beyond)
         .map(|(subject, c)| obj(&[("subject", q(subject)), ("curve", curve_json(c))]));
     let (top, plan) = (&report.large_n, plan_chunks(report.large_n.n()));
     let large_n = obj(&[
@@ -541,7 +809,7 @@ fn to_json(report: &Report, checks: &[Check], ok: bool) -> String {
     ]);
     let (sep, tolerance) = (",\n    ", gate::EXPONENT_TOLERANCE);
     format!(
-        "{{\n  \"schema\": \"vc-table1-report/v1\",\n  \"ok\": {ok},\n  \
+        "{{\n  \"schema\": \"vc-table1-report/v2\",\n  \"ok\": {ok},\n  \
          \"exponent_tolerance\": {tolerance},\n  \"rows\": {},\n  \"checks\": {},\n  \
          \"figure_curves\": {},\n  \"large_n\": {large_n}\n}}\n",
         list(rows, sep),
@@ -586,15 +854,7 @@ fn to_markdown(report: &Report, checks: &[Check], ok: bool) -> String {
                 let _ = writeln!(md, "| {p} | {label} | bound | {bound} | | | | | |");
             }
             for c in &cell.curves {
-                let costs: Vec<String> = c.points.iter().map(|p| p.cost.to_string()).collect();
-                let (first, last) = (c.points[0].n, c.points[c.points.len() - 1].n);
-                let (costs, class, alpha) = (costs.join(" "), c.fit.class, c.exponent);
-                let _ = writeln!(
-                    md,
-                    "| {p} | {label} | {} | {} | {} | {costs} (n = {first}…{last}) | {class} | \
-                     {alpha:.2} | {} |",
-                    c.source, c.algorithm, c.family, c.violations
-                );
+                curve_row(&mut md, [p, &label], c);
             }
         }
     }
@@ -609,12 +869,9 @@ fn to_markdown(report: &Report, checks: &[Check], ok: bool) -> String {
          landscape. Fixed-width identifiers make log* n a constant at every measurable n, so \
          Cole–Vishkin fits Θ(1). Figure 2: the class A and B problems have equal distance and \
          volume classes. Figure 3: the Hierarchical-THC R-VOL exponents strictly decrease in k. \
-         The report's JSON holds the curves only a figure reads.\n\n\
-         | Figure | Subject | Evidence | ok |\n| --- | --- | --- | --- |\n",
+         The report's JSON holds the curves only a figure reads.\n\n",
     );
-    for (figure, subject, evidence, ok) in checks {
-        let _ = writeln!(md, "| {figure} | {subject} | {evidence} | {} |", mark(*ok));
-    }
+    check_table(&mut md, checks);
     let (top, plan) = (&report.large_n, plan_chunks(report.large_n.n()));
     let _ = write!(
         md,
@@ -630,5 +887,47 @@ fn to_markdown(report: &Report, checks: &[Check], ok: bool) -> String {
         plan.num_chunks,
         plan.chunk_size
     );
+    md.push_str(
+        "\n## Figure 4 and §7 — checks beyond Table 1\n\n\
+         Each check measures its own instances and passes on the claim its subject names. \
+         Figure 4 gates queries, not volume: a walk that loops the pseudo-tree's cycle \
+         re-reads nodes it has seen, and `RWtoLeaf`'s step cap answers with the fallback as \
+         a completed run.\n\n",
+    );
+    check_table(&mut md, report.beyond.iter().map(|(check, _)| check));
+    md.push_str(
+        "\n| Artifact | Measure | Source | Algorithm | Family | Costs | Fit | α | Violations |\n\
+         | --- | --- | --- | --- | --- | --- | --- | --- | --- |\n",
+    );
+    for ((artifact, ..), curves) in &report.beyond {
+        for c in curves {
+            curve_row(&mut md, [artifact, c.measure], c);
+        }
+    }
     md
+}
+
+/// A markdown table of checks.
+fn check_table<'a>(md: &mut String, checks: impl IntoIterator<Item = &'a Check>) {
+    md.push_str("| Artifact | Subject | Evidence | ok |\n| --- | --- | --- | --- |\n");
+    for (artifact, subject, evidence, ok) in checks {
+        let _ = writeln!(
+            md,
+            "| {artifact} | {subject} | {evidence} | {} |",
+            mark(*ok)
+        );
+    }
+}
+
+/// One markdown row of a curve, after its first two columns.
+fn curve_row(md: &mut String, [first, second]: [&str; 2], c: &Curve) {
+    let costs: Vec<String> = c.points.iter().map(|p| p.cost.to_string()).collect();
+    let (low, high) = (c.points[0].n, c.points[c.points.len() - 1].n);
+    let (costs, class, alpha) = (costs.join(" "), c.fit.class, c.exponent);
+    let _ = writeln!(
+        md,
+        "| {first} | {second} | {} | {} | {} | {costs} (n = {low}…{high}) | {class} | \
+         {alpha:.2} | {} |",
+        c.source, c.algorithm, c.family, c.violations
+    );
 }

@@ -5,7 +5,8 @@
 #   scripts/ci.sh --quick     # tier-1 only: fmt -> build -> cargo test -q
 #   scripts/ci.sh fast-gate   # fmt + clippy + xtask lint + JSON documents
 #   scripts/ci.sh tests       # test suites incl. VC_THREADS=2 determinism,
-#                             # fault and fleet-splice suites
+#                             # fault and fleet-splice suites, and the
+#                             # walkthrough examples
 #   scripts/ci.sh gates       # release gates: bench baseline, trace and
 #                             # Table 1 reports, supervised chaos soak + merge
 #                             # cross-checks, serve service soak, vcbench
@@ -101,6 +102,13 @@ run_tests() {
     # byte-identical result (asserted inside the example).
     step "VC_THREADS=2 fault sweep example" \
         env VC_THREADS=2 cargo run --release --example fault_sweep
+
+    # The two walkthroughs no other step runs: README quotes quickstart's
+    # output, and adversary_trace prints the Prop. 5.20 duel trace. Both
+    # must exit 0.
+    step "walkthrough examples" \
+        sh -c "cargo run --release --example quickstart && \
+        cargo run --release --example adversary_trace"
 }
 
 # ---------------------------------------------------------------------------
@@ -132,14 +140,17 @@ run_gates() {
     step "xtask check-json trace report" \
         cargo run -p xtask -- check-json "$TRACE_REPORT"
 
-    # Table 1 gate: measure every cell of the paper's Table 1 and the
-    # Figure 1-3, 5 and 8 checks, each curve once, and fit them. The
-    # example exits nonzero when a cell's fit leaves its claimed family
-    # (polynomial exponents within 0.07 of 1/k), when any checker
-    # violation or failed adversary certificate turns up, when a figure
-    # check misses, or when the large-n contracts drift (store round-trip,
+    # Table 1 gate: measure every cell of the paper's Table 1, the Figure
+    # 1-5 and 8 checks, Observations 7.4-7.5, Example 7.6 and ablations
+    # A1-A2, each curve once, and fit them. The example exits nonzero when
+    # a cell's fit leaves its claimed family (polynomial exponents within
+    # 0.07 of 1/k), when any checker violation or failed adversary
+    # certificate turns up, when a check outside the table misses (the
+    # Figure 4 pseudo-tree query bound, the CONGEST round fits and the
+    # falling rounds of §7.3, the way-point and randomness ablations of
+    # §7.4), or when the large-n contracts drift (store round-trip,
     # 1/2/8-thread identity and checkpoint resume at n = 262 143). The
-    # vc-table1-report/v1 document is then checked for well-formedness,
+    # vc-table1-report/v2 document is then checked for well-formedness,
     # and its markdown rendering must equal the generated block in
     # EXPERIMENTS.md byte for byte.
     TABLE1_REPORT=target/TABLE1_report.json

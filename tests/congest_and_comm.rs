@@ -54,6 +54,14 @@ fn bit_transfer_round_lower_bound_shape() {
     let (inst, _) = gen::two_tree_gadget(6, &bits);
     let report = run_congest::<BitTransferWithBandwidth<35>>(&inst, 35, 100_000).unwrap();
     assert!(report.rounds >= 64, "rounds {}", report.rounds);
+    // Observation 7.5: wider links cut the rounds.
+    let medium = run_congest::<BitTransferWithBandwidth<140>>(&inst, 140, 100_000).unwrap();
+    let wide = run_congest::<BitTransferWithBandwidth<560>>(&inst, 560, 100_000).unwrap();
+    let rounds = [report.rounds, medium.rounds, wide.rounds];
+    assert!(
+        rounds[0] > rounds[1] && rounds[1] > rounds[2],
+        "rounds {rounds:?}"
+    );
     // And the query model stays logarithmic on the same instance.
     let q = run_all(&inst, &GadgetQuery, &RunConfig::default()).unwrap();
     assert!(q.summary().max_volume <= 2 * 6 + 3);
