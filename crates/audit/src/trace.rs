@@ -78,16 +78,4 @@ impl ProbeTrace {
             _ => None,
         }
     }
-
-    /// Iterates over the successful queries as `(from, port, answer)`.
-    pub fn answered_queries(&self) -> impl Iterator<Item = (usize, Port, &NodeView)> {
-        self.probes.iter().filter_map(|p| match p {
-            Probe::Query {
-                from,
-                port,
-                result: Ok(v),
-            } => Some((*from, *port, v)),
-            _ => None,
-        })
-    }
 }

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 use vc_graph::{NodeLabel, Port};
 use vc_model::congest::{BitSize, CongestNode, LocalInfo};
-use vc_model::oracle::{follow, NodeView, Oracle, QueryError};
+use vc_model::oracle::{follow, Oracle, QueryError};
 use vc_model::run::QueryAlgorithm;
 use vc_model::SolverScratch;
 
@@ -352,7 +352,9 @@ impl BitSize for Packets {
 
 /// The Example 7.6 CONGEST algorithm: the input-side leaves send their
 /// `(index, bit)` pairs up; everything funnels through the single bridge
-/// edge (hence `Ω(n/B)` rounds) and floods down the output side.
+/// edge (hence `Ω(n/B)` rounds) and floods down the output side. Each
+/// round a node forwards as many entries per edge as the bandwidth `B`
+/// of its [`LocalInfo`] carries.
 #[derive(Debug)]
 pub struct BitTransfer {
     /// Entries waiting to be forwarded.
@@ -381,30 +383,17 @@ impl BitTransfer {
     }
 }
 
-/// The bandwidth the simulation runs at, communicated through `aux`-free
-/// means: the machine infers its cap from the `BANDWIDTH` it is
-/// parameterized with at the type level is overkill — instead the runner
-/// passes bandwidth in [`vc_model::congest::run_congest`] and we mirror the
-/// value here.
-pub struct BitTransferWithBandwidth<const B: usize>(BitTransfer);
-
-impl<const B: usize> std::fmt::Debug for BitTransferWithBandwidth<B> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "BitTransferWithBandwidth<{B}>")
-    }
-}
-
-impl<const B: usize> CongestNode for BitTransferWithBandwidth<B> {
+impl CongestNode for BitTransfer {
     type Msg = Packets;
     type Output = Option<bool>;
 
     fn init(_info: &LocalInfo) -> Self {
-        Self(BitTransfer {
+        BitTransfer {
             queue: VecDeque::new(),
             seen: std::collections::HashSet::new(),
             my_bit: None,
             started: false,
-        })
+        }
     }
 
     fn round(
@@ -413,33 +402,32 @@ impl<const B: usize> CongestNode for BitTransferWithBandwidth<B> {
         _round: usize,
         inbox: &[(Port, Packets)],
     ) -> Vec<(Port, Packets)> {
-        let me = &mut self.0;
         let input_side = info.label.bit == Some(true);
-        let leaf = BitTransfer::is_leaf(info);
+        let leaf = Self::is_leaf(info);
         for (_, pkt) in inbox {
             for &e in &pkt.0 {
-                if me.seen.insert(e) {
+                if self.seen.insert(e) {
                     if !input_side && leaf {
                         if let Some(aux) = info.label.aux {
                             if e >> 1 == aux >> 1 {
-                                me.my_bit = Some(e & 1 == 1);
+                                self.my_bit = Some(e & 1 == 1);
                             }
                         }
                     }
-                    me.queue.push_back(e);
+                    self.queue.push_back(e);
                 }
             }
         }
-        if !me.started {
-            me.started = true;
+        if !self.started {
+            self.started = true;
             if input_side && leaf {
                 if let Some(aux) = info.label.aux {
-                    me.queue.push_back(aux);
+                    self.queue.push_back(aux);
                 }
             }
         }
-        let cap = BitTransfer::cap(B);
-        let batch: Vec<u64> = (0..cap).filter_map(|_| me.queue.pop_front()).collect();
+        let cap = Self::cap(info.bandwidth);
+        let batch: Vec<u64> = (0..cap).filter_map(|_| self.queue.pop_front()).collect();
         if batch.is_empty() {
             return Vec::new();
         }
@@ -465,8 +453,8 @@ impl<const B: usize> CongestNode for BitTransferWithBandwidth<B> {
 
     fn output(&self, info: &LocalInfo) -> Option<Option<bool>> {
         let input_side = info.label.bit == Some(true);
-        if !input_side && BitTransfer::is_leaf(info) && !BitTransfer::is_root(info) {
-            self.0.my_bit.map(Some)
+        if !input_side && Self::is_leaf(info) && !Self::is_root(info) {
+            self.my_bit.map(Some)
         } else {
             Some(None)
         }
@@ -536,12 +524,6 @@ impl QueryAlgorithm for GadgetQuery {
     }
 }
 
-/// Convenience: the bits each output-side leaf should report, in leaf
-/// order — the ground truth for both models.
-pub fn expected_bits(view: &NodeView) -> Option<u64> {
-    view.label.aux
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -589,7 +571,7 @@ mod tests {
     fn bit_transfer_delivers_all_bits() {
         let bits = vec![true, false, false, true, true, false, true, false];
         let (inst, meta) = gen::two_tree_gadget(3, &bits);
-        let report = run_congest::<BitTransferWithBandwidth<35>>(&inst, 35, 500).unwrap();
+        let report = run_congest::<BitTransfer>(&inst, 35, 500).unwrap();
         for (i, &u) in meta.u_leaves.iter().enumerate() {
             assert_eq!(report.outputs[u], Some(bits[i]), "leaf {i}");
         }
@@ -599,8 +581,8 @@ mod tests {
     fn bit_transfer_rounds_scale_with_bandwidth() {
         let bits: Vec<bool> = (0..32).map(|i| i % 3 == 0).collect();
         let (inst, _) = gen::two_tree_gadget(5, &bits);
-        let narrow = run_congest::<BitTransferWithBandwidth<35>>(&inst, 35, 2000).unwrap();
-        let wide = run_congest::<BitTransferWithBandwidth<350>>(&inst, 350, 2000).unwrap();
+        let narrow = run_congest::<BitTransfer>(&inst, 35, 2000).unwrap();
+        let wide = run_congest::<BitTransfer>(&inst, 350, 2000).unwrap();
         assert!(
             narrow.rounds > wide.rounds + 10,
             "narrow {} vs wide {}",

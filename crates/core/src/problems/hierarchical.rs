@@ -476,8 +476,8 @@ pub(crate) fn component_threshold(n: usize, k: u32) -> usize {
 }
 
 /// The way-point probability `p = min(1, c·log₂(n)/n^{1/k})` of the
-/// randomized Hierarchical- and Hybrid-THC solvers — exposed for the
-/// ablation experiment (Lemmas 5.16 and 5.18 need `c ≥ 3`).
+/// randomized Hierarchical- and Hybrid-THC solvers (Lemmas 5.16 and 5.18
+/// need `c ≥ 3`).
 pub fn waypoint_probability(n: usize, k: u32, c: f64) -> f64 {
     let n = n.max(2) as f64;
     (c * n.log2() / n.powf(1.0 / f64::from(k))).min(1.0)

@@ -14,11 +14,13 @@
 //! supervisor operates entirely at that scheduling layer:
 //!
 //! * **Heartbeats are read-only.** Workers run with live checkpoints
-//!   (`VC_LIVE_CHECKPOINT=1`), so their part files gain a chunk after
-//!   every completed chunk, atomically (write-then-rename). The
-//!   supervisor observes chunk-count deltas in those files through the
-//!   single sanctioned clock ([`vc_trace::time::Stopwatch`], honoring
-//!   the VC006 no-hidden-clocks invariant) and writes nothing back.
+//!   (`VC_LIVE_CHECKPOINT=1`), so the engine appends one line to their
+//!   part files as each chunk completes (DESIGN.md §16.1). The
+//!   supervisor reads only the bytes appended since its last poll,
+//!   counts the complete lines of assigned chunks, times the gaps
+//!   through the single sanctioned clock
+//!   ([`vc_trace::time::Stopwatch`], honoring the VC006
+//!   no-hidden-clocks invariant) and writes nothing back.
 //! * **Kill-before-read.** A worker that makes no progress for a full
 //!   liveness deadline is killed *first* and its part file read
 //!   *afterwards*, so the file can no longer change under the

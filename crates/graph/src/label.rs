@@ -153,18 +153,6 @@ impl NodeLabel {
         self
     }
 
-    /// Builder-style setter for `LN(v)`.
-    pub fn with_left_nbr(mut self, p: u8) -> Self {
-        self.left_nbr = Some(Port::new(p));
-        self
-    }
-
-    /// Builder-style setter for `RN(v)`.
-    pub fn with_right_nbr(mut self, p: u8) -> Self {
-        self.right_nbr = Some(Port::new(p));
-        self
-    }
-
     /// Builder-style setter for `χ_in(v)`.
     pub fn with_color(mut self, c: Color) -> Self {
         self.color = Some(c);

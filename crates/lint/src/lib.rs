@@ -15,8 +15,10 @@
 //!   comments.
 //! - [`source`]: workspace loading, `target/`/`vendor/` skipping, and
 //!   `#[cfg(test)]` masking.
-//! - [`rules`]: the rule registry. Every rule carries a stable code
-//!   (`VC001`…); see DESIGN.md §13 for the catalog.
+//! - [`rules`]: the rule registry, one [`Rule`] row per code (`VC001`…;
+//!   see DESIGN.md §13 for the catalog). A row holds its [`RuleInfo`]
+//!   and either token patterns, matched in the files it covers by one
+//!   shared loop, or a walk function for the structural rules.
 //! - [`pragma`]: inline suppressions
 //!   (`// vc-lint: allow(VC00x, reason = "…")`) with mandatory reasons;
 //!   unused or malformed suppressions are themselves findings.

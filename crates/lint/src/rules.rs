@@ -3,11 +3,20 @@
 //!
 //! Codes are append-only and never reused: `VC001`–`VC008` are the eight
 //! rules the original `xtask` linter enforced (ported token-exact),
-//! `VC009`–`VC012` are the determinism rules added with this crate, and
-//! `VC013`/`VC014` are the suppression-hygiene findings emitted by the
-//! driver itself (see [`crate::run`]). DESIGN.md §13 is the catalog of
-//! record; the README maps each code to its invariant and origin PR.
+//! `VC009`–`VC012` are the determinism rules added with this crate,
+//! `VC015` came with the fleet supervisor, and `VC013`/`VC014` are the
+//! suppression-hygiene findings emitted by the driver itself (see
+//! [`crate::run`]). DESIGN.md §13 is the catalog of record; the README
+//! maps each code to its invariant and origin PR.
+//!
+//! Each rule is one row of [`registry`]: its [`RuleInfo`] and one of two
+//! checks. Most rules flag a token sequence in the files they cover and
+//! share one matcher; their row gives the path scope, whether
+//! `#[cfg(test)]` code is scanned, the patterns with the spelling each
+//! message shows, and the message. The structural rules (`VC002`,
+//! `VC004`, `VC008`, `VC010`) are plain walk functions instead.
 
+use crate::lexer::TokKind;
 use crate::report::Finding;
 use crate::source::{SourceFile, Workspace};
 
@@ -22,11 +31,59 @@ pub struct RuleInfo {
 }
 
 /// A lint rule: an invariant checked against the loaded workspace.
-pub trait Rule {
+pub struct Rule {
     /// The rule's identity card.
-    fn info(&self) -> &'static RuleInfo;
+    pub info: RuleInfo,
+    check: Check,
+}
+
+/// A token sequence. An element that is one ASCII punctuation byte
+/// matches that punctuation token; any other element matches an
+/// identifier with exactly that spelling.
+type Pattern = &'static [&'static str];
+
+/// How a rule finds its violations.
+enum Check {
+    /// Flags every match of any pattern in the files in scope, anchored
+    /// at the match's first token.
+    Tokens {
+        /// True for the workspace-relative paths the rule scans.
+        scope: fn(&str) -> bool,
+        /// Whether `#[cfg(test)]` code is scanned too.
+        tests: bool,
+        /// The patterns, each with the spelling its message shows.
+        patterns: &'static [(&'static str, Pattern)],
+        /// The message of a match, given the spelling it shows.
+        message: fn(&str) -> String,
+    },
+    /// A structural walk over the whole workspace.
+    Walk(fn(&Workspace, &RuleInfo, &mut Vec<Finding>)),
+}
+
+impl Rule {
     /// Appends findings for every violation in `ws`.
-    fn check(&self, ws: &Workspace, out: &mut Vec<Finding>);
+    pub fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
+        match self.check {
+            Check::Walk(walk) => walk(ws, &self.info, out),
+            Check::Tokens {
+                scope,
+                tests,
+                patterns,
+                message,
+            } => {
+                for f in ws.files.iter().filter(|f| scope(&f.rel)) {
+                    let idx = f.code_indices(tests);
+                    for k in 0..idx.len() {
+                        for (shown, pat) in patterns {
+                            if matches_at(f, &idx, k, pat) {
+                                out.push(finding_at(f, idx[k], &self.info, message(shown)));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Crates whose non-test `src/` code must be panic-free (VC001).
@@ -58,21 +115,6 @@ const MISSING_DOCS_CRATES: &[&str] = &[
     "crates/json",
     "crates/serve",
 ];
-
-/// The only file allowed to read the wall clock directly (VC006).
-const CLOCK_ALLOWLIST: &[&str] = &["crates/trace/src/time.rs"];
-
-/// The only file allowed to sleep or wait on wall-clock time (VC015):
-/// the fleet supervisor's poll/backoff loop. Everywhere else a sleep is
-/// either a hidden scheduling dependency (library code) or a flakiness
-/// seed (tests).
-const SLEEP_ALLOWLIST: &[&str] = &["crates/fleet/src/supervisor.rs"];
-
-/// Call idents VC015 hunts for: the std blocking-wait family.
-const SLEEP_IDENTS: &[&str] = &["sleep", "sleep_ms", "sleep_until", "park_timeout"];
-
-/// The only directory allowed to call `catch_unwind` (VC007).
-const CATCH_UNWIND_ALLOWED_DIR: &str = "crates/engine/src";
 
 /// Places allowed to contain identity/splitmix hashing code (VC008):
 /// `vc-ident` itself, plus the pre-existing splitmix *stream* generators
@@ -114,23 +156,12 @@ const MERGE_TAINTED_CRATES: &[&str] = &[
     "crates/serve",
 ];
 
-/// Files inside [`MERGE_TAINTED_CRATES`] exempt from VC009. Empty today:
-/// prefer an inline pragma with a reason so the justification lives next
-/// to the code; reserve this list for generated files that cannot carry
-/// comments.
-const MERGE_TAINT_FILE_ALLOWLIST: &[&str] = &[];
-
 /// Struct fields allowed to be `f64` in engine/trace structs (VC010):
 /// wall-clock throughput, explicitly quarantined from merged counts.
 const FLOAT_FIELD_ALLOWLIST: &[&str] = &["starts_per_sec", "queries_per_sec"];
 
 /// Directories whose structs VC010 scans.
 const FLOAT_SCAN_DIRS: &[&str] = &["crates/engine/src", "crates/trace/src", "crates/serve/src"];
-
-/// The sanctioned environment-access sites (VC011): `Engine::from_env`
-/// (the engine crate root) and the `xtask` driver.
-const ENV_ALLOWED_FILE: &str = "crates/engine/src/lib.rs";
-const ENV_ALLOWED_DIR: &str = "crates/xtask";
 
 /// Merge-path files VC012 scans for truncating casts: the engine (chunk
 /// merge, splice, checkpoint decode), the mergeable metrics/histograms,
@@ -144,35 +175,26 @@ const CAST_SCAN_FILES: &[&str] = &[
     "crates/json/src/lib.rs",
 ];
 
-/// Cast targets that can silently drop counter bits (VC012). `usize` and
-/// `isize` are included: they are 32-bit on some targets, and merged
-/// counters are `u64` by contract.
-const NARROW_CAST_TARGETS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32", "usize", "isize"];
+/// The patterns of the hashed-collection rules (VC003, VC005, VC009).
+const HASHED: &[(&str, Pattern)] = &[("HashMap", &["HashMap"]), ("HashSet", &["HashSet"])];
 
 /// True when `rel` lies under directory `dir` (both `/`-separated).
 fn under(rel: &str, dir: &str) -> bool {
     rel.len() > dir.len() && rel.starts_with(dir) && rel.as_bytes()[dir.len()] == b'/'
 }
 
-/// A token pattern element: an identifier with this exact spelling, or a
-/// single punctuation byte.
-enum Pat {
-    I(&'static str),
-    P(u8),
-}
-
 /// True when the filtered token positions `idx[k..]` start with `pat`.
-fn matches_at(f: &SourceFile, idx: &[usize], k: usize, pat: &[Pat]) -> bool {
+fn matches_at(f: &SourceFile, idx: &[usize], k: usize, pat: &[&str]) -> bool {
     pat.iter().enumerate().all(|(o, p)| {
-        idx.get(k + o).is_some_and(|&ti| match p {
-            Pat::I(name) => f.is_ident(ti, name),
-            Pat::P(b) => f.is_punct(ti, *b),
+        idx.get(k + o).is_some_and(|&ti| match p.as_bytes() {
+            &[b] if b.is_ascii_punctuation() => f.is_punct(ti, b),
+            _ => f.is_ident(ti, p),
         })
     })
 }
 
 /// Builds a finding anchored at token `ti` of `f`.
-fn finding_at(f: &SourceFile, ti: usize, info: &'static RuleInfo, message: String) -> Finding {
+fn finding_at(f: &SourceFile, ti: usize, info: &RuleInfo, message: String) -> Finding {
     Finding {
         file: f.rel.clone(),
         line: f.toks[ti].line,
@@ -183,12 +205,12 @@ fn finding_at(f: &SourceFile, ti: usize, info: &'static RuleInfo, message: Strin
     }
 }
 
-/// Builds a finding at `line:col` of `f` (for file-level findings).
-fn finding_pos(f: &str, line: u32, col: u32, info: &'static RuleInfo, message: String) -> Finding {
+/// Builds a file-level finding, anchored at `1:1` of `rel`.
+fn file_finding(rel: &str, info: &RuleInfo, message: String) -> Finding {
     Finding {
-        file: f.to_string(),
-        line,
-        col,
+        file: rel.to_string(),
+        line: 1,
+        col: 1,
         code: info.code,
         rule: info.name,
         message,
@@ -205,118 +227,288 @@ fn normalize(s: &str) -> String {
         .collect()
 }
 
-// ---------------------------------------------------------------------------
-// VC001 no-panic-paths
-// ---------------------------------------------------------------------------
-
 /// VC001: no panic paths in library code.
-pub struct NoPanicPaths;
-
-/// Info for [`NoPanicPaths`].
-pub static VC001: RuleInfo = RuleInfo {
-    code: "VC001",
-    name: "no-panic-paths",
-    summary: "non-test code in core crates must return errors, never abort",
-};
-
-impl Rule for NoPanicPaths {
-    fn info(&self) -> &'static RuleInfo {
-        &VC001
-    }
-
-    fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
-        const PATTERNS: &[(&str, &[Pat])] = &[
-            (
-                ".unwrap()",
-                &[Pat::P(b'.'), Pat::I("unwrap"), Pat::P(b'('), Pat::P(b')')],
-            ),
-            (".expect(", &[Pat::P(b'.'), Pat::I("expect"), Pat::P(b'(')]),
-            ("panic!", &[Pat::I("panic"), Pat::P(b'!')]),
-            (
-                "unreachable!(",
-                &[Pat::I("unreachable"), Pat::P(b'!'), Pat::P(b'(')],
-            ),
-            ("todo!(", &[Pat::I("todo"), Pat::P(b'!'), Pat::P(b'(')]),
-            (
-                "unimplemented!(",
-                &[Pat::I("unimplemented"), Pat::P(b'!'), Pat::P(b'(')],
-            ),
-        ];
-        for f in &ws.files {
-            if !PANIC_FREE_CRATES
+const VC001: Rule = Rule {
+    info: RuleInfo {
+        code: "VC001",
+        name: "no-panic-paths",
+        summary: "non-test code in core crates must return errors, never abort",
+    },
+    check: Check::Tokens {
+        scope: |rel| {
+            PANIC_FREE_CRATES
                 .iter()
-                .any(|k| under(&f.rel, &format!("{k}/src")))
-            {
-                continue;
-            }
-            let idx = f.code_indices(false);
-            for k in 0..idx.len() {
-                for (shown, pat) in PATTERNS {
-                    if matches_at(f, &idx, k, pat) {
-                        out.push(finding_at(
-                            f,
-                            idx[k],
-                            &VC001,
-                            format!(
-                                "`{shown}` in non-test code; return a QueryError/GraphError instead"
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// VC002 deny-missing-docs
-// ---------------------------------------------------------------------------
+                .any(|k| under(rel, &format!("{k}/src")))
+        },
+        tests: false,
+        patterns: &[
+            (".unwrap()", &[".", "unwrap", "(", ")"]),
+            (".expect(", &[".", "expect", "("]),
+            ("panic!", &["panic", "!"]),
+            ("unreachable!(", &["unreachable", "!", "("]),
+            ("todo!(", &["todo", "!", "("]),
+            ("unimplemented!(", &["unimplemented", "!", "("]),
+        ],
+        message: |shown| {
+            format!("`{shown}` in non-test code; return a QueryError/GraphError instead")
+        },
+    },
+};
 
 /// VC002: documentation is mandatory in core crates.
-pub struct DenyMissingDocs;
-
-/// Info for [`DenyMissingDocs`].
-pub static VC002: RuleInfo = RuleInfo {
-    code: "VC002",
-    name: "deny-missing-docs",
-    summary: "core crate roots must declare #![deny(missing_docs)]",
+const VC002: Rule = Rule {
+    info: RuleInfo {
+        code: "VC002",
+        name: "deny-missing-docs",
+        summary: "core crate roots must declare #![deny(missing_docs)]",
+    },
+    check: Check::Walk(deny_missing_docs),
 };
 
-impl Rule for DenyMissingDocs {
-    fn info(&self) -> &'static RuleInfo {
-        &VC002
-    }
+/// VC003: deterministic figure/table paths in `crates/bench`.
+const VC003: Rule = Rule {
+    info: RuleInfo {
+        code: "VC003",
+        name: "ordered-collections-only",
+        summary: "crates/bench must not use hashed collections: iteration order feeds figures",
+    },
+    check: Check::Tokens {
+        scope: |rel| under(rel, "crates/bench/src") || under(rel, "crates/bench/benches"),
+        tests: false,
+        patterns: HASHED,
+        message: |name| {
+            format!(
+                "`{name}` in a figure/table code path; use BTreeMap/BTreeSet \
+                 so iteration order is deterministic"
+            )
+        },
+    },
+};
 
-    fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
-        for krate in MISSING_DOCS_CRATES {
-            // A crate absent from this tree is not a finding (fixture
-            // trees and partial checkouts); an existing crate whose root
-            // lacks the attribute is.
-            if !ws.root.join(krate).is_dir() {
-                continue;
-            }
-            let rel = format!("{krate}/src/lib.rs");
-            let Some(f) = ws.file(&rel) else {
-                out.push(finding_pos(
-                    &rel,
-                    1,
-                    1,
-                    &VC002,
-                    "crate root missing or unreadable; it must declare `#![deny(missing_docs)]`"
-                        .to_string(),
-                ));
-                continue;
-            };
-            if !has_deny_missing_docs(f) {
-                out.push(finding_pos(
-                    &rel,
-                    1,
-                    1,
-                    &VC002,
-                    "crate must declare `#![deny(missing_docs)]`".to_string(),
-                ));
-            }
+/// VC004: benchmarks declare the paper artifact they reproduce.
+const VC004: Rule = Rule {
+    info: RuleInfo {
+        code: "VC004",
+        name: "bench-provenance",
+        summary: "every bench header must cite a Table/Figure/Example/Observation/Proposition",
+    },
+    check: Check::Walk(bench_provenance),
+};
+
+/// VC005: the execution hot path stays flat — the oracle and the
+/// query-model solvers under `crates/core/src/problems`, whose per-node
+/// state lives in epoch-stamped scratch. Deliberately scans test code
+/// too: a HashMap-shaped test fixture is usually the first step of a
+/// HashMap-shaped regression.
+const VC005: Rule = Rule {
+    info: RuleInfo {
+        code: "VC005",
+        name: "flat-oracle-state",
+        summary: "no hashed collections in the oracle or solver hot path, tests included",
+    },
+    check: Check::Tokens {
+        scope: |rel| rel == "crates/model/src/oracle.rs" || under(rel, "crates/core/src/problems"),
+        tests: true,
+        patterns: HASHED,
+        message: |name| {
+            format!(
+                "`{name}` in the execution hot path; per-node state belongs in \
+                 the epoch-stamped ExecScratch / SolverScratch buffers"
+            )
+        },
+    },
+};
+
+/// VC006: no hidden clocks; only `crates/trace/src/time.rs` reads the wall
+/// clock. Test code is scanned too: timing assertions belong on Stopwatch
+/// as well, so its monotonicity guarantees hold everywhere.
+const VC006: Rule = Rule {
+    info: RuleInfo {
+        code: "VC006",
+        name: "no-hidden-clocks",
+        summary: "Instant::now only in the sanctioned Stopwatch module",
+    },
+    check: Check::Tokens {
+        scope: |rel| rel != "crates/trace/src/time.rs",
+        tests: true,
+        patterns: &[("Instant::now", &["Instant", ":", ":", "now"])],
+        message: |shown| {
+            format!("`{shown}` outside crates/trace/src/time.rs; use vc_trace::time::Stopwatch")
+        },
+    },
+};
+
+/// VC007: panic isolation stays centralized in `crates/engine/src`. Test
+/// code is scanned too: a test that swallows panics hides exactly the
+/// failures the engine ledger is meant to surface.
+const VC007: Rule = Rule {
+    info: RuleInfo {
+        code: "VC007",
+        name: "centralized-panic-isolation",
+        summary: "catch_unwind only in the engine's chunk runner",
+    },
+    check: Check::Tokens {
+        scope: |rel| !under(rel, "crates/engine/src"),
+        tests: true,
+        patterns: &[("catch_unwind", &["catch_unwind"])],
+        message: |shown| {
+            format!(
+                "`{shown}` outside crates/engine/src; panic isolation \
+                 belongs to the engine's chunk runner"
+            )
+        },
+    },
+};
+
+/// VC008: identity hashing stays in `vc-ident`.
+const VC008: Rule = Rule {
+    info: RuleInfo {
+        code: "VC008",
+        name: "content-addressed-identity",
+        summary: "no ad-hoc fingerprint helpers or splitmix constants outside vc-ident",
+    },
+    check: Check::Walk(content_addressed_identity),
+};
+
+/// VC009: no nondeterministic iteration in crates that feed merged
+/// results. Tests included: byte-identical-merge suites that iterate a
+/// hashed collection can pass locally and flake in CI.
+const VC009: Rule = Rule {
+    info: RuleInfo {
+        code: "VC009",
+        name: "merge-tainted-collections",
+        summary: "no hashed collections in crates whose output reaches deterministic merges",
+    },
+    check: Check::Tokens {
+        scope: |rel| MERGE_TAINTED_CRATES.iter().any(|k| under(rel, k)),
+        tests: true,
+        patterns: HASHED,
+        message: |name| {
+            format!(
+                "`{name}` in a crate that feeds deterministic merged results; \
+                 iteration order is seed-dependent — use BTreeMap/BTreeSet, \
+                 or suppress with `// vc-lint: allow(VC009, reason = \
+                 \"…\")` if iteration order is provably never observed"
+            )
+        },
+    },
+};
+
+/// VC010: merged count structs stay integral.
+const VC010: Rule = Rule {
+    info: RuleInfo {
+        code: "VC010",
+        name: "no-floats-in-merged-counts",
+        summary: "no f32/f64 struct fields in engine/trace except allowlisted throughput",
+    },
+    check: Check::Walk(no_floats_in_merged_counts),
+};
+
+/// VC011: environment access stays centralized in the sanctioned sites,
+/// `Engine::from_env` (the engine crate root) and the `xtask` driver.
+/// Tests included: an env read in a test couples its outcome to ambient
+/// shell state just as silently.
+const VC011: Rule = Rule {
+    info: RuleInfo {
+        code: "VC011",
+        name: "centralized-env-access",
+        summary: "env::var only in Engine::from_env and the xtask driver",
+    },
+    check: Check::Tokens {
+        scope: |rel| rel != "crates/engine/src/lib.rs" && !under(rel, "crates/xtask"),
+        tests: true,
+        patterns: &[("env::var", &["env", ":", ":", "var"])],
+        message: |shown| {
+            format!(
+                "`{shown}` outside Engine::from_env and xtask; ambient \
+                 configuration must flow through the engine's single entry \
+                 point so sweeps stay reproducible from their RunConfig"
+            )
+        },
+    },
+};
+
+/// VC012: no truncating `as` casts in merge paths. The targets are those
+/// that can silently drop counter bits; `usize` and `isize` are included
+/// because they are 32-bit on some targets, and merged counters are
+/// `u64` by contract.
+const VC012: Rule = Rule {
+    info: RuleInfo {
+        code: "VC012",
+        name: "no-truncating-casts",
+        summary: "no narrowing `as` casts on counters in engine/trace merge paths",
+    },
+    check: Check::Tokens {
+        scope: |rel| under(rel, CAST_SCAN_DIR) || CAST_SCAN_FILES.contains(&rel),
+        tests: false,
+        patterns: &[
+            ("u8", &["as", "u8"]),
+            ("u16", &["as", "u16"]),
+            ("u32", &["as", "u32"]),
+            ("i8", &["as", "i8"]),
+            ("i16", &["as", "i16"]),
+            ("i32", &["as", "i32"]),
+            ("usize", &["as", "usize"]),
+            ("isize", &["as", "isize"]),
+        ],
+        message: |target| {
+            format!(
+                "`as {target}` in a merge path can silently truncate a \
+                 counter; use `{target}::try_from(…)` and surface the error, \
+                 or suppress with a justified `// vc-lint: allow(VC012, \
+                 reason = \"…\")` when the value is provably in range"
+            )
+        },
+    },
+};
+
+/// VC015: blocking waits stay in the fleet supervisor's poll/backoff loop.
+/// Everywhere else a sleep is either a hidden scheduling dependency
+/// (library code) or a flakiness seed (tests, which are scanned too) —
+/// poll a condition or drive a scripted backend instead.
+const VC015: Rule = Rule {
+    info: RuleInfo {
+        code: "VC015",
+        name: "no-stray-sleeps",
+        summary: "thread::sleep family only in the vc-fleet supervisor module",
+    },
+    check: Check::Tokens {
+        scope: |rel| rel != "crates/fleet/src/supervisor.rs",
+        tests: true,
+        patterns: &[
+            ("sleep", &["sleep", "("]),
+            ("sleep_ms", &["sleep_ms", "("]),
+            ("sleep_until", &["sleep_until", "("]),
+            ("park_timeout", &["park_timeout", "("]),
+        ],
+        message: |name| {
+            format!(
+                "`{name}(…)` outside the fleet supervisor; voluntary waits \
+                 belong in vc-fleet's poll/backoff loop — elsewhere they \
+                 hide scheduling assumptions (or flakiness) the sweep's \
+                 determinism contract forbids"
+            )
+        },
+    },
+};
+
+/// VC002's walk: every core crate in the tree declares
+/// `#![deny(missing_docs)]` at its root.
+fn deny_missing_docs(ws: &Workspace, info: &RuleInfo, out: &mut Vec<Finding>) {
+    for krate in MISSING_DOCS_CRATES {
+        // A crate absent from this tree is not a finding (fixture
+        // trees and partial checkouts); an existing crate whose root
+        // lacks the attribute is.
+        if !ws.root.join(krate).is_dir() {
+            continue;
         }
+        let rel = format!("{krate}/src/lib.rs");
+        let message = match ws.file(&rel) {
+            None => "crate root missing or unreadable; it must declare `#![deny(missing_docs)]`",
+            Some(f) if !has_deny_missing_docs(f) => "crate must declare `#![deny(missing_docs)]`",
+            Some(_) => continue,
+        };
+        out.push(file_finding(&rel, info, message.to_string()));
     }
 }
 
@@ -324,14 +516,7 @@ impl Rule for DenyMissingDocs {
 fn has_deny_missing_docs(f: &SourceFile) -> bool {
     let idx = f.code_indices(true);
     for k in 0..idx.len() {
-        let prefix = [
-            Pat::P(b'#'),
-            Pat::P(b'!'),
-            Pat::P(b'['),
-            Pat::I("deny"),
-            Pat::P(b'('),
-        ];
-        if !matches_at(f, &idx, k, &prefix) {
+        if !matches_at(f, &idx, k, &["#", "!", "[", "deny", "("]) {
             continue;
         }
         let mut j = k + 5;
@@ -342,48 +527,67 @@ fn has_deny_missing_docs(f: &SourceFile) -> bool {
             }
             j += 1;
         }
-        if named
-            && f.is_punct(idx[j], b')')
-            && f.is_punct(*idx.get(j + 1).unwrap_or(&usize::MAX), b']')
-        {
+        if named && matches_at(f, &idx, j, &[")", "]"]) {
             return true;
         }
     }
     false
 }
 
-// ---------------------------------------------------------------------------
-// VC003 ordered-collections-only
-// ---------------------------------------------------------------------------
-
-/// VC003: deterministic figure/table paths in `crates/bench`.
-pub struct OrderedCollectionsOnly;
-
-/// Info for [`OrderedCollectionsOnly`].
-pub static VC003: RuleInfo = RuleInfo {
-    code: "VC003",
-    name: "ordered-collections-only",
-    summary: "crates/bench must not use hashed collections: iteration order feeds figures",
-};
-
-impl Rule for OrderedCollectionsOnly {
-    fn info(&self) -> &'static RuleInfo {
-        &VC003
+/// VC004's walk: every file under `crates/bench/benches` cites a paper
+/// artifact in its header, the comment tokens before its first code token.
+fn bench_provenance(ws: &Workspace, info: &RuleInfo, out: &mut Vec<Finding>) {
+    for f in ws
+        .files
+        .iter()
+        .filter(|f| under(&f.rel, "crates/bench/benches"))
+    {
+        let cited = f
+            .toks
+            .iter()
+            .enumerate()
+            .take_while(|(_, t)| t.kind.is_comment())
+            .any(|(i, _)| {
+                let text = f.tok_text(i);
+                PROVENANCE_ANCHORS.iter().any(|a| text.contains(a))
+            });
+        if !cited {
+            out.push(file_finding(
+                &f.rel,
+                info,
+                format!(
+                    "benchmark header must cite its paper artifact (one of: {})",
+                    PROVENANCE_ANCHORS.join(", ")
+                ),
+            ));
+        }
     }
+}
 
-    fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
-        for f in &ws.files {
-            if !under(&f.rel, "crates/bench/src") && !under(&f.rel, "crates/bench/benches") {
-                continue;
-            }
-            for (ti, name) in hashed_collection_idents(f, false) {
+/// VC008's walk: an identifier or numeric literal that normalizes to an
+/// identity-helper name or a splitmix constant, outside the allowed
+/// places. Test code is scanned too: a test-local digest drifts from
+/// `vc-ident` just as silently as a production one.
+fn content_addressed_identity(ws: &Workspace, info: &RuleInfo, out: &mut Vec<Finding>) {
+    for f in &ws.files {
+        if under(&f.rel, IDENTITY_ALLOWED_DIR) || IDENTITY_ALLOWED_FILES.contains(&f.rel.as_str()) {
+            continue;
+        }
+        for ti in f.code_indices(true) {
+            let norm = normalize(f.tok_text(ti));
+            let hit = match f.toks[ti].kind {
+                TokKind::Ident => norm == IDENTITY_IDENT,
+                TokKind::Num => IDENTITY_CONSTS.contains(&norm.as_str()),
+                _ => false,
+            };
+            if hit {
                 out.push(finding_at(
                     f,
                     ti,
-                    &VC003,
+                    info,
                     format!(
-                        "`{name}` in a figure/table code path; use BTreeMap/BTreeSet \
-                         so iteration order is deterministic"
+                        "`{norm}` outside crates/ident; fold content through \
+                         vc_ident::IdHasher instead of hand-rolling a digest"
                     ),
                 ));
             }
@@ -391,356 +595,46 @@ impl Rule for OrderedCollectionsOnly {
     }
 }
 
-/// Positions of `HashMap`/`HashSet` identifier tokens.
-fn hashed_collection_idents(f: &SourceFile, include_tests: bool) -> Vec<(usize, &'static str)> {
-    let mut hits = Vec::new();
-    for ti in f.code_indices(include_tests) {
-        for name in ["HashMap", "HashSet"] {
-            if f.is_ident(ti, name) {
-                hits.push((ti, name));
-            }
+/// VC010's walk: every `f32`/`f64` token inside a struct's field list in
+/// [`FLOAT_SCAN_DIRS`] non-test code, unless its field is allowlisted.
+fn no_floats_in_merged_counts(ws: &Workspace, info: &RuleInfo, out: &mut Vec<Finding>) {
+    for f in &ws.files {
+        if !FLOAT_SCAN_DIRS.iter().any(|d| under(&f.rel, d)) {
+            continue;
         }
-    }
-    hits
-}
-
-// ---------------------------------------------------------------------------
-// VC004 bench-provenance
-// ---------------------------------------------------------------------------
-
-/// VC004: benchmarks declare the paper artifact they reproduce.
-pub struct BenchProvenance;
-
-/// Info for [`BenchProvenance`].
-pub static VC004: RuleInfo = RuleInfo {
-    code: "VC004",
-    name: "bench-provenance",
-    summary: "every bench header must cite a Table/Figure/Example/Observation/Proposition",
-};
-
-impl Rule for BenchProvenance {
-    fn info(&self) -> &'static RuleInfo {
-        &VC004
-    }
-
-    fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
-        for f in &ws.files {
-            if !under(&f.rel, "crates/bench/benches") {
+        let idx = f.code_indices(false);
+        let mut k = 0;
+        while k < idx.len() {
+            if !f.is_ident(idx[k], "struct") {
+                k += 1;
                 continue;
             }
-            // The header: comment tokens before the first code token.
-            let cited = f
-                .toks
-                .iter()
-                .enumerate()
-                .take_while(|(_, t)| t.kind.is_comment())
-                .any(|(i, _)| {
-                    let text = f.tok_text(i);
-                    PROVENANCE_ANCHORS.iter().any(|a| text.contains(a))
-                });
-            if !cited {
-                out.push(finding_pos(
-                    &f.rel,
-                    1,
-                    1,
-                    &VC004,
-                    format!(
-                        "benchmark header must cite its paper artifact (one of: {})",
-                        PROVENANCE_ANCHORS.join(", ")
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// VC005 flat-oracle-state
-// ---------------------------------------------------------------------------
-
-/// VC005: the execution hot path stays flat — the oracle and the
-/// query-model solvers, whose per-node state lives in epoch-stamped
-/// scratch.
-pub struct FlatOracleState;
-
-/// Info for [`FlatOracleState`].
-pub static VC005: RuleInfo = RuleInfo {
-    code: "VC005",
-    name: "flat-oracle-state",
-    summary: "no hashed collections in the oracle or solver hot path, tests included",
-};
-
-/// The query-model solvers VC005 scans besides `oracle.rs`.
-const SOLVER_DIR: &str = "crates/core/src/problems";
-
-impl Rule for FlatOracleState {
-    fn info(&self) -> &'static RuleInfo {
-        &VC005
-    }
-
-    fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
-        // Deliberately scans test code too: a HashMap-shaped test fixture
-        // is usually the first step of a HashMap-shaped regression.
-        let hot = |rel: &str| rel == "crates/model/src/oracle.rs" || under(rel, SOLVER_DIR);
-        for f in ws.files.iter().filter(|f| hot(&f.rel)) {
-            for (ti, name) in hashed_collection_idents(f, true) {
-                out.push(finding_at(
-                    f,
-                    ti,
-                    &VC005,
-                    format!(
-                        "`{name}` in the execution hot path; per-node state belongs in \
-                         the epoch-stamped ExecScratch / SolverScratch buffers"
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// VC006 no-hidden-clocks
-// ---------------------------------------------------------------------------
-
-/// VC006: no hidden clocks.
-pub struct NoHiddenClocks;
-
-/// Info for [`NoHiddenClocks`].
-pub static VC006: RuleInfo = RuleInfo {
-    code: "VC006",
-    name: "no-hidden-clocks",
-    summary: "Instant::now only in the sanctioned Stopwatch module",
-};
-
-impl Rule for NoHiddenClocks {
-    fn info(&self) -> &'static RuleInfo {
-        &VC006
-    }
-
-    fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
-        for f in &ws.files {
-            if CLOCK_ALLOWLIST.contains(&f.rel.as_str()) {
-                continue;
-            }
-            // Test code is scanned too: timing assertions belong on
-            // Stopwatch as well, so its monotonicity guarantees hold
-            // everywhere.
-            let idx = f.code_indices(true);
-            for k in 0..idx.len() {
-                let pat = [Pat::I("Instant"), Pat::P(b':'), Pat::P(b':'), Pat::I("now")];
-                if matches_at(f, &idx, k, &pat) {
-                    out.push(finding_at(
-                        f,
-                        idx[k],
-                        &VC006,
-                        "`Instant::now` outside crates/trace/src/time.rs; \
-                         use vc_trace::time::Stopwatch"
-                            .to_string(),
-                    ));
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// VC007 centralized-panic-isolation
-// ---------------------------------------------------------------------------
-
-/// VC007: panic isolation stays centralized.
-pub struct CentralizedPanicIsolation;
-
-/// Info for [`CentralizedPanicIsolation`].
-pub static VC007: RuleInfo = RuleInfo {
-    code: "VC007",
-    name: "centralized-panic-isolation",
-    summary: "catch_unwind only in the engine's chunk runner",
-};
-
-impl Rule for CentralizedPanicIsolation {
-    fn info(&self) -> &'static RuleInfo {
-        &VC007
-    }
-
-    fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
-        for f in &ws.files {
-            if under(&f.rel, CATCH_UNWIND_ALLOWED_DIR) {
-                continue;
-            }
-            // Test code is scanned too: a test that swallows panics hides
-            // exactly the failures the engine ledger is meant to surface.
-            for ti in f.code_indices(true) {
-                if f.is_ident(ti, "catch_unwind") {
-                    out.push(finding_at(
-                        f,
-                        ti,
-                        &VC007,
-                        "`catch_unwind` outside crates/engine/src; panic isolation \
-                         belongs to the engine's chunk runner"
-                            .to_string(),
-                    ));
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// VC008 content-addressed-identity
-// ---------------------------------------------------------------------------
-
-/// VC008: identity hashing stays in `vc-ident`.
-pub struct ContentAddressedIdentity;
-
-/// Info for [`ContentAddressedIdentity`].
-pub static VC008: RuleInfo = RuleInfo {
-    code: "VC008",
-    name: "content-addressed-identity",
-    summary: "no ad-hoc fingerprint helpers or splitmix constants outside vc-ident",
-};
-
-impl Rule for ContentAddressedIdentity {
-    fn info(&self) -> &'static RuleInfo {
-        &VC008
-    }
-
-    fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
-        for f in &ws.files {
-            if under(&f.rel, IDENTITY_ALLOWED_DIR)
-                || IDENTITY_ALLOWED_FILES.contains(&f.rel.as_str())
-            {
-                continue;
-            }
-            // Test code is scanned too: a test-local digest drifts from
-            // `vc-ident` just as silently as a production one.
-            for ti in f.code_indices(true) {
-                let norm = normalize(f.tok_text(ti));
-                let hit = match f.toks[ti].kind {
-                    crate::lexer::TokKind::Ident => norm == IDENTITY_IDENT,
-                    crate::lexer::TokKind::Num => IDENTITY_CONSTS.contains(&norm.as_str()),
-                    _ => false,
-                };
-                if hit {
-                    out.push(finding_at(
-                        f,
-                        ti,
-                        &VC008,
-                        format!(
-                            "`{norm}` outside crates/ident; fold content through \
-                             vc_ident::IdHasher instead of hand-rolling a digest"
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// VC009 merge-tainted-collections
-// ---------------------------------------------------------------------------
-
-/// VC009: no nondeterministic iteration in crates that feed merged
-/// results.
-pub struct MergeTaintedCollections;
-
-/// Info for [`MergeTaintedCollections`].
-pub static VC009: RuleInfo = RuleInfo {
-    code: "VC009",
-    name: "merge-tainted-collections",
-    summary: "no hashed collections in crates whose output reaches deterministic merges",
-};
-
-impl Rule for MergeTaintedCollections {
-    fn info(&self) -> &'static RuleInfo {
-        &VC009
-    }
-
-    fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
-        for f in &ws.files {
-            if !MERGE_TAINTED_CRATES.iter().any(|k| under(&f.rel, k)) {
-                continue;
-            }
-            if MERGE_TAINT_FILE_ALLOWLIST.contains(&f.rel.as_str()) {
-                continue;
-            }
-            // Tests included: byte-identical-merge suites that iterate a
-            // hashed collection can pass locally and flake in CI.
-            for (ti, name) in hashed_collection_idents(f, true) {
-                out.push(finding_at(
-                    f,
-                    ti,
-                    &VC009,
-                    format!(
-                        "`{name}` in a crate that feeds deterministic merged results; \
-                         iteration order is seed-dependent — use BTreeMap/BTreeSet, \
-                         or suppress with `// vc-lint: allow(VC009, reason = \
-                         \"…\")` if iteration order is provably never observed"
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// VC010 no-floats-in-merged-counts
-// ---------------------------------------------------------------------------
-
-/// VC010: merged count structs stay integral.
-pub struct NoFloatsInMergedCounts;
-
-/// Info for [`NoFloatsInMergedCounts`].
-pub static VC010: RuleInfo = RuleInfo {
-    code: "VC010",
-    name: "no-floats-in-merged-counts",
-    summary: "no f32/f64 struct fields in engine/trace except allowlisted throughput",
-};
-
-impl Rule for NoFloatsInMergedCounts {
-    fn info(&self) -> &'static RuleInfo {
-        &VC010
-    }
-
-    fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
-        for f in &ws.files {
-            if !FLOAT_SCAN_DIRS.iter().any(|d| under(&f.rel, d)) {
-                continue;
-            }
-            let idx = f.code_indices(false);
-            let mut k = 0;
-            while k < idx.len() {
-                if !f.is_ident(idx[k], "struct") {
-                    k += 1;
+            let (body, next) = struct_body(f, &idx, k);
+            for &p in &body {
+                let ti = idx[p];
+                let float = ["f32", "f64"].iter().find(|t| f.is_ident(ti, t));
+                let Some(float) = float else { continue };
+                let field = field_name_before(f, &idx, p);
+                if FLOAT_FIELD_ALLOWLIST.contains(&field.as_str()) {
                     continue;
                 }
-                let (body, next) = struct_body(f, &idx, k);
-                for &p in &body {
-                    let ti = idx[p];
-                    let float = ["f32", "f64"].iter().find(|t| f.is_ident(ti, t));
-                    let Some(float) = float else { continue };
-                    let field = field_name_before(f, &idx, p);
-                    if FLOAT_FIELD_ALLOWLIST.contains(&field.as_str()) {
-                        continue;
-                    }
-                    let shown = if field.is_empty() {
-                        "a tuple field".to_string()
-                    } else {
-                        format!("field `{field}`")
-                    };
-                    out.push(finding_at(
-                        f,
-                        ti,
-                        &VC010,
-                        format!(
-                            "{shown} is `{float}` in an engine/trace struct; merged counts \
-                             must stay integral (floats round under reordered merges) — use \
-                             u64, or allowlist the field if it is wall-clock throughput"
-                        ),
-                    ));
-                }
-                k = next;
+                let shown = if field.is_empty() {
+                    "a tuple field".to_string()
+                } else {
+                    format!("field `{field}`")
+                };
+                out.push(finding_at(
+                    f,
+                    ti,
+                    info,
+                    format!(
+                        "{shown} is `{float}` in an engine/trace struct; merged counts \
+                         must stay integral (floats round under reordered merges) — use \
+                         u64, or allowlist the field if it is wall-clock throughput"
+                    ),
+                ));
             }
+            k = next;
         }
     }
 }
@@ -799,7 +693,7 @@ fn field_name_before(f: &SourceFile, idx: &[usize], p: usize) -> String {
                 }
                 continue;
             }
-            if j > 0 && f.toks[idx[j - 1]].kind == crate::lexer::TokKind::Ident {
+            if j > 0 && f.toks[idx[j - 1]].kind == TokKind::Ident {
                 return f.tok_text(idx[j - 1]).to_string();
             }
             return String::new();
@@ -811,159 +705,6 @@ fn field_name_before(f: &SourceFile, idx: &[usize], p: usize) -> String {
     }
     String::new()
 }
-
-// ---------------------------------------------------------------------------
-// VC011 centralized-env-access
-// ---------------------------------------------------------------------------
-
-/// VC011: environment access stays centralized.
-pub struct CentralizedEnvAccess;
-
-/// Info for [`CentralizedEnvAccess`].
-pub static VC011: RuleInfo = RuleInfo {
-    code: "VC011",
-    name: "centralized-env-access",
-    summary: "env::var only in Engine::from_env and the xtask driver",
-};
-
-impl Rule for CentralizedEnvAccess {
-    fn info(&self) -> &'static RuleInfo {
-        &VC011
-    }
-
-    fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
-        for f in &ws.files {
-            if f.rel == ENV_ALLOWED_FILE || under(&f.rel, ENV_ALLOWED_DIR) {
-                continue;
-            }
-            // Tests included: an env read in a test couples its outcome
-            // to ambient shell state just as silently.
-            let idx = f.code_indices(true);
-            for k in 0..idx.len() {
-                let pat = [Pat::I("env"), Pat::P(b':'), Pat::P(b':'), Pat::I("var")];
-                if matches_at(f, &idx, k, &pat) {
-                    out.push(finding_at(
-                        f,
-                        idx[k],
-                        &VC011,
-                        "`env::var` outside Engine::from_env and xtask; ambient \
-                         configuration must flow through the engine's single entry \
-                         point so sweeps stay reproducible from their RunConfig"
-                            .to_string(),
-                    ));
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// VC012 no-truncating-casts
-// ---------------------------------------------------------------------------
-
-/// VC012: no truncating `as` casts in merge paths.
-pub struct NoTruncatingCasts;
-
-/// Info for [`NoTruncatingCasts`].
-pub static VC012: RuleInfo = RuleInfo {
-    code: "VC012",
-    name: "no-truncating-casts",
-    summary: "no narrowing `as` casts on counters in engine/trace merge paths",
-};
-
-impl Rule for NoTruncatingCasts {
-    fn info(&self) -> &'static RuleInfo {
-        &VC012
-    }
-
-    fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
-        for f in &ws.files {
-            let in_scope =
-                under(&f.rel, CAST_SCAN_DIR) || CAST_SCAN_FILES.contains(&f.rel.as_str());
-            if !in_scope {
-                continue;
-            }
-            let idx = f.code_indices(false);
-            for k in 0..idx.len() {
-                if !f.is_ident(idx[k], "as") {
-                    continue;
-                }
-                let Some(&target_ti) = idx.get(k + 1) else {
-                    continue;
-                };
-                let target = NARROW_CAST_TARGETS
-                    .iter()
-                    .find(|t| f.is_ident(target_ti, t));
-                if let Some(target) = target {
-                    out.push(finding_at(
-                        f,
-                        idx[k],
-                        &VC012,
-                        format!(
-                            "`as {target}` in a merge path can silently truncate a \
-                             counter; use `{target}::try_from(…)` and surface the error, \
-                             or suppress with a justified `// vc-lint: allow(VC012, \
-                             reason = \"…\")` when the value is provably in range"
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// VC015 no-stray-sleeps
-// ---------------------------------------------------------------------------
-
-/// VC015: blocking waits stay in the fleet supervisor.
-pub struct NoStraySleeps;
-
-/// Info for [`NoStraySleeps`].
-pub static VC015: RuleInfo = RuleInfo {
-    code: "VC015",
-    name: "no-stray-sleeps",
-    summary: "thread::sleep family only in the vc-fleet supervisor module",
-};
-
-impl Rule for NoStraySleeps {
-    fn info(&self) -> &'static RuleInfo {
-        &VC015
-    }
-
-    fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
-        for f in &ws.files {
-            if SLEEP_ALLOWLIST.contains(&f.rel.as_str()) {
-                continue;
-            }
-            // Tests included: a sleep in a test is a flakiness seed —
-            // poll a condition or drive a scripted backend instead.
-            let idx = f.code_indices(true);
-            for k in 0..idx.len() {
-                let called = SLEEP_IDENTS
-                    .iter()
-                    .find(|name| matches_at(f, &idx, k, &[Pat::I(name), Pat::P(b'(')]));
-                if let Some(name) = called {
-                    out.push(finding_at(
-                        f,
-                        idx[k],
-                        &VC015,
-                        format!(
-                            "`{name}(…)` outside the fleet supervisor; voluntary waits \
-                             belong in vc-fleet's poll/backoff loop — elsewhere they \
-                             hide scheduling assumptions (or flakiness) the sweep's \
-                             determinism contract forbids"
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Driver-emitted suppression findings (not rules, but cataloged codes)
-// ---------------------------------------------------------------------------
 
 /// Info for the unused-suppression finding emitted by [`crate::run`].
 pub static UNUSED_SUPPRESSION: RuleInfo = RuleInfo {
@@ -980,22 +721,11 @@ pub static MALFORMED_SUPPRESSION: RuleInfo = RuleInfo {
 };
 
 /// Every rule, in code order.
-pub fn registry() -> Vec<Box<dyn Rule>> {
-    vec![
-        Box::new(NoPanicPaths),
-        Box::new(DenyMissingDocs),
-        Box::new(OrderedCollectionsOnly),
-        Box::new(BenchProvenance),
-        Box::new(FlatOracleState),
-        Box::new(NoHiddenClocks),
-        Box::new(CentralizedPanicIsolation),
-        Box::new(ContentAddressedIdentity),
-        Box::new(MergeTaintedCollections),
-        Box::new(NoFloatsInMergedCounts),
-        Box::new(CentralizedEnvAccess),
-        Box::new(NoTruncatingCasts),
-        Box::new(NoStraySleeps),
-    ]
+pub fn registry() -> &'static [Rule] {
+    static REGISTRY: [Rule; 13] = [
+        VC001, VC002, VC003, VC004, VC005, VC006, VC007, VC008, VC009, VC010, VC011, VC012, VC015,
+    ];
+    &REGISTRY
 }
 
 /// The full code catalog (rules plus driver-emitted codes), for
@@ -1003,7 +733,7 @@ pub fn registry() -> Vec<Box<dyn Rule>> {
 /// suppression codes (VC013/VC014) slot in between the registry rules,
 /// so the merged list is re-sorted.
 pub fn catalog() -> Vec<&'static RuleInfo> {
-    let mut infos: Vec<&'static RuleInfo> = registry().iter().map(|r| r.info()).collect();
+    let mut infos: Vec<&'static RuleInfo> = registry().iter().map(|r| &r.info).collect();
     infos.push(&UNUSED_SUPPRESSION);
     infos.push(&MALFORMED_SUPPRESSION);
     infos.sort_by_key(|i| i.code);
@@ -1032,7 +762,7 @@ mod tests {
         (Workspace::load(&dir), dir)
     }
 
-    fn run_rule(rule: &dyn Rule, ws: &Workspace) -> Vec<Finding> {
+    fn run_rule(rule: &Rule, ws: &Workspace) -> Vec<Finding> {
         let mut out = Vec::new();
         rule.check(ws, &mut out);
         out
@@ -1044,7 +774,7 @@ mod tests {
             "crates/model/src/oracle.rs",
             "use std::collections::HashMap;\n#[cfg(test)]\nmod t { use std::collections::HashSet; }\n",
         )]);
-        let findings = run_rule(&FlatOracleState, &ws);
+        let findings = run_rule(&VC005, &ws);
         assert_eq!(findings.len(), 2);
         assert!(findings.iter().all(|f| f.code == "VC005"));
         assert_eq!((findings[0].line, findings[0].col), (1, 23));
@@ -1063,7 +793,7 @@ mod tests {
                 "use std::collections::HashMap;\n",
             ),
         ]);
-        let findings = run_rule(&FlatOracleState, &ws);
+        let findings = run_rule(&VC005, &ws);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].file, "crates/core/src/problems/util.rs");
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1081,7 +811,7 @@ mod tests {
                 "pub fn now() -> std::time::Instant { std::time::Instant::now() }\n",
             ),
         ]);
-        let findings = run_rule(&NoHiddenClocks, &ws);
+        let findings = run_rule(&VC006, &ws);
         assert_eq!(findings.len(), 1, "only the non-allowlisted read fires");
         assert_eq!(findings[0].code, "VC006");
         assert_eq!(findings[0].file, "crates/engine/src/lib.rs");
@@ -1105,7 +835,7 @@ mod tests {
                 "fn h(t: &std::thread::Thread) { std::thread::park_timeout(d); let sleepy = 1; }\n",
             ),
         ]);
-        let findings = run_rule(&NoStraySleeps, &ws);
+        let findings = run_rule(&VC015, &ws);
         assert_eq!(findings.len(), 3, "{findings:?}");
         assert!(findings.iter().all(|f| f.code == "VC015"));
         assert!(
@@ -1127,7 +857,7 @@ mod tests {
                 "fn g() { let _ = std::panic::catch_unwind(|| 2); }\n",
             ),
         ]);
-        let findings = run_rule(&CentralizedPanicIsolation, &ws);
+        let findings = run_rule(&VC007, &ws);
         assert_eq!(findings.len(), 1, "only the non-engine call fires");
         assert_eq!(findings[0].code, "VC007");
         assert_eq!(findings[0].file, "crates/faults/src/lib.rs");
@@ -1147,7 +877,7 @@ mod tests {
             ("crates/ident/src/lib.rs", allowed.as_str()),
             ("crates/model/src/randomness.rs", allowed.as_str()),
         ]);
-        let findings = run_rule(&ContentAddressedIdentity, &ws);
+        let findings = run_rule(&VC008, &ws);
         assert_eq!(findings.len(), 2, "helper name + constant, nothing else");
         assert!(findings.iter().all(|f| f.code == "VC008"));
         assert!(findings
@@ -1167,7 +897,7 @@ mod tests {
             ),
             ("crates/core/src/lib.rs", "use std::collections::HashMap;\n"),
         ]);
-        let findings = run_rule(&MergeTaintedCollections, &ws);
+        let findings = run_rule(&VC009, &ws);
         assert_eq!(findings.len(), 1, "vc-core is not merge-tainted");
         assert_eq!(findings[0].code, "VC009");
         assert_eq!(findings[0].file, "crates/stats/src/lib.rs");
@@ -1187,7 +917,7 @@ pub struct Tuple(f32, u64);
 pub fn rate(count: f64) -> f64 { count }
 ";
         let (ws, dir) = ws(&[("crates/trace/src/metrics.rs", src)]);
-        let findings = run_rule(&NoFloatsInMergedCounts, &ws);
+        let findings = run_rule(&VC010, &ws);
         let lines: Vec<u32> = findings.iter().map(|f| f.line).collect();
         // mean_volume, histogram, and the tuple field — not the
         // allowlisted starts_per_sec, and never bare fn signatures.
@@ -1207,7 +937,7 @@ pub fn rate(count: f64) -> f64 { count }
             ("crates/trace/src/lib.rs", stray),
             ("tests/some_test.rs", stray),
         ]);
-        let findings = run_rule(&CentralizedEnvAccess, &ws);
+        let findings = run_rule(&VC011, &ws);
         let files: Vec<&str> = findings.iter().map(|f| f.file.as_str()).collect();
         assert_eq!(files, vec!["crates/trace/src/lib.rs", "tests/some_test.rs"]);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1228,7 +958,7 @@ mod t { fn f(x: u64) -> u8 { x as u8 } }
                 "pub fn ok(x: u64) -> u32 { x as u32 }\n",
             ),
         ]);
-        let findings = run_rule(&NoTruncatingCasts, &ws);
+        let findings = run_rule(&VC012, &ws);
         assert_eq!(findings.len(), 1, "widening and test casts are fine");
         assert_eq!(findings[0].code, "VC012");
         assert_eq!(findings[0].line, 1);
@@ -1245,7 +975,7 @@ mod t { fn f(x: u64) -> u8 { x as u8 } }
             ("crates/graph/src/store.rs", decode),
             ("crates/graph/src/graph.rs", decode),
         ]);
-        let findings = run_rule(&NoTruncatingCasts, &ws);
+        let findings = run_rule(&VC012, &ws);
         assert_eq!(findings.len(), 1, "only the store decoder is in scope");
         assert_eq!(findings[0].file, "crates/graph/src/store.rs");
         assert_eq!(findings[0].code, "VC012");
@@ -1260,16 +990,25 @@ mod t { fn f(x: u64) -> u8 { x as u8 } }
             ("crates/model/src/lib.rs", with),
             ("crates/graph/src/lib.rs", without),
         ]);
-        let findings = run_rule(&DenyMissingDocs, &ws);
+        let findings = run_rule(&VC002, &ws);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].file, "crates/graph/src/lib.rs");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
+    fn a_crate_root_cut_inside_the_attribute_is_a_finding_not_a_panic() {
+        let (ws, dir) = ws(&[("crates/model/src/lib.rs", "#![deny(missing_docs")]);
+        let findings = run_rule(&VC002, &ws);
+        assert_eq!(findings.len(), 1);
+        assert_eq!(findings[0].file, "crates/model/src/lib.rs");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn absent_crates_are_not_missing_docs_findings() {
         let (ws, dir) = ws(&[("crates/model/src/lib.rs", "#![deny(missing_docs)]\n")]);
-        let findings = run_rule(&DenyMissingDocs, &ws);
+        let findings = run_rule(&VC002, &ws);
         assert!(findings.is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }

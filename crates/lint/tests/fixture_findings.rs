@@ -1,8 +1,8 @@
 //! Per-code fixture self-tests: every rule code has a minimal violating
 //! tree under `tests/fixtures/percode/` that produces exactly one finding
-//! with an exact `code:line:col` anchor, and every suppressible
-//! determinism rule (VC009–VC012) has a pragma-suppressed variant that
-//! runs clean.
+//! with an exact `code:line:col` anchor, rendered exactly as pinned in
+//! `tests/fixtures/rendered.txt`, and every suppressible determinism rule
+//! (VC009–VC012) has a pragma-suppressed variant that runs clean.
 
 use std::path::PathBuf;
 
@@ -46,6 +46,7 @@ fn each_rule_code_has_a_minimal_violating_fixture() {
         ("vc014", "examples/malformed.rs", 2, 1, "VC014"),
         ("vc015", "examples/sleepy.rs", 3, 18, "VC015"),
     ];
+    let mut rendered = Vec::new();
     for &(name, file, line, col, code) in expected {
         let r = run(name);
         assert_eq!(
@@ -61,7 +62,14 @@ fn each_rule_code_has_a_minimal_violating_fixture() {
             "{name}: wrong anchor"
         );
         assert_eq!(r.suppressed, 0, "{name}: nothing should be suppressed");
+        rendered.push(format!("percode/{name} {f}"));
     }
+    rendered.sort();
+    let pinned: Vec<&str> = include_str!("fixtures/rendered.txt")
+        .lines()
+        .filter(|l| l.starts_with("percode/"))
+        .collect();
+    assert_eq!(rendered, pinned, "a rule's name or message drifted");
 }
 
 #[test]

@@ -46,6 +46,18 @@ fn ported_rules_match_the_pre_port_linter_on_the_parity_tree() {
         .collect();
     assert_eq!(got, expected, "full findings: {:#?}", report.findings);
     assert_eq!(report.suppressed, 0);
+
+    // Each finding's rule name and message, as rendered, are pinned too.
+    let rendered: Vec<String> = report
+        .findings
+        .iter()
+        .map(|f| format!("preport {f}"))
+        .collect();
+    let pinned: Vec<&str> = include_str!("fixtures/rendered.txt")
+        .lines()
+        .filter(|l| l.starts_with("preport "))
+        .collect();
+    assert_eq!(rendered, pinned, "a rule's name or message drifted");
 }
 
 #[test]

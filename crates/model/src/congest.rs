@@ -58,8 +58,8 @@ impl<A: BitSize, B: BitSize> BitSize for (A, B) {
     }
 }
 
-/// What a CONGEST node knows locally: its identifier, degree, input label
-/// and the global `n`.
+/// What a CONGEST node knows locally: its identifier, degree, input label,
+/// and the global `n` and bandwidth `B`.
 #[derive(Clone, Copy, Debug)]
 pub struct LocalInfo {
     /// Unique identifier.
@@ -70,6 +70,9 @@ pub struct LocalInfo {
     pub label: NodeLabel,
     /// Number of nodes in the network.
     pub n: usize,
+    /// Per-edge bandwidth `B` in bits per round, which every node knows
+    /// as it knows `n`.
+    pub bandwidth: usize,
 }
 
 /// Per-node state machine for the CONGEST simulator.
@@ -196,6 +199,7 @@ pub fn run_congest<N: CongestNode>(
             degree: inst.graph.degree(v),
             label: inst.labels[v],
             n,
+            bandwidth,
         })
         .collect();
     let mut machines: Vec<N> = infos.iter().map(N::init).collect();

@@ -507,25 +507,6 @@ impl SweepService {
         }
     }
 
-    /// Blocks until the queue is empty and nothing is running.
-    pub fn wait_idle(&self, timeout: Duration) -> Result<ServeStats, ServeError> {
-        let mut g = self.shared.lock();
-        loop {
-            if g.queue.is_empty() && g.running.is_none() {
-                return Ok(self.stats_of(&g));
-            }
-            let (guard, wait) = self
-                .shared
-                .change
-                .wait_timeout(g, timeout)
-                .unwrap_or_else(PoisonError::into_inner);
-            g = guard;
-            if wait.timed_out() {
-                return Err(ServeError::Timeout);
-            }
-        }
-    }
-
     /// A snapshot of the service counters.
     pub fn stats(&self) -> ServeStats {
         let g = self.shared.lock();

@@ -37,7 +37,7 @@ use vc_bench::{
 };
 use vc_comm::disjointness::{disj, promise_pair};
 use vc_comm::embedding::simulate_charged;
-use vc_core::congest::{BitTransferWithBandwidth, BtFlood, GadgetQuery};
+use vc_core::congest::{BitTransfer, BtFlood, GadgetQuery};
 use vc_core::lcl::{count_violations, Lcl, Violation};
 use vc_core::output::BtFlag;
 use vc_core::problems::{balanced_tree, classic, hh, hierarchical, hybrid, leaf_coloring};
@@ -355,10 +355,10 @@ fn gadget(depth: u32) -> (Instance, GadgetBits) {
     (inst, GadgetBits { want, radius })
 }
 
-/// CONGEST rounds of the bit transfer at bandwidth `B` bits, and the bits
+/// CONGEST rounds of the bit transfer at `bandwidth` bits, and the bits
 /// that did not arrive.
-fn transfer<const B: usize>(inst: &Instance, problem: &GadgetBits) -> (u64, usize) {
-    let run = run_congest::<BitTransferWithBandwidth<B>>(inst, B, 100_000);
+fn transfer(inst: &Instance, problem: &GadgetBits, bandwidth: usize) -> (u64, usize) {
+    let run = run_congest::<BitTransfer>(inst, bandwidth, 100_000);
     let run = run.expect("bit transfer terminates");
     let lost = count_violations(problem, inst, &run.outputs);
     (run.rounds as u64, lost)
@@ -373,15 +373,15 @@ fn bit_transfer() -> [Gated; 2] {
     let (mut rounds, mut volume, mut top) = (Vec::new(), Vec::new(), None);
     for depth in 3..=8 {
         let (inst, problem) = gadget(depth);
-        let (r, lost) = transfer::<35>(&inst, &problem);
+        let (r, lost) = transfer(&inst, &problem, 35);
         rounds.push(Point::on(&inst, r, Some(lost)));
         let m = measure(Some(&problem), &inst, &GadgetQuery, &every_start(None));
         volume.push(Point::on(&inst, m.max_volume as u64, m.violations));
         top = Some((inst, problem, (r, lost)));
     }
     let (inst, problem, (r35, lost35)) = top.expect("the sweep has depths");
-    let (r140, lost140) = transfer::<140>(&inst, &problem);
-    let (r560, lost560) = transfer::<560>(&inst, &problem);
+    let (r140, lost140) = transfer(&inst, &problem, 140);
+    let (r560, lost560) = transfer(&inst, &problem, 560);
     let lost = lost35 + lost140 + lost560;
     let evidence = format!("rounds {r35}, {r140}, {r560} at B = 35, 140, 560; {lost} bits lost");
     let ok = lost == 0 && r35 > r140 && r140 > r560;

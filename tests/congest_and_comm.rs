@@ -2,7 +2,7 @@
 //! classic problems populating the landscape figures.
 
 use vc_bench::for_cases;
-use vc_core::congest::{BitTransferWithBandwidth, BtFlood, GadgetQuery};
+use vc_core::congest::{BitTransfer, BtFlood, GadgetQuery};
 use vc_core::lcl::check_solution;
 use vc_core::problems::balanced_tree::BalancedTree;
 use vc_core::problems::classic::{ColeVishkin, CycleColoring};
@@ -52,11 +52,11 @@ fn bit_transfer_round_lower_bound_shape() {
     // crosses the bridge.
     let bits: Vec<bool> = (0..64).map(|i| i % 2 == 0).collect();
     let (inst, _) = gen::two_tree_gadget(6, &bits);
-    let report = run_congest::<BitTransferWithBandwidth<35>>(&inst, 35, 100_000).unwrap();
+    let report = run_congest::<BitTransfer>(&inst, 35, 100_000).unwrap();
     assert!(report.rounds >= 64, "rounds {}", report.rounds);
     // Observation 7.5: wider links cut the rounds.
-    let medium = run_congest::<BitTransferWithBandwidth<140>>(&inst, 140, 100_000).unwrap();
-    let wide = run_congest::<BitTransferWithBandwidth<560>>(&inst, 560, 100_000).unwrap();
+    let medium = run_congest::<BitTransfer>(&inst, 140, 100_000).unwrap();
+    let wide = run_congest::<BitTransfer>(&inst, 560, 100_000).unwrap();
     let rounds = [report.rounds, medium.rounds, wide.rounds];
     assert!(
         rounds[0] > rounds[1] && rounds[1] > rounds[2],
@@ -75,7 +75,7 @@ fn prop_bit_transfer_correct() {
     for_cases(12, |rng| {
         let bits: Vec<bool> = (0..16).map(|_| rng.coin()).collect();
         let (inst, meta) = gen::two_tree_gadget(4, &bits);
-        let report = run_congest::<BitTransferWithBandwidth<68>>(&inst, 68, 10_000).unwrap();
+        let report = run_congest::<BitTransfer>(&inst, 68, 10_000).unwrap();
         for (i, &u) in meta.u_leaves.iter().enumerate() {
             assert_eq!(report.outputs[u], Some(bits[i]), "bits {bits:?}");
         }
