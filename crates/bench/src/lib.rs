@@ -12,15 +12,21 @@
 //!
 //! [`CaseRng`] feeds the seeded property loops of the repository's
 //! integration tests.
+//!
+//! The [`report`] module holds the `vc-trace-report/v1` document:
+//! [`trace_case`] runs a traced sweep into a [`CaseTrace`], and a
+//! [`TraceReport`] of cases writes it through the `vc-json` writer.
 
 pub mod gate;
+pub mod report;
+
+pub use report::{trace_case, CaseTrace, TraceReport, TRACE_REPORT_SCHEMA};
 
 use vc_core::lcl::{count_violations, Lcl};
 use vc_engine::Engine;
 use vc_graph::{Color, GraphBuilder, Instance, NodeLabel};
 use vc_model::run::{run_from, QueryAlgorithm, RunConfig};
 use vc_model::{Budget, RandomTape, StartSelection};
-use vc_trace::{CaseTrace, SweepMetrics};
 
 /// One measured point of a sweep.
 #[derive(Clone, Debug)]
@@ -160,44 +166,6 @@ where
         max_queries: summary.max_queries,
         truncated: records.iter().filter(|r| !r.completed).count(),
         violations,
-    }
-}
-
-/// Runs a traced engine sweep and packages it as a named [`CaseTrace`]
-/// for a `vc-trace-report/v1` document (see `examples/trace_report.rs`).
-///
-/// The deterministic half of the metrics (`metrics.query`) is identical
-/// for every engine thread count; throughput and `metrics.sched` are
-/// wall-clock observations that vary between runs.
-pub fn trace_case<A>(
-    engine: &Engine,
-    case: &str,
-    inst: &Instance,
-    algo: &A,
-    config: &RunConfig,
-) -> CaseTrace
-where
-    A: QueryAlgorithm + Sync,
-    A::Output: Send,
-{
-    let starts = config
-        .starts
-        .starts(inst.n())
-        .expect("sweep configs always select at least one start");
-    let identity = vc_engine::sweep_identity(inst, algo, config, &starts);
-    let (report, metrics) = engine
-        .run_all_traced::<A, SweepMetrics>(inst, algo, config)
-        .expect("sweep configs always select at least one start");
-    CaseTrace {
-        case: case.to_string(),
-        n: inst.n(),
-        instance_id: identity.instance_id.to_string(),
-        sweep_id: identity.sweep_id.to_string(),
-        threads: report.threads,
-        elapsed_nanos: u64::try_from(report.elapsed.as_nanos()).unwrap_or(u64::MAX),
-        starts_per_sec: report.starts_per_sec(),
-        queries_per_sec: report.queries_per_sec(),
-        metrics,
     }
 }
 

@@ -1511,6 +1511,9 @@ mod tests {
             ),
             (format!("{text}{c0}"), "follows the seal"),
             (format!("{text}{{"), "follows the seal"),
+            // A header that does not parse makes the whole file parse, to
+            // name a retired schema; that parse must stop at the depth bound.
+            ("[".repeat(100_000), "malformed header line: expected '{'"),
         ];
         for (src, why) in &cases {
             let err = SweepCheckpoint::from_json(src).unwrap_err();

@@ -5,11 +5,12 @@
 //! every injected death and reassignment*: each launch, suspicion,
 //! failed exit, reassignment and abandonment a [`Supervisor`] run
 //! performs lands in exactly one counter here. The JSON form
-//! (`vc-fleet-report/v1`) is hand-rolled like every other artifact in
-//! the workspace and validated in CI with the dependency-free `vc-json`
-//! parser.
+//! (`vc-fleet-report/v1`) is written by the `vc-json` writer and
+//! validated in CI with its parser.
 //!
 //! [`Supervisor`]: crate::Supervisor
+
+use vc_json::{obj, Json};
 
 /// Schema identifier written into every serialized fleet report.
 pub const FLEET_REPORT_SCHEMA: &str = "vc-fleet-report/v1";
@@ -65,44 +66,17 @@ impl FleetReport {
     /// Serializes the report as a `vc-fleet-report/v1` JSON document —
     /// a pure function of the report state.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\n  \"schema\": \"{}\",\n  \"num_chunks\": {},\n  \"launches\": {},\n  \
-             \"suspected\": {},\n  \"reassigned\": {},\n  \"deaths\": {},\n  \
-             \"degraded\": {},\n",
-            vc_json::escape(FLEET_REPORT_SCHEMA),
-            self.num_chunks,
-            self.launches,
-            self.suspected,
-            self.reassigned,
-            self.deaths(),
-            self.degraded,
-        );
-        let _ = write!(out, "  \"abandoned_chunks\": [");
-        for (i, c) in self.abandoned_chunks.iter().enumerate() {
-            let _ = write!(out, "{}{c}", if i > 0 { ", " } else { "" });
-        }
-        out.push_str("],\n  \"chunk_attempts\": [");
-        for (i, a) in self.chunk_attempts.iter().enumerate() {
-            let _ = write!(out, "{}{a}", if i > 0 { ", " } else { "" });
-        }
-        out.push_str("],\n  \"workers\": [\n");
-        for (w, rep) in self.workers.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "    {{\"worker\": {w}, \"launches\": {}, \"suspected\": {}, \
-                 \"failed\": {}, \"completed_chunks\": {}}}{}",
-                rep.launches,
-                rep.suspected,
-                rep.failed,
-                rep.completed_chunks,
-                if w + 1 < self.workers.len() { "," } else { "" },
-            );
-        }
-        out.push_str("  ]\n}\n");
-        out
+        vc_json::document(&obj! {
+            "schema": FLEET_REPORT_SCHEMA, "num_chunks": self.num_chunks,
+            "launches": self.launches, "suspected": self.suspected,
+            "reassigned": self.reassigned, "deaths": self.deaths(), "degraded": self.degraded,
+            "abandoned_chunks": Json::arr(self.abandoned_chunks.clone()),
+            "chunk_attempts": Json::arr(self.chunk_attempts.clone()),
+            "workers": Json::arr(self.workers.iter().enumerate().map(|(w, r)| obj! {
+                "worker": w, "launches": r.launches, "suspected": r.suspected,
+                "failed": r.failed, "completed_chunks": r.completed_chunks,
+            })),
+        })
     }
 }
 
@@ -145,6 +119,30 @@ mod tests {
     #[test]
     fn report_json_is_parseable_and_faithful() {
         let report = sample();
+        let head = "{\n  \"schema\": \"vc-fleet-report/v1\",\n  \"num_chunks\": 6,\n  \
+                    \"launches\": 5,\n  \"suspected\": 1,\n  \"reassigned\": 3,\n  \
+                    \"deaths\": 2,\n  ";
+        let tail = "\"chunk_attempts\": [1, 1, 2, 2, 3, 1],\n  \"workers\": [\n    \
+                    {\"worker\": 0, \"launches\": 1, \"suspected\": 0, \"failed\": 0, \
+                    \"completed_chunks\": 2},\n    {\"worker\": 1, \"launches\": 2, \
+                    \"suspected\": 1, \"failed\": 1, \"completed_chunks\": 3}\n  ]\n}\n";
+        let whole = FleetReport {
+            abandoned_chunks: Vec::new(),
+            degraded: false,
+            ..sample()
+        };
+        for (r, middle) in [
+            (
+                &report,
+                "\"degraded\": true,\n  \"abandoned_chunks\": [4],\n  ",
+            ),
+            (
+                &whole,
+                "\"degraded\": false,\n  \"abandoned_chunks\": [],\n  ",
+            ),
+        ] {
+            assert_eq!(r.to_json(), format!("{head}{middle}{tail}"));
+        }
         let doc = vc_json::parse(&report.to_json()).unwrap();
         assert_eq!(
             doc.get("schema").and_then(vc_json::Value::as_str),

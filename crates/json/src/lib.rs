@@ -1,16 +1,27 @@
-//! Minimal recursive-descent JSON parser (the vendored serde is a no-op
-//! stand-in, so CI validates and diffs emitted baselines with this
-//! instead). [`validate`] checks well-formedness; [`parse`] additionally
-//! builds a [`Value`] tree for `compare-bench`; [`escape`] and
-//! [`escape_into`] encode a Rust string for embedding in hand-emitted
-//! documents.
+//! Minimal recursive-descent JSON parser and the one JSON writer of the
+//! workspace (the vendored serde is a no-op stand-in). [`validate`]
+//! checks well-formedness; [`parse`] additionally builds a [`Value`] tree
+//! for `compare-bench`; [`escape`] and [`escape_into`] encode a Rust
+//! string for embedding in JSON text.
+//!
+//! Every report, reply and spec line is a [`Json`] tree written by one of
+//! two functions with no options: [`document`] lays out a file, a member
+//! a line and the objects of a member's array a line each, and [`line`]
+//! writes the same value as one compact protocol line. Keys and strings
+//! go through [`escape_into`]; numbers are written as the caller formats
+//! them. Two writers stay outside it on purpose: the checkpoint encoder
+//! (`vc-engine`) and vc-serve's `result` reply, which escapes its payload
+//! straight into one exact-size line.
 //!
 //! Strings move run by run: the decoder allocates each string once, at
 //! its escaped length, and both directions copy the runs of bytes between
 //! escapes in one step. A caller wrapping an escaped string in fixed text
 //! sizes its buffer with [`escaped_len`]. Per RFC 8259 §7 a `\u` escape
 //! takes exactly four hex digits, and a raw control byte in a string is
-//! refused; [`escape`] escapes every such byte.
+//! refused; [`escape`] escapes every such byte. Arrays and objects nest at
+//! most [`MAX_DEPTH`] deep: the parser recurses once per level, so a
+//! deeper input is refused with an error rather than let it overflow the
+//! stack of the thread parsing it.
 //!
 //! Columnar lines have a fast path both ways: [`parse_columns`] scans an
 //! object whose arrays hold plain integers without building a [`Value`]
@@ -157,6 +168,151 @@ pub fn escaped_len(s: &str) -> usize {
             .sum::<usize>()
 }
 
+/// A value for [`document`] or [`line`] to write. Objects are built with
+/// [`obj!`] (and grown with [`Json::with`]), arrays with [`Json::arr`];
+/// strings convert into [`Json::Str`], integers and booleans into their
+/// literal and `None` into `null`.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Json {
+    /// JSON text written as it is: a number in the caller's format, or a
+    /// value that is already encoded.
+    Raw(String),
+    /// A string, escaped when written.
+    Str(String),
+    /// An array.
+    Arr(Vec<Json>),
+    /// An object, its members in order.
+    Obj(Vec<(&'static str, Json)>),
+}
+
+/// A [`Json::Obj`] of `"key": value` members, in order, each value
+/// converted by `Json::from`:
+/// `obj! { "n": 3, "name": "x", "none": None::<u64> }`.
+#[macro_export]
+macro_rules! obj {
+    ($($key:literal: $value:expr),* $(,)?) => {
+        $crate::Json::Obj(vec![$(($key, $crate::Json::from($value))),*])
+    };
+}
+
+impl Json {
+    /// This object with `key: value` appended (any other value is
+    /// returned as it is).
+    #[must_use]
+    pub fn with(mut self, key: &'static str, value: impl Into<Json>) -> Self {
+        if let Json::Obj(members) = &mut self {
+            members.push((key, value.into()));
+        }
+        self
+    }
+
+    /// An array of `items`.
+    pub fn arr<T: Into<Json>>(items: impl IntoIterator<Item = T>) -> Self {
+        Json::Arr(items.into_iter().map(Into::into).collect())
+    }
+}
+
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Self {
+        v.map_or_else(|| Json::Raw("null".to_string()), Into::into)
+    }
+}
+
+/// `From` impls writing a value's `Display` text as a string or as raw
+/// JSON.
+macro_rules! from_display {
+    ($variant:ident: $($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(v: $t) -> Self {
+                Json::$variant(v.to_string())
+            }
+        }
+    )*};
+}
+
+from_display!(Str: &str, String, &String);
+from_display!(Raw: bool, u32, u64, u128, usize);
+
+/// Writes `value` as a file. Each member of a top-level object goes on
+/// its own line, indented two spaces, and a member holding an array of
+/// objects puts one object a line, indented four; everything deeper stays
+/// inline, with `", "` and `": "`. The file ends with a newline.
+pub fn document(value: &Json) -> String {
+    let mut out = String::new();
+    write(&mut out, value, Some(0));
+    out.push('\n');
+    out
+}
+
+/// Writes `value` as one protocol line: inline, with `","` and `":"`, and
+/// no newline.
+pub fn line(value: &Json) -> String {
+    let mut out = String::new();
+    write(&mut out, value, None);
+    out
+}
+
+/// Appends `value`, which sits `depth` levels deep in a [`document`]
+/// (`None` on a [`line`]).
+fn write(out: &mut String, value: &Json, depth: Option<usize>) {
+    match value {
+        Json::Raw(text) => out.push_str(text),
+        Json::Str(s) => quote(out, s),
+        Json::Arr(items) => {
+            let objects = !items.is_empty() && items.iter().all(|v| matches!(v, Json::Obj(_)));
+            let lines = (objects && depth == Some(1)).then_some(("\n    ", "\n  "));
+            let items = items.iter().map(|v| (None, v));
+            seq(out, ['[', ']'], items, depth, lines);
+        }
+        Json::Obj(members) => {
+            let lines = (depth == Some(0)).then_some(("\n  ", "\n"));
+            let members = members.iter().map(|(k, v)| (Some(*k), v));
+            seq(out, ['{', '}'], members, depth, lines);
+        }
+    }
+}
+
+/// Appends the items of an array or the members of an object. With
+/// `lines`, each item follows a line break and its indent, and the
+/// closing bracket follows the second string.
+fn seq<'a>(
+    out: &mut String,
+    [open, close]: [char; 2],
+    items: impl Iterator<Item = (Option<&'a str>, &'a Json)>,
+    depth: Option<usize>,
+    lines: Option<(&str, &str)>,
+) {
+    let (comma, colon) = match (depth, lines) {
+        (None, _) => (",", ":"),
+        (Some(_), None) => (", ", ": "),
+        (Some(_), Some(_)) => (",", ": "),
+    };
+    out.push(open);
+    for (i, (key, value)) in items.enumerate() {
+        if i > 0 {
+            out.push_str(comma);
+        }
+        if let Some((indent, _)) = lines {
+            out.push_str(indent);
+        }
+        if let Some(key) = key {
+            quote(out, key);
+            out.push_str(colon);
+        }
+        write(out, value, depth.map(|d| d + 1));
+    }
+    if let Some((_, end)) = lines {
+        out.push_str(end);
+    }
+    out.push(close);
+}
+
+fn quote(out: &mut String, s: &str) {
+    out.push('"');
+    escape_into(out, s);
+    out.push('"');
+}
+
 /// Appends the decimal digits of `n`.
 pub fn push_uint(out: &mut String, mut n: u64) {
     let mut digits = [0u8; 20];
@@ -201,7 +357,7 @@ fn column(src: &str, i: usize) -> Parsed<Column> {
     match src.as_bytes().get(i) {
         Some(b'[') => items(src, i, int_or_null).map(|(v, n)| (Column::Ints(v), n)),
         Some(b'{') => Err(format!("nested object at byte {i}")),
-        _ => value(src, i).map(|(v, n)| (Column::Scalar(v), n)),
+        _ => value(src, i, 1).map(|(v, n)| (Column::Scalar(v), n)),
     }
 }
 
@@ -239,13 +395,20 @@ pub fn validate(src: &str) -> Result<(), String> {
     parse(src).map(|_| ())
 }
 
-/// Parses `src` into a [`Value`]; rejects trailing data.
+/// How deeply arrays and objects may nest. The parser recurses once per
+/// level, so [`parse`] refuses a deeper container, naming its byte,
+/// instead of overflowing the stack. The deepest document the workspace
+/// writes, the Table 1 report, nests 9 levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses `src` into a [`Value`]; rejects trailing data and nesting past
+/// [`MAX_DEPTH`].
 ///
 /// # Errors
 ///
 /// A human-readable description of the first malformation.
 pub fn parse(src: &str) -> Result<Value, String> {
-    whole(src, value)
+    whole(src, |src, i| value(src, i, 0))
 }
 
 /// Reads one value with `read`, surrounded by whitespace only.
@@ -269,11 +432,16 @@ fn skip_ws(b: &[u8], mut i: usize) -> usize {
     i
 }
 
-fn value(src: &str, i: usize) -> Parsed<Value> {
+/// The value at byte `i`, inside `depth` open arrays and objects.
+fn value(src: &str, i: usize, depth: usize) -> Parsed<Value> {
     let b = src.as_bytes();
+    let inner = |src: &str, i| value(src, i, depth + 1);
     match b.get(i) {
-        Some(b'{') => object(src, i),
-        Some(b'[') => array(src, i),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {i}"))
+        }
+        Some(b'{') => members(src, i, inner).map(|(m, n)| (Value::Obj(m), n)),
+        Some(b'[') => items(src, i, inner).map(|(v, n)| (Value::Arr(v), n)),
         Some(b'"') => {
             let (s, next) = string(src, i)?;
             Ok((Value::Str(s), next))
@@ -285,10 +453,6 @@ fn value(src: &str, i: usize) -> Parsed<Value> {
         Some(c) => Err(format!("unexpected byte {c:#x} at {i}")),
         None => Err("unexpected end of input".to_string()),
     }
-}
-
-fn object(src: &str, i: usize) -> Parsed<Value> {
-    members(src, i, value).map(|(m, n)| (Value::Obj(m), n))
 }
 
 /// The members of the object whose `{` is at byte `i`, in order, each
@@ -319,10 +483,6 @@ fn members<V>(
             _ => return Err(format!("expected ',' or '}}' at byte {i}")),
         }
     }
-}
-
-fn array(src: &str, i: usize) -> Parsed<Value> {
-    items(src, i, value).map(|(v, n)| (Value::Arr(v), n))
 }
 
 /// The items of the array whose `[` is at byte `i`, each read by `read`.
@@ -892,6 +1052,68 @@ mod tests {
             let err = parse_columns(src).expect_err(src);
             assert!(err.contains(why), "{src}: {err}");
         }
+    }
+
+    #[test]
+    fn documents_and_lines_lay_out_the_same_value() {
+        let row = |n: u32| obj! { "n": n, "pair": Json::arr([n, n]) };
+        let value = obj! {
+            "k\"ey": "a\"b\\c\nd\u{1}", "rate": Json::Raw(format!("{:.1}", 2.25)),
+            "none": None::<u64>, "ints": Json::arr([1u64, 2]),
+            "rows": Json::arr([row(1), row(2)]), "empty": Json::arr(Vec::<Json>::new()),
+            "inner": obj! { "rows": Json::arr([row(3)]) },
+        }
+        .with("raw", Json::Raw("{\"x\": [1]}".to_string()));
+        let document = document(&value);
+        assert_eq!(
+            document,
+            r#"{
+  "k\"ey": "a\"b\\c\nd\u0001",
+  "rate": 2.2,
+  "none": null,
+  "ints": [1, 2],
+  "rows": [
+    {"n": 1, "pair": [1, 1]},
+    {"n": 2, "pair": [2, 2]}
+  ],
+  "empty": [],
+  "inner": {"rows": [{"n": 3, "pair": [3, 3]}]},
+  "raw": {"x": [1]}
+}
+"#
+        );
+        let line = line(&value);
+        let compact = r#"{"k\"ey":"a\"b\\c\nd\u0001","rate":2.2,"none":null,"ints":[1,2],"#;
+        let rows = r#""rows":[{"n":1,"pair":[1,1]},{"n":2,"pair":[2,2]}],"empty":[],"#;
+        let rest = r#""inner":{"rows":[{"n":3,"pair":[3,3]}]},"raw":{"x": [1]}}"#;
+        assert_eq!(line, format!("{compact}{rows}{rest}"));
+        assert_eq!(parse(&line), parse(&document));
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_an_error_not_an_abort() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+        );
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects)
+            .expect_err("objects count too")
+            .contains("nesting"));
+        // A spawned thread has the smallest stack a parse runs on.
+        let deep = std::thread::spawn(|| parse(&"[".repeat(100_000)));
+        let err = deep
+            .join()
+            .expect("no stack overflow")
+            .expect_err("refused");
+        assert!(err.contains("nesting deeper"), "{err}");
     }
 
     #[test]

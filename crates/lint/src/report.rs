@@ -2,7 +2,7 @@
 //! `file:line:col` diagnostics and the `vc-lint-report/v1` JSON document.
 
 use std::fmt;
-use vc_json::escape;
+use vc_json::{obj, Json};
 
 /// One lint finding with a full span anchor.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -60,31 +60,14 @@ impl Report {
     /// Renders the `vc-lint-report/v1` JSON document (a single object,
     /// findings in sorted order, parseable by `xtask check-json`).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + 160 * self.findings.len());
-        out.push_str("{\n  \"schema\": \"");
-        out.push_str(REPORT_SCHEMA);
-        out.push_str("\",\n");
-        out.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
-        out.push_str(&format!("  \"suppressed\": {},\n", self.suppressed));
-        out.push_str(&format!("  \"total\": {},\n", self.findings.len()));
-        out.push_str("  \"findings\": [");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {");
-            out.push_str(&format!("\"file\": \"{}\", ", escape(&f.file)));
-            out.push_str(&format!("\"line\": {}, ", f.line));
-            out.push_str(&format!("\"col\": {}, ", f.col));
-            out.push_str(&format!("\"code\": \"{}\", ", escape(f.code)));
-            out.push_str(&format!("\"rule\": \"{}\", ", escape(f.rule)));
-            out.push_str(&format!("\"message\": \"{}\"}}", escape(&f.message)));
-        }
-        if !self.findings.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
+        vc_json::document(&obj! {
+            "schema": REPORT_SCHEMA, "files_scanned": self.files_scanned,
+            "suppressed": self.suppressed, "total": self.findings.len(),
+            "findings": Json::arr(self.findings.iter().map(|f| obj! {
+                "file": &f.file, "line": f.line, "col": f.col, "code": f.code, "rule": f.rule,
+                "message": &f.message,
+            })),
+        })
     }
 }
 
@@ -134,20 +117,38 @@ mod tests {
     #[test]
     fn json_escapes_special_characters() {
         let r = Report {
-            findings: vec![Finding {
-                message: "a\"b\\c\nd\u{1}".into(),
-                ..finding("x.rs", 1, 1, "VC001")
-            }],
-            ..Report::default()
+            findings: vec![
+                Finding {
+                    message: "a\"b\\c\nd\u{1}".into(),
+                    ..finding("a\\b \"c\".rs", 1, 1, "VC001")
+                },
+                finding("z.rs", 2, 3, "VC009"),
+            ],
+            files_scanned: 7,
+            suppressed: 2,
         };
-        assert!(r.to_json().contains(r#""message": "a\"b\\c\nd\u0001"}"#));
+        assert_eq!(
+            r.to_json(),
+            r#"{
+  "schema": "vc-lint-report/v1",
+  "files_scanned": 7,
+  "suppressed": 2,
+  "total": 2,
+  "findings": [
+    {"file": "a\\b \"c\".rs", "line": 1, "col": 1, "code": "VC001", "rule": "r", "message": "a\"b\\c\nd\u0001"},
+    {"file": "z.rs", "line": 2, "col": 3, "code": "VC009", "rule": "r", "message": "m"}
+  ]
+}
+"#
+        );
     }
 
     #[test]
     fn empty_report_renders_an_empty_findings_array() {
-        let r = Report::default();
-        let j = r.to_json();
-        assert!(j.contains("\"schema\": \"vc-lint-report/v1\""));
-        assert!(j.contains("\"findings\": []"));
+        assert_eq!(
+            Report::default().to_json(),
+            "{\n  \"schema\": \"vc-lint-report/v1\",\n  \"files_scanned\": 0,\n  \
+             \"suppressed\": 0,\n  \"total\": 0,\n  \"findings\": []\n}\n"
+        );
     }
 }

@@ -6,7 +6,10 @@
 //! `VC009`–`VC012` are the determinism rules added with this crate,
 //! `VC015` came with the fleet supervisor, and `VC013`/`VC014` are the
 //! suppression-hygiene findings emitted by the driver itself (see
-//! [`crate::run`]). DESIGN.md §13 is the catalog of record; the README
+//! [`crate::run`]). `VC004` (`bench-provenance`) is retired: it checked
+//! the headers of `crates/bench/benches`, which holds no file since the
+//! tables and figures moved into `examples/table1_report.rs`, and its code
+//! stays reserved. DESIGN.md §13 is the catalog of record; the README
 //! maps each code to its invariant and origin PR.
 //!
 //! Each rule is one row of [`registry`]: its [`RuleInfo`] and one of two
@@ -14,7 +17,7 @@
 //! share one matcher; their row gives the path scope, whether
 //! `#[cfg(test)]` code is scanned, the patterns with the spelling each
 //! message shows, and the message. The structural rules (`VC002`,
-//! `VC004`, `VC008`, `VC010`) are plain walk functions instead.
+//! `VC008`, `VC010`) are plain walk functions instead.
 
 use crate::lexer::TokKind;
 use crate::report::Finding;
@@ -140,9 +143,6 @@ const IDENTITY_CONSTS: &[&str] = &[
     "0x94d049bb133111eb",
 ];
 
-/// Paper anchors accepted as benchmark provenance (VC004).
-const PROVENANCE_ANCHORS: &[&str] = &["Table", "Figure", "Example", "Observation", "Proposition"];
-
 /// Crates that feed deterministic merged results (VC009): a hashed
 /// collection anywhere in them is iteration-order nondeterminism waiting
 /// to reach a merge. `crates/bench` is covered by the older VC003;
@@ -265,15 +265,16 @@ const VC002: Rule = Rule {
     check: Check::Walk(deny_missing_docs),
 };
 
-/// VC003: deterministic figure/table paths in `crates/bench`.
+/// VC003: deterministic figure/table paths: `crates/bench` and the
+/// `examples/` that build every table and figure.
 const VC003: Rule = Rule {
     info: RuleInfo {
         code: "VC003",
         name: "ordered-collections-only",
-        summary: "crates/bench must not use hashed collections: iteration order feeds figures",
+        summary: "crates/bench and examples/ must not use hashed collections: iteration order feeds figures",
     },
     check: Check::Tokens {
-        scope: |rel| under(rel, "crates/bench/src") || under(rel, "crates/bench/benches"),
+        scope: |rel| under(rel, "crates/bench") || under(rel, "examples"),
         tests: false,
         patterns: HASHED,
         message: |name| {
@@ -283,16 +284,6 @@ const VC003: Rule = Rule {
             )
         },
     },
-};
-
-/// VC004: benchmarks declare the paper artifact they reproduce.
-const VC004: Rule = Rule {
-    info: RuleInfo {
-        code: "VC004",
-        name: "bench-provenance",
-        summary: "every bench header must cite a Table/Figure/Example/Observation/Proposition",
-    },
-    check: Check::Walk(bench_provenance),
 };
 
 /// VC005: the execution hot path stays flat — the oracle and the
@@ -534,36 +525,6 @@ fn has_deny_missing_docs(f: &SourceFile) -> bool {
     false
 }
 
-/// VC004's walk: every file under `crates/bench/benches` cites a paper
-/// artifact in its header, the comment tokens before its first code token.
-fn bench_provenance(ws: &Workspace, info: &RuleInfo, out: &mut Vec<Finding>) {
-    for f in ws
-        .files
-        .iter()
-        .filter(|f| under(&f.rel, "crates/bench/benches"))
-    {
-        let cited = f
-            .toks
-            .iter()
-            .enumerate()
-            .take_while(|(_, t)| t.kind.is_comment())
-            .any(|(i, _)| {
-                let text = f.tok_text(i);
-                PROVENANCE_ANCHORS.iter().any(|a| text.contains(a))
-            });
-        if !cited {
-            out.push(file_finding(
-                &f.rel,
-                info,
-                format!(
-                    "benchmark header must cite its paper artifact (one of: {})",
-                    PROVENANCE_ANCHORS.join(", ")
-                ),
-            ));
-        }
-    }
-}
-
 /// VC008's walk: an identifier or numeric literal that normalizes to an
 /// identity-helper name or a splitmix constant, outside the allowed
 /// places. Test code is scanned too: a test-local digest drifts from
@@ -722,8 +683,8 @@ pub static MALFORMED_SUPPRESSION: RuleInfo = RuleInfo {
 
 /// Every rule, in code order.
 pub fn registry() -> &'static [Rule] {
-    static REGISTRY: [Rule; 13] = [
-        VC001, VC002, VC003, VC004, VC005, VC006, VC007, VC008, VC009, VC010, VC011, VC012, VC015,
+    static REGISTRY: [Rule; 12] = [
+        VC001, VC002, VC003, VC005, VC006, VC007, VC008, VC009, VC010, VC011, VC012, VC015,
     ];
     &REGISTRY
 }
@@ -901,6 +862,22 @@ mod tests {
         assert_eq!(findings.len(), 1, "vc-core is not merge-tainted");
         assert_eq!(findings[0].code, "VC009");
         assert_eq!(findings[0].file, "crates/stats/src/lib.rs");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn ordered_collections_rule_covers_the_code_behind_the_figures() {
+        let hashed = "use std::collections::HashSet;\n";
+        let (ws, dir) = ws(&[
+            ("examples/table1_report.rs", hashed),
+            ("crates/bench/src/gate.rs", hashed),
+            ("crates/core/src/lib.rs", hashed),
+        ]);
+        let files: Vec<String> = run_rule(&VC003, &ws).into_iter().map(|f| f.file).collect();
+        assert_eq!(
+            files,
+            ["crates/bench/src/gate.rs", "examples/table1_report.rs"]
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

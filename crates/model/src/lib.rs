@@ -18,8 +18,6 @@
 //! * [`run`] — the [`run::QueryAlgorithm`] trait and a runner that executes
 //!   an algorithm from every node, collecting the induced output labeling
 //!   and exact worst-case costs `VOL_n`, `DIST_n`.
-//! * [`local`] — ball gathering and the LOCAL-model view of distance
-//!   algorithms (Remark 2.3).
 //! * [`congest`] — a synchronous CONGEST simulator with B-bit links (§7.3,
 //!   Observations 7.4–7.5, Example 7.6).
 
@@ -28,7 +26,6 @@
 
 pub mod congest;
 pub mod cost;
-pub mod local;
 pub mod oracle;
 pub mod randomness;
 pub mod run;

@@ -3,9 +3,7 @@
 //! Definitions 2.1–2.2).
 
 use crate::cost::{Budget, CostSummary, ExecutionRecord};
-use crate::oracle::{
-    ExecScratch, Execution, Oracle, OracleStats, QueryError, ScratchSlot, SolverScratch,
-};
+use crate::oracle::{ExecScratch, Execution, Oracle, QueryError, ScratchSlot, SolverScratch};
 use crate::randomness::RandomTape;
 use std::error::Error;
 use std::fmt;
@@ -367,19 +365,6 @@ pub fn run_all_traced<A: QueryAlgorithm, T: Tracer>(
     Ok(RunReport { outputs, records })
 }
 
-/// Runs an algorithm against an arbitrary (possibly adversarial) oracle.
-///
-/// Returns the algorithm's result together with the oracle's final cost
-/// totals. Used by the lower-bound experiments, where the world is built
-/// lazily by the adversary process.
-pub fn run_against<A: QueryAlgorithm, O: Oracle>(
-    algo: &A,
-    oracle: &mut O,
-) -> (Result<A::Output, QueryError>, OracleStats) {
-    let result = algo.run(oracle, &mut SolverScratch::new());
-    (result, oracle.stats())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -491,15 +476,6 @@ mod tests {
         let err = run_all(&inst, &WalkLeft, &config).unwrap_err();
         assert_eq!(err, StartError::EmptySample);
         assert!(!err.to_string().is_empty());
-    }
-
-    #[test]
-    fn run_against_reports_stats() {
-        let inst = gen::complete_binary_tree(2, Color::R, Color::B);
-        let mut ex = Execution::new(&inst, 0, None, Budget::unlimited());
-        let (res, stats) = run_against(&WalkLeft, &mut ex);
-        assert_eq!(res.unwrap(), 2);
-        assert_eq!(stats.volume, 3);
     }
 
     #[test]

@@ -48,5 +48,5 @@ pub use scheduler::{
     REPORT_SCHEMA,
 };
 pub use server::{request, ServeDaemon};
-pub use spec::{AlgorithmRef, InstanceRef, Priority, SpecError, StartsRef, SweepSpec};
+pub use spec::{AlgorithmRef, InstanceRef, Priority, SpecError, SweepSpec};
 pub use store::{ResultStore, StoreError};

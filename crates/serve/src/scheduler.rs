@@ -31,6 +31,7 @@ use std::time::Duration;
 
 use vc_engine::{CancelFlag, Engine, SweepCheckpoint, SweepId, SweepIdentity};
 use vc_graph::Instance;
+use vc_json::{obj, Json};
 use vc_model::run::{RunConfig, StartError};
 use vc_trace::{RecordingTracer, TraceEvent, Tracer};
 
@@ -529,50 +530,22 @@ impl SweepService {
     /// Emits the `vc-serve-report/v1` stats document as compact JSON
     /// (single line, so it can double as a protocol payload).
     pub fn report_json(&self) -> String {
-        use std::fmt::Write as _;
         let g = self.shared.lock();
         let stats = self.stats_of(&g);
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"schema\":\"{REPORT_SCHEMA}\",\"threads\":{},\"submissions\":{},\
-             \"hits\":{},\"misses\":{},\"deduped\":{},\"preemptions\":{},\"resumes\":{},\
-             \"completed\":{},\"failed\":{},\"evictions\":{},\"queue_depth\":{},\
-             \"max_queue_depth\":{},\"store_entries\":{},\"jobs\":[",
-            self.threads,
-            stats.submissions,
-            stats.hits,
-            stats.misses,
-            stats.deduped,
-            stats.preemptions,
-            stats.resumes,
-            stats.completed,
-            stats.failed,
-            stats.evictions,
-            g.queue.len(),
-            stats.max_queue_depth,
-            stats.store_entries,
-        );
-        for (i, record) in g.jobs.values().enumerate() {
-            let s = &record.status;
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"job\":{},\"sweep_id\":\"{}\",\"state\":\"{}\",\"cache_hit\":{},\
-                 \"preemptions\":{},\"completed_chunks\":{},\"num_chunks\":{}}}",
-                s.job,
-                s.sweep_id,
-                s.state.name(),
-                matches!(s.state, JobState::Done { cache_hit: true }),
-                s.preemptions,
-                s.completed_chunks,
-                s.num_chunks,
-            );
-        }
-        out.push_str("]}");
-        out
+        vc_json::line(&obj! {
+            "schema": REPORT_SCHEMA, "threads": self.threads, "submissions": stats.submissions,
+            "hits": stats.hits, "misses": stats.misses, "deduped": stats.deduped,
+            "preemptions": stats.preemptions, "resumes": stats.resumes,
+            "completed": stats.completed, "failed": stats.failed, "evictions": stats.evictions,
+            "queue_depth": g.queue.len(), "max_queue_depth": stats.max_queue_depth,
+            "store_entries": stats.store_entries,
+            "jobs": Json::arr(g.jobs.values().map(|JobRecord { status: s, .. }| obj! {
+                "job": s.job, "sweep_id": s.sweep_id.to_string(), "state": s.state.name(),
+                "cache_hit": matches!(s.state, JobState::Done { cache_hit: true }),
+                "preemptions": s.preemptions, "completed_chunks": s.completed_chunks,
+                "num_chunks": s.num_chunks,
+            })),
+        })
     }
 
     /// Stops accepting work, cancels any running job (it parks like any
@@ -932,6 +905,15 @@ mod tests {
         let sub = service.submit(&small_spec(2)).expect("submit");
         service.wait_result(sub.job, WAIT).expect("result");
         let report = service.report_json();
+        assert_eq!(
+            report,
+            "{\"schema\":\"vc-serve-report/v1\",\"threads\":1,\"submissions\":1,\"hits\":0,\
+             \"misses\":1,\"deduped\":0,\"preemptions\":0,\"resumes\":0,\"completed\":1,\
+             \"failed\":0,\"evictions\":0,\"queue_depth\":0,\"max_queue_depth\":1,\
+             \"store_entries\":1,\"jobs\":[{\"job\":1,\"sweep_id\":\"a45ca82c4087bb41\",\
+             \"state\":\"done\",\"cache_hit\":false,\"preemptions\":0,\"completed_chunks\":4,\
+             \"num_chunks\":4}]}"
+        );
         assert!(!report.contains('\n'));
         let doc = vc_json::parse(&report).expect("report parses");
         assert_eq!(

@@ -22,7 +22,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use vc_json::Value;
+use vc_json::{obj, Json, Value};
 
 use crate::scheduler::SweepService;
 use crate::spec::SweepSpec;
@@ -168,7 +168,7 @@ fn next_line(reader: &mut impl BufRead) -> Option<Result<String, String>> {
 }
 
 fn error_line(msg: &str) -> String {
-    format!("{{\"ok\":false,\"error\":\"{}\"}}", vc_json::escape(msg))
+    vc_json::line(&obj! { "ok": false, "error": msg })
 }
 
 /// Computes the response line for one request line; the bool marks a
@@ -197,11 +197,10 @@ fn respond(line: &str, service: &SweepService) -> (String, bool) {
             };
             match service.submit(&spec) {
                 Ok(sub) => (
-                    format!(
-                        "{{\"ok\":true,\"job\":{},\"sweep_id\":\"{}\",\
-                         \"cache_hit\":{},\"deduped\":{}}}",
-                        sub.job, sub.sweep_id, sub.cache_hit, sub.deduped
-                    ),
+                    vc_json::line(&obj! {
+                        "ok": true, "job": sub.job, "sweep_id": sub.sweep_id.to_string(),
+                        "cache_hit": sub.cache_hit, "deduped": sub.deduped,
+                    }),
                     false,
                 ),
                 Err(e) => (error_line(&e.to_string()), false),
@@ -214,15 +213,11 @@ fn respond(line: &str, service: &SweepService) -> (String, bool) {
             };
             match service.status(job) {
                 Ok(s) => (
-                    format!(
-                        "{{\"ok\":true,\"job\":{},\"state\":\"{}\",\"preemptions\":{},\
-                         \"completed_chunks\":{},\"num_chunks\":{}}}",
-                        s.job,
-                        s.state.name(),
-                        s.preemptions,
-                        s.completed_chunks,
-                        s.num_chunks
-                    ),
+                    vc_json::line(&obj! {
+                        "ok": true, "job": s.job, "state": s.state.name(),
+                        "preemptions": s.preemptions, "completed_chunks": s.completed_chunks,
+                        "num_chunks": s.num_chunks,
+                    }),
                     false,
                 ),
                 Err(e) => (error_line(&e.to_string()), false),
@@ -247,11 +242,11 @@ fn respond(line: &str, service: &SweepService) -> (String, bool) {
                 Err(e) => (error_line(&e.to_string()), false),
             }
         }
-        "stats" => (
-            format!("{{\"ok\":true,\"report\":{}}}", service.report_json()),
-            false,
-        ),
-        "shutdown" => ("{\"ok\":true}".to_string(), true),
+        "stats" => {
+            let report = Json::Raw(service.report_json());
+            (vc_json::line(&obj! { "ok": true, "report": report }), false)
+        }
+        "shutdown" => (vc_json::line(&obj! { "ok": true }), true),
         other => (error_line(&format!("unknown op: {other}")), false),
     }
 }
@@ -284,6 +279,11 @@ mod tests {
         );
         let line = format!("{{\"op\":\"submit\",\"spec\":{}}}", spec.to_json_line());
         let response = request(&socket, &line).expect("submit");
+        assert_eq!(
+            response,
+            "{\"ok\":true,\"job\":1,\"sweep_id\":\"3ecd7dc1fff332a1\",\"cache_hit\":false,\
+             \"deduped\":false}"
+        );
         let doc = vc_json::parse(&response).expect("response parses");
         assert_eq!(doc.get("ok").and_then(Value::as_bool), Some(true));
         let job = doc.get("job").and_then(Value::as_u64).expect("job id");
@@ -300,6 +300,13 @@ mod tests {
             .expect("job finishes");
         let response =
             request(&socket, &format!("{{\"op\":\"poll\",\"job\":{job}}}")).expect("poll");
+        assert_eq!(
+            response,
+            format!(
+                "{{\"ok\":true,\"job\":{job},\"state\":\"done\",\"preemptions\":0,\
+                 \"completed_chunks\":4,\"num_chunks\":4}}"
+            )
+        );
         let doc = vc_json::parse(&response).expect("poll parses");
         assert_eq!(doc.get("state").and_then(Value::as_str), Some("done"));
 
@@ -330,6 +337,7 @@ mod tests {
         );
 
         let response = request(&socket, "{\"op\":\"nope\"}").expect("unknown op answered");
+        assert_eq!(response, "{\"ok\":false,\"error\":\"unknown op: nope\"}");
         let doc = vc_json::parse(&response).expect("error parses");
         assert_eq!(doc.get("ok").and_then(Value::as_bool), Some(false));
 
@@ -395,13 +403,23 @@ mod tests {
 
         let endless = vec![b'{'; 1 << 20];
         let not_utf8 = b"{\"op\":\"stats\xff\"}\n{\"op\":\"stats\"}\n".to_vec();
+        // Nested far past `vc_json::MAX_DEPTH`: parsed by unbounded
+        // recursion, it would overflow the daemon thread's stack.
+        let mut deep = vec![b'['; 60_000];
+        deep.push(b'\n');
+        let too_deep = format!(
+            "bad request: nesting deeper than {0} at byte {0}",
+            vc_json::MAX_DEPTH
+        );
         for (bytes, error) in [
             (endless, "request line longer than 65536 bytes"),
             (not_utf8, "request line is not UTF-8"),
+            (deep, too_deep.as_str()),
         ] {
             let response = raw_request(&socket, &bytes);
-            // One error line, then the connection is closed: the valid
-            // request after the bad line is never answered.
+            // One error line, then the connection closes: after a line it
+            // cannot frame, the daemon closes it and never answers the
+            // valid request behind; after the deep line, the client does.
             assert_eq!(response.lines().count(), 1, "{response}");
             let doc = vc_json::parse(&response).expect("error parses");
             assert_eq!(doc.get("ok").and_then(Value::as_bool), Some(false));

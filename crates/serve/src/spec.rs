@@ -15,7 +15,7 @@ use std::path::Path;
 
 use vc_engine::{sweep_identity, CheckpointReport, Engine, EngineError, SweepIdentity};
 use vc_graph::{gen, Instance};
-use vc_json::Value;
+use vc_json::{obj, Json, Value};
 use vc_model::run::RunConfig;
 use vc_model::run::StartSelection;
 use vc_model::{Budget, RandomTape};
@@ -51,13 +51,6 @@ impl InstanceRef {
         match *self {
             InstanceRef::FullBinaryTree { n, seed } => gen::random_full_binary_tree(n, seed),
             InstanceRef::PseudoTree { n, cycle, seed } => gen::pseudo_tree(n, cycle, seed),
-        }
-    }
-
-    fn kind(&self) -> &'static str {
-        match self {
-            InstanceRef::FullBinaryTree { .. } => "full-binary-tree",
-            InstanceRef::PseudoTree { .. } => "pseudo-tree",
         }
     }
 }
@@ -148,20 +141,6 @@ impl AlgorithmRef {
     }
 }
 
-/// Start-set selection, mirrored from [`StartSelection`] for the wire.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StartsRef {
-    /// Every node starts an execution.
-    All,
-    /// A seeded sample of `count` start nodes.
-    Sample {
-        /// Sample size.
-        count: usize,
-        /// Sample seed.
-        seed: u64,
-    },
-}
-
 /// Scheduling priority. Not part of the sweep identity.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Priority {
@@ -191,7 +170,7 @@ pub struct SweepSpec {
     /// Whether executions compute the exact distance cost.
     pub exact_distance: bool,
     /// Start-set selection.
-    pub starts: StartsRef,
+    pub starts: StartSelection,
     /// Scheduling priority (excluded from the sweep identity).
     pub priority: Priority,
 }
@@ -208,7 +187,7 @@ impl SweepSpec {
             max_distance: None,
             max_queries: None,
             exact_distance: defaults.exact_distance,
-            starts: StartsRef::All,
+            starts: StartSelection::All,
             priority: Priority::Batch,
         }
     }
@@ -222,68 +201,50 @@ impl SweepSpec {
                 max_distance: self.max_distance,
                 max_queries: self.max_queries,
             },
-            starts: match self.starts {
-                StartsRef::All => StartSelection::All,
-                StartsRef::Sample { count, seed } => StartSelection::Sample { count, seed },
-            },
+            starts: self.starts,
             exact_distance: self.exact_distance,
         }
     }
 
     /// Encodes the spec as one line of JSON (the wire form).
     pub fn to_json_line(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"instance\":{{\"kind\":\"{}\"",
-            self.instance.kind()
-        );
-        match self.instance {
+        let instance = match self.instance {
             InstanceRef::FullBinaryTree { n, seed } => {
-                let _ = write!(out, ",\"n\":{n},\"seed\":{seed}}}");
+                obj! { "kind": "full-binary-tree", "n": n, "seed": seed }
             }
             InstanceRef::PseudoTree { n, cycle, seed } => {
-                let _ = write!(out, ",\"n\":{n},\"cycle\":{cycle},\"seed\":{seed}}}");
+                obj! { "kind": "pseudo-tree", "n": n, "cycle": cycle, "seed": seed }
+            }
+        };
+        let name = self.algorithm.name();
+        let algorithm = match self.algorithm {
+            AlgorithmRef::LeafDistance => obj! { "name": name },
+            AlgorithmRef::LeafRandomWalk { step_factor } => {
+                obj! { "name": name, "step_factor": step_factor }
+            }
+        };
+        let mut spec = obj! { "instance": instance, "algorithm": algorithm };
+        // Unset budgets and tape seeds are left out, not written as null.
+        for (key, v) in [
+            ("tape_seed", self.tape_seed.map(Json::from)),
+            ("max_volume", self.max_volume.map(Json::from)),
+            ("max_distance", self.max_distance.map(Json::from)),
+            ("max_queries", self.max_queries.map(Json::from)),
+        ] {
+            if let Some(v) = v {
+                spec = spec.with(key, v);
             }
         }
-        let _ = write!(
-            out,
-            ",\"algorithm\":{{\"name\":\"{}\"",
-            self.algorithm.name()
-        );
-        if let AlgorithmRef::LeafRandomWalk { step_factor } = self.algorithm {
-            let _ = write!(out, ",\"step_factor\":{step_factor}");
-        }
-        out.push('}');
-        if let Some(seed) = self.tape_seed {
-            let _ = write!(out, ",\"tape_seed\":{seed}");
-        }
-        if let Some(v) = self.max_volume {
-            let _ = write!(out, ",\"max_volume\":{v}");
-        }
-        if let Some(d) = self.max_distance {
-            let _ = write!(out, ",\"max_distance\":{d}");
-        }
-        if let Some(q) = self.max_queries {
-            let _ = write!(out, ",\"max_queries\":{q}");
-        }
-        let _ = write!(out, ",\"exact_distance\":{}", self.exact_distance);
-        match self.starts {
-            StartsRef::All => out.push_str(",\"starts\":\"all\""),
-            StartsRef::Sample { count, seed } => {
-                let _ = write!(out, ",\"starts\":{{\"count\":{count},\"seed\":{seed}}}");
-            }
-        }
-        let _ = write!(
-            out,
-            ",\"priority\":\"{}\"}}",
-            match self.priority {
-                Priority::Batch => "batch",
-                Priority::Interactive => "interactive",
-            }
-        );
-        out
+        let starts = match self.starts {
+            StartSelection::All => Json::from("all"),
+            StartSelection::Sample { count, seed } => obj! { "count": count, "seed": seed },
+        };
+        let priority = match self.priority {
+            Priority::Batch => "batch",
+            Priority::Interactive => "interactive",
+        };
+        let spec = spec.with("exact_distance", self.exact_distance);
+        vc_json::line(&spec.with("starts", starts).with("priority", priority))
     }
 
     /// Decodes a spec from its parsed wire form.
@@ -345,9 +306,9 @@ impl SweepSpec {
             }
         };
         let starts = match v.get("starts") {
-            None => StartsRef::All,
-            Some(Value::Str(s)) if s == "all" => StartsRef::All,
-            Some(sample @ Value::Obj(_)) => StartsRef::Sample {
+            None => StartSelection::All,
+            Some(Value::Str(s)) if s == "all" => StartSelection::All,
+            Some(sample @ Value::Obj(_)) => StartSelection::Sample {
                 count: usize::try_from(num(sample, "count")?)
                     .map_err(|_| malformed("starts.count"))?,
                 seed: num(sample, "seed")?,
@@ -413,7 +374,7 @@ mod tests {
         SweepSpec {
             tape_seed: Some(11),
             max_volume: Some(500),
-            starts: StartsRef::Sample { count: 64, seed: 9 },
+            starts: StartSelection::Sample { count: 64, seed: 9 },
             priority: Priority::Interactive,
             ..SweepSpec::new(
                 InstanceRef::FullBinaryTree { n: 255, seed: 3 },
@@ -424,19 +385,28 @@ mod tests {
 
     #[test]
     fn wire_form_round_trips() {
-        for spec in [
-            sample_spec(),
-            SweepSpec::new(
-                InstanceRef::PseudoTree {
-                    n: 100,
-                    cycle: 8,
-                    seed: 1,
-                },
-                AlgorithmRef::LeafDistance,
-            ),
-        ] {
-            let line = spec.to_json_line();
-            let parsed = vc_json::parse(&line).expect("wire form parses");
+        let pseudo = SweepSpec::new(
+            InstanceRef::PseudoTree {
+                n: 100,
+                cycle: 8,
+                seed: 1,
+            },
+            AlgorithmRef::LeafDistance,
+        );
+        let budgeted = SweepSpec {
+            max_distance: Some(7),
+            max_queries: Some(9),
+            exact_distance: false,
+            ..pseudo
+        };
+        let specs = [sample_spec(), pseudo, budgeted];
+        let lines = specs.map(|spec| spec.to_json_line());
+        let wire = r#"{"instance":{"kind":"full-binary-tree","n":255,"seed":3},"algorithm":{"name":"leaf-coloring/rw-to-leaf","step_factor":16},"tape_seed":11,"max_volume":500,"exact_distance":true,"starts":{"count":64,"seed":9},"priority":"interactive"}
+{"instance":{"kind":"pseudo-tree","n":100,"cycle":8,"seed":1},"algorithm":{"name":"leaf-coloring/distance"},"exact_distance":true,"starts":"all","priority":"batch"}
+{"instance":{"kind":"pseudo-tree","n":100,"cycle":8,"seed":1},"algorithm":{"name":"leaf-coloring/distance"},"max_distance":7,"max_queries":9,"exact_distance":false,"starts":"all","priority":"batch"}"#;
+        assert_eq!(lines.join("\n"), wire);
+        for (spec, line) in specs.into_iter().zip(&lines) {
+            let parsed = vc_json::parse(line).expect("wire form parses");
             assert_eq!(SweepSpec::from_json(&parsed), Ok(spec));
         }
     }
@@ -514,7 +484,7 @@ mod tests {
         .expect("minimal spec parses");
         let spec = SweepSpec::from_json(&parsed).expect("decodes");
         assert_eq!(spec.priority, Priority::Batch);
-        assert_eq!(spec.starts, StartsRef::All);
+        assert_eq!(spec.starts, StartSelection::All);
         assert_eq!(spec.exact_distance, RunConfig::default().exact_distance);
         assert_eq!(spec.tape_seed, None);
     }

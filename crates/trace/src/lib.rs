@@ -37,10 +37,12 @@
 //!   behind every cost distribution.
 //! * [`metrics`] — [`SweepMetrics`], the production tracer aggregating
 //!   counters, histograms and chunk timings across a sweep.
-//! * [`report`] — [`TraceReport`], the machine-readable
-//!   `vc-trace-report/v1` JSON document emitted by `vc-bench`.
 //! * [`time`] — [`time::Stopwatch`], the workspace's single wall-clock
 //!   access point.
+//!
+//! The machine-readable `vc-trace-report/v1` document built from these
+//! metrics lives in `vc-bench` (`vc_bench::TraceReport`), next to the
+//! `trace_case` sweep that fills it, so this crate needs no JSON writer.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -48,12 +50,10 @@
 pub mod event;
 pub mod hist;
 pub mod metrics;
-pub mod report;
 pub mod time;
 pub mod tracer;
 
 pub use event::TraceEvent;
 pub use hist::Log2Hist;
 pub use metrics::{FleetStats, QueryStats, SchedStats, SweepMetrics};
-pub use report::{CaseTrace, TraceReport, TRACE_REPORT_SCHEMA};
 pub use tracer::{MergeTracer, NoopTracer, RecordingTracer, Tracer};

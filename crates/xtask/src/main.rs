@@ -328,35 +328,18 @@ fn splice_files_partial(
 /// parser (rightly) rejects; now the `spec` key is simply absent and
 /// `"complete": true` is the signal that nothing remains.
 fn missing_doc(out_path: &str, merged: &vc_engine::SweepCheckpoint, missing: &[usize]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\n  \"schema\": \"vc-fleet-missing/v1\",\n  \"out\": \"{}\",\n  \
-         \"num_chunks\": {},\n  \"merged_chunks\": {},\n  \"complete\": {},\n  \
-         \"missing\": [",
-        json::escape(out_path),
-        merged.num_chunks,
-        merged.completed_chunks(),
-        missing.is_empty(),
-    );
-    for (i, c) in missing.iter().enumerate() {
-        let _ = write!(out, "{}{c}", if i > 0 { ", " } else { "" });
-    }
-    out.push(']');
+    let doc = json::obj! {
+        "schema": "vc-fleet-missing/v1", "out": out_path, "num_chunks": merged.num_chunks,
+        "merged_chunks": merged.completed_chunks(), "complete": missing.is_empty(),
+        "missing": json::Json::arr(missing.to_vec()),
+    };
     if missing.is_empty() {
-        out.push_str("\n}\n");
-    } else {
-        // Despaced so the spec parses under the strict `VC_CHUNKS`
-        // grammar (no whitespace components).
-        let spec = format!(
-            "{}/{}",
-            vc_engine::format_chunk_groups(missing).replace(", ", ","),
-            merged.num_chunks
-        );
-        let _ = write!(out, ",\n  \"spec\": \"{}\"\n}}\n", json::escape(&spec));
+        return json::document(&doc);
     }
-    out
+    // Despaced so the spec parses under the strict `VC_CHUNKS` grammar (no
+    // whitespace components).
+    let groups = vc_engine::format_chunk_groups(missing).replace(", ", ",");
+    json::document(&doc.with("spec", format!("{groups}/{}", merged.num_chunks)))
 }
 
 fn run_merge_checkpoints(args: &[String]) -> ExitCode {
@@ -745,6 +728,12 @@ mod tests {
     fn missing_doc_is_valid_json_with_a_pasteable_spec() {
         let merged = partial(6, &[0, 1, 4]);
         let doc_src = missing_doc("target/out.json", &merged, &[2, 3, 5]);
+        assert_eq!(
+            doc_src,
+            "{\n  \"schema\": \"vc-fleet-missing/v1\",\n  \"out\": \"target/out.json\",\n  \
+             \"num_chunks\": 6,\n  \"merged_chunks\": 3,\n  \"complete\": false,\n  \
+             \"missing\": [2, 3, 5],\n  \"spec\": \"2..4,5/6\"\n}\n"
+        );
         let doc = json::parse(&doc_src).unwrap();
         assert_eq!(
             doc.get("schema").and_then(json::Value::as_str),
@@ -770,6 +759,12 @@ mod tests {
         // A complete merge reports completeness and suppresses the spec
         // key entirely — no empty pasteable `VC_CHUNKS` value.
         let doc_src = missing_doc("out.json", &partial(2, &[0, 1]), &[]);
+        assert_eq!(
+            doc_src,
+            "{\n  \"schema\": \"vc-fleet-missing/v1\",\n  \"out\": \"out.json\",\n  \
+             \"num_chunks\": 2,\n  \"merged_chunks\": 2,\n  \"complete\": true,\n  \
+             \"missing\": []\n}\n"
+        );
         let doc = json::parse(&doc_src).unwrap();
         assert_eq!(
             doc.get("complete").and_then(json::Value::as_bool),

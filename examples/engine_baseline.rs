@@ -17,6 +17,7 @@ use vc_core::problems::leaf_coloring::{DistanceSolver, RwToLeaf};
 use vc_engine::{Engine, EngineReport};
 use vc_faults::{FaultPlan, FaultedAlgorithm};
 use vc_graph::{gen, Instance};
+use vc_json::{obj, Json};
 use vc_model::run::{QueryAlgorithm, RunConfig};
 use vc_model::RandomTape;
 
@@ -92,33 +93,18 @@ where
     }
 }
 
-/// Minimal JSON emitter — the workspace deliberately builds offline with a
-/// no-op serde stand-in, so the baseline file is written by hand. Only the
-/// types used above need encoding.
+/// The `vc-engine-baseline/v1` document: one row a line.
 fn to_json(rows: &[Row]) -> String {
-    let mut out = String::from("{\n  \"schema\": \"vc-engine-baseline/v1\",\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"case\": \"{}\", \"n\": {}, \"instance_id\": \"{}\", \"threads\": {}, \
-             \"max_volume\": {}, \
-             \"max_distance\": {}, \"runs\": {}, \"incomplete\": {}, \"total_queries\": {}, \
-             \"starts_per_sec\": {:.1}, \"queries_per_sec\": {:.1}}}{}\n",
-            r.case,
-            r.n,
-            r.instance_id,
-            r.threads,
-            r.max_volume,
-            r.max_distance,
-            r.runs,
-            r.incomplete,
-            r.total_queries,
-            r.starts_per_sec,
-            r.queries_per_sec,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    vc_json::document(&obj! {
+        "schema": "vc-engine-baseline/v1",
+        "rows": Json::arr(rows.iter().map(|r| obj! {
+            "case": r.case, "n": r.n, "instance_id": &r.instance_id, "threads": r.threads,
+            "max_volume": r.max_volume, "max_distance": r.max_distance, "runs": r.runs,
+            "incomplete": r.incomplete, "total_queries": r.total_queries,
+            "starts_per_sec": Json::Raw(format!("{:.1}", r.starts_per_sec)),
+            "queries_per_sec": Json::Raw(format!("{:.1}", r.queries_per_sec)),
+        })),
+    })
 }
 
 fn main() {

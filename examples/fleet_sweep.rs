@@ -43,6 +43,7 @@ use vc_fleet::{
     FleetConfig, FleetError, FleetOutcome, LaunchSpec, Supervisor, WorkerBackend, WorkerStatus,
 };
 use vc_graph::{gen, load_instance, save_instance};
+use vc_json::{obj, Json};
 use vc_model::run::RunConfig;
 use vc_trace::SweepMetrics;
 
@@ -233,25 +234,14 @@ struct DrillRow {
 
 /// Renders the aggregate `vc-fleet-drill/v1` document.
 fn drill_doc(rows: &[DrillRow]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\n  \"schema\": \"vc-fleet-drill/v1\",\n  \"drills\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let victims: Vec<String> = row.victims.iter().map(ToString::to_string).collect();
-        let styles: Vec<String> = row.styles.iter().map(|s| format!("\"{s}\"")).collect();
-        let _ = writeln!(
-            out,
-            "    {{\"label\": \"{}\", \"seed\": {}, \"victims\": [{}], \
-             \"styles\": [{}], \"byte_identical\": true, \"report\": {}}}{}",
-            row.label,
-            row.seed.map_or("null".to_string(), |s| s.to_string()),
-            victims.join(", "),
-            styles.join(", "),
-            row.report_json.trim_end(),
-            if i + 1 < rows.len() { "," } else { "" },
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
+    vc_json::document(&obj! {
+        "schema": "vc-fleet-drill/v1",
+        "drills": Json::arr(rows.iter().map(|r| obj! {
+            "label": &r.label, "seed": r.seed, "victims": Json::arr(r.victims.clone()),
+            "styles": Json::arr(r.styles.clone()), "byte_identical": true,
+            "report": Json::Raw(r.report_json.trim_end().to_string()),
+        })),
+    })
 }
 
 /// Runs one supervised drill and asserts the fleet invariant: the

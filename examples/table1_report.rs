@@ -26,7 +26,7 @@
 //! any miss. `scripts/ci.sh gates` checks the JSON with `xtask check-json`
 //! and compares the markdown with the generated block in EXPERIMENTS.md.
 
-use std::fmt::{Display, Write as _};
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use vc_adversary::hierarchical::{duel, DuelOutcome};
@@ -43,6 +43,7 @@ use vc_core::output::BtFlag;
 use vc_core::problems::{balanced_tree, classic, hh, hierarchical, hybrid, leaf_coloring};
 use vc_engine::{plan_chunks, Engine};
 use vc_graph::{gen, load_instance, save_instance, Color, Instance};
+use vc_json::{obj, Json};
 use vc_model::congest::run_congest;
 use vc_model::oracle::{follow, Oracle, QueryError};
 use vc_model::run::{QueryAlgorithm, RunConfig};
@@ -470,7 +471,10 @@ fn randomness_models() -> Gated {
     let secret = run(RandomTape::secret(9));
     let clean = |m: &Measurement| m.violations == Some(0) && m.truncated == 0;
     let models_ok = clean(&private) && clean(&public) && secret.truncated > 0;
-    let show = |m: Measurement| format!("{}/{}", opt(m.violations), m.truncated);
+    let show = |m: Measurement| {
+        let violations = m.violations.map_or("null".to_string(), |v| v.to_string());
+        format!("{violations}/{}", m.truncated)
+    };
     let [private, public, secret] = [private, public, secret].map(show);
 
     let depths = 6..=12u32;
@@ -713,74 +717,38 @@ fn main() {
     }
 }
 
-fn q(s: impl Display) -> String {
-    format!("\"{s}\"")
-}
-
-fn opt(v: Option<impl Display>) -> String {
-    v.map_or("null".into(), |v| v.to_string())
-}
-
-/// A JSON object from already-rendered values.
-fn obj(fields: &[(&str, String)]) -> String {
-    let fields = fields.iter().map(|(k, v)| format!("\"{k}\": {v}"));
-    format!("{{{}}}", fields.collect::<Vec<_>>().join(", "))
-}
-
-fn list(items: impl Iterator<Item = String>, sep: &str) -> String {
-    format!("[{}]", items.collect::<Vec<_>>().join(sep))
-}
-
-fn curve_json(c: &Curve) -> String {
-    let points = c.points.iter().map(|p| {
-        let (n, c, id) = (p.n.to_string(), p.cost.to_string(), q(&p.instance_id));
-        let v = opt(p.violations);
-        obj(&[
-            ("n", n),
-            ("cost", c),
-            ("instance_id", id),
-            ("violations", v),
-        ])
-    });
-    obj(&[
-        ("source", q(c.source)),
-        ("algorithm", q(&c.algorithm)),
-        ("family", q(&c.family)),
-        ("measure", q(c.measure)),
-        ("points", list(points, ", ")),
-        ("class", q(c.fit.class)),
-        ("class_family", q(c.fit.class.family())),
-        ("exponent", format!("{:.4}", c.exponent)),
-        ("nrmse", format!("{:.4}", c.fit.score)),
-        ("violations", c.violations.to_string()),
-    ])
+fn curve_json(c: &Curve) -> Json {
+    obj! {
+        "source": c.source, "algorithm": &c.algorithm, "family": &c.family, "measure": c.measure,
+        "points": Json::arr(c.points.iter().map(|p| obj! {
+            "n": p.n, "cost": p.cost, "instance_id": &p.instance_id, "violations": p.violations,
+        })),
+        "class": c.fit.class.to_string(), "class_family": c.fit.class.family().to_string(),
+        "exponent": Json::Raw(format!("{:.4}", c.exponent)),
+        "nrmse": Json::Raw(format!("{:.4}", c.fit.score)), "violations": c.violations,
+    }
 }
 
 fn to_json(report: &Report, checks: &[Check], ok: bool) -> String {
     let rows = report.rows.iter().map(|r| {
-        let cells = r.cells.iter().zip(COLUMNS).map(|(c, column)| {
-            let exponent = c.claim.exponent.map(|e| format!("{e:.4}"));
-            obj(&[
-                ("column", q(column)),
-                ("expected", q(&c.expected)),
-                ("expected_family", q(c.claim.family)),
-                ("expected_exponent", opt(exponent)),
-                ("source", q(c.curves.first().map_or("bound", |c| c.source))),
-                ("bound", opt(c.bound.as_ref().map(q))),
-                ("note", opt(c.note.map(q))),
-                ("curves", list(c.curves.iter().map(curve_json), ", ")),
-                ("ok", c.ok.to_string()),
-            ])
-        });
-        let cells = list(cells, ",\n      ");
-        obj(&[("problem", q(&r.problem)), ("cells", cells)])
+        let cells = r.cells.iter().zip(COLUMNS);
+        obj! {
+            "problem": &r.problem,
+            "cells": Json::arr(cells.map(|(c, column)| obj! {
+                "column": column, "expected": &c.expected,
+                "expected_family": c.claim.family.to_string(),
+                "expected_exponent": c.claim.exponent.map(|e| Json::Raw(format!("{e:.4}"))),
+                "source": c.curves.first().map_or("bound", |c| c.source),
+                "bound": c.bound.as_ref(), "note": c.note,
+                "curves": Json::arr(c.curves.iter().map(curve_json)), "ok": c.ok,
+            })),
+        }
     });
     let all = checks
         .iter()
         .chain(report.beyond.iter().map(|(check, _)| check));
     let checks = all.map(|(artifact, subject, evidence, ok)| {
-        let (a, s, e, ok) = (q(artifact), q(subject), q(evidence), ok.to_string());
-        obj(&[("artifact", a), ("subject", s), ("evidence", e), ("ok", ok)])
+        obj! { "artifact": *artifact, "subject": subject, "evidence": evidence, "ok": *ok }
     });
     // The curves no cell reads: classes A and B, Hierarchical-THC(4) and
     // those behind the checks outside the table.
@@ -796,26 +764,19 @@ fn to_json(report: &Report, checks: &[Check], ok: bool) -> String {
     let curves = reference
         .chain([(k4, &report.hierarchy[2])])
         .chain(beyond)
-        .map(|(subject, c)| obj(&[("subject", q(subject)), ("curve", curve_json(c))]));
+        .map(|(subject, c)| obj! { "subject": subject, "curve": curve_json(c) });
     let (top, plan) = (&report.large_n, plan_chunks(report.large_n.n()));
-    let large_n = obj(&[
-        ("n", top.n().to_string()),
-        ("instance_id", q(top.instance_id())),
-        ("planned_chunk_size", plan.chunk_size.to_string()),
-        ("chunks", plan.num_chunks.to_string()),
-        ("thread_grid", "[1, 2, 8]".into()),
-        ("byte_identical", "true".into()),
-        ("checkpoint_resume_ok", "true".into()),
-    ]);
-    let (sep, tolerance) = (",\n    ", gate::EXPONENT_TOLERANCE);
-    format!(
-        "{{\n  \"schema\": \"vc-table1-report/v2\",\n  \"ok\": {ok},\n  \
-         \"exponent_tolerance\": {tolerance},\n  \"rows\": {},\n  \"checks\": {},\n  \
-         \"figure_curves\": {},\n  \"large_n\": {large_n}\n}}\n",
-        list(rows, sep),
-        list(checks, sep),
-        list(curves, sep),
-    )
+    vc_json::document(&obj! {
+        "schema": "vc-table1-report/v2", "ok": ok,
+        "exponent_tolerance": Json::Raw(gate::EXPONENT_TOLERANCE.to_string()),
+        "rows": Json::arr(rows), "checks": Json::arr(checks), "figure_curves": Json::arr(curves),
+        "large_n": obj! {
+            "n": top.n(), "instance_id": top.instance_id().to_string(),
+            "planned_chunk_size": plan.chunk_size, "chunks": plan.num_chunks,
+            "thread_grid": Json::arr([1u32, 2, 8]), "byte_identical": true,
+            "checkpoint_resume_ok": true,
+        },
+    })
 }
 
 fn mark(ok: bool) -> &'static str {

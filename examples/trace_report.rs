@@ -11,14 +11,14 @@
 //!
 //! Run with `cargo run --release --example trace_report [output-path]`.
 
-use vc_bench::trace_case;
+use vc_bench::{trace_case, TraceReport};
 use vc_core::problems::hierarchical::DeterministicSolver;
 use vc_core::problems::leaf_coloring::{DistanceSolver, RwToLeaf};
 use vc_engine::Engine;
 use vc_graph::gen;
 use vc_model::run::RunConfig;
 use vc_model::{Budget, RandomTape};
-use vc_trace::{RecordingTracer, TraceReport};
+use vc_trace::RecordingTracer;
 
 fn main() {
     let path = std::env::args()
