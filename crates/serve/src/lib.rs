@@ -7,7 +7,11 @@
 //! boundary:
 //!
 //! * **Memoization** — every submission resolves to a
-//!   [`vc_engine::SweepId`] via [`vc_engine::sweep_identity`]. Finished
+//!   [`vc_engine::SweepId`] via [`vc_engine::sweep_identity`], once per
+//!   spec and process: an in-memory FIFO memo of the last 1,024 specs
+//!   (priority cleared) answers a repeat with no instance build and no
+//!   fold. Specs whose instance cannot be built are refused first
+//!   ([`InstanceRef::check`]). Finished
 //!   results live in a content-addressed on-disk store
 //!   ([`store::ResultStore`]) keyed by that id: an entry is the sweep's
 //!   sealed `vc-engine-checkpoint/v4` file, renamed in from the spool and
@@ -48,5 +52,5 @@ pub use scheduler::{
     REPORT_SCHEMA,
 };
 pub use server::{request, ServeDaemon};
-pub use spec::{AlgorithmRef, InstanceRef, Priority, SpecError, SweepSpec};
+pub use spec::{AlgorithmRef, InstanceRef, Priority, SpecError, SweepSpec, MAX_NODES};
 pub use store::{ResultStore, StoreError};

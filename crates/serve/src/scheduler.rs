@@ -22,8 +22,17 @@
 //! is a cache hit (no execution, `CacheHit` trace event); an in-flight
 //! job with the same id is returned as-is (same job id, no second
 //! execution); only genuinely new work is admitted (`JobAdmitted`).
+//!
+//! ## Memo
+//!
+//! A spec is resolved once per process: the service keeps the last
+//! 1,024 specs it resolved, priority cleared, with their
+//! [`SweepIdentity`]. A hit or a dedup on a remembered spec builds no
+//! instance and folds nothing; one whose entry was evicted builds the
+//! instance its run needs and reuses the identity. The memo lives in
+//! memory only, so a rebuilt binary starts with it empty.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -44,6 +53,9 @@ pub const REPORT_SCHEMA: &str = "vc-serve-report/v1";
 /// Cap on retained trace events (oldest kept; beyond this the recorder
 /// counts drops instead of growing).
 const TRACE_CAP: usize = 65_536;
+
+/// Specs the memo remembers, oldest dropped first.
+const MEMO_CAP: usize = 1024;
 
 /// Service configuration.
 #[derive(Clone, Debug)]
@@ -137,6 +149,9 @@ pub struct ServeStats {
     pub misses: u64,
     /// Submissions folded into an in-flight job.
     pub deduped: u64,
+    /// Submissions whose identity came from the spec memo, with no
+    /// identity fold and, on a hit or a dedup, no instance build.
+    pub memo_hits: u64,
     /// Preemptions (parked runs).
     pub preemptions: u64,
     /// Parked jobs that re-entered execution.
@@ -224,6 +239,9 @@ struct Inner {
     jobs: BTreeMap<u64, JobRecord>,
     /// In-flight dedup index: raw SweepId -> job id.
     by_sweep: BTreeMap<u64, u64>,
+    /// Spec (priority cleared) -> identity, oldest first, at most
+    /// `MEMO_CAP` long; never written to disk.
+    memo: VecDeque<(SweepSpec, SweepIdentity)>,
     /// Queued job ids (scheduler picks by priority, then id).
     queue: Vec<u64>,
     running: Option<(u64, CancelFlag)>,
@@ -282,6 +300,7 @@ impl SweepService {
             inner: Mutex::new(Inner {
                 jobs: BTreeMap::new(),
                 by_sweep: BTreeMap::new(),
+                memo: VecDeque::new(),
                 queue: Vec::new(),
                 running: None,
                 store,
@@ -314,64 +333,65 @@ impl SweepService {
         })
     }
 
-    /// Submits a spec. Resolves the sweep identity, then answers from
-    /// the store (cache hit), an in-flight job (dedup) or a fresh
-    /// admission — in that order.
+    /// Submits a spec. Refuses a recipe [`InstanceRef::check`] refuses,
+    /// then resolves the sweep identity and answers from the store (cache
+    /// hit), an in-flight job (dedup) or a fresh admission — in that
+    /// order. A spec resolved before comes from the memo: a hit or a dedup
+    /// on it builds no instance, resolves no starts and folds nothing, and
+    /// an admission of it builds the instance the run needs but folds
+    /// nothing. The memo is sound because [`InstanceRef::build`] is a pure
+    /// function of the spec within one binary.
+    ///
+    /// [`InstanceRef::check`]: crate::InstanceRef::check
+    /// [`InstanceRef::build`]: crate::InstanceRef::build
     pub fn submit(&self, spec: &SweepSpec) -> Result<Submission, ServeError> {
+        spec.instance.check()?;
+        let key = SweepSpec {
+            priority: Priority::Batch,
+            ..*spec
+        };
+        let memoized = {
+            let mut g = self.open_lock()?;
+            let memoized = g.memo.iter().find(|(s, _)| *s == key).map(|&(_, id)| id);
+            if let Some(identity) = memoized {
+                if let Some(answer) = self.answer(&mut g, identity.sweep_id, spec.priority) {
+                    g.stats.memo_hits += 1;
+                    return Ok(answer);
+                }
+            }
+            memoized
+        };
         // Instance construction and identity folding happen outside the
         // service lock; both are pure.
         let instance = spec.instance.build();
         let config = spec.run_config();
-        let starts = config
-            .starts
-            .starts(instance.n())
-            .map_err(ServeError::Start)?;
-        let identity = spec.algorithm.identity(&instance, &config, &starts);
+        let identity = match memoized {
+            Some(identity) => identity,
+            None => {
+                let starts = config
+                    .starts
+                    .starts(instance.n())
+                    .map_err(ServeError::Start)?;
+                spec.algorithm.identity(&instance, &config, &starts)
+            }
+        };
         let sweep_id = identity.sweep_id;
 
-        let mut g = self.shared.lock();
-        if g.shutdown {
-            return Err(ServeError::ShuttingDown);
+        let mut g = self.open_lock()?;
+        if memoized.is_some() {
+            g.stats.memo_hits += 1;
+        } else if !g.memo.iter().any(|(s, _)| *s == key) {
+            if g.memo.len() == MEMO_CAP {
+                g.memo.pop_front();
+            }
+            g.memo.push_back((key, identity));
+        }
+        // The lock was dropped for the build: the sweep may have been
+        // stored or admitted since, and two jobs must not share its spool.
+        if let Some(answer) = self.answer(&mut g, sweep_id, spec.priority) {
+            return Ok(answer);
         }
         g.stats.submissions += 1;
-        if g.store.contains(sweep_id) {
-            let job = g.next_job;
-            g.next_job += 1;
-            g.stats.hits += 1;
-            g.tracer.event(TraceEvent::CacheHit { job });
-            g.jobs.insert(
-                job,
-                JobRecord {
-                    status: JobStatus {
-                        job,
-                        sweep_id,
-                        state: JobState::Done { cache_hit: true },
-                        priority: spec.priority,
-                        preemptions: 0,
-                        completed_chunks: 0,
-                        num_chunks: 0,
-                        error: None,
-                    },
-                    work: None,
-                },
-            );
-            self.shared.change.notify_all();
-            return Ok(Submission {
-                job,
-                sweep_id,
-                cache_hit: true,
-                deduped: false,
-            });
-        }
-        if let Some(&job) = g.by_sweep.get(&sweep_id.raw()) {
-            g.stats.deduped += 1;
-            return Ok(Submission {
-                job,
-                sweep_id,
-                cache_hit: false,
-                deduped: true,
-            });
-        }
         let job = g.next_job;
         g.next_job += 1;
         g.stats.misses += 1;
@@ -424,6 +444,60 @@ impl SweepService {
             sweep_id,
             cache_hit: false,
             deduped: false,
+        })
+    }
+
+    /// The service lock, or [`ServeError::ShuttingDown`].
+    fn open_lock(&self) -> Result<MutexGuard<'_, Inner>, ServeError> {
+        let g = self.shared.lock();
+        if g.shutdown {
+            return Err(ServeError::ShuttingDown);
+        }
+        Ok(g)
+    }
+
+    /// Answers a submission of `sweep_id` from the store (a hit, under a
+    /// job id of its own) or from its in-flight job (a dedup), and counts
+    /// it; `None` when the sweep is neither, and must be admitted.
+    fn answer(&self, g: &mut Inner, sweep_id: SweepId, priority: Priority) -> Option<Submission> {
+        if g.store.contains(sweep_id) {
+            let job = g.next_job;
+            g.next_job += 1;
+            g.stats.submissions += 1;
+            g.stats.hits += 1;
+            g.tracer.event(TraceEvent::CacheHit { job });
+            g.jobs.insert(
+                job,
+                JobRecord {
+                    status: JobStatus {
+                        job,
+                        sweep_id,
+                        state: JobState::Done { cache_hit: true },
+                        priority,
+                        preemptions: 0,
+                        completed_chunks: 0,
+                        num_chunks: 0,
+                        error: None,
+                    },
+                    work: None,
+                },
+            );
+            self.shared.change.notify_all();
+            return Some(Submission {
+                job,
+                sweep_id,
+                cache_hit: true,
+                deduped: false,
+            });
+        }
+        let &job = g.by_sweep.get(&sweep_id.raw())?;
+        g.stats.submissions += 1;
+        g.stats.deduped += 1;
+        Some(Submission {
+            job,
+            sweep_id,
+            cache_hit: false,
+            deduped: true,
         })
     }
 
@@ -535,6 +609,7 @@ impl SweepService {
         vc_json::line(&obj! {
             "schema": REPORT_SCHEMA, "threads": self.threads, "submissions": stats.submissions,
             "hits": stats.hits, "misses": stats.misses, "deduped": stats.deduped,
+            "memo_hits": stats.memo_hits,
             "preemptions": stats.preemptions, "resumes": stats.resumes,
             "completed": stats.completed, "failed": stats.failed, "evictions": stats.evictions,
             "queue_depth": g.queue.len(), "max_queue_depth": stats.max_queue_depth,
@@ -718,7 +793,7 @@ fn scheduler_loop(shared: &Shared, threads: usize, spool_dir: &std::path::Path) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{AlgorithmRef, InstanceRef};
+    use crate::spec::{AlgorithmRef, InstanceRef, MAX_NODES};
 
     const WAIT: Duration = Duration::from_secs(120);
 
@@ -901,18 +976,18 @@ mod tests {
     #[test]
     fn report_is_valid_compact_json() {
         let config = temp_config("report", 1);
-        let service = SweepService::start(&config).expect("start");
+        let mut service = SweepService::start(&config).expect("start");
         let sub = service.submit(&small_spec(2)).expect("submit");
         service.wait_result(sub.job, WAIT).expect("result");
         let report = service.report_json();
         assert_eq!(
             report,
             "{\"schema\":\"vc-serve-report/v1\",\"threads\":1,\"submissions\":1,\"hits\":0,\
-             \"misses\":1,\"deduped\":0,\"preemptions\":0,\"resumes\":0,\"completed\":1,\
-             \"failed\":0,\"evictions\":0,\"queue_depth\":0,\"max_queue_depth\":1,\
-             \"store_entries\":1,\"jobs\":[{\"job\":1,\"sweep_id\":\"a45ca82c4087bb41\",\
-             \"state\":\"done\",\"cache_hit\":false,\"preemptions\":0,\"completed_chunks\":4,\
-             \"num_chunks\":4}]}"
+             \"misses\":1,\"deduped\":0,\"memo_hits\":0,\"preemptions\":0,\"resumes\":0,\
+             \"completed\":1,\"failed\":0,\"evictions\":0,\"queue_depth\":0,\
+             \"max_queue_depth\":1,\"store_entries\":1,\"jobs\":[{\"job\":1,\
+             \"sweep_id\":\"a45ca82c4087bb41\",\"state\":\"done\",\"cache_hit\":false,\
+             \"preemptions\":0,\"completed_chunks\":4,\"num_chunks\":4}]}"
         );
         assert!(!report.contains('\n'));
         let doc = vc_json::parse(&report).expect("report parses");
@@ -930,7 +1005,216 @@ mod tests {
             jobs[0].get("state").and_then(vc_json::Value::as_str),
             Some("done")
         );
+
+        // A hit, then a dedup on a stopped scheduler: both come from the
+        // memo, and the duplicate's job stays queued.
+        assert!(service.submit(&small_spec(2)).expect("hit").cache_hit);
+        stop_scheduler(&mut service);
+        let queued = service.submit(&small_spec(3)).expect("submit");
+        let duplicate = service.submit(&small_spec(3)).expect("duplicate");
+        assert!(duplicate.deduped && duplicate.job == queued.job);
+        assert_eq!(
+            service.report_json(),
+            "{\"schema\":\"vc-serve-report/v1\",\"threads\":1,\"submissions\":4,\"hits\":1,\
+             \"misses\":2,\"deduped\":1,\"memo_hits\":2,\"preemptions\":0,\"resumes\":0,\
+             \"completed\":1,\"failed\":0,\"evictions\":0,\"queue_depth\":1,\
+             \"max_queue_depth\":1,\"store_entries\":1,\"jobs\":[{\"job\":1,\
+             \"sweep_id\":\"a45ca82c4087bb41\",\"state\":\"done\",\"cache_hit\":false,\
+             \"preemptions\":0,\"completed_chunks\":4,\"num_chunks\":4},{\"job\":2,\
+             \"sweep_id\":\"a45ca82c4087bb41\",\"state\":\"done\",\"cache_hit\":true,\
+             \"preemptions\":0,\"completed_chunks\":0,\"num_chunks\":0},{\"job\":3,\
+             \"sweep_id\":\"2603a3eb56c69a7a\",\"state\":\"queued\",\"cache_hit\":false,\
+             \"preemptions\":0,\"completed_chunks\":0,\"num_chunks\":0}]}"
+        );
         drop(service);
+        let _ = std::fs::remove_dir_all(config.store_dir.parent().unwrap_or(&config.store_dir));
+    }
+
+    /// Stops the scheduler thread while the service keeps taking
+    /// submissions: what is admitted from here on stays queued.
+    fn stop_scheduler(service: &mut SweepService) {
+        {
+            let mut g = service.shared.lock();
+            g.shutdown = true;
+            service.shared.work.notify_all();
+        }
+        if let Some(scheduler) = service.scheduler.take() {
+            scheduler.join().expect("scheduler exits");
+        }
+        service.shared.lock().shutdown = false;
+    }
+
+    /// The identity a fresh build and fold give `spec`.
+    fn folded(spec: &SweepSpec) -> SweepId {
+        let inst = spec.instance.build();
+        let config = spec.run_config();
+        let starts = config.starts.starts(inst.n()).expect("starts");
+        spec.algorithm.identity(&inst, &config, &starts).sweep_id
+    }
+
+    #[test]
+    fn a_memo_hit_resolves_to_the_identity_a_fresh_fold_gives() {
+        let config = temp_config("memo", 1);
+        let service = SweepService::start(&config).expect("start");
+        let instances = [
+            InstanceRef::FullBinaryTree { n: 63, seed: 4 },
+            InstanceRef::PseudoTree {
+                n: 63,
+                cycle: 5,
+                seed: 4,
+            },
+        ];
+        let algorithms = [
+            AlgorithmRef::LeafDistance,
+            AlgorithmRef::LeafRandomWalk { step_factor: 8 },
+        ];
+        let mut memo_hits = 0;
+        for instance in instances {
+            for algorithm in algorithms {
+                let spec = SweepSpec {
+                    tape_seed: Some(3),
+                    ..SweepSpec::new(instance, algorithm)
+                };
+                let cold = service.submit(&spec).expect("submit");
+                service.wait_result(cold.job, WAIT).expect("result");
+                assert_eq!(service.stats().memo_hits, memo_hits);
+                // Priority is not part of the key: the flipped spec hits.
+                let flipped = SweepSpec {
+                    priority: Priority::Interactive,
+                    ..spec
+                };
+                let warm = service.submit(&flipped).expect("resubmit");
+                memo_hits += 1;
+                assert!(warm.cache_hit, "{spec:?}");
+                assert_eq!(service.stats().memo_hits, memo_hits, "{spec:?}");
+                assert_eq!(warm.sweep_id, folded(&spec), "{spec:?}");
+            }
+        }
+        drop(service);
+        let _ = std::fs::remove_dir_all(config.store_dir.parent().unwrap_or(&config.store_dir));
+    }
+
+    #[test]
+    fn past_its_cap_the_memo_folds_its_oldest_spec_again() {
+        let config = temp_config("memo-cap", 1);
+        let service = SweepService::start(&config).expect("start");
+        // Three-node trees: the specs are distinct but few of their sweeps
+        // are, so most submissions are hits and few sweeps run.
+        let spec = |seed| {
+            SweepSpec::new(
+                InstanceRef::FullBinaryTree { n: 3, seed },
+                AlgorithmRef::LeafDistance,
+            )
+        };
+        let first = service.submit(&spec(0)).expect("first");
+        for seed in 1..=MEMO_CAP as u64 {
+            service.submit(&spec(seed)).expect("submit");
+        }
+        assert_eq!(service.stats().memo_hits, 0);
+        let again = service.submit(&spec(0)).expect("again");
+        assert_eq!(service.stats().memo_hits, 0, "the oldest spec stayed");
+        assert_eq!(again.sweep_id, first.sweep_id);
+        assert_eq!(again.sweep_id, folded(&spec(0)));
+        // The newest spec is still remembered.
+        service.submit(&spec(MEMO_CAP as u64)).expect("newest");
+        assert_eq!(service.stats().memo_hits, 1);
+        drop(service);
+        let _ = std::fs::remove_dir_all(config.store_dir.parent().unwrap_or(&config.store_dir));
+    }
+
+    #[test]
+    fn an_evicted_memoized_spec_recomputes_its_bytes() {
+        let config = ServeConfig {
+            max_store_entries: Some(1),
+            ..temp_config("memo-evict", 1)
+        };
+        let service = SweepService::start(&config).expect("start");
+        let first = service.submit(&small_spec(10)).expect("first");
+        let first_bytes = service.wait_result(first.job, WAIT).expect("first result");
+        let second = service.submit(&small_spec(11)).expect("second");
+        service
+            .wait_result(second.job, WAIT)
+            .expect("second result");
+        let again = service.submit(&small_spec(10)).expect("again");
+        assert!(!again.cache_hit && !again.deduped);
+        assert_eq!(again.sweep_id, first.sweep_id);
+        let again_bytes = service.wait_result(again.job, WAIT).expect("recomputed");
+        assert_eq!(again_bytes, first_bytes);
+        let stats = service.shutdown();
+        assert_eq!((stats.memo_hits, stats.misses, stats.evictions), (1, 3, 2));
+        let _ = std::fs::remove_dir_all(config.store_dir.parent().unwrap_or(&config.store_dir));
+    }
+
+    #[test]
+    fn a_memoized_unstored_spec_submitted_twice_admits_one_job() {
+        let config = ServeConfig {
+            max_store_entries: Some(1),
+            ..temp_config("memo-dedup", 1)
+        };
+        let mut service = SweepService::start(&config).expect("start");
+        for seed in [12, 13] {
+            let sub = service.submit(&small_spec(seed)).expect("submit");
+            service.wait_result(sub.job, WAIT).expect("result");
+        }
+        // small_spec(12) is evicted but remembered.
+        stop_scheduler(&mut service);
+        let first = service.submit(&small_spec(12)).expect("first");
+        let second = service.submit(&small_spec(12)).expect("second");
+        assert!(!first.cache_hit && !first.deduped);
+        assert!(second.deduped);
+        assert_eq!(second.job, first.job);
+        let stats = service.stats();
+        assert_eq!((stats.misses, stats.deduped, stats.memo_hits), (3, 1, 2));
+        assert_eq!(service.shared.lock().queue, [first.job]);
+        drop(service);
+        let _ = std::fs::remove_dir_all(config.store_dir.parent().unwrap_or(&config.store_dir));
+    }
+
+    #[test]
+    fn a_recipe_the_generator_would_panic_on_is_refused() {
+        let config = temp_config("refused", 1);
+        let service = SweepService::start(&config).expect("start");
+        let cycle_two = SweepSpec::new(
+            InstanceRef::PseudoTree {
+                n: 10,
+                cycle: 2,
+                seed: 1,
+            },
+            AlgorithmRef::LeafDistance,
+        );
+        let refused = service.submit(&cycle_two);
+        assert!(
+            matches!(
+                refused,
+                Err(ServeError::Spec(SpecError::OutOfRange {
+                    field: "instance.cycle",
+                    value: 2,
+                    ..
+                }))
+            ),
+            "{refused:?}"
+        );
+        let huge = SweepSpec::new(
+            InstanceRef::FullBinaryTree {
+                n: MAX_NODES + 1,
+                seed: 1,
+            },
+            AlgorithmRef::LeafDistance,
+        );
+        let refused = service.submit(&huge);
+        assert!(
+            matches!(
+                refused,
+                Err(ServeError::Spec(SpecError::OutOfRange {
+                    field: "instance.n",
+                    ..
+                }))
+            ),
+            "{refused:?}"
+        );
+        // A refused spec enters neither the counters nor the memo.
+        assert!(service.shared.lock().memo.is_empty());
+        assert_eq!(service.shutdown().submissions, 0);
         let _ = std::fs::remove_dir_all(config.store_dir.parent().unwrap_or(&config.store_dir));
     }
 }

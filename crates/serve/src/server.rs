@@ -411,15 +411,35 @@ mod tests {
             "bad request: nesting deeper than {0} at byte {0}",
             vc_json::MAX_DEPTH
         );
+        // Specs that decode but cannot be built: `gen::pseudo_tree`
+        // asserts a cycle of at least 3, which unwound the daemon's one
+        // accept thread, and an unbounded `n` grows the daemon node by node.
+        let submit = |instance: &str| {
+            format!(
+                "{{\"op\":\"submit\",\"spec\":{{\"instance\":{instance},\
+                 \"algorithm\":{{\"name\":\"leaf-coloring/distance\"}}}}}}\n"
+            )
+            .into_bytes()
+        };
+        let cycle_two = submit(r#"{"kind":"pseudo-tree","n":10,"cycle":2,"seed":1}"#);
+        let huge = submit(r#"{"kind":"full-binary-tree","n":1048577,"seed":1}"#);
         for (bytes, error) in [
             (endless, "request line longer than 65536 bytes"),
             (not_utf8, "request line is not UTF-8"),
             (deep, too_deep.as_str()),
+            (
+                cycle_two,
+                "bad spec: instance.cycle = 2 is outside 3..=349525",
+            ),
+            (
+                huge,
+                "bad spec: instance.n = 1048577 is outside 0..=1048576",
+            ),
         ] {
             let response = raw_request(&socket, &bytes);
             // One error line, then the connection closes: after a line it
             // cannot frame, the daemon closes it and never answers the
-            // valid request behind; after the deep line, the client does.
+            // valid request behind; after the other lines, the client does.
             assert_eq!(response.lines().count(), 1, "{response}");
             let doc = vc_json::parse(&response).expect("error parses");
             assert_eq!(doc.get("ok").and_then(Value::as_bool), Some(false));

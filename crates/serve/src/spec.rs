@@ -8,7 +8,8 @@
 //! run configuration fields that [`vc_model::run::RunConfig`] folds into
 //! the sweep identity. [`Priority`] is deliberately *excluded* from the
 //! identity: the same sweep submitted interactively must hit the cache
-//! entry a batch run produced.
+//! entry a batch run produced. [`InstanceRef::check`] bounds a recipe
+//! before anything is built from it.
 
 use std::fmt;
 use std::path::Path;
@@ -45,12 +46,45 @@ pub enum InstanceRef {
     },
 }
 
+/// The most nodes a spec may make the service build: 16× the largest
+/// spec any test, drill or benchmark submits (65,535). The generators grow
+/// node by node up to their target, so without a bound one request line
+/// could grow the daemon until the host runs out of memory.
+pub const MAX_NODES: usize = 1 << 20;
+
 impl InstanceRef {
-    /// Builds the referenced instance.
+    /// Builds the referenced instance. A recipe [`InstanceRef::check`]
+    /// refuses may panic or exhaust memory.
     pub fn build(&self) -> Instance {
         match *self {
             InstanceRef::FullBinaryTree { n, seed } => gen::random_full_binary_tree(n, seed),
             InstanceRef::PseudoTree { n, cycle, seed } => gen::pseudo_tree(n, cycle, seed),
+        }
+    }
+
+    /// Refuses a recipe that [`InstanceRef::build`] would panic on or
+    /// grow past [`MAX_NODES`]: a pseudo-tree cycle shorter than 3, an `n`
+    /// above the bound, or a cycle longer than a third of it (a
+    /// pseudo-tree grows to at least `3·cycle` nodes).
+    pub fn check(&self) -> Result<(), SpecError> {
+        let within = |field: &'static str, value: usize, min: usize, max: usize| {
+            if (min..=max).contains(&value) {
+                Ok(())
+            } else {
+                Err(SpecError::OutOfRange {
+                    field,
+                    value,
+                    min,
+                    max,
+                })
+            }
+        };
+        match *self {
+            InstanceRef::FullBinaryTree { n, .. } => within("instance.n", n, 0, MAX_NODES),
+            InstanceRef::PseudoTree { n, cycle, .. } => {
+                within("instance.n", n, 0, MAX_NODES)?;
+                within("instance.cycle", cycle, 3, MAX_NODES / 3)
+            }
         }
     }
 }
@@ -352,6 +386,18 @@ pub enum SpecError {
     UnknownAlgorithm(String),
     /// The instance kind is not in the registry.
     UnknownInstance(String),
+    /// A size field lies outside what the service builds
+    /// ([`InstanceRef::check`]).
+    OutOfRange {
+        /// The field's wire name, e.g. `instance.cycle`.
+        field: &'static str,
+        /// The value the spec carries.
+        value: usize,
+        /// The least value accepted.
+        min: usize,
+        /// The greatest value accepted.
+        max: usize,
+    },
 }
 
 impl fmt::Display for SpecError {
@@ -360,6 +406,12 @@ impl fmt::Display for SpecError {
             SpecError::Malformed(what) => write!(f, "malformed spec field: {what}"),
             SpecError::UnknownAlgorithm(name) => write!(f, "unknown algorithm: {name}"),
             SpecError::UnknownInstance(kind) => write!(f, "unknown instance kind: {kind}"),
+            SpecError::OutOfRange {
+                field,
+                value,
+                min,
+                max,
+            } => write!(f, "{field} = {value} is outside {min}..={max}"),
         }
     }
 }
@@ -369,6 +421,18 @@ impl std::error::Error for SpecError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The wire form of the three specs `wire_form_round_trips` encodes.
+    const WIRE: &str = r#"{"instance":{"kind":"full-binary-tree","n":255,"seed":3},"algorithm":{"name":"leaf-coloring/rw-to-leaf","step_factor":16},"tape_seed":11,"max_volume":500,"exact_distance":true,"starts":{"count":64,"seed":9},"priority":"interactive"}
+{"instance":{"kind":"pseudo-tree","n":100,"cycle":8,"seed":1},"algorithm":{"name":"leaf-coloring/distance"},"exact_distance":true,"starts":"all","priority":"batch"}
+{"instance":{"kind":"pseudo-tree","n":100,"cycle":8,"seed":1},"algorithm":{"name":"leaf-coloring/distance"},"max_distance":7,"max_queries":9,"exact_distance":false,"starts":"all","priority":"batch"}"#;
+
+    /// Specs that decode but that [`InstanceRef::check`] refuses: a cycle
+    /// `gen::pseudo_tree` asserts against, and a node count past the bound.
+    const REFUSED: [&str; 2] = [
+        r#"{"instance":{"kind":"pseudo-tree","n":10,"cycle":2,"seed":1},"algorithm":{"name":"leaf-coloring/distance"}}"#,
+        r#"{"instance":{"kind":"full-binary-tree","n":1048577,"seed":1},"algorithm":{"name":"leaf-coloring/distance"}}"#,
+    ];
 
     fn sample_spec() -> SweepSpec {
         SweepSpec {
@@ -401,10 +465,7 @@ mod tests {
         };
         let specs = [sample_spec(), pseudo, budgeted];
         let lines = specs.map(|spec| spec.to_json_line());
-        let wire = r#"{"instance":{"kind":"full-binary-tree","n":255,"seed":3},"algorithm":{"name":"leaf-coloring/rw-to-leaf","step_factor":16},"tape_seed":11,"max_volume":500,"exact_distance":true,"starts":{"count":64,"seed":9},"priority":"interactive"}
-{"instance":{"kind":"pseudo-tree","n":100,"cycle":8,"seed":1},"algorithm":{"name":"leaf-coloring/distance"},"exact_distance":true,"starts":"all","priority":"batch"}
-{"instance":{"kind":"pseudo-tree","n":100,"cycle":8,"seed":1},"algorithm":{"name":"leaf-coloring/distance"},"max_distance":7,"max_queries":9,"exact_distance":false,"starts":"all","priority":"batch"}"#;
-        assert_eq!(lines.join("\n"), wire);
+        assert_eq!(lines.join("\n"), WIRE);
         for (spec, line) in specs.into_iter().zip(&lines) {
             let parsed = vc_json::parse(line).expect("wire form parses");
             assert_eq!(SweepSpec::from_json(&parsed), Ok(spec));
@@ -487,5 +548,123 @@ mod tests {
         assert_eq!(spec.starts, StartSelection::All);
         assert_eq!(spec.exact_distance, RunConfig::default().exact_distance);
         assert_eq!(spec.tape_seed, None);
+    }
+
+    #[test]
+    fn recipes_the_generators_cannot_build_are_refused() {
+        let out_of_range = |field, value, min, max| {
+            Err(SpecError::OutOfRange {
+                field,
+                value,
+                min,
+                max,
+            })
+        };
+        let cycle = |n, cycle| InstanceRef::PseudoTree { n, cycle, seed: 1 };
+        let tree = |n| InstanceRef::FullBinaryTree { n, seed: 1 };
+        let max_cycle = MAX_NODES / 3;
+        for (recipe, want) in [
+            (
+                cycle(10, 2),
+                out_of_range("instance.cycle", 2, 3, max_cycle),
+            ),
+            (
+                cycle(10, 0),
+                out_of_range("instance.cycle", 0, 3, max_cycle),
+            ),
+            (
+                cycle(10, max_cycle + 1),
+                out_of_range("instance.cycle", max_cycle + 1, 3, max_cycle),
+            ),
+            (
+                cycle(MAX_NODES + 1, 3),
+                out_of_range("instance.n", MAX_NODES + 1, 0, MAX_NODES),
+            ),
+            (
+                tree(MAX_NODES + 1),
+                out_of_range("instance.n", MAX_NODES + 1, 0, MAX_NODES),
+            ),
+            (tree(MAX_NODES), Ok(())),
+            (cycle(MAX_NODES, max_cycle), Ok(())),
+            (cycle(0, 3), Ok(())),
+        ] {
+            assert_eq!(recipe.check(), want, "{recipe:?}");
+        }
+        assert_eq!(
+            cycle(10, 2).check().map_err(|e| e.to_string()),
+            Err("instance.cycle = 2 is outside 3..=349525".to_string())
+        );
+        for line in REFUSED {
+            let spec =
+                SweepSpec::from_json(&vc_json::parse(line).expect("parses")).expect("decodes");
+            assert!(spec.instance.check().is_err(), "{line}");
+        }
+    }
+
+    /// Seeded truncations, bit flips and splices of the wire lines above
+    /// and of the two refused specs. Each mutant is refused with a typed
+    /// error by the parser, the decoder or [`InstanceRef::check`], or it
+    /// decodes to a spec in bounds; such a spec of at most 4,095 nodes is
+    /// built. Nothing panics.
+    #[test]
+    fn mutated_spec_lines_are_refused_or_build() {
+        let lines: Vec<&str> = WIRE.lines().chain(REFUSED).collect();
+        let mut state = 0x5eed_0028_u64;
+        let mut below = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            usize::try_from(state % n as u64).expect("below a usize")
+        };
+        let (mut unparsed, mut undecoded, mut unchecked, mut built) = (0, 0, 0, 0);
+        for i in 0..2_000 {
+            let mut m = lines[i % lines.len()].as_bytes().to_vec();
+            match below(3) {
+                0 => m.truncate(below(m.len())),
+                1 => {
+                    // The lines are ASCII; flipping one of the low seven
+                    // bits keeps them so, as the daemon refuses a line that
+                    // is not UTF-8 before any decoder sees it.
+                    let at = below(m.len());
+                    m[at] ^= 1 << below(7);
+                }
+                _ => {
+                    let from = below(m.len());
+                    let to = (from + 1 + below(24)).min(m.len());
+                    let slice = m[from..to].to_vec();
+                    let at = below(m.len() + 1);
+                    m.splice(at..at, slice);
+                }
+            }
+            let m = String::from_utf8(m).expect("ASCII mutations stay UTF-8");
+            let Ok(value) = vc_json::parse(&m) else {
+                unparsed += 1;
+                continue;
+            };
+            let Ok(spec) = SweepSpec::from_json(&value) else {
+                undecoded += 1;
+                continue;
+            };
+            if spec.instance.check().is_err() {
+                unchecked += 1;
+                continue;
+            }
+            let nodes = match spec.instance {
+                InstanceRef::FullBinaryTree { n, .. } => n,
+                InstanceRef::PseudoTree { n, cycle, .. } => n.max(3 * cycle),
+            };
+            if nodes <= 4_095 {
+                spec.instance.build();
+                built += 1;
+            }
+        }
+        for (count, what) in [
+            (unparsed, "unparsed"),
+            (undecoded, "undecoded"),
+            (unchecked, "out of range"),
+            (built, "built"),
+        ] {
+            assert!(count > 0, "no mutant {what}");
+        }
     }
 }

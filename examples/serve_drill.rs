@@ -23,10 +23,12 @@
 //!    uninterrupted run of the same spec — and identical across all
 //!    three thread counts.
 //!
-//! A FIFO-eviction drill (entry cap 1) and a wire-protocol round trip
-//! over the Unix socket run once at the end. The last service's
-//! `vc-serve-report/v1` document lands in
-//! `target/serve/SERVE_report.json` for CI to `check-json` and upload.
+//! Each point's `vc-serve-report/v1` document must count one hit, one
+//! dedup and two memo hits (the warm hit and the duplicate resolve their
+//! identity from the spec memo). A FIFO-eviction drill (entry cap 1) and
+//! a wire-protocol round trip over the Unix socket run once at the end.
+//! The last point's report lands in `target/serve/SERVE_report.json`,
+//! read back and checked again, for CI to `check-json` and upload.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -187,16 +189,38 @@ fn drill_at(threads: usize) -> (String, String) {
     );
     reference.shutdown();
 
-    // Keep the last matrix point's service alive long enough to emit
-    // the report document; earlier points just shut down.
+    // The report's counters, from the document itself: one warm hit and
+    // one in-flight duplicate, each resolved from the spec memo. The last
+    // matrix point's report is also written out and read back.
     let report = service.report_json();
-    vc_json::validate(&report).expect("report is valid JSON");
+    assert_report_counts(&report, &tag);
     if threads == THREAD_MATRIX[THREAD_MATRIX.len() - 1] {
-        std::fs::write("target/serve/SERVE_report.json", format!("{report}\n"))
-            .expect("write SERVE_report.json");
+        std::fs::write(REPORT_PATH, format!("{report}\n")).expect("write SERVE_report.json");
+        let written = std::fs::read_to_string(REPORT_PATH).expect("read SERVE_report.json");
+        assert_report_counts(&written, REPORT_PATH);
     }
     service.shutdown();
     (cold_bytes, victim_bytes)
+}
+
+/// Where the last matrix point's `vc-serve-report/v1` document lands.
+const REPORT_PATH: &str = "target/serve/SERVE_report.json";
+
+/// Asserts the drill's counts in a `vc-serve-report/v1` document: the
+/// warm hit, the in-flight duplicate, and the two memo hits they were.
+fn assert_report_counts(report: &str, what: &str) {
+    let doc = vc_json::parse(report).expect("report is valid JSON");
+    assert_eq!(
+        doc.get("schema").and_then(Value::as_str),
+        Some(REPORT_SCHEMA)
+    );
+    for (key, want) in [("hits", 1), ("deduped", 1), ("memo_hits", 2), ("failed", 0)] {
+        assert_eq!(
+            doc.get(key).and_then(Value::as_u64),
+            Some(want),
+            "{what}: {key}"
+        );
+    }
 }
 
 fn eviction_drill() {
@@ -214,7 +238,7 @@ fn eviction_drill() {
         AlgorithmRef::LeafDistance,
     );
     let a = service.submit(&first).expect("submit first");
-    service.wait_result(a.job, WAIT).expect("first result");
+    let first_bytes = service.wait_result(a.job, WAIT).expect("first result");
     let b = service.submit(&second).expect("submit second");
     service.wait_result(b.job, WAIT).expect("second result");
     let stats = service.stats();
@@ -225,9 +249,21 @@ fn eviction_drill() {
         !again.cache_hit,
         "an evicted result must be recomputed, not served"
     );
-    service.wait_result(again.job, WAIT).expect("recomputed");
+    let recomputed = service.wait_result(again.job, WAIT).expect("recomputed");
+    assert_eq!(
+        recomputed, first_bytes,
+        "the recomputed entry must be byte-identical to the first run"
+    );
+    assert_eq!(
+        service.stats().memo_hits,
+        1,
+        "the resubmission must reuse the memoized identity"
+    );
     service.shutdown();
-    println!("eviction drill OK: FIFO cap enforced, eviction counted, evicted entry recomputed");
+    println!(
+        "eviction drill OK: FIFO cap enforced, eviction counted, evicted entry recomputed \
+         byte-identical on its memoized identity"
+    );
 }
 
 fn protocol_drill() {
@@ -305,5 +341,5 @@ fn main() {
 
     eviction_drill();
     protocol_drill();
-    println!("serve drill OK: report at target/serve/SERVE_report.json");
+    println!("serve drill OK: report at {REPORT_PATH}");
 }
