@@ -124,8 +124,16 @@ impl TreeGrower {
         (lc, rc)
     }
 
-    fn finish(self) -> Instance {
-        Instance::new(self.b.build().unwrap(), self.labels)
+    /// Gives the nodes a random permutation of `1..=n` as identifiers,
+    /// drawn last from `rng`, and builds the instance once.
+    fn finish(mut self, rng: &mut StdRng) -> Instance {
+        let mut ids: Vec<u64> = (1..=self.labels.len() as u64).collect();
+        ids.shuffle(rng);
+        for (v, id) in ids.into_iter().enumerate() {
+            self.b.set_id(v, id);
+        }
+        let graph = self.b.build().expect("a grown tree is a valid graph");
+        Instance::new(graph, self.labels)
     }
 }
 
@@ -146,9 +154,7 @@ pub fn random_full_binary_tree(n_target: usize, seed: u64) -> Instance {
         frontier.push(lc);
         frontier.push(rc);
     }
-    let mut inst = t.finish();
-    shuffle_ids(&mut inst, &mut rng);
-    inst
+    t.finish(&mut rng)
 }
 
 /// A LeafColoring input whose `G_T` contains exactly one directed cycle of
@@ -191,27 +197,7 @@ pub fn pseudo_tree(n_target: usize, cycle_len: usize, seed: u64) -> Instance {
         frontier.push(lc);
         frontier.push(rc);
     }
-    let mut inst = t.finish();
-    shuffle_ids(&mut inst, &mut rng);
-    inst
-}
-
-fn shuffle_ids(inst: &mut Instance, rng: &mut StdRng) {
-    let n = inst.n();
-    let mut ids: Vec<u64> = (1..=n as u64).collect();
-    ids.shuffle(rng);
-    // Rebuild the graph with permuted ids by editing through a builder —
-    // Graph ids are immutable, so we reconstruct.
-    let mut b = GraphBuilder::new();
-    for &id in &ids {
-        b.add_node_with_id(id);
-    }
-    for (v, w) in inst.graph.edges().collect::<Vec<_>>() {
-        let pv = inst.graph.port_to(v, w).unwrap();
-        let pw = inst.graph.port_to(w, v).unwrap();
-        b.connect(v, pv.number(), w, pw.number()).unwrap();
-    }
-    inst.graph = b.build().unwrap();
+    t.finish(&mut rng)
 }
 
 /// Locations of the special rows of a balanced-tree construction (§4).
@@ -231,17 +217,9 @@ pub struct BalancedTreeMeta {
 /// for all rows above the leaves. The caller decides leaf-row LN/RN labels.
 fn balanced_skeleton(depth: u32) -> (Instance, BalancedTreeMeta) {
     let inst = complete_binary_tree(depth, Color::R, Color::R);
-    let n = inst.n();
     let mut b = GraphBuilder::new();
-    for v in 0..n {
-        b.add_node_with_id(inst.graph.id(v));
-    }
-    for (v, w) in inst.graph.edges().collect::<Vec<_>>() {
-        let pv = inst.graph.port_to(v, w).unwrap();
-        let pw = inst.graph.port_to(w, v).unwrap();
-        b.connect(v, pv.number(), w, pw.number()).unwrap();
-    }
-    let mut labels = inst.labels.clone();
+    b.append(&inst.graph, 0);
+    let mut labels = inst.labels;
     // Add lateral edges row by row, left to right.
     for d in 1..=depth {
         let first = (1usize << d) - 1;
@@ -256,7 +234,7 @@ fn balanced_skeleton(depth: u32) -> (Instance, BalancedTreeMeta) {
             }
         }
     }
-    let graph = b.build().unwrap();
+    let graph = b.build().expect("lateral edges take free ports");
     let meta = BalancedTreeMeta {
         root: 0,
         penultimate: if depth == 0 {
@@ -327,15 +305,8 @@ pub fn unbalanced_tree(depth: u32) -> (Instance, BalancedTreeMeta) {
     let (inst, meta) = balanced_tree_compatible(depth);
     let n = inst.n();
     let mut b = GraphBuilder::new();
-    for v in 0..n {
-        b.add_node_with_id(inst.graph.id(v));
-    }
-    for (v, w) in inst.graph.edges().collect::<Vec<_>>() {
-        let pv = inst.graph.port_to(v, w).unwrap();
-        let pw = inst.graph.port_to(w, v).unwrap();
-        b.connect(v, pv.number(), w, pw.number()).unwrap();
-    }
-    let mut labels = inst.labels.clone();
+    b.append(&inst.graph, 0);
+    let mut labels = inst.labels;
     // Expand the leftmost leaf into an internal node with two children.
     let host = meta.leaves[0];
     let lc = b.add_node_with_id(n as u64 + 1);
@@ -351,7 +322,8 @@ pub fn unbalanced_tree(depth: u32) -> (Instance, BalancedTreeMeta) {
     let (pl, pr) = b.connect_auto(lc, rc).unwrap();
     labels[lc].right_nbr = Some(pl);
     labels[rc].left_nbr = Some(pr);
-    (Instance::new(b.build().unwrap(), labels), meta)
+    let graph = b.build().expect("the grafted leaves take free ports");
+    (Instance::new(graph, labels), meta)
 }
 
 /// Parameters for [`hierarchical`] instances.
@@ -391,9 +363,7 @@ fn leveled(k: u32, len: usize, cycle: bool, seed: u64, mut base: Option<Base<'_>
     let mut rng = StdRng::seed_from_u64(seed);
     let mut t = TreeGrower::new();
     leveled_component(&mut t, k, len, cycle, &mut rng, &mut base);
-    let mut inst = t.finish();
-    shuffle_ids(&mut inst, &mut rng);
-    inst
+    t.finish(&mut rng)
 }
 
 /// Builds one level-`level` component of [`leveled`]; returns its root
@@ -487,20 +457,14 @@ pub fn hybrid(params: HybridParams) -> Instance {
 /// root. All grafted nodes carry `level = 1`.
 fn graft_balanced_tree(t: &mut TreeGrower, depth: u32, rng: &mut StdRng) -> NodeIdx {
     let (bt, _) = balanced_tree_compatible(depth);
-    let offset = t.labels.len();
-    for v in 0..bt.n() {
-        let idx = t.add_node(random_color(rng));
-        debug_assert_eq!(idx, offset + v);
-        let mut l = bt.labels[v];
-        l.color = t.labels[idx].color;
-        l.level = Some(1);
-        t.labels[idx] = l;
-    }
-    for (v, w) in bt.graph.edges().collect::<Vec<_>>() {
-        let pv = bt.graph.port_to(v, w).unwrap();
-        let pw = bt.graph.port_to(w, v).unwrap();
-        t.b.connect(offset + v, pv.number(), offset + w, pw.number())
-            .unwrap();
+    let offset = t.b.append(&bt.graph, t.labels.len() as u64);
+    for &l in &bt.labels {
+        let color = Some(random_color(rng));
+        t.labels.push(NodeLabel {
+            color,
+            level: Some(1),
+            ..l
+        });
     }
     // The BT root's parent port will be assigned by the caller through
     // `connect_auto`; it lands on the next free port of the root, which we
@@ -553,21 +517,12 @@ pub fn hh(k: u32, l: u32, n_target: usize, seed: u64) -> Instance {
     let mut b = GraphBuilder::new();
     let mut labels = Vec::new();
     for (part, bit, id_base) in [(&hier, false, 0u64), (&hyb, true, hier.n() as u64)] {
-        let offset = labels.len();
-        for v in 0..part.n() {
-            b.add_node_with_id(id_base + part.graph.id(v));
-            let mut lab = part.labels[v];
-            lab.bit = Some(bit);
-            labels.push(lab);
-        }
-        for (v, w) in part.graph.edges().collect::<Vec<_>>() {
-            let pv = part.graph.port_to(v, w).unwrap();
-            let pw = part.graph.port_to(w, v).unwrap();
-            b.connect(offset + v, pv.number(), offset + w, pw.number())
-                .unwrap();
-        }
+        b.append(&part.graph, id_base);
+        let bit = Some(bit);
+        labels.extend(part.labels.iter().map(|&lab| NodeLabel { bit, ..lab }));
     }
-    Instance::new(b.build().unwrap(), labels)
+    let graph = b.build().expect("two disjoint valid graphs form one");
+    Instance::new(graph, labels)
 }
 
 /// A consistently port-numbered directed cycle on `n ≥ 3` nodes: port 1
@@ -625,20 +580,9 @@ pub fn two_tree_gadget(depth: u32, bits: &[bool]) -> (Instance, GadgetMeta) {
     let mut b = GraphBuilder::new();
     let mut labels = Vec::new();
     for (side, id_base) in [(false, 0u64), (true, tn as u64)] {
-        let offset = labels.len();
-        for v in 0..tn {
-            b.add_node_with_id(id_base + tree.graph.id(v));
-            let mut l = tree.labels[v];
-            l.color = None;
-            l.bit = Some(side);
-            labels.push(l);
-        }
-        for (v, w) in tree.graph.edges().collect::<Vec<_>>() {
-            let pv = tree.graph.port_to(v, w).unwrap();
-            let pw = tree.graph.port_to(w, v).unwrap();
-            b.connect(offset + v, pv.number(), offset + w, pw.number())
-                .unwrap();
-        }
+        b.append(&tree.graph, id_base);
+        let (color, bit) = (None, Some(side));
+        labels.extend(tree.labels.iter().map(|&l| NodeLabel { color, bit, ..l }));
     }
     // Join the roots; each root's next free port is 3 (children use 1, 2).
     let (pu, pv) = b.connect_auto(0, tn).unwrap();
@@ -659,7 +603,8 @@ pub fn two_tree_gadget(depth: u32, bits: &[bool]) -> (Instance, GadgetMeta) {
         u_leaves,
         v_leaves,
     };
-    (Instance::new(b.build().unwrap(), labels), meta)
+    let graph = b.build().expect("the root edge takes free ports");
+    (Instance::new(graph, labels), meta)
 }
 
 #[cfg(test)]

@@ -3,8 +3,7 @@
 use crate::label::Port;
 use crate::NodeIdx;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, HashSet, VecDeque};
 use std::error::Error;
 use std::fmt;
 
@@ -249,15 +248,6 @@ impl Graph {
         self.row(v).iter().map(|&w| w as NodeIdx)
     }
 
-    /// Iterates over all undirected edges `(v, w)` with `v < w`.
-    pub fn edges(&self) -> impl Iterator<Item = (NodeIdx, NodeIdx)> + '_ {
-        (0..self.n()).flat_map(move |v| {
-            self.row(v)
-                .iter()
-                .filter_map(move |&w| (v < w as usize).then_some((v, w as usize)))
-        })
-    }
-
     /// Number of undirected edges.
     pub fn m(&self) -> usize {
         self.neighbors.len() / 2
@@ -331,11 +321,23 @@ impl Graph {
         {
             return Err(GraphError::MalformedCsr);
         }
-        let mut seen = HashSet::with_capacity(self.n());
-        for &id in &self.ids {
-            if !seen.insert(id) {
-                return Err(GraphError::DuplicateId { id });
-            }
+        // Generated ids are 1..=n, which an n-bit bitmap checks; a stored
+        // file's ids are outside input, so any others keep the default-hashed
+        // set.
+        let repeat = if self.ids.iter().all(|id| (1..=n as u64).contains(id)) {
+            let mut seen = vec![0u64; n.div_ceil(64)];
+            self.ids.iter().find(|&&id| {
+                let (word, bit) = ((id - 1) as usize / 64, 1 << ((id - 1) % 64));
+                let repeated = seen[word] & bit != 0;
+                seen[word] |= bit;
+                repeated
+            })
+        } else {
+            let mut seen = HashSet::with_capacity(n);
+            self.ids.iter().find(|&&id| !seen.insert(id))
+        };
+        if let Some(&id) = repeat {
+            return Err(GraphError::DuplicateId { id });
         }
         for v in 0..n {
             for (i, &w) in self.row(v).iter().enumerate() {
@@ -388,10 +390,15 @@ impl Graph {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct GraphBuilder {
-    /// Per node: `(port number, neighbor, reverse port)` triples, unsorted.
-    /// The reverse port is recorded at `connect` time so the built CSR's
-    /// mirror-port array needs no quadratic reconstruction scan.
-    ports: Vec<Vec<(u8, u32, u8)>>,
+    /// One `(v, p(v, w), w, p(w, v))` per edge, in connect order; `build`
+    /// writes its two half-edges straight to their CSR slots.
+    edges: Vec<(u32, u8, u32, u8)>,
+    /// Ports taken per node.
+    degrees: Vec<u32>,
+    /// Per node, bit `p` is set when port `p < 64` is taken.
+    low_ports: Vec<u64>,
+    /// Taken ports `p ≥ 64`, as `(node, p)`: no generator goes that high.
+    high_ports: BTreeSet<(NodeIdx, u8)>,
     ids: Vec<u64>,
 }
 
@@ -413,13 +420,14 @@ impl GraphBuilder {
 
     /// Number of nodes added so far.
     pub fn n(&self) -> usize {
-        self.ports.len()
+        self.ids.len()
     }
 
     /// Adds a node with default identifier `index + 1`; returns its index.
     pub fn add_node(&mut self) -> NodeIdx {
-        let idx = self.ports.len();
-        self.ports.push(Vec::new());
+        let idx = self.ids.len();
+        self.degrees.push(0);
+        self.low_ports.push(0);
         self.ids.push(idx as u64 + 1);
         idx
     }
@@ -436,16 +444,54 @@ impl GraphBuilder {
         self.ids[v] = id;
     }
 
+    /// Appends a copy of `g` — its nodes with identifiers raised by
+    /// `id_offset`, and its edges at their ports — and returns the index
+    /// of its first node.
+    pub fn append(&mut self, g: &Graph, id_offset: u64) -> NodeIdx {
+        let base = self.n();
+        for v in 0..g.n() {
+            let u = self.add_node_with_id(g.id(v) + id_offset);
+            let row = g.offsets[v] as usize..g.offsets[v + 1] as usize;
+            for (i, slot) in row.enumerate() {
+                let p = Port::from_index(i).number();
+                self.take_port(u, p);
+                let w = g.neighbors[slot] as usize;
+                if v < w {
+                    self.edges
+                        .push((u as u32, p, (base + w) as u32, g.ports[slot]));
+                }
+            }
+        }
+        base
+    }
+
     /// Degree of `v` as currently built.
     pub fn degree(&self, v: NodeIdx) -> usize {
-        self.ports[v].len()
+        self.degrees[v] as usize
     }
 
     /// The smallest unused port number at `v` (1-based).
     pub fn next_free_port(&self, v: NodeIdx) -> u8 {
         (1..=255u8)
-            .find(|p| !self.ports[v].iter().any(|&(q, _, _)| q == *p))
+            .find(|&p| !self.port_taken(v, p))
             .expect("more than 254 ports on one node")
+    }
+
+    fn port_taken(&self, v: NodeIdx, p: u8) -> bool {
+        if p < 64 {
+            self.low_ports[v] >> p & 1 == 1
+        } else {
+            self.high_ports.contains(&(v, p))
+        }
+    }
+
+    fn take_port(&mut self, v: NodeIdx, p: u8) {
+        if p < 64 {
+            self.low_ports[v] |= 1 << p;
+        } else {
+            self.high_ports.insert((v, p));
+        }
+        self.degrees[v] += 1;
     }
 
     /// Connects `u` (through port `pu`) to `v` (through port `pv`).
@@ -464,20 +510,17 @@ impl GraphBuilder {
         if u == v {
             return Err(GraphError::SelfLoop { node: u });
         }
-        if self.ports[u].iter().any(|&(p, _, _)| p == pu) {
-            return Err(GraphError::PortInUse {
-                node: u,
-                port: Port::new(pu),
-            });
+        for (node, p) in [(u, pu), (v, pv)] {
+            if self.port_taken(node, p) {
+                return Err(GraphError::PortInUse {
+                    node,
+                    port: Port::new(p),
+                });
+            }
         }
-        if self.ports[v].iter().any(|&(p, _, _)| p == pv) {
-            return Err(GraphError::PortInUse {
-                node: v,
-                port: Port::new(pv),
-            });
-        }
-        self.ports[u].push((pu, v as u32, pv));
-        self.ports[v].push((pv, u as u32, pu));
+        self.take_port(u, pu);
+        self.take_port(v, pv);
+        self.edges.push((u as u32, pu, v as u32, pv));
         Ok(())
     }
 
@@ -507,21 +550,31 @@ impl GraphBuilder {
     ///
     /// Returns the first violated structural constraint.
     pub fn build(self) -> Result<Graph, GraphError> {
-        let slots: usize = self.ports.iter().map(Vec::len).sum();
-        let mut offsets = Vec::with_capacity(self.ports.len() + 1);
-        let mut neighbors = Vec::with_capacity(slots);
-        let mut ports = Vec::with_capacity(slots);
-        offsets.push(0u32);
-        for (v, mut row) in self.ports.into_iter().enumerate() {
-            row.sort_unstable_by_key(|&(p, _, _)| p);
-            for (i, &(p, w, back)) in row.iter().enumerate() {
-                if usize::from(p) != i + 1 {
-                    return Err(GraphError::PortsNotContiguous { node: v });
+        let mut offsets = Vec::with_capacity(self.degrees.len() + 1);
+        let mut end = 0u32;
+        offsets.push(end);
+        for &d in &self.degrees {
+            end += d;
+            offsets.push(end);
+        }
+        let (mut neighbors, mut ports) = (vec![0u32; end as usize], vec![0u8; end as usize]);
+        // A node's ports are distinct, so they are exactly 1..=deg(v) when
+        // none is 0 or above deg(v); each half-edge then has its own slot.
+        let mut gap = None::<NodeIdx>;
+        for &(v, p, w, q) in &self.edges {
+            for (a, pa, b, pb) in [(v, p, w, q), (w, q, v, p)] {
+                let a = a as usize;
+                if pa == 0 || u32::from(pa) > self.degrees[a] {
+                    gap = Some(gap.map_or(a, |g| g.min(a)));
+                    continue;
                 }
-                neighbors.push(w);
-                ports.push(back);
+                let slot = offsets[a] as usize + usize::from(pa) - 1;
+                neighbors[slot] = b;
+                ports[slot] = pb;
             }
-            offsets.push(neighbors.len() as u32);
+        }
+        if let Some(node) = gap {
+            return Err(GraphError::PortsNotContiguous { node });
         }
         let g = Graph {
             offsets,
@@ -619,11 +672,45 @@ mod tests {
     }
 
     #[test]
+    fn ports_past_the_low_word_are_exact() {
+        // Node 0 takes 70 neighbours: ports 64..=70 lie past its 64-bit word.
+        let mut b = GraphBuilder::with_nodes(71);
+        for w in 1..=70 {
+            let ports = b.connect_auto(0, w).unwrap();
+            assert_eq!(ports, (Port::from_index(w - 1), Port::new(1)));
+        }
+        assert_eq!(
+            b.connect(0, 66, 1, 2).unwrap_err(),
+            GraphError::PortInUse {
+                node: 0,
+                port: Port::new(66)
+            }
+        );
+        let g = b.build().unwrap();
+        assert!(g.neighbors(0).eq(1..=70));
+        assert_eq!(g.reverse_port(0, Port::new(70)), Some(Port::new(1)));
+    }
+
+    #[test]
     fn non_contiguous_ports_rejected() {
-        let mut b = GraphBuilder::with_nodes(2);
-        b.connect(0, 2, 1, 1).unwrap();
-        let err = b.build().unwrap_err();
-        assert_eq!(err, GraphError::PortsNotContiguous { node: 0 });
+        let mut skip = GraphBuilder::with_nodes(2);
+        skip.connect(0, 2, 1, 1).unwrap();
+        // Each of the next two gaps is at node 3, then at node 1: the lowest
+        // node is named, not the first connected.
+        let mut zero = GraphBuilder::with_nodes(4);
+        zero.connect(3, 0, 0, 1).unwrap();
+        zero.connect(1, 0, 2, 1).unwrap();
+        let mut high = GraphBuilder::with_nodes(4 + 65);
+        for hub in [3, 1] {
+            for (leaf, p) in (4..).zip((1..=64).chain([66])) {
+                let q = high.next_free_port(leaf);
+                high.connect(hub, p, leaf, q).unwrap();
+            }
+        }
+        for (b, node) in [(skip, 0), (zero, 1), (high, 1)] {
+            let err = b.build().unwrap_err();
+            assert_eq!(err, GraphError::PortsNotContiguous { node });
+        }
     }
 
     #[test]
@@ -638,9 +725,19 @@ mod tests {
 
     #[test]
     fn duplicate_ids_rejected() {
-        let mut b = GraphBuilder::with_nodes(2);
-        b.set_id(1, 1); // same as node 0's default id
-        assert_eq!(b.build().unwrap_err(), GraphError::DuplicateId { id: 1 });
+        // The first repeat in node order is named, with every id in 1..=n
+        // (the bitmap) and with one above n (the hashed set).
+        for (ids, id) in [(&[1, 1][..], 1), (&[2, 3, 3, 2], 3), (&[2, 9, 9, 2], 9)] {
+            let mut b = GraphBuilder::new();
+            for &id in ids {
+                b.add_node_with_id(id);
+            }
+            assert_eq!(b.build().unwrap_err(), GraphError::DuplicateId { id });
+        }
+        let mut b = GraphBuilder::new();
+        b.add_node_with_id(9);
+        b.add_node_with_id(2);
+        assert!(b.build().is_ok());
     }
 
     #[test]
@@ -651,13 +748,6 @@ mod tests {
             GraphError::NoSuchNode(7)
         );
         assert!(b.connect_auto(5, 0).is_err());
-    }
-
-    #[test]
-    fn edges_iterator_counts_each_once() {
-        let g = path(4);
-        let edges: Vec<_> = g.edges().collect();
-        assert_eq!(edges, vec![(0, 1), (1, 2), (2, 3)]);
     }
 
     #[test]

@@ -35,7 +35,9 @@
 //! socket ([`server`]) exposes submit / poll / result / stats /
 //! shutdown, and [`SweepService::report_json`] emits a
 //! `vc-serve-report/v1` stats document (hits, misses, evictions,
-//! preemptions, queue depths). Scheduling transitions are published as
+//! preemptions, queue depths, and the job table: every live job and the
+//! last [`MAX_FINISHED_JOBS`] finished ones, past which a job id is
+//! unknown). Scheduling transitions are published as
 //! [`vc_trace::TraceEvent`]s (`JobAdmitted`, `CacheHit`, `JobPreempted`,
 //! `JobResumed`).
 
@@ -49,7 +51,7 @@ pub mod store;
 
 pub use scheduler::{
     JobState, JobStatus, ServeConfig, ServeError, ServeStats, Submission, SweepService,
-    REPORT_SCHEMA,
+    MAX_FINISHED_JOBS, REPORT_SCHEMA,
 };
 pub use server::{request, ServeDaemon};
 pub use spec::{AlgorithmRef, InstanceRef, Priority, SpecError, SweepSpec, MAX_NODES};

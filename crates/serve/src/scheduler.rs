@@ -57,6 +57,12 @@ const TRACE_CAP: usize = 65_536;
 /// Specs the memo remembers, oldest dropped first.
 const MEMO_CAP: usize = 1024;
 
+/// Finished (done or failed) job records the service keeps, oldest dropped
+/// first: a job id stays valid for the next 1,024 jobs to finish, and past
+/// that `status` and `result` answer [`ServeError::UnknownJob`]. Queued,
+/// running and parked records are never dropped.
+pub const MAX_FINISHED_JOBS: usize = 1024;
+
 /// Service configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -237,6 +243,8 @@ struct JobRecord {
 
 struct Inner {
     jobs: BTreeMap<u64, JobRecord>,
+    /// Finished job ids, oldest first, at most `MAX_FINISHED_JOBS` long.
+    finished: VecDeque<u64>,
     /// In-flight dedup index: raw SweepId -> job id.
     by_sweep: BTreeMap<u64, u64>,
     /// Spec (priority cleared) -> identity, oldest first, at most
@@ -299,6 +307,7 @@ impl SweepService {
         let shared = Arc::new(Shared {
             inner: Mutex::new(Inner {
                 jobs: BTreeMap::new(),
+                finished: VecDeque::new(),
                 by_sweep: BTreeMap::new(),
                 memo: VecDeque::new(),
                 queue: Vec::new(),
@@ -482,6 +491,7 @@ impl SweepService {
                     work: None,
                 },
             );
+            retire(g, job);
             self.shared.change.notify_all();
             return Some(Submission {
                 job,
@@ -549,7 +559,9 @@ impl SweepService {
         self.result_of(&status)
     }
 
-    /// Returns the stored result payload of a finished `job`.
+    /// Returns the stored result payload of a finished `job`; the service
+    /// keeps the last [`MAX_FINISHED_JOBS`] finished jobs, and an older one
+    /// is [`ServeError::UnknownJob`].
     pub fn result(&self, job: u64) -> Result<String, ServeError> {
         let status = self.status(job)?;
         self.result_of(&status)
@@ -667,6 +679,17 @@ fn spool_path(spool_dir: &std::path::Path, sweep_id: SweepId) -> PathBuf {
     spool_dir.join(format!("{sweep_id}.ckpt.json"))
 }
 
+/// Records `job` as finished; past `MAX_FINISHED_JOBS` the oldest
+/// finished record leaves the table.
+fn retire(g: &mut Inner, job: u64) {
+    g.finished.push_back(job);
+    if g.finished.len() > MAX_FINISHED_JOBS {
+        if let Some(oldest) = g.finished.pop_front() {
+            g.jobs.remove(&oldest);
+        }
+    }
+}
+
 /// Picks the queue index to run next: highest priority first, then
 /// lowest job id (admission order). Returns `None` on an empty queue.
 fn pick_next(g: &Inner) -> Option<usize> {
@@ -763,6 +786,7 @@ fn scheduler_loop(shared: &Shared, threads: usize, spool_dir: &std::path::Path) 
                     }
                     inner.by_sweep.remove(&work.identity.sweep_id.raw());
                     record.work = None;
+                    retire(inner, job);
                 } else {
                     // Preempted: park and re-queue.
                     record.status.state = JobState::Parked;
@@ -783,6 +807,7 @@ fn scheduler_loop(shared: &Shared, threads: usize, spool_dir: &std::path::Path) 
                 inner.stats.failed += 1;
                 inner.by_sweep.remove(&work.identity.sweep_id.raw());
                 record.work = None;
+                retire(inner, job);
             }
         }
         shared.change.notify_all();
@@ -1166,6 +1191,42 @@ mod tests {
         let stats = service.stats();
         assert_eq!((stats.misses, stats.deduped, stats.memo_hits), (3, 1, 2));
         assert_eq!(service.shared.lock().queue, [first.job]);
+        drop(service);
+        let _ = std::fs::remove_dir_all(config.store_dir.parent().unwrap_or(&config.store_dir));
+    }
+
+    #[test]
+    fn past_its_cap_the_job_table_drops_its_oldest_finished_records() {
+        let config = temp_config("job-cap", 1);
+        let mut service = SweepService::start(&config).expect("start");
+        let cold = service.submit(&small_spec(14)).expect("submit");
+        let stored = service.wait_result(cold.job, WAIT).expect("result");
+        stop_scheduler(&mut service);
+        let queued = service.submit(&small_spec(15)).expect("queued").job;
+        let hits: Vec<u64> = (0..MAX_FINISHED_JOBS + 8)
+            .map(|_| service.submit(&small_spec(14)).expect("hit"))
+            .inspect(|hit| assert!(hit.cache_hit))
+            .map(|hit| hit.job)
+            .collect();
+        let finished = |s: &JobStatus| matches!(s.state, JobState::Done { .. } | JobState::Failed);
+        {
+            let g = service.shared.lock();
+            let kept = g.jobs.values().filter(|r| finished(&r.status)).count();
+            assert_eq!(
+                (g.jobs.len(), kept),
+                (MAX_FINISHED_JOBS + 1, MAX_FINISHED_JOBS)
+            );
+        }
+        assert_eq!(
+            service.status(queued).expect("queued").state,
+            JobState::Queued
+        );
+        assert_eq!(
+            service.status(hits[0]),
+            Err(ServeError::UnknownJob(hits[0]))
+        );
+        let last = hits[hits.len() - 1];
+        assert_eq!(service.result(last).expect("last hit"), stored);
         drop(service);
         let _ = std::fs::remove_dir_all(config.store_dir.parent().unwrap_or(&config.store_dir));
     }

@@ -25,8 +25,9 @@
 //!
 //! Each point's `vc-serve-report/v1` document must count one hit, one
 //! dedup and two memo hits (the warm hit and the duplicate resolve their
-//! identity from the spec memo). A FIFO-eviction drill (entry cap 1) and
-//! a wire-protocol round trip over the Unix socket run once at the end.
+//! identity from the spec memo). A FIFO-eviction drill (entry cap 1), a
+//! job-table drill (two bursts of hits past `MAX_FINISHED_JOBS`) and a
+//! wire-protocol round trip over the Unix socket run once at the end.
 //! The last point's report lands in `target/serve/SERVE_report.json`,
 //! read back and checked again, for CI to `check-json` and upload.
 
@@ -37,7 +38,7 @@ use std::time::Duration;
 use vc_json::Value;
 use vc_serve::{
     AlgorithmRef, InstanceRef, JobState, Priority, ServeConfig, ServeDaemon, SweepService,
-    SweepSpec, REPORT_SCHEMA,
+    SweepSpec, MAX_FINISHED_JOBS, REPORT_SCHEMA,
 };
 use vc_trace::TraceEvent;
 
@@ -266,6 +267,41 @@ fn eviction_drill() {
     );
 }
 
+/// Two bursts of `MAX_FINISHED_JOBS + 8` hits on one stored spec: after
+/// each, the report's `jobs` array holds at most the cap, while
+/// `submissions` and `hits` count every request.
+fn job_table_drill() {
+    let service = SweepService::start(&fresh_config("jobs", 1)).expect("job service starts");
+    let spec = queued_batch_spec();
+    let cold = service.submit(&spec).expect("cold submit");
+    service.wait_result(cold.job, WAIT).expect("cold result");
+    let burst = MAX_FINISHED_JOBS as u64 + 8;
+    for round in 1..=2 {
+        for _ in 0..burst {
+            assert!(service.submit(&spec).expect("hit submit").cache_hit);
+        }
+        let doc = vc_json::parse(&service.report_json()).expect("report is valid JSON");
+        let jobs = doc.get("jobs").and_then(Value::as_arr).expect("jobs");
+        assert!(
+            jobs.len() <= MAX_FINISHED_JOBS,
+            "burst {round}: {} job records",
+            jobs.len()
+        );
+        for (key, want) in [("submissions", 1 + round * burst), ("hits", round * burst)] {
+            assert_eq!(
+                doc.get(key).and_then(Value::as_u64),
+                Some(want),
+                "burst {round}: {key}"
+            );
+        }
+    }
+    service.shutdown();
+    println!(
+        "job table drill OK: {} hits kept at most {MAX_FINISHED_JOBS} job records",
+        2 * burst
+    );
+}
+
 fn protocol_drill() {
     let config = fresh_config("sock", 2);
     let service = Arc::new(SweepService::start(&config).expect("socket service starts"));
@@ -340,6 +376,7 @@ fn main() {
     );
 
     eviction_drill();
+    job_table_drill();
     protocol_drill();
     println!("serve drill OK: report at {REPORT_PATH}");
 }

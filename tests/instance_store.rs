@@ -7,8 +7,8 @@
 use vc_core::problems::leaf_coloring::DistanceSolver;
 use vc_engine::{plan_chunks, Engine};
 use vc_graph::{
-    decode_instance, encode_instance, gen, load_instance, save_instance, Color, Instance,
-    StoreError, STORE_MAGIC,
+    decode_instance, encode_instance, gen, load_instance, save_instance, Color, GraphError,
+    Instance, StoreError, STORE_MAGIC,
 };
 use vc_model::run::RunConfig;
 
@@ -116,11 +116,26 @@ fn corrupt_bytes_are_rejected_with_typed_errors() {
         Err(StoreError::Malformed(_))
     ));
 
+    let num_slots: usize = (0..inst.n()).map(|v| inst.graph.degree(v)).sum();
+    let ids_start = 36 + 4 * (inst.n() + 1) + 5 * num_slots;
+
+    // Give nodes 0 and 1 one id, inside 1..=n and above it: the graph
+    // check refuses the file before the identity check.
+    for id in [1, inst.n() as u64 + 5] {
+        let mut repeated = bytes.clone();
+        for at in [ids_start, ids_start + 8] {
+            repeated[at..at + 8].copy_from_slice(&id.to_le_bytes());
+        }
+        let refused = decode_instance(&repeated);
+        assert!(
+            matches!(refused, Err(StoreError::Graph(GraphError::DuplicateId { id: got })) if got == id),
+            "{refused:?}"
+        );
+    }
+
     // Flip the high byte of the first node id: the arrays stay decodable
     // but the recomputed content identity no longer matches the header.
     let mut flipped = bytes;
-    let num_slots: usize = (0..inst.n()).map(|v| inst.graph.degree(v)).sum();
-    let ids_start = 36 + 4 * (inst.n() + 1) + 5 * num_slots;
     flipped[ids_start + 7] ^= 0x80;
     assert!(matches!(
         decode_instance(&flipped),

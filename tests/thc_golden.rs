@@ -335,6 +335,16 @@ fn generator_instance_ids_are_pinned() {
             "e35f0f8c359ebc76",
         ),
         (
+            "random_full_binary_tree n=4095",
+            gen::random_full_binary_tree(4095, 3),
+            "8bbad72f37187002",
+        ),
+        (
+            "pseudo_tree n=4095",
+            gen::pseudo_tree(4095, 17, 3),
+            "75f1adcbddb0f003",
+        ),
+        (
             "balanced_tree_compatible",
             gen::balanced_tree_compatible(4).0,
             "0d28693f03f1caec",
