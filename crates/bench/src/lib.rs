@@ -119,10 +119,10 @@ where
 ///
 /// # Panics
 ///
-/// Panics when the sweep did not run every chunk: a deadline, quota or
-/// cancel flag skipped some (`degraded`), or an ambient chunk set left
-/// some to other partitions (`out_of_range_chunks`). A measurement of
-/// part of the start set would fit a different curve without a word.
+/// Panics when the sweep did not run every chunk: a panic aborted some, a
+/// quota or cancel flag skipped some, or an ambient chunk set left some
+/// to other partitions. A measurement of part of the start set would fit
+/// a different curve without a word.
 fn finish_measurement<P, A>(
     problem: Option<&P>,
     inst: &Instance,
@@ -137,7 +137,7 @@ where
     A::Output: Send,
 {
     assert!(
-        !engine_report.degraded && engine_report.out_of_range_chunks.is_empty(),
+        engine_report.is_complete(),
         "partial sweep of {} on n = {}: chunks skipped {:?}, aborted {:?}, \
          left to other partitions {:?}",
         algo.name(),

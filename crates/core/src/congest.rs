@@ -62,7 +62,7 @@ impl BitSize for BtMsg {
 
 /// The Observation 7.4 CONGEST algorithm for BalancedTree.
 ///
-/// Schedule (Δ = [`MAX_PORTS`], `T = ⌈log₂ n⌉ + 4`):
+/// Schedule (Δ = `MAX_PORTS`, `T = ⌈log₂ n⌉ + 4`):
 ///
 /// * round 0 — broadcast `Hello`;
 /// * rounds `1..=Δ` — broadcast the neighbor identifier behind port `r`;

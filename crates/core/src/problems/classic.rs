@@ -8,7 +8,7 @@
 //! * [`TrivialLabel`] — class A: constant distance and volume.
 //! * [`CycleColoring`] + [`ColeVishkin`] — class B: 3-coloring a
 //!   consistently port-numbered directed cycle in `Θ(log* n)` distance *and*
-//!   volume (Cole–Vishkin color reduction [15], the example given for the
+//!   volume (Cole–Vishkin color reduction \[15\], the example given for the
 //!   class-B collapse in §1.2).
 
 use crate::lcl::{Lcl, Violation};

@@ -10,7 +10,7 @@
 //!
 //! This module holds the only `RecursiveHTHC` engine and the only
 //! Definition 5.5 checker. Hybrid-THC (§6) reuses both through a
-//! [`Variant`] and an exemption license.
+//! `Variant` and an exemption license.
 
 use crate::lcl::{Lcl, Violation};
 use crate::output::{MemoCode, ThcColor};

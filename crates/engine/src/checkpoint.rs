@@ -1,7 +1,8 @@
 //! Checkpoint / resume for recorded sweeps (`vc-engine-checkpoint/v4`).
 //!
 //! Long sweeps die: machines reboot, CI jobs hit wall-clock limits,
-//! operators hit Ctrl-C. [`Engine::run_recorded_with_checkpoint`] makes a
+//! operators hit Ctrl-C. A checkpointed run
+//! ([`Engine::with_checkpoint`](crate::Engine::with_checkpoint)) makes a
 //! sweep resumable by persisting the per-chunk [`ExecutionRecord`]s it
 //! completes. A resumed run executes only the remainder — and because
 //! chunk contents, chunk order and the record encoding are all
@@ -16,19 +17,20 @@
 //! as the first, a constant column as its one value) and, once every
 //! chunk is present, a **seal** line: an [`IdHasher`] digest of every
 //! byte before it. [`sealed_identity`] checks a sealed file by its header
-//! and seal alone, without decoding a chunk line. A run writes its file
-//! whole through [`write_atomically`], in chunk order and sealed once
-//! complete, so sealed and spliced files are a pure function of the
-//! sweep. Only a live run ([`Engine::with_live_checkpoint`]) appends, one
-//! line per chunk as it lands, so its partial file is not canonical. A
-//! resume of a sealed file runs nothing and leaves its bytes alone.
+//! and seal alone, without decoding a chunk line. An unrestricted run
+//! writes its file whole through [`write_atomically`], in chunk order and
+//! sealed once complete, so sealed and spliced files are a pure function
+//! of the sweep. Only a run restricted to a chunk set (a fleet worker)
+//! appends, one line per chunk as it lands, so its partial file is not
+//! canonical; once complete it too is rewritten whole. A resume of a
+//! sealed file runs nothing and leaves its bytes alone.
 //!
 //! Only the last line may be torn, and a last line without its newline
 //! is: a chunk never committed, which the loader drops. Any other damage
 //! is refused: a complete line that does not parse, a duplicate or
 //! out-of-range chunk, a torn header, a seal that does not match the
 //! bytes before it, a line after the seal. The chunk table is bounded by
-//! [`MAX_CHUNKS`] and a line's records by [`MAX_CHUNK_STARTS`] before
+//! `MAX_CHUNKS` and a line's records by [`MAX_CHUNK_STARTS`] before
 //! either is allocated.
 //!
 //! A checkpoint is only valid for the exact sweep that produced it: the
@@ -50,17 +52,15 @@
 //! records are the product.
 
 use crate::partition::{ChunkSet, RangeError};
-use crate::{plan_chunks, run_sharded, write_atomically, Engine, MAX_CHUNK_STARTS};
+use crate::{plan_chunks, write_atomically, ChunkPlan, MAX_CHUNK_STARTS};
 use std::io::Write as _;
 use std::path::Path;
 use std::sync::{Mutex, PoisonError};
 use vc_graph::Instance;
 use vc_ident::{IdHasher, InstanceId, SweepId};
 use vc_json::{self as json, Column, Value};
-use vc_model::cost::{CostAccumulator, CostSummary, ExecutionRecord};
+use vc_model::cost::{CostAccumulator, ExecutionRecord};
 use vc_model::run::{QueryAlgorithm, RunConfig, StartError};
-use vc_trace::time::Stopwatch;
-use vc_trace::NoopTracer;
 
 /// Schema identifier written into every checkpoint file.
 pub const CHECKPOINT_SCHEMA: &str = "vc-engine-checkpoint/v4";
@@ -164,7 +164,7 @@ pub struct SweepIdentity {
 /// *full* chunk plan — both the planned chunk size and the total chunk
 /// count of [`plan_chunks`]. The plan is folded whole so that every
 /// partition of a fleet run agrees on one identity: a
-/// [`ChunkSet`](crate::ChunkSet) restriction deliberately does *not*
+/// [`ChunkSet`] restriction deliberately does *not*
 /// enter the id, which is what lets disjoint partial checkpoints splice
 /// into a file byte-identical to an unpartitioned run (DESIGN.md §15).
 /// Anything that can change a chunk's records is folded in here, and
@@ -563,58 +563,13 @@ fn decode_chunk(
     Ok((chunk, recs.collect::<Result<_, String>>()?))
 }
 
-/// The result of a checkpointed sweep: records and costs for every chunk
-/// completed so far, across this run *and* all previous runs against the
-/// same checkpoint file.
-#[derive(Clone, Debug)]
-pub struct CheckpointReport {
-    /// Records of all completed chunks, in start order (gaps where chunks
-    /// are still pending).
-    pub records: Vec<ExecutionRecord>,
-    /// Cost summary over [`CheckpointReport::records`].
-    pub summary: CostSummary,
-    /// Total queries over [`CheckpointReport::records`].
-    pub total_queries: u128,
-    /// Chunks completed so far.
-    pub completed_chunks: usize,
-    /// Total chunks in the sweep.
-    pub num_chunks: usize,
-}
-
-impl CheckpointReport {
-    /// Whether every chunk of the sweep has completed.
-    pub fn is_complete(&self) -> bool {
-        self.completed_chunks == self.num_chunks
-    }
-
-    /// The report of `ckpt`, whose records move into it.
-    fn of(ckpt: SweepCheckpoint, num_starts: usize) -> Self {
-        let completed_chunks = ckpt.completed_chunks();
-        let num_chunks = ckpt.num_chunks;
-        let mut acc = CostAccumulator::default();
-        let mut records = Vec::with_capacity(num_starts);
-        for rec in ckpt.chunks.into_iter().flatten().flatten() {
-            acc.add(&rec);
-            records.push(rec);
-        }
-        Self {
-            summary: acc.finish(),
-            total_queries: acc.total_queries(),
-            records,
-            completed_chunks,
-            num_chunks,
-        }
-    }
-}
-
-/// The incremental checkpoint writer behind
-/// [`Engine::with_live_checkpoint`]: every completed chunk appends its
-/// line to the file with one `write_all`. This is the progress heartbeat
-/// a fleet supervisor observes — the lines appended since its last poll,
-/// through the sanctioned clock — without any channel back into the
-/// sweep itself: the sink only *writes* state the sweep already
-/// produced, so liveness observation cannot perturb determinism
-/// (DESIGN.md §16).
+/// The incremental checkpoint writer of a run restricted to a chunk set:
+/// every completed chunk appends its line to the file with one
+/// `write_all`. This is the progress heartbeat a fleet supervisor
+/// observes — the lines appended since its last poll, through the
+/// sanctioned clock — without any channel back into the sweep itself:
+/// the sink only *writes* state the sweep already produced, so liveness
+/// observation cannot perturb determinism (DESIGN.md §16).
 pub(crate) struct LiveCheckpointSink {
     /// `None` once an append failed.
     file: Mutex<Option<std::fs::File>>,
@@ -657,175 +612,135 @@ impl LiveCheckpointSink {
     }
 }
 
-impl Engine {
-    /// Runs a recorded sweep against a checkpoint file at `path`:
-    /// previously checkpointed chunks are skipped and the file is
-    /// rewritten with the freshly completed ones, sealed once the sweep is
-    /// complete. The returned report covers *all* completed chunks
-    /// (previous runs included), so once [`CheckpointReport::is_complete`]
-    /// the records and summary are byte-identical to an unbroken
-    /// [`Engine::run_all`] — no matter how many kills and resumes happened
-    /// in between, and for any thread count. A sealed file runs nothing
-    /// and is left as it is.
-    ///
-    /// Combine with [`Engine::with_chunk_quota`] for a deterministic
-    /// "kill" in tests, or with [`Engine::with_deadline`] /
-    /// [`CancelFlag`](crate::CancelFlag) for real time-boxed runs.
-    /// Outputs are not checkpointed (see the module docs) — this entry
-    /// point returns records and costs only.
-    ///
-    /// A cancel stops a fresh run between starts; chunks it cut short
-    /// are written as missing. A run that loaded an existing file claims
-    /// its first chunk even if the flag is set and finishes the chunks it
-    /// claims, so every resume completes at least one chunk.
-    ///
-    /// Under [`Engine::with_chunk_set`] this is the fleet-worker entry
-    /// point: only the slice's chunks execute, the file is stamped with
-    /// the slice ([`SweepCheckpoint::partition`]), and the disjoint
-    /// partials splice back into one full checkpoint with
-    /// [`splice_checkpoints`](crate::splice_checkpoints).
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Start`] for an invalid start selection,
-    /// [`EngineError::Partition`] for a chunk range that does not fit the
-    /// sweep's plan, [`EngineError::Io`] when the file cannot be read or
-    /// written, and [`EngineError::BadCheckpoint`] when the file is
-    /// malformed or was produced by a different sweep configuration.
-    pub fn run_recorded_with_checkpoint<A>(
-        &self,
-        inst: &Instance,
-        algo: &A,
-        config: &RunConfig,
-        path: &Path,
-    ) -> Result<CheckpointReport, EngineError>
-    where
-        A: QueryAlgorithm + Sync,
-        A::Output: Send,
-    {
-        self.run_recorded(inst, algo, config, None, path)
-    }
+/// A checkpointed run's file while the run executes: the checkpoint it
+/// loaded, or a fresh one, and the sink a restricted run appends through.
+pub(crate) struct OpenCheckpoint<'a> {
+    path: &'a Path,
+    ckpt: SweepCheckpoint,
+    /// The file existed, so the run resumes it.
+    pub(crate) resumed: bool,
+    /// The file was sealed: the run runs nothing and keeps its bytes.
+    sealed: bool,
+    pub(crate) sink: Option<LiveCheckpointSink>,
+}
 
-    /// [`Engine::run_recorded_with_checkpoint`] without the fold over
-    /// the whole instance: `identity` must be [`sweep_identity`] of this
-    /// sweep (debug builds assert it). A file whose `sweep_id` or chunk
-    /// count differs from it is still refused.
+impl<'a> OpenCheckpoint<'a> {
+    /// The checkpoint at `path` of the sweep `identity`, planned as
+    /// `num_chunks` chunks — a fresh one when there is no file — stamped
+    /// with the writer's chunk set. A restricted writer's file is
+    /// rewritten here, so its appends start on a line boundary under its
+    /// stamp.
     ///
     /// # Errors
     ///
-    /// As [`Engine::run_recorded_with_checkpoint`].
-    pub fn run_recorded_as<A>(
-        &self,
-        inst: &Instance,
-        algo: &A,
-        config: &RunConfig,
+    /// [`EngineError::Io`] when the file cannot be read or written, and
+    /// [`EngineError::BadCheckpoint`] when it is malformed or belongs to
+    /// another sweep.
+    pub(crate) fn open(
+        path: &'a Path,
         identity: SweepIdentity,
-        path: &Path,
-    ) -> Result<CheckpointReport, EngineError>
-    where
-        A: QueryAlgorithm + Sync,
-        A::Output: Send,
-    {
-        self.run_recorded(inst, algo, config, Some(identity), path)
-    }
-
-    /// Both entry points; the deadline clock starts before any fold.
-    fn run_recorded<A>(
-        &self,
-        inst: &Instance,
-        algo: &A,
-        config: &RunConfig,
-        identity: Option<SweepIdentity>,
-        path: &Path,
-    ) -> Result<CheckpointReport, EngineError>
-    where
-        A: QueryAlgorithm + Sync,
-        A::Output: Send,
-    {
-        let sw = Stopwatch::start();
-        let starts = config.starts.starts(inst.n())?;
-        let plan = plan_chunks(starts.len());
-        let num_chunks = plan.num_chunks;
-        let fold = || sweep_identity(inst, algo, config, &starts);
-        let identity = identity.unwrap_or_else(fold);
-        debug_assert_eq!(identity, fold(), "handed another sweep's identity");
+        num_chunks: usize,
+        set: Option<&ChunkSet>,
+    ) -> Result<Self, EngineError> {
         let loaded = match std::fs::read_to_string(path) {
             Ok(text) => Some(decode(&text).map_err(EngineError::BadCheckpoint)?),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
             Err(e) => return Err(e.into()),
         };
-        let mut limits = self.limits(&sw, starts.len())?;
-        let mut ckpt = match loaded {
-            Some((ckpt, sealed)) => {
-                if ckpt.identity.sweep_id != identity.sweep_id {
-                    let mut msg = format!(
-                        "fingerprint {} belongs to a different sweep (expected {})",
-                        ckpt.identity.sweep_id, identity.sweep_id
-                    );
-                    if ckpt.identity.instance_id != identity.instance_id {
-                        msg.push_str(&format!(
-                            "; the instance content differs (checkpoint instance {}, this sweep \
-                             runs instance {})",
-                            ckpt.identity.instance_id, identity.instance_id
-                        ));
-                    }
-                    return Err(EngineError::BadCheckpoint(msg));
-                }
-                if ckpt.num_chunks != num_chunks {
-                    return Err(EngineError::BadCheckpoint(format!(
-                        "checkpoint has {} chunks, sweep has {num_chunks}",
-                        ckpt.num_chunks
-                    )));
-                }
-                if sealed {
-                    return Ok(CheckpointReport::of(ckpt, starts.len()));
-                }
-                limits.resumed = true;
-                ckpt
+        let resumed = loaded.is_some();
+        let (mut ckpt, sealed) =
+            loaded.unwrap_or_else(|| (SweepCheckpoint::fresh(identity, num_chunks), false));
+        if ckpt.identity.sweep_id != identity.sweep_id {
+            let mut msg = format!(
+                "fingerprint {} belongs to a different sweep (expected {})",
+                ckpt.identity.sweep_id, identity.sweep_id
+            );
+            if ckpt.identity.instance_id != identity.instance_id {
+                msg.push_str(&format!(
+                    "; the instance content differs (checkpoint instance {}, this sweep runs \
+                     instance {})",
+                    ckpt.identity.instance_id, identity.instance_id
+                ));
             }
-            None => SweepCheckpoint::fresh(identity, num_chunks),
-        };
-        // The file records the *writer's* restriction: a fleet worker's
-        // partial is stamped with its chunk set, unrestricted runs carry
-        // no stamp.
-        ckpt.partition = self.chunk_set().cloned();
-        let live = self.live_checkpoint();
-        if live {
-            // Appends start on a line boundary, under this writer's stamp.
-            write_atomically(path, ckpt.to_json())?;
+            return Err(EngineError::BadCheckpoint(msg));
         }
-        let sink = live.then(|| LiveCheckpointSink::open(path)).transpose()?;
-        let done: Vec<bool> = ckpt.chunks.iter().map(Option::is_some).collect();
-        let run = run_sharded::<A, NoopTracer>(
-            inst,
-            algo,
-            config,
-            &starts,
-            limits,
-            Some(&done),
-            sink.as_ref(),
-        );
-        // The executed chunks' records lie back to back in the report;
-        // each chunk's run moves into its slot.
-        let mut fresh = run.report.records.into_iter();
-        for &c in &run.executed {
-            let (lo, hi) = plan.bounds(c, starts.len());
-            ckpt.chunks[c] = Some(fresh.by_ref().take(hi - lo).collect());
+        if ckpt.num_chunks != num_chunks {
+            return Err(EngineError::BadCheckpoint(format!(
+                "checkpoint has {} chunks, sweep has {num_chunks}",
+                ckpt.num_chunks
+            )));
         }
-        // A live run's appends already hold its chunks, unless one failed.
-        if !live || ckpt.is_complete() || sink.as_ref().is_some_and(LiveCheckpointSink::failed) {
-            write_atomically(path, ckpt.to_json())?;
+        let mut sink = None;
+        if !sealed {
+            // The file records the *writer's* restriction: a fleet
+            // worker's partial is stamped with its chunk set, unrestricted
+            // runs carry no stamp.
+            ckpt.partition = set.cloned();
+            if set.is_some() {
+                write_atomically(path, ckpt.to_json())?;
+                sink = Some(LiveCheckpointSink::open(path)?);
+            }
         }
-        Ok(CheckpointReport::of(ckpt, starts.len()))
+        Ok(Self {
+            path,
+            ckpt,
+            resumed,
+            sealed,
+            sink,
+        })
+    }
+
+    /// Whether the file holds chunk `c`.
+    pub(crate) fn is_done(&self, c: usize) -> bool {
+        self.ckpt.chunks[c].is_some()
+    }
+
+    /// Moves the records of the chunks this run `executed` (back to back,
+    /// in that order) into the checkpoint and writes the file, unless it
+    /// was sealed or this run's appends already hold it. Returns every
+    /// chunk's records in chunk order, their costs and the count of
+    /// completed chunks.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::Io`] when the file cannot be written.
+    pub(crate) fn commit(
+        mut self,
+        plan: ChunkPlan,
+        num_starts: usize,
+        executed: &[usize],
+        records: Vec<ExecutionRecord>,
+    ) -> Result<(Vec<ExecutionRecord>, CostAccumulator, usize), EngineError> {
+        let mut fresh = records.into_iter();
+        for &c in executed {
+            let (lo, hi) = plan.bounds(c, num_starts);
+            self.ckpt.chunks[c] = Some(fresh.by_ref().take(hi - lo).collect());
+        }
+        // Appends hold a partial file's lines unless one failed; a file
+        // that is now complete is rewritten whole, sealed.
+        let appended = self.sink.as_ref().is_some_and(|s| !s.failed());
+        if !self.sealed && (!appended || self.ckpt.is_complete()) {
+            write_atomically(self.path, self.ckpt.to_json())?;
+        }
+        let completed = self.ckpt.completed_chunks();
+        let mut acc = CostAccumulator::default();
+        let mut records = Vec::with_capacity(num_starts);
+        for rec in self.ckpt.chunks.into_iter().flatten().flatten() {
+            acc.add(&rec);
+            records.push(rec);
+        }
+        Ok((records, acc, completed))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run_sharded, Engine};
     use std::path::PathBuf;
     use vc_model::oracle::{follow, Oracle, QueryError};
     use vc_model::SolverScratch;
+    use vc_trace::NoopTracer;
 
     struct WalkLeft;
 
@@ -893,7 +808,8 @@ mod tests {
         let path = temp_path(name);
         let _ = std::fs::remove_file(&path);
         Engine::with_threads(1)
-            .run_recorded_with_checkpoint(inst, &WalkLeft, config, &path)
+            .with_checkpoint(&path)
+            .run_all(inst, &WalkLeft, config)
             .unwrap();
         std::fs::read(&path).unwrap()
     }
@@ -994,11 +910,12 @@ mod tests {
         let unbroken_path = temp_path("unbroken.json");
         let _ = std::fs::remove_file(&unbroken_path);
         let unbroken = Engine::with_threads(2)
-            .run_recorded_with_checkpoint(&inst, &WalkLeft, &config, &unbroken_path)
+            .with_checkpoint(&unbroken_path)
+            .run_all(&inst, &WalkLeft, &config)
             .unwrap();
         assert!(unbroken.is_complete());
         let serial = vc_model::run::run_all(&inst, &WalkLeft, &config).unwrap();
-        assert_eq!(unbroken.records, serial.records);
+        assert_eq!(unbroken.report.records, serial.records);
         assert_eq!(unbroken.summary, serial.summary());
 
         // "Kill" after 2 chunks (quota = deterministic kill proxy), then
@@ -1007,19 +924,25 @@ mod tests {
         let _ = std::fs::remove_file(&resumed_path);
         let partial = Engine::with_threads(8)
             .with_chunk_quota(2)
-            .run_recorded_with_checkpoint(&inst, &WalkLeft, &config, &resumed_path)
+            .with_checkpoint(&resumed_path)
+            .run_all(&inst, &WalkLeft, &config)
             .unwrap();
         assert!(!partial.is_complete());
         assert_eq!(partial.completed_chunks, 2);
         assert_eq!(
-            partial.records,
+            partial.report.records,
             serial.records[..2 * plan_chunks(inst.n()).chunk_size]
         );
+        // An unrestricted run writes its file whole, in chunk order, at
+        // any thread count: the partial file is canonical.
+        let text = std::fs::read_to_string(&resumed_path).unwrap();
+        assert_eq!(SweepCheckpoint::from_json(&text).unwrap().to_json(), text);
         let resumed = Engine::with_threads(3)
-            .run_recorded_with_checkpoint(&inst, &WalkLeft, &config, &resumed_path)
+            .with_checkpoint(&resumed_path)
+            .run_all(&inst, &WalkLeft, &config)
             .unwrap();
         assert!(resumed.is_complete());
-        assert_eq!(resumed.records, unbroken.records);
+        assert_eq!(resumed.report.records, unbroken.report.records);
         assert_eq!(resumed.summary, unbroken.summary);
         assert_eq!(resumed.total_queries, unbroken.total_queries);
 
@@ -1071,19 +994,21 @@ mod tests {
             };
             let parked = Engine::with_threads(threads)
                 .with_cancel_flag(flag)
-                .run_recorded_with_checkpoint(&inst, &algo, &config, &path)
+                .with_checkpoint(&path)
+                .run_all(&inst, &algo, &config)
                 .unwrap();
             assert!(!parked.is_complete(), "{threads} threads");
             if threads == 1 {
                 assert_eq!(parked.completed_chunks, 2);
-                assert_eq!(parked.records, serial.records[..2 * chunk]);
+                assert_eq!(parked.report.records, serial.records[..2 * chunk]);
             }
             let text = std::fs::read_to_string(&path).unwrap();
             let ckpt = SweepCheckpoint::from_json(&text).unwrap();
             assert_eq!(ckpt.chunks[2], None, "{threads} threads");
             // The resume, without the flag, re-runs the cut chunk whole.
             let resumed = Engine::with_threads(threads)
-                .run_recorded_with_checkpoint(&inst, &WalkLeft, &config, &path)
+                .with_checkpoint(&path)
+                .run_all(&inst, &WalkLeft, &config)
                 .unwrap();
             assert!(resumed.is_complete());
             assert_eq!(std::fs::read(&path).unwrap(), unbroken, "{threads} threads");
@@ -1105,7 +1030,8 @@ mod tests {
             };
             // A fresh run claims nothing and parks an empty file …
             let first = cancelled()
-                .run_recorded_with_checkpoint(&inst, &WalkLeft, &config, &path)
+                .with_checkpoint(&path)
+                .run_all(&inst, &WalkLeft, &config)
                 .unwrap();
             assert_eq!(first.completed_chunks, 0);
             // … and every resume of it completes at least one chunk.
@@ -1113,7 +1039,8 @@ mod tests {
             let mut resumes = 0;
             while done < first.num_chunks {
                 let report = cancelled()
-                    .run_recorded_with_checkpoint(&inst, &WalkLeft, &config, &path)
+                    .with_checkpoint(&path)
+                    .run_all(&inst, &WalkLeft, &config)
                     .unwrap();
                 assert!(report.completed_chunks > done, "{threads} threads");
                 if threads == 1 {
@@ -1131,28 +1058,40 @@ mod tests {
     fn live_checkpoint_runs_write_the_same_final_bytes() {
         let inst = vc_graph::gen::random_full_binary_tree(333, 5); // 6 chunks
         let config = RunConfig::default();
-        let plain_path = temp_path("live_plain.json");
-        let live_path = temp_path("live_live.json");
-        let _ = std::fs::remove_file(&plain_path);
-        let _ = std::fs::remove_file(&live_path);
-        let plain = Engine::with_threads(2)
-            .run_recorded_with_checkpoint(&inst, &WalkLeft, &config, &plain_path)
-            .unwrap();
-        let live = Engine::with_threads(2)
-            .with_live_checkpoint()
-            .run_recorded_with_checkpoint(&inst, &WalkLeft, &config, &live_path)
-            .unwrap();
-        // Live commits change how often the file is written, never what
-        // the final bytes are.
-        assert_eq!(live.records, plain.records);
-        assert_eq!(
-            std::fs::read(&live_path).unwrap(),
-            std::fs::read(&plain_path).unwrap()
-        );
-        // No temp file is left behind: every commit renamed into place.
-        let mut tmp = live_path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        assert!(!std::path::Path::new(&tmp).exists());
+        // A restricted run appends each chunk's line as it lands, under
+        // its stamp; the stamp is in the header, so restricted runs are
+        // compared with restricted runs.
+        let run = |threads: usize, spec: &str| {
+            let path = temp_path(&format!("live_{threads}_{}.json", &spec[..4]));
+            let _ = std::fs::remove_file(&path);
+            let report = Engine::with_threads(threads)
+                .with_chunk_set(ChunkSet::parse(spec).unwrap())
+                .with_checkpoint(&path)
+                .run_all(&inst, &WalkLeft, &config)
+                .unwrap();
+            let text = std::fs::read_to_string(&path).unwrap();
+            // No temp file is left behind: every whole write renamed into
+            // place.
+            let mut tmp = path.into_os_string();
+            tmp.push(".tmp");
+            assert!(!std::path::Path::new(&tmp).exists());
+            (report, text)
+        };
+        // Appends change how often the file is written, never what the
+        // final bytes are: a complete file is rewritten whole.
+        let (one, one_text) = run(1, "0..6/6");
+        let (eight, eight_text) = run(8, "0..6/6");
+        assert!(one.is_complete());
+        assert_eq!(eight.report.records, one.report.records);
+        assert_eq!(eight_text, one_text);
+        // A partial file holds the appends alone: at one thread they land
+        // in chunk order, so its file is canonical.
+        let (_, one_text) = run(1, "0..4/6");
+        let (_, eight_text) = run(8, "0..4/6");
+        let one = SweepCheckpoint::from_json(&one_text).unwrap();
+        assert_eq!(one.to_json(), one_text);
+        let eight = SweepCheckpoint::from_json(&eight_text).unwrap();
+        assert_eq!((eight.completed_chunks(), eight.chunks), (4, one.chunks));
     }
 
     #[test]
@@ -1161,21 +1100,29 @@ mod tests {
         let config = RunConfig::default();
         let starts: Vec<usize> = (0..inst.n()).collect();
         let path = temp_path("failed_append.json");
-        let fresh =
-            SweepCheckpoint::fresh(sweep_identity(&inst, &WalkLeft, &config, &starts), 6).to_json();
+        let identity = sweep_identity(&inst, &WalkLeft, &config, &starts);
+        let fresh = SweepCheckpoint::fresh(identity, 6).to_json();
         let engine = Engine::with_threads(2);
-        let sw = Stopwatch::start();
-        let run = |sink: &LiveCheckpointSink| {
-            let limits = engine.limits(&sw, starts.len()).unwrap();
+        // Whether the run's appends through `sink` failed.
+        let run = |sink| {
+            let file = OpenCheckpoint {
+                path: &path,
+                ckpt: SweepCheckpoint::fresh(identity, 6),
+                resumed: false,
+                sealed: false,
+                sink: Some(sink),
+            };
+            let plan = plan_chunks(starts.len());
             run_sharded::<_, NoopTracer>(
+                &engine,
                 &inst,
                 &WalkLeft,
                 &config,
                 &starts,
-                limits,
-                None,
-                Some(sink),
+                plan,
+                Some(&file),
             );
+            file.sink.is_some_and(|s| s.failed())
         };
         // A read-only handle breaks the first append: the sink reports it
         // and writes nothing after it, so the run rewrites the file whole.
@@ -1183,12 +1130,9 @@ mod tests {
         let broken = LiveCheckpointSink {
             file: Mutex::new(Some(std::fs::File::open(&path).unwrap())),
         };
-        run(&broken);
-        assert!(broken.failed());
+        assert!(run(broken));
         assert_eq!(std::fs::read_to_string(&path).unwrap(), fresh);
-        let sink = LiveCheckpointSink::open(&path).unwrap();
-        run(&sink);
-        assert!(!sink.failed());
+        assert!(!run(LiveCheckpointSink::open(&path).unwrap()));
         let appended = SweepCheckpoint::from_json(&std::fs::read_to_string(&path).unwrap());
         assert!(
             appended.unwrap().is_complete(),
@@ -1207,19 +1151,23 @@ mod tests {
         let tmp = PathBuf::from(tmp);
         let _ = std::fs::remove_file(&clean_path);
         let _ = std::fs::remove_file(&path);
+        let full = || ChunkSet::parse("0..6/6").unwrap();
         Engine::with_threads(1)
-            .run_recorded_with_checkpoint(&inst, &WalkLeft, &config, &clean_path)
+            .with_chunk_set(full())
+            .with_checkpoint(&clean_path)
+            .run_all(&inst, &WalkLeft, &config)
             .unwrap();
-        // A killed first run, then a live resume: before each, a writer
-        // killed mid-write left a torn `.tmp` next to the file.
+        // A killed first run, then a resume that appends: before each, a
+        // writer killed mid-write left a torn `.tmp` next to the file.
         let runs = [
             Engine::with_threads(2).with_chunk_quota(3),
-            Engine::with_threads(2).with_live_checkpoint(),
+            Engine::with_threads(2).with_chunk_set(full()),
         ];
         for engine in runs {
             std::fs::write(&tmp, "{\"schema\": \"vc-engine-check").unwrap();
             engine
-                .run_recorded_with_checkpoint(&inst, &WalkLeft, &config, &path)
+                .with_checkpoint(&path)
+                .run_all(&inst, &WalkLeft, &config)
                 .unwrap();
             assert!(!tmp.exists(), "a run left {} behind", tmp.display());
         }
@@ -1238,8 +1186,8 @@ mod tests {
         let set = ChunkSet::parse("1..3,5/6").unwrap();
         Engine::with_threads(2)
             .with_chunk_set(set.clone())
-            .with_live_checkpoint()
-            .run_recorded_with_checkpoint(&inst, &WalkLeft, &config, &path)
+            .with_checkpoint(&path)
+            .run_all(&inst, &WalkLeft, &config)
             .unwrap();
         let ckpt = SweepCheckpoint::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(ckpt.partition, Some(set));
@@ -1257,7 +1205,8 @@ mod tests {
         let path = temp_path("foreign.json");
         let _ = std::fs::remove_file(&path);
         Engine::with_threads(1)
-            .run_recorded_with_checkpoint(&inst, &WalkLeft, &config, &path)
+            .with_checkpoint(&path)
+            .run_all(&inst, &WalkLeft, &config)
             .unwrap();
         // Same file, different budget: the fingerprint must refuse it.
         let other = RunConfig {
@@ -1265,13 +1214,15 @@ mod tests {
             ..config
         };
         let err = Engine::with_threads(1)
-            .run_recorded_with_checkpoint(&inst, &WalkLeft, &other, &path)
+            .with_checkpoint(&path)
+            .run_all(&inst, &WalkLeft, &other)
             .unwrap_err();
         assert!(matches!(err, EngineError::BadCheckpoint(_)), "{err}");
         // And a corrupt file is an error, not a fresh start.
         std::fs::write(&path, "{ not json").unwrap();
         let err = Engine::with_threads(1)
-            .run_recorded_with_checkpoint(&inst, &WalkLeft, &config, &path)
+            .with_checkpoint(&path)
+            .run_all(&inst, &WalkLeft, &config)
             .unwrap_err();
         assert!(matches!(err, EngineError::BadCheckpoint(_)), "{err}");
     }
@@ -1308,7 +1259,8 @@ mod tests {
         let path = temp_path("sealed_resume.json");
         let _ = std::fs::remove_file(&path);
         Engine::with_threads(2)
-            .run_recorded_with_checkpoint(&inst, &WalkLeft, &config, &path)
+            .with_checkpoint(&path)
+            .run_all(&inst, &WalkLeft, &config)
             .unwrap();
         let before = std::fs::read(&path).unwrap();
         let inode = |p: &Path| std::os::unix::fs::MetadataExt::ino(&std::fs::metadata(p).unwrap());
@@ -1316,9 +1268,10 @@ mod tests {
         // Another stamp would rewrite a partial file; a sealed one stays.
         let report = Engine::with_threads(2)
             .with_chunk_set(ChunkSet::parse("0..6/6").unwrap())
-            .run_recorded_with_checkpoint(&inst, &WalkLeft, &config, &path)
+            .with_checkpoint(&path)
+            .run_all(&inst, &WalkLeft, &config)
             .unwrap();
-        assert!(report.is_complete());
+        assert!(report.is_complete() && report.threads == 1);
         assert_eq!(std::fs::read(&path).unwrap(), before);
         assert_eq!(inode(&path), ino, "the sealed file was replaced");
     }
@@ -1330,7 +1283,8 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         Engine::with_threads(1)
             .with_chunk_quota(3)
-            .run_recorded_with_checkpoint(&inst, &WalkLeft, &RunConfig::default(), &path)
+            .with_checkpoint(&path)
+            .run_all(&inst, &WalkLeft, &RunConfig::default())
             .unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let whole = SweepCheckpoint::from_json(&text).unwrap();
@@ -1382,7 +1336,8 @@ mod tests {
         let _ = std::fs::remove_file(&partial);
         Engine::with_threads(2)
             .with_chunk_quota(4)
-            .run_recorded_with_checkpoint(&inst, &WalkLeft, &config, &partial)
+            .with_checkpoint(&partial)
+            .run_all(&inst, &WalkLeft, &config)
             .unwrap();
         let partial = std::fs::read_to_string(&partial).unwrap();
         let mut state = 0x5eed_0003;
@@ -1447,6 +1402,13 @@ mod tests {
             assert!(src.contains(from), "{from}");
             src.replacen(from, to, 1)
         };
+        let stamped = |spec: &str| {
+            let stamp = format!("\"num_chunks\": 6, \"partition\": \"{spec}\"");
+            (
+                edit(&partial, "\"num_chunks\": 6", &stamp),
+                "malformed partition",
+            )
+        };
         let cases = [
             (
                 edit(
@@ -1509,6 +1471,9 @@ mod tests {
                 format!("{partial}{{\"seal\": \"0123456789abcdef\"}}\n"),
                 "seal after 1 of 6",
             ),
+            // A stamp naming the chunk `usize::MAX`, which has no successor.
+            stamped("18446744073709551615/4"),
+            stamped("18446744073709551615/18446744073709551615"),
             (format!("{text}{c0}"), "follows the seal"),
             (format!("{text}{{"), "follows the seal"),
             // A header that does not parse makes the whole file parse, to
@@ -1565,7 +1530,8 @@ mod tests {
         let _ = std::fs::remove_file(&partial);
         Engine::with_threads(1)
             .with_chunk_quota(5)
-            .run_recorded_with_checkpoint(&inst, &WalkLeft, &config, &partial)
+            .with_checkpoint(&partial)
+            .run_all(&inst, &WalkLeft, &config)
             .unwrap();
         let partial = std::fs::read_to_string(&partial).unwrap();
         let cases = [

@@ -36,20 +36,15 @@
 //!   outputs/records. Panics are deterministic (same algorithm, same chunk,
 //!   same inputs), so the aborted set — and therefore the merged summary
 //!   over the surviving chunks — is identical for every thread count.
-//! * **Cooperative deadline / cancel.** [`Engine::with_deadline`] (or the
-//!   `VC_DEADLINE_MS` environment variable) stops workers at chunk-claim
-//!   boundaries; claimed chunks still finish, with help. Chunk claims are
-//!   monotonic, so the executed chunks form a prefix of the chunk sequence
-//!   and the partial summary is a valid chunk-order merge; *which* prefix
-//!   is schedule-dependent, which is why deadline runs are flagged
-//!   [`EngineReport::degraded`]. A [`CancelFlag`] stops workers between
+//! * **Cooperative cancel.** A [`CancelFlag`] stops workers between
 //!   starts and drops the chunks it cut short, so only whole chunks are
-//!   ever merged or checkpointed.
+//!   ever merged or checkpointed; the report is flagged
+//!   [`EngineReport::degraded`].
 //! * **Deterministic kill proxy.** [`Engine::with_chunk_quota`] stops
 //!   claims after a fixed number of chunks — because claims are sequential,
 //!   a quota-`k` run executes exactly chunks `0..k` for any thread count.
 //!   The checkpoint tests use this as a reproducible "kill".
-//! * **Checkpoint / resume.** [`Engine::run_recorded_with_checkpoint`]
+//! * **Checkpoint / resume.** Under [`Engine::with_checkpoint`] a sweep
 //!   persists per-chunk [`ExecutionRecord`]s to a
 //!   `vc-engine-checkpoint/v4` file — one line of integer columns per
 //!   chunk, keyed by the content-addressed [`SweepIdentity`] and sealed
@@ -78,10 +73,9 @@
 //! identity — and chunks outside the configured set are reported in
 //! [`EngineReport::out_of_range_chunks`], distinct from the degradation
 //! ledgers: a partition worker that finishes its claim is healthy, not
-//! degraded. Under [`Engine::with_live_checkpoint`] (or
-//! `VC_LIVE_CHECKPOINT=1`) every completed chunk appends its line to the
-//! partial file, turning it into a progress heartbeat; when a
-//! worker dies anyway, [`splice_partial`] merges what exists and names
+//! degraded. A checkpointed worker appends each completed chunk's line to
+//! its partial file as it lands, turning it into a progress heartbeat;
+//! when a worker dies anyway, [`splice_partial`] merges what exists and names
 //! the gap, so a supervisor (the `vc-fleet` crate) can reassign exactly
 //! the missing chunks. See `examples/fleet_sweep.rs` for the supervised
 //! drill (spawn, kill, reassign, merge).
@@ -89,8 +83,9 @@
 //! The worker count defaults to `std::thread::available_parallelism` and can
 //! be overridden with the `VC_THREADS` environment variable. Malformed
 //! ambient configuration (`VC_THREADS=0`, `VC_THREADS=abc`,
-//! `VC_DEADLINE_MS=1s`, `VC_CHUNKS=512..0/2048`) is a loud [`EnvError`]
-//! from [`Engine::from_env`], never silently ignored.
+//! `VC_CHUNKS=512..0/2048`) is a loud [`EnvError`] from
+//! [`Engine::from_env`], never silently ignored; so is any value of the
+//! retired `VC_DEADLINE_MS`.
 
 #![deny(missing_docs)]
 
@@ -99,6 +94,7 @@ pub mod partition;
 pub mod splice;
 
 use std::panic::AssertUnwindSafe;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
@@ -110,15 +106,15 @@ use vc_trace::time::Stopwatch;
 use vc_trace::{MergeTracer, NoopTracer, TraceEvent};
 
 pub use checkpoint::{
-    line_chunk, sealed_identity, sweep_identity, CheckpointReport, EngineError, SweepCheckpoint,
-    SweepIdentity, CHECKPOINT_SCHEMA,
+    line_chunk, sealed_identity, sweep_identity, EngineError, SweepCheckpoint, SweepIdentity,
+    CHECKPOINT_SCHEMA,
 };
 pub use partition::{ChunkSet, RangeError, CHUNKS_ENV};
 pub use splice::{format_chunk_groups, splice_checkpoints, splice_partial, SpliceError};
 pub use vc_graph::write_atomically;
 pub use vc_ident::{InstanceId, SweepId};
 
-use checkpoint::LiveCheckpointSink;
+use checkpoint::{LiveCheckpointSink, OpenCheckpoint};
 
 /// Smallest start count per work chunk. Small sweeps (at most
 /// [`TARGET_CHUNKS`] × this many starts) are partitioned into chunks of
@@ -128,8 +124,8 @@ use checkpoint::LiveCheckpointSink;
 pub const MIN_CHUNK_STARTS: usize = 64;
 
 /// Largest start count per work chunk. Caps per-chunk latency so the
-/// claim boundary — the cooperative stop point for deadlines and
-/// quotas — is hit often enough even on million-start sweeps.
+/// claim boundary — the cooperative stop point for quotas — is hit
+/// often enough even on million-start sweeps.
 pub const MAX_CHUNK_STARTS: usize = 4096;
 
 /// Preferred chunk count for a sweep. Sized at roughly 16× a typical
@@ -168,8 +164,7 @@ impl ChunkPlan {
 /// clamped to `[MIN_CHUNK_STARTS, MAX_CHUNK_STARTS]` — so small sweeps
 /// keep the historical 64-start chunks while a 10⁶-start sweep gets ~245
 /// chunks of 4096 instead of 15625 chunks of 64. The plan depends only on
-/// `num_starts`: thread counts, deadlines and quotas never move a chunk
-/// boundary, which is what keeps merged results byte-identical for every
+/// `num_starts`: thread counts and quotas never move a chunk boundary, which is what keeps merged results byte-identical for every
 /// thread count and lets a checkpoint resume under a different worker
 /// count.
 pub fn plan_chunks(num_starts: usize) -> ChunkPlan {
@@ -185,15 +180,10 @@ pub fn plan_chunks(num_starts: usize) -> ChunkPlan {
 /// Environment variable overriding the worker-thread count.
 pub const THREADS_ENV: &str = "VC_THREADS";
 
-/// Environment variable setting a cooperative sweep deadline in
-/// milliseconds (checked at chunk-claim boundaries; see
-/// [`Engine::with_deadline`]).
-pub const DEADLINE_ENV: &str = "VC_DEADLINE_MS";
-
-/// Environment variable enabling incremental checkpoint writes (`0`/`1`;
-/// see [`Engine::with_live_checkpoint`]). Fleet supervisors set this on
-/// workers so part files double as progress heartbeats.
-pub const LIVE_CHECKPOINT_ENV: &str = "VC_LIVE_CHECKPOINT";
+/// The retired deadline variable. [`Engine::from_env`] refuses any value
+/// of it, so a command written for a time-boxed sweep fails loudly
+/// instead of running unbounded.
+const RETIRED_DEADLINE_VAR: &str = "VC_DEADLINE_MS";
 
 /// Attempts per chunk: the first run plus one retry from a fresh scratch.
 /// Bounded so a deterministically-panicking chunk cannot spin forever.
@@ -207,8 +197,7 @@ pub const MAX_CHUNK_ATTEMPTS: u32 = 2;
 /// starts did not all run is abandoned whole and lands in
 /// [`EngineReport::skipped_chunks`], so the merged report is always a
 /// valid chunk-order merge of completed chunks. A resumed checkpointed
-/// run first completes a chunk (see
-/// [`Engine::run_recorded_with_checkpoint`]).
+/// run first completes a chunk (see [`Engine::with_checkpoint`]).
 #[derive(Clone, Debug, Default)]
 pub struct CancelFlag(Arc<AtomicBool>);
 
@@ -229,10 +218,10 @@ impl CancelFlag {
     }
 }
 
-/// A malformed engine environment variable (`VC_THREADS` /
-/// `VC_DEADLINE_MS`). Ambient typos must be loud: a silently ignored
-/// `VC_THREADS=abc` runs the sweep with a different parallelism than the
-/// operator asked for, and a silently ignored deadline runs unbounded.
+/// A malformed engine environment variable (`VC_THREADS`, `VC_CHUNKS`,
+/// or the retired `VC_DEADLINE_MS`). Ambient typos must be loud: a
+/// silently ignored `VC_THREADS=abc` runs the sweep with a different
+/// parallelism than the operator asked for.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EnvError {
     /// The offending environment variable.
@@ -264,74 +253,59 @@ fn parse_threads(raw: &str) -> Result<usize, EnvError> {
     }
 }
 
-/// Parses a `VC_DEADLINE_MS` value: a non-negative integer milliseconds
-/// count (no unit suffixes — `1s` is a typo, not one second).
-fn parse_deadline_ms(raw: &str) -> Result<Duration, EnvError> {
-    raw.trim()
-        .parse::<u64>()
-        .map(Duration::from_millis)
-        .map_err(|_| EnvError {
-            var: DEADLINE_ENV,
-            message: format!(
-                "`{}` is not an integer millisecond count (unit suffixes are not supported)",
-                raw.trim()
-            ),
-        })
-}
-
-/// Parses a `VC_LIVE_CHECKPOINT` value: exactly `0` or `1`. Anything
-/// fuzzier (`yes`, `on`, …) is refused so a typo cannot silently disable
-/// the heartbeat a supervisor depends on.
-fn parse_live_checkpoint(raw: &str) -> Result<bool, EnvError> {
-    match raw.trim() {
-        "0" => Ok(false),
-        "1" => Ok(true),
-        other => Err(EnvError {
-            var: LIVE_CHECKPOINT_ENV,
-            message: format!("`{other}` is not `0` or `1`"),
-        }),
+/// Refuses a non-blank value of the retired `VC_DEADLINE_MS`.
+fn refuse_retired_deadline(raw: &str) -> Result<(), EnvError> {
+    if raw.trim().is_empty() {
+        return Ok(());
     }
+    Err(EnvError {
+        var: RETIRED_DEADLINE_VAR,
+        message: format!(
+            "`{}`: the variable is retired, and a sweep no longer stops on a deadline; \
+             a CancelFlag (Engine::with_cancel_flag) stops a sweep",
+            raw.trim()
+        ),
+    })
 }
 
-/// A sharded sweep runner with a fixed worker-thread count and optional
-/// degradation limits (deadline, chunk quota, cancel flag).
+/// A sharded sweep runner: a worker-thread count, optional stops (chunk
+/// quota, cancel flag), an optional chunk set, and an optional checkpoint
+/// file with the identity of the sweep it holds.
 #[derive(Clone, Debug)]
 pub struct Engine {
     threads: usize,
-    deadline: Option<Duration>,
     quota: Option<usize>,
     cancel: Option<CancelFlag>,
     set: Option<ChunkSet>,
-    live: bool,
+    checkpoint: Option<PathBuf>,
+    identity: Option<SweepIdentity>,
 }
 
 impl Engine {
     /// An engine with the ambient configuration: worker count from the
     /// `VC_THREADS` environment variable when set to a positive integer
-    /// (otherwise `std::thread::available_parallelism`, otherwise 1), a
-    /// cooperative deadline from `VC_DEADLINE_MS` when set, a chunk set
-    /// from `VC_CHUNKS=lo..hi/total` / `VC_CHUNKS=3..7,12/40` when set
-    /// (the fleet-worker path; see [`Engine::with_chunk_set`]), and
-    /// incremental checkpoint writes from `VC_LIVE_CHECKPOINT=1` (see
-    /// [`Engine::with_live_checkpoint`]). Unset or blank variables mean
-    /// "use the default"; anything else must parse.
+    /// (otherwise `std::thread::available_parallelism`, otherwise 1) and a
+    /// chunk set from `VC_CHUNKS=lo..hi/total` / `VC_CHUNKS=3..7,12/40`
+    /// when set (the fleet-worker path; see [`Engine::with_chunk_set`]).
+    /// Unset or blank variables mean "use the default"; anything else
+    /// must parse.
     ///
     /// # Errors
     ///
-    /// [`EnvError`] when any variable is set to garbage
-    /// (`VC_THREADS=0`, `VC_THREADS=abc`, `VC_DEADLINE_MS=1s`,
-    /// `VC_CHUNKS=512..0/2048`, `VC_LIVE_CHECKPOINT=yes`, …) — a startup
-    /// error, never a silently ignored override.
+    /// [`EnvError`] when a variable is set to garbage (`VC_THREADS=0`,
+    /// `VC_THREADS=abc`, `VC_CHUNKS=512..0/2048`, …) or the retired
+    /// `VC_DEADLINE_MS` is set at all — a startup error, never a silently
+    /// ignored override.
     pub fn from_env() -> Result<Self, EnvError> {
+        if let Ok(raw) = std::env::var(RETIRED_DEADLINE_VAR) {
+            refuse_retired_deadline(&raw)?;
+        }
         let threads = match std::env::var(THREADS_ENV) {
             Ok(raw) if !raw.trim().is_empty() => parse_threads(&raw)?,
             _ => std::thread::available_parallelism().map_or(1, |n| n.get()),
         };
-        let deadline = match std::env::var(DEADLINE_ENV) {
-            Ok(raw) if !raw.trim().is_empty() => Some(parse_deadline_ms(&raw)?),
-            _ => None,
-        };
-        let set = match std::env::var(CHUNKS_ENV) {
+        let mut engine = Self::with_threads(threads);
+        engine.set = match std::env::var(CHUNKS_ENV) {
             Ok(raw) if !raw.trim().is_empty() => {
                 Some(ChunkSet::parse(&raw).map_err(|e| EnvError {
                     var: CHUNKS_ENV,
@@ -340,14 +314,6 @@ impl Engine {
             }
             _ => None,
         };
-        let live = match std::env::var(LIVE_CHECKPOINT_ENV) {
-            Ok(raw) if !raw.trim().is_empty() => parse_live_checkpoint(&raw)?,
-            _ => false,
-        };
-        let mut engine = Self::with_threads(threads);
-        engine.deadline = deadline;
-        engine.set = set;
-        engine.live = live;
         Ok(engine)
     }
 
@@ -356,24 +322,12 @@ impl Engine {
     pub fn with_threads(threads: usize) -> Self {
         Self {
             threads: threads.max(1),
-            deadline: None,
             quota: None,
             cancel: None,
             set: None,
-            live: false,
+            checkpoint: None,
+            identity: None,
         }
-    }
-
-    /// Sets a cooperative deadline: once the sweep has run for `deadline`,
-    /// workers stop claiming chunks. Already-claimed chunks finish, so the
-    /// partial report remains a valid chunk-order merge; the skipped suffix
-    /// lands in [`EngineReport::skipped_chunks`] and the report is marked
-    /// [`EngineReport::degraded`]. Which chunks complete before a wall-clock
-    /// deadline is inherently schedule-dependent — deadline runs trade
-    /// reproducibility for bounded latency.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
     }
 
     /// Stops the sweep after the first `quota` chunks. Chunk claims are
@@ -408,14 +362,40 @@ impl Engine {
         self
     }
 
-    /// Enables incremental checkpoint writes: during
-    /// [`Engine::run_recorded_with_checkpoint`] every completed chunk
-    /// appends its line to the file as it lands instead of only at the
-    /// end. This turns part files into progress heartbeats a fleet
-    /// supervisor can watch; it changes when lines are written, never
-    /// what the final bytes are.
-    pub fn with_live_checkpoint(mut self) -> Self {
-        self.live = true;
+    /// Checkpoints the sweep to the `vc-engine-checkpoint/v4` file at
+    /// `path`. A run loads the chunks the file holds (no file is a fresh
+    /// start), runs only the others and writes the file back, sealed once
+    /// every chunk is present; a sealed file runs nothing and keeps its
+    /// bytes. The report's records, summary and
+    /// [`EngineReport::completed_chunks`] cover every chunk in the file,
+    /// so once [`EngineReport::is_complete`] they equal an unbroken
+    /// [`Engine::run_all`]'s, however many kills and resumes came between
+    /// and at any thread count. Outputs are not checkpointed (see the
+    /// `checkpoint` module): they cover this run's chunks only.
+    ///
+    /// An unrestricted run writes its file whole at its end. A run
+    /// restricted by [`Engine::with_chunk_set`] — a fleet worker — stamps
+    /// the file with its set ([`SweepCheckpoint::partition`]) and appends
+    /// each chunk's line as it lands, so its part file is a progress
+    /// heartbeat; the disjoint parts splice back into one full checkpoint
+    /// with [`splice_checkpoints`].
+    ///
+    /// A cancel stops a fresh run between starts; chunks it cut short
+    /// are written as missing. A run that loaded an existing file claims
+    /// its first chunk even if the flag is set and finishes the chunks it
+    /// claims, so every resume completes at least one chunk.
+    pub fn with_checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
+        self.checkpoint = Some(path.into());
+        self
+    }
+
+    /// Hands a checkpointed run the [`SweepIdentity`] of its sweep, so it
+    /// skips the fold over the whole instance. `identity` must be
+    /// [`sweep_identity`] of the sweep (debug builds re-fold and assert
+    /// it); a file whose `sweep_id` or chunk count differs from it is
+    /// still refused. A run without a checkpoint file does not read it.
+    pub fn with_identity(mut self, identity: SweepIdentity) -> Self {
+        self.identity = Some(identity);
         self
     }
 
@@ -429,26 +409,13 @@ impl Engine {
         self.set.as_ref()
     }
 
-    /// Whether incremental checkpoint writes are enabled.
-    pub fn live_checkpoint(&self) -> bool {
-        self.live
-    }
-
     /// Runs `algo` from every selected start node of `inst`, sharding the
-    /// sweep over the engine's worker threads.
-    ///
-    /// Outputs, records and the cost summary are bit-for-bit identical to
-    /// `vc_model::run::run_all` for every thread count; only
-    /// [`EngineReport::elapsed`] (and the throughput rates derived from it)
-    /// varies between runs. Panicking chunks are retried and, failing that,
-    /// abandoned (see [`EngineReport::aborted_chunks`]); deadline/quota/
-    /// cancel limits skip chunks (see [`EngineReport::skipped_chunks`]).
+    /// sweep over the engine's worker threads: [`Engine::run_all_traced`]
+    /// without a tracer.
     ///
     /// # Errors
     ///
-    /// [`EngineError::Start`] when the configured start selection is
-    /// invalid (same as the serial runner), [`EngineError::Partition`]
-    /// when a configured chunk range does not fit the sweep's plan.
+    /// As [`Engine::run_all_traced`].
     pub fn run_all<A>(
         &self,
         inst: &Instance,
@@ -459,38 +426,39 @@ impl Engine {
         A: QueryAlgorithm + Sync,
         A::Output: Send,
     {
-        let sw = Stopwatch::start();
-        let starts = config.starts.starts(inst.n())?;
-        let run = run_sharded::<A, NoopTracer>(
-            inst,
-            algo,
-            config,
-            &starts,
-            self.limits(&sw, starts.len())?,
-            None,
-            None,
-        );
-        Ok(self.finish_report(run, sw).0)
+        self.run_all_traced::<A, NoopTracer>(inst, algo, config)
+            .map(|(report, _)| report)
     }
 
-    /// [`Engine::run_all`] with a [`MergeTracer`] aggregated across the
-    /// sweep, returning the merged tracer next to the report.
+    /// Runs `algo` from every selected start node of `inst`, sharding the
+    /// sweep over the engine's worker threads, with a [`MergeTracer`]
+    /// aggregated across the sweep; returns the merged tracer next to the
+    /// report. Every sweep, checkpointed or not, runs here.
+    ///
+    /// Outputs, records and the cost summary are bit-for-bit identical to
+    /// `vc_model::run::run_all` for every thread count; only
+    /// [`EngineReport::elapsed`] (and the throughput rates derived from it)
+    /// varies between runs. Panicking chunks are retried and, failing that,
+    /// abandoned (see [`EngineReport::aborted_chunks`]); quota and cancel
+    /// limits skip chunks (see [`EngineReport::skipped_chunks`]).
     ///
     /// Each share of a chunk folds its events into a fresh `T::default()`;
     /// the partials are absorbed chunk by chunk in index order, so — like
     /// the cost summary — the merged tracer is bit-identical for every
-    /// thread count.
-    ///
-    /// Per-share wall times (`ChunkTimed` events) are measured only when
-    /// `T::TIMED` is set, and are inherently schedule-dependent: mergeable
-    /// tracers must quarantine them away from their deterministic state
-    /// (see `SweepMetrics`' query/sched split in `vc-trace`).
+    /// thread count. Per-share wall times (`ChunkTimed` events) are
+    /// measured only when `T::TIMED` is set, and are inherently
+    /// schedule-dependent: mergeable tracers must quarantine them away
+    /// from their deterministic state (see `SweepMetrics`' query/sched
+    /// split in `vc-trace`).
     ///
     /// # Errors
     ///
     /// [`EngineError::Start`] when the configured start selection is
     /// invalid (same as the serial runner), [`EngineError::Partition`]
-    /// when a configured chunk range does not fit the sweep's plan.
+    /// when a configured chunk set does not fit the sweep's plan, and,
+    /// under [`Engine::with_checkpoint`], [`EngineError::Io`] when the
+    /// file cannot be read or written and [`EngineError::BadCheckpoint`]
+    /// when it is malformed or belongs to another sweep.
     pub fn run_all_traced<A, T>(
         &self,
         inst: &Instance,
@@ -504,108 +472,44 @@ impl Engine {
     {
         let sw = Stopwatch::start();
         let starts = config.starts.starts(inst.n())?;
-        let run = run_sharded::<A, T>(
-            inst,
-            algo,
-            config,
-            &starts,
-            self.limits(&sw, starts.len())?,
-            None,
-            None,
-        );
-        Ok(self.finish_report(run, sw))
-    }
-
-    /// The per-sweep limit set shared by all entry points.
-    ///
-    /// # Errors
-    ///
-    /// [`RangeError::PlanMismatch`] when a configured chunk set names a
-    /// different total than the sweep's plan — running the claim anyway
-    /// would partition a sweep the coordinator never cut.
-    fn limits<'a>(
-        &'a self,
-        sw: &'a Stopwatch,
-        num_starts: usize,
-    ) -> Result<SweepLimits<'a>, RangeError> {
-        let plan = plan_chunks(num_starts);
+        let plan = plan_chunks(starts.len());
         if let Some(set) = &self.set {
+            // A set cut from another plan would partition a sweep the
+            // coordinator never cut.
             set.check_plan(plan.num_chunks)?;
         }
-        // The claim sequence is the configured set's chunks in ascending
-        // order (the full plan when unrestricted), further clamped by the
-        // chunk quota — which counts within the sequence so a fleet worker
-        // can be "killed" after k of *its* chunks.
-        let claims: Vec<usize> = match &self.set {
-            Some(set) => set.chunks().collect(),
-            None => (0..plan.num_chunks).collect(),
+        let file = match &self.checkpoint {
+            Some(path) => {
+                let fold = || sweep_identity(inst, algo, config, &starts);
+                let identity = self.identity.unwrap_or_else(fold);
+                debug_assert_eq!(identity, fold(), "handed another sweep's identity");
+                let set = self.set.as_ref();
+                Some(OpenCheckpoint::open(path, identity, plan.num_chunks, set)?)
+            }
+            None => None,
         };
-        let claim_limit = self.quota.map_or(claims.len(), |q| q.min(claims.len()));
-        let workers = self.threads.min(claims.len().max(1));
-        Ok(SweepLimits {
-            sw,
-            deadline: self.deadline,
-            plan,
-            claims,
-            claim_limit,
-            set: self.set.as_ref(),
-            cancel: self.cancel.as_ref(),
-            resumed: false,
-            workers,
-        })
-    }
-
-    /// Wraps a sharded outcome into an [`EngineReport`].
-    fn finish_report<O, T>(&self, run: ShardedRun<O, T>, sw: Stopwatch) -> (EngineReport<O>, T) {
-        let degraded = !run.aborted.is_empty() || !run.skipped.is_empty();
-        (
-            EngineReport {
-                summary: run.acc.finish(),
-                total_queries: run.acc.total_queries(),
-                report: run.report,
-                threads: run.workers,
-                elapsed: sw.elapsed(),
-                aborted_chunks: run.aborted,
-                skipped_chunks: run.skipped,
-                out_of_range_chunks: run.out_of_range,
-                degraded,
+        let run = run_sharded::<A, T>(self, inst, algo, config, &starts, plan, file.as_ref());
+        let (records, acc, completed_chunks) = match file {
+            Some(file) => file.commit(plan, starts.len(), &run.executed, run.report.records)?,
+            None => (run.report.records, run.acc, run.executed.len()),
+        };
+        let report = EngineReport {
+            report: RunReport {
+                outputs: run.report.outputs,
+                records,
             },
-            run.tracer,
-        )
-    }
-}
-
-/// The per-sweep limit set: deadline clock, chunk-claim sequence and
-/// cancel flag, checked at claim boundaries (the flag also per start).
-struct SweepLimits<'a> {
-    sw: &'a Stopwatch,
-    deadline: Option<Duration>,
-    /// The size-adaptive chunk partition of the start set.
-    plan: ChunkPlan,
-    /// The chunk indices this run may execute, ascending: the configured
-    /// set's chunks, or every planned chunk when unrestricted. Workers
-    /// claim positions in this sequence.
-    claims: Vec<usize>,
-    /// First *position* in `claims` workers must not claim
-    /// (quota-clamped).
-    claim_limit: usize,
-    /// The configured chunk set, for merge-time classification of
-    /// unclaimed chunks (outside the set ≠ degraded).
-    set: Option<&'a ChunkSet>,
-    cancel: Option<&'a CancelFlag>,
-    /// The run resumed a checkpoint file: the cancel flag waits for its
-    /// first claim and acts at claim boundaries only.
-    resumed: bool,
-    /// Worker threads after clamping to the claim-sequence length.
-    workers: usize,
-}
-
-impl SweepLimits<'_> {
-    /// Whether workers should stop claiming; `claimed`: has any claim
-    /// been made yet (the resume floor).
-    fn should_stop(&self, claimed: bool) -> bool {
-        ((claimed || !self.resumed) && self.cancel.is_some_and(CancelFlag::is_cancelled))
-            || self.deadline.is_some_and(|d| self.sw.elapsed() >= d)
+            summary: acc.finish(),
+            total_queries: acc.total_queries(),
+            threads: run.workers,
+            elapsed: sw.elapsed(),
+            degraded: !run.aborted.is_empty() || !run.skipped.is_empty(),
+            aborted_chunks: run.aborted,
+            skipped_chunks: run.skipped,
+            out_of_range_chunks: run.out_of_range,
+            completed_chunks,
+            num_chunks: plan.num_chunks,
+        };
+        Ok((report, run.tracer))
     }
 }
 
@@ -672,7 +576,7 @@ struct ShardedRun<O, T> {
     tracer: T,
     /// Chunks abandoned after exhausting panic retries, ascending.
     aborted: Vec<usize>,
-    /// Chunks never executed or cut short (deadline/quota/cancel), ascending.
+    /// Chunks never executed or cut short (quota/cancel), ascending.
     skipped: Vec<usize>,
     /// Chunks outside the configured chunk range, ascending.
     out_of_range: Vec<usize>,
@@ -799,23 +703,45 @@ fn participate<A, T>(
     cell.land(result.ok(), retry, chunk, sink);
 }
 
+/// Runs the sweep's claimable chunks on `engine`'s workers and merges
+/// them in chunk order. Chunks `file` already holds are neither claimed
+/// nor helped, and each completed chunk is committed to its sink.
 fn run_sharded<A, T>(
+    engine: &Engine,
     inst: &Instance,
     algo: &A,
     config: &RunConfig,
     starts: &[usize],
-    limits: SweepLimits<'_>,
-    done: Option<&[bool]>,
-    sink: Option<&LiveCheckpointSink>,
+    plan: ChunkPlan,
+    file: Option<&OpenCheckpoint<'_>>,
 ) -> ShardedRun<A::Output, T>
 where
     A: QueryAlgorithm + Sync,
     A::Output: Send,
     T: MergeTracer,
 {
-    let plan = limits.plan;
     let num_chunks = plan.num_chunks;
-    let workers = limits.workers;
+    let is_done = |c: usize| file.is_some_and(|f| f.is_done(c));
+    let sink = file.and_then(|f| f.sink.as_ref());
+    // The claim sequence is the configured set's chunks in ascending
+    // order (the full plan when unrestricted), further clamped by the
+    // chunk quota — which counts within the sequence so a fleet worker
+    // can be "killed" after k of *its* chunks.
+    let claims: Vec<usize> = match &engine.set {
+        Some(set) => set.chunks().collect(),
+        None => (0..num_chunks).collect(),
+    };
+    let claim_limit = engine.quota.map_or(claims.len(), |q| q.min(claims.len()));
+    // No more workers than chunks left to run: the resume of a sealed
+    // file runs on the calling thread alone.
+    let open = claims.iter().filter(|&&c| !is_done(c)).count();
+    let workers = engine.threads.min(open.max(1));
+    // A run that resumed a file lets its cancel flag act only at claim
+    // boundaries after its first claim, so every resume completes a chunk.
+    let resumed = file.is_some_and(|f| f.resumed);
+    let cancel = engine.cancel.as_ref();
+    let should_stop =
+        |claimed: bool| (claimed || !resumed) && cancel.is_some_and(CancelFlag::is_cancelled);
     let next = AtomicUsize::new(0);
     let claimed = AtomicBool::new(false);
     let sweep = SweepInputs {
@@ -824,9 +750,8 @@ where
         config,
         starts,
         plan,
-        cancel: limits.cancel.filter(|_| !limits.resumed),
+        cancel: cancel.filter(|_| !resumed),
     };
-    let is_done = |c: usize| done.is_some_and(|d| d[c]);
     let cells: Vec<ChunkCell<A::Output, T>> = (0..num_chunks)
         .map(|c| {
             let (lo, hi) = plan.bounds(c, starts.len());
@@ -843,17 +768,17 @@ where
     let share = || {
         let mut scratch = ExecScratch::new();
         loop {
-            // The claim boundary: the cooperative stop point for deadlines
-            // and quotas, whose claimed chunks run to completion. A cancel
-            // also stops shares between starts; the merge drops what it cut.
-            if limits.should_stop(claimed.load(Ordering::Relaxed)) {
+            // The claim boundary: the cooperative stop point for quotas,
+            // whose claimed chunks run to completion. A cancel also stops
+            // shares between starts; the merge drops what it cut.
+            if should_stop(claimed.load(Ordering::Relaxed)) {
                 break;
             }
             let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= limits.claim_limit {
+            if i >= claim_limit {
                 break;
             }
-            let c = limits.claims[i];
+            let c = claims[i];
             if !is_done(c) {
                 claimed.store(true, Ordering::Relaxed);
                 participate(&sweep, &cells[c], c, true, &mut scratch, sink);
@@ -861,8 +786,8 @@ where
         }
         // No chunk is left to claim: rather than exit, help finish the
         // claimed chunks start by start.
-        let claimed = next.load(Ordering::Relaxed).min(limits.claim_limit);
-        for &c in &limits.claims[..claimed] {
+        let claimed = next.load(Ordering::Relaxed).min(claim_limit);
+        for &c in &claims[..claimed] {
             if cells[c].cursor.load(Ordering::Relaxed) < cells[c].len {
                 participate(&sweep, &cells[c], c, false, &mut scratch, sink);
             }
@@ -896,7 +821,7 @@ where
         chunks: num_chunks,
         chunk_size: plan.chunk_size,
     });
-    if let Some(set) = limits.set {
+    if let Some(set) = &engine.set {
         // One event per contiguous run, so a single-slice set announces
         // exactly its `lo..hi/total` spec.
         for &(lo, hi) in set.runs() {
@@ -928,7 +853,7 @@ where
                 });
                 merged_tracer.event(TraceEvent::ChunkAborted { chunk: c });
                 aborted.push(c);
-            } else if limits.set.is_some_and(|s| !s.contains(c)) && !is_done(c) {
+            } else if engine.set.as_ref().is_some_and(|s| !s.contains(c)) && !is_done(c) {
                 // Another partition's work, deliberately left alone — not
                 // degradation.
                 out_of_range.push(c);
@@ -973,16 +898,20 @@ where
 }
 
 /// The result of a sharded sweep: the serial-identical [`RunReport`] plus
-/// aggregate costs, wall-clock throughput and the degradation ledgers.
+/// aggregate costs, wall-clock throughput and the degradation ledgers. In
+/// a checkpointed run ([`Engine::with_checkpoint`]) the records, summary,
+/// query total and completed chunks cover every chunk in the file, loaded
+/// ones included; the outputs cover this run's chunks only.
 #[derive(Clone, Debug)]
 pub struct EngineReport<O> {
     /// Per-node outputs and per-execution records, bit-identical to the
-    /// serial runner's report (for the executed chunks).
+    /// serial runner's report (for the completed chunks).
     pub report: RunReport<O>,
     /// Aggregated costs (merged from per-chunk integral partials; identical
     /// to `report.summary()` for every thread count).
     pub summary: CostSummary,
-    /// Worker threads actually used (after clamping to the chunk count).
+    /// Worker threads actually used (after clamping to the chunks left to
+    /// run).
     pub threads: usize,
     /// Wall-clock duration of the sweep. The only field that varies between
     /// runs.
@@ -993,23 +922,33 @@ pub struct EngineReport<O> {
     /// Deterministic and thread-count-invariant: panics are a function of
     /// the chunk's inputs, not of scheduling.
     pub aborted_chunks: Vec<usize>,
-    /// Chunks never executed, or cut short by a cancel, because a
-    /// deadline, chunk quota or cancel flag stopped the sweep (ascending).
-    /// A suffix of the claim window, except that a cancel with more than
-    /// one worker can cut a chunk while a later one completes.
+    /// Chunks never executed, or cut short by a cancel, because a chunk
+    /// quota or cancel flag stopped the sweep (ascending). A suffix of the
+    /// claim window, except that a cancel with more than one worker can
+    /// cut a chunk while a later one completes.
     pub skipped_chunks: Vec<usize>,
     /// Chunks outside the configured [`ChunkSet`] (ascending; empty for
     /// unrestricted runs). These belong to *other* partitions of the same
     /// sweep and deliberately carry no outputs here, so — unlike aborts
     /// and skips — they do not mark the report degraded.
     pub out_of_range_chunks: Vec<usize>,
+    /// Chunks whose records the report holds.
+    pub completed_chunks: usize,
+    /// Chunks in the sweep's plan.
+    pub num_chunks: usize,
     /// Whether any chunk was aborted or skipped. A degraded report's
     /// summary covers only the executed chunks — partial but valid.
     pub degraded: bool,
 }
 
 impl<O> EngineReport<O> {
-    /// Executions per wall-clock second.
+    /// Whether the records cover every chunk of the sweep.
+    pub fn is_complete(&self) -> bool {
+        self.completed_chunks == self.num_chunks
+    }
+
+    /// Executions per wall-clock second (a resumed checkpointed run counts
+    /// its loaded records too).
     pub fn starts_per_sec(&self) -> f64 {
         rate(self.report.records.len() as f64, self.elapsed)
     }
@@ -1169,7 +1108,7 @@ mod tests {
         assert_eq!(a.report.records, b.records);
         assert_eq!(a.summary, b.summary());
         assert_eq!(a.report.truncated(), b.truncated());
-        assert!(!a.degraded);
+        assert!(!a.degraded && a.is_complete());
         assert!(a.aborted_chunks.is_empty() && a.skipped_chunks.is_empty());
     }
 
@@ -1254,49 +1193,27 @@ mod tests {
         let config = RunConfig::default();
         let dir = std::env::temp_dir().join("vc-engine-helping-tests");
         std::fs::create_dir_all(&dir).unwrap();
-        let paths = ["one.json", "two.json", "sink.json"].map(|f| dir.join(f));
-        for p in &paths {
-            let _ = std::fs::remove_file(p);
-        }
-        Engine::with_threads(1)
-            .run_recorded_with_checkpoint(
-                &inst,
-                &Skewed::new(false, usize::MAX, 0),
-                &config,
-                &paths[0],
-            )
-            .unwrap();
-        Engine::with_threads(2)
-            .with_live_checkpoint()
-            .run_recorded_with_checkpoint(
-                &inst,
-                &Skewed::new(true, usize::MAX, 0),
-                &config,
-                &paths[1],
-            )
-            .unwrap();
-        let one = std::fs::read(&paths[0]).unwrap();
-        assert_eq!(std::fs::read(&paths[1]).unwrap(), one);
+        // Restricted runs append each chunk's line as it lands.
+        let run = |threads: usize, spec: &str, name: &str| {
+            let path = dir.join(name);
+            let _ = std::fs::remove_file(&path);
+            Engine::with_threads(threads)
+                .with_chunk_set(ChunkSet::parse(spec).unwrap())
+                .with_checkpoint(&path)
+                .run_all(&inst, &Skewed::new(threads > 1, usize::MAX, 0), &config)
+                .unwrap();
+            std::fs::read_to_string(&path).unwrap()
+        };
+        let one = run(1, "0..6/6", "one.json");
+        assert_eq!(run(2, "0..6/6", "two.json"), one);
         // The sink's own appends, with no final write after them: every
         // chunk was committed once its last share landed, in start order.
         // Lines land in landing order, so the decoded records are compared.
-        let algo = Skewed::new(true, usize::MAX, 0);
-        let starts: Vec<usize> = (0..inst.n()).collect();
-        let fresh = SweepCheckpoint::fresh(
-            sweep_identity(&inst, &algo, &config, &starts),
-            plan_chunks(inst.n()).num_chunks,
-        );
-        // A fresh checkpoint encodes as its header line alone.
-        std::fs::write(&paths[2], fresh.to_json()).unwrap();
-        let sink = LiveCheckpointSink::open(&paths[2]).unwrap();
-        let engine = Engine::with_threads(2);
-        let sw = Stopwatch::start();
-        let limits = engine.limits(&sw, inst.n()).unwrap();
-        run_sharded::<_, NoopTracer>(&inst, &algo, &config, &starts, limits, None, Some(&sink));
-        let decode = |p: &std::path::Path| {
-            SweepCheckpoint::from_json(&std::fs::read_to_string(p).unwrap()).unwrap()
-        };
-        assert_eq!(decode(&paths[2]).chunks, decode(&paths[0]).chunks);
+        let appended = run(2, "0..5/6", "sink.json");
+        let decode = |text: &str| SweepCheckpoint::from_json(text).unwrap().chunks;
+        let mut want = decode(&one);
+        want[5] = None;
+        assert_eq!(decode(&appended), want);
     }
 
     #[test]
@@ -1705,21 +1622,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_deadline_yields_an_empty_degraded_report() {
-        let inst = gen::random_full_binary_tree(200, 5);
-        let config = RunConfig::default();
-        let report = Engine::with_threads(2)
-            .with_deadline(Duration::ZERO)
-            .run_all(&inst, &WalkLeft, &config)
-            .unwrap();
-        assert!(report.degraded);
-        assert_eq!(report.skipped_chunks.len(), inst.n().div_ceil(CHUNK));
-        assert_eq!(report.summary.runs, 0);
-        assert!(report.report.records.is_empty());
-        assert!(report.report.outputs.iter().all(Option::is_none));
-    }
-
-    #[test]
     fn pre_cancelled_flag_stops_before_any_chunk() {
         let inst = gen::random_full_binary_tree(200, 5);
         let flag = CancelFlag::new();
@@ -1732,13 +1634,8 @@ mod tests {
         assert!(report.degraded);
         assert_eq!(report.summary.runs, 0);
         assert_eq!(report.skipped_chunks.len(), inst.n().div_ceil(CHUNK));
-    }
-
-    #[test]
-    fn deadline_env_is_parsed() {
-        let engine = Engine::with_threads(2).with_deadline(Duration::from_millis(5));
-        assert_eq!(engine.deadline, Some(Duration::from_millis(5)));
-        assert_eq!(Engine::with_threads(2).deadline, None);
+        assert!(report.report.records.is_empty());
+        assert!(report.report.outputs.iter().all(Option::is_none));
     }
 
     // The env variables themselves are process-global (mutating them
@@ -1802,12 +1699,15 @@ mod tests {
     }
 
     #[test]
-    fn deadline_env_values_parse_strictly() {
-        assert_eq!(parse_deadline_ms("250"), Ok(Duration::from_millis(250)));
-        assert_eq!(parse_deadline_ms("0"), Ok(Duration::ZERO));
-        let suffixed = parse_deadline_ms("1s").unwrap_err();
-        assert_eq!(suffixed.var, DEADLINE_ENV);
-        assert!(suffixed.to_string().contains("1s"), "{suffixed}");
-        assert!(parse_deadline_ms("fast").is_err());
+    fn retired_deadline_env_is_refused() {
+        assert_eq!(refuse_retired_deadline(""), Ok(()));
+        assert_eq!(refuse_retired_deadline(" "), Ok(()));
+        for raw in ["500", "0", "1s"] {
+            let err = refuse_retired_deadline(raw).unwrap_err();
+            assert_eq!(err.var, "VC_DEADLINE_MS");
+            let msg = err.to_string();
+            assert!(msg.contains(raw) && msg.contains("retired"), "{msg}");
+            assert!(msg.contains("CancelFlag"), "{msg}");
+        }
     }
 }

@@ -210,7 +210,8 @@ impl ChunkSet {
     /// # Errors
     ///
     /// [`RangeError::Malformed`] for anything that is not that shape,
-    /// plus the per-run [`ChunkSet::from_runs`] validations.
+    /// including a component past `usize` or the index `usize::MAX`, plus
+    /// the per-run [`ChunkSet::from_runs`] validations.
     pub fn parse(spec: &str) -> Result<Self, RangeError> {
         let malformed = || RangeError::Malformed(spec.to_string());
         let (items, total) = spec.split_once('/').ok_or_else(malformed)?;
@@ -223,8 +224,9 @@ impl ChunkSet {
                     parse_component(hi).ok_or_else(malformed)?,
                 ),
                 None => {
+                    // An index with no successor names no chunk of any plan.
                     let c = parse_component(item).ok_or_else(malformed)?;
-                    (c, c + 1)
+                    (c, c.checked_add(1).ok_or_else(malformed)?)
                 }
             };
             runs.push(run);
@@ -329,8 +331,17 @@ mod tests {
                 "spec {spec:?}"
             );
         }
-        // A bare index is a one-chunk set, not a malformed range.
+        // A bare index is a one-chunk set, not a malformed range; the
+        // index `usize::MAX` has no successor, so it is refused, not
+        // wrapped or overflowed.
         assert_eq!(ChunkSet::parse("4/8"), ChunkSet::range(4, 5, 8));
+        for spec in [
+            "18446744073709551615/18446744073709551615",
+            "18446744073709551615/4",
+        ] {
+            let err = RangeError::Malformed(spec.to_string());
+            assert_eq!(ChunkSet::parse(spec), Err(err));
+        }
         assert_eq!(
             ChunkSet::parse("5..2/8"),
             Err(RangeError::Inverted { lo: 5, hi: 2 })
@@ -446,6 +457,55 @@ mod tests {
         assert!(ChunkSet::full(6).is_full());
         assert!(ChunkSet::full(0).is_full());
         assert_eq!(ChunkSet::full(6).to_string(), "0..6/6");
+    }
+
+    #[test]
+    fn mutated_specs_are_refused_or_round_trip() {
+        let specs = [
+            "3..7,12/40",
+            "18446744073709551614/18446744073709551615",
+            "0..2,18446744073709551614/18446744073709551615",
+        ];
+        let mut state = 0x5eed_0031_u64;
+        let mut below = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            usize::try_from(state % n as u64).expect("below a usize")
+        };
+        let (mut refused, mut parsed) = (0, 0);
+        for i in 0..2_000 {
+            // Seeded truncations, ASCII bit flips and splices.
+            let mut m = specs[i % specs.len()].as_bytes().to_vec();
+            match below(3) {
+                0 => m.truncate(below(m.len())),
+                1 => {
+                    let at = below(m.len());
+                    m[at] ^= 1 << below(7);
+                }
+                _ => {
+                    let from = below(m.len());
+                    let to = (from + 1 + below(12)).min(m.len());
+                    let slice = m[from..to].to_vec();
+                    let at = below(m.len() + 1);
+                    m.splice(at..at, slice);
+                }
+            }
+            let m = String::from_utf8(m).expect("ASCII mutations stay UTF-8");
+            // No mutant panics; a parsed one displays as a spec that
+            // parses back to it.
+            match ChunkSet::parse(&m) {
+                Ok(set) => {
+                    assert_eq!(ChunkSet::parse(&set.to_string()), Ok(set), "{m}");
+                    parsed += 1;
+                }
+                Err(_) => refused += 1,
+            }
+        }
+        assert!(
+            parsed > 0 && refused > 0,
+            "{parsed} parsed, {refused} refused"
+        );
     }
 
     #[test]

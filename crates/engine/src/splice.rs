@@ -178,9 +178,10 @@ pub fn splice_checkpoints(parts: &[SweepCheckpoint]) -> Result<SweepCheckpoint, 
 /// of fleet supervision. Where [`splice_checkpoints`] refuses a gap,
 /// `splice_partial` merges the supplied chunks into one resumable partial
 /// checkpoint and *returns* the gap: the merged file can be handed
-/// straight to `Engine::run_recorded_with_checkpoint`, which executes
-/// only the missing chunks, so recovery cost is proportional to the lost
-/// work rather than to whole lost slices.
+/// straight to a run under
+/// [`Engine::with_checkpoint`](crate::Engine::with_checkpoint), which
+/// executes only the missing chunks, so recovery cost is proportional to
+/// the lost work rather than to whole lost slices.
 ///
 /// The merged checkpoint carries no `partition` stamp (like a full
 /// splice), so once the missing chunks are filled in the file is

@@ -78,7 +78,7 @@ impl KillPlan {
 
     /// The distinct workers to kill, ascending: `count` victims drawn
     /// from `0..workers` by a seeded partial Fisher–Yates, clamped to the
-    /// fleet size. Folds each draw index into the [`rule::VICTIM`] hash,
+    /// fleet size. Folds each draw index into the `rule::VICTIM` hash,
     /// so `victims(w, 1)` need not equal `[victim(w)]` — the multi-victim
     /// schedule is its own deterministic decision.
     pub fn victims(&self, workers: usize, count: usize) -> Vec<usize> {

@@ -252,6 +252,59 @@ mod tests {
     }
 
     #[test]
+    fn mutated_specs_are_refused_or_round_trip() {
+        let specs = [
+            "seed=7,refuse=64,crash=256",
+            "seed=18446744073709551615,corrupt=18446744073709551615,squeeze=500",
+            "refuse=1, crash=2",
+        ];
+        let mut state = 0x5eed_0031_u64;
+        let mut below = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            usize::try_from(state % n as u64).expect("below a usize")
+        };
+        let (mut refused, mut parsed) = (0, 0);
+        for i in 0..2_000 {
+            // Seeded truncations, ASCII bit flips and splices.
+            let mut m = specs[i % specs.len()].as_bytes().to_vec();
+            match below(3) {
+                0 => m.truncate(below(m.len())),
+                1 => {
+                    let at = below(m.len());
+                    m[at] ^= 1 << below(7);
+                }
+                _ => {
+                    let from = below(m.len());
+                    let to = (from + 1 + below(12)).min(m.len());
+                    let slice = m[from..to].to_vec();
+                    let at = below(m.len() + 1);
+                    m.splice(at..at, slice);
+                }
+            }
+            let m = String::from_utf8(m).expect("ASCII mutations stay UTF-8");
+            // No mutant panics; a parsed one has a canonical spec that
+            // parses back to it.
+            match FaultPlan::from_spec(&m) {
+                Ok(plan) => {
+                    assert_eq!(
+                        FaultPlan::from_spec(&plan.canonical_spec()),
+                        Ok(plan),
+                        "{m}"
+                    );
+                    parsed += 1;
+                }
+                Err(_) => refused += 1,
+            }
+        }
+        assert!(
+            parsed > 0 && refused > 0,
+            "{parsed} parsed, {refused} refused"
+        );
+    }
+
+    #[test]
     fn decisions_are_deterministic_and_class_separated() {
         let plan = FaultPlan::none(42);
         let a = plan.fires(rule::REFUSE, 3, 17, Some(2));

@@ -13,9 +13,9 @@
 //! only *who* runs a chunk, never what the chunk produces. The
 //! supervisor operates entirely at that scheduling layer:
 //!
-//! * **Heartbeats are read-only.** Workers run with live checkpoints
-//!   (`VC_LIVE_CHECKPOINT=1`), so the engine appends one line to their
-//!   part files as each chunk completes (DESIGN.md §16.1). The
+//! * **Heartbeats are read-only.** Workers run checkpointed sweeps
+//!   restricted to their chunk sets, so the engine appends one line to
+//!   their part files as each chunk completes (DESIGN.md §16.1). The
 //!   supervisor reads only the bytes appended since its last poll,
 //!   counts the complete lines of assigned chunks, times the gaps
 //!   through the single sanctioned clock
@@ -34,7 +34,7 @@
 //!   number, capped), never of any time measurement — so the retry
 //!   *schedule* is reproducible even though wall-clock timings are not.
 //!
-//! The result: for any kill schedule, [`splice_partial`] over every
+//! The result: for any kill schedule, [`vc_engine::splice_partial`] over every
 //! part file the fleet wrote merges into a checkpoint byte-identical to
 //! an unbroken single-process run — the chaos drill in
 //! `examples/fleet_sweep.rs` machine-checks exactly this, and the
@@ -105,10 +105,12 @@ pub struct LaunchSpec {
     pub launch: usize,
     /// The chunks this launch must execute — contiguous for initial
     /// slices, possibly gappy for reassignments. Pass to the worker as
-    /// `VC_CHUNKS={chunks}`.
+    /// `VC_CHUNKS={chunks}` (or `Engine::with_chunk_set`).
     pub chunks: ChunkSet,
-    /// The part checkpoint file this launch writes (and heartbeats
-    /// through, under `VC_LIVE_CHECKPOINT=1`).
+    /// The part checkpoint file this launch writes: the worker's
+    /// `Engine::with_checkpoint` path. A run restricted to `chunks`
+    /// appends each chunk's line as it lands, which is the heartbeat the
+    /// supervisor reads.
     pub part_path: PathBuf,
     /// The highest per-chunk attempt number in this launch (1 for
     /// initial slices).

@@ -6,7 +6,7 @@
 //!
 //! Every report, reply and spec line is a [`Json`] tree written by one of
 //! two functions with no options: [`document`] lays out a file, a member
-//! a line and the objects of a member's array a line each, and [`line`]
+//! a line and the objects of a member's array a line each, and [`line()`]
 //! writes the same value as one compact protocol line. Keys and strings
 //! go through [`escape_into`]; numbers are written as the caller formats
 //! them. Two writers stay outside it on purpose: the checkpoint encoder
@@ -168,7 +168,7 @@ pub fn escaped_len(s: &str) -> usize {
             .sum::<usize>()
 }
 
-/// A value for [`document`] or [`line`] to write. Objects are built with
+/// A value for [`document`] or [`line()`] to write. Objects are built with
 /// [`obj!`] (and grown with [`Json::with`]), arrays with [`Json::arr`];
 /// strings convert into [`Json::Str`], integers and booleans into their
 /// literal and `None` into `null`.

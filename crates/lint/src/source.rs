@@ -17,7 +17,7 @@ use crate::lexer::{self, Tok, TokKind};
 const SKIPPED_DIRS: &[&str] = &["target", "vendor", "fixtures"];
 
 /// Recursively collects `.rs` files under `dir`, sorted by path for
-/// stable output, skipping [`SKIPPED_DIRS`] subtrees.
+/// stable output, skipping `SKIPPED_DIRS` subtrees.
 pub fn rs_files(dir: &Path) -> Vec<PathBuf> {
     let mut files = Vec::new();
     let Ok(entries) = std::fs::read_dir(dir) else {

@@ -754,11 +754,13 @@ fn scheduler_loop(shared: &Shared, threads: usize, spool_dir: &std::path::Path) 
         // immutable). A tripped flag stops the run between starts; the
         // engine still writes the (partial) checkpoint file.
         let ckpt = spool_path(spool_dir, work.identity.sweep_id);
-        let engine = Engine::with_threads(threads).with_cancel_flag(flag);
+        let engine = Engine::with_threads(threads)
+            .with_cancel_flag(flag)
+            .with_identity(work.identity);
         let outcome =
             work.spec
                 .algorithm
-                .run_as(&engine, &work.instance, &work.config, work.identity, &ckpt);
+                .run_checkpointed(&engine, &work.instance, &work.config, &ckpt);
 
         let mut g = shared.lock();
         let inner = &mut *g;

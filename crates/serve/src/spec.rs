@@ -14,8 +14,8 @@
 use std::fmt;
 use std::path::Path;
 
-use vc_engine::{sweep_identity, CheckpointReport, Engine, EngineError, SweepIdentity};
-use vc_graph::{gen, Instance};
+use vc_engine::{sweep_identity, Engine, EngineError, EngineReport, SweepIdentity};
+use vc_graph::{gen, Color, Instance};
 use vc_json::{obj, Json, Value};
 use vc_model::run::RunConfig;
 use vc_model::run::StartSelection;
@@ -91,9 +91,9 @@ impl InstanceRef {
 
 /// One algorithm from the service's closed registry.
 ///
-/// The enum erases the solver's output type: everything the service
-/// needs — identity folding and checkpointed execution — goes through
-/// the engine's type-erased checkpoint path.
+/// Both registry solvers output a [`Color`], so everything the service
+/// needs — identity folding and the checkpointed run — is one dispatch
+/// over the enum.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AlgorithmRef {
     /// `leaf-coloring/distance`: the deterministic distance solver.
@@ -134,42 +134,31 @@ impl AlgorithmRef {
         }
     }
 
-    /// Runs the sweep through the engine's checkpoint path.
+    /// Runs the sweep on `engine`, checkpointed to `path`: the registry's
+    /// one run dispatch. An engine that carries the sweep's identity
+    /// ([`Engine::with_identity`]) skips the fold over the instance.
+    ///
+    /// # Errors
+    ///
+    /// As [`Engine::run_all_traced`].
     pub fn run_checkpointed(
         &self,
         engine: &Engine,
         inst: &Instance,
         config: &RunConfig,
         path: &Path,
-    ) -> Result<CheckpointReport, EngineError> {
-        let starts = config.starts.starts(inst.n())?;
-        let identity = self.identity(inst, config, &starts);
-        self.run_as(engine, inst, config, identity, path)
-    }
-
-    /// [`AlgorithmRef::run_checkpointed`] on its [`AlgorithmRef::identity`].
-    pub(crate) fn run_as(
-        &self,
-        engine: &Engine,
-        inst: &Instance,
-        config: &RunConfig,
-        identity: SweepIdentity,
-        path: &Path,
-    ) -> Result<CheckpointReport, EngineError> {
+    ) -> Result<EngineReport<Color>, EngineError> {
+        let engine = engine.clone().with_checkpoint(path);
         match *self {
-            AlgorithmRef::LeafDistance => engine.run_recorded_as(
+            AlgorithmRef::LeafDistance => engine.run_all(
                 inst,
                 &vc_core::problems::leaf_coloring::DistanceSolver,
                 config,
-                identity,
-                path,
             ),
-            AlgorithmRef::LeafRandomWalk { step_factor } => engine.run_recorded_as(
+            AlgorithmRef::LeafRandomWalk { step_factor } => engine.run_all(
                 inst,
                 &vc_core::problems::leaf_coloring::RwToLeaf { step_factor },
                 config,
-                identity,
-                path,
             ),
         }
     }

@@ -5,12 +5,12 @@
 //! ```text
 //! cargo run --example fault_sweep -- [spec]
 //! VC_FAULTS="seed=7,refuse=64,crash=256" cargo run --example fault_sweep
-//! VC_THREADS=2 VC_DEADLINE_MS=50 cargo run --example fault_sweep
+//! VC_THREADS=2 cargo run --example fault_sweep
 //! ```
 //!
 //! The fault spec comes from the first CLI argument, else the `VC_FAULTS`
 //! environment variable, else a demo default. The engine picks up
-//! `VC_THREADS` and `VC_DEADLINE_MS` as usual. The same faulted sweep is
+//! `VC_THREADS` as usual. The same faulted sweep is
 //! then run twice through a checkpoint file — first killed after two
 //! chunks (a chunk quota stands in for the kill), then resumed — and the
 //! resumed summary is asserted identical to the unbroken one: faults,
@@ -48,7 +48,7 @@ fn main() {
         std::process::exit(2);
     });
 
-    // One faulted sweep, ambient threads/deadline.
+    // One faulted sweep, ambient threads.
     let report = engine
         .run_all(&inst, &algo, &config)
         .expect("all-starts sweeps have valid starts");
@@ -82,40 +82,23 @@ fn main() {
     let resumed_path = dir.join("resumed.json");
     let _ = std::fs::remove_file(&unbroken_path);
     let _ = std::fs::remove_file(&resumed_path);
-    let unbroken = engine
-        .run_recorded_with_checkpoint(&inst, &algo, &config, &unbroken_path)
-        .expect("checkpointed sweep runs");
-    let killed = engine
-        .clone()
-        .with_chunk_quota(2)
-        .run_recorded_with_checkpoint(&inst, &algo, &config, &resumed_path)
-        .expect("killed sweep still writes its checkpoint");
+    let checkpointed = |engine: Engine, path| {
+        let report = engine.with_checkpoint(path).run_all(&inst, &algo, &config);
+        report.expect("checkpointed sweep runs")
+    };
+    let unbroken = checkpointed(engine.clone(), &unbroken_path);
+    let killed = checkpointed(engine.clone().with_chunk_quota(2), &resumed_path);
     println!(
         "killed after {}/{} chunks; resuming…",
         killed.completed_chunks, killed.num_chunks
     );
-    let resumed = engine
-        .run_recorded_with_checkpoint(&inst, &algo, &config, &resumed_path)
-        .expect("resumed sweep runs");
-    if !(resumed.is_complete() && unbroken.is_complete()) {
-        // A tight ambient deadline (VC_DEADLINE_MS) can stop even the
-        // "unbroken" run; the checkpoint files are still valid and a later
-        // resume would finish the job — there is just nothing to compare.
-        println!(
-            "deadline stopped the sweeps ({}/{} and {}/{} chunks); \
-             re-run without VC_DEADLINE_MS for the byte-identity check",
-            unbroken.completed_chunks,
-            unbroken.num_chunks,
-            resumed.completed_chunks,
-            resumed.num_chunks
-        );
-        return;
-    }
+    let resumed = checkpointed(engine, &resumed_path);
+    assert!(resumed.is_complete() && unbroken.is_complete());
     assert_eq!(resumed.summary, unbroken.summary, "resume must be lossless");
-    assert_eq!(resumed.records, unbroken.records);
+    assert_eq!(resumed.report.records, unbroken.report.records);
     println!(
         "resume OK: {} records, max_volume={}, byte-identical to the unbroken run",
-        resumed.records.len(),
+        resumed.report.records.len(),
         resumed.summary.max_volume
     );
 }

@@ -12,7 +12,7 @@
 //!
 //! 1. **Healthy fleet.** Four worker processes (this same binary
 //!    re-executed with `--worker`) each run one contiguous
-//!    `VC_CHUNKS` slice with live checkpoints on; the supervisor merges
+//!    `VC_CHUNKS` slice, appending to its part file; the supervisor merges
 //!    their part files (`target/fleet/part0..3.json`) into a checkpoint
 //!    asserted byte-identical to the serial run.
 //! 2. **Chaos matrix.** For each seeded [`vc_faults::KillPlan`], the
@@ -28,8 +28,7 @@
 //! machine-readable `target/fleet/FLEET_report.json`
 //! (`vc-fleet-drill/v1`), which CI validates with `check-json` and
 //! uploads as an artifact. Workers read their assignment from the
-//! `VC_CHUNKS` / `VC_LIVE_CHECKPOINT` variables the backend sets on the
-//! child process — the same ambient interface a real fleet launcher (or
+//! `VC_CHUNKS` variable the backend sets on the child process — the same ambient interface a real fleet launcher (or
 //! a human with four shells) would use.
 
 use std::path::{Path, PathBuf};
@@ -96,9 +95,10 @@ fn run_worker(args: &[String]) {
         eprintln!("worker: cannot load {instance_path}: {e}");
         std::process::exit(2);
     });
-    // `from_env` picks up the supervisor-set `VC_CHUNKS`,
-    // `VC_LIVE_CHECKPOINT` and `VC_THREADS` — the worker binary itself
-    // has no assignment flags.
+    // `from_env` picks up the supervisor-set `VC_CHUNKS` and `VC_THREADS`
+    // — the worker binary itself has no assignment flags. A restricted
+    // checkpointed run appends each chunk's line as it lands: the
+    // heartbeat the supervisor reads.
     let mut engine = Engine::from_env().unwrap_or_else(|e| {
         eprintln!("worker: {e}");
         std::process::exit(2);
@@ -106,13 +106,9 @@ fn run_worker(args: &[String]) {
     if let Some(q) = quota {
         engine = engine.with_chunk_quota(q);
     }
+    let engine = engine.with_checkpoint(ckpt_path);
     let report = engine
-        .run_recorded_with_checkpoint(
-            &inst,
-            &DistanceSolver,
-            &RunConfig::default(),
-            Path::new(ckpt_path),
-        )
+        .run_all(&inst, &DistanceSolver, &RunConfig::default())
         .unwrap_or_else(|e| {
             eprintln!("worker: {e}");
             std::process::exit(1);
@@ -177,9 +173,7 @@ impl WorkerBackend for ProcessBackend {
             .arg(&self.instance)
             .arg(&spec.part_path)
             .env("VC_CHUNKS", spec.chunks.to_string())
-            .env("VC_LIVE_CHECKPOINT", "1")
             .env("VC_THREADS", THREADS.to_string())
-            .env_remove("VC_DEADLINE_MS")
             .env_remove("VC_FAULTS");
         if let Some(Fault { after, style }) = fault {
             cmd.arg("--quota").arg(after.to_string());
@@ -291,7 +285,8 @@ fn run_coordinator() {
     let serial_path = dir.join("serial.json");
     let _ = std::fs::remove_file(&serial_path);
     let serial = Engine::with_threads(THREADS)
-        .run_recorded_with_checkpoint(&inst, &DistanceSolver, &config, &serial_path)
+        .with_checkpoint(&serial_path)
+        .run_all(&inst, &DistanceSolver, &config)
         .expect("serial reference sweep");
     assert!(serial.is_complete());
     let serial_bytes = std::fs::read(&serial_path).expect("read serial checkpoint");
@@ -299,7 +294,7 @@ fn run_coordinator() {
     println!(
         "serial reference: n={} starts, {num_chunks} chunks, {} records",
         inst.n(),
-        serial.records.len()
+        serial.report.records.len()
     );
     let mut rows: Vec<DrillRow> = Vec::new();
 

@@ -192,7 +192,7 @@ fn assert_large_n_contracts(inst: &Instance, dir: &Path) {
     }
     let ckpt = dir.join("ladder_top.ckpt.json");
     let checkpointed = |engine: Engine| {
-        let run = engine.run_recorded_with_checkpoint(inst, solver, config, &ckpt);
+        let run = engine.with_checkpoint(&ckpt).run_all(inst, solver, config);
         run.expect("checkpointed sweep")
     };
     let partial = checkpointed(Engine::with_threads(8).with_chunk_quota(2));
@@ -200,7 +200,7 @@ fn assert_large_n_contracts(inst: &Instance, dir: &Path) {
     assert!(killed, "a quota of two chunks stops the sweep after two");
     let resumed = checkpointed(Engine::with_threads(8));
     let _ = std::fs::remove_file(&ckpt);
-    let same = (&resumed.records, &resumed.summary) == (&serial.0, &serial.1);
+    let same = (&resumed.report.records, &resumed.summary) == (&serial.0, &serial.1);
     assert!(resumed.is_complete() && same, "the resumed sweep differs");
 }
 

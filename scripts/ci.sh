@@ -3,7 +3,8 @@
 #
 #   scripts/ci.sh             # everything (the full pre-merge gate)
 #   scripts/ci.sh --quick     # tier-1 only: fmt -> build -> cargo test -q
-#   scripts/ci.sh fast-gate   # fmt + clippy + xtask lint + JSON documents
+#   scripts/ci.sh fast-gate   # fmt + clippy + rustdoc + xtask lint + JSON
+#                             # documents
 #   scripts/ci.sh tests       # test suites incl. VC_THREADS=2 determinism,
 #                             # fault and fleet-splice suites, and the
 #                             # walkthrough examples
@@ -32,14 +33,19 @@ step() {
 }
 
 # ---------------------------------------------------------------------------
-# fast-gate: formatting, clippy and the determinism linter — everything
-# that fails in seconds-to-a-few-minutes without running a sweep.
+# fast-gate: formatting, clippy, rustdoc and the determinism linter —
+# everything that fails in seconds-to-a-few-minutes without running a sweep.
 # ---------------------------------------------------------------------------
 run_fast_gate() {
     step "cargo fmt --check" cargo fmt --check
 
     step "cargo clippy --all-targets -- -D warnings" \
         cargo clippy --all-targets -- -D warnings
+
+    # `#![deny(missing_docs)]` does not see a dangling or private
+    # intra-doc link; rustdoc with warnings denied does.
+    step "cargo doc (warnings denied)" \
+        env RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
     # Lint gate: emit the machine-readable vc-lint-report/v1 document first
     # (so the artifact exists even when the gate fails — the findings also

@@ -58,7 +58,8 @@ fn resume_refuses_a_different_instance_of_the_same_size() {
     // Kill the sweep on A after two chunks; the checkpoint stays on disk.
     let killed = Engine::with_threads(2)
         .with_chunk_quota(2)
-        .run_recorded_with_checkpoint(&a, &DistanceSolver, &config, &path)
+        .with_checkpoint(&path)
+        .run_all(&a, &DistanceSolver, &config)
         .expect("killed sweep still writes its checkpoint");
     assert!(
         !killed.is_complete(),
@@ -68,7 +69,8 @@ fn resume_refuses_a_different_instance_of_the_same_size() {
     // Resuming against B must fail loudly, naming both the sweep mismatch
     // and the instance-content mismatch.
     let err = Engine::with_threads(2)
-        .run_recorded_with_checkpoint(&b, &DistanceSolver, &config, &path)
+        .with_checkpoint(&path)
+        .run_all(&b, &DistanceSolver, &config)
         .expect_err("a checkpoint for A must not resume against B");
     let msg = err.to_string();
     assert!(
@@ -85,14 +87,16 @@ fn resume_refuses_a_different_instance_of_the_same_size() {
     let unbroken_path = dir.join("unbroken.json");
     let _ = std::fs::remove_file(&unbroken_path);
     let unbroken = Engine::with_threads(2)
-        .run_recorded_with_checkpoint(&a, &DistanceSolver, &config, &unbroken_path)
+        .with_checkpoint(&unbroken_path)
+        .run_all(&a, &DistanceSolver, &config)
         .expect("unbroken sweep runs");
     let resumed = Engine::with_threads(2)
-        .run_recorded_with_checkpoint(&a, &DistanceSolver, &config, &path)
+        .with_checkpoint(&path)
+        .run_all(&a, &DistanceSolver, &config)
         .expect("resume against the original instance succeeds");
     assert!(resumed.is_complete() && unbroken.is_complete());
     assert_eq!(resumed.summary, unbroken.summary);
-    assert_eq!(resumed.records, unbroken.records);
+    assert_eq!(resumed.report.records, unbroken.report.records);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -112,7 +116,8 @@ fn resume_refuses_a_changed_fault_plan() {
 
     let killed = Engine::with_threads(2)
         .with_chunk_quota(2)
-        .run_recorded_with_checkpoint(&inst, &algo, &config, &path)
+        .with_checkpoint(&path)
+        .run_all(&inst, &algo, &config)
         .expect("killed faulted sweep still writes its checkpoint");
     assert!(
         !killed.is_complete(),
@@ -122,7 +127,8 @@ fn resume_refuses_a_changed_fault_plan() {
     // The same instance and solver, but the ambient fault plan changed
     // between kill and resume (the flipped-VC_FAULTS scenario): refuse.
     let err = Engine::with_threads(2)
-        .run_recorded_with_checkpoint(&inst, &algo_changed, &config, &path)
+        .with_checkpoint(&path)
+        .run_all(&inst, &algo_changed, &config)
         .expect_err("a changed fault plan must not resume the checkpoint");
     let msg = err.to_string();
     assert!(
@@ -138,14 +144,16 @@ fn resume_refuses_a_changed_fault_plan() {
     let unbroken_path = dir.join("unbroken.json");
     let _ = std::fs::remove_file(&unbroken_path);
     let unbroken = Engine::with_threads(2)
-        .run_recorded_with_checkpoint(&inst, &algo, &config, &unbroken_path)
+        .with_checkpoint(&unbroken_path)
+        .run_all(&inst, &algo, &config)
         .expect("unbroken faulted sweep runs");
     let resumed = Engine::with_threads(2)
-        .run_recorded_with_checkpoint(&inst, &algo, &config, &path)
+        .with_checkpoint(&path)
+        .run_all(&inst, &algo, &config)
         .expect("resume under the original plan succeeds");
     assert!(resumed.is_complete() && unbroken.is_complete());
     assert_eq!(resumed.summary, unbroken.summary);
-    assert_eq!(resumed.records, unbroken.records);
+    assert_eq!(resumed.report.records, unbroken.report.records);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -162,7 +170,9 @@ fn a_kill_mid_append_resumes_to_the_unbroken_bytes() {
     let config = RunConfig::default();
     let dir = temp_dir("torn");
     let run = |engine: Engine, path: &std::path::Path| {
-        engine.run_recorded_with_checkpoint(&inst, &DistanceSolver, &config, path)
+        engine
+            .with_checkpoint(path)
+            .run_all(&inst, &DistanceSolver, &config)
     };
     let unbroken_path = dir.join("unbroken.json");
     let _ = std::fs::remove_file(&unbroken_path);

@@ -34,7 +34,8 @@ fn run_partition(
     let _ = std::fs::remove_file(path);
     Engine::with_threads(threads)
         .with_chunk_set(range.clone())
-        .run_recorded_with_checkpoint(inst, &DistanceSolver, &RunConfig::default(), path)
+        .with_checkpoint(path)
+        .run_all(inst, &DistanceSolver, &RunConfig::default())
         .expect("partition sweep runs");
     let src = std::fs::read_to_string(path).expect("partial checkpoint readable");
     SweepCheckpoint::from_json(&src).expect("partial checkpoint parses")
@@ -49,7 +50,8 @@ fn three_way_splice_is_byte_identical_to_serial_at_any_thread_count() {
     let serial_path = dir.join("serial.json");
     let _ = std::fs::remove_file(&serial_path);
     Engine::with_threads(2)
-        .run_recorded_with_checkpoint(&inst, &DistanceSolver, &RunConfig::default(), &serial_path)
+        .with_checkpoint(&serial_path)
+        .run_all(&inst, &DistanceSolver, &RunConfig::default())
         .expect("serial sweep runs");
     let serial_bytes = std::fs::read_to_string(&serial_path).expect("serial checkpoint readable");
 
@@ -88,7 +90,8 @@ fn single_partition_covering_the_plan_splices_to_the_serial_bytes() {
     let serial_path = dir.join("serial.json");
     let _ = std::fs::remove_file(&serial_path);
     Engine::with_threads(2)
-        .run_recorded_with_checkpoint(&inst, &DistanceSolver, &RunConfig::default(), &serial_path)
+        .with_checkpoint(&serial_path)
+        .run_all(&inst, &DistanceSolver, &RunConfig::default())
         .expect("serial sweep runs");
     let serial_bytes = std::fs::read_to_string(&serial_path).expect("serial checkpoint readable");
 
@@ -243,7 +246,8 @@ fn resume_from_merged_partial_reaches_the_serial_bytes_at_any_thread_count() {
     let serial_path = dir.join("serial.json");
     let _ = std::fs::remove_file(&serial_path);
     Engine::with_threads(2)
-        .run_recorded_with_checkpoint(&inst, &DistanceSolver, &RunConfig::default(), &serial_path)
+        .with_checkpoint(&serial_path)
+        .run_all(&inst, &DistanceSolver, &RunConfig::default())
         .expect("serial sweep runs");
     let serial_bytes = std::fs::read_to_string(&serial_path).expect("serial checkpoint readable");
 
@@ -264,12 +268,8 @@ fn resume_from_merged_partial_reaches_the_serial_bytes_at_any_thread_count() {
                     engine = engine.with_chunk_quota(1);
                 }
                 engine
-                    .run_recorded_with_checkpoint(
-                        &inst,
-                        &DistanceSolver,
-                        &RunConfig::default(),
-                        &path,
-                    )
+                    .with_checkpoint(&path)
+                    .run_all(&inst, &DistanceSolver, &RunConfig::default())
                     .expect("worker writes its partial");
                 SweepCheckpoint::from_json(&std::fs::read_to_string(&path).unwrap())
                     .expect("partial parses")
@@ -298,12 +298,8 @@ fn resume_from_merged_partial_reaches_the_serial_bytes_at_any_thread_count() {
         let merged_path = dir.join(format!("merged-{threads}t.json"));
         std::fs::write(&merged_path, merged.to_json()).expect("merged partial written");
         let resumed = Engine::with_threads(threads)
-            .run_recorded_with_checkpoint(
-                &inst,
-                &DistanceSolver,
-                &RunConfig::default(),
-                &merged_path,
-            )
+            .with_checkpoint(&merged_path)
+            .run_all(&inst, &DistanceSolver, &RunConfig::default())
             .expect("resume of the merged partial runs");
         assert!(resumed.is_complete());
         assert_eq!(
@@ -332,13 +328,15 @@ fn resuming_a_killed_partition_completes_only_its_slice() {
     let killed = Engine::with_threads(2)
         .with_chunk_set(range.clone())
         .with_chunk_quota(1)
-        .run_recorded_with_checkpoint(&inst, &DistanceSolver, &RunConfig::default(), &path)
+        .with_checkpoint(&path)
+        .run_all(&inst, &DistanceSolver, &RunConfig::default())
         .expect("killed partition still writes its checkpoint");
     assert_eq!(killed.completed_chunks, 1, "the quota must bite first");
 
     let resumed = Engine::with_threads(2)
         .with_chunk_set(range.clone())
-        .run_recorded_with_checkpoint(&inst, &DistanceSolver, &RunConfig::default(), &path)
+        .with_checkpoint(&path)
+        .run_all(&inst, &DistanceSolver, &RunConfig::default())
         .expect("resume of the slice runs");
     assert_eq!(resumed.completed_chunks, range.len());
     let part = SweepCheckpoint::from_json(&std::fs::read_to_string(&path).unwrap())

@@ -67,7 +67,8 @@ fn identities_are_insensitive_to_thread_count() {
         let _ = std::fs::remove_file(&path);
         Engine::with_threads(threads)
             .with_chunk_quota(2)
-            .run_recorded_with_checkpoint(&inst, &DistanceSolver, &config, &path)
+            .with_checkpoint(&path)
+            .run_all(&inst, &DistanceSolver, &config)
             .expect("killed sweep still writes its checkpoint");
         let text = std::fs::read_to_string(&path).expect("checkpoint file exists");
         assert!(

@@ -174,20 +174,22 @@ fn checkpointed_sweep_resumes_on_a_loaded_instance() {
     };
     let partial = Engine::with_threads(4)
         .with_chunk_quota(3)
-        .run_recorded_with_checkpoint(&inst, &DistanceSolver, &config, &ckpt)
+        .with_checkpoint(&ckpt)
+        .run_all(&inst, &DistanceSolver, &config)
         .unwrap();
     assert_eq!(partial.completed_chunks, 3);
     assert!(!partial.is_complete());
 
     let resumed = Engine::with_threads(4)
-        .run_recorded_with_checkpoint(&inst, &DistanceSolver, &config, &ckpt)
+        .with_checkpoint(&ckpt)
+        .run_all(&inst, &DistanceSolver, &config)
         .unwrap();
     assert!(resumed.is_complete());
 
     let unbroken = Engine::with_threads(4)
         .run_all(&inst, &DistanceSolver, &config)
         .unwrap();
-    assert_eq!(resumed.records, unbroken.report.records);
+    assert_eq!(resumed.report.records, unbroken.report.records);
     assert_eq!(resumed.summary, unbroken.summary);
 
     std::fs::remove_file(&path).unwrap();
