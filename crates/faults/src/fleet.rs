@@ -17,9 +17,9 @@ use crate::splitmix::mix_words;
 /// Domain-separation constants for kill decisions, disjoint from the
 /// [`rule`](crate::plan::rule) constants of the per-query fault classes.
 mod rule {
-    /// Which worker of the fleet dies.
+    /// Which workers of the fleet die.
     pub const VICTIM: u64 = 0x4b_49_4c;
-    /// After how many completed chunks it dies.
+    /// After how many completed chunks a victim dies.
     pub const POINT: u64 = 0x50_54_53;
     /// How a victim dies (clean exit vs mid-chunk stall).
     pub const STYLE: u64 = 0x53_54_59;
@@ -40,12 +40,13 @@ pub enum CrashStyle {
     MidChunkStall,
 }
 
-/// A seeded, deterministic schedule for killing one fleet worker
-/// mid-sweep. Both decisions — the victim and the kill point — are pure
-/// hashes of the seed, so a fleet drill replays identically.
+/// A seeded, deterministic schedule for killing fleet workers
+/// mid-sweep. Every decision — which workers die, after how many chunks
+/// each, and how — is a pure hash of the seed, so a fleet drill replays
+/// identically.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KillPlan {
-    /// Seed for both kill decisions.
+    /// Seed for every kill decision.
     pub seed: u64,
 }
 
@@ -55,32 +56,9 @@ impl KillPlan {
         Self { seed }
     }
 
-    /// The index of the worker to kill, in `0..workers`. Returns 0 for an
-    /// empty fleet rather than dividing by zero.
-    pub fn victim(&self, workers: usize) -> usize {
-        if workers == 0 {
-            return 0;
-        }
-        (mix_words(&[self.seed, rule::VICTIM]) % workers as u64) as usize
-    }
-
-    /// How many chunks of a `range_len`-chunk slice the victim completes
-    /// before dying, in `0..range_len` — strictly fewer than its
-    /// assignment, so the victim's partial checkpoint is always genuinely
-    /// incomplete and the drill always exercises reassignment. Returns 0
-    /// when the slice is empty.
-    pub fn kill_after_chunks(&self, range_len: usize) -> usize {
-        if range_len == 0 {
-            return 0;
-        }
-        (mix_words(&[self.seed, rule::POINT]) % range_len as u64) as usize
-    }
-
     /// The distinct workers to kill, ascending: `count` victims drawn
     /// from `0..workers` by a seeded partial Fisher–Yates, clamped to the
-    /// fleet size. Folds each draw index into the `rule::VICTIM` hash,
-    /// so `victims(w, 1)` need not equal `[victim(w)]` — the multi-victim
-    /// schedule is its own deterministic decision.
+    /// fleet size. Each draw folds its index into the `rule::VICTIM` hash.
     pub fn victims(&self, workers: usize, count: usize) -> Vec<usize> {
         let mut pool: Vec<usize> = (0..workers).collect();
         let count = count.min(workers);
@@ -96,9 +74,10 @@ impl KillPlan {
     }
 
     /// How many of its `assigned` chunks `worker` completes before dying,
-    /// in `0..assigned` — the per-worker generalization of
-    /// [`KillPlan::kill_after_chunks`], domain-separated by the worker
-    /// index so two victims of one plan die at independent points.
+    /// in `0..assigned` — strictly fewer than its assignment, so a
+    /// victim's partial checkpoint is always incomplete and the drill
+    /// always exercises reassignment. Domain-separated by the worker
+    /// index, so two victims of one plan die at independent points.
     /// Returns 0 for an empty assignment.
     pub fn kill_after_chunks_for(&self, worker: usize, assigned: usize) -> usize {
         if assigned == 0 {
@@ -122,58 +101,6 @@ impl KillPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kill_decisions_are_deterministic() {
-        let plan = KillPlan::new(42);
-        assert_eq!(plan.victim(4), KillPlan::new(42).victim(4));
-        assert_eq!(
-            plan.kill_after_chunks(6),
-            KillPlan::new(42).kill_after_chunks(6)
-        );
-    }
-
-    #[test]
-    fn victim_and_kill_point_stay_in_range() {
-        for seed in 0..64 {
-            let plan = KillPlan::new(seed);
-            for workers in 1..8 {
-                assert!(plan.victim(workers) < workers);
-            }
-            for len in 1..8 {
-                assert!(plan.kill_after_chunks(len) < len);
-            }
-        }
-    }
-
-    #[test]
-    fn empty_fleet_and_empty_slice_do_not_divide_by_zero() {
-        let plan = KillPlan::new(7);
-        assert_eq!(plan.victim(0), 0);
-        assert_eq!(plan.kill_after_chunks(0), 0);
-    }
-
-    #[test]
-    fn seeds_vary_the_schedule() {
-        // Not a distribution claim — just that the hash actually feeds
-        // the decision: across 64 seeds both outputs take every value.
-        let victims: std::collections::BTreeSet<usize> =
-            (0..64).map(|s| KillPlan::new(s).victim(4)).collect();
-        assert_eq!(victims.len(), 4);
-        let points: std::collections::BTreeSet<usize> = (0..64)
-            .map(|s| KillPlan::new(s).kill_after_chunks(5))
-            .collect();
-        assert_eq!(points.len(), 5);
-    }
-
-    #[test]
-    fn victim_rule_is_domain_separated_from_kill_point() {
-        // With equal ranges the two decisions must not be forced equal.
-        assert!((0..64).any(|s| {
-            let p = KillPlan::new(s);
-            p.victim(7) != p.kill_after_chunks(7)
-        }));
-    }
 
     #[test]
     fn multi_victims_are_distinct_sorted_and_deterministic() {

@@ -99,14 +99,15 @@ impl FaultPlan {
     /// Parses a plan from a comma-separated `key=value` spec, e.g.
     /// `seed=7,refuse=64,crash=128,squeeze=500`. Keys: `seed` (default 0),
     /// `refuse`, `corrupt`, `crash` (each "one in k"), `squeeze` (query
-    /// limit). A value of `0` disables its class; unknown keys and
-    /// malformed numbers are errors, not silently ignored.
+    /// limit). A value of `0` disables its class; unknown keys, repeated
+    /// keys and malformed numbers are errors, not silently ignored.
     ///
     /// # Errors
     ///
     /// A human-readable description of the first malformed entry.
     pub fn from_spec(spec: &str) -> Result<Self, SpecError> {
         let mut plan = Self::none(0);
+        let mut seen: Vec<&str> = Vec::new();
         for part in spec.split(',') {
             let part = part.trim();
             if part.is_empty() {
@@ -120,7 +121,12 @@ impl FaultPlan {
                 .parse()
                 .map_err(|_| SpecError(format!("`{part}` has a malformed value")))?;
             let gate = if value == 0 { None } else { Some(value) };
-            match key.trim() {
+            let key = key.trim();
+            if seen.contains(&key) {
+                return Err(SpecError(format!("`{key}` is given more than once")));
+            }
+            seen.push(key);
+            match key {
                 "seed" => plan.seed = value,
                 "refuse" => plan.refuse_one_in = gate,
                 "corrupt" => plan.corrupt_one_in = gate,
@@ -249,6 +255,12 @@ mod tests {
         assert!(FaultPlan::from_spec("explode=3").is_err());
         let msg = FaultPlan::from_spec("explode=3").unwrap_err().to_string();
         assert!(msg.contains("explode"), "{msg}");
+        // A repeated key is refused, not resolved to its last value.
+        let msg = FaultPlan::from_spec("seed=7,refuse=64,seed=8")
+            .unwrap_err()
+            .to_string();
+        assert!(msg.contains("`seed`"), "{msg}");
+        assert!(FaultPlan::from_spec("crash=2, crash =2").is_err());
     }
 
     #[test]

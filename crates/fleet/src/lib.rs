@@ -1,10 +1,11 @@
 //! # vc-fleet
 //!
-//! The deterministic fleet supervisor (DESIGN.md §16): spawn sweep
-//! workers, watch their progress heartbeats, declare the dead dead, and
-//! reassign **exactly their missing chunks** — never whole slices —
-//! until the sweep's checkpoint coverage is complete or every missing
-//! chunk has exhausted its retry cap.
+//! The deterministic fleet supervisor (DESIGN.md §16): one function,
+//! [`supervise`], spawns sweep workers, watches their progress
+//! heartbeats, declares the dead dead, and reassigns **exactly their
+//! missing chunks** — never whole slices — until the sweep's checkpoint
+//! coverage is complete or every missing chunk has exhausted its retry
+//! cap.
 //!
 //! ## Why supervision cannot perturb determinism
 //!
@@ -38,8 +39,8 @@
 //! part file the fleet wrote merges into a checkpoint byte-identical to
 //! an unbroken single-process run — the chaos drill in
 //! `examples/fleet_sweep.rs` machine-checks exactly this, and the
-//! [`FleetReport`] accounts for every death and reassignment along the
-//! way.
+//! [`FleetReport`] it returns is the one record of every death and
+//! reassignment along the way.
 //!
 //! The supervisor is backend-agnostic: [`WorkerBackend`] abstracts
 //! launch/poll/kill, so the in-crate tests drive it with a scripted
@@ -52,13 +53,13 @@ pub mod report;
 pub mod supervisor;
 
 pub use report::{FleetReport, WorkerReport, FLEET_REPORT_SCHEMA};
-pub use supervisor::{FleetOutcome, Supervisor};
+pub use supervisor::{supervise, FleetOutcome};
 
 use std::path::PathBuf;
 use std::time::Duration;
 use vc_engine::{ChunkSet, SpliceError};
 
-/// Configuration of a [`Supervisor`].
+/// Configuration of a [`supervise`] run.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
     /// Initial worker count; the planned chunks are split into this many
@@ -81,19 +82,6 @@ pub struct FleetConfig {
     pub backoff_cap: Duration,
 }
 
-impl Default for FleetConfig {
-    fn default() -> Self {
-        Self {
-            workers: 4,
-            liveness_deadline: Duration::from_secs(2),
-            poll_interval: Duration::from_millis(20),
-            max_chunk_attempts: 3,
-            backoff_base: Duration::from_millis(25),
-            backoff_cap: Duration::from_millis(400),
-        }
-    }
-}
-
 /// Everything a backend needs to start one worker launch.
 #[derive(Clone, Debug)]
 pub struct LaunchSpec {
@@ -112,9 +100,6 @@ pub struct LaunchSpec {
     /// appends each chunk's line as it lands, which is the heartbeat the
     /// supervisor reads.
     pub part_path: PathBuf,
-    /// The highest per-chunk attempt number in this launch (1 for
-    /// initial slices).
-    pub attempt: u32,
 }
 
 /// What a poll of one launch observes.

@@ -3,12 +3,12 @@
 //!
 //! The chaos drill's acceptance bar is that the report *accounts for
 //! every injected death and reassignment*: each launch, suspicion,
-//! failed exit, reassignment and abandonment a [`Supervisor`] run
-//! performs lands in exactly one counter here. The JSON form
-//! (`vc-fleet-report/v1`) is written by the `vc-json` writer and
-//! validated in CI with its parser.
+//! failed exit, reassignment and abandonment a [`supervise`] run
+//! performs lands in exactly one counter here, and nowhere else. The
+//! JSON form (`vc-fleet-report/v1`) is written by the `vc-json` writer
+//! and validated in CI with its parser.
 //!
-//! [`Supervisor`]: crate::Supervisor
+//! [`supervise`]: crate::supervise
 
 use vc_json::{obj, Json};
 

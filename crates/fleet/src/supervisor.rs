@@ -1,4 +1,4 @@
-//! The [`Supervisor`] loop: poll, suspect, kill, reassign, merge.
+//! The [`supervise`] loop: poll, suspect, kill, reassign, merge.
 //!
 //! This module is the workspace's **only** sanctioned sleep site (lint
 //! rule VC015): the supervisor's poll cadence and counter-driven
@@ -14,7 +14,6 @@ use std::io::{Read as _, Seek as _, SeekFrom};
 use std::path::{Path, PathBuf};
 use vc_engine::{line_chunk, splice_partial, ChunkSet, SweepCheckpoint};
 use vc_trace::time::Stopwatch;
-use vc_trace::{TraceEvent, Tracer};
 
 /// What a supervised fleet run produced.
 #[derive(Clone, Debug)]
@@ -52,114 +51,193 @@ struct Active<H> {
     exit_failed: bool,
 }
 
-/// The deterministic fleet supervisor. See the crate docs for the
-/// supervision model and [`FleetConfig`] for the knobs.
-#[derive(Clone, Debug, Default)]
-pub struct Supervisor {
-    config: FleetConfig,
-}
-
-impl Supervisor {
-    /// A supervisor with the given configuration.
-    pub fn new(config: FleetConfig) -> Self {
-        Self { config }
+/// Runs one supervised fleet sweep over a plan of `num_chunks` chunks,
+/// writing part files into `part_dir` (initial slices as
+/// `part{w}.json`, recovery launches as `part{w}_r{launch}.json`). See
+/// the crate docs for the supervision model and [`FleetConfig`] for the
+/// knobs.
+///
+/// The loop: launch one worker per initial slice; poll every
+/// [`FleetConfig::poll_interval`]; on heartbeat silence past
+/// [`FleetConfig::liveness_deadline`] kill the launch
+/// (kill-before-read), then compute its missing chunks from its part
+/// file and relaunch exactly those as a [`ChunkSet`] — after a
+/// counter-driven backoff, with chunks over the launch cap abandoned
+/// instead. When no launch remains, every part file is merged with
+/// [`splice_partial`]. The returned [`FleetReport`] is the run's only
+/// record of its suspicions, reassignments and abandonments.
+///
+/// # Errors
+///
+/// [`FleetError::EmptySweep`] for a zero-chunk plan,
+/// [`FleetError::Launch`] when the backend cannot start a worker,
+/// [`FleetError::Part`] when a part file is unreadable at merge time,
+/// and [`FleetError::Splice`] when the parts overlap or mismatch — each
+/// an assignment/infrastructure failure, never a recoverable worker
+/// death (those degrade instead).
+pub fn supervise<B: WorkerBackend>(
+    config: &FleetConfig,
+    backend: &mut B,
+    num_chunks: usize,
+    part_dir: &Path,
+) -> Result<FleetOutcome, FleetError> {
+    if num_chunks == 0 {
+        return Err(FleetError::EmptySweep);
     }
+    let workers = config.workers.max(1).min(num_chunks);
+    let mut report = FleetReport {
+        num_chunks,
+        chunk_attempts: vec![0; num_chunks],
+        workers: vec![WorkerReport::default(); workers],
+        ..FleetReport::default()
+    };
+    let mut part_paths: Vec<PathBuf> = Vec::new();
+    let mut active: Vec<Active<B::Handle>> = Vec::new();
+    let mut abandoned: Vec<usize> = Vec::new();
+    let mut next_launch = 0usize;
 
-    /// The supervisor's configuration.
-    pub fn config(&self) -> &FleetConfig {
-        &self.config
-    }
-
-    /// Runs one supervised fleet sweep over a plan of `num_chunks`
-    /// chunks, writing part files into `part_dir` (initial slices as
-    /// `part{w}.json`, recovery launches as `part{w}_r{launch}.json`).
-    ///
-    /// The loop: launch one worker per initial slice; poll every
-    /// [`FleetConfig::poll_interval`]; on heartbeat silence past
-    /// [`FleetConfig::liveness_deadline`] kill the launch
-    /// (kill-before-read), then compute its missing chunks from its
-    /// part file and relaunch exactly those as a [`ChunkSet`] — after a
-    /// counter-driven backoff, with chunks over the launch cap
-    /// abandoned instead. When no launch remains, every part file is
-    /// merged with [`splice_partial`].
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::EmptySweep`] for a zero-chunk plan,
-    /// [`FleetError::Launch`] when the backend cannot start a worker,
-    /// [`FleetError::Part`] when a part file is unreadable at merge
-    /// time, and [`FleetError::Splice`] when the parts overlap or
-    /// mismatch — each an assignment/infrastructure failure, never a
-    /// recoverable worker death (those degrade instead).
-    pub fn run<B: WorkerBackend, T: Tracer>(
-        &self,
-        backend: &mut B,
-        num_chunks: usize,
-        part_dir: &Path,
-        tracer: &mut T,
-    ) -> Result<FleetOutcome, FleetError> {
-        if num_chunks == 0 {
-            return Err(FleetError::EmptySweep);
+    let start = |chunks: ChunkSet,
+                 worker: usize,
+                 path: PathBuf,
+                 next_launch: &mut usize,
+                 report: &mut FleetReport,
+                 part_paths: &mut Vec<PathBuf>,
+                 backend: &mut B|
+     -> Result<Active<B::Handle>, FleetError> {
+        let assigned: Vec<usize> = chunks.chunks().collect();
+        for &c in &assigned {
+            report.chunk_attempts[c] += 1;
         }
-        let workers = self.config.workers.max(1).min(num_chunks);
-        let mut report = FleetReport {
-            num_chunks,
-            chunk_attempts: vec![0; num_chunks],
-            workers: vec![WorkerReport::default(); workers],
-            ..FleetReport::default()
+        let spec = LaunchSpec {
+            worker,
+            launch: *next_launch,
+            chunks,
+            part_path: path.clone(),
         };
-        let mut part_paths: Vec<PathBuf> = Vec::new();
-        let mut active: Vec<Active<B::Handle>> = Vec::new();
-        let mut abandoned: Vec<usize> = Vec::new();
-        let mut next_launch = 0usize;
+        *next_launch += 1;
+        report.launches += 1;
+        report.workers[worker].launches += 1;
+        part_paths.push(path.clone());
+        let handle = backend.launch(&spec)?;
+        Ok(Active {
+            worker,
+            assigned,
+            path,
+            handle,
+            offset: 0,
+            seen: BTreeSet::new(),
+            sw: Stopwatch::start(),
+            suspected: false,
+            exit_failed: false,
+        })
+    };
 
-        let start = |chunks: ChunkSet,
-                     worker: usize,
-                     path: PathBuf,
-                     next_launch: &mut usize,
-                     report: &mut FleetReport,
-                     part_paths: &mut Vec<PathBuf>,
-                     backend: &mut B|
-         -> Result<Active<B::Handle>, FleetError> {
-            let assigned: Vec<usize> = chunks.chunks().collect();
-            let mut attempt = 1;
-            for &c in &assigned {
-                report.chunk_attempts[c] += 1;
-                attempt = attempt.max(report.chunk_attempts[c]);
+    for (w, slice) in ChunkSet::split(num_chunks, workers).into_iter().enumerate() {
+        if slice.is_empty() {
+            continue;
+        }
+        let path = part_dir.join(format!("part{w}.json"));
+        active.push(start(
+            slice,
+            w,
+            path,
+            &mut next_launch,
+            &mut report,
+            &mut part_paths,
+            backend,
+        )?);
+    }
+
+    while !active.is_empty() {
+        std::thread::sleep(config.poll_interval);
+        // Collect indices of launches that ended this tick (exited,
+        // or suspected and killed), then finalize them outside the
+        // poll loop.
+        let mut ended: Vec<usize> = Vec::new();
+        for (i, a) in active.iter_mut().enumerate() {
+            match backend.poll(&mut a.handle) {
+                WorkerStatus::Exited { success } => {
+                    a.exit_failed = !success;
+                    ended.push(i);
+                }
+                WorkerStatus::Running => {
+                    if a.heartbeat() {
+                        a.sw = Stopwatch::start();
+                    } else if a.sw.elapsed() >= config.liveness_deadline {
+                        report.suspected += 1;
+                        report.workers[a.worker].suspected += 1;
+                        a.suspected = true;
+                        // Kill-before-read: after this the part file
+                        // is frozen, so the reassignment computed
+                        // below cannot overlap late writes.
+                        backend.kill(&mut a.handle);
+                        ended.push(i);
+                    }
+                }
             }
-            let spec = LaunchSpec {
-                worker,
-                launch: *next_launch,
-                chunks,
-                part_path: path.clone(),
-                attempt,
-            };
-            *next_launch += 1;
-            report.launches += 1;
-            report.workers[worker].launches += 1;
-            part_paths.push(path.clone());
-            let handle = backend.launch(&spec)?;
-            Ok(Active {
-                worker,
-                assigned,
-                path,
-                handle,
-                offset: 0,
-                seen: BTreeSet::new(),
-                sw: Stopwatch::start(),
-                suspected: false,
-                exit_failed: false,
-            })
-        };
-
-        for (w, slice) in ChunkSet::split(num_chunks, workers).into_iter().enumerate() {
-            if slice.is_empty() {
+        }
+        // Highest index first so swap_remove leaves earlier ones
+        // valid.
+        while let Some(i) = ended.pop() {
+            let a = active.swap_remove(i);
+            let done = read_completed_set(&a.path, &a.assigned);
+            report.workers[a.worker].completed_chunks += done.len();
+            let missing: Vec<usize> = a
+                .assigned
+                .iter()
+                .copied()
+                .filter(|c| !done.contains(c))
+                .collect();
+            if missing.is_empty() {
+                continue; // a healthy completion
+            }
+            if a.exit_failed || a.suspected {
+                report.workers[a.worker].failed += u32::from(a.exit_failed);
+            } else {
+                // A clean exit that did not finish its claim is
+                // still a death for accounting purposes.
+                report.workers[a.worker].failed += 1;
+            }
+            let mut retry: Vec<usize> = Vec::new();
+            for &c in &missing {
+                if report.chunk_attempts[c] >= config.max_chunk_attempts {
+                    abandoned.push(c);
+                } else {
+                    retry.push(c);
+                }
+            }
+            if retry.is_empty() {
+                // Every missing chunk is over the attempt cap: the
+                // launch is abandoned wholesale, nothing will be
+                // relaunched, and the relaunch backoff must not run —
+                // sleeping here would stall the final merge for a
+                // retry that never happens. The sleep below is
+                // structurally reachable only when a relaunch
+                // follows it.
                 continue;
             }
-            let path = part_dir.join(format!("part{w}.json"));
+            let Ok(chunks) = ChunkSet::from_chunks(&retry, num_chunks) else {
+                continue; // unreachable: retry chunks came from the plan
+            };
+            // Counter-driven backoff: exponential in the highest
+            // attempt number about to be retried, never in any
+            // measured time.
+            let attempt = retry
+                .iter()
+                .map(|&c| report.chunk_attempts[c] + 1)
+                .max()
+                .unwrap_or(2);
+            let exp = attempt.saturating_sub(2).min(16);
+            let backoff = config
+                .backoff_base
+                .saturating_mul(1 << exp)
+                .min(config.backoff_cap);
+            std::thread::sleep(backoff);
+            report.reassigned += retry.len() as u32;
+            let path = part_dir.join(format!("part{}_r{next_launch}.json", a.worker));
             active.push(start(
-                slice,
-                w,
+                chunks,
+                a.worker,
                 path,
                 &mut next_launch,
                 &mut report,
@@ -167,155 +245,40 @@ impl Supervisor {
                 backend,
             )?);
         }
-
-        while !active.is_empty() {
-            std::thread::sleep(self.config.poll_interval);
-            // Collect indices of launches that ended this tick (exited,
-            // or suspected and killed), then finalize them outside the
-            // poll loop.
-            let mut ended: Vec<usize> = Vec::new();
-            for (i, a) in active.iter_mut().enumerate() {
-                match backend.poll(&mut a.handle) {
-                    WorkerStatus::Exited { success } => {
-                        a.exit_failed = !success;
-                        ended.push(i);
-                    }
-                    WorkerStatus::Running => {
-                        if a.heartbeat() {
-                            a.sw = Stopwatch::start();
-                        } else if a.sw.elapsed() >= self.config.liveness_deadline {
-                            tracer.event(TraceEvent::WorkerSuspected {
-                                worker: a.worker,
-                                completed: a.seen.len(),
-                                assigned: a.assigned.len(),
-                            });
-                            report.suspected += 1;
-                            report.workers[a.worker].suspected += 1;
-                            a.suspected = true;
-                            // Kill-before-read: after this the part file
-                            // is frozen, so the reassignment computed
-                            // below cannot overlap late writes.
-                            backend.kill(&mut a.handle);
-                            ended.push(i);
-                        }
-                    }
-                }
-            }
-            // Highest index first so swap_remove leaves earlier ones
-            // valid.
-            while let Some(i) = ended.pop() {
-                let a = active.swap_remove(i);
-                let done = read_completed_set(&a.path, &a.assigned);
-                report.workers[a.worker].completed_chunks += done.len();
-                let missing: Vec<usize> = a
-                    .assigned
-                    .iter()
-                    .copied()
-                    .filter(|c| !done.contains(c))
-                    .collect();
-                if missing.is_empty() {
-                    continue; // a healthy completion
-                }
-                if a.exit_failed || a.suspected {
-                    report.workers[a.worker].failed += u32::from(a.exit_failed);
-                } else {
-                    // A clean exit that did not finish its claim is
-                    // still a death for accounting purposes.
-                    report.workers[a.worker].failed += 1;
-                }
-                let mut retry: Vec<usize> = Vec::new();
-                for &c in &missing {
-                    if report.chunk_attempts[c] >= self.config.max_chunk_attempts {
-                        abandoned.push(c);
-                    } else {
-                        retry.push(c);
-                    }
-                }
-                if retry.is_empty() {
-                    // Every missing chunk is over the attempt cap: the
-                    // launch is abandoned wholesale, nothing will be
-                    // relaunched, and the relaunch backoff must not run —
-                    // sleeping here would stall the final merge for a
-                    // retry that never happens. The sleep below is
-                    // structurally reachable only when a relaunch
-                    // follows it.
-                    continue;
-                }
-                let Ok(chunks) = ChunkSet::from_chunks(&retry, num_chunks) else {
-                    continue; // unreachable: retry chunks came from the plan
-                };
-                // Counter-driven backoff: exponential in the highest
-                // attempt number about to be retried, never in any
-                // measured time.
-                let attempt = retry
-                    .iter()
-                    .map(|&c| report.chunk_attempts[c] + 1)
-                    .max()
-                    .unwrap_or(2);
-                let exp = attempt.saturating_sub(2).min(16);
-                let backoff = self
-                    .config
-                    .backoff_base
-                    .saturating_mul(1 << exp)
-                    .min(self.config.backoff_cap);
-                std::thread::sleep(backoff);
-                for &c in &retry {
-                    tracer.event(TraceEvent::ChunkReassigned {
-                        chunk: c,
-                        attempt: report.chunk_attempts[c] + 1,
-                    });
-                }
-                report.reassigned += retry.len() as u32;
-                let path = part_dir.join(format!("part{}_r{next_launch}.json", a.worker));
-                active.push(start(
-                    chunks,
-                    a.worker,
-                    path,
-                    &mut next_launch,
-                    &mut report,
-                    &mut part_paths,
-                    backend,
-                )?);
-            }
-        }
-
-        // The authoritative merge: every part file that exists is read
-        // loudly (a launch killed before its first commit legitimately
-        // never created its file).
-        let mut parts: Vec<SweepCheckpoint> = Vec::new();
-        for path in &part_paths {
-            let text = match std::fs::read_to_string(path) {
-                Ok(text) => text,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-                Err(e) => {
-                    return Err(FleetError::Part {
-                        path: path.clone(),
-                        message: e.to_string(),
-                    })
-                }
-            };
-            parts.push(
-                SweepCheckpoint::from_json(&text).map_err(|message| FleetError::Part {
-                    path: path.clone(),
-                    message,
-                })?,
-            );
-        }
-        let (checkpoint, missing) = splice_partial(&parts)?;
-        tracer.event(TraceEvent::PartialSplice {
-            merged: checkpoint.completed_chunks(),
-            missing: missing.len(),
-        });
-        abandoned.sort_unstable();
-        abandoned.dedup();
-        report.abandoned_chunks = abandoned;
-        report.degraded = !missing.is_empty();
-        Ok(FleetOutcome {
-            checkpoint,
-            missing,
-            report,
-        })
     }
+
+    // The authoritative merge: every part file that exists is read
+    // loudly (a launch killed before its first commit legitimately
+    // never created its file).
+    let mut parts: Vec<SweepCheckpoint> = Vec::new();
+    for path in &part_paths {
+        let text = match std::fs::read_to_string(path) {
+            Ok(text) => text,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
+            Err(e) => {
+                return Err(FleetError::Part {
+                    path: path.clone(),
+                    message: e.to_string(),
+                })
+            }
+        };
+        parts.push(
+            SweepCheckpoint::from_json(&text).map_err(|message| FleetError::Part {
+                path: path.clone(),
+                message,
+            })?,
+        );
+    }
+    let (checkpoint, missing) = splice_partial(&parts)?;
+    abandoned.sort_unstable();
+    abandoned.dedup();
+    report.abandoned_chunks = abandoned;
+    report.degraded = !missing.is_empty();
+    Ok(FleetOutcome {
+        checkpoint,
+        missing,
+        report,
+    })
 }
 
 impl<H> Active<H> {
@@ -375,7 +338,6 @@ mod tests {
     use vc_engine::SweepIdentity;
     use vc_ident::{InstanceId, SweepId};
     use vc_model::cost::ExecutionRecord;
-    use vc_trace::{RecordingTracer, TraceEvent};
 
     fn identity() -> SweepIdentity {
         SweepIdentity {
@@ -495,10 +457,7 @@ mod tests {
     fn healthy_fleet_merges_byte_identically_to_serial() {
         let dir = part_dir("healthy");
         let mut backend = ScriptedBackend::new(vec![HEALTHY; 4]);
-        let mut tracer = RecordingTracer::default();
-        let out = Supervisor::new(fast_config(4))
-            .run(&mut backend, 10, &dir, &mut tracer)
-            .unwrap();
+        let out = supervise(&fast_config(4), &mut backend, 10, &dir).unwrap();
         assert!(out.missing.is_empty());
         assert!(!out.report.degraded);
         assert_eq!(out.report.launches, 4);
@@ -528,26 +487,15 @@ mod tests {
             HEALTHY,
         ];
         let mut backend = ScriptedBackend::new(scripts);
-        let mut tracer = RecordingTracer::default();
-        let out = Supervisor::new(fast_config(4))
-            .run(&mut backend, 10, &dir, &mut tracer)
-            .unwrap();
+        let out = supervise(&fast_config(4), &mut backend, 10, &dir).unwrap();
         assert!(out.missing.is_empty(), "recovered fleet: {:?}", out.missing);
         assert!(!out.report.degraded);
         assert_eq!(out.report.deaths(), 2);
         assert_eq!(out.report.reassigned, 4); // chunks 4,5 and 6,7
         assert_eq!(out.report.launches, 6);
         assert_eq!(out.checkpoint.to_json(), full_checkpoint(10).to_json());
-        let mut reassigned: Vec<(usize, u32)> = tracer
-            .events
-            .iter()
-            .filter_map(|e| match *e {
-                TraceEvent::ChunkReassigned { chunk, attempt } => Some((chunk, attempt)),
-                _ => None,
-            })
-            .collect();
-        reassigned.sort_unstable();
-        assert_eq!(reassigned, vec![(4, 2), (5, 2), (6, 2), (7, 2)]);
+        // Exactly the missing chunks 4..8 were run a second time.
+        assert_eq!(out.report.chunk_attempts, [1, 1, 1, 1, 2, 2, 2, 2, 1, 1]);
     }
 
     #[test]
@@ -562,23 +510,14 @@ mod tests {
             HEALTHY,
         ];
         let mut backend = ScriptedBackend::new(scripts);
-        let mut tracer = RecordingTracer::default();
-        let out = Supervisor::new(fast_config(1))
-            .run(&mut backend, 3, &dir, &mut tracer)
-            .unwrap();
+        let out = supervise(&fast_config(1), &mut backend, 3, &dir).unwrap();
         assert!(out.missing.is_empty());
         assert_eq!(out.report.suspected, 1);
         assert_eq!(out.report.workers[0].suspected, 1);
         assert_eq!(backend.kills, 1, "suspected worker must be killed");
         assert_eq!(out.checkpoint.to_json(), full_checkpoint(3).to_json());
-        assert!(tracer.events.iter().any(|e| matches!(
-            e,
-            TraceEvent::WorkerSuspected {
-                worker: 0,
-                completed: 2,
-                assigned: 3
-            }
-        )));
+        // Its two completed chunks were kept; only chunk 2 was rerun.
+        assert_eq!(out.report.chunk_attempts, [1, 1, 2]);
     }
 
     #[test]
@@ -591,10 +530,7 @@ mod tests {
             exit: None,
         };
         let mut backend = ScriptedBackend::new(vec![stall; 8]);
-        let mut tracer = RecordingTracer::default();
-        let out = Supervisor::new(fast_config(1))
-            .run(&mut backend, 1, &dir, &mut tracer)
-            .unwrap();
+        let out = supervise(&fast_config(1), &mut backend, 1, &dir).unwrap();
         assert_eq!(out.missing, vec![0]);
         assert!(out.report.degraded);
         assert_eq!(out.report.abandoned_chunks, vec![0]);
@@ -602,13 +538,6 @@ mod tests {
         assert_eq!(out.report.chunk_attempts, vec![3]);
         assert_eq!(out.report.suspected, 3);
         assert_eq!(out.checkpoint.completed_chunks(), 0);
-        assert!(tracer.events.iter().any(|e| matches!(
-            e,
-            TraceEvent::PartialSplice {
-                merged: 0,
-                missing: 1
-            }
-        )));
     }
 
     #[test]
@@ -632,9 +561,7 @@ mod tests {
             ..fast_config(1)
         };
         let sw = Stopwatch::start();
-        let out = Supervisor::new(config)
-            .run(&mut backend, 1, &dir, &mut vc_trace::NoopTracer)
-            .unwrap();
+        let out = supervise(&config, &mut backend, 1, &dir).unwrap();
         assert!(
             sw.elapsed() < Duration::from_secs(10),
             "abandoning pass slept the futile backoff ({:?} elapsed)",
@@ -650,9 +577,7 @@ mod tests {
     fn empty_sweeps_are_refused() {
         let dir = part_dir("empty");
         let mut backend = ScriptedBackend::new(Vec::new());
-        let err = Supervisor::new(fast_config(2))
-            .run(&mut backend, 0, &dir, &mut vc_trace::NoopTracer)
-            .unwrap_err();
+        let err = supervise(&fast_config(2), &mut backend, 0, &dir).unwrap_err();
         assert_eq!(err, FleetError::EmptySweep);
     }
 

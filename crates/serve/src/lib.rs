@@ -37,9 +37,9 @@
 //! `vc-serve-report/v1` stats document (hits, misses, evictions,
 //! preemptions, queue depths, and the job table: every live job and the
 //! last [`MAX_FINISHED_JOBS`] finished ones, past which a job id is
-//! unknown). Scheduling transitions are published as
-//! [`vc_trace::TraceEvent`]s (`JobAdmitted`, `CacheHit`, `JobPreempted`,
-//! `JobResumed`).
+//! unknown). That report is the service's only record of its scheduling:
+//! hits, admissions, preemptions and resumes are counted in
+//! [`ServeStats`] and kept per job in [`JobStatus`].
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

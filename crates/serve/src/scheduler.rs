@@ -19,9 +19,9 @@
 //! ## Dedup
 //!
 //! Submission resolves the spec to a [`SweepId`] first. A stored result
-//! is a cache hit (no execution, `CacheHit` trace event); an in-flight
-//! job with the same id is returned as-is (same job id, no second
-//! execution); only genuinely new work is admitted (`JobAdmitted`).
+//! is a cache hit (no execution); an in-flight job with the same id is
+//! returned as-is (same job id, no second execution); only genuinely new
+//! work is admitted. [`ServeStats`] counts each outcome.
 //!
 //! ## Memo
 //!
@@ -42,17 +42,12 @@ use vc_engine::{CancelFlag, Engine, SweepCheckpoint, SweepId, SweepIdentity};
 use vc_graph::Instance;
 use vc_json::{obj, Json};
 use vc_model::run::{RunConfig, StartError};
-use vc_trace::{RecordingTracer, TraceEvent, Tracer};
 
 use crate::spec::{Priority, SpecError, SweepSpec};
 use crate::store::{ResultStore, StoreError};
 
 /// Schema tag of the service stats document.
 pub const REPORT_SCHEMA: &str = "vc-serve-report/v1";
-
-/// Cap on retained trace events (oldest kept; beyond this the recorder
-/// counts drops instead of growing).
-const TRACE_CAP: usize = 65_536;
 
 /// Specs the memo remembers, oldest dropped first.
 const MEMO_CAP: usize = 1024;
@@ -254,7 +249,6 @@ struct Inner {
     queue: Vec<u64>,
     running: Option<(u64, CancelFlag)>,
     store: ResultStore,
-    tracer: RecordingTracer,
     stats: ServeStats,
     next_job: u64,
     shutdown: bool,
@@ -313,10 +307,6 @@ impl SweepService {
                 queue: Vec::new(),
                 running: None,
                 store,
-                tracer: RecordingTracer {
-                    cap: Some(TRACE_CAP),
-                    ..RecordingTracer::default()
-                },
                 stats: ServeStats {
                     store_entries,
                     ..ServeStats::default()
@@ -427,12 +417,7 @@ impl SweepService {
         );
         g.by_sweep.insert(sweep_id.raw(), job);
         g.queue.push(job);
-        let depth = g.queue.len();
-        g.stats.max_queue_depth = g.stats.max_queue_depth.max(depth);
-        g.tracer.event(TraceEvent::JobAdmitted {
-            job,
-            queue_depth: depth,
-        });
+        g.stats.max_queue_depth = g.stats.max_queue_depth.max(g.queue.len());
         // An interactive arrival preempts a running batch job between its
         // starts: trip the flag, the engine parks itself.
         if spec.priority == Priority::Interactive {
@@ -474,7 +459,6 @@ impl SweepService {
             g.next_job += 1;
             g.stats.submissions += 1;
             g.stats.hits += 1;
-            g.tracer.event(TraceEvent::CacheHit { job });
             g.jobs.insert(
                 job,
                 JobRecord {
@@ -608,11 +592,6 @@ impl SweepService {
         }
     }
 
-    /// The trace events recorded so far (scheduling transitions).
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.shared.lock().tracer.events.clone()
-    }
-
     /// Emits the `vc-serve-report/v1` stats document as compact JSON
     /// (single line, so it can double as a protocol payload).
     pub fn report_json(&self) -> String {
@@ -735,10 +714,6 @@ fn scheduler_loop(shared: &Shared, threads: usize, spool_dir: &std::path::Path) 
             };
             if record.status.state == JobState::Parked {
                 inner.stats.resumes += 1;
-                inner.tracer.event(TraceEvent::JobResumed {
-                    job: claimed,
-                    completed_chunks: record.status.completed_chunks,
-                });
             }
             record.status.state = JobState::Running;
             inner.running = Some((claimed, flag.clone()));
@@ -794,10 +769,6 @@ fn scheduler_loop(shared: &Shared, threads: usize, spool_dir: &std::path::Path) 
                     record.status.state = JobState::Parked;
                     record.status.preemptions += 1;
                     inner.stats.preemptions += 1;
-                    inner.tracer.event(TraceEvent::JobPreempted {
-                        job,
-                        completed_chunks: report.completed_chunks,
-                    });
                     inner.queue.push(job);
                     inner.stats.max_queue_depth =
                         inner.stats.max_queue_depth.max(inner.queue.len());
@@ -973,16 +944,11 @@ mod tests {
         let preempted_bytes = service.wait_result(victim.job, WAIT).expect("victim done");
         let status = service.status(victim.job).expect("status");
         assert!(status.preemptions >= 1, "batch job was never preempted");
+        // A parked job reaches `Done` only through a resume.
+        assert_eq!(status.state, JobState::Done { cache_hit: false });
         let stats = service.stats();
         assert!(stats.preemptions >= 1);
         assert!(stats.resumes >= 1);
-        let events = service.events();
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::JobPreempted { job, .. } if *job == victim.job)));
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::JobResumed { job, .. } if *job == victim.job)));
         drop(service);
 
         // Reference: the same sweep, uninterrupted, fresh store.

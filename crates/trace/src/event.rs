@@ -5,7 +5,8 @@
 //! the answer is fixed) plus the scheduling transitions of the sharded
 //! engine (a chunk of start nodes is claimed, timed and merged). They
 //! carry only primitive data so the crate stays below `vc-model` in the
-//! dependency graph.
+//! dependency graph. Fleet and service transitions are not events: the
+//! `vc-fleet-report/v1` and `vc-serve-report/v1` documents record them.
 
 use std::fmt;
 
@@ -108,65 +109,6 @@ pub enum TraceEvent {
         /// Chunk index.
         chunk: usize,
     },
-    /// A fleet supervisor declared a worker dead: its partial checkpoint
-    /// made no progress for a full liveness deadline (or its process
-    /// exited). Emitted by `vc-fleet`, never by the engine itself.
-    WorkerSuspected {
-        /// Fleet worker index.
-        worker: usize,
-        /// Chunks the worker had completed when suspected.
-        completed: usize,
-        /// Chunks the worker was assigned.
-        assigned: usize,
-    },
-    /// A fleet supervisor reassigned a dead worker's chunk to a new
-    /// launch.
-    ChunkReassigned {
-        /// Chunk index in the sweep's fixed partition.
-        chunk: usize,
-        /// How many launches have now been asked to run this chunk.
-        attempt: u32,
-    },
-    /// Partial checkpoints were merged into a resumable checkpoint
-    /// (`splice_partial`), possibly with gaps left to reassign.
-    PartialSplice {
-        /// Chunks present in the merged checkpoint.
-        merged: usize,
-        /// Chunks still missing after the merge.
-        missing: usize,
-    },
-    /// A sweep service scheduler admitted a cache-miss job into its run
-    /// queue. Emitted by `vc-serve`, never by the engine itself.
-    JobAdmitted {
-        /// The service-assigned job id.
-        job: u64,
-        /// Jobs waiting in the queue after admission (the admitted job
-        /// included).
-        queue_depth: usize,
-    },
-    /// A submitted sweep spec resolved to an already-stored result in the
-    /// service's content-addressed store — no execution scheduled.
-    CacheHit {
-        /// The service-assigned job id of the hit submission.
-        job: u64,
-    },
-    /// A running batch job was preempted so a higher-priority job could
-    /// take the worker pool; its checkpoint of whole chunks is parked for
-    /// a later resume.
-    JobPreempted {
-        /// The preempted job's id.
-        job: u64,
-        /// Chunks the job had completed when it yielded.
-        completed_chunks: usize,
-    },
-    /// A parked, previously preempted job re-entered execution from its
-    /// checkpoint.
-    JobResumed {
-        /// The resumed job's id.
-        job: u64,
-        /// Chunks already complete at resume time.
-        completed_chunks: usize,
-    },
 }
 
 impl fmt::Display for TraceEvent {
@@ -206,35 +148,6 @@ impl fmt::Display for TraceEvent {
                 write!(f, "retry chunk {chunk} (attempt {attempt})")
             }
             TraceEvent::ChunkAborted { chunk } => write!(f, "abort chunk {chunk}"),
-            TraceEvent::WorkerSuspected {
-                worker,
-                completed,
-                assigned,
-            } => write!(
-                f,
-                "suspect worker {worker} dead ({completed}/{assigned} chunks done)"
-            ),
-            TraceEvent::ChunkReassigned { chunk, attempt } => {
-                write!(f, "reassign chunk {chunk} (attempt {attempt})")
-            }
-            TraceEvent::PartialSplice { merged, missing } => {
-                write!(
-                    f,
-                    "partial splice: {merged} chunks merged, {missing} missing"
-                )
-            }
-            TraceEvent::JobAdmitted { job, queue_depth } => {
-                write!(f, "admit job {job} (queue depth {queue_depth})")
-            }
-            TraceEvent::CacheHit { job } => write!(f, "cache hit for job {job}"),
-            TraceEvent::JobPreempted {
-                job,
-                completed_chunks,
-            } => write!(f, "preempt job {job} ({completed_chunks} chunks done)"),
-            TraceEvent::JobResumed {
-                job,
-                completed_chunks,
-            } => write!(f, "resume job {job} ({completed_chunks} chunks done)"),
         }
     }
 }
@@ -244,7 +157,7 @@ pub(crate) mod tests {
     use super::*;
 
     /// One event of every variant, in declaration order.
-    pub(crate) fn every_variant() -> [TraceEvent; 18] {
+    pub(crate) fn every_variant() -> [TraceEvent; 11] {
         [
             TraceEvent::QueryIssued { from: 3, port: 1 },
             TraceEvent::NodeRevealed { node: 4, depth: 2 },
@@ -279,32 +192,6 @@ pub(crate) mod tests {
                 attempt: 1,
             },
             TraceEvent::ChunkAborted { chunk: 0 },
-            TraceEvent::WorkerSuspected {
-                worker: 1,
-                completed: 2,
-                assigned: 3,
-            },
-            TraceEvent::ChunkReassigned {
-                chunk: 2,
-                attempt: 2,
-            },
-            TraceEvent::PartialSplice {
-                merged: 5,
-                missing: 1,
-            },
-            TraceEvent::JobAdmitted {
-                job: 1,
-                queue_depth: 2,
-            },
-            TraceEvent::CacheHit { job: 1 },
-            TraceEvent::JobPreempted {
-                job: 1,
-                completed_chunks: 3,
-            },
-            TraceEvent::JobResumed {
-                job: 1,
-                completed_chunks: 3,
-            },
         ]
     }
 

@@ -55,5 +55,5 @@ pub mod tracer;
 
 pub use event::TraceEvent;
 pub use hist::Log2Hist;
-pub use metrics::{FleetStats, QueryStats, SchedStats, SweepMetrics};
+pub use metrics::{QueryStats, SchedStats, SweepMetrics};
 pub use tracer::{MergeTracer, NoopTracer, RecordingTracer, Tracer};

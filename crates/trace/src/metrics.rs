@@ -86,33 +86,6 @@ impl QueryStats {
     }
 }
 
-/// Fleet-supervision observations: suspicions, reassignments and partial
-/// splices as emitted by `vc-fleet`. Like [`SchedStats`] these **vary
-/// between runs** — *when* a worker is suspected depends on wall-clock
-/// deadlines — so they are excluded from every determinism comparison;
-/// what they must account for is every injected death and every
-/// reassignment of a drill (the `FleetReport` invariant).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FleetStats {
-    /// Workers declared dead by a supervisor.
-    pub workers_suspected: u64,
-    /// Chunk reassignments issued to recovery launches.
-    pub chunks_reassigned: u64,
-    /// Partial-splice merges performed.
-    pub partial_splices: u64,
-    /// Chunks still missing across those merges (sums each merge's gap).
-    pub missing_chunks: u64,
-}
-
-impl FleetStats {
-    fn absorb(&mut self, other: &FleetStats) {
-        self.workers_suspected += other.workers_suspected;
-        self.chunks_reassigned += other.chunks_reassigned;
-        self.partial_splices += other.partial_splices;
-        self.missing_chunks += other.missing_chunks;
-    }
-}
-
 /// Wall-clock / scheduling observations. **Varies between runs** — never
 /// compare these in a determinism test. Counted per *share*: the starts
 /// one worker ran of one chunk, as its claimer or as a helper. A chunk
@@ -144,8 +117,6 @@ pub struct SweepMetrics {
     pub query: QueryStats,
     /// Run-varying scheduling observations.
     pub sched: SchedStats,
-    /// Run-varying fleet-supervision observations.
-    pub fleet: FleetStats,
 }
 
 impl SweepMetrics {
@@ -198,17 +169,6 @@ impl Tracer for SweepMetrics {
             TraceEvent::ChunkMerged { .. } => q.chunks_merged += 1,
             TraceEvent::ChunkRetried { .. } => q.chunks_retried += 1,
             TraceEvent::ChunkAborted { .. } => q.chunks_aborted += 1,
-            TraceEvent::WorkerSuspected { .. } => self.fleet.workers_suspected += 1,
-            TraceEvent::ChunkReassigned { .. } => self.fleet.chunks_reassigned += 1,
-            TraceEvent::PartialSplice { missing, .. } => {
-                self.fleet.partial_splices += 1;
-                self.fleet.missing_chunks += missing as u64;
-            }
-            // Service events are counted by `vc-serve`'s own stats.
-            TraceEvent::JobAdmitted { .. }
-            | TraceEvent::CacheHit { .. }
-            | TraceEvent::JobPreempted { .. }
-            | TraceEvent::JobResumed { .. } => {}
         }
     }
 }
@@ -217,7 +177,6 @@ impl MergeTracer for SweepMetrics {
     fn absorb(&mut self, other: Self) {
         self.query.absorb(&other.query);
         self.sched.absorb(&other.sched);
-        self.fleet.absorb(&other.fleet);
     }
 }
 
@@ -326,41 +285,6 @@ mod tests {
         solo.event(planned(10, 64));
         assert_eq!(solo.query.partitions, 0);
         assert_eq!(solo.query.partition_chunks, 0);
-    }
-
-    #[test]
-    fn fleet_stats_count_supervision_events() {
-        let suspected = |worker, completed| TraceEvent::WorkerSuspected {
-            worker,
-            completed,
-            assigned: 4,
-        };
-        let splice = |merged, missing| TraceEvent::PartialSplice { merged, missing };
-        let mut m = SweepMetrics::new();
-        m.event(suspected(1, 2));
-        m.event(TraceEvent::ChunkReassigned {
-            chunk: 2,
-            attempt: 2,
-        });
-        m.event(TraceEvent::ChunkReassigned {
-            chunk: 3,
-            attempt: 2,
-        });
-        m.event(splice(4, 2));
-        assert_eq!(m.fleet.workers_suspected, 1);
-        assert_eq!(m.fleet.chunks_reassigned, 2);
-        assert_eq!(m.fleet.partial_splices, 1);
-        assert_eq!(m.fleet.missing_chunks, 2);
-        // Fleet counters absorb like the other sections — and never touch
-        // the deterministic query section.
-        let mut other = SweepMetrics::new();
-        other.event(suspected(0, 0));
-        other.event(splice(6, 0));
-        m.absorb(other);
-        assert_eq!(m.fleet.workers_suspected, 2);
-        assert_eq!(m.fleet.partial_splices, 2);
-        assert_eq!(m.fleet.missing_chunks, 2);
-        assert_eq!(m.query, QueryStats::default());
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! The [`Tracer`] hook trait and its stock implementations.
 //!
-//! `vc-model` threads a `Tracer` through every execution, `vc-engine`
-//! through every sweep chunk, and `vc-fleet` / `vc-serve` through their
-//! supervisors and schedulers. The trait has one hook, [`Tracer::event`],
+//! `vc-model` threads a `Tracer` through every execution and `vc-engine`
+//! through every sweep chunk. The trait has one hook, [`Tracer::event`],
 //! with an empty default body, so the zero-sized [`NoopTracer`]
 //! implements nothing at all and the untraced hot path monomorphizes
 //! every emission away.

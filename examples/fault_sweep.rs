@@ -10,7 +10,10 @@
 //!
 //! The fault spec comes from the first CLI argument, else the `VC_FAULTS`
 //! environment variable, else a demo default. The engine picks up
-//! `VC_THREADS` as usual. The same faulted sweep is
+//! `VC_THREADS` as usual. The summary line counts `incomplete` executions
+//! (a fault or budget ended them) and `flagged` ones (they completed but
+//! saw faults); under the demo default plan their sum must be positive,
+//! so a faulted sweep is checked to degrade loudly. The same faulted sweep is
 //! then run twice through a checkpoint file — first killed after two
 //! chunks (a chunk quota stands in for the kill), then resumed — and the
 //! resumed summary is asserted identical to the unbroken one: faults,
@@ -23,16 +26,13 @@ use vc_graph::gen;
 use vc_model::run::RunConfig;
 
 fn main() {
+    let demo = FaultPlan::none(7)
+        .with_refusals(64)
+        .with_crashes(256)
+        .with_query_squeeze(5_000);
     let plan = match std::env::args().nth(1) {
         Some(spec) => FaultPlan::from_spec(&spec),
-        None => FaultPlan::from_env().map(|p| {
-            p.unwrap_or_else(|| {
-                FaultPlan::none(7)
-                    .with_refusals(64)
-                    .with_crashes(256)
-                    .with_query_squeeze(5_000)
-            })
-        }),
+        None => FaultPlan::from_env().map(|p| p.unwrap_or(demo)),
     }
     .unwrap_or_else(|e| {
         eprintln!("{e}");
@@ -52,22 +52,30 @@ fn main() {
     let report = engine
         .run_all(&inst, &algo, &config)
         .expect("all-starts sweeps have valid starts");
-    let injected: u64 = report
+    // An execution a fault ended returns the fallback output, whose
+    // `injected` is 0, so it is counted in `incomplete`, not here.
+    let flagged = report
         .report
         .outputs
         .iter()
         .flatten()
-        .map(|f| f.injected)
-        .sum();
+        .filter(|f| f.injected > 0)
+        .count();
     println!(
-        "n={} threads={} runs={} incomplete={} injected_faults={} degraded={}",
+        "n={} threads={} runs={} incomplete={} flagged={} degraded={}",
         inst.n(),
         report.threads,
         report.summary.runs,
         report.summary.incomplete,
-        injected,
+        flagged,
         report.degraded,
     );
+    if plan == demo {
+        assert!(
+            report.summary.incomplete + flagged > 0,
+            "the demo plan's faults must show in the summary"
+        );
+    }
     if !report.aborted_chunks.is_empty() || !report.skipped_chunks.is_empty() {
         println!(
             "aborted_chunks={:?} skipped_chunks={:?} (partial but valid)",

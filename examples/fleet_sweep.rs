@@ -7,7 +7,7 @@
 //! cargo run --example fleet_sweep
 //! ```
 //!
-//! The coordinator (the default mode) drives the [`vc_fleet::Supervisor`]
+//! The coordinator (the default mode) drives [`vc_fleet::supervise`]
 //! against a serial reference checkpoint:
 //!
 //! 1. **Healthy fleet.** Four worker processes (this same binary
@@ -39,12 +39,11 @@ use vc_core::problems::leaf_coloring::DistanceSolver;
 use vc_engine::Engine;
 use vc_faults::{CrashStyle, KillPlan};
 use vc_fleet::{
-    FleetConfig, FleetError, FleetOutcome, LaunchSpec, Supervisor, WorkerBackend, WorkerStatus,
+    supervise, FleetConfig, FleetError, FleetOutcome, LaunchSpec, WorkerBackend, WorkerStatus,
 };
 use vc_graph::{gen, load_instance, save_instance};
 use vc_json::{obj, Json};
 use vc_model::run::RunConfig;
-use vc_trace::SweepMetrics;
 
 /// Worker processes in the fleet.
 const WORKERS: usize = 4;
@@ -247,11 +246,9 @@ fn run_drill(
     num_chunks: usize,
     part_dir: &Path,
     serial_bytes: &[u8],
-) -> (FleetOutcome, SweepMetrics) {
+) -> FleetOutcome {
     std::fs::create_dir_all(part_dir).expect("part dir is writable");
-    let mut metrics = SweepMetrics::default();
-    let outcome = Supervisor::new(drill_config())
-        .run(backend, num_chunks, part_dir, &mut metrics)
+    let outcome = supervise(&drill_config(), backend, num_chunks, part_dir)
         .unwrap_or_else(|e| panic!("{label}: supervisor failed: {e}"));
     assert!(
         outcome.missing.is_empty(),
@@ -267,7 +264,7 @@ fn run_drill(
         merged_bytes == serial_bytes,
         "{label}: fleet merge must be byte-identical to the serial checkpoint"
     );
-    (outcome, metrics)
+    outcome
 }
 
 fn run_coordinator() {
@@ -303,7 +300,7 @@ fn run_coordinator() {
         let _ = std::fs::remove_file(dir.join(format!("part{w}.json")));
     }
     let mut backend = ProcessBackend::healthy(instance_path.clone());
-    let (outcome, _) = run_drill("healthy", &mut backend, num_chunks, &dir, &serial_bytes);
+    let outcome = run_drill("healthy", &mut backend, num_chunks, &dir, &serial_bytes);
     assert_eq!(outcome.report.deaths(), 0, "healthy fleet must stay alive");
     assert_eq!(outcome.report.launches, WORKERS as u32);
     println!("drill 1 OK: {WORKERS} supervised workers spliced byte-identically to the serial run");
@@ -340,8 +337,7 @@ fn run_coordinator() {
         let chaos_dir = dir.join(&label);
         // Like drill 1's, an earlier run's part files must not be resumed.
         let _ = std::fs::remove_dir_all(&chaos_dir);
-        let (outcome, metrics) =
-            run_drill(&label, &mut backend, num_chunks, &chaos_dir, &serial_bytes);
+        let outcome = run_drill(&label, &mut backend, num_chunks, &chaos_dir, &serial_bytes);
         // The report must account for every injected death: each victim
         // slot shows a suspicion or a failed exit, and chunks really
         // were reassigned.
@@ -361,11 +357,6 @@ fn run_coordinator() {
         assert!(
             outcome.report.reassigned > 0,
             "{label}: every victim dies mid-slice, so chunks must be reassigned"
-        );
-        assert_eq!(
-            metrics.fleet.chunks_reassigned,
-            u64::from(outcome.report.reassigned),
-            "{label}: trace metrics and report must agree"
         );
         println!(
             "{label} OK: victims {victims:?} ({}), {} reassignment(s), byte-identical merge",
