@@ -8,6 +8,7 @@
 //! most 1/2 (by Yao's principle this extends to randomized algorithms).
 
 use vc_graph::{gen, Color};
+use vc_ident::GAMMA;
 use vc_model::run::{run_from, QueryAlgorithm, RunConfig};
 use vc_model::{Budget, RandomTape, StartSelection};
 
@@ -43,12 +44,11 @@ where
     for t in 0..trials {
         // Uniform hidden color: split the trials evenly and shuffle via the
         // tape seed so deterministic algorithms cannot exploit the order.
-        let chi0 =
-            if (seed.wrapping_add(t as u64)).wrapping_mul(0x9E3779B97F4A7C15) & (1 << 40) == 0 {
-                Color::R
-            } else {
-                Color::B
-            };
+        let chi0 = if seed.wrapping_add(t as u64).wrapping_mul(GAMMA) & (1 << 40) == 0 {
+            Color::R
+        } else {
+            Color::B
+        };
         let inst = gen::complete_binary_tree(depth, Color::R, chi0);
         let config = RunConfig {
             tape: Some(RandomTape::private(seed.wrapping_add(1000 + t as u64))),

@@ -22,6 +22,17 @@
 //!   monochromatic region, or producing adjacent conflicting colors found
 //!   via binary search).
 
+// VC001: library code returns errors and never aborts. Test code may
+// unwrap, expect and panic (clippy.toml).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod hidden_leaf;
 pub mod hierarchical;
 pub mod leaf_coloring;

@@ -25,6 +25,7 @@ pub use report::{trace_case, CaseTrace, TraceReport, TRACE_REPORT_SCHEMA};
 use vc_core::lcl::{count_violations, Lcl};
 use vc_engine::Engine;
 use vc_graph::{Color, GraphBuilder, Instance, NodeLabel};
+use vc_ident::{mix, GAMMA};
 use vc_model::run::{run_from, QueryAlgorithm, RunConfig};
 use vc_model::{Budget, RandomTape, StartSelection};
 
@@ -218,11 +219,6 @@ pub fn skewed_hierarchical(len: usize) -> Instance {
     Instance::new(b.build().expect("a caterpillar is a valid graph"), labels)
 }
 
-/// Splitmix64's increment and finalizer multipliers.
-#[rustfmt::skip]
-// vc-lint: allow(VC008, reason = "a test-input stream generator like the allowlisted random and fault tapes; it never mints an identity")
-const SPLITMIX: [u64; 3] = [0x9E37_79B9_7F4A_7C15, 0xBF58_476D_1CE4_E5B9, 0x94D0_49BB_1331_11EB];
-
 /// The input stream of one case of a seeded property loop: case `i` of
 /// every property draws from one fixed splitmix64 stream, so a failing
 /// case reproduces exactly on any machine. A property draws its inputs
@@ -236,17 +232,14 @@ impl CaseRng {
     /// The stream of case number `case`.
     fn for_case(case: u64) -> Self {
         Self {
-            state: case.wrapping_mul(SPLITMIX[0]) ^ 0xC001_D00D_5EED_5EED,
+            state: case.wrapping_mul(GAMMA) ^ 0xC001_D00D_5EED_5EED,
         }
     }
 
     /// The next 64-bit word.
     fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(SPLITMIX[0]);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(SPLITMIX[1]);
-        z = (z ^ (z >> 27)).wrapping_mul(SPLITMIX[2]);
-        z ^ (z >> 31)
+        self.state = self.state.wrapping_add(GAMMA);
+        mix(self.state)
     }
 
     /// A draw from the non-empty `range`: `start + next % span`.

@@ -1,12 +1,11 @@
 //! Output alphabets of the constructed problems.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use vc_graph::{Color, Port};
 
 /// The four-symbol output alphabet of the THC problems (Definition 5.5):
 /// two colors, *decline* and *exempt*.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ThcColor {
     /// Red.
     R,
@@ -53,7 +52,7 @@ impl fmt::Display for ThcColor {
 
 /// The `{B, U}` flag of BalancedTree outputs (Definition 4.3): *balanced*
 /// or *unbalanced*.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BtFlag {
     /// The subtree rooted here is balanced and fully compatible.
     Balanced,
@@ -71,7 +70,7 @@ impl fmt::Display for BtFlag {
 }
 
 /// A BalancedTree output pair `(β(v), p(v)) ∈ {B, U} × P` (Definition 4.3).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct BtOutput {
     /// The balanced/unbalanced flag.
     pub flag: BtFlag,
@@ -108,7 +107,7 @@ impl fmt::Display for BtOutput {
 
 /// The output alphabet of Hybrid-THC and HH-THC (Definitions 6.1 and 6.4):
 /// either a BalancedTree pair or a THC symbol.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum HybridOutput {
     /// A BalancedTree output (level-1 nodes).
     Pair(BtOutput),

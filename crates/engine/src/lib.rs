@@ -88,6 +88,18 @@
 //! retired `VC_DEADLINE_MS`.
 
 #![deny(missing_docs)]
+// VC001: library code returns errors and never aborts. Test code may
+// unwrap, expect and panic (clippy.toml).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+// VC012: no truncating `as` cast on a merge path (non-test code).
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 pub mod checkpoint;
 pub mod partition;
@@ -110,7 +122,7 @@ pub use checkpoint::{
     CHECKPOINT_SCHEMA,
 };
 pub use partition::{ChunkSet, RangeError, CHUNKS_ENV};
-pub use splice::{format_chunk_groups, splice_checkpoints, splice_partial, SpliceError};
+pub use splice::{splice_checkpoints, splice_partial, SpliceError};
 pub use vc_graph::write_atomically;
 pub use vc_ident::{InstanceId, SweepId};
 
@@ -296,6 +308,10 @@ impl Engine {
     /// `VC_THREADS=abc`, `VC_CHUNKS=512..0/2048`, …) or the retired
     /// `VC_DEADLINE_MS` is set at all — a startup error, never a silently
     /// ignored override.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "VC011: this is the engine's one entry point for ambient configuration"
+    )]
     pub fn from_env() -> Result<Self, EnvError> {
         if let Ok(raw) = std::env::var(RETIRED_DEADLINE_VAR) {
             refuse_retired_deadline(&raw)?;
@@ -603,8 +619,12 @@ struct SweepInputs<'a, A> {
 /// left or the cancel flag is set, folding them into one [`Share`].
 /// `claim` is `Some(attempt)` for the share that announces the chunk —
 /// the claimer's (attempt 0) or a retry's — and `None` for a helper's.
-/// The `catch_unwind` here is the only one in the workspace (see the
-/// `centralized-panic-isolation` lint); it wraps exactly one share.
+/// The `catch_unwind` here is the only one in the workspace (rule
+/// VC007); it wraps exactly one share.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "VC007: this is the workspace's one panic-isolation site"
+)]
 fn run_share<A, T>(
     sweep: &SweepInputs<'_, A>,
     chunk: usize,

@@ -288,16 +288,24 @@ impl ChunkSet {
     }
 }
 
+/// The canonical spec, which [`ChunkSet::parse`] reads back: maximal runs
+/// in ascending order, a single chunk bare (`3..7,12/40`), and `0..0/total`
+/// for the empty set. Every `VC_CHUNKS` value, partition stamp and gap
+/// report is rendered here.
 impl std::fmt::Display for ChunkSet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         if self.runs.is_empty() {
             return write!(f, "0..0/{}", self.total);
         }
-        for (i, (lo, hi)) in self.runs.iter().enumerate() {
+        for (i, &(lo, hi)) in self.runs.iter().enumerate() {
             if i > 0 {
                 f.write_str(",")?;
             }
-            write!(f, "{lo}..{hi}")?;
+            if hi == lo + 1 {
+                write!(f, "{lo}")?;
+            } else {
+                write!(f, "{lo}..{hi}")?;
+            }
         }
         write!(f, "/{}", self.total)
     }
@@ -421,7 +429,7 @@ mod tests {
     fn set_parse_normalizes_and_round_trips() {
         // Unsorted items, a bare index and an adjacent run all normalize.
         let set = ChunkSet::parse("12,3..5,5..7/40").unwrap();
-        assert_eq!(set.to_string(), "3..7,12..13/40");
+        assert_eq!(set.to_string(), "3..7,12/40");
         assert_eq!(ChunkSet::parse(&set.to_string()), Ok(set.clone()));
         assert_eq!(set.len(), 5);
         assert_eq!(set.total(), 40);

@@ -1,8 +1,8 @@
 //! Splicing disjoint partial checkpoints into one full sweep result.
 //!
 //! The merge side of fleet execution (DESIGN.md §15): each worker process
-//! runs a [`ChunkSet`](crate::ChunkSet)-restricted sweep against its
-//! own checkpoint file, and [`splice_checkpoints`] recombines the partial
+//! runs a [`ChunkSet`]-restricted sweep against its own checkpoint file,
+//! and [`splice_checkpoints`] recombines the partial
 //! `vc-engine-checkpoint/v4` files into a single complete checkpoint.
 //! Because chunk contents are deterministic and identified by index, the
 //! spliced file is **byte-identical** to the sealed checkpoint a single
@@ -29,6 +29,7 @@
 //! directly instead of re-running whole slices (DESIGN.md §16).
 
 use crate::checkpoint::{SweepCheckpoint, SweepIdentity};
+use crate::ChunkSet;
 
 /// Why a set of partial checkpoints cannot be spliced. Every variant
 /// names the offending part by its index in the input slice, so a
@@ -77,34 +78,6 @@ pub enum SpliceError {
     },
 }
 
-/// Formats chunk indices sorted, deduplicated and grouped into maximal
-/// contiguous half-open runs, single chunks bare: `[5, 3, 4, 12, 5]` →
-/// `"3..6, 12"`. Each item (whitespace aside) is valid `VC_CHUNKS` item
-/// syntax, so the groups paste directly into a reassignment spec.
-pub fn format_chunk_groups(chunks: &[usize]) -> String {
-    let mut sorted = chunks.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    let mut groups: Vec<(usize, usize)> = Vec::new();
-    for c in sorted {
-        match groups.last_mut() {
-            Some(last) if c == last.1 => last.1 = c + 1,
-            _ => groups.push((c, c + 1)),
-        }
-    }
-    let rendered: Vec<String> = groups
-        .iter()
-        .map(|&(lo, hi)| {
-            if hi == lo + 1 {
-                lo.to_string()
-            } else {
-                format!("{lo}..{hi}")
-            }
-        })
-        .collect();
-    rendered.join(", ")
-}
-
 impl std::fmt::Display for SpliceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -136,14 +109,14 @@ impl std::fmt::Display for SpliceError {
                  the partition is not disjoint"
             ),
             SpliceError::Incomplete { missing, total } => {
+                let gap = ChunkSet::from_chunks(missing, *total)
+                    .map_or_else(|e| e.to_string(), |set| set.to_string());
                 write!(
                     f,
-                    "{} chunk(s) have no records (missing: {}): the partition does not \
-                     cover the plan — reassign the gap (VC_CHUNKS={}/{total}) or merge \
-                     what exists with splice_partial",
+                    "{} chunk(s) have no records: the partition does not cover the plan — \
+                     reassign the gap (VC_CHUNKS={gap}) or merge what exists with \
+                     splice_partial",
                     missing.len(),
-                    format_chunk_groups(missing),
-                    format_chunk_groups(missing).replace(", ", ","),
                 )
             }
         }
@@ -347,25 +320,6 @@ mod tests {
         assert!(err.to_string().contains("reassign"), "{err}");
         // The message carries a pasteable reassignment spec.
         assert!(err.to_string().contains("VC_CHUNKS=1..4/5"), "{err}");
-    }
-
-    #[test]
-    fn missing_chunks_format_as_grouped_ranges() {
-        assert_eq!(format_chunk_groups(&[]), "");
-        assert_eq!(format_chunk_groups(&[12]), "12");
-        assert_eq!(format_chunk_groups(&[3, 4, 5, 6]), "3..7");
-        // Unsorted, duplicated input is sorted and deduplicated first.
-        assert_eq!(format_chunk_groups(&[12, 4, 3, 6, 5, 4]), "3..7, 12");
-        assert_eq!(format_chunk_groups(&[0, 2, 3, 9]), "0, 2..4, 9");
-        // The rendered groups round-trip through the ChunkSet spec syntax.
-        let spec = format!(
-            "{}/40",
-            format_chunk_groups(&[12, 4, 3, 6, 5]).replace(", ", ",")
-        );
-        assert_eq!(
-            crate::ChunkSet::parse(&spec),
-            crate::ChunkSet::from_chunks(&[3, 4, 5, 6, 12], 40)
-        );
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! [`FaultPlan`](crate::FaultPlan) decision. Same seed, same murders,
 //! every run, any machine.
 
-use crate::splitmix::mix_words;
+use crate::plan::mix_words;
 
 /// Domain-separation constants for kill decisions, disjoint from the
 /// [`rule`](crate::plan::rule) constants of the per-query fault classes.

@@ -38,12 +38,21 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+// VC001: library code returns errors and never aborts. Test code may
+// unwrap, expect and panic (clippy.toml).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 mod algo;
 mod fleet;
 mod oracle;
 mod plan;
-mod splitmix;
 
 pub use algo::{Faulted, FaultedAlgorithm};
 pub use fleet::{CrashStyle, KillPlan};

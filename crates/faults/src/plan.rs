@@ -8,7 +8,19 @@
 //! thread count. That determinism is what makes faulty sweeps replayable
 //! and their degradation contracts testable (DESIGN.md §11).
 
-use crate::splitmix::mix_words;
+use vc_ident::{mix, GAMMA};
+
+/// Hashes a word sequence by folding each word through the splitmix64
+/// finalizer, the scramble of `vc-model`'s random tape. Plans fold a
+/// per-class rule constant into every hash, so fault decisions stay
+/// domain-separated from algorithm randomness.
+pub(crate) fn mix_words(words: &[u64]) -> u64 {
+    let mut h: u64 = 0x6661_756c_7473_2e31; // "faults.1"
+    for &w in words {
+        h = mix(h.wrapping_add(GAMMA) ^ w);
+    }
+    h
+}
 
 /// Environment variable holding a [`FaultPlan::from_spec`] string.
 pub const FAULTS_ENV: &str = "VC_FAULTS";
@@ -172,8 +184,12 @@ impl FaultPlan {
     /// # Errors
     ///
     /// [`SpecError`] as for [`FaultPlan::from_spec`].
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "VC011: VC_FAULTS is the fault plan's own documented entry point, \
+                  mirroring Engine::from_env; the plan reaches the engine only through RunConfig"
+    )]
     pub fn from_env() -> Result<Option<Self>, SpecError> {
-        // vc-lint: allow(VC011, reason = "VC_FAULTS is the fault plan's own documented entry point, mirroring Engine::from_env; the plan still reaches the engine only through RunConfig")
         match std::env::var(FAULTS_ENV) {
             Ok(spec) if !spec.trim().is_empty() => Self::from_spec(&spec).map(Some),
             _ => Ok(None),
@@ -206,6 +222,14 @@ impl std::error::Error for SpecError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mixing_is_deterministic_and_sensitive() {
+        assert_eq!(mix_words(&[1, 2, 3]), mix_words(&[1, 2, 3]));
+        assert_ne!(mix_words(&[1, 2, 3]), mix_words(&[1, 2, 4]));
+        assert_ne!(mix_words(&[1, 2, 3]), mix_words(&[3, 2, 1]));
+        assert_ne!(mix_words(&[0]), mix_words(&[0, 0]));
+    }
 
     #[test]
     fn spec_round_trip_and_defaults() {

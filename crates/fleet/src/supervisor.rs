@@ -1,7 +1,7 @@
 //! The [`supervise`] loop: poll, suspect, kill, reassign, merge.
 //!
-//! This module is the workspace's **only** sanctioned sleep site (lint
-//! rule VC015): the supervisor's poll cadence and counter-driven
+//! This module is the workspace's **only** sanctioned sleep site (rule
+//! VC015): the supervisor's poll cadence and counter-driven
 //! relaunch backoff are the one place the codebase may voluntarily wait
 //! on wall-clock time. Deadlines themselves are measured through
 //! [`Stopwatch`], the single sanctioned clock (VC006) — the supervisor
@@ -75,6 +75,10 @@ struct Active<H> {
 /// and [`FleetError::Splice`] when the parts overlap or mismatch — each
 /// an assignment/infrastructure failure, never a recoverable worker
 /// death (those degrade instead).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "VC015: the poll cadence and the relaunch backoff are the workspace's only sleeps"
+)]
 pub fn supervise<B: WorkerBackend>(
     config: &FleetConfig,
     backend: &mut B,

@@ -2,7 +2,6 @@
 
 use crate::label::Port;
 use crate::NodeIdx;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashSet, VecDeque};
 use std::error::Error;
 use std::fmt;
@@ -93,7 +92,7 @@ impl Error for GraphError {}
 /// same slot). Both `neighbor` and `reverse_port` lookups are a single
 /// bounds-checked flat-array access — no per-node `Vec` indirection — which
 /// is what keeps the query-model hot loop in `vc-model` cache-friendly.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Graph {
     /// CSR row offsets; node `v`'s slots are `offsets[v]..offsets[v+1]`.
     /// Always `n + 1` entries with `offsets[0] == 0`.

@@ -3,14 +3,13 @@
 use crate::graph::Graph;
 use crate::label::{NodeLabel, Port};
 use crate::NodeIdx;
-use serde::{Deserialize, Serialize};
 
 /// A graph together with an input labeling: the pair `(G, L)` on which every
 /// algorithm, checker and adversary in this workspace operates.
 ///
 /// The labeling assigns every node a [`NodeLabel`]; the unique identifiers
 /// and the port ordering live in the [`Graph`] itself.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Instance {
     /// The communication graph / problem input graph.
     pub graph: Graph,

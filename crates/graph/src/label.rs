@@ -1,6 +1,5 @@
 //! Per-node input labels: ports, colors, and the composite [`NodeLabel`].
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A port number, `1..=deg(v)` (paper §2.1).
@@ -13,7 +12,7 @@ use std::fmt;
 /// The type is a thin wrapper over a 1-based `u8`; the paper's label set
 /// `P = [Δ] ∪ {⊥}` is represented as `Option<Port>` with `None` playing the
 /// role of `⊥`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Port(u8);
 
 impl Port {
@@ -59,7 +58,7 @@ impl fmt::Display for Port {
 /// The two-element color alphabet `{R, B}` of Definition 3.1.
 ///
 /// `R` renders as *red* and `B` as *blue* in the paper's figures.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Color {
     /// Red.
     R,
@@ -107,7 +106,7 @@ impl fmt::Display for Color {
 ///
 /// Fields that a particular problem does not use are `None` and ignored by
 /// that problem's checker.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub struct NodeLabel {
     /// Parent port `P(v)`.
     pub parent: Option<Port>,

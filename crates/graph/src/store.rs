@@ -40,6 +40,9 @@
 //! [`StoreError`] variant so callers (and tests) can tell truncation from
 //! corruption from identity forgery.
 
+// VC012: no truncating `as` cast on an on-disk length (non-test code).
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 use crate::graph::{Graph, GraphError};
 use crate::instance::Instance;
 use crate::label::{Color, NodeLabel, Port};

@@ -4,11 +4,9 @@
 
 use crate::instance::Instance;
 use crate::NodeIdx;
-use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Classification of a node under a tree labeling (Definition 3.3).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum NodeStatus {
     /// Both children exist, point back, are distinct, and differ from the
     /// parent port.
@@ -80,40 +78,6 @@ pub fn gt_children(inst: &Instance, v: NodeIdx) -> Option<(NodeIdx, NodeIdx)> {
     })
 }
 
-/// The `G_T`-parent of `v`: the internal node `u = P(v)` such that `v` is one
-/// of `u`'s children. `None` for roots and inconsistent surroundings.
-pub fn gt_parent(inst: &Instance, v: NodeIdx) -> Option<NodeIdx> {
-    let u = inst.parent_node(v)?;
-    if !is_internal(inst, u) {
-        return None;
-    }
-    (inst.left_child_node(u) == Some(v) || inst.right_child_node(u) == Some(v)).then_some(u)
-}
-
-/// Nodes of the pseudo-forest `G_T` (internal nodes and leaves) reachable
-/// *downward* from `v`, in BFS order, up to `depth` child-steps.
-pub fn gt_descendants(inst: &Instance, v: NodeIdx, depth: u32) -> Vec<(NodeIdx, u32)> {
-    let mut out = vec![(v, 0)];
-    let mut seen = vec![false; inst.n()];
-    seen[v] = true;
-    let mut queue = VecDeque::from([(v, 0u32)]);
-    while let Some((u, d)) = queue.pop_front() {
-        if d >= depth {
-            continue;
-        }
-        if let Some((lc, rc)) = gt_children(inst, u) {
-            for w in [lc, rc] {
-                if !seen[w] {
-                    seen[w] = true;
-                    out.push((w, d + 1));
-                    queue.push_back((w, d + 1));
-                }
-            }
-        }
-    }
-    out
-}
-
 /// The level of `v` per Definition 5.1, capped at `cap + 1`.
 ///
 /// `level(v) = 1` when `RC(v) = ⊥` (or unresolvable), otherwise
@@ -142,20 +106,6 @@ pub fn levels_capped(inst: &Instance, cap: u32) -> Vec<u32> {
     (0..inst.n()).map(|v| level_capped(inst, v, cap)).collect()
 }
 
-/// Whether `v` is a *level `ℓ` leaf* (Definition 5.2): `LC(v) = ⊥`.
-pub fn is_level_leaf(inst: &Instance, v: NodeIdx) -> bool {
-    inst.left_child_node(v).is_none()
-}
-
-/// Whether `v` is a *level `ℓ` root* (Definition 5.2): `P(v) = ⊥` or
-/// `v = RC(P(v))`.
-pub fn is_level_root(inst: &Instance, v: NodeIdx) -> bool {
-    match inst.parent_node(v) {
-        None => true,
-        Some(p) => inst.right_child_node(p) == Some(v),
-    }
-}
-
 /// The successor of `v` along its backbone in `G_k`: the left child at the
 /// same level (Definition 5.1's first edge kind), if the back-pointer agrees.
 pub fn backbone_next(inst: &Instance, levels: &[u32], v: NodeIdx) -> Option<NodeIdx> {
@@ -172,7 +122,7 @@ pub fn backbone_prev(inst: &Instance, levels: &[u32], v: NodeIdx) -> Option<Node
 
 /// A maximal same-level component of `G_k` (Observation 5.4): a path or a
 /// cycle of nodes connected by left-child edges.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Backbone {
     /// Nodes in order from the backbone root (or an arbitrary cycle node)
     /// towards the level leaf.
@@ -278,8 +228,6 @@ mod tests {
         let inst = cherry();
         assert_eq!(gt_children(&inst, 0), Some((1, 2)));
         assert_eq!(gt_children(&inst, 1), None);
-        assert_eq!(gt_parent(&inst, 1), Some(0));
-        assert_eq!(gt_parent(&inst, 0), None);
     }
 
     #[test]
@@ -305,14 +253,6 @@ mod tests {
         let mut inst = cherry();
         inst.labels[0].parent = inst.labels[0].left_child;
         assert_eq!(status(&inst, 0), NodeStatus::Inconsistent);
-    }
-
-    #[test]
-    fn descendants_bfs() {
-        let inst = cherry();
-        let d = gt_descendants(&inst, 0, 5);
-        assert_eq!(d, vec![(0, 0), (1, 1), (2, 1)]);
-        assert_eq!(gt_descendants(&inst, 0, 0), vec![(0, 0)]);
     }
 
     /// RC-chain of three nodes: v0 -RC-> v1 -RC-> v2, so level(v0)=3.
@@ -343,17 +283,6 @@ mod tests {
         let inst = rc_chain();
         // With cap 1, level(v0) would be 3 > cap, so reported as cap+1 = 2.
         assert_eq!(level_capped(&inst, 0, 1), 2);
-    }
-
-    #[test]
-    fn level_leaf_and_root_predicates() {
-        let inst = rc_chain();
-        // No LC anywhere: all level leaves.
-        assert!(is_level_leaf(&inst, 0));
-        // v0 has no parent: root. v1 = RC(v0): root. Same for v2.
-        assert!(is_level_root(&inst, 0));
-        assert!(is_level_root(&inst, 1));
-        assert!(is_level_root(&inst, 2));
     }
 
     /// LC-path of three nodes at level 1 (no RC anywhere).

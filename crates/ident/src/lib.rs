@@ -26,21 +26,35 @@
 //!   `vc-sweep/v3`) invalidates every persisted id at once, which is the
 //!   intended migration story for encoding changes.
 //!
-//! The splitmix64 constants live here and in exactly two other
-//! allowlisted places (`vc-model`'s randomness tape and `vc-faults`'
-//! decision hash); the `content-addressed-identity` xtask lint rejects
-//! any new ad-hoc fold elsewhere in the workspace.
+//! The splitmix64 constants live here and nowhere else: the random
+//! tape, the fault decisions, the adversary's coin and the property-test
+//! stream all call [`mix`] and [`GAMMA`]. xtask's `repo_is_clean` test
+//! rejects the constants, and any ad-hoc fingerprint helper, anywhere
+//! else in the workspace (rule VC008).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+// VC001: library code returns errors and never aborts. Test code may
+// unwrap, expect and panic (clippy.toml).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use std::fmt;
 
 /// The splitmix64 increment ("golden gamma").
-const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+pub const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// The splitmix64 finalizer (same scramble as `vc-model`'s tape).
-fn mix(mut z: u64) -> u64 {
+/// The splitmix64 finalizer: a well-mixed permutation of 64-bit words.
+/// Step `i` of a splitmix64 stream seeded at `s` is
+/// `mix(s + (i + 1) * GAMMA)` (wrapping).
+#[inline]
+pub fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

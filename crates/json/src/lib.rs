@@ -28,12 +28,26 @@
 //! per number, and [`push_uint`] formats an integer without `write!`.
 //!
 //! This is a leaf crate on purpose: `vc-engine` decodes sweep checkpoint
-//! files (`vc-engine-checkpoint/v4`) with it, and `xtask` both lints the
-//! workspace *and* merges partial checkpoints through `vc-engine`, so the
-//! shared codec must sit below both to keep the dependency graph acyclic.
+//! files (`vc-engine-checkpoint/v4`) with it, and `xtask` both checks JSON
+//! documents with it *and* merges partial checkpoints through `vc-engine`,
+//! so the shared codec must sit below both to keep the dependency graph
+//! acyclic.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+// VC001: library code returns errors and never aborts. Test code may
+// unwrap, expect and panic (clippy.toml).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+// VC012: no truncating `as` cast in the parser every checkpoint decode
+// goes through (non-test code).
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 /// A parsed JSON value. Object keys keep document order. A plain
 /// non-negative integer literal that fits a `u64` keeps its exact value

@@ -1,15 +1,13 @@
 //! Cost accounting: Definitions 2.1 (distance cost) and 2.2 (volume cost),
 //! execution budgets, and Lemma 2.5 sanity checks.
 
-use serde::{Deserialize, Serialize};
-
 /// Resource limits imposed on a single execution.
 ///
 /// Truncation is how the paper turns Las-Vegas-style algorithms into
 /// worst-case ones (Remark 3.11: "an execution can be truncated after
 /// `O(log n)` steps … with the node producing arbitrary output") and how the
 /// lower-bound experiments constrain algorithms to a sublinear budget.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Budget {
     /// Maximum number of *visited nodes* `|V_v|` (volume, Definition 2.2).
     pub max_volume: Option<usize>,
@@ -52,7 +50,7 @@ impl Budget {
 }
 
 /// Measured costs of one execution.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExecutionRecord {
     /// The initiating node.
     pub root: usize,
@@ -94,7 +92,7 @@ impl ExecutionRecord {
 }
 
 /// Aggregate of many execution records — the empirical `VOL_n` / `DIST_n`.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CostSummary {
     /// Number of executions aggregated.
     pub runs: usize,

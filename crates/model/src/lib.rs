@@ -23,6 +23,16 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+// VC001: library code returns errors and never aborts. Test code may
+// unwrap, expect and panic (clippy.toml).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod congest;
 pub mod cost;

@@ -10,6 +10,9 @@
 //! `vc-adversary` construct the graph lazily in response to queries — the
 //! process `P` of Propositions 3.13 and 5.20.
 
+// VC005: per-node state lives in flat scratch, tests included.
+#![deny(clippy::disallowed_types)]
+
 use crate::cost::{Budget, ExecutionRecord};
 use crate::randomness::{RandomTape, RandomnessMode};
 use std::collections::VecDeque;

@@ -6,10 +6,10 @@
 //! the coupled random walks of Algorithm 1 agree — footnote 3). We realize
 //! this with a pure function of `(tape seed, node id, bit index)`.
 
-use serde::{Deserialize, Serialize};
+use vc_ident::{mix, GAMMA};
 
 /// The flavor of randomness available to algorithms (§7.4).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RandomnessMode {
     /// Each node has an independent string; querying a node reveals its
     /// string. This is the paper's main model.
@@ -26,18 +26,16 @@ pub enum RandomnessMode {
 /// Determinism is essential: the runner starts one execution per node and
 /// all of them must observe identical `r_v`, and lower-bound experiments
 /// must be reproducible.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RandomTape {
     seed: u64,
     mode: RandomnessMode,
 }
 
-/// SplitMix64 finalizer — a well-mixed 64-bit permutation.
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
+/// One splitmix64 step: the increment, then the finalizer.
+#[inline]
+fn splitmix(z: u64) -> u64 {
+    mix(z.wrapping_add(GAMMA))
 }
 
 impl RandomTape {
@@ -90,7 +88,7 @@ impl RandomTape {
         let h = splitmix(
             splitmix(self.seed ^ 0xA5A5_5A5A_1234_5678)
                 .wrapping_add(splitmix(node_key))
-                .wrapping_add(index.wrapping_mul(0x9E3779B97F4A7C15)),
+                .wrapping_add(index.wrapping_mul(GAMMA)),
         );
         h & 1 == 1
     }

@@ -43,6 +43,16 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+// VC001: library code returns errors and never aborts. Test code may
+// unwrap, expect and panic (clippy.toml).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod scheduler;
 pub mod server;

@@ -9,11 +9,10 @@
 //! `α` from a log–log regression, so `Θ(n^{1/k})` families report `α ≈ 1/k`.
 
 use crate::logstar::{log2f, log_star};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Candidate growth classes from the paper's landscape figures.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ComplexityClass {
     /// `Θ(1)` — class A.
     Constant,
@@ -45,7 +44,7 @@ pub enum ComplexityClass {
 /// fit that lands on, say, `Θ(n^{0.97})` instead of `Θ(n)` on a noisy
 /// curve still machine-checks as "linear-family" — the distinction Table 1
 /// actually draws.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ClassFamily {
     /// `Θ(1)`, `Θ(log* n)`, `Θ(log log n)` — the sub-logarithmic regime.
     Bounded,
@@ -131,7 +130,7 @@ impl fmt::Display for ComplexityClass {
 }
 
 /// Result of fitting a measured curve.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FitResult {
     /// The best-fitting class.
     pub class: ComplexityClass,

@@ -9,6 +9,9 @@
 //! bit-identical to serial accumulation — the same argument that makes
 //! `CostAccumulator` safe under the sharded engine.
 
+// VC012: no truncating `as` cast on a merge path (non-test code).
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 /// Number of buckets: bucket 0 holds the value 0 and bucket `i ≥ 1`
 /// holds values in `[2^(i-1), 2^i)`, so every `u64` lands in a bucket.
 pub const BUCKETS: usize = 65;
@@ -45,7 +48,6 @@ impl Log2Hist {
         if value == 0 {
             0
         } else {
-            // vc-lint: allow(VC012, reason = "leading_zeros of a u64 is at most 64, far below any usize; this is an index computation, not a counter")
             64 - value.leading_zeros() as usize
         }
     }
@@ -125,6 +127,11 @@ impl Log2Hist {
             return 0;
         }
         let clamped = q.clamp(0.0, 1.0);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "VC012: with q in [0, 1] the value lies in [1, count as f64], \
+                      at most 2^64, and a float-to-int `as` saturates at u64::MAX"
+        )]
         let target = (clamped * self.count as f64).ceil().max(1.0) as u64;
         let mut seen = 0u64;
         for (i, &c) in self.counts.iter().enumerate() {

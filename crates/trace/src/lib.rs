@@ -23,8 +23,8 @@
 //!
 //! The crate is dependency-free (it sits below `vc-model` in the
 //! workspace graph) and holds the only sanctioned wall-clock read in the
-//! workspace: [`time::Stopwatch`] (enforced by the `no-hidden-clocks`
-//! rule of `cargo run -p xtask -- lint`).
+//! workspace: [`time::Stopwatch`] (rule VC006: clippy's
+//! `disallowed_methods` refuses `Instant::now` everywhere else).
 //!
 //! Modules:
 //!
@@ -46,6 +46,16 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+// VC001: library code returns errors and never aborts. Test code may
+// unwrap, expect and panic (clippy.toml).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod event;
 pub mod hist;

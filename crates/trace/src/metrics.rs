@@ -12,6 +12,9 @@
 //!   share of a chunk — which legitimately vary between runs and are
 //!   therefore excluded from every determinism comparison.
 
+// VC012: no truncating `as` cast on a merge path (non-test code).
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 use crate::event::TraceEvent;
 use crate::hist::Log2Hist;
 use crate::tracer::{MergeTracer, Tracer};

@@ -1,11 +1,12 @@
 //! [`Stopwatch`]: the workspace's single sanctioned wall-clock access.
 //!
 //! Clock reads are syscalls; scattered `Instant::now()` calls are how
-//! hot paths silently grow per-iteration overhead. The `no-hidden-clocks`
-//! rule of `cargo run -p xtask -- lint` therefore forbids `Instant::now`
-//! everywhere except this module — timing-consuming code (the engine's
-//! per-sweep and per-chunk measurements) goes through `Stopwatch`, which
-//! keeps every clock read greppable and reviewable in one place.
+//! hot paths silently grow per-iteration overhead. Rule VC006
+//! (`clippy.toml`'s `disallowed-methods`) therefore forbids
+//! `Instant::now` everywhere except [`Stopwatch::start`] —
+//! timing-consuming code (the engine's per-sweep and per-chunk
+//! measurements) goes through `Stopwatch`, which keeps every clock read
+//! greppable and reviewable in one place.
 
 use std::time::{Duration, Instant};
 
@@ -17,6 +18,10 @@ pub struct Stopwatch {
 
 impl Stopwatch {
     /// Starts timing now.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "VC006: this is the workspace's one clock read"
+    )]
     pub fn start() -> Self {
         Self {
             start: Instant::now(),

@@ -1,23 +1,9 @@
 //! In-repo automation tasks (the `cargo xtask` pattern), dependency-free.
 //!
-//! `cargo run -p xtask -- lint [--json]` runs the workspace determinism
-//! linter. The linter itself lives in `crates/lint` (the `vc-lint`
-//! library): a token-level scanner enforcing the repo's architectural
-//! invariants under stable rule codes (`VC001`…`VC015`) with
-//! `file:line:col` spans and inline suppression pragmas
-//! (`// vc-lint: allow(VC00x, reason = "…")`). See DESIGN.md §13 for the
-//! rule catalog and the README for the code table. This binary is the
-//! thin driver: it locates the workspace root, runs [`vc_lint::run`], and
-//! renders either human diagnostics (default) or the machine-readable
-//! `vc-lint-report/v1` JSON document (`--json`, printed to stdout with
-//! findings still on stderr; CI validates it with `check-json` and
-//! uploads it as an artifact).
-//!
 //! `cargo run -p xtask -- check-json <path>` validates that a file parses
 //! as JSON (used by CI on the machine-readable `BENCH_engine.json`
-//! baseline, the `vc-trace-report/v1` document, and the
-//! `vc-lint-report/v1` lint report; the workspace's vendored no-op serde
-//! cannot do this).
+//! baseline and on every report document; the workspace's vendored no-op
+//! serde cannot do this).
 //!
 //! `cargo run -p xtask -- merge-checkpoints <out> <part>...` splices
 //! partial `vc-engine-checkpoint/v4` files written by range-restricted
@@ -53,40 +39,6 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use vc_json as json;
-
-/// The workspace root: two levels above this crate's manifest,
-/// independent of the invocation directory.
-fn workspace_root() -> &'static Path {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("crates/xtask sits two levels below the workspace root")
-}
-
-/// Runs the linter and renders the result. With `json`, the
-/// `vc-lint-report/v1` document goes to stdout (findings still go to
-/// stderr so a redirected stdout stays a clean document).
-fn run_lint(json_out: bool) -> ExitCode {
-    let report = vc_lint::run(workspace_root());
-    for f in &report.findings {
-        eprintln!("{f}");
-    }
-    if json_out {
-        print!("{}", report.to_json());
-    }
-    if report.findings.is_empty() {
-        if !json_out {
-            println!(
-                "xtask lint: clean ({} files scanned, {} finding(s) suppressed)",
-                report.files_scanned, report.suppressed
-            );
-        }
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("xtask lint: {} finding(s)", report.findings.len());
-        ExitCode::FAILURE
-    }
-}
 
 /// The expected schema of both files fed to `compare-bench`.
 const BENCH_SCHEMA: &str = "vc-engine-baseline/v1";
@@ -333,13 +285,10 @@ fn missing_doc(out_path: &str, merged: &vc_engine::SweepCheckpoint, missing: &[u
         "merged_chunks": merged.completed_chunks(), "complete": missing.is_empty(),
         "missing": json::Json::arr(missing.to_vec()),
     };
-    if missing.is_empty() {
-        return json::document(&doc);
+    match vc_engine::ChunkSet::from_chunks(missing, merged.num_chunks) {
+        Ok(gap) if !missing.is_empty() => json::document(&doc.with("spec", gap.to_string())),
+        _ => json::document(&doc),
     }
-    // Despaced so the spec parses under the strict `VC_CHUNKS` grammar (no
-    // whitespace components).
-    let groups = vc_engine::format_chunk_groups(missing).replace(", ", ",");
-    json::document(&doc.with("spec", format!("{groups}/{}", merged.num_chunks)))
 }
 
 fn run_merge_checkpoints(args: &[String]) -> ExitCode {
@@ -404,14 +353,6 @@ fn run_merge_checkpoints(args: &[String]) -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("lint") => match args.get(1).map(String::as_str) {
-            None => run_lint(false),
-            Some("--json") => run_lint(true),
-            Some(other) => {
-                eprintln!("xtask lint: unknown flag {other:?} (supported: --json)");
-                ExitCode::FAILURE
-            }
-        },
         Some("compare-bench") => run_compare_bench(&args[1..]),
         Some("merge-checkpoints") => run_merge_checkpoints(&args[1..]),
         Some("check-json") => match args.get(1) {
@@ -439,8 +380,8 @@ fn main() -> ExitCode {
         _ => {
             eprintln!(
                 "usage: cargo run -p xtask -- \
-                 <lint [--json] | check-json <path> | compare-bench <baseline> <fresh> \
-                 [--tol-pct N] | merge-checkpoints [--partial] <out> <part>...>"
+                 <check-json <path> | compare-bench <baseline> <fresh> [--tol-pct N] \
+                 | merge-checkpoints [--partial] <out> <part>...>"
             );
             ExitCode::FAILURE
         }
@@ -450,6 +391,16 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
+
+    /// The workspace root: two levels above this crate's manifest,
+    /// independent of the invocation directory.
+    fn workspace_root() -> &'static Path {
+        Path::new(env!("CARGO_MANIFEST_DIR"))
+            .parent()
+            .and_then(Path::parent)
+            .expect("crates/xtask sits two levels below the workspace root")
+    }
 
     #[test]
     fn json_validator_accepts_well_formed_documents() {
@@ -479,14 +430,6 @@ mod tests {
         ] {
             assert!(json::validate(src).is_err(), "should reject: {src}");
         }
-    }
-
-    #[test]
-    fn lint_report_json_is_valid_for_check_json() {
-        // The `--json` document must round-trip through the same validator
-        // CI runs on it.
-        let report = vc_lint::run(workspace_root());
-        json::validate(&report.to_json()).expect("lint report must be valid JSON");
     }
 
     /// A minimal well-formed `vc-engine-baseline/v1` document with one row.
@@ -773,20 +716,312 @@ mod tests {
         assert!(doc.get("spec").is_none());
     }
 
+    // The determinism rules (DESIGN.md §13). Clippy enforces the token
+    // rules through clippy.toml, the crates' `[lints.clippy]` tables and
+    // scoped `deny` attributes; `repo_is_clean` pins that configuration
+    // and walks the tree for the three rules clippy cannot express.
+
+    /// Crates whose root declares `#![deny(missing_docs)]` (VC002).
+    const DOCUMENTED: [&str; 10] = [
+        "model", "graph", "audit", "engine", "trace", "faults", "fleet", "ident", "json", "serve",
+    ];
+
+    /// Crates whose root denies every panic path (VC001).
+    const PANIC_FREE: [&str; 10] = [
+        "model",
+        "adversary",
+        "audit",
+        "engine",
+        "trace",
+        "faults",
+        "fleet",
+        "ident",
+        "json",
+        "serve",
+    ];
+
+    /// Files whose non-test code denies truncating casts (VC012).
+    const CAST_CHECKED: [&str; 5] = [
+        "crates/engine/src/lib.rs",
+        "crates/trace/src/metrics.rs",
+        "crates/trace/src/hist.rs",
+        "crates/graph/src/store.rs",
+        "crates/json/src/lib.rs",
+    ];
+
+    /// Modules that deny hashed collections, tests included (VC005).
+    const FLAT_STATE: [&str; 2] = [
+        "crates/model/src/oracle.rs",
+        "crates/core/src/problems/mod.rs",
+    ];
+
+    /// Every `clippy.toml` entry, with the code its reason starts with.
+    const DISALLOWED: [(&str, &str); 8] = [
+        ("std::time::Instant::now", "VC006"),
+        ("std::panic::catch_unwind", "VC007"),
+        ("std::env::var", "VC011"),
+        ("std::env::var_os", "VC011"),
+        ("std::thread::sleep", "VC015"),
+        ("std::thread::park_timeout", "VC015"),
+        ("std::collections::HashMap", "VC003/VC005/VC009"),
+        ("std::collections::HashSet", "VC003/VC005/VC009"),
+    ];
+
+    /// Crates whose table sets `disallowed_types = "deny"`: vc-bench,
+    /// behind the figures (VC003), and the crates whose output reaches a
+    /// merge (VC009). Every other crate's table sets `"allow"`.
+    const HASHED_DENIED: [&str; 7] = [
+        "bench", "engine", "trace", "ident", "faults", "stats", "serve",
+    ];
+
+    /// Struct fields that may be `f64`: wall-clock throughput (VC010).
+    const FLOAT_ALLOWED: [&str; 2] = ["starts_per_sec", "queries_per_sec"];
+
+    /// VC008's needles, lowercased with `_` removed: the three splitmix64
+    /// constants and the name of an ad-hoc identity helper. They are
+    /// assembled at run time, so this file holds none of them.
+    fn identity_needles() -> [String; 4] {
+        [
+            ["0x9e37", "79b97f4a7c15"].concat(),
+            ["0xbf58", "476d1ce4e5b9"].concat(),
+            ["0x94d0", "49bb133111eb"].concat(),
+            ["sweep", "fingerprint"].concat(),
+        ]
+    }
+
+    /// VC008: the needles in `src` once it is lowercased and its `_`
+    /// removed. Comments count.
+    fn identity_hits(src: &str) -> Vec<String> {
+        let norm = src.to_ascii_lowercase().replace('_', "");
+        let needles = identity_needles();
+        needles.into_iter().filter(|n| norm.contains(n)).collect()
+    }
+
+    /// `src` without its `//` comments.
+    fn uncommented(src: &str) -> String {
+        let lines: Vec<&str> = src
+            .lines()
+            .map(|l| l.split("//").next().unwrap_or(""))
+            .collect();
+        lines.join("\n")
+    }
+
+    /// True when `src`, without comments and whitespace, holds `attr`.
+    fn declares(src: &str, attr: &str) -> bool {
+        let squeeze = |s: &str| s.split_whitespace().collect::<String>();
+        squeeze(&uncommented(src)).contains(&squeeze(attr))
+    }
+
+    /// The index just past the bracket that closes the one opening
+    /// `code`, counting every bracket kind; `->` is an arrow.
+    fn close_of(code: &str) -> usize {
+        let b = code.as_bytes();
+        let mut depth = 0usize;
+        for (i, &c) in b.iter().enumerate() {
+            match c {
+                b'{' | b'(' | b'[' | b'<' => depth += 1,
+                b'>' if i > 0 && b[i - 1] == b'-' => {}
+                b'}' | b')' | b']' | b'>' => {
+                    depth = depth.saturating_sub(1);
+                    if depth == 0 {
+                        return i + 1;
+                    }
+                }
+                _ => {}
+            }
+        }
+        code.len()
+    }
+
+    /// VC010: the `f32`/`f64` fields of the structs in `src`, named and
+    /// tuple fields alike, outside [`FLOAT_ALLOWED`]. `src` is cut at its
+    /// first line that starts with `#[cfg(test)]`, as `scripts/lines.sh`
+    /// cuts it.
+    fn float_fields(src: &str) -> Vec<String> {
+        let non_test: Vec<&str> = src
+            .lines()
+            .take_while(|l| !l.starts_with("#[cfg(test)]"))
+            .collect();
+        let code = uncommented(&non_test.join("\n"));
+        let is_float = |ty: &str| {
+            ty.split(|c: char| !c.is_alphanumeric() && c != '_')
+                .any(|w| w == "f32" || w == "f64")
+        };
+        let mut found = Vec::new();
+        let mut rest = code.as_str();
+        while let Some(at) = rest.find("struct ") {
+            let keyword = rest[..at]
+                .chars()
+                .next_back()
+                .is_none_or(char::is_whitespace);
+            rest = &rest[at + "struct ".len()..];
+            let Some(open) = rest.find(['{', '(', ';']) else {
+                break;
+            };
+            if !keyword || rest.as_bytes()[open] == b';' {
+                continue;
+            }
+            let end = open + close_of(&rest[open..]);
+            let body = &rest[open + 1..end - 1];
+            // Split the body at its top-level commas.
+            let (mut depth, mut from) = (0usize, 0);
+            for (i, c) in body.char_indices().chain([(body.len(), ',')]) {
+                match c {
+                    '{' | '(' | '[' | '<' => depth += 1,
+                    '>' if body[..i].ends_with('-') => {}
+                    '}' | ')' | ']' | '>' => depth = depth.saturating_sub(1),
+                    ',' if depth == 0 => {
+                        let field = &body[from..i];
+                        from = i + 1;
+                        // A named field's name ends at its first lone `:`.
+                        let b = field.as_bytes();
+                        let colon = (0..b.len()).find(|&k| {
+                            b[k] == b':'
+                                && b.get(k + 1) != Some(&b':')
+                                && (k == 0 || b[k - 1] != b':')
+                        });
+                        let (name, ty) = match colon {
+                            Some(k) => (field[..k].split_whitespace().last(), &field[k..]),
+                            None => (None, field),
+                        };
+                        let name = name.unwrap_or("");
+                        if is_float(ty) && !FLOAT_ALLOWED.contains(&name) {
+                            found.push(field.trim().to_string());
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            rest = &rest[end..];
+        }
+        found
+    }
+
+    /// Every `.rs` file under `dir`, recursively.
+    fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+        for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+            let path = entry.path();
+            if path.is_dir() {
+                rust_files(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+
     #[test]
     fn repo_is_clean() {
-        // The lint must hold on the repository itself — this is the same
-        // check `cargo run -p xtask -- lint` performs in CI.
-        let report = vc_lint::run(workspace_root());
-        assert!(
-            report.findings.is_empty(),
-            "lint findings:\n{}",
-            report
-                .findings
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join("\n")
+        // Self-checks: each scanner flags a seeded violation, built at run
+        // time, and passes its near miss.
+        let gamma = ["0x9E37_79B9", "_7F4A_7C15"].concat();
+        assert_eq!(identity_hits(&format!("// {gamma}\n")).len(), 1);
+        assert_eq!(
+            identity_hits(&["fn Sweep", "Fingerprint() {}"].concat()).len(),
+            1
         );
+        assert!(identity_hits("const SEED: u64 = 0x9E37_79B9;\n").is_empty());
+        let floats = "/// The mean, an f64.\npub struct Stats {\n    pub n: u64,\n    \
+                      pub mean: f64,\n    pub starts_per_sec: f64,\n    \
+                      pub hist: Vec<(u64, f32)>,\n}\npub struct Tup(u64, f32);\n\
+                      pub fn rate(count: f64) -> f64 {\n    count\n}\n\
+                      #[cfg(test)]\nstruct T(f64);\n";
+        assert_eq!(
+            float_fields(floats),
+            ["pub mean: f64", "pub hist: Vec<(u64, f32)>", "f32"]
+        );
+        assert!(declares(
+            "#![deny(\n    missing_docs\n)]\n",
+            "#![deny(missing_docs)]"
+        ));
+        assert!(!declares(
+            "// #![deny(missing_docs)]\n",
+            "#![deny(missing_docs)]"
+        ));
+
+        let root = workspace_root();
+        let read = |rel: &str| std::fs::read_to_string(root.join(rel)).unwrap_or_default();
+        let mut findings = Vec::new();
+
+        // The configuration: every clippy.toml entry, every scoped
+        // attribute and every crate's lint table.
+        let clippy = read("clippy.toml");
+        for (path, code) in DISALLOWED {
+            let entry = format!("{{ path = \"{path}\", reason = \"{code}:");
+            if !clippy.lines().any(|l| l.trim_start().starts_with(&entry)) {
+                findings.push(format!("clippy.toml: no `{entry}…` entry"));
+            }
+        }
+        let deny_panics = "#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, \
+                           clippy::unreachable, clippy::todo, clippy::unimplemented)]";
+        let roots = |crates: [&str; 10]| crates.map(|c| format!("crates/{c}/src/lib.rs")).to_vec();
+        let scoped = [
+            (roots(PANIC_FREE), deny_panics),
+            (roots(DOCUMENTED), "#![deny(missing_docs)]"),
+            (
+                CAST_CHECKED.map(String::from).to_vec(),
+                "#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]",
+            ),
+            (
+                FLAT_STATE.map(String::from).to_vec(),
+                "#![deny(clippy::disallowed_types)]",
+            ),
+        ];
+        for (files, attr) in &scoped {
+            for rel in files {
+                if !declares(&read(rel), attr) {
+                    findings.push(format!("{rel}: must declare `{attr}`"));
+                }
+            }
+        }
+        let crates = std::fs::read_dir(root.join("crates")).into_iter().flatten();
+        for krate in crates.flatten().map(|e| e.file_name()) {
+            let krate = krate.to_string_lossy();
+            let rel = format!("crates/{krate}/Cargo.toml");
+            let denied = HASHED_DENIED.contains(&&*krate);
+            let level = if denied { "deny" } else { "allow" };
+            let manifest = read(&rel);
+            let table = manifest.split("\n[lints.clippy]\n").nth(1).unwrap_or("");
+            let table: Vec<&str> = table.lines().take_while(|l| !l.starts_with('[')).collect();
+            for line in [
+                "allow_attributes = \"deny\"".to_string(),
+                "allow_attributes_without_reason = \"deny\"".to_string(),
+                format!("disallowed_types = \"{level}\""),
+            ] {
+                if !table.contains(&line.as_str()) {
+                    findings.push(format!("{rel}: `[lints.clippy]` must set `{line}`"));
+                }
+            }
+        }
+
+        // VC008 over crates/, examples/ and tests/, outside vc-ident; VC010
+        // over the non-test structs of engine, trace and serve.
+        let mut files = Vec::new();
+        for dir in ["crates", "examples", "tests"] {
+            rust_files(&root.join(dir), &mut files);
+        }
+        files.sort();
+        let float_dirs = ["crates/engine/src", "crates/trace/src", "crates/serve/src"];
+        for path in files {
+            let rel = path.strip_prefix(root).unwrap_or(&path);
+            let rel = rel.to_string_lossy().replace('\\', "/");
+            let src = std::fs::read_to_string(&path).unwrap_or_default();
+            if !rel.starts_with("crates/ident/") {
+                for hit in identity_hits(&src) {
+                    findings.push(format!(
+                        "{rel}: `{hit}` outside crates/ident (VC008: fold content \
+                         through vc_ident::IdHasher and mix through vc_ident::mix)"
+                    ));
+                }
+            }
+            if float_dirs.iter().any(|d| rel.starts_with(d)) {
+                for field in float_fields(&src) {
+                    findings.push(format!(
+                        "{rel}: struct field `{field}` (VC010: merged counts stay \
+                         integral; only wall-clock throughput may be f64)"
+                    ));
+                }
+            }
+        }
+        assert!(findings.is_empty(), "{}", findings.join("\n"));
     }
 }

@@ -136,11 +136,15 @@ fn sampled_sweeps_are_thread_count_invariant() {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "VC011: this test checks that Engine::from_env honors VC_THREADS, \
+              so it reads the same variable to know the expected value"
+)]
 fn env_override_is_respected_in_ci() {
     // When scripts/ci.sh re-runs this binary with VC_THREADS=2, from_env
     // must pick that up; otherwise it falls back to available parallelism.
     let engine = Engine::from_env().expect("CI sets only well-formed VC_THREADS values");
-    // vc-lint: allow(VC011, reason = "this test verifies Engine::from_env itself honors VC_THREADS, so it must read the same variable to know the expected value")
     if let Ok(v) = std::env::var("VC_THREADS") {
         if let Ok(t) = v.trim().parse::<usize>() {
             if t >= 1 {
