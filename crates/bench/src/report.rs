@@ -21,8 +21,9 @@ use vc_trace::{Log2Hist, SweepMetrics};
 /// Schema identifier written into every report.
 pub const TRACE_REPORT_SCHEMA: &str = "vc-trace-report/v1";
 
-/// One traced sweep: a named case plus its merged metrics and
-/// engine-level throughput.
+/// One traced sweep: a named case, its merged metrics, its chunk ledger
+/// (read off the `EngineReport` and the plan) and engine-level
+/// throughput.
 #[derive(Clone, Debug)]
 pub struct CaseTrace {
     /// Case name (e.g. `leaf-coloring/rw`).
@@ -43,6 +44,15 @@ pub struct CaseTrace {
     pub starts_per_sec: f64,
     /// Oracle queries per wall-clock second.
     pub queries_per_sec: f64,
+    /// Planned starts per chunk (`plan_chunks(starts).chunk_size`).
+    pub planned_chunk_size: usize,
+    /// Chunks merged into the report (its `completed_chunks`).
+    pub chunks_merged: usize,
+    /// Chunks abandoned after their retries (its `aborted_chunks`).
+    pub chunks_aborted: usize,
+    /// Starts per claimed chunk (merged or aborted), from the plan's
+    /// bounds: every chunk is the planned size but possibly the last.
+    pub chunk_starts: Log2Hist,
     /// The merged sweep metrics.
     pub metrics: SweepMetrics,
 }
@@ -82,12 +92,15 @@ impl TraceReport {
                 "queries_per_sec": Json::Raw(format!("{:.1}", c.queries_per_sec)),
                 "executions": q.executions, "truncated": q.truncated,
                 "queries_issued": q.queries_issued, "nodes_revealed": q.nodes_revealed,
-                "frontier_advances": q.frontier_advances, "chunks_planned": q.chunks_planned,
-                "planned_chunk_size": q.planned_chunk_size, "chunks_claimed": q.chunks_claimed,
-                "chunks_merged": q.chunks_merged, "chunks_retried": q.chunks_retried,
-                "chunks_aborted": q.chunks_aborted, "volume": hist(&q.volume),
+                // A case is one sweep, so one plan; a claimed chunk is
+                // either merged or aborted.
+                "frontier_advances": q.frontier_advances, "chunks_planned": 1usize,
+                "planned_chunk_size": c.planned_chunk_size,
+                "chunks_claimed": c.chunks_merged + c.chunks_aborted,
+                "chunks_merged": c.chunks_merged, "chunks_retried": q.chunks_retried,
+                "chunks_aborted": c.chunks_aborted, "volume": hist(&q.volume),
                 "distance": hist(&q.distance), "queries_per_start": hist(&q.queries_per_start),
-                "chunk_starts": hist(&q.chunk_starts),
+                "chunk_starts": hist(&c.chunk_starts),
                 "sched": obj! {
                     "chunks_timed": s.chunks_timed, "chunk_nanos_total": s.chunk_nanos_total,
                     "chunk_nanos_max": s.chunk_nanos_max,
@@ -101,10 +114,12 @@ impl TraceReport {
 
 /// Runs a traced engine sweep and packages it as a named [`CaseTrace`]
 /// for a `vc-trace-report/v1` document (see `examples/trace_report.rs`).
+/// `engine` carries no checkpoint: the chunk ledger counts this run's
+/// chunks.
 ///
-/// The deterministic half of the metrics (`metrics.query`) is identical
-/// for every engine thread count; throughput and `metrics.sched` are
-/// wall-clock observations that vary between runs.
+/// The deterministic half of the metrics (`metrics.query`) and the chunk
+/// ledger are identical for every engine thread count; throughput and
+/// `metrics.sched` are wall-clock observations that vary between runs.
 pub fn trace_case<A>(
     engine: &Engine,
     case: &str,
@@ -124,6 +139,16 @@ where
     let (report, metrics) = engine
         .run_all_traced::<A, SweepMetrics>(inst, algo, config)
         .expect("sweep configs always select at least one start");
+    let plan = vc_engine::plan_chunks(starts.len());
+    // Claimed chunks are those neither skipped nor left to another
+    // partition of the sweep.
+    let mut chunk_starts = Log2Hist::default();
+    for c in 0..plan.num_chunks {
+        if !report.skipped_chunks.contains(&c) && !report.out_of_range_chunks.contains(&c) {
+            let (lo, hi) = plan.bounds(c, starts.len());
+            chunk_starts.observe((hi - lo) as u64);
+        }
+    }
     CaseTrace {
         case: case.to_string(),
         n: inst.n(),
@@ -133,6 +158,10 @@ where
         elapsed_nanos: u64::try_from(report.elapsed.as_nanos()).unwrap_or(u64::MAX),
         starts_per_sec: report.starts_per_sec(),
         queries_per_sec: report.queries_per_sec(),
+        planned_chunk_size: plan.chunk_size,
+        chunks_merged: report.completed_chunks,
+        chunks_aborted: report.aborted_chunks.len(),
+        chunk_starts,
         metrics,
     }
 }
@@ -153,14 +182,6 @@ mod tests {
                 completed,
             };
         for e in [
-            TraceEvent::ChunkPlanned {
-                chunks: 1,
-                chunk_size: 64,
-            },
-            TraceEvent::ChunkClaimed {
-                chunk: 0,
-                starts: 2,
-            },
             TraceEvent::QueryIssued { from: 0, port: 1 },
             TraceEvent::NodeRevealed { node: 1, depth: 1 },
             TraceEvent::FrontierAdvanced { depth: 1 },
@@ -170,10 +191,11 @@ mod tests {
                 chunk: 0,
                 nanos: 1234,
             },
-            TraceEvent::ChunkMerged { chunk: 0 },
         ] {
             metrics.event(e);
         }
+        let mut chunk_starts = Log2Hist::default();
+        chunk_starts.observe(2);
         CaseTrace {
             case: "toy/case".to_string(),
             n: 2,
@@ -183,6 +205,10 @@ mod tests {
             elapsed_nanos: 5678,
             starts_per_sec: 123.4,
             queries_per_sec: 567.8,
+            planned_chunk_size: 64,
+            chunks_merged: 1,
+            chunks_aborted: 0,
+            chunk_starts,
             metrics,
         }
     }

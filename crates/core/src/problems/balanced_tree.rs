@@ -30,49 +30,11 @@
 use crate::lcl::{Lcl, Violation};
 use crate::output::{BtFlag, BtOutput};
 use crate::problems::util::Explorer;
-use vc_graph::{structure, Instance, NodeIdx, Port};
+use vc_graph::structure::{self, is_internal, resolve_in, status, Keep};
+use vc_graph::{Instance, NodeIdx, Port};
 use vc_model::oracle::{NodeView, Oracle, QueryError};
 use vc_model::run::QueryAlgorithm;
 use vc_model::SolverScratch;
-
-/// A node filter: the BalancedTree machinery can be evaluated on an induced
-/// subgraph (Hybrid-THC restricts it to the level-1 nodes, Definition 6.1);
-/// ports leading outside the kept set resolve to `⊥`.
-pub type Keep<'a> = &'a dyn Fn(NodeIdx) -> bool;
-
-fn res_in(inst: &Instance, v: NodeIdx, port: Option<Port>, keep: Keep<'_>) -> Option<NodeIdx> {
-    inst.resolve(v, port).filter(|&u| keep(u))
-}
-
-/// Definition 3.3 internality evaluated on the subgraph induced by `keep`.
-pub fn is_internal_in(inst: &Instance, v: NodeIdx, keep: Keep<'_>) -> bool {
-    let l = inst.label(v);
-    let (Some(lc_port), Some(rc_port)) = (l.left_child, l.right_child) else {
-        return false;
-    };
-    if lc_port == rc_port || l.parent == Some(lc_port) || l.parent == Some(rc_port) {
-        return false;
-    }
-    let (Some(lc), Some(rc)) = (
-        res_in(inst, v, Some(lc_port), keep),
-        res_in(inst, v, Some(rc_port), keep),
-    ) else {
-        return false;
-    };
-    res_in(inst, lc, inst.label(lc).parent, keep) == Some(v)
-        && res_in(inst, rc, inst.label(rc).parent, keep) == Some(v)
-}
-
-/// Definition 3.3 status evaluated on the subgraph induced by `keep`.
-pub fn status_in(inst: &Instance, v: NodeIdx, keep: Keep<'_>) -> structure::NodeStatus {
-    if is_internal_in(inst, v, keep) {
-        return structure::NodeStatus::Internal;
-    }
-    match res_in(inst, v, inst.label(v).parent, keep) {
-        Some(p) if is_internal_in(inst, p, keep) => structure::NodeStatus::Leaf,
-        _ => structure::NodeStatus::Inconsistent,
-    }
-}
 
 /// Instance-level compatibility check (Definition 4.2) for a *consistent*
 /// node `v`.
@@ -85,52 +47,52 @@ pub fn is_compatible(inst: &Instance, v: NodeIdx) -> bool {
 
 /// [`is_compatible`] evaluated on the subgraph induced by `keep`.
 pub fn is_compatible_in(inst: &Instance, v: NodeIdx, keep: Keep<'_>) -> bool {
-    let internal = is_internal_in(inst, v, keep);
+    let internal = is_internal(inst, v, keep);
     let l = inst.label(v);
-    let ln = res_in(inst, v, l.left_nbr, keep);
-    let rn = res_in(inst, v, l.right_nbr, keep);
+    let ln = resolve_in(inst, v, l.left_nbr, keep);
+    let rn = resolve_in(inst, v, l.right_nbr, keep);
 
     // type-preserving / leaves: lateral neighbors share v's status.
     for u in [ln, rn].into_iter().flatten() {
-        let u_internal = is_internal_in(inst, u, keep);
+        let u_internal = is_internal(inst, u, keep);
         if internal && !u_internal {
             return false;
         }
-        if !internal && status_in(inst, u, keep) != structure::NodeStatus::Leaf {
+        if !internal && status(inst, u, keep) != structure::NodeStatus::Leaf {
             return false;
         }
     }
     // agreement.
     if let Some(u) = ln {
-        if res_in(inst, u, inst.label(u).right_nbr, keep) != Some(v) {
+        if resolve_in(inst, u, inst.label(u).right_nbr, keep) != Some(v) {
             return false;
         }
     }
     if let Some(u) = rn {
-        if res_in(inst, u, inst.label(u).left_nbr, keep) != Some(v) {
+        if resolve_in(inst, u, inst.label(u).left_nbr, keep) != Some(v) {
             return false;
         }
     }
     if internal {
-        let lc = res_in(inst, v, l.left_child, keep).expect("internal");
-        let rc = res_in(inst, v, l.right_child, keep).expect("internal");
+        let lc = resolve_in(inst, v, l.left_child, keep).expect("internal");
+        let rc = resolve_in(inst, v, l.right_child, keep).expect("internal");
         // siblings.
-        if res_in(inst, lc, inst.label(lc).right_nbr, keep) != Some(rc)
-            || res_in(inst, rc, inst.label(rc).left_nbr, keep) != Some(lc)
+        if resolve_in(inst, lc, inst.label(lc).right_nbr, keep) != Some(rc)
+            || resolve_in(inst, rc, inst.label(rc).left_nbr, keep) != Some(lc)
         {
             return false;
         }
         // persistence.
         if let Some(w) = rn {
-            let a = res_in(inst, rc, inst.label(rc).right_nbr, keep);
-            let b = res_in(inst, w, inst.label(w).left_child, keep);
+            let a = resolve_in(inst, rc, inst.label(rc).right_nbr, keep);
+            let b = resolve_in(inst, w, inst.label(w).left_child, keep);
             if a.is_none() || a != b {
                 return false;
             }
         }
         if let Some(u) = ln {
-            let a = res_in(inst, lc, inst.label(lc).left_nbr, keep);
-            let b = res_in(inst, u, inst.label(u).right_child, keep);
+            let a = resolve_in(inst, lc, inst.label(lc).left_nbr, keep);
+            let b = resolve_in(inst, u, inst.label(u).right_child, keep);
             if a.is_none() || a != b {
                 return false;
             }
@@ -171,8 +133,8 @@ pub(crate) fn check_bt_node_in(
     keep: Keep<'_>,
 ) -> Result<(), Violation> {
     // Only consistent nodes are constrained (Definition 4.3).
-    let status = status_in(inst, v, keep);
-    if status == structure::NodeStatus::Inconsistent {
+    let st = status(inst, v, keep);
+    if st == structure::NodeStatus::Inconsistent {
         return Ok(());
     }
     let Some(out) = get_out(v) else {
@@ -192,7 +154,7 @@ pub(crate) fn check_bt_node_in(
             })
         };
     }
-    if status == structure::NodeStatus::Leaf {
+    if st == structure::NodeStatus::Leaf {
         // Condition 2.
         return if out == BtOutput::balanced(inst.labels[v].parent) {
             Ok(())
@@ -204,8 +166,8 @@ pub(crate) fn check_bt_node_in(
         };
     }
     // Condition 3: compatible internal node.
-    let lc = res_in(inst, v, inst.labels[v].left_child, keep).expect("internal");
-    let rc = res_in(inst, v, inst.labels[v].right_child, keep).expect("internal");
+    let lc = resolve_in(inst, v, inst.labels[v].left_child, keep).expect("internal");
+    let rc = resolve_in(inst, v, inst.labels[v].right_child, keep).expect("internal");
     let (Some(lc_out), Some(rc_out)) = (get_out(lc), get_out(rc)) else {
         return Err(Violation {
             node: v,
@@ -418,7 +380,7 @@ mod tests {
     fn compatible_instance_is_fully_compatible() {
         let (inst, _) = gen::balanced_tree_compatible(4);
         for v in 0..inst.n() {
-            if structure::status(&inst, v).is_consistent() {
+            if structure::status(&inst, v, &|_| true).is_consistent() {
                 assert!(is_compatible(&inst, v), "node {v} should be compatible");
             }
         }
@@ -441,7 +403,7 @@ mod tests {
             if meta.penultimate.contains(&v) {
                 continue;
             }
-            if structure::status(&inst, v).is_consistent() {
+            if structure::status(&inst, v, &|_| true).is_consistent() {
                 assert!(is_compatible(&inst, v), "node {v}");
             }
         }

@@ -469,7 +469,7 @@ mod tests {
         let v = (0..inst.n())
             .find(|&v| {
                 inst.labels[v].level == Some(1)
-                    && crate::problems::balanced_tree::is_internal_in(&inst, v, &|u| {
+                    && vc_graph::structure::is_internal(&inst, v, &|u| {
                         inst.labels[u].level == Some(1)
                     })
             })

@@ -29,7 +29,7 @@ impl Lcl for LeafColoring {
     }
 
     fn check_node(&self, inst: &Instance, outputs: &[Color], v: usize) -> Result<(), Violation> {
-        match structure::status(inst, v) {
+        match structure::status(inst, v, &|_| true) {
             structure::NodeStatus::Leaf | structure::NodeStatus::Inconsistent => {
                 let Some(chi_in) = inst.labels[v].color else {
                     return Err(Violation {

@@ -59,7 +59,7 @@ use std::sync::{Mutex, PoisonError};
 use vc_graph::Instance;
 use vc_ident::{IdHasher, InstanceId, SweepId};
 use vc_json::{self as json, Column, Value};
-use vc_model::cost::{CostAccumulator, ExecutionRecord};
+use vc_model::cost::ExecutionRecord;
 use vc_model::run::{QueryAlgorithm, RunConfig, StartError};
 
 /// Schema identifier written into every checkpoint file.
@@ -698,8 +698,7 @@ impl<'a> OpenCheckpoint<'a> {
     /// Moves the records of the chunks this run `executed` (back to back,
     /// in that order) into the checkpoint and writes the file, unless it
     /// was sealed or this run's appends already hold it. Returns every
-    /// chunk's records in chunk order, their costs and the count of
-    /// completed chunks.
+    /// chunk's records in chunk order and the count of completed chunks.
     ///
     /// # Errors
     ///
@@ -710,7 +709,7 @@ impl<'a> OpenCheckpoint<'a> {
         num_starts: usize,
         executed: &[usize],
         records: Vec<ExecutionRecord>,
-    ) -> Result<(Vec<ExecutionRecord>, CostAccumulator, usize), EngineError> {
+    ) -> Result<(Vec<ExecutionRecord>, usize), EngineError> {
         let mut fresh = records.into_iter();
         for &c in executed {
             let (lo, hi) = plan.bounds(c, num_starts);
@@ -723,13 +722,9 @@ impl<'a> OpenCheckpoint<'a> {
             write_atomically(self.path, self.ckpt.to_json())?;
         }
         let completed = self.ckpt.completed_chunks();
-        let mut acc = CostAccumulator::default();
         let mut records = Vec::with_capacity(num_starts);
-        for rec in self.ckpt.chunks.into_iter().flatten().flatten() {
-            acc.add(&rec);
-            records.push(rec);
-        }
-        Ok((records, acc, completed))
+        records.extend(self.ckpt.chunks.into_iter().flatten().flatten());
+        Ok((records, completed))
     }
 }
 

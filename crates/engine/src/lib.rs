@@ -21,9 +21,8 @@
 //! * Each participant folds its starts into its own share; the merge puts a
 //!   chunk's shares back in start order and the chunks in chunk order, so
 //!   the merged [`RunReport`] lists records exactly like the serial runner.
-//! * Cost aggregation goes through [`CostAccumulator`], whose partial state
-//!   is purely integral; merging per-share partials yields the same
-//!   [`CostSummary`] bits as a serial fold however starts were distributed.
+//! * The [`CostSummary`] is folded once, from the merged records, so it
+//!   is the serial runner's bits however starts were distributed.
 //!
 //! ## Robustness (DESIGN.md §11)
 //!
@@ -56,9 +55,12 @@
 //! [`vc_trace::MergeTracer`] (one fresh tracer per share, absorbed in chunk
 //! order), extending the same any-thread-count determinism guarantee to the
 //! tracer's mergeable state; see DESIGN.md §10 for the event model and why
-//! tracing cannot perturb the sweep. Every sweep — even at one worker —
-//! takes the chunked path, so panic isolation and chunk-level event counts
-//! are uniform across thread counts.
+//! tracing cannot perturb the sweep. The tracer sees the query stream,
+//! per-share wall times and retries; the chunk ledger (the plan, the
+//! completed, aborted, skipped and out-of-range chunks) is the
+//! [`EngineReport`] and [`plan_chunks`] alone, and the merge emits no
+//! event. Every sweep — even at one worker — takes the chunked path, so
+//! panic isolation is uniform across thread counts.
 //!
 //! ## Fleet execution (DESIGN.md §15–16)
 //!
@@ -111,7 +113,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 use vc_graph::Instance;
-use vc_model::cost::{CostAccumulator, CostSummary, ExecutionRecord};
+use vc_model::cost::{CostSummary, ExecutionRecord};
 use vc_model::oracle::ExecScratch;
 use vc_model::run::{run_from_traced, QueryAlgorithm, RunConfig, RunReport};
 use vc_trace::time::Stopwatch;
@@ -149,7 +151,7 @@ pub const TARGET_CHUNKS: usize = 128;
 ///
 /// Produced by [`plan_chunks`]; both fields are pure functions of the
 /// start count, so the partition — and therefore the merge order of
-/// outputs, records and cost partials — is identical for every thread
+/// outputs, records and tracer partials — is identical for every thread
 /// count. The planned `chunk_size` is folded into the content-addressed
 /// [`SweepId`], so a checkpoint taken under one plan can never be resumed
 /// under another.
@@ -459,13 +461,12 @@ impl Engine {
     /// limits skip chunks (see [`EngineReport::skipped_chunks`]).
     ///
     /// Each share of a chunk folds its events into a fresh `T::default()`;
-    /// the partials are absorbed chunk by chunk in index order, so — like
-    /// the cost summary — the merged tracer is bit-identical for every
-    /// thread count. Per-share wall times (`ChunkTimed` events) are
-    /// measured only when `T::TIMED` is set, and are inherently
-    /// schedule-dependent: mergeable tracers must quarantine them away
-    /// from their deterministic state (see `SweepMetrics`' query/sched
-    /// split in `vc-trace`).
+    /// the partials are absorbed chunk by chunk in index order, so the
+    /// merged tracer is bit-identical for every thread count. Per-share
+    /// wall times (`ChunkTimed` events) are measured only when `T::TIMED`
+    /// is set, and are inherently schedule-dependent: mergeable tracers
+    /// must quarantine them away from their deterministic state (see
+    /// `SweepMetrics`' query/sched split in `vc-trace`).
     ///
     /// # Errors
     ///
@@ -505,17 +506,17 @@ impl Engine {
             None => None,
         };
         let run = run_sharded::<A, T>(self, inst, algo, config, &starts, plan, file.as_ref());
-        let (records, acc, completed_chunks) = match file {
+        let (records, completed_chunks) = match file {
             Some(file) => file.commit(plan, starts.len(), &run.executed, run.report.records)?,
-            None => (run.report.records, run.acc, run.executed.len()),
+            None => (run.report.records, run.executed.len()),
         };
         let report = EngineReport {
+            summary: CostSummary::from_records(&records),
+            total_queries: records.iter().map(|r| u128::from(r.queries)).sum(),
             report: RunReport {
                 outputs: run.report.outputs,
                 records,
             },
-            summary: acc.finish(),
-            total_queries: acc.total_queries(),
             threads: run.workers,
             elapsed: sw.elapsed(),
             degraded: !run.aborted.is_empty() || !run.skipped.is_empty(),
@@ -530,11 +531,10 @@ impl Engine {
 }
 
 /// One participant's share of a chunk: the starts it drew, tagged with
-/// their index in the start set, plus its cost partial and its tracer
-/// partial (a [`NoopTracer`] on the untraced path).
+/// their index in the start set, plus its tracer partial (a
+/// [`NoopTracer`] on the untraced path).
 struct Share<O, T> {
     outs: Vec<(usize, O, ExecutionRecord)>,
-    acc: CostAccumulator,
     tracer: T,
 }
 
@@ -588,7 +588,6 @@ impl<O, T> ChunkCell<O, T> {
 /// A merged sharded sweep, before packaging into an [`EngineReport`].
 struct ShardedRun<O, T> {
     report: RunReport<O>,
-    acc: CostAccumulator,
     tracer: T,
     /// Chunks abandoned after exhausting panic retries, ascending.
     aborted: Vec<usize>,
@@ -617,10 +616,9 @@ struct SweepInputs<'a, A> {
 
 /// Runs starts of `chunk` drawn one at a time from `cursor` until none is
 /// left or the cancel flag is set, folding them into one [`Share`].
-/// `claim` is `Some(attempt)` for the share that announces the chunk —
-/// the claimer's (attempt 0) or a retry's — and `None` for a helper's.
-/// The `catch_unwind` here is the only one in the workspace (rule
-/// VC007); it wraps exactly one share.
+/// `attempt` is 0 for a claimer's or helper's share and counts the
+/// retries of a poisoned chunk. The `catch_unwind` here is the only one
+/// in the workspace (rule VC007); it wraps exactly one share.
 #[expect(
     clippy::disallowed_methods,
     reason = "VC007: this is the workspace's one panic-isolation site"
@@ -629,7 +627,7 @@ fn run_share<A, T>(
     sweep: &SweepInputs<'_, A>,
     chunk: usize,
     cursor: &AtomicUsize,
-    claim: Option<u32>,
+    attempt: u32,
     scratch: &mut ExecScratch,
 ) -> std::thread::Result<Share<A::Output, T>>
 where
@@ -653,18 +651,11 @@ where
         // Room for every start not yet drawn: exact for a lone share.
         let undrawn = (hi - lo).saturating_sub(cursor.load(Ordering::Relaxed));
         let mut outs = Vec::with_capacity(undrawn);
-        let mut acc = CostAccumulator::default();
         // Each share folds its events into a fresh tracer; `T::TIMED` is
         // a const, so the untraced instantiation reads no clock.
         let mut tracer = T::default();
-        if let Some(attempt) = claim {
-            tracer.event(TraceEvent::ChunkClaimed {
-                chunk,
-                starts: hi - lo,
-            });
-            if attempt > 0 {
-                tracer.event(TraceEvent::ChunkRetried { chunk, attempt });
-            }
+        if attempt > 0 {
+            tracer.event(TraceEvent::ChunkRetried { chunk, attempt });
         }
         let sw = T::TIMED.then(Stopwatch::start);
         // A cancel leaves the chunk short; the merge drops it.
@@ -674,7 +665,6 @@ where
                 break;
             }
             let (out, rec) = run_from_traced(inst, algo, starts[i], config, scratch, &mut tracer);
-            acc.add(&rec);
             outs.push((i, out, rec));
         }
         if let Some(sw) = sw {
@@ -683,26 +673,25 @@ where
                 nanos: sw.elapsed_nanos(),
             });
         }
-        Share { outs, acc, tracer }
+        Share { outs, tracer }
     }))
 }
 
-/// Runs one share of `chunk` — the claimer's (`claim`) or a helper's —
-/// and lands it. The first share to panic poisons the chunk, and its
-/// worker re-runs the whole chunk from a fresh scratch through the same
-/// runner with a private cursor; the outcome replaces every share.
+/// Runs one share of `chunk` — the claimer's or a helper's — and lands
+/// it. The first share to panic poisons the chunk, and its worker re-runs
+/// the whole chunk from a fresh scratch through the same runner with a
+/// private cursor; the outcome replaces every share.
 fn participate<A, T>(
     sweep: &SweepInputs<'_, A>,
     cell: &ChunkCell<A::Output, T>,
     chunk: usize,
-    claim: bool,
     scratch: &mut ExecScratch,
     sink: Option<&LiveCheckpointSink>,
 ) where
     A: QueryAlgorithm + Sync,
     T: MergeTracer,
 {
-    let mut result = run_share(sweep, chunk, &cell.cursor, claim.then_some(0), scratch);
+    let mut result = run_share(sweep, chunk, &cell.cursor, 0, scratch);
     let retry = result.is_err();
     if retry {
         // A panicking share may leave the scratch mid-epoch; rebuild it.
@@ -713,7 +702,7 @@ fn participate<A, T>(
             return;
         }
         for attempt in 1..MAX_CHUNK_ATTEMPTS {
-            result = run_share(sweep, chunk, &AtomicUsize::new(0), Some(attempt), scratch);
+            result = run_share(sweep, chunk, &AtomicUsize::new(0), attempt, scratch);
             if result.is_ok() {
                 break;
             }
@@ -801,7 +790,7 @@ where
             let c = claims[i];
             if !is_done(c) {
                 claimed.store(true, Ordering::Relaxed);
-                participate(&sweep, &cells[c], c, true, &mut scratch, sink);
+                participate(&sweep, &cells[c], c, &mut scratch, sink);
             }
         }
         // No chunk is left to claim: rather than exit, help finish the
@@ -809,7 +798,7 @@ where
         let claimed = next.load(Ordering::Relaxed).min(claim_limit);
         for &c in &claims[..claimed] {
             if cells[c].cursor.load(Ordering::Relaxed) < cells[c].len {
-                participate(&sweep, &cells[c], c, false, &mut scratch, sink);
+                participate(&sweep, &cells[c], c, &mut scratch, sink);
             }
         }
     };
@@ -833,25 +822,7 @@ where
     // the gaps left by aborted/skipped/checkpointed chunks).
     let mut outputs = vec![None; inst.n()];
     let mut records = Vec::with_capacity(starts.len());
-    let mut total = CostAccumulator::default();
     let mut merged_tracer = T::default();
-    // The plan is announced once, on the merged tracer (the merge loop is
-    // serial), so the event count and its arguments are thread-invariant.
-    merged_tracer.event(TraceEvent::ChunkPlanned {
-        chunks: num_chunks,
-        chunk_size: plan.chunk_size,
-    });
-    if let Some(set) = &engine.set {
-        // One event per contiguous run, so a single-slice set announces
-        // exactly its `lo..hi/total` spec.
-        for &(lo, hi) in set.runs() {
-            merged_tracer.event(TraceEvent::PartitionRestricted {
-                lo,
-                hi,
-                total: set.total(),
-            });
-        }
-    }
     let mut aborted = Vec::new();
     let mut skipped = Vec::new();
     let mut out_of_range = Vec::new();
@@ -864,14 +835,6 @@ where
         if covered < cell.len {
             // Never run, or cut by a cancel (its shares are dropped).
             if shares.is_empty() && cell.poisoned.into_inner() {
-                // The chunk's share tracers died with their attempts;
-                // account for the claim and the abort on the merged
-                // tracer, still in chunk order.
-                merged_tracer.event(TraceEvent::ChunkClaimed {
-                    chunk: c,
-                    starts: cell.len,
-                });
-                merged_tracer.event(TraceEvent::ChunkAborted { chunk: c });
                 aborted.push(c);
             } else if engine.set.as_ref().is_some_and(|s| !s.contains(c)) && !is_done(c) {
                 // Another partition's work, deliberately left alone — not
@@ -887,7 +850,6 @@ where
         let helped = shares.len() > 1;
         let mut outs = Vec::new();
         for share in shares {
-            total.merge(&share.acc);
             merged_tracer.absorb(share.tracer);
             if outs.is_empty() {
                 outs = share.outs;
@@ -898,7 +860,6 @@ where
         if helped {
             outs.sort_unstable_by_key(|&(i, _, _)| i);
         }
-        merged_tracer.event(TraceEvent::ChunkMerged { chunk: c });
         executed.push(c);
         for (i, out, rec) in outs {
             outputs[starts[i]] = Some(out);
@@ -907,7 +868,6 @@ where
     }
     ShardedRun {
         report: RunReport { outputs, records },
-        acc: total,
         tracer: merged_tracer,
         aborted,
         skipped,
@@ -927,8 +887,8 @@ pub struct EngineReport<O> {
     /// Per-node outputs and per-execution records, bit-identical to the
     /// serial runner's report (for the completed chunks).
     pub report: RunReport<O>,
-    /// Aggregated costs (merged from per-chunk integral partials; identical
-    /// to `report.summary()` for every thread count).
+    /// Aggregated costs: `report.summary()`, folded once from the final
+    /// records, so identical to the serial runner's for every thread count.
     pub summary: CostSummary,
     /// Worker threads actually used (after clamping to the chunks left to
     /// run).
@@ -936,7 +896,8 @@ pub struct EngineReport<O> {
     /// Wall-clock duration of the sweep. The only field that varies between
     /// runs.
     pub elapsed: Duration,
-    /// Total queries across all executions.
+    /// Total queries across all executions (summed from the final
+    /// records, like the summary).
     pub total_queries: u128,
     /// Chunks abandoned after exhausting their panic retries (ascending).
     /// Deterministic and thread-count-invariant: panics are a function of
@@ -1180,8 +1141,6 @@ mod tests {
             .unwrap();
         assert_equal_reports(&report, &clean);
         assert_eq!(m.query.chunks_retried, 1);
-        assert_eq!(m.query.chunks_aborted, 0);
-        assert_eq!(m.query.chunks_claimed, m.query.chunks_merged);
     }
 
     #[test]
@@ -1333,18 +1292,14 @@ mod tests {
         assert_eq!(m1.query.executions, untraced.summary.runs as u64);
         assert_eq!(m1.query.volume.max(), untraced.summary.max_volume as u64);
         assert_eq!(m1.query.queries_per_start.sum(), untraced.total_queries);
-        // Chunk counts are thread-count-invariant too.
-        let chunks = inst.n().div_ceil(CHUNK) as u64;
-        assert_eq!(m1.query.chunks_claimed, chunks);
-        assert_eq!(m1.query.chunks_merged, chunks);
         assert_eq!(m1.query.chunks_retried, 0);
-        assert_eq!(m1.query.chunks_aborted, 0);
-        // The plan is announced once per sweep and its histogram covers
-        // every start exactly once, regardless of thread count.
-        assert_eq!(m1.query.chunks_planned, 1);
-        assert_eq!(m1.query.planned_chunk_size, CHUNK as u64);
-        assert_eq!(m1.query.chunk_starts.count(), chunks);
-        assert_eq!(m1.query.chunk_starts.sum(), inst.n() as u128);
+        // The report's chunk ledger: every planned chunk merged, none
+        // aborted, at every thread count.
+        let plan = plan_chunks(inst.n());
+        assert_eq!(plan.chunk_size, CHUNK);
+        assert_eq!(plan.num_chunks, inst.n().div_ceil(CHUNK));
+        assert_eq!(r1.completed_chunks, plan.num_chunks);
+        assert!(r1.aborted_chunks.is_empty());
     }
 
     #[test]
@@ -1389,6 +1344,7 @@ mod tests {
                 .unwrap();
             assert_eq!(report.aborted_chunks, vec![2]);
             assert!(report.skipped_chunks.is_empty());
+            assert_eq!(report.completed_chunks, report.num_chunks - 1);
             assert!(report.degraded);
             // Surviving starts are bit-identical to the clean run.
             let lo = 2 * CHUNK;
@@ -1417,13 +1373,13 @@ mod tests {
             let (report, m) = Engine::with_threads(threads)
                 .run_all_traced::<_, SweepMetrics>(&inst, &algo, &config)
                 .unwrap();
+            // Both attempts panicked: the report holds the abort once,
+            // and every other chunk merged.
             assert_eq!(report.aborted_chunks, vec![1]);
-            // Both attempts panicked; the merged tracer still accounts for
-            // the claim and the abort exactly once, in chunk order.
-            let chunks = inst.n().div_ceil(CHUNK) as u64;
-            assert_eq!(m.query.chunks_claimed, chunks);
-            assert_eq!(m.query.chunks_merged, chunks - 1);
-            assert_eq!(m.query.chunks_aborted, 1);
+            let chunks = inst.n().div_ceil(CHUNK);
+            assert_eq!(report.num_chunks, chunks);
+            assert_eq!(report.completed_chunks, chunks - 1);
+            assert_eq!(m.query.executions, (inst.n() - CHUNK) as u64);
             metrics.push(m.query.clone());
         }
         assert_eq!(metrics[0], metrics[1]);
@@ -1475,7 +1431,7 @@ mod tests {
         assert_eq!(report.report.records, clean.report.records);
         assert_eq!(report.summary, clean.summary);
         assert_eq!(m.query.chunks_retried, 1);
-        assert_eq!(m.query.chunks_aborted, 0);
+        assert!(report.aborted_chunks.is_empty());
     }
 
     #[test]

@@ -276,12 +276,6 @@ impl ChunkSet {
         }
     }
 
-    /// The maximal contiguous half-open runs `(lo, hi)` of the set,
-    /// ascending.
-    pub(crate) fn runs(&self) -> &[(usize, usize)] {
-        &self.runs
-    }
-
     /// Every chunk index in the set, ascending.
     pub fn chunks(&self) -> impl Iterator<Item = usize> + '_ {
         self.runs.iter().flat_map(|&(lo, hi)| lo..hi)
@@ -323,7 +317,7 @@ mod tests {
         }
         let r = ChunkSet::parse("5..9/16").unwrap();
         assert_eq!(ChunkSet::range(5, 9, 16), Ok(r.clone()));
-        assert_eq!((r.runs(), r.total()), (&[(5, 9)][..], 16));
+        assert_eq!((&r.runs[..], r.total()), (&[(5, 9)][..], 16));
         assert_eq!(r.len(), 4);
         assert!(r.contains(5) && r.contains(8));
         assert!(!r.contains(4) && !r.contains(9));
@@ -437,7 +431,7 @@ mod tests {
         assert!(set.contains(3) && set.contains(6) && set.contains(12));
         assert!(!set.contains(2) && !set.contains(7) && !set.contains(13));
         assert!(!set.is_empty() && !set.is_full());
-        assert_eq!(set.runs(), [(3, 7), (12, 13)]);
+        assert_eq!(set.runs, [(3, 7), (12, 13)]);
     }
 
     #[test]

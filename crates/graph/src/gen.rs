@@ -631,7 +631,7 @@ mod tests {
     fn complete_tree_depth_zero() {
         let inst = complete_binary_tree(0, Color::R, Color::B);
         assert_eq!(inst.n(), 1);
-        assert_eq!(structure::status(&inst, 0), NodeStatus::Inconsistent);
+        assert_eq!(structure::statuses(&inst), [NodeStatus::Inconsistent]);
     }
 
     #[test]

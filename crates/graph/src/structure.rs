@@ -3,7 +3,24 @@
 //! hierarchical forest `G_k` with its backbones (Observations 5.3–5.4).
 
 use crate::instance::Instance;
-use crate::NodeIdx;
+use crate::{NodeIdx, Port};
+
+/// A node filter: Definition 3.3 evaluated on the subgraph it induces.
+/// Ports leading outside the kept set resolve to `⊥`; `&|_| true` keeps
+/// the whole instance. Hybrid-THC evaluates the BalancedTree machinery on
+/// its level-1 nodes this way (Definition 6.1).
+pub type Keep<'a> = &'a dyn Fn(NodeIdx) -> bool;
+
+/// The node reached through `port` of `v`, `⊥` when it lies outside
+/// `keep`.
+pub fn resolve_in(
+    inst: &Instance,
+    v: NodeIdx,
+    port: Option<Port>,
+    keep: Keep<'_>,
+) -> Option<NodeIdx> {
+    inst.resolve(v, port).filter(|&u| keep(u))
+}
 
 /// Classification of a node under a tree labeling (Definition 3.3).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -24,11 +41,12 @@ impl NodeStatus {
     }
 }
 
-/// Whether `v` is internal in the sense of Definition 3.3.
+/// Whether `v` is internal in the sense of Definition 3.3, on the subgraph
+/// induced by `keep`.
 ///
 /// All four conditions are checked literally; a port label that exceeds the
 /// node's degree is treated as `⊥`.
-pub fn is_internal(inst: &Instance, v: NodeIdx) -> bool {
+pub fn is_internal(inst: &Instance, v: NodeIdx, keep: Keep<'_>) -> bool {
     let l = inst.label(v);
     // Conditions 3 and 4 are on the port labels themselves.
     let (Some(lc_port), Some(rc_port)) = (l.left_child, l.right_child) else {
@@ -42,26 +60,28 @@ pub fn is_internal(inst: &Instance, v: NodeIdx) -> bool {
     }
     // Conditions 1 and 2: children exist and point back via their parent
     // label.
-    let (Some(lc), Some(rc)) = (inst.left_child_node(v), inst.right_child_node(v)) else {
+    let res = |u: NodeIdx, port| resolve_in(inst, u, port, keep);
+    let (Some(lc), Some(rc)) = (res(v, Some(lc_port)), res(v, Some(rc_port))) else {
         return false;
     };
-    inst.parent_node(lc) == Some(v) && inst.parent_node(rc) == Some(v)
+    res(lc, inst.label(lc).parent) == Some(v) && res(rc, inst.label(rc).parent) == Some(v)
 }
 
-/// The status of `v` under Definition 3.3.
-pub fn status(inst: &Instance, v: NodeIdx) -> NodeStatus {
-    if is_internal(inst, v) {
+/// The status of `v` under Definition 3.3, on the subgraph induced by
+/// `keep`.
+pub fn status(inst: &Instance, v: NodeIdx, keep: Keep<'_>) -> NodeStatus {
+    if is_internal(inst, v, keep) {
         return NodeStatus::Internal;
     }
-    match inst.parent_node(v) {
-        Some(p) if is_internal(inst, p) => NodeStatus::Leaf,
+    match resolve_in(inst, v, inst.label(v).parent, keep) {
+        Some(p) if is_internal(inst, p, keep) => NodeStatus::Leaf,
         _ => NodeStatus::Inconsistent,
     }
 }
 
-/// Status of every node.
+/// Status of every node of the whole instance.
 pub fn statuses(inst: &Instance) -> Vec<NodeStatus> {
-    (0..inst.n()).map(|v| status(inst, v)).collect()
+    (0..inst.n()).map(|v| status(inst, v, &|_| true)).collect()
 }
 
 /// The two `G_T`-children of an internal node, `(LC(v), RC(v))`.
@@ -70,7 +90,7 @@ pub fn statuses(inst: &Instance) -> Vec<NodeStatus> {
 /// exist by Definition 3.3, and they are the out-edges of `v` in the
 /// pseudo-forest `G_T` of Observation 3.7.
 pub fn gt_children(inst: &Instance, v: NodeIdx) -> Option<(NodeIdx, NodeIdx)> {
-    is_internal(inst, v).then(|| {
+    is_internal(inst, v, &|_| true).then(|| {
         (
             inst.left_child_node(v).expect("internal node has LC"),
             inst.right_child_node(v).expect("internal node has RC"),
@@ -217,10 +237,15 @@ mod tests {
     #[test]
     fn cherry_statuses() {
         let inst = cherry();
-        assert_eq!(status(&inst, 0), NodeStatus::Internal);
-        assert_eq!(status(&inst, 1), NodeStatus::Leaf);
-        assert_eq!(status(&inst, 2), NodeStatus::Leaf);
-        assert!(status(&inst, 0).is_consistent());
+        let st = statuses(&inst);
+        assert_eq!(
+            st,
+            [NodeStatus::Internal, NodeStatus::Leaf, NodeStatus::Leaf]
+        );
+        assert!(st[0].is_consistent());
+        // Filtered to nodes 0 and 1, the root has one child left.
+        let filtered: Vec<_> = (0..3).map(|v| status(&inst, v, &|u| u != 2)).collect();
+        assert_eq!(filtered, [NodeStatus::Inconsistent; 3]);
     }
 
     #[test]
@@ -235,24 +260,22 @@ mod tests {
         let mut inst = cherry();
         // Leaf 1 forgets its parent: root's condition 1 fails.
         inst.labels[1].parent = None;
-        assert_eq!(status(&inst, 0), NodeStatus::Inconsistent);
         // And then nodes 1, 2 lose their internal parent.
-        assert_eq!(status(&inst, 1), NodeStatus::Inconsistent);
-        assert_eq!(status(&inst, 2), NodeStatus::Inconsistent);
+        assert_eq!(statuses(&inst), [NodeStatus::Inconsistent; 3]);
     }
 
     #[test]
     fn equal_child_ports_not_internal() {
         let mut inst = cherry();
         inst.labels[0].right_child = inst.labels[0].left_child;
-        assert_eq!(status(&inst, 0), NodeStatus::Inconsistent);
+        assert_eq!(statuses(&inst)[0], NodeStatus::Inconsistent);
     }
 
     #[test]
     fn parent_port_clash_not_internal() {
         let mut inst = cherry();
         inst.labels[0].parent = inst.labels[0].left_child;
-        assert_eq!(status(&inst, 0), NodeStatus::Inconsistent);
+        assert_eq!(statuses(&inst)[0], NodeStatus::Inconsistent);
     }
 
     /// RC-chain of three nodes: v0 -RC-> v1 -RC-> v2, so level(v0)=3.

@@ -111,99 +111,34 @@ pub struct CostSummary {
 }
 
 impl CostSummary {
-    /// Summarizes a slice of execution records.
+    /// Summarizes a slice of execution records: the one fold behind every
+    /// reported summary. Sums stay integral and the means are divided out
+    /// once at the end, so the summary of a sweep's merged records is the
+    /// same bits for any thread count.
     pub fn from_records(records: &[ExecutionRecord]) -> Self {
-        let mut acc = CostAccumulator::default();
+        let mut s = Self {
+            runs: records.len(),
+            ..Self::default()
+        };
+        let (mut vol_sum, mut dist_sum, mut dist_count) = (0u128, 0u64, 0usize);
         for r in records {
-            acc.add(r);
+            s.max_volume = s.max_volume.max(r.volume);
+            vol_sum += r.volume as u128;
+            s.max_queries = s.max_queries.max(r.queries);
+            if let Some(d) = r.distance {
+                s.max_distance = s.max_distance.max(d);
+                dist_sum += u64::from(d);
+                dist_count += 1;
+            }
+            s.incomplete += usize::from(!r.completed);
         }
-        acc.finish()
-    }
-}
-
-/// Streaming, mergeable accumulator behind [`CostSummary`].
-///
-/// The parallel engine (`vc-engine`) keeps one accumulator per worker thread
-/// and merges them at the end. All partial state is integral (`max`es and
-/// exact integer sums; the means are divided out only in
-/// [`CostAccumulator::finish`]), so the merged summary is bit-for-bit
-/// identical no matter how records were partitioned across threads or in
-/// which order partials are merged — the determinism anchor the engine's
-/// N-thread vs. serial equality test relies on.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct CostAccumulator {
-    runs: usize,
-    max_volume: usize,
-    vol_sum: u128,
-    max_distance: u32,
-    dist_sum: u64,
-    dist_count: usize,
-    max_queries: u64,
-    query_sum: u128,
-    incomplete: usize,
-}
-
-impl CostAccumulator {
-    /// Folds one execution record into the running totals.
-    pub fn add(&mut self, r: &ExecutionRecord) {
-        self.runs += 1;
-        self.max_volume = self.max_volume.max(r.volume);
-        self.vol_sum += r.volume as u128;
-        self.max_queries = self.max_queries.max(r.queries);
-        self.query_sum += u128::from(r.queries);
-        if let Some(d) = r.distance {
-            self.max_distance = self.max_distance.max(d);
-            self.dist_sum += u64::from(d);
-            self.dist_count += 1;
+        if s.runs > 0 {
+            s.mean_volume = vol_sum as f64 / s.runs as f64;
         }
-        if !r.completed {
-            self.incomplete += 1;
+        if dist_count > 0 {
+            s.mean_distance = dist_sum as f64 / dist_count as f64;
         }
-    }
-
-    /// Absorbs another accumulator (e.g. a different worker thread's).
-    pub fn merge(&mut self, other: &CostAccumulator) {
-        self.runs += other.runs;
-        self.max_volume = self.max_volume.max(other.max_volume);
-        self.vol_sum += other.vol_sum;
-        self.max_distance = self.max_distance.max(other.max_distance);
-        self.dist_sum += other.dist_sum;
-        self.dist_count += other.dist_count;
-        self.max_queries = self.max_queries.max(other.max_queries);
-        self.query_sum += other.query_sum;
-        self.incomplete += other.incomplete;
-    }
-
-    /// Total queries across all accumulated executions (used for
-    /// queries/sec throughput reporting).
-    pub fn total_queries(&self) -> u128 {
-        self.query_sum
-    }
-
-    /// Number of records accumulated so far.
-    pub fn runs(&self) -> usize {
-        self.runs
-    }
-
-    /// Finalizes into a [`CostSummary`], dividing out the means.
-    pub fn finish(&self) -> CostSummary {
-        CostSummary {
-            runs: self.runs,
-            max_volume: self.max_volume,
-            mean_volume: if self.runs > 0 {
-                self.vol_sum as f64 / self.runs as f64
-            } else {
-                0.0
-            },
-            max_distance: self.max_distance,
-            mean_distance: if self.dist_count > 0 {
-                self.dist_sum as f64 / self.dist_count as f64
-            } else {
-                0.0
-            },
-            max_queries: self.max_queries,
-            incomplete: self.incomplete,
-        }
+        s
     }
 }
 
@@ -269,38 +204,5 @@ mod tests {
         let s = CostSummary::from_records(&[]);
         assert_eq!(s.runs, 0);
         assert_eq!(s.max_volume, 0);
-    }
-
-    #[test]
-    fn accumulator_merge_is_partition_independent() {
-        let records: Vec<ExecutionRecord> =
-            (0..37).map(|i| rec(i * 3 + 1, (i % 7) as u32)).collect();
-        let serial = CostSummary::from_records(&records);
-        // Any chunking, merged in any order, must be bit-identical.
-        for chunk in [1, 2, 5, 36, 37] {
-            let mut parts: Vec<CostAccumulator> = records
-                .chunks(chunk)
-                .map(|c| {
-                    let mut a = CostAccumulator::default();
-                    c.iter().for_each(|r| a.add(r));
-                    a
-                })
-                .collect();
-            parts.reverse(); // merge order must not matter
-            let mut total = CostAccumulator::default();
-            for p in &parts {
-                total.merge(p);
-            }
-            assert_eq!(total.finish(), serial);
-        }
-    }
-
-    #[test]
-    fn accumulator_tracks_query_totals() {
-        let mut a = CostAccumulator::default();
-        a.add(&rec(4, 2));
-        a.add(&rec(9, 3));
-        assert_eq!(a.total_queries(), 13);
-        assert_eq!(a.runs(), 2);
     }
 }

@@ -40,7 +40,7 @@ pub mod oracle;
 pub mod randomness;
 pub mod run;
 
-pub use cost::{Budget, CostAccumulator, CostSummary, ExecutionRecord};
+pub use cost::{Budget, CostSummary, ExecutionRecord};
 pub use oracle::{ExecScratch, Execution, NodeView, Oracle, QueryError, SolverScratch};
 pub use randomness::{RandomTape, RandomnessMode};
 pub use run::{

@@ -6,8 +6,7 @@
 //! not just their maxima; log2 buckets capture those distributions at
 //! every scale with a fixed, partition-independent shape. All state is
 //! integral, so merging per-chunk partials in any grouping is
-//! bit-identical to serial accumulation — the same argument that makes
-//! `CostAccumulator` safe under the sharded engine.
+//! bit-identical to serial accumulation.
 
 // VC012: no truncating `as` cast on a merge path (non-test code).
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]

@@ -14,12 +14,17 @@
 //!    hot loop compiles to the same code it had before tracing existed.
 //! 2. **Determinism under sharding.** The aggregating tracer
 //!    ([`SweepMetrics`]) keeps purely integral state — counters and
-//!    log2-bucketed histograms — and merges like `CostAccumulator` in
-//!    `vc-model`: per-share partials absorbed chunk by chunk produce
-//!    bit-identical totals for any worker-thread count. Wall-clock
+//!    log2-bucketed histograms — so per-share partials absorbed chunk by
+//!    chunk produce bit-identical totals for any worker-thread count, the
+//!    same totals the serial `vc-model` runner folds. Wall-clock
 //!    observations are quarantined in a separate [`metrics::SchedStats`]
 //!    section that is *documented* to vary between runs and excluded from
 //!    every determinism comparison.
+//!
+//! The tracer records the query stream and what only a share sees (its
+//! wall time, a retry). The sweep's chunk ledger — the plan, and the
+//! completed, aborted and skipped chunks — is `vc-engine`'s
+//! `EngineReport`, not a second copy here.
 //!
 //! The crate is dependency-free (it sits below `vc-model` in the
 //! workspace graph) and holds the only sanctioned wall-clock read in the

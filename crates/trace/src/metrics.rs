@@ -4,10 +4,11 @@
 //! The struct is split along the determinism boundary:
 //!
 //! * [`QueryStats`] holds everything derived from the *query stream* —
-//!   counters and [`Log2Hist`]s of volume / distance / queries-per-start.
-//!   All state is integral, so per-share partials absorbed chunk by chunk
-//!   are bit-identical to a serial fold for **any worker-thread count**
-//!   (the determinism suite asserts this directly).
+//!   counters and [`Log2Hist`]s of volume / distance / queries-per-start,
+//!   plus the count of chunk retries. All state is integral, so per-share
+//!   partials absorbed chunk by chunk are bit-identical to a serial fold
+//!   for **any worker-thread count**: the engine's equal the serial
+//!   runner's (the determinism suite asserts this directly).
 //! * [`SchedStats`] holds the *scheduling* observations — wall time per
 //!   share of a chunk — which legitimately vary between runs and are
 //!   therefore excluded from every determinism comparison.
@@ -32,39 +33,17 @@ pub struct QueryStats {
     pub nodes_revealed: u64,
     /// Strict frontier advances (depth records) across all executions.
     pub frontier_advances: u64,
-    /// Chunk plans announced (one per sweep; sums across absorbed sweeps).
-    pub chunks_planned: u64,
-    /// Planned starts-per-chunk (the adaptive chunk size; max across
-    /// absorbed sweeps). Derived from the start count alone, so it is
-    /// thread-invariant like every other field here.
-    pub planned_chunk_size: u64,
-    /// Partition restrictions announced (one per range-restricted sweep;
-    /// 0 for unpartitioned sweeps). Absorbing every partition's metrics
-    /// of an N-way fleet run sums this to N.
-    pub partitions: u64,
-    /// Chunks inside the announced partition slices (sums `hi - lo`
-    /// across absorbed partitions; a full fleet's partitions sum to the
-    /// planned chunk count).
-    pub partition_chunks: u64,
-    /// Chunks claimed by workers (= the planned chunk count of the sweep).
-    pub chunks_claimed: u64,
-    /// Chunks absorbed by the merge loop (= `chunks_claimed` minus any
-    /// aborted chunks).
-    pub chunks_merged: u64,
-    /// Chunk retries after a panic. Deterministic: a panicking chunk
-    /// panics identically on every run, so retries are thread-invariant.
+    /// Retries of a panicked chunk that then completed. Deterministic: a
+    /// panicking chunk panics identically on every run, so retries are
+    /// thread-invariant. (The chunk plan and the merged and aborted
+    /// chunks are `vc-engine`'s `EngineReport`, not tracer state.)
     pub chunks_retried: u64,
-    /// Chunks abandoned after exhausting their retries.
-    pub chunks_aborted: u64,
     /// Distribution of per-execution volume `|V_v|`.
     pub volume: Log2Hist,
     /// Distribution of per-execution discovery-depth (distance bound).
     pub distance: Log2Hist,
     /// Distribution of queries issued per execution.
     pub queries_per_start: Log2Hist,
-    /// Distribution of start nodes per claimed chunk (every chunk is the
-    /// planned size except possibly the final remainder).
-    pub chunk_starts: Log2Hist,
 }
 
 impl QueryStats {
@@ -74,18 +53,10 @@ impl QueryStats {
         self.queries_issued += other.queries_issued;
         self.nodes_revealed += other.nodes_revealed;
         self.frontier_advances += other.frontier_advances;
-        self.chunks_planned += other.chunks_planned;
-        self.planned_chunk_size = self.planned_chunk_size.max(other.planned_chunk_size);
-        self.partitions += other.partitions;
-        self.partition_chunks += other.partition_chunks;
-        self.chunks_claimed += other.chunks_claimed;
-        self.chunks_merged += other.chunks_merged;
         self.chunks_retried += other.chunks_retried;
-        self.chunks_aborted += other.chunks_aborted;
         self.volume.merge(&other.volume);
         self.distance.merge(&other.distance);
         self.queries_per_start.merge(&other.queries_per_start);
-        self.chunk_starts.merge(&other.chunk_starts);
     }
 }
 
@@ -152,26 +123,12 @@ impl Tracer for SweepMetrics {
                 q.distance.observe(u64::from(distance_upper));
                 q.queries_per_start.observe(queries);
             }
-            TraceEvent::ChunkPlanned { chunk_size, .. } => {
-                q.chunks_planned += 1;
-                q.planned_chunk_size = q.planned_chunk_size.max(chunk_size as u64);
-            }
-            TraceEvent::PartitionRestricted { lo, hi, .. } => {
-                q.partitions += 1;
-                q.partition_chunks += (hi - lo) as u64;
-            }
-            TraceEvent::ChunkClaimed { starts, .. } => {
-                q.chunks_claimed += 1;
-                q.chunk_starts.observe(starts as u64);
-            }
             TraceEvent::ChunkTimed { nanos, .. } => {
                 self.sched.chunks_timed += 1;
                 self.sched.chunk_nanos_total += u128::from(nanos);
                 self.sched.chunk_nanos_max = self.sched.chunk_nanos_max.max(nanos);
             }
-            TraceEvent::ChunkMerged { .. } => q.chunks_merged += 1,
             TraceEvent::ChunkRetried { .. } => q.chunks_retried += 1,
-            TraceEvent::ChunkAborted { .. } => q.chunks_aborted += 1,
         }
     }
 }
@@ -204,14 +161,6 @@ mod tests {
         (0..executions).for_each(|e| execution(m, e));
     }
 
-    fn claimed(chunk: usize, starts: usize) -> TraceEvent {
-        TraceEvent::ChunkClaimed { chunk, starts }
-    }
-
-    fn planned(chunks: usize, chunk_size: usize) -> TraceEvent {
-        TraceEvent::ChunkPlanned { chunks, chunk_size }
-    }
-
     fn timed(chunk: usize, nanos: u64) -> TraceEvent {
         TraceEvent::ChunkTimed { chunk, nanos }
     }
@@ -234,60 +183,22 @@ mod tests {
     fn absorb_is_partition_independent() {
         let mut serial = SweepMetrics::new();
         sample_events(&mut serial, 20);
-        serial.event(claimed(0, 64));
-        serial.event(TraceEvent::ChunkMerged { chunk: 0 });
+        serial.event(TraceEvent::ChunkRetried {
+            chunk: 0,
+            attempt: 1,
+        });
 
         let mut a = SweepMetrics::new();
         sample_events(&mut a, 13);
-        a.event(claimed(0, 64));
-        a.event(TraceEvent::ChunkMerged { chunk: 0 });
+        a.event(TraceEvent::ChunkRetried {
+            chunk: 0,
+            attempt: 1,
+        });
         let mut b = SweepMetrics::new();
         // The same tail: events 13..20 of the serial stream.
         (13..20).for_each(|e| execution(&mut b, e));
         a.absorb(b);
         assert_eq!(a.query, serial.query);
-    }
-
-    #[test]
-    fn chunk_plan_observability_is_recorded() {
-        let mut m = SweepMetrics::new();
-        m.event(planned(3, 128));
-        m.event(claimed(0, 128));
-        m.event(claimed(1, 128));
-        m.event(claimed(2, 40));
-        assert_eq!(m.query.chunks_planned, 1);
-        assert_eq!(m.query.planned_chunk_size, 128);
-        assert_eq!(m.query.chunks_claimed, 3);
-        assert_eq!(m.query.chunk_starts.count(), 3);
-        assert_eq!(m.query.chunk_starts.max(), 128);
-        assert_eq!(m.query.chunk_starts.sum(), 296);
-        // Absorbing another sweep's metrics sums the plan count but keeps
-        // the largest planned size.
-        let mut other = SweepMetrics::new();
-        other.event(planned(10, 64));
-        m.absorb(other);
-        assert_eq!(m.query.chunks_planned, 2);
-        assert_eq!(m.query.planned_chunk_size, 128);
-    }
-
-    #[test]
-    fn partition_metrics_absorb_across_partitions() {
-        // Three fleet partitions of one 10-chunk sweep: absorbed, their
-        // slices account for every planned chunk exactly once.
-        let mut merged = SweepMetrics::new();
-        for (lo, hi) in [(0, 4), (4, 7), (7, 10)] {
-            let mut part = SweepMetrics::new();
-            part.event(planned(10, 64));
-            part.event(TraceEvent::PartitionRestricted { lo, hi, total: 10 });
-            merged.absorb(part);
-        }
-        assert_eq!(merged.query.partitions, 3);
-        assert_eq!(merged.query.partition_chunks, 10);
-        // An unpartitioned sweep announces nothing.
-        let mut solo = SweepMetrics::new();
-        solo.event(planned(10, 64));
-        assert_eq!(solo.query.partitions, 0);
-        assert_eq!(solo.query.partition_chunks, 0);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! supervisor — or a human — can launch a recovery worker for exactly the
 //! gap. CI validates the document with `check-json`.
 //!
-//! `cargo run -p xtask -- compare-bench <baseline> <fresh> [--tol-pct N]`
+//! `cargo run -p xtask -- compare-bench <baseline> <fresh>`
 //! diffs a freshly generated `BENCH_engine.json` against the committed
 //! baseline: rows are keyed `(case, threads)`; the combinatorial count
 //! fields (`n`, `max_volume`, `max_distance`, `runs`, `incomplete`,
@@ -32,8 +32,8 @@
 //! "same case" silently running a different instance — and fails the
 //! command), while the wall-clock
 //! throughput fields (`starts_per_sec`, `queries_per_sec`) are advisory —
-//! regressions beyond the tolerance (default 25%) are printed but do not
-//! fail, since CI machines vary.
+//! regressions beyond [`TOL_PCT`] percent are printed but do not fail,
+//! since CI machines vary.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -56,8 +56,12 @@ const COUNT_FIELDS: &[&str] = &[
 ];
 
 /// Row fields that are wall-clock throughput: machine-dependent, checked
-/// only advisorily against the tolerance.
+/// only advisorily against [`TOL_PCT`].
 const RATE_FIELDS: &[&str] = &["starts_per_sec", "queries_per_sec"];
+
+/// The throughput drop, in percent, past which a rate field gets an
+/// advisory.
+const TOL_PCT: f64 = 25.0;
 
 /// Row fields that are content-addressed identities: exact string
 /// equality, and a missing field on either side is a failure — a drifted
@@ -75,9 +79,9 @@ struct BenchDiff {
 
 /// Diffs two parsed `vc-engine-baseline/v1` documents. Every baseline row
 /// must reappear in `fresh` under the same `(case, threads)` key with
-/// identical count fields; throughput regressions beyond `tol_pct` percent
-/// are recorded as advisories only.
-fn compare_bench(baseline: &json::Value, fresh: &json::Value, tol_pct: f64) -> BenchDiff {
+/// identical count fields; throughput regressions beyond [`TOL_PCT`]
+/// percent are recorded as advisories only.
+fn compare_bench(baseline: &json::Value, fresh: &json::Value) -> BenchDiff {
     let mut diff = BenchDiff::default();
     for (name, doc) in [("baseline", baseline), ("fresh", fresh)] {
         match doc.get("schema").and_then(json::Value::as_str) {
@@ -145,11 +149,11 @@ fn compare_bench(baseline: &json::Value, fresh: &json::Value, tol_pct: f64) -> B
                     .push(format!("{label}: rate field `{field}` missing"));
                 continue;
             };
-            if b > 0.0 && f < b * (1.0 - tol_pct / 100.0) {
+            if b > 0.0 && f < b * (1.0 - TOL_PCT / 100.0) {
                 let drop = (1.0 - f / b) * 100.0;
                 diff.advisories.push(format!(
                     "{label}: `{field}` regressed {drop:.1}% ({b:.1} -> {f:.1}), \
-                     beyond the {tol_pct:.0}% tolerance"
+                     beyond the {TOL_PCT:.0}% tolerance"
                 ));
             }
         }
@@ -157,42 +161,19 @@ fn compare_bench(baseline: &json::Value, fresh: &json::Value, tol_pct: f64) -> B
     diff
 }
 
-/// Parses `compare-bench` CLI arguments: two paths plus an optional
-/// `--tol-pct N`.
-fn parse_compare_args(args: &[String]) -> Result<(String, String, f64), String> {
-    let mut paths = Vec::new();
-    let mut tol_pct = 25.0;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--tol-pct" {
-            let v = args
-                .get(i + 1)
-                .ok_or_else(|| "--tol-pct needs a value".to_string())?;
-            tol_pct = v
-                .parse::<f64>()
-                .map_err(|_| format!("--tol-pct: not a number: {v}"))?;
-            if !(0.0..=100.0).contains(&tol_pct) {
-                return Err(format!("--tol-pct must be within 0..=100, got {tol_pct}"));
-            }
-            i += 2;
-        } else {
-            paths.push(args[i].clone());
-            i += 1;
-        }
-    }
-    match <[String; 2]>::try_from(paths) {
-        Ok([baseline, fresh]) => Ok((baseline, fresh, tol_pct)),
-        Err(_) => Err("expected exactly two paths: <baseline> <fresh>".to_string()),
+/// Parses `compare-bench` CLI arguments: exactly two paths.
+fn parse_compare_args(args: &[String]) -> Result<(&str, &str), String> {
+    match args {
+        [baseline, fresh] => Ok((baseline, fresh)),
+        _ => Err("expected exactly two paths: <baseline> <fresh>".to_string()),
     }
 }
 
 fn run_compare_bench(args: &[String]) -> ExitCode {
-    let (baseline_path, fresh_path, tol_pct) = match parse_compare_args(args) {
+    let (baseline_path, fresh_path) = match parse_compare_args(args) {
         Ok(parsed) => parsed,
         Err(e) => {
-            eprintln!(
-                "usage: cargo run -p xtask -- compare-bench <baseline> <fresh> [--tol-pct N]"
-            );
+            eprintln!("usage: cargo run -p xtask -- compare-bench <baseline> <fresh>");
             eprintln!("xtask compare-bench: {e}");
             return ExitCode::FAILURE;
         }
@@ -201,7 +182,7 @@ fn run_compare_bench(args: &[String]) -> ExitCode {
         let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         json::parse(&src).map_err(|e| format!("{path}: {e}"))
     };
-    let (baseline, fresh) = match (load(&baseline_path), load(&fresh_path)) {
+    let (baseline, fresh) = match (load(baseline_path), load(fresh_path)) {
         (Ok(b), Ok(f)) => (b, f),
         (b, f) => {
             for r in [b, f] {
@@ -212,14 +193,14 @@ fn run_compare_bench(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let diff = compare_bench(&baseline, &fresh, tol_pct);
+    let diff = compare_bench(&baseline, &fresh);
     for a in &diff.advisories {
         println!("xtask compare-bench: advisory: {a}");
     }
     if diff.failures.is_empty() {
         println!(
             "xtask compare-bench: {fresh_path} matches {baseline_path} \
-             (count fields exact, {} throughput advisories at {tol_pct:.0}% tolerance)",
+             (count fields exact, {} throughput advisories at {TOL_PCT:.0}% tolerance)",
             diff.advisories.len()
         );
         ExitCode::SUCCESS
@@ -380,7 +361,7 @@ fn main() -> ExitCode {
         _ => {
             eprintln!(
                 "usage: cargo run -p xtask -- \
-                 <check-json <path> | compare-bench <baseline> <fresh> [--tol-pct N] \
+                 <check-json <path> | compare-bench <baseline> <fresh> \
                  | merge-checkpoints [--partial] <out> <part>...>"
             );
             ExitCode::FAILURE
@@ -465,7 +446,7 @@ mod tests {
     #[test]
     fn compare_bench_accepts_identical_documents() {
         let doc = bench_doc("case/a", 1, 400, 500.0);
-        let diff = compare_bench(&doc, &doc, 25.0);
+        let diff = compare_bench(&doc, &doc);
         assert!(diff.failures.is_empty());
         assert!(diff.advisories.is_empty());
     }
@@ -474,7 +455,7 @@ mod tests {
     fn compare_bench_fails_on_count_field_drift() {
         let baseline = bench_doc("case/a", 1, 400, 500.0);
         let fresh = bench_doc("case/a", 1, 401, 500.0);
-        let diff = compare_bench(&baseline, &fresh, 25.0);
+        let diff = compare_bench(&baseline, &fresh);
         assert_eq!(diff.failures.len(), 1);
         assert!(diff.failures[0].contains("total_queries"));
     }
@@ -495,7 +476,6 @@ mod tests {
         let diff = compare_bench(
             &with_queries(r#", "total_queries": 9007199254740992"#),
             &with_queries(r#", "total_queries": 9007199254740993"#),
-            25.0,
         );
         assert_eq!(diff.failures.len(), 1);
         assert!(diff.failures[0].contains("total_queries"));
@@ -503,13 +483,12 @@ mod tests {
         let diff = compare_bench(
             &with_queries(r#", "total_queries": 1000"#),
             &with_queries(r#", "total_queries": 1e3"#),
-            25.0,
         );
         assert_eq!(diff.failures.len(), 1);
         assert!(diff.failures[0].contains("total_queries"));
         // A count missing from both files is not a match.
         let missing = with_queries("");
-        let diff = compare_bench(&missing, &missing, 25.0);
+        let diff = compare_bench(&missing, &missing);
         assert_eq!(diff.failures.len(), 1);
         assert!(diff.failures[0].contains("total_queries"));
     }
@@ -518,11 +497,11 @@ mod tests {
     fn compare_bench_fails_on_missing_row_and_schema() {
         let baseline = bench_doc("case/a", 2, 400, 500.0);
         let fresh = bench_doc("case/a", 1, 400, 500.0);
-        let diff = compare_bench(&baseline, &fresh, 25.0);
+        let diff = compare_bench(&baseline, &fresh);
         assert!(diff.failures.iter().any(|f| f.contains("missing")));
 
         let bad = json::parse(r#"{"schema": "other/v2", "rows": []}"#).unwrap();
-        let diff = compare_bench(&bad, &fresh, 25.0);
+        let diff = compare_bench(&bad, &fresh);
         assert!(diff.failures.iter().any(|f| f.contains("schema")));
     }
 
@@ -532,13 +511,13 @@ mod tests {
         // A 50% throughput drop is beyond the 25% tolerance but must not
         // fail the comparison — machines differ; counts do not.
         let fresh = bench_doc("case/a", 1, 400, 500.0);
-        let diff = compare_bench(&baseline, &fresh, 25.0);
+        let diff = compare_bench(&baseline, &fresh);
         assert!(diff.failures.is_empty());
         assert_eq!(diff.advisories.len(), 1);
         assert!(diff.advisories[0].contains("starts_per_sec"));
         // Within tolerance: silent.
         let fresh = bench_doc("case/a", 1, 400, 900.0);
-        let diff = compare_bench(&baseline, &fresh, 25.0);
+        let diff = compare_bench(&baseline, &fresh);
         assert!(diff.advisories.is_empty());
     }
 
@@ -546,7 +525,7 @@ mod tests {
     fn compare_bench_fails_on_instance_id_drift_or_absence() {
         let baseline = bench_doc_with_id("case/a", 1, 400, 500.0, "00ab12cd34ef5678");
         let fresh = bench_doc_with_id("case/a", 1, 400, 500.0, "ffffffff00000000");
-        let diff = compare_bench(&baseline, &fresh, 25.0);
+        let diff = compare_bench(&baseline, &fresh);
         assert_eq!(diff.failures.len(), 1);
         assert!(diff.failures[0].contains("instance_id"));
         assert!(diff.failures[0].contains("same instance"));
@@ -559,7 +538,7 @@ mod tests {
              "incomplete": 0, "total_queries": 400,
              "starts_per_sec": 500.0, "queries_per_sec": 1000.0}]}"#;
         let legacy = json::parse(src).unwrap();
-        let diff = compare_bench(&legacy, &legacy, 25.0);
+        let diff = compare_bench(&legacy, &legacy);
         assert_eq!(diff.failures.len(), 1);
         assert!(diff.failures[0].contains("instance_id"));
     }
@@ -570,14 +549,11 @@ mod tests {
             .iter()
             .map(ToString::to_string)
             .collect();
-        let (b, f, tol) = parse_compare_args(&args).unwrap();
-        assert_eq!((b.as_str(), f.as_str(), tol), ("a.json", "b.json", 10.0));
+        assert_eq!(parse_compare_args(&args[..2]), Ok(("a.json", "b.json")));
         assert!(parse_compare_args(&args[..1]).is_err());
-        let bad: Vec<String> = ["a", "b", "--tol-pct", "x"]
-            .iter()
-            .map(ToString::to_string)
-            .collect();
-        assert!(parse_compare_args(&bad).is_err());
+        // The tolerance is a constant: the retired flag is refused, not
+        // read as a path.
+        assert!(parse_compare_args(&args).is_err());
     }
 
     /// A partial checkpoint of sweep 5 over `num_chunks` chunks, holding

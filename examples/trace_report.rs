@@ -78,7 +78,7 @@ fn main() {
             c.metrics.query.executions,
             c.metrics.query.queries_issued,
             c.metrics.query.volume.quantile_upper(0.99),
-            c.metrics.query.chunks_claimed,
+            c.chunks_merged + c.chunks_aborted,
         );
     }
 

@@ -127,7 +127,7 @@ run_gates() {
         cargo run --release --example engine_baseline "$FRESH_BASELINE"
 
     step "xtask compare-bench" \
-        cargo run -p xtask -- compare-bench BENCH_engine.json "$FRESH_BASELINE" --tol-pct 25
+        cargo run -p xtask -- compare-bench BENCH_engine.json "$FRESH_BASELINE"
 
     # Trace report: generate the vc-trace-report/v1 document with tracing
     # enabled and check it is well-formed JSON.

@@ -77,7 +77,7 @@ fn prop_label_corruption_detected() {
         let (mut inst, _) = gen::balanced_tree_compatible(4);
         // Pick a consistent node with a lateral label to erase.
         let candidates: Vec<usize> = (0..inst.n())
-            .filter(|&v| structure::status(&inst, v).is_consistent())
+            .filter(|&v| structure::status(&inst, v, &|_| true).is_consistent())
             .filter(|&v| {
                 if kill_ln {
                     inst.labels[v].left_nbr.is_some()
@@ -98,7 +98,7 @@ fn prop_label_corruption_detected() {
         // Some consistent node must now be incompatible (agreement breaks
         // at the lateral partner, or siblings at the parent).
         let any_incompatible = (0..inst.n())
-            .filter(|&u| structure::status(&inst, u).is_consistent())
+            .filter(|&u| structure::status(&inst, u, &|_| true).is_consistent())
             .any(|u| !is_compatible(&inst, u));
         assert!(any_incompatible, "node_sel {node_sel} kill_ln {kill_ln}");
         // And the solver still produces a checker-valid labeling.
